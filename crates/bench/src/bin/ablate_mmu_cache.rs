@@ -6,7 +6,7 @@
 //! full radix depth and WCPI inflates accordingly.
 
 use atscale::report::{fmt, human_bytes, Table};
-use atscale::{Decomposition, Harness};
+use atscale::Decomposition;
 use atscale_bench::HarnessOptions;
 use atscale_mmu::{MachineConfig, MmuCacheConfig};
 use atscale_workloads::WorkloadId;
@@ -20,9 +20,9 @@ fn main() {
     let on = opts.harness();
     let mut off_cfg = MachineConfig::haswell();
     off_cfg.psc = MmuCacheConfig::disabled();
-    // Ablations use a fresh (uncached-config) harness: the run store keys
-    // on the config, so both variants cache safely side by side.
-    let off = Harness::new().with_config(off_cfg).with_default_store();
+    // The run store keys on the config, so both variants cache side by side
+    // through one shared handle (a store directory has one owner).
+    let off = on.clone().with_config(off_cfg);
 
     let mut table = Table::new(&[
         "footprint",

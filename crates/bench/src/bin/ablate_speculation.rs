@@ -6,7 +6,6 @@
 //! the measured walk traffic (and cache pressure) is speculative waste.
 
 use atscale::report::{fmt, human_bytes, Table};
-use atscale::Harness;
 use atscale_bench::HarnessOptions;
 use atscale_mmu::{MachineConfig, SpecConfig};
 use atscale_workloads::WorkloadId;
@@ -20,7 +19,8 @@ fn main() {
     let on = opts.harness();
     let mut off_cfg = MachineConfig::haswell();
     off_cfg.spec = SpecConfig::disabled();
-    let off = Harness::new().with_config(off_cfg).with_default_store();
+    // The clone shares `on`'s store handle (a directory has one owner).
+    let off = on.clone().with_config(off_cfg);
 
     let mut table = Table::new(&[
         "footprint",

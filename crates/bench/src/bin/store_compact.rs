@@ -1,15 +1,14 @@
-//! `store_compact` — migrate a results directory into the columnar
-//! segment store and compact it down to its live rows.
+//! `store_compact` — compact a results directory's segment store down
+//! to its live rows.
 //!
 //! ```text
 //! store_compact [--dir DIR] [--verify] [--stats-out PATH]
 //! ```
 //!
 //! Opens `DIR` (default: the harness's default store location,
-//! `results/runs` or `$ATSCALE_RESULTS/runs`) segment-backed, moves every
-//! legacy `.json` record into the segment store — dedup keys (the record
-//! file stems) and raw bytes are preserved exactly, so cache hits and
-//! bit-for-bit replay are unaffected — then compacts. With `--verify`,
+//! `results/runs` or `$ATSCALE_RESULTS/runs`) — which, like every open,
+//! folds any legacy per-file `.json` records into the segment store with
+//! their keys and raw bytes preserved exactly — then compacts. With `--verify`,
 //! the store's online aggregates are diffed against a recomputation from
 //! the raw records both before and after compaction; any mismatch is a
 //! hard failure. `--stats-out` writes the final segment-store occupancy
@@ -61,18 +60,15 @@ fn parse_args() -> Result<Options, String> {
 fn verify(store: &RunStore, phase: &str) -> Result<(), String> {
     let mut recomputed = AggState::new();
     let mut rows = 0u64;
-    let visited = store.for_each_live_record(|key, _hot, raw| {
+    store.for_each_live_record(|key, _hot, raw| {
         let record: RunRecord = serde_json::from_slice(&raw)
             .unwrap_or_else(|e| panic!("stored record {key} does not parse: {e}"));
         recomputed.add(&hot_row(&record));
         rows += 1;
     });
-    if !visited {
-        return Err("store is not segment-backed".to_string());
-    }
     let all = QueryFilter::default();
     let want = recomputed.query(&all);
-    let got = store.query(&all).expect("segment-backed store answers");
+    let got = store.query(&all);
     if got != want {
         return Err(format!(
             "{phase}: online aggregates diverge from the from-raw recomputation\n\
@@ -85,18 +81,15 @@ fn verify(store: &RunStore, phase: &str) -> Result<(), String> {
 
 fn run(opts: &Options) -> Result<(), String> {
     let store = match &opts.dir {
-        Some(dir) => RunStore::open_segmented(dir),
-        None => RunStore::default_location_segmented(),
+        Some(dir) => RunStore::open(dir),
+        None => RunStore::default_location(),
     }
     .map_err(|e| format!("cannot open store: {e}"))?;
 
-    let before = store.seg_stats().expect("segment-backed");
-    let moved = store
-        .migrate_legacy()
-        .map_err(|e| format!("migration failed: {e}"))?;
     println!(
-        "migrated {moved} legacy record(s); segment store held {} live row(s) before",
-        before.live_rows
+        "opened: {} live row(s), {} legacy record(s) migrated by this open",
+        store.seg_stats().live_rows,
+        store.migrated()
     );
     if opts.verify {
         verify(&store, "pre-compact")?;
@@ -118,7 +111,7 @@ fn run(opts: &Options) -> Result<(), String> {
         verify(&store, "post-compact")?;
     }
 
-    let stats = store.seg_stats().expect("segment-backed");
+    let stats = store.seg_stats();
     println!(
         "segment store: {} segments ({} rows) + {} WAL rows | {} live, {} dead | \
          {} bytes on disk | {} quarantined",

@@ -236,8 +236,14 @@ mod tests {
             threads: Some(2),
             ..HarnessOptions::default()
         };
+        // Opening the default store creates files: point it away from the
+        // source tree (no other test in this binary reads the variable).
+        let scratch =
+            std::env::temp_dir().join(format!("atscale-bench-lib-test-{}", std::process::id()));
+        std::env::set_var("ATSCALE_RESULTS", &scratch);
         // Building the harness must not panic and must honour the config.
         let harness = opts.harness();
         assert_eq!(harness.config(), &atscale_mmu::MachineConfig::haswell());
+        let _ = std::fs::remove_dir_all(&scratch);
     }
 }

@@ -115,7 +115,7 @@ impl SweepConfig {
 ///     println!("{:>12.0} KB  {:+.3}", p.footprint_kb(), p.relative_overhead());
 /// }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Harness {
     config: MachineConfig,
     store: Option<RunStore>,
@@ -471,8 +471,9 @@ mod tests {
         let first = plain.run(&spec);
         assert!(first.result.samples.is_empty(), "no telemetry, no series");
 
-        let sampling = Harness::new()
-            .with_store(RunStore::open(&dir).unwrap())
+        // A clone shares the store handle (a directory has one owner).
+        let sampling = plain
+            .clone()
             .with_telemetry(TelemetryHandle::sampling_only(5_000));
         let refreshed = sampling.run(&spec);
         assert!(!refreshed.result.samples.is_empty(), "cache entry re-run");

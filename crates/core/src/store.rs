@@ -2,28 +2,23 @@
 //!
 //! Every figure and table harness shares runs: Figure 1's sweep contains
 //! Figure 2's `cc-urand` series, Table IV refits Figure 1's points, and so
-//! on. Caching each completed [`RunRecord`] as JSON keyed by a hash of
+//! on. Caching each completed [`RunRecord`] keyed by a hash of
 //! `(spec, machine config)` means `cargo run --bin fig4` after `fig1` costs
 //! seconds, not a re-simulation.
 //!
-//! Two backends share the one handle:
+//! This module owns what only the simulator knows — key derivation, the
+//! record's JSON serialization, and the [`hot_row`] column extraction.
+//! How a record is laid out on disk is [`atscale_results::SegmentStore`]'s
+//! business alone: every [`RunStore`] keeps its records in the segment
+//! store under `dir/segments`, and loads return the saved bytes bit for
+//! bit. Directories written before the segment store existed hold one
+//! checksum-less `{key}.json` file per record; [`RunStore::open`] folds
+//! those in, and nothing else ever reads that format.
 //!
-//! * **Legacy**: one `{key}.json` file per record (the original format).
-//! * **Segmented** ([`RunStore::open_segmented`]): records flow into an
-//!   [`atscale_results::SegmentStore`] under `dir/segments` — columnar
-//!   blocks plus a compressed raw-JSON sidecar, with online per-group
-//!   aggregation — while loads **read through** to any legacy `.json`
-//!   files still in `dir`, so an old results directory keeps serving
-//!   hits untouched until [`RunStore::migrate_legacy`] (or the
-//!   `store_compact` binary) folds it in. Keys are identical in both
-//!   backends ([`RunStore::key`] over the same bytes), so single-flight
-//!   dedup and bit-for-bit replay are format-independent.
-//!
-//! [`RunStore::stats`] is answered from counters filled by **one scan at
-//! open** and updated incrementally by save/load/gc — it never rescans
-//! the directory. The counters describe *this handle's* view: files
-//! added or removed behind the store's back are reflected only after a
-//! re-open (byte totals under external tampering are best-effort).
+//! A store directory has one owner at a time — one `open`, cloned as
+//! often as needed within the process. [`atscale_results::store`] says
+//! what two simultaneous owners get (lost cache rows; never a wrong
+//! record, never a panic).
 
 use crate::{RunRecord, RunSpec};
 use atscale_gen::splitmix64;
@@ -32,114 +27,82 @@ use atscale_results::{
     value_fp, x_fp, CompactStats, HotRow, QueryFilter, QueryResult, SegStats, SegmentStore,
 };
 use atscale_vm::PageSize;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Monotonic per-process counter distinguishing concurrent temp files for
-/// the same key (see [`RunStore::save`]).
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Size and occupancy of a [`RunStore`] directory, for operators sizing
-/// the cache (exposed over the wire as the serving daemon's `cache_stats`
-/// reply). In a segment-backed store, `entries`/`bytes` include the
-/// segment store's live rows and on-disk footprint.
+/// Size and occupancy of a [`RunStore`], for operators sizing the cache
+/// (exposed over the wire as the serving daemon's `cache_stats` reply).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreStats {
-    /// Number of cached run records (legacy `.json` files plus live
-    /// segment rows).
+    /// Number of cached run records (live segment-store rows).
     pub entries: u64,
-    /// Total bytes across those records.
+    /// Bytes on disk across segments, WAL and index.
     pub bytes: u64,
-    /// Leftover temp files (`*.tmp`) from interrupted saves; a healthy
-    /// store holds none.
+    /// Temp files (`*.tmp`) of writes that crashed before their rename,
+    /// removed when this store was opened; a healthy store reports none.
     pub tmp_files: u64,
-    /// Corrupt records quarantined as `*.corrupt` sidecars (legacy loads,
-    /// segment files, torn WAL tails); each one was detected, set aside
-    /// for forensics, and transparently recomputed.
+    /// Corrupt inputs set aside as `*.corrupt` sidecars since open (segment
+    /// files, torn WAL tails, unparseable legacy records); their records
+    /// are misses, transparently recomputed.
     pub corrupt_files: u64,
 }
 
-/// A directory of cached run records. See the module docs for the legacy
-/// vs. segment-backed layouts.
+/// A directory of cached run records. See the module docs.
 #[derive(Debug, Clone)]
 pub struct RunStore {
-    dir: PathBuf,
-    /// Incrementally-maintained legacy-directory counters — shared across
-    /// clones so every handle sees the same view (one scan per open).
-    stats: Arc<Mutex<StoreStats>>,
-    segments: Option<Arc<SegmentStore>>,
-    #[cfg(feature = "faults")]
-    faults: Option<Arc<atscale_faults::FaultPlan>>,
+    segments: Arc<SegmentStore>,
+    /// Legacy `.json` files this handle's open migrated / quarantined.
+    migrated: u64,
+    legacy_quarantined: u64,
 }
 
 impl RunStore {
-    /// Opens (creating if needed) a store at `dir`, then garbage-collects
-    /// temp files orphaned by crashed processes (see
-    /// [`RunStore::gc_stale_tmp`]) and takes the one directory scan that
-    /// seeds [`RunStore::stats`].
+    /// Opens (creating if needed) the store at `dir`: attaches the segment
+    /// store under `dir/segments` (which recovers from torn WAL tails,
+    /// corrupt segments and `*.tmp` droppings), then migrates every legacy
+    /// `{key}.json` record found in `dir` into it.
     ///
-    /// A directory some other handle already upgraded (a `segments/`
-    /// subdirectory exists) opens segment-backed automatically, so a
-    /// consumer opening the shared cache after the serving daemon wrote
-    /// to it still sees every record; a plain directory stays legacy.
+    /// Migration rules: the key is the file stem and the stored bytes are
+    /// the file's bytes, so dedup keys and replay stay bit-for-bit; a file
+    /// that does not parse as a [`RunRecord`] is renamed to a
+    /// `{key}.json.corrupt` sidecar and its key is a miss; a file is
+    /// removed only after its append returned, and a key the segment store
+    /// already holds is not appended again, so a pass interrupted anywhere
+    /// resumes on the next open without double-counting; migrated rows are
+    /// sealed into a segment.
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if the directory cannot be created.
+    /// Returns the I/O error if a directory cannot be created or read, or
+    /// if a migration step fails (already-moved files stay moved).
+    /// Corrupt *contents* never error — they quarantine.
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<RunStore> {
-        fs::create_dir_all(dir.as_ref())?;
-        let mut store = RunStore {
-            dir: dir.as_ref().to_path_buf(),
-            stats: Arc::new(Mutex::new(StoreStats::default())),
-            segments: None,
-            #[cfg(feature = "faults")]
-            faults: None,
-        };
-        let seg_dir = store.dir.join("segments");
-        if seg_dir.is_dir() {
-            store.segments = Some(Arc::new(SegmentStore::open(seg_dir)?));
-        }
-        store.gc_stale_tmp();
-        *store.stats.lock() = scan_stats(&store.dir);
-        Ok(store)
+        let dir = dir.as_ref();
+        let segments = SegmentStore::open(dir.join("segments"))?;
+        let (migrated, legacy_quarantined) = migrate_legacy(dir, &segments)?;
+        Ok(RunStore {
+            segments: Arc::new(segments),
+            migrated,
+            legacy_quarantined,
+        })
     }
 
-    /// Opens a segment-backed store: new saves land in the columnar
-    /// segment store under `dir/segments`, loads read through to legacy
-    /// `.json` files still in `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if either directory cannot be created.
+    /// The old name of [`RunStore::open`]; `benchmark/` still calls it
+    /// (ROADMAP item 2(e) removes both).
+    #[doc(hidden)]
     pub fn open_segmented(dir: impl AsRef<Path>) -> std::io::Result<RunStore> {
-        let mut store = Self::open(dir)?;
-        if store.segments.is_none() {
-            store.segments = Some(Arc::new(SegmentStore::open(store.dir.join("segments"))?));
-        }
-        Ok(store)
+        Self::open(dir)
     }
 
-    /// Whether this store writes to a segment backend.
-    pub fn is_segmented(&self) -> bool {
-        self.segments.is_some()
-    }
-
-    /// Attaches a fault-injection plan: subsequent saves route through the
-    /// plan's `StoreWrite`/`StoreRename`/`StoreTorn` sites (legacy) and
-    /// `SegmentTorn`/`IndexRename` sites (segment backend). Test-only
-    /// machinery — exists solely behind the `faults` feature.
+    /// Attaches a fault-injection plan to the segment store (its
+    /// `StoreWrite`/`SegmentTorn`/`StoreRename`/`IndexRename` sites).
+    /// Test-only machinery — exists solely behind the `faults` feature.
     #[cfg(feature = "faults")]
     #[must_use]
-    pub fn with_fault_plan(mut self, plan: Arc<atscale_faults::FaultPlan>) -> Self {
-        if let Some(segments) = &self.segments {
-            segments.set_fault_plan(plan.clone());
-        }
-        self.faults = Some(plan);
+    pub fn with_fault_plan(self, plan: Arc<atscale_faults::FaultPlan>) -> Self {
+        self.segments.set_fault_plan(plan);
         self
     }
 
@@ -148,23 +111,10 @@ impl RunStore {
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if the directory cannot be created.
+    /// As [`RunStore::open`].
     pub fn default_location() -> std::io::Result<RunStore> {
         let base = std::env::var("ATSCALE_RESULTS").unwrap_or_else(|_| "results".into());
         Self::open(Path::new(&base).join("runs"))
-    }
-
-    /// [`RunStore::default_location`] with the segment backend enabled
-    /// (what the serving daemon opens: legacy `.json` records stay
-    /// readable through the read-through path, new saves land in
-    /// segments).
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if either directory cannot be created.
-    pub fn default_location_segmented() -> std::io::Result<RunStore> {
-        let base = std::env::var("ATSCALE_RESULTS").unwrap_or_else(|_| "results".into());
-        Self::open_segmented(Path::new(&base).join("runs"))
     }
 
     /// Stable cache key for a run: content hash of the spec and machine
@@ -189,167 +139,40 @@ impl RunStore {
         splitmix64(h)
     }
 
-    /// Loads a cached record, if present and intact — the segment backend
-    /// first (when present), then the legacy `.json` read-through.
-    ///
-    /// A legacy record that fails validation (empty, truncated, or
-    /// otherwise unparseable — e.g. a torn write that a crash raced past
-    /// `fsync`) is **quarantined**: renamed to a `{key}.json.corrupt`
-    /// sidecar so the evidence survives for forensics, while this call
-    /// reports a cache miss and the caller transparently recomputes.
-    /// Corruption is never an error and never a panic, only a miss.
+    /// Loads a cached record, if present. Corruption is only ever a miss:
+    /// the segment store quarantines what fails its CRC when it opens.
     pub fn load(&self, key: &str) -> Option<RunRecord> {
-        if let Some(segments) = &self.segments {
-            if let Some(bytes) = segments.load(key) {
-                if let Ok(record) = serde_json::from_slice(&bytes) {
-                    return Some(record);
-                }
-            }
-        }
-        let path = self.path_of(key);
-        let bytes = fs::read(&path).ok()?;
-        if !bytes.is_empty() {
-            if let Ok(record) = serde_json::from_slice(&bytes) {
-                return Some(record);
-            }
-        }
-        let mut quarantine = path.clone().into_os_string();
-        quarantine.push(".corrupt");
-        if fs::rename(&path, &quarantine).is_ok() {
-            let mut stats = self.stats.lock();
-            stats.entries = stats.entries.saturating_sub(1);
-            stats.bytes = stats.bytes.saturating_sub(bytes.len() as u64);
-            stats.corrupt_files += 1;
-        }
-        None
+        serde_json::from_slice(&self.segments.load(key)?).ok()
     }
 
-    /// Saves a record under `key`.
-    ///
-    /// Segment-backed stores append to the WAL/segment pipeline (see
-    /// [`atscale_results::SegmentStore::append`]). Legacy stores write a
-    /// temp file unique to this process *and* this save (pid + a
-    /// monotonic counter — a fixed `.{key}.tmp` name would let two
-    /// processes, or two server workers racing on the same key, clobber
-    /// each other's half-written file), fsync it, then atomically rename
-    /// it into place.
+    /// Saves a record under `key` (see
+    /// [`atscale_results::SegmentStore::append`]).
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if the file cannot be written.
+    /// Returns the I/O error if the record cannot be written; callers
+    /// treat the cache as advisory.
     pub fn save(&self, key: &str, record: &RunRecord) -> std::io::Result<()> {
-        #[allow(unused_mut)]
-        let mut payload = serde_json::to_vec(record).expect("records serialize");
-        if let Some(segments) = &self.segments {
-            return segments.append(key, hot_row(record), &payload);
-        }
-        #[cfg(feature = "faults")]
-        if let Some(plan) = &self.faults {
-            if let Some(rule) = plan.check(atscale_faults::FaultSite::StoreTorn) {
-                // A torn write that survives the rename: keep a strict
-                // prefix of the payload so a corrupt record lands on disk.
-                let keep = ((payload.len() as f64) * rule.torn_keep) as usize;
-                payload.truncate(keep.min(payload.len().saturating_sub(1)));
-            }
-        }
-        let tmp = self.dir.join(format!(
-            ".{key}.{}.{}.tmp",
-            // analyze:allow(determinism): the pid only uniquifies the tmp-file name for the atomic rename; the persisted payload and final path are pid-free
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let result = (|| {
-            let mut file = fs::File::create(&tmp)?;
-            #[cfg(feature = "faults")]
-            if let Some(plan) = &self.faults {
-                if plan.check(atscale_faults::FaultSite::StoreWrite).is_some() {
-                    return Err(atscale_faults::injected_io_error(
-                        atscale_faults::FaultSite::StoreWrite,
-                    ));
-                }
-            }
-            file.write_all(&payload)?;
-            file.sync_all()?;
-            #[cfg(feature = "faults")]
-            if let Some(plan) = &self.faults {
-                if plan.check(atscale_faults::FaultSite::StoreRename).is_some() {
-                    return Err(atscale_faults::injected_io_error(
-                        atscale_faults::FaultSite::StoreRename,
-                    ));
-                }
-            }
-            // The stats lock spans the existence check and the rename so
-            // racing saves of one key count it exactly once (rename and
-            // metadata are non-blocking syscalls; no I/O streams here).
-            let mut stats = self.stats.lock();
-            let prev_len = fs::metadata(self.path_of(key)).ok().map(|m| m.len());
-            fs::rename(&tmp, self.path_of(key))?;
-            if let Some(prev) = prev_len {
-                stats.bytes = stats.bytes.saturating_sub(prev);
-            } else {
-                stats.entries += 1;
-            }
-            stats.bytes += payload.len() as u64;
-            Ok(())
-        })();
-        if result.is_err() {
-            let _ = fs::remove_file(&tmp); // never leave droppings behind
-        }
-        result
+        let payload = serde_json::to_vec(record).expect("records serialize");
+        self.segments.append(key, hot_row(record), &payload)
     }
 
-    /// Removes `*.tmp` droppings left behind by processes that crashed
-    /// between write and rename, returning how many were removed.
-    ///
-    /// Runs automatically on [`RunStore::open`]. A temp file is removed
-    /// only when its embedded owner pid (`.{key}.{pid}.{seq}.tmp`) is
-    /// provably not alive: files owned by this process or by a pid with a
-    /// live `/proc` entry are kept (an in-flight save from a concurrent
-    /// process must not be yanked out from under its rename), and when no
-    /// `/proc` filesystem exists liveness is unknowable, so everything
-    /// parseable is conservatively kept. Unparseable `*.tmp` names have
-    /// no owner to consult and are removed.
-    pub fn gc_stale_tmp(&self) -> u64 {
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        let mut removed = 0;
-        for entry in entries.filter_map(Result::ok) {
-            let path = entry.path();
-            if path.extension().is_some_and(|x| x == "tmp")
-                && !tmp_owner_alive(&path)
-                && fs::remove_file(&path).is_ok()
-            {
-                removed += 1;
-            }
-        }
-        let mut stats = self.stats.lock();
-        stats.tmp_files = stats.tmp_files.saturating_sub(removed);
-        removed
-    }
-
-    /// Entry count, total bytes, and temp-file droppings of the store —
-    /// what an operator needs to size `results/runs` without shelling in.
-    ///
-    /// Answered from counters maintained since [`RunStore::open`]'s
-    /// single scan — never a directory walk. Segment-backed stores fold
-    /// in the segment backend's (also incremental) occupancy.
+    /// Entry count, bytes on disk, and what opening the store had to clean
+    /// up — what an operator needs to size `results/runs` — answered from
+    /// the segment store's in-memory counters, never a directory walk.
     pub fn stats(&self) -> StoreStats {
-        let held = self.stats.lock();
-        let mut stats = *held;
-        drop(held);
-        if let Some(segments) = &self.segments {
-            let seg = segments.seg_stats();
-            stats.entries += seg.live_rows;
-            stats.bytes += seg.disk_bytes;
-            stats.corrupt_files += seg.quarantined;
+        let seg = self.segments.seg_stats();
+        StoreStats {
+            entries: seg.live_rows,
+            bytes: seg.disk_bytes,
+            tmp_files: self.segments.tmp_collected(),
+            corrupt_files: seg.quarantined + self.legacy_quarantined,
         }
-        stats
     }
 
-    /// Number of cached records (legacy files plus live segment rows).
+    /// Number of cached records.
     pub fn len(&self) -> usize {
-        self.stats().entries as usize
+        self.segments.live_len() as usize
     }
 
     /// `true` if no records are cached.
@@ -357,122 +180,88 @@ impl RunStore {
         self.len() == 0
     }
 
-    /// Answers an aggregate query from the segment backend's live state —
-    /// `O(matching groups)`, no record replay. `None` when the store is
-    /// not segment-backed.
-    pub fn query(&self, filter: &QueryFilter) -> Option<QueryResult> {
-        self.segments.as_ref().map(|s| s.query(filter))
+    /// Legacy `.json` records this handle's [`RunStore::open`] folded into
+    /// the segment store; 0 on every open after the first.
+    pub fn migrated(&self) -> u64 {
+        self.migrated
     }
 
-    /// The segment backend's occupancy counters, when segment-backed.
-    pub fn seg_stats(&self) -> Option<SegStats> {
-        self.segments.as_ref().map(|s| s.seg_stats())
+    /// Answers an aggregate query from the segment store's live state —
+    /// `O(matching groups)`, no record replay.
+    pub fn query(&self, filter: &QueryFilter) -> QueryResult {
+        self.segments.query(filter)
     }
 
-    /// Rewrites the segment backend down to a single live-rows-only
-    /// segment (see [`atscale_results::SegmentStore::compact`]).
+    /// The segment store's occupancy counters.
+    pub fn seg_stats(&self) -> SegStats {
+        self.segments.seg_stats()
+    }
+
+    /// Rewrites the store down to a single live-rows-only segment (see
+    /// [`atscale_results::SegmentStore::compact`]).
     ///
     /// # Errors
     ///
-    /// Returns `InvalidInput` when the store is not segment-backed, or
-    /// the underlying I/O error.
+    /// Returns the underlying I/O error.
     pub fn compact(&self) -> std::io::Result<CompactStats> {
-        self.segments.as_ref().ok_or_else(not_segmented)?.compact()
+        self.segments.compact()
     }
 
-    /// Seals the segment backend's WAL into a columnar segment now.
+    /// Seals the WAL into a columnar segment now.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidInput` when the store is not segment-backed, or
-    /// the underlying I/O error.
+    /// Returns the underlying I/O error.
     pub fn seal(&self) -> std::io::Result<()> {
-        self.segments.as_ref().ok_or_else(not_segmented)?.seal()
+        self.segments.seal()
     }
 
-    /// Sets the segment backend's seal threshold (rows per segment).
-    /// No-op on a legacy store.
+    /// Sets the seal threshold (rows per segment).
     pub fn set_seal_threshold(&self, rows: usize) {
-        if let Some(segments) = &self.segments {
-            segments.set_seal_threshold(rows);
-        }
+        self.segments.set_seal_threshold(rows);
     }
 
-    /// Visits every live segment-backed record (key, hot columns, raw
-    /// JSON bytes) in deterministic order — the verification path for
-    /// diffing online aggregates against a from-raw recomputation.
-    /// Returns `false` (visiting nothing) when not segment-backed.
-    pub fn for_each_live_record<F: FnMut(&str, &HotRow, Vec<u8>)>(&self, f: F) -> bool {
-        match &self.segments {
-            Some(segments) => {
-                segments.for_each_live(f);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Migrates every legacy `.json` record in the store directory into
-    /// the segment backend (same key — the file stem — and the exact file
-    /// bytes as the raw sidecar, so dedup keys and replay stay
-    /// bit-for-bit), removing each file once appended, then seals.
-    /// Unparseable legacy records are quarantined as `.corrupt` exactly
-    /// as a load would. Returns the number of records migrated.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidInput` when the store is not segment-backed, or
-    /// the first I/O error encountered (the migration is resumable:
-    /// already-moved files stay moved).
-    pub fn migrate_legacy(&self) -> std::io::Result<u64> {
-        let segments = self.segments.as_ref().ok_or_else(not_segmented)?;
-        let mut paths: Vec<PathBuf> = fs::read_dir(&self.dir)?
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
-            .collect();
-        paths.sort();
-        let mut moved = 0u64;
-        for path in paths {
-            let Some(key) = path.file_stem().and_then(|s| s.to_str()).map(String::from) else {
-                continue;
-            };
-            let bytes = fs::read(&path)?;
-            let parsed: Result<RunRecord, _> = serde_json::from_slice(&bytes);
-            let Ok(record) = parsed else {
-                let mut quarantine = path.clone().into_os_string();
-                quarantine.push(".corrupt");
-                if fs::rename(&path, &quarantine).is_ok() {
-                    let mut stats = self.stats.lock();
-                    stats.entries = stats.entries.saturating_sub(1);
-                    stats.bytes = stats.bytes.saturating_sub(bytes.len() as u64);
-                    stats.corrupt_files += 1;
-                }
-                continue;
-            };
-            segments.append(&key, hot_row(&record), &bytes)?;
-            fs::remove_file(&path)?;
-            {
-                let mut stats = self.stats.lock();
-                stats.entries = stats.entries.saturating_sub(1);
-                stats.bytes = stats.bytes.saturating_sub(bytes.len() as u64);
-            }
-            moved += 1;
-        }
-        segments.seal()?;
-        Ok(moved)
-    }
-
-    fn path_of(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{key}.json"))
+    /// Visits every live record (key, hot columns, raw JSON bytes) in
+    /// deterministic order — the verification path for diffing online
+    /// aggregates against a from-raw recomputation.
+    pub fn for_each_live_record<F: FnMut(&str, &HotRow, Vec<u8>)>(&self, f: F) {
+        self.segments.for_each_live(f);
     }
 }
 
-fn not_segmented() -> std::io::Error {
-    std::io::Error::new(
-        std::io::ErrorKind::InvalidInput,
-        "store is not segment-backed (open it with open_segmented)",
-    )
+/// [`RunStore::open`]'s migration pass over the legacy `{key}.json` files
+/// in `dir`; returns how many it migrated and how many it quarantined.
+fn migrate_legacy(dir: &Path, segments: &SegmentStore) -> std::io::Result<(u64, u64)> {
+    let mut paths: Vec<PathBuf> = fs::read_dir(dir)?
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    paths.sort();
+    let (mut migrated, mut quarantined) = (0, 0);
+    for path in paths {
+        let Some(key) = path.file_stem().and_then(|s| s.to_str()) else {
+            continue;
+        };
+        let bytes = fs::read(&path)?;
+        let Ok(record) = serde_json::from_slice::<RunRecord>(&bytes) else {
+            let mut quarantine = path.clone().into_os_string();
+            quarantine.push(".corrupt");
+            if fs::rename(&path, &quarantine).is_ok() {
+                quarantined += 1;
+            }
+            continue;
+        };
+        if !segments.contains(key) {
+            segments.append(key, hot_row(&record), &bytes)?;
+            migrated += 1;
+        }
+        fs::remove_file(&path)?;
+    }
+    if migrated > 0 {
+        segments.seal()?;
+    }
+    Ok((migrated, quarantined))
 }
 
 /// Extracts the segment store's fixed hot-column schema from a record:
@@ -505,49 +294,6 @@ pub fn hot_row(record: &RunRecord) -> HotRow {
     }
 }
 
-/// One full directory scan — the only one a store ever takes, at open.
-fn scan_stats(dir: &Path) -> StoreStats {
-    let mut stats = StoreStats::default();
-    let Ok(entries) = fs::read_dir(dir) else {
-        return stats;
-    };
-    for entry in entries.filter_map(Result::ok) {
-        let path = entry.path();
-        match path.extension() {
-            Some(x) if x == "json" => {
-                stats.entries += 1;
-                stats.bytes += entry.metadata().map_or(0, |m| m.len());
-            }
-            Some(x) if x == "tmp" => stats.tmp_files += 1,
-            Some(x) if x == "corrupt" => stats.corrupt_files += 1,
-            _ => {}
-        }
-    }
-    stats
-}
-
-/// Whether the process that owns a `.{key}.{pid}.{seq}.tmp` file is still
-/// alive (see [`RunStore::gc_stale_tmp`] for the removal policy).
-fn tmp_owner_alive(path: &Path) -> bool {
-    let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-        return false;
-    };
-    let mut parts = name.trim_start_matches('.').split('.');
-    let _key = parts.next();
-    let Some(pid) = parts.next().and_then(|p| p.parse::<u32>().ok()) else {
-        return false; // no owner encoded in the name: nothing to wait for
-    };
-    if pid == std::process::id() {
-        return true;
-    }
-    if fs::metadata(format!("/proc/{pid}")).is_ok() {
-        return true;
-    }
-    // Without procfs, liveness is unknowable — keep the file rather than
-    // risk yanking an in-flight save.
-    !Path::new("/proc").exists()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,6 +321,25 @@ mod tests {
 
     fn temp_store(tag: &str) -> RunStore {
         RunStore::open(temp_dir(tag)).unwrap()
+    }
+
+    /// A directory as the per-file JSON store left it: one `{key}.json`
+    /// per entry, nothing else.
+    fn legacy_dir(tag: &str, files: &[(&str, &[u8])]) -> PathBuf {
+        let dir = temp_dir(tag);
+        fs::create_dir_all(&dir).unwrap();
+        for (key, bytes) in files {
+            fs::write(dir.join(format!("{key}.json")), bytes).unwrap();
+        }
+        dir
+    }
+
+    fn json_files(dir: &Path) -> usize {
+        fs::read_dir(dir)
+            .unwrap()
+            .filter_map(Result::ok)
+            .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
+            .count()
     }
 
     #[test]
@@ -608,32 +373,29 @@ mod tests {
 
     #[test]
     fn corrupt_cache_entries_are_ignored() {
-        let store = temp_store("corrupt");
         let key = "deadbeefdeadbeef";
-        fs::write(store.dir.join(format!("{key}.json")), b"not json").unwrap();
+        let store = RunStore::open(legacy_dir("corrupt", &[(key, b"not json")])).unwrap();
         assert!(store.load(key).is_none());
+        assert_eq!(store.migrated(), 0);
     }
 
     #[test]
     fn corrupt_records_are_quarantined_and_recomputable() {
-        let store = temp_store("quarantine");
         let config = MachineConfig::haswell();
         let record = crate::execute_run(&spec(), &config);
         let key = RunStore::key(&spec(), &config);
-        store.save(&key, &record).unwrap();
-        let pristine = serde_json::to_vec(&store.load(&key).unwrap()).unwrap();
+        let pristine = serde_json::to_vec(&record).unwrap();
 
-        // Tear the on-disk record, then: load is a miss, the evidence
-        // moves to a `.corrupt` sidecar, and a re-save round-trips
-        // byte-identically.
-        let path = store.dir.join(format!("{key}.json"));
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        // A torn legacy record: opening is a miss, the evidence moves to
+        // a `.corrupt` sidecar, and a re-save round-trips byte-identically.
+        let dir = legacy_dir("quarantine", &[(&key, &pristine[..pristine.len() / 2])]);
+        let store = RunStore::open(&dir).unwrap();
         assert!(store.load(&key).is_none(), "torn record is a miss");
         assert!(
-            store.dir.join(format!("{key}.json.corrupt")).exists(),
+            dir.join(format!("{key}.json.corrupt")).exists(),
             "evidence quarantined"
         );
+        assert_eq!(json_files(&dir), 0);
         assert_eq!(store.stats().corrupt_files, 1);
         assert_eq!(store.stats().entries, 0);
 
@@ -645,58 +407,39 @@ mod tests {
 
     #[test]
     fn empty_records_are_quarantined() {
-        let store = temp_store("empty");
         let key = "feedfacefeedface";
-        fs::write(store.dir.join(format!("{key}.json")), b"").unwrap();
+        let store = RunStore::open(legacy_dir("empty", &[(key, b"")])).unwrap();
         assert!(store.load(key).is_none());
         assert_eq!(store.stats().corrupt_files, 1);
-    }
-
-    #[test]
-    fn stale_tmp_files_are_gced_on_open_with_pid_liveness() {
-        let dir = temp_dir("gc");
-        fs::create_dir_all(&dir).unwrap();
-        // An orphan from a pid that cannot be alive (u32::MAX is above
-        // any real pid_max), one from this live process, and a dropping
-        // with no parseable owner at all.
-        let dead = dir.join(format!(".abc123.{}.0.tmp", u32::MAX));
-        let live = dir.join(format!(".abc123.{}.1.tmp", std::process::id()));
-        let junk = dir.join(".unparseable.tmp");
-        for p in [&dead, &live, &junk] {
-            fs::write(p, b"half-written").unwrap();
-        }
-        let store = RunStore::open(&dir).unwrap();
-        assert!(!dead.exists(), "dead-pid orphan removed");
-        assert!(!junk.exists(), "ownerless dropping removed");
-        assert!(live.exists(), "live-pid tmp kept (in-flight save)");
-        assert_eq!(store.stats().tmp_files, 1);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn stats_report_entries_bytes_and_droppings() {
         let dir = temp_dir("stats");
         let store = RunStore::open(&dir).unwrap();
-        assert_eq!(store.stats(), StoreStats::default());
+        let empty = store.stats();
+        assert_eq!(
+            (empty.entries, empty.tmp_files, empty.corrupt_files),
+            (0, 0, 0)
+        );
         let config = MachineConfig::haswell();
         let record = crate::execute_run(&spec(), &config);
         store.save("a", &record).unwrap();
         store.save("b", &record).unwrap();
+        store.seal().unwrap();
         let stats = store.stats();
         assert_eq!(stats.entries, 2);
-        assert!(stats.bytes > 0);
-        assert_eq!(stats.tmp_files, 0, "save leaves no temp files");
-        // External droppings are visible after a re-open (stats counters
-        // track this handle's operations, not other writers). A live-pid
-        // name keeps the open-time GC from collecting it first.
-        fs::write(
-            dir.join(format!(".stale.{}.9.tmp", std::process::id())),
-            b"crashed save",
-        )
-        .unwrap();
+        assert!(stats.bytes > empty.bytes);
+        drop(store);
+        // A write that crashed before its rename leaves a dropping; the
+        // next open removes it and says so.
+        let dropping = dir.join("segments").join(".seg-000001.seg.9.tmp");
+        fs::write(&dropping, b"crashed seal").unwrap();
         let reopened = RunStore::open(&dir).unwrap();
+        assert!(!dropping.exists());
         assert_eq!(reopened.stats().tmp_files, 1);
         assert_eq!(reopened.stats().entries, 2);
+        assert_eq!(reopened.stats().bytes, stats.bytes);
     }
 
     #[test]
@@ -707,24 +450,28 @@ mod tests {
         let record = crate::execute_run(&spec(), &config);
         store.save("a", &record).unwrap();
         assert_eq!(store.stats().entries, 1);
-        // A file smuggled in behind the store's back is NOT picked up by
-        // stats() — the counters are maintained incrementally from the
-        // single open-time scan, never by rescanning the directory.
-        fs::write(dir.join("smuggled.json"), b"{}").unwrap();
+        // A legacy file smuggled in behind the store's back is NOT picked
+        // up by stats() or load() — the directory is read once, at open.
+        let raw = serde_json::to_vec(&record).unwrap();
+        fs::write(dir.join("smuggled.json"), &raw).unwrap();
         assert_eq!(store.stats().entries, 1, "no rescan on stats()");
-        assert_eq!(store.len(), 1);
-        // Re-opening takes a fresh scan and sees it.
-        let reopened = RunStore::open(&dir).unwrap();
-        assert_eq!(reopened.stats().entries, 2);
-        // Overwrites keep entries exact and update bytes, not double-count.
+        assert!(store.load("smuggled").is_none());
+        // Overwrites keep entries exact, not double-counted.
         store.save("a", &record).unwrap();
         assert_eq!(store.stats().entries, 1);
+        drop(store);
+        // Re-opening migrates it.
+        let reopened = RunStore::open(&dir).unwrap();
+        assert_eq!(reopened.migrated(), 1);
+        assert_eq!(reopened.stats().entries, 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn concurrent_saves_of_one_key_never_collide() {
-        let store = temp_store("race");
+        let dir = temp_dir("race");
+        let store = RunStore::open(&dir).unwrap();
+        store.set_seal_threshold(4);
         let config = MachineConfig::haswell();
         let record = crate::execute_run(&spec(), &config);
         let key = RunStore::key(&spec(), &config);
@@ -739,16 +486,17 @@ mod tests {
         });
         let loaded = store.load(&key).expect("entry survives the stampede");
         assert_eq!(loaded.result.counters, record.result.counters);
-        let stats = store.stats();
-        assert_eq!(stats.tmp_files, 0, "no .tmp droppings");
-        assert_eq!(stats.entries, 1, "racing saves count the key once");
+        assert_eq!(store.stats().entries, 1, "racing saves count the key once");
+        drop(store);
+        let reopened = RunStore::open(&dir).unwrap();
+        assert_eq!(reopened.stats().tmp_files, 0, "no .tmp droppings");
+        assert_eq!(reopened.stats().entries, 1);
     }
 
     #[test]
     fn segmented_store_roundtrips_and_answers_queries() {
         let dir = temp_dir("segmented");
-        let store = RunStore::open_segmented(&dir).unwrap();
-        assert!(store.is_segmented());
+        let store = RunStore::open(&dir).unwrap();
         store.set_seal_threshold(2);
         let config = MachineConfig::haswell();
         let mut keys = Vec::new();
@@ -771,71 +519,86 @@ mod tests {
         }
         assert_eq!(store.stats().entries, 3);
         // The query plane answers without replaying records.
-        let q = store.query(&QueryFilter::default()).expect("segmented");
+        let q = store.query(&QueryFilter::default());
         assert_eq!(q.count, 3);
         assert!(q.mean_wcpi >= 0.0);
-        let seg = store.seg_stats().expect("segmented");
+        let seg = store.seg_stats();
         assert_eq!(seg.live_rows, 3);
         assert!(seg.segments >= 1, "threshold 2 sealed at least once");
+        assert_eq!(json_files(&dir), 0, "no per-record files");
         // And survives reopen.
         drop(store);
-        let store = RunStore::open_segmented(&dir).unwrap();
-        let q2 = store.query(&QueryFilter::default()).expect("segmented");
-        assert_eq!(q2, q, "aggregates identical after reopen");
+        let store = RunStore::open(&dir).unwrap();
+        assert_eq!(
+            store.query(&QueryFilter::default()),
+            q,
+            "aggregates identical after reopen"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn migrate_legacy_preserves_keys_and_bytes_and_aggregates() {
-        let dir = temp_dir("migrate");
         let config = MachineConfig::haswell();
-        // Seed a legacy store with three records (plus one corrupt file).
-        let legacy = RunStore::open(&dir).unwrap();
+        // A legacy directory: three records plus one torn file.
         let mut expected = Vec::new();
         for seed in 1..=3u64 {
             let mut s = spec();
             s.seed = seed;
             let record = crate::execute_run(&s, &config);
-            let key = RunStore::key(&s, &config);
-            legacy.save(&key, &record).unwrap();
             expected.push((
-                key.clone(),
-                fs::read(dir.join(format!("{key}.json"))).unwrap(),
+                RunStore::key(&s, &config),
+                serde_json::to_vec(&record).unwrap(),
             ));
         }
-        fs::write(dir.join("0000000000000bad.json"), b"{torn").unwrap();
-        drop(legacy);
+        let mut files: Vec<(&str, &[u8])> =
+            expected.iter().map(|(k, b)| (&k[..], &b[..])).collect();
+        files.push(("0000000000000bad", b"{torn"));
+        let dir = legacy_dir("migrate", &files);
 
-        let store = RunStore::open_segmented(&dir).unwrap();
-        // Read-through serves legacy hits before migration.
-        assert!(store.load(&expected[0].0).is_some(), "read-through");
-        let moved = store.migrate_legacy().unwrap();
-        assert_eq!(moved, 3);
+        let store = RunStore::open(&dir).unwrap();
+        assert_eq!(store.migrated(), 3);
         assert!(
             dir.join("0000000000000bad.json.corrupt").exists(),
             "unparseable legacy record quarantined, not migrated"
         );
+        assert_eq!(store.stats().corrupt_files, 1);
+        assert_eq!(store.seg_stats().wal_rows, 0, "migrated rows are sealed");
         // Keys unchanged, raw bytes bit-for-bit, files gone.
+        assert_eq!(json_files(&dir), 0);
         for (key, bytes) in &expected {
-            assert!(!dir.join(format!("{key}.json")).exists());
             let loaded = store.load(key).expect("migrated hit");
             assert_eq!(&serde_json::to_vec(&loaded).unwrap(), bytes);
         }
         // Aggregates from the store equal a from-raw recomputation.
         let mut recomputed = atscale_results::AggState::new();
-        let visited = store.for_each_live_record(|key, hot, raw| {
+        store.for_each_live_record(|key, hot, raw| {
             let record: RunRecord = serde_json::from_slice(&raw).expect("raw parses");
             assert_eq!(&hot_row(&record), hot, "stored hot row matches raw");
-            assert!(expected.iter().any(|(k, _)| k == key));
+            assert!(expected.iter().any(|(k, b)| k == key && b == &raw));
             recomputed.add(hot);
         });
-        assert!(visited);
-        let q = store.query(&QueryFilter::default()).unwrap();
+        let q = store.query(&QueryFilter::default());
+        assert_eq!(q.count, 3);
         assert_eq!(q, recomputed.query(&QueryFilter::default()));
         // Compaction is aggregate-neutral and dedup keys still hit.
         store.compact().unwrap();
-        assert_eq!(store.query(&QueryFilter::default()).unwrap(), q);
+        assert_eq!(store.query(&QueryFilter::default()), q);
         assert!(store.load(&expected[1].0).is_some());
+        drop(store);
+
+        // A pass that died between an append and its remove left the file
+        // behind: the next open drops it without a second row. After
+        // that there is nothing left to migrate.
+        let (key, bytes) = &expected[0];
+        fs::write(dir.join(format!("{key}.json")), bytes).unwrap();
+        let resumed = RunStore::open(&dir).unwrap();
+        assert_eq!(resumed.migrated(), 0);
+        assert_eq!(json_files(&dir), 0);
+        assert_eq!(resumed.query(&QueryFilter::default()), q, "no double count");
+        assert_eq!(resumed.seg_stats().dead_rows, 0);
+        drop(resumed);
+        assert_eq!(RunStore::open(&dir).unwrap().migrated(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -37,16 +37,14 @@ use std::sync::Mutex;
 /// chaos suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// `RunStore::save`: the tmp-file write fails after the file exists
-    /// (exercises dropping cleanup).
+    /// Segment store WAL append: the frame write fails before anything
+    /// reaches disk, so the row never commits (exercises the caller's
+    /// save-is-advisory contract).
     StoreWrite,
-    /// `RunStore::save`: the tmp→final rename fails (exercises dropping
-    /// cleanup and the caller's save-is-advisory contract).
+    /// Segment store seal or compaction: the tmp→final rename of the
+    /// segment file fails (exercises dropping cleanup; the rows stay in
+    /// the WAL and the next append seals them).
     StoreRename,
-    /// `RunStore::save`: a torn write — a strict prefix of the payload
-    /// survives the atomic rename, landing a corrupt record on disk
-    /// (exercises quarantine-and-recompute on load).
-    StoreTorn,
     /// Server connection writer: a socket write error at a frame boundary
     /// (the connection is marked dead, as a real `EPIPE` would).
     ServerWrite,
@@ -87,10 +85,9 @@ pub enum FaultSite {
 impl FaultSite {
     /// Every site, in declaration order (index order for the plan's
     /// per-site counters).
-    pub const ALL: [FaultSite; 14] = [
+    pub const ALL: [FaultSite; 13] = [
         FaultSite::StoreWrite,
         FaultSite::StoreRename,
-        FaultSite::StoreTorn,
         FaultSite::ServerWrite,
         FaultSite::ServerStall,
         FaultSite::ClientWrite,
@@ -126,7 +123,6 @@ impl FaultSite {
         match self {
             FaultSite::StoreWrite => "StoreWrite",
             FaultSite::StoreRename => "StoreRename",
-            FaultSite::StoreTorn => "StoreTorn",
             FaultSite::ServerWrite => "ServerWrite",
             FaultSite::ServerStall => "ServerStall",
             FaultSite::ClientWrite => "ClientWrite",
@@ -164,8 +160,8 @@ pub struct FaultRule {
     /// Stall duration in milliseconds for the stall sites
     /// (`ServerStall`, `ClientStall`).
     pub stall_ms: u64,
-    /// Fraction of the payload a torn write keeps (`StoreTorn`); always
-    /// a strict prefix, so JSON validation catches it.
+    /// Fraction of the frame a torn write keeps (`SegmentTorn`); always
+    /// a strict prefix, so the frame's CRC check catches it.
     pub torn_keep: f64,
 }
 
@@ -547,14 +543,14 @@ mod tests {
     fn observer_sees_every_fire() {
         let count = Arc::new(AtomicUsize::new(0));
         let plan =
-            FaultPlan::new(9).with_rule(FaultSite::StoreTorn, FaultRule::always().max_fires(3));
+            FaultPlan::new(9).with_rule(FaultSite::SegmentTorn, FaultRule::always().max_fires(3));
         let seen = Arc::clone(&count);
         plan.set_observer(Box::new(move |site, _hit| {
-            assert_eq!(site, FaultSite::StoreTorn);
+            assert_eq!(site, FaultSite::SegmentTorn);
             seen.fetch_add(1, Ordering::SeqCst);
         }));
         for _ in 0..10 {
-            plan.check(FaultSite::StoreTorn);
+            plan.check(FaultSite::SegmentTorn);
         }
         assert_eq!(count.load(Ordering::SeqCst), 3);
         assert_eq!(plan.total_fires(), 3);
@@ -614,9 +610,9 @@ mod tests {
     fn malformed_specs_name_the_offending_clause() {
         for (spec, needle) in [
             ("NotASite:p=1", "unknown fault site"),
-            ("StoreTorn:probability=1", "unknown fault-rule key"),
-            ("StoreTorn:p", "expected key=value"),
-            ("StoreTorn:p=lots", "bad value"),
+            ("SegmentTorn:probability=1", "unknown fault-rule key"),
+            ("SegmentTorn:p", "expected key=value"),
+            ("SegmentTorn:p=lots", "bad value"),
         ] {
             let err = FaultPlan::parse(1, spec).unwrap_err();
             assert!(err.contains(needle), "{spec}: {err}");

@@ -1,14 +1,15 @@
 //! The results plane: an append-only columnar store for run records with
 //! online, mergeable aggregation.
 //!
-//! The legacy `RunStore` keeps one JSON file per run; answering a fig1
-//! question ("β/c over the cc-urand sweep") meant replaying every record.
-//! This crate stores the same records as fixed-schema column blocks
-//! (sealed segments) plus an LZ-compressed raw-JSON sidecar for
-//! bit-for-bit replay, and maintains per-`(workload, footprint, source)`
-//! aggregate state — a WCPI quantile [`Sketch`] and a streaming β/c
-//! [`Regress`] accumulator — incrementally as records commit, so sweep
-//! queries are `O(groups)`, not `O(runs)`.
+//! This crate is the run cache's one on-disk format. The format it
+//! replaced kept one JSON file per run (`RunStore::open` still folds such
+//! files in), so answering a fig1 question ("β/c over the cc-urand
+//! sweep") meant replaying every record. This crate stores the same
+//! records as fixed-schema column blocks (sealed segments) plus an
+//! LZ-compressed raw-JSON sidecar for bit-for-bit replay, and maintains
+//! per-`(workload, footprint, source)` aggregate state — a WCPI quantile
+//! [`Sketch`] and a streaming β/c [`Regress`] accumulator — incrementally
+//! as records commit, so sweep queries are `O(groups)`, not `O(runs)`.
 //!
 //! Layering:
 //!
@@ -19,8 +20,8 @@
 //!   the β/c fit (integer fixed-point sums), bounded by
 //!   [`QUANTILE_RELATIVE_ERROR`] for quantiles.
 //! * [`SegmentStore`] — WAL + sealed segments + advisory index behind one
-//!   handle, with the legacy store's tmp+fsync+rename durability and
-//!   quarantine-and-recompute corruption contract.
+//!   handle, with tmp+fsync+rename durability, a quarantine-and-recompute
+//!   corruption contract, and a single-owner directory (see [`store`]).
 //!
 //! The crate is deliberately ignorant of the simulator: callers hand it a
 //! dedup key (the record-byte hash), a [`HotRow`], and the raw record

@@ -5,26 +5,33 @@
 //! (write + fsync under the store lock — the WAL is the serialization
 //! point), folds it into the in-memory index and live [`AggState`], and
 //! seals a columnar segment once the WAL holds a segment's worth of rows.
-//! Sealed segments and the index file are written with the same
-//! tmp + fsync + rename discipline the legacy JSON `RunStore` uses.
+//! Sealed segments and the index file are written tmp + fsync + rename
+//! (`write_atomic`).
 //!
-//! Crash/corruption contract (mirrors the legacy store's
-//! quarantine-and-recompute): a torn WAL tail is quarantined to
-//! `wal.corrupt` and truncated away; a segment failing any CRC is renamed
-//! to `*.corrupt` wholesale; the index is *advisory* — missing, stale, or
-//! half-renamed index files are rebuilt from the segment scan. Every
-//! quarantined record is recomputable by construction, so corruption is
-//! only ever a cache miss.
+//! Crash/corruption contract (quarantine-and-recompute): a torn WAL tail
+//! is quarantined to `wal.corrupt` and truncated away; a segment failing
+//! any CRC is renamed to `*.corrupt` wholesale; `*.tmp` droppings of a
+//! write that crashed before its rename are removed at open; the index is
+//! *advisory* — missing, stale, or half-renamed index files are rebuilt
+//! from the segment scan. Every quarantined record is recomputable by
+//! construction, so corruption is only ever a cache miss.
 //!
-//! Concurrency: one process owns a segment directory (the serving
-//! daemon); handles are `Sync` and appends serialize on the store lock.
-//! Multi-process sharing remains the legacy JSON store's domain.
+//! Concurrency: a segment directory has **one owner** — one open handle
+//! (cloned or `Arc`-shared freely; handles are `Sync` and appends
+//! serialize on the store lock). There is no lock file, because no
+//! committed flow opens a directory twice at once. What two simultaneous
+//! owners get is pinned by test instead: each truncates the other's WAL
+//! rows and overwrites the other's segment ids, so cache rows are *lost*
+//! (a later miss, recomputed) — never a wrong record and never a panic,
+//! because every row on disk is CRC-framed and content-keyed.
 
 use crate::aggregate::{AggState, CompactStats, HotRow, QueryFilter, QueryResult, SegStats};
 use crate::codec::{crc32, Corrupt, Dec, DecResult, Enc};
 use crate::lz;
 use crate::segment::{decode_segment, encode_segment, SegmentData};
 use crate::wal::{encode_entry, scan, WalEntry};
+#[cfg(feature = "faults")]
+use atscale_faults::{injected_io_error, FaultPlan, FaultSite};
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
@@ -39,8 +46,8 @@ const INDEX_MAGIC: u32 = 0x5844_4941; // "AIDX"
 /// Default number of WAL rows that triggers sealing a segment.
 pub const DEFAULT_SEAL_THRESHOLD: usize = 256;
 
-/// Per-process counter uniquifying concurrent tmp files (one daemon owns
-/// a segment directory, so process-local uniqueness suffices).
+/// Per-process counter uniquifying concurrent tmp files (a segment
+/// directory has one owner, so process-local uniqueness suffices).
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Where a live key's newest row lives.
@@ -127,8 +134,9 @@ impl Inner {
 pub struct SegmentStore {
     dir: PathBuf,
     inner: Mutex<Inner>,
+    tmp_collected: u64,
     #[cfg(feature = "faults")]
-    faults: Mutex<Option<std::sync::Arc<atscale_faults::FaultPlan>>>,
+    faults: Mutex<Option<std::sync::Arc<FaultPlan>>>,
 }
 
 impl std::fmt::Debug for SegmentStore {
@@ -142,8 +150,9 @@ impl std::fmt::Debug for SegmentStore {
 impl SegmentStore {
     /// Opens (creating if needed) a segment store at `dir`, scanning
     /// sealed segments and the WAL: corrupt segments and torn WAL tails
-    /// are quarantined, the index and live aggregate are rebuilt, and a
-    /// missing or stale index file is rewritten.
+    /// are quarantined, `*.tmp` droppings are removed, the index and live
+    /// aggregate are rebuilt, and a missing or stale index file is
+    /// rewritten.
     ///
     /// # Errors
     ///
@@ -164,12 +173,17 @@ impl SegmentStore {
             seal_threshold: DEFAULT_SEAL_THRESHOLD,
             index_bytes: 0,
         };
-        // Sealed segments, in id order.
+        // Sealed segments, in id order. One owner per directory, so any
+        // `*.tmp` here is the dropping of a write that crashed: removed.
         let mut seg_paths: Vec<(u64, PathBuf)> = Vec::new();
+        let mut tmp_collected = 0;
         for entry in fs::read_dir(&dir)?.filter_map(Result::ok) {
             let path = entry.path();
             if let Some(id) = segment_id(&path) {
                 seg_paths.push((id, path));
+            } else if path.extension().is_some_and(|x| x == "tmp") && fs::remove_file(&path).is_ok()
+            {
+                tmp_collected += 1;
             }
         }
         seg_paths.sort();
@@ -221,6 +235,7 @@ impl SegmentStore {
         let store = SegmentStore {
             dir,
             inner: Mutex::new(inner),
+            tmp_collected,
             #[cfg(feature = "faults")]
             faults: Mutex::new(None),
         };
@@ -256,18 +271,28 @@ impl SegmentStore {
     }
 
     /// Attaches a fault-injection plan: subsequent appends route through
-    /// the plan's `SegmentTorn`/`IndexRename` sites. Test-only machinery.
+    /// the plan's `StoreWrite`/`SegmentTorn` sites, segment and index
+    /// renames through `StoreRename`/`IndexRename`. Test-only machinery.
     #[cfg(feature = "faults")]
-    pub fn set_fault_plan(&self, plan: std::sync::Arc<atscale_faults::FaultPlan>) {
+    pub fn set_fault_plan(&self, plan: std::sync::Arc<FaultPlan>) {
         *self.faults.lock().unwrap_or_else(PoisonError::into_inner) = Some(plan);
     }
 
     #[cfg(feature = "faults")]
-    fn plan(&self) -> Option<std::sync::Arc<atscale_faults::FaultPlan>> {
+    fn plan(&self) -> Option<std::sync::Arc<FaultPlan>> {
         self.faults
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
+    }
+
+    /// The injected I/O error when the attached plan fires at `site`.
+    #[cfg(feature = "faults")]
+    fn inject(&self, site: FaultSite) -> std::io::Result<()> {
+        match self.plan() {
+            Some(plan) if plan.check(site).is_some() => Err(injected_io_error(site)),
+            _ => Ok(()),
+        }
     }
 
     fn guard(&self) -> MutexGuard<'_, Inner> {
@@ -276,13 +301,13 @@ impl SegmentStore {
 
     /// Appends one record: `key` is the caller's dedup key (the
     /// spec+config byte hash), `hot` the extracted column row, `raw` the
-    /// exact legacy record JSON (stored LZ-compressed, returned verbatim
-    /// by [`SegmentStore::load`] for bit-for-bit replay).
+    /// exact record JSON (stored LZ-compressed, returned verbatim by
+    /// [`SegmentStore::load`] for bit-for-bit replay).
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if the WAL write fails. As with the legacy
-    /// store, persistence is advisory — callers treat failure as a miss.
+    /// Returns the I/O error if the WAL write or a due seal fails.
+    /// Persistence is advisory — callers treat failure as a miss.
     pub fn append(&self, key: &str, hot: HotRow, raw: &[u8]) -> std::io::Result<()> {
         let entry = WalEntry {
             key: key.to_string(),
@@ -295,7 +320,7 @@ impl SegmentStore {
         let mut torn = false;
         #[cfg(feature = "faults")]
         if let Some(plan) = self.plan() {
-            if let Some(rule) = plan.check(atscale_faults::FaultSite::SegmentTorn) {
+            if let Some(rule) = plan.check(FaultSite::SegmentTorn) {
                 // A torn append: a strict prefix of the frame reaches disk,
                 // as if the process died mid-write. The row never commits
                 // in memory; reopen quarantines the tail.
@@ -304,6 +329,8 @@ impl SegmentStore {
                 torn = true;
             }
         }
+        #[cfg(feature = "faults")]
+        self.inject(FaultSite::StoreWrite)?;
         let mut inner = self.guard();
         if inner.wal_file.is_none() {
             inner.wal_file = Some(
@@ -505,6 +532,12 @@ impl SegmentStore {
         self.guard().live.clone()
     }
 
+    /// `*.tmp` droppings of crashed writes that [`SegmentStore::open`]
+    /// found and removed.
+    pub fn tmp_collected(&self) -> u64 {
+        self.tmp_collected
+    }
+
     /// Store occupancy counters (maintained incrementally; no directory
     /// scan).
     pub fn seg_stats(&self) -> SegStats {
@@ -547,7 +580,7 @@ impl SegmentStore {
     }
 
     /// Writes `bytes` to `path` via a unique tmp file, fsync, and atomic
-    /// rename — the legacy store's durability discipline.
+    /// rename; a failure at any step removes the tmp file again.
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         let name = path
             .file_name()
@@ -561,6 +594,12 @@ impl SegmentStore {
             let mut file = fs::File::create(&tmp)?;
             file.write_all(bytes)?;
             file.sync_all()?;
+            #[cfg(feature = "faults")]
+            self.inject(if name == INDEX_NAME {
+                FaultSite::IndexRename
+            } else {
+                FaultSite::StoreRename
+            })?;
             fs::rename(&tmp, path)
         })();
         if result.is_err() {
@@ -588,33 +627,9 @@ impl SegmentStore {
         image.u32(crc32(&payload));
         let mut image = image.finish();
         image.extend_from_slice(&payload);
-        let path = self.dir.join(INDEX_NAME);
-        let name = INDEX_NAME;
-        let tmp = self.dir.join(format!(
-            ".{name}.{}.tmp",
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let result = (|| {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(&image)?;
-            file.sync_all()?;
-            #[cfg(feature = "faults")]
-            if let Some(plan) = self.plan() {
-                if plan.check(atscale_faults::FaultSite::IndexRename).is_some() {
-                    return Err(atscale_faults::injected_io_error(
-                        atscale_faults::FaultSite::IndexRename,
-                    ));
-                }
-            }
-            fs::rename(&tmp, &path)
-        })();
-        match &result {
-            Ok(()) => inner.index_bytes = image.len() as u64,
-            Err(_) => {
-                let _ = fs::remove_file(&tmp);
-            }
-        }
-        result
+        self.write_atomic(&self.dir.join(INDEX_NAME), &image)?;
+        inner.index_bytes = image.len() as u64;
+        Ok(())
     }
 }
 
@@ -880,6 +895,35 @@ mod tests {
         let reloaded = load_index(&index).expect("self-healed on reopen");
         assert_eq!(reloaded.len(), 1);
         assert_eq!(reloaded[0].0, "aa");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stale_tmp_files_are_collected_on_open() {
+        let dir = scratch("tmpgc");
+        {
+            let store = SegmentStore::open(&dir).unwrap().with_seal_threshold(1);
+            store
+                .append("aa", hot("cc-urand", 16, 1, 0.1), &raw(1))
+                .unwrap();
+            assert_eq!(store.tmp_collected(), 0);
+        }
+        // A crash between `File::create` and `rename`, once in a seal and
+        // once in an index persist.
+        fs::write(dir.join(".seg-000001.seg.7.tmp"), b"half a segment").unwrap();
+        fs::write(dir.join(".index.bin.8.tmp"), b"half an index").unwrap();
+        let store = SegmentStore::open(&dir).unwrap();
+        assert_eq!(store.tmp_collected(), 2);
+        let left = fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(Result::ok)
+            .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+            .count();
+        assert_eq!(left, 0, "droppings removed");
+        assert_eq!(store.load("aa").unwrap(), raw(1), "records untouched");
+        drop(store);
+        let store = SegmentStore::open(&dir).unwrap();
+        assert_eq!(store.tmp_collected(), 0, "clean reopen");
         let _ = fs::remove_dir_all(&dir);
     }
 

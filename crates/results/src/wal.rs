@@ -6,8 +6,8 @@
 //! the log is scanned front to back; the first frame that fails its magic,
 //! bounds, or CRC check marks a torn tail — everything from there on is
 //! quarantined to a `.corrupt` sidecar and the file is truncated back to
-//! the last intact frame, mirroring `RunStore`'s
-//! quarantine-and-recompute contract for legacy JSON records.
+//! the last intact frame: the rows it held are misses, recomputed on
+//! demand.
 
 use crate::aggregate::HotRow;
 use crate::codec::{crc32, Corrupt, Dec, DecResult, Enc};

@@ -1,6 +1,5 @@
-//! Property tests for `SegmentStore` corruption recovery, mirroring the
-//! legacy store's `prop_store_recovery.rs`: arbitrary on-disk damage
-//! (truncation at any offset, any single bit flip, a torn WAL tail) must
+//! Property tests for `SegmentStore` corruption recovery: arbitrary on-disk
+//! damage (truncation at any offset, any single bit flip, a torn WAL tail) must
 //! never panic a reopen, must quarantine what cannot be trusted, and must
 //! leave the store able to recompute and serve the records
 //! byte-identically — with the live aggregate equal to a from-scratch
@@ -21,7 +20,12 @@ fn mk_row(i: u64) -> (String, HotRow, Vec<u8>) {
         page_size: "4K".to_string(),
         seed: i,
         source: "sim".to_string(),
-        arch: if i.is_multiple_of(4) { "victima" } else { "baseline" }.to_string(),
+        arch: if i.is_multiple_of(4) {
+            "victima"
+        } else {
+            "baseline"
+        }
+        .to_string(),
         wcpi_fp: value_fp(wcpi),
         x_fp: x_fp((mb as f64 * 1024.0).log10()),
         walk_duration_cycles: 1_000 + i,

@@ -11,10 +11,10 @@
 //! Binds the requested endpoints, serves until a client sends a
 //! `Shutdown` frame, drains in-flight work, and exits 0. Cache-first by
 //! default: runs are answered from (and written back to) the run store,
-//! so repeated figure regenerations cost one simulation each. The store
-//! opens segment-backed: legacy `.json` records stay readable, new
-//! records land in the columnar segment store, and the v5 results-plane
-//! verbs (`Query`/`Compact`/`StoreSegStats`) are served from its online
+//! so repeated figure regenerations cost one simulation each. Opening
+//! the store folds any legacy per-file `.json` records into the columnar
+//! segment store, and the v5 results-plane verbs
+//! (`Query`/`Compact`/`StoreSegStats`) are served from its online
 //! aggregates.
 //!
 //! `--io epoll` serves TCP through the thread-per-core reactor tier
@@ -168,8 +168,8 @@ fn main() -> ExitCode {
         None
     } else {
         let opened = match &opts.store_dir {
-            Some(dir) => RunStore::open_segmented(dir),
-            None => RunStore::default_location_segmented(),
+            Some(dir) => RunStore::open(dir),
+            None => RunStore::default_location(),
         };
         match opened {
             Ok(store) => Some(store),

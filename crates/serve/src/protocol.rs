@@ -34,8 +34,7 @@ pub use atscale::results::{CompactStats, GroupSummary, QueryFilter, QueryResult,
 /// segment store's per-group state in `O(groups)`;
 /// [`Request::Compact`] rewrites the store to its live rows;
 /// [`Request::StoreSegStats`] reports segment-store occupancy. All three
-/// answer [`Reply::Error`] on a store-less or legacy-JSON (non-segmented)
-/// server.
+/// answer [`Reply::Error`] on a store-less server.
 ///
 /// v6: sharded topology in the handshake. [`Welcome`] carries the
 /// answering daemon's shard index (`shard`), the topology size

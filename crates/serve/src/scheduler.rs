@@ -113,6 +113,8 @@ pub(crate) struct Batch {
     expired: AtomicUsize,
     failed: AtomicUsize,
     resolved: AtomicUsize,
+    /// Specs whose frames are all written; the last one closes the batch.
+    announced: AtomicUsize,
     /// Set once the `Accepted` frame has been written. Workers delivering
     /// this batch's frames wait on it, so a cache-hit resolving faster
     /// than the admission path cannot reorder `Record` before `Accepted`
@@ -131,6 +133,7 @@ impl Batch {
             expired: AtomicUsize::new(0),
             failed: AtomicUsize::new(0),
             resolved: AtomicUsize::new(0),
+            announced: AtomicUsize::new(0),
             ready: Mutex::new(false),
             ready_cv: Condvar::new(),
         }
@@ -162,9 +165,10 @@ impl Batch {
     }
 
     /// Streams the frames resolving spec `index`, then `BatchDone` once
-    /// every spec of the batch is resolved. Returns how the spec was
-    /// resolved (record, deadline-expired, or failed).
-    fn resolve(&self, sub: &Subscriber, outcome: &JobOutcome) -> Resolution {
+    /// every spec of the batch is resolved. An expiry is counted into
+    /// `stats` before its frame goes out, so a client that has read the
+    /// frame never sees the counter lag behind it.
+    fn resolve(&self, sub: &Subscriber, outcome: &JobOutcome, stats: &ServeStats) {
         self.wait_ready();
         let now = Instant::now();
         // A record-less outcome is either a contained worker panic
@@ -188,6 +192,7 @@ impl Batch {
             }));
         } else if resolution == Resolution::Expired {
             self.expired.fetch_add(1, Ordering::SeqCst);
+            stats.expired.fetch_add(1, Ordering::SeqCst);
             self.sink.send(&Reply::Deadline(DeadlineExceeded {
                 id: self.id,
                 index: sub.index,
@@ -217,7 +222,9 @@ impl Batch {
                 cached: outcome.cached,
             },
         }));
-        if resolved == self.total {
+        // Counted after the send, not with `resolved`: a worker preempted
+        // before its `Progress` must not trail another worker's `BatchDone`.
+        if self.announced.fetch_add(1, Ordering::SeqCst) + 1 == self.total {
             self.sink.send(&Reply::BatchDone(BatchDone {
                 id: self.id,
                 delivered: self.delivered.load(Ordering::SeqCst) as u64,
@@ -225,7 +232,6 @@ impl Batch {
                 failed: self.failed.load(Ordering::SeqCst) as u64,
             }));
         }
-        resolution
     }
 }
 
@@ -622,9 +628,7 @@ impl Scheduler {
                 };
             }
             for sub in &job.subscribers {
-                if sub.batch.resolve(sub, &outcome) == Resolution::Expired {
-                    self.stats.expired.fetch_add(1, Ordering::SeqCst);
-                }
+                sub.batch.resolve(sub, &outcome, &self.stats);
             }
             self.stats.completed.fetch_add(1, Ordering::SeqCst);
             let mut state = self.locked();

@@ -397,11 +397,17 @@ fn serve_connection(
     }
 }
 
-/// The v5 results-plane verbs need a segment-backed store; legacy-JSON or
-/// store-less servers reject them with this message.
+/// The v5 results-plane verbs are answered by the run store; a store-less
+/// server rejects them with this message.
 const NOT_SEGMENTED: &str =
-    "results plane unavailable: server has no segment-backed store (run with --store on a \
-     segmented results dir, or migrate it with store_compact)";
+    "results plane unavailable: server has no run store (start it without --no-store)";
+
+fn no_store() -> Reply {
+    Reply::Error(ErrorReply {
+        id: 0,
+        message: NOT_SEGMENTED.to_string(),
+    })
+}
 
 /// Dispatches one request; returns `true` when the connection should end
 /// (shutdown acknowledged). Shared by both I/O tiers: the blocking tier
@@ -463,41 +469,25 @@ pub(crate) fn handle_request(
             false
         }
         Request::Query(filter) => {
-            match handle.scheduler.store().and_then(|s| s.query(filter)) {
-                Some(result) => writer.send(&Reply::QueryResult(result)),
-                None => writer.send(&Reply::Error(ErrorReply {
-                    id: 0,
-                    message: NOT_SEGMENTED.to_string(),
-                })),
-            }
+            let store = handle.scheduler.store();
+            writer.send(&store.map_or_else(no_store, |s| Reply::QueryResult(s.query(filter))));
             false
         }
         Request::Compact => {
-            match handle.scheduler.store().map(atscale::RunStore::compact) {
-                Some(Ok(stats)) => writer.send(&Reply::Compacted(stats)),
-                Some(Err(e)) => writer.send(&Reply::Error(ErrorReply {
+            let reply = match handle.scheduler.store().map(atscale::RunStore::compact) {
+                Some(Ok(stats)) => Reply::Compacted(stats),
+                Some(Err(e)) => Reply::Error(ErrorReply {
                     id: 0,
                     message: format!("compaction failed: {e}"),
-                })),
-                None => writer.send(&Reply::Error(ErrorReply {
-                    id: 0,
-                    message: NOT_SEGMENTED.to_string(),
-                })),
-            }
+                }),
+                None => no_store(),
+            };
+            writer.send(&reply);
             false
         }
         Request::StoreSegStats => {
-            match handle
-                .scheduler
-                .store()
-                .and_then(atscale::RunStore::seg_stats)
-            {
-                Some(stats) => writer.send(&Reply::StoreSegStats(stats)),
-                None => writer.send(&Reply::Error(ErrorReply {
-                    id: 0,
-                    message: NOT_SEGMENTED.to_string(),
-                })),
-            }
+            let store = handle.scheduler.store();
+            writer.send(&store.map_or_else(no_store, |s| Reply::StoreSegStats(s.seg_stats())));
             false
         }
         Request::Shutdown => {

@@ -161,60 +161,9 @@ fn expect_io(err: &ClientError, context: &str) {
 // Scenarios
 // ---------------------------------------------------------------------
 
-/// A torn cache write lands corrupt JSON on disk; the next lookup
-/// quarantines it and recomputes. Every delivered record stays
-/// byte-identical to the fault-free run.
-fn store_torn_write_recovers(seed: u64) -> Outcome {
-    let plan = Arc::new(
-        FaultPlan::new(seed).with_rule(FaultSite::StoreTorn, FaultRule::always().max_fires(1)),
-    );
-    let dir = scratch_dir("torn", seed);
-    let store = RunStore::open(&dir)
-        .expect("open store")
-        .with_fault_plan(Arc::clone(&plan));
-    let (server, addr) = start_server(ServeConfig {
-        store: Some(store),
-        workers: 1,
-        faults: Some(Arc::clone(&plan)),
-        ..ServeConfig::default()
-    });
-
-    let mut client = Client::connect(&addr).expect("connect");
-    let spec = [tiny_spec(seed)];
-    let mut records = Vec::new();
-    // 1st: executes, tears the cache write (the client still gets the
-    // in-memory record). 2nd: quarantines the corpse, recomputes,
-    // rewrites cleanly. 3rd: served from the now-intact cache.
-    for _ in 0..3 {
-        records.extend(
-            client
-                .run_many(&spec, SubmitOptions::default())
-                .expect("torn cache writes are invisible to clients"),
-        );
-    }
-    let digests = assert_byte_identical(&records, seed, "store_torn_write_recovers");
-
-    let cache = client.cache_stats().expect("cache stats");
-    assert_eq!(cache.entries, 1);
-    assert_eq!(cache.corrupt_files, 1, "the torn file was quarantined");
-    let stats = client.server_stats().expect("server stats");
-    assert_eq!(stats.executions, 2, "torn entry forced one recompute");
-    assert_eq!(stats.cache_hits, 1, "the rewritten entry serves");
-
-    server.shutdown_and_join();
-    let _ = std::fs::remove_dir_all(&dir);
-    Outcome {
-        name: "store_torn_write_recovers",
-        seed,
-        classification: "quarantined-and-recomputed".to_string(),
-        fires: plan.signature(),
-        digests,
-    }
-}
-
-/// Failed cache writes (write error, then rename error) are non-fatal:
-/// records still stream, no tmp droppings survive, and the save
-/// eventually lands.
+/// Failed cache writes (a WAL append error, then a seal whose segment
+/// rename fails) are non-fatal: every record still streams, no tmp
+/// droppings survive, and the row lands.
 fn store_write_and_rename_failures_are_nonfatal(seed: u64) -> Outcome {
     let plan = Arc::new(
         FaultPlan::new(seed)
@@ -225,6 +174,9 @@ fn store_write_and_rename_failures_are_nonfatal(seed: u64) -> Outcome {
     let store = RunStore::open(&dir)
         .expect("open store")
         .with_fault_plan(Arc::clone(&plan));
+    // Seal after every row so the second save reaches the segment rename
+    // the fault is armed at.
+    store.set_seal_threshold(1);
     let (server, addr) = start_server(ServeConfig {
         store: Some(store),
         workers: 1,
@@ -235,31 +187,40 @@ fn store_write_and_rename_failures_are_nonfatal(seed: u64) -> Outcome {
     let mut client = Client::connect(&addr).expect("connect");
     let spec = [tiny_spec(seed)];
     let mut records = Vec::new();
-    // Save 1 dies at write, save 2 dies at rename, save 3 lands; every
-    // submission still delivers its record.
-    for _ in 0..3 {
+    // Save 1 dies at the WAL write: nothing commits, so submission 2
+    // executes again. Save 2 commits its WAL row, then its seal dies at
+    // the rename: the save reports failure but the row is durable, so
+    // submissions 3 and 4 are cache hits.
+    for _ in 0..4 {
         records.extend(
             client
                 .run_many(&spec, SubmitOptions::default())
                 .expect("failed cache writes are invisible to clients"),
         );
     }
-    // 4th: the third save finally landed, so this one is a cache hit.
-    records.extend(
-        client
-            .run_many(&spec, SubmitOptions::default())
-            .expect("cached"),
-    );
     let digests = assert_byte_identical(&records, seed, "store_write_and_rename");
 
-    let cache = client.cache_stats().expect("cache stats");
-    assert_eq!(cache.entries, 1);
-    assert_eq!(cache.tmp_files, 0, "failed saves leave no droppings");
+    assert_eq!(plan.fires(FaultSite::StoreWrite), 1);
+    assert_eq!(plan.fires(FaultSite::StoreRename), 1);
     let stats = client.server_stats().expect("server stats");
-    assert_eq!(stats.executions, 3);
-    assert_eq!(stats.cache_hits, 1);
-
+    assert_eq!(stats.executions, 2);
+    assert_eq!(stats.cache_hits, 2);
+    let seg = client.seg_stats().expect("seg stats");
+    assert_eq!(seg.live_rows, 1);
+    assert_eq!(
+        (seg.segments, seg.wal_rows),
+        (0, 1),
+        "the failed seal kept the row in the WAL"
+    );
     server.shutdown_and_join();
+
+    // A reopen finds the row, nothing to quarantine and no dropping from
+    // the failed rename.
+    let reopened = RunStore::open(&dir).expect("reopen").stats();
+    assert_eq!(reopened.entries, 1);
+    assert_eq!(reopened.tmp_files, 0, "failed saves leave no droppings");
+    assert_eq!(reopened.corrupt_files, 0);
+
     let _ = std::fs::remove_dir_all(&dir);
     Outcome {
         name: "store_write_and_rename_failures_are_nonfatal",
@@ -662,8 +623,8 @@ fn segment_torn_append_recovers(seed: u64) -> Outcome {
         FaultPlan::new(seed).with_rule(FaultSite::SegmentTorn, FaultRule::always().max_fires(1)),
     );
     let dir = scratch_dir("seg-torn", seed);
-    let store = RunStore::open_segmented(&dir)
-        .expect("open segmented store")
+    let store = RunStore::open(&dir)
+        .expect("open store")
         .with_fault_plan(Arc::clone(&plan));
     let (server, addr) = start_server(ServeConfig {
         store: Some(store),
@@ -688,8 +649,8 @@ fn segment_torn_append_recovers(seed: u64) -> Outcome {
 
     // Reopen — the crash-recovery path: the torn tail is quarantined and
     // the WAL truncated back to its intact prefix.
-    let reopened = RunStore::open_segmented(&dir).expect("reopen");
-    let quarantined = reopened.seg_stats().expect("segmented").quarantined;
+    let reopened = RunStore::open(&dir).expect("reopen");
+    let quarantined = reopened.seg_stats().quarantined;
     assert_eq!(quarantined, 1, "reopen quarantined the torn tail");
     let (server, addr) = start_server(ServeConfig {
         store: Some(reopened),
@@ -733,8 +694,8 @@ fn index_rename_failure_rebuilds(seed: u64) -> Outcome {
         FaultPlan::new(seed).with_rule(FaultSite::IndexRename, FaultRule::always().max_fires(1)),
     );
     let dir = scratch_dir("idx-rename", seed);
-    let store = RunStore::open_segmented(&dir)
-        .expect("open segmented store")
+    let store = RunStore::open(&dir)
+        .expect("open store")
         .with_fault_plan(Arc::clone(&plan));
     // Seal after every row so the append reaches the index-persist path
     // the fault is armed at.
@@ -762,7 +723,7 @@ fn index_rename_failure_rebuilds(seed: u64) -> Outcome {
 
     // Reopen: the index is rebuilt from the segments themselves — the
     // cache hits without any recompute.
-    let reopened = RunStore::open_segmented(&dir).expect("reopen");
+    let reopened = RunStore::open(&dir).expect("reopen");
     let (server, addr) = start_server(ServeConfig {
         store: Some(reopened),
         workers: 1,
@@ -799,8 +760,7 @@ fn index_rename_failure_rebuilds(seed: u64) -> Outcome {
 
 type Scenario = fn(u64) -> Outcome;
 
-const SCENARIOS: [(&str, Scenario); 11] = [
-    ("store_torn_write_recovers", store_torn_write_recovers),
+const SCENARIOS: [(&str, Scenario); 10] = [
     (
         "store_write_and_rename_failures_are_nonfatal",
         store_write_and_rename_failures_are_nonfatal,
@@ -896,7 +856,7 @@ fn chaos_matrix_extended() {
 #[test]
 fn fault_fires_stream_to_telemetry_jsonl() {
     let plan = Arc::new(
-        FaultPlan::new(7).with_rule(FaultSite::StoreTorn, FaultRule::always().max_fires(1)),
+        FaultPlan::new(7).with_rule(FaultSite::SegmentTorn, FaultRule::always().max_fires(1)),
     );
     let path = std::env::temp_dir().join(format!(
         "atscale-chaos-telemetry-{}.jsonl",
@@ -915,8 +875,8 @@ fn fault_fires_stream_to_telemetry_jsonl() {
     let record = atscale::execute_run(&tiny_spec(7), &MachineConfig::haswell());
     store
         .save("deadbeef", &record)
-        .expect("torn save still lands");
-    assert!(store.load("deadbeef").is_none(), "torn record quarantined");
+        .expect("a torn append still reports success");
+    assert!(store.load("deadbeef").is_none(), "torn row never committed");
 
     assert_eq!(sink.fault_count(), 1);
     sink.finish();
@@ -924,7 +884,7 @@ fn fault_fires_stream_to_telemetry_jsonl() {
     let summary = validate_stream(&text)
         .unwrap_or_else(|(line, e)| panic!("stream invalid at line {line}: {e}"));
     assert_eq!(summary.by_type.get("fault"), Some(&1));
-    assert!(text.contains("\"site\":\"StoreTorn\""), "{text}");
+    assert!(text.contains("\"site\":\"SegmentTorn\""), "{text}");
 
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_dir_all(&dir);

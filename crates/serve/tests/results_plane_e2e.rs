@@ -43,7 +43,7 @@ fn sweep_specs(workloads: &[&str]) -> Vec<RunSpec> {
 #[test]
 fn query_matches_from_raw_recomputation_before_and_after_compact() {
     let dir = temp_dir("query");
-    let store = RunStore::open_segmented(&dir).expect("open segmented");
+    let store = RunStore::open(&dir).expect("open store");
     // A tiny seal threshold so the sweep (2 workloads x the test-profile
     // footprints) spans a sealed segment plus a WAL tail — the query must
     // merge across both.
@@ -146,35 +146,83 @@ fn query_matches_from_raw_recomputation_before_and_after_compact() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The results-plane verbs need a segment backend: a legacy-JSON store
+/// The results-plane verbs are the run store's: a store-less daemon
 /// answers every one of them with an explicit error, and the connection
 /// stays usable.
 #[test]
-fn results_plane_verbs_error_explicitly_on_a_legacy_store() {
-    let dir = temp_dir("legacy");
-    let store = RunStore::open(&dir).expect("open legacy");
+fn results_plane_verbs_error_explicitly_without_a_store() {
     let (server, addr) = start_server(ServeConfig {
-        store: Some(store),
+        store: None,
         ..ServeConfig::default()
     });
 
     let mut client = Client::connect(&addr).expect("connect");
     client.hello().expect("handshake");
     match client.query(&QueryFilter::default()) {
-        Err(ClientError::Server(msg)) => assert!(msg.contains("segment"), "{msg}"),
+        Err(ClientError::Server(msg)) => assert!(msg.contains("no run store"), "{msg}"),
         other => panic!("expected a server error, got {other:?}"),
     }
     match client.compact() {
-        Err(ClientError::Server(msg)) => assert!(msg.contains("segment"), "{msg}"),
+        Err(ClientError::Server(msg)) => assert!(msg.contains("no run store"), "{msg}"),
         other => panic!("expected a server error, got {other:?}"),
     }
     match client.seg_stats() {
-        Err(ClientError::Server(msg)) => assert!(msg.contains("segment"), "{msg}"),
+        Err(ClientError::Server(msg)) => assert!(msg.contains("no run store"), "{msg}"),
         other => panic!("expected a server error, got {other:?}"),
     }
     // The connection survives the rejections.
     assert!(client.server_stats().is_ok());
 
     server.shutdown_and_join();
+}
+
+/// An old results directory — one JSON file per record, one of them torn —
+/// handed to the daemon: opening the store migrates it, so every intact
+/// record is a cache hit served byte-identically, the torn one is
+/// quarantined and recomputed, and the next open has nothing to migrate.
+#[test]
+fn legacy_directory_is_migrated_at_open_and_served_from_cache() {
+    let dir = temp_dir("legacy");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let machine = ServeConfig::default().machine;
+    let specs = sweep_specs(&["cc-urand"]);
+    let mut expected = Vec::new();
+    for spec in &specs {
+        let bytes = serde_json::to_vec(&atscale::execute_run(spec, &machine)).expect("serializes");
+        let path = dir.join(format!("{}.json", RunStore::key(spec, &machine)));
+        std::fs::write(path, &bytes).expect("legacy file");
+        expected.push(bytes);
+    }
+    let torn = dir.join(format!("{}.json", RunStore::key(&specs[0], &machine)));
+    std::fs::write(&torn, &expected[0][..expected[0].len() / 2]).expect("tear one");
+
+    let store = RunStore::open(&dir).expect("open migrates");
+    assert_eq!(store.migrated(), specs.len() as u64 - 1);
+    let (server, addr) = start_server(ServeConfig {
+        store: Some(store),
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(&addr).expect("connect");
+    client.hello().expect("handshake");
+    let records = client
+        .run_many(&specs, SubmitOptions::default())
+        .expect("sweep resolves");
+    for (record, bytes) in records.iter().zip(&expected) {
+        assert_eq!(&serde_json::to_vec(record).expect("serializes"), bytes);
+    }
+    let stats = client.server_stats().expect("server stats");
+    assert_eq!(stats.cache_hits, specs.len() as u64 - 1);
+    assert_eq!(stats.executions, 1, "only the torn record is recomputed");
+    let cache = client.cache_stats().expect("cache stats");
+    assert_eq!(cache.entries, specs.len() as u64);
+    assert_eq!(cache.corrupt_files, 1);
+    let all = client.query(&QueryFilter::default()).expect("query");
+    assert_eq!(all.count, specs.len() as u64);
+    server.shutdown_and_join();
+
+    assert!(torn.with_extension("json.corrupt").exists());
+    let reopened = RunStore::open(&dir).expect("reopen");
+    assert_eq!(reopened.migrated(), 0);
+    assert_eq!(reopened.len(), specs.len());
     let _ = std::fs::remove_dir_all(&dir);
 }

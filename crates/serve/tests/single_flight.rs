@@ -8,6 +8,7 @@ use atscale_serve::{ReplySink, Scheduler, ServeConfig};
 use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 fn spec(footprint_mb: u64, seed: u64) -> RunSpec {
@@ -242,4 +243,81 @@ fn stress_overlapping_batches_share_executions_and_leave_no_droppings() {
 
     stop(&scheduler, workers);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Holds the first `Progress` frame it is handed until released, so a test
+/// can park one worker between counting its spec and announcing it.
+#[derive(Default)]
+struct HoldFirstProgress {
+    frames: Collector,
+    seen_progress: AtomicBool,
+    released: Mutex<bool>,
+    release_cv: Condvar,
+}
+
+impl HoldFirstProgress {
+    fn release(&self) {
+        *self.released.lock().unwrap() = true;
+        self.release_cv.notify_all();
+    }
+}
+
+impl ReplySink for HoldFirstProgress {
+    fn send(&self, reply: &Reply) {
+        let first_progress =
+            matches!(reply, Reply::Progress(_)) && !self.seen_progress.swap(true, Ordering::SeqCst);
+        if first_progress {
+            let mut released = self.released.lock().unwrap();
+            while !*released {
+                released = self.release_cv.wait(released).unwrap();
+            }
+        }
+        self.frames.send(reply);
+    }
+}
+
+/// `BatchDone` closes the stream: a worker that counted its spec early but
+/// wrote its `Progress` late must not trail another worker's `BatchDone`
+/// (the client stops reading at `BatchDone`, so a trailing frame would
+/// answer the connection's *next* request).
+#[test]
+fn no_frame_trails_batch_done() {
+    let scheduler = Arc::new(Scheduler::new(ServeConfig {
+        store: None,
+        workers: 2,
+        start_paused: true,
+        ..ServeConfig::default()
+    }));
+    let workers = spawn_workers(&scheduler);
+    let sink = Arc::new(HoldFirstProgress::default());
+    scheduler.submit(
+        &Submit {
+            id: 1,
+            specs: vec![spec(16, 7), spec(16, 8)],
+            deadline_ms: None,
+            no_cache: false,
+            sample_interval: 0,
+        },
+        Arc::clone(&sink) as Arc<dyn ReplySink>,
+    );
+    scheduler.resume();
+    // One worker parks inside its `Progress` send; the other resolves its
+    // spec completely. Only then is the parked frame let through.
+    while scheduler.stats_reply().completed < 1 {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    sink.release();
+    sink.frames.wait_batch_done();
+    stop(&scheduler, workers);
+
+    let replies = sink.frames.replies.lock().unwrap().clone();
+    assert!(
+        matches!(replies.last(), Some(Reply::BatchDone(_))),
+        "frames after BatchDone: {replies:?}"
+    );
+    let progress = replies
+        .iter()
+        .filter(|r| matches!(r, Reply::Progress(_)))
+        .count();
+    assert_eq!(progress, 2);
 }

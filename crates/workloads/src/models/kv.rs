@@ -166,6 +166,10 @@ impl KvModel {
                 layout.items.random(&mut self.rng),
             )
         };
+        // `at` clamps a value line past the slab's end (item drawn in its
+        // last 960 B) to the last slot; every other address is unchanged.
+        let items = &self.layout.as_ref().expect("setup ran").items;
+        let value_line = |k: u64| items.at(item.as_u64() - items.base.as_u64() + 64 + k * 128);
         sink.load(bucket);
         // Walk the chain: one item header, sometimes two.
         sink.load(item);
@@ -178,9 +182,9 @@ impl KvModel {
             // Value access: sequential within the item.
             for k in 0..VALUE_LOADS {
                 if is_read {
-                    sink.load(item.add(64 + k * 128));
+                    sink.load(value_line(k));
                 } else {
-                    sink.store(item.add(64 + k * 128));
+                    sink.store(value_line(k));
                 }
             }
             // LRU list maintenance.
@@ -201,7 +205,7 @@ impl KvModel {
                 sink.store(lru); // unlink
                 sink.store(bucket2); // old bucket update
                 for k in 0..VALUE_LOADS {
-                    sink.store(item.add(64 + k * 128)); // write new value
+                    sink.store(value_line(k)); // write new value
                 }
                 sink.store(bucket); // link into bucket
                 sink.instructions(14);
