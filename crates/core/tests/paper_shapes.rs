@@ -91,6 +91,19 @@ fn one_gig_pages_lose_at_small_footprints() {
         p.run_2m.runtime_cycles()
     );
     assert_eq!(p.baseline_cycles(), p.run_2m.runtime_cycles());
+    // Why it loses is on the record: `RunResult.space` carries the
+    // *effective* page-size mix. No cc-urand array reaches 1 GiB at this
+    // footprint, so the 1 GB request got base pages only, each one a
+    // fallback fault — while the 2 MB run did get its superpages.
+    let space_1g = p.run_1g.result.space;
+    let base_pages = space_1g.table.pages_by_size[0];
+    assert!(base_pages > 0);
+    assert_eq!(space_1g.table.pages_by_size, [base_pages, 0, 0]);
+    assert_eq!(space_1g.fallback_faults, space_1g.minor_faults);
+    assert_eq!(space_1g.minor_faults, base_pages);
+    let space_2m = p.run_2m.result.space;
+    assert!(space_2m.table.pages_by_size[1] > 0);
+    assert!(space_2m.fallback_faults < space_2m.minor_faults);
 }
 
 /// Equation 1 telescopes exactly on every workload.

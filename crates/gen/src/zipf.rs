@@ -87,66 +87,88 @@ impl Zipf {
     }
 }
 
-/// Memo of previously computed `(n, theta) → ζ` values.
+/// Memo of ζ prefix sums: `(n, theta.to_bits(), Σ_{i=1..n} 1/i^θ)`.
 ///
 /// The exact sum below costs up to 10⁷ `powf` calls, and sweep drivers
-/// construct many [`Zipf`] samplers over the *same* domain (the five
-/// Kronecker workloads share `(n_vertices, θ)` at each footprint, and every
-/// footprint recurs across page-size configurations). A ζ value is a single
-/// `f64`, so caching it returns bit-identical results while skipping the
-/// whole summation. Keyed by `theta.to_bits()` — exact bit equality, no
+/// construct many [`Zipf`] samplers over the same or *nearby* domains (the
+/// Kronecker workloads share one θ, their vertex counts at one footprint
+/// differ by a few percent, and every footprint recurs across page-size
+/// configurations). The sum is a left-to-right `f64` fold, so an entry is
+/// both a finished answer for its own `n` and a checkpoint any larger `n`
+/// of the same θ resumes from: continuing the same fold from `S_k` performs
+/// exactly the additions a fold from 1 would, in the same order, and is
+/// bit-identical to it. Keyed by `theta.to_bits()` — exact bit equality, no
 /// epsilon games. Bounded FIFO so pathological callers cannot grow it.
 static ZETA_MEMO: Mutex<Vec<(u64, u64, f64)>> = Mutex::new(Vec::new());
 
-const ZETA_MEMO_CAP: usize = 64;
+/// Room for a few θs' worth: one full 10⁷-term sum leaves 39 entries.
+const ZETA_MEMO_CAP: usize = 256;
 
-/// Truncated zeta: Σ_{i=1..n} 1/i^θ. Exact for small `n`, Euler–Maclaurin
-/// approximated above 10⁷ terms so construction stays O(1)-ish for the
-/// paper's billion-key domains.
+/// A fold also leaves a checkpoint every this many terms, so a *smaller*
+/// `n` than any asked for before resumes from at most this far below it.
+const ZETA_CHECKPOINT_STRIDE: u64 = 1 << 18;
+
+/// Largest `n` summed exactly; beyond it the tail is integrated.
+const ZETA_EXACT_LIMIT: u64 = 10_000_000;
+
+/// Truncated zeta: Σ_{i=1..n} 1/i^θ. Exact up to 10⁷ terms,
+/// Euler–Maclaurin approximated above so construction stays O(1)-ish for
+/// the paper's billion-key domains.
 ///
-/// Results are memoised process-wide: repeated calls with the same `(n, θ)`
-/// return the cached `f64`, which is by construction bit-identical to a
-/// fresh summation.
+/// Exact sums are memoised process-wide as prefix checkpoints: a repeated
+/// `(n, θ)` returns the cached `f64`, and a new `n` costs `n − k` terms
+/// past the nearest checkpoint `k ≤ n` of the same θ — either way
+/// bit-identical to a fresh summation from 1.
 pub fn zeta(n: u64, theta: f64) -> f64 {
     // Tiny sums are cheaper than the lock.
     if n <= 64 {
-        return zeta_direct(n, theta);
+        return (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum();
     }
-    let theta_bits = theta.to_bits();
-    if let Some(&(_, _, value)) = ZETA_MEMO
-        .lock()
-        .expect("zeta memo lock poisoned")
-        .iter()
-        .find(|&&(kn, kt, _)| kn == n && kt == theta_bits)
-    {
-        return value;
-    }
-    let value = zeta_direct(n, theta);
-    let mut memo = ZETA_MEMO.lock().expect("zeta memo lock poisoned");
-    if !memo.iter().any(|&(kn, kt, _)| kn == n && kt == theta_bits) {
-        if memo.len() >= ZETA_MEMO_CAP {
-            memo.remove(0);
-        }
-        memo.push((n, theta_bits, value));
-    }
-    value
-}
-
-/// The uncached summation behind [`zeta`].
-fn zeta_direct(n: u64, theta: f64) -> f64 {
-    const EXACT_LIMIT: u64 = 10_000_000;
-    if n <= EXACT_LIMIT {
-        (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
-    } else {
+    if n > ZETA_EXACT_LIMIT {
         // The head below the limit is itself memoised (every oversized
         // domain with the same θ shares it).
-        let head = zeta(EXACT_LIMIT, theta);
-        // ∫ x^-θ dx from EXACT_LIMIT to n, plus endpoint correction.
-        let a = EXACT_LIMIT as f64;
+        let head = zeta(ZETA_EXACT_LIMIT, theta);
+        // ∫ x^-θ dx from the limit to n, plus endpoint correction.
+        let a = ZETA_EXACT_LIMIT as f64;
         let b = n as f64;
         let tail = (b.powf(1.0 - theta) - a.powf(1.0 - theta)) / (1.0 - theta);
-        head + tail
+        return head + tail;
     }
+    let theta_bits = theta.to_bits();
+    let memo = ZETA_MEMO.lock().expect("zeta memo lock poisoned");
+    let (k, mut sum) = nearest_checkpoint(&memo, n, theta_bits);
+    drop(memo);
+    if k == n {
+        return sum;
+    }
+    // Summed outside the lock: another thread may do the same work, never
+    // different work.
+    let mut fresh = Vec::new();
+    for i in k + 1..=n {
+        sum += 1.0 / (i as f64).powf(theta);
+        if i % ZETA_CHECKPOINT_STRIDE == 0 || i == n {
+            fresh.push((i, theta_bits, sum));
+        }
+    }
+    let mut memo = ZETA_MEMO.lock().expect("zeta memo lock poisoned");
+    for entry in fresh {
+        if !memo.iter().any(|e| (e.0, e.1) == (entry.0, entry.1)) {
+            if memo.len() >= ZETA_MEMO_CAP {
+                memo.remove(0);
+            }
+            memo.push(entry);
+        }
+    }
+    sum
+}
+
+/// The memoised prefix `(k, S_k)` of this θ with the largest `k ≤ n`, or
+/// the empty fold `(0, 0.0)`.
+fn nearest_checkpoint(memo: &[(u64, u64, f64)], n: u64, theta_bits: u64) -> (u64, f64) {
+    memo.iter()
+        .filter(|&&(k, kt, _)| kt == theta_bits && k <= n)
+        .max_by_key(|&&(k, _, _)| k)
+        .map_or((0, 0.0), |&(k, _, sum)| (k, sum))
 }
 
 #[cfg(test)]
@@ -217,6 +239,12 @@ mod tests {
         Zipf::new(10, 1.5);
     }
 
+    /// The uncached summation from 1 that [`zeta`] must agree with to the
+    /// bit, whatever it resumed from.
+    fn zeta_direct(n: u64, theta: f64) -> f64 {
+        (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
+    }
+
     #[test]
     fn memoised_zeta_is_bit_identical_to_direct_summation() {
         // Call twice (second call is served from the memo) and against the
@@ -230,6 +258,53 @@ mod tests {
                 second.to_bits(),
                 direct.to_bits(),
                 "memo hit for ({n}, {theta})"
+            );
+        }
+        // Whatever earlier requests left behind to resume from — ascending
+        // (each continues the last), descending (each falls back to a
+        // stride checkpoint or to 1), interleaved θs (checkpoints of one θ
+        // must never serve another), on and around a stride boundary — the
+        // answer is the fold from 1. θs no other test uses, so the first
+        // request of each order really starts cold.
+        let stride = ZETA_CHECKPOINT_STRIDE;
+        let ascending = [65, 1_000, stride - 1, stride, stride + 1, 3 * stride + 17];
+        let mut descending = ascending;
+        descending.reverse();
+        for (thetas, ns) in [
+            (&[0.51][..], ascending),
+            (&[0.52][..], descending),
+            (&[0.53, 0.54, 0.55][..], ascending),
+            (&[0.56, 0.57][..], descending),
+        ] {
+            for n in ns {
+                for &theta in thetas {
+                    assert_eq!(
+                        zeta(n, theta).to_bits(),
+                        zeta_direct(n, theta).to_bits(),
+                        "zeta({n}, {theta}) in {ns:?} order"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_new_n_costs_only_the_terms_past_its_checkpoint() {
+        // Not a timing test: a resumed fold that silently restarted from 1
+        // would still be bit-identical. Count instead — after one long sum
+        // the memo must hold a checkpoint within a stride of any smaller n.
+        let theta = 0.58;
+        zeta(5 * ZETA_CHECKPOINT_STRIDE + 3, theta);
+        let memo = ZETA_MEMO.lock().unwrap();
+        for n in [
+            ZETA_CHECKPOINT_STRIDE,
+            2 * ZETA_CHECKPOINT_STRIDE + 9,
+            5 * ZETA_CHECKPOINT_STRIDE,
+        ] {
+            let (k, _) = nearest_checkpoint(&memo, n, theta.to_bits());
+            assert!(
+                k > 0 && n - k < ZETA_CHECKPOINT_STRIDE,
+                "nearest checkpoint below {n} is {k}: over a stride away"
             );
         }
     }

@@ -54,8 +54,22 @@ impl FrameAllocator {
 
     /// Allocates a naturally-aligned physical page of the given size.
     pub fn alloc_page(&mut self, size: PageSize) -> PhysAddr {
-        self.data_bytes += size.bytes();
-        self.alloc(size.bytes(), size.bytes())
+        self.alloc_pages(size, 1)
+    }
+
+    /// Allocates `count` naturally-aligned, contiguous physical pages and
+    /// returns the first; page `i` is at `first + i * size.bytes()`.
+    ///
+    /// Exactly what `count` successive [`alloc_page`](Self::alloc_page)
+    /// calls hand out: a bump allocator pads for alignment once, before the
+    /// first page. `count == 0` changes nothing (not even that padding) and
+    /// returns the current high-water mark.
+    pub fn alloc_pages(&mut self, size: PageSize, count: u64) -> PhysAddr {
+        if count == 0 {
+            return self.high_water_mark();
+        }
+        self.data_bytes += count * size.bytes();
+        self.alloc(count * size.bytes(), size.bytes())
     }
 
     /// Total bytes handed out to page-table nodes.
@@ -120,5 +134,25 @@ mod tests {
         assert_eq!(frames.table_node_bytes(), 8192);
         assert_eq!(frames.data_bytes(), 4096);
         assert!(frames.high_water_mark().as_u64() >= 8192 + 4096);
+    }
+
+    #[test]
+    fn alloc_pages_equals_successive_alloc_page_calls() {
+        for size in PageSize::ALL {
+            for count in [0u64, 1, 2, 7, 512] {
+                let mut bulk = FrameAllocator::new();
+                let mut single = FrameAllocator::new();
+                // A table node first, so superpages need alignment padding.
+                assert_eq!(bulk.alloc_table_node(), single.alloc_table_node());
+                let first = bulk.alloc_pages(size, count);
+                for i in 0..count {
+                    assert_eq!(single.alloc_page(size), first.add(i * size.bytes()));
+                }
+                assert_eq!(bulk.high_water_mark(), single.high_water_mark());
+                assert_eq!(bulk.data_bytes(), single.data_bytes());
+                // Whatever comes next lands at the same address too.
+                assert_eq!(bulk.alloc_table_node(), single.alloc_table_node());
+            }
+        }
     }
 }

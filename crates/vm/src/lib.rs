@@ -15,7 +15,8 @@
 //!   (hugetlbfs + `glibc.malloc.hugetlb`), including the fallback rule that
 //!   makes 1 GiB pages *worse* than 2 MiB pages at small footprints
 //!   (paper §III-B).
-//! * [`AddressSpace`] — segments, a heap, demand paging, and translation.
+//! * [`AddressSpace`] — segments, a heap, demand paging, bulk fault-in, and
+//!   translation.
 //! * [`invariant!`] / [`CheckInvariants`] — the debug-build runtime
 //!   invariant layer used across the whole workspace (see [`invariant`]).
 //!

@@ -3,7 +3,7 @@
 use crate::layout::HeapLayout;
 use crate::{
     BackingPolicy, CheckInvariants, FrameAllocator, PageSize, PageTable, PageTableStats, PhysAddr,
-    Segment, SegmentId, VirtAddr, VmError, WalkPath,
+    ResolvedBacking, Segment, SegmentId, VirtAddr, VmError, WalkPath,
 };
 
 /// A successful virtual-to-physical translation.
@@ -198,9 +198,7 @@ impl AddressSpace {
     /// keeping it out of line keeps the disabled-path dispatcher tiny.
     fn touch_memoised(&mut self, va: VirtAddr) -> Result<TouchOutcome, VmError> {
         if self.memo_probes >= MEMO_WINDOW {
-            self.memo_enabled = self.memo_hits >= MEMO_KEEP_HITS;
-            self.memo_probes = 0;
-            self.memo_hits = 0;
+            self.close_memo_window();
             if !self.memo_enabled {
                 return self.touch_uncached(va);
             }
@@ -238,32 +236,116 @@ impl AddressSpace {
             });
         }
         let seg = self.segment_containing(va).ok_or(VmError::Unmapped(va))?;
-        let resolved = self.policy.resolve(seg, va);
-        let frame = self.frames.alloc_page(resolved.size);
-        // `map_with_path` hands back the walk path it just built, which is
-        // identical to what a fresh `walk(va)` would produce (the path of a
-        // page depends only on radix indices the whole page shares) — so the
-        // confirmation re-walk is skipped.
-        let (_created, path) = self.table.map_with_path(
-            va.page_base(resolved.size),
-            resolved.size,
-            frame,
-            &mut self.frames,
-        );
+        let backing = self.policy.resolve(seg, va);
+        // A demand fault is a run of one page. `map_run` hands back the walk
+        // path it just built, which is identical to what a fresh `walk(va)`
+        // would produce (the path of a page depends only on radix indices
+        // the whole page shares) — so the confirmation re-walk is skipped.
+        let path = self.map_run(va.page_base(backing.size), backing, 1);
         debug_assert_eq!(
             Some(path),
             self.table.walk(va),
-            "map_with_path must return exactly what walk({va}) sees"
+            "map_run must return exactly what walk({va}) sees"
         );
-        self.minor_faults += 1;
-        if resolved.fell_back {
-            self.fallback_faults += 1;
-        }
         Ok(TouchOutcome {
             path,
-            page_size: resolved.size,
+            page_size: backing.size,
             minor_fault: true,
         })
+    }
+
+    /// Faults in `[base, base + len)` in bulk (a workload's build phase).
+    ///
+    /// Leaves exactly what calling [`touch`](Self::touch) at `base`,
+    /// `base + 4096`, … below `base + len` would leave — the same pages on
+    /// the same frames, the same page-table nodes, the same [`SpaceStats`],
+    /// and (for a range not touched before) the same adaptive-memo
+    /// decision — but walks the range one *leaf table* at a time instead of
+    /// one page at a time: the backing size is resolved and the tree
+    /// descended once per run of up to 512 pages, and the cursor advances
+    /// by the resolved page size, so set-up costs O(page-table nodes), not
+    /// O(pages). Pages already mapped are skipped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VmError::Unmapped`] for the first stepped address outside
+    /// every segment; everything stepped over before it stays mapped.
+    pub fn fault_in(&mut self, base: VirtAddr, len: u64) -> Result<(), VmError> {
+        let Some(last) = len.checked_sub(1) else {
+            return Ok(());
+        };
+        let last_step = base.add(last & !4095);
+        let mut va = base;
+        let failed_at = loop {
+            let Some(seg) = self.segment_containing(va) else {
+                break Some(va);
+            };
+            let backing = self.policy.resolve(seg, va);
+            let (bytes, level) = (backing.size.bytes(), backing.size.leaf_level());
+            let page = va.page_base(backing.size);
+            let first = page.pt_index(level) as u64;
+            // Pages of this size still wanted: through the last step, but
+            // only those the segment has room for. Resolved sizes never grow
+            // along a segment — its base is aligned to the requested size,
+            // so only tails fall back — hence all of them resolve alike.
+            let fit = (seg.end().as_u64() - page.as_u64()) / bytes;
+            let pages = fit.min((last_step.as_u64() - page.as_u64()) / bytes + 1);
+            let count = pages.min(512 - first);
+            debug_assert_eq!(
+                self.policy.resolve(seg, page.add((count - 1) * bytes)),
+                backing,
+                "backing changed inside a run of {count} pages at {page}"
+            );
+            self.table.reserve_nodes((first + pages).div_ceil(512));
+            self.map_run(page, backing, count);
+            // The first step past the run keeps `base`'s offset in its page.
+            va = page.add(count * bytes + base.page_offset(PageSize::Size4K));
+            if va > last_step {
+                break None;
+            }
+        };
+        let stepped = failed_at.unwrap_or(last_step).as_u64() - base.as_u64();
+        self.note_memo_misses(stepped / 4096 + 1);
+        if cfg!(debug_assertions) {
+            self.check_invariants();
+        }
+        failed_at.map_or(Ok(()), |va| Err(VmError::Unmapped(va)))
+    }
+
+    /// Maps the absent pages of one run through [`PageTable::map_run`] and
+    /// counts a minor fault for each; returns the first page's walk path.
+    fn map_run(&mut self, page: VirtAddr, backing: ResolvedBacking, count: u64) -> WalkPath {
+        let (mapped, path) = self
+            .table
+            .map_run(page, backing.size, count, &mut self.frames);
+        self.minor_faults += mapped;
+        if backing.fell_back {
+            self.fallback_faults += mapped;
+        }
+        path
+    }
+
+    /// Shows the adaptive-memo window `probes` misses in one go: what a
+    /// 4 KiB-stride sweep of untouched pages records one by one, each step
+    /// probing a page number of its own.
+    fn note_memo_misses(&mut self, mut probes: u64) {
+        while self.memo_enabled && probes > 0 {
+            if self.memo_probes >= MEMO_WINDOW {
+                self.close_memo_window();
+                continue;
+            }
+            let taken = probes.min(u64::from(MEMO_WINDOW - self.memo_probes));
+            self.memo_probes += taken as u32;
+            probes -= taken;
+        }
+    }
+
+    /// Ends a full observation window: the memo stays on only if the window
+    /// produced [`MEMO_KEEP_HITS`] hits.
+    fn close_memo_window(&mut self) {
+        self.memo_enabled = self.memo_hits >= MEMO_KEEP_HITS;
+        self.memo_probes = 0;
+        self.memo_hits = 0;
     }
 
     /// Translates `va` if it is mapped. Does not fault pages in.
@@ -518,6 +600,128 @@ mod tests {
         }
         assert_eq!(adaptive.stats(), plain.stats());
         adaptive.check_invariants();
+    }
+
+    /// The page-at-a-time loop `fault_in` replaced, kept as its oracle.
+    fn touch_every_4k(space: &mut AddressSpace, base: VirtAddr, len: u64) -> Result<(), VmError> {
+        for off in (0..len).step_by(4096) {
+            space.touch(base.add(off))?;
+        }
+        Ok(())
+    }
+
+    /// Two spaces with the same segments: one to fault in in bulk, one page
+    /// by page.
+    fn twin_spaces(policy: BackingPolicy, sizes: &[u64]) -> (AddressSpace, AddressSpace) {
+        let (mut bulk, mut paged) = (AddressSpace::new(policy), AddressSpace::new(policy));
+        for &bytes in sizes {
+            let a = bulk.alloc_heap("s", bytes).unwrap();
+            let b = paged.alloc_heap("s", bytes).unwrap();
+            assert_eq!(a.base(), b.base());
+        }
+        (bulk, paged)
+    }
+
+    /// Everything `stats()` cannot see: where the bump allocator stands and
+    /// what the adaptive memo has decided and counted.
+    fn assert_same_private_state(bulk: &AddressSpace, paged: &AddressSpace) {
+        assert_eq!(bulk.stats(), paged.stats());
+        assert_eq!(
+            bulk.frames.high_water_mark(),
+            paged.frames.high_water_mark()
+        );
+        assert_eq!(bulk.memo_enabled, paged.memo_enabled);
+        assert_eq!(
+            (bulk.memo_probes, bulk.memo_hits),
+            (paged.memo_probes, paged.memo_hits)
+        );
+        bulk.check_invariants();
+    }
+
+    #[test]
+    fn fault_in_leaves_the_allocator_and_memo_where_paging_would() {
+        let window = u64::from(MEMO_WINDOW);
+        // Under a window, exactly a window (the decision is taken by the
+        // *next* probe), just over one, and several: with odd tails, across
+        // three segments, for every backing shape.
+        for policy in [
+            BackingPolicy::uniform(PageSize::Size4K),
+            BackingPolicy::uniform(PageSize::Size2M),
+            BackingPolicy::uniform(PageSize::Size1G),
+            BackingPolicy::uniform_graceful(PageSize::Size1G),
+        ] {
+            let sizes = [
+                1000 * 4096,
+                (window - 1000) * 4096,
+                4096,
+                (2 * window + 77) * 4096 + 1,
+            ];
+            let (mut bulk, mut paged) = twin_spaces(policy, &sizes);
+            for seg in paged.segments().to_vec() {
+                bulk.fault_in(seg.base(), seg.len()).unwrap();
+                touch_every_4k(&mut paged, seg.base(), seg.len()).unwrap();
+                assert_same_private_state(&bulk, &paged);
+            }
+            assert!(!bulk.memo_enabled, "{policy:?}: three windows of misses");
+        }
+    }
+
+    #[test]
+    fn fault_in_closes_a_window_the_hits_before_it_keep_open() {
+        let (mut bulk, mut paged) = twin_spaces(BackingPolicy::default(), &[64 << 12, 1 << 30]);
+        let (hot, big) = (paged.segments()[0].clone(), paged.segments()[1].clone());
+        // Most of a window of hits on a resident set, then a fresh range
+        // that closes that window (memo kept) and fills most of the next.
+        for space in [&mut bulk, &mut paged] {
+            for i in 0..u64::from(MEMO_WINDOW) - 500 {
+                space.touch(hot.base().add(i % 64 * 4096)).unwrap();
+            }
+        }
+        let len = (u64::from(MEMO_WINDOW) - 100) * 4096;
+        bulk.fault_in(big.base(), len).unwrap();
+        touch_every_4k(&mut paged, big.base(), len).unwrap();
+        assert!(bulk.memo_enabled, "the first window had hits to spare");
+        assert_same_private_state(&bulk, &paged);
+        // The rest of the segment overruns the all-miss window: off it goes.
+        bulk.fault_in(big.base().add(len), big.len() - len).unwrap();
+        touch_every_4k(&mut paged, big.base().add(len), big.len() - len).unwrap();
+        assert!(!bulk.memo_enabled);
+        assert_same_private_state(&bulk, &paged);
+    }
+
+    #[test]
+    fn fault_in_past_the_segment_fails_where_paging_would() {
+        for offset in [0u64, 8, 4095] {
+            let (mut bulk, mut paged) = twin_spaces(
+                BackingPolicy::uniform(PageSize::Size2M),
+                &[(3 << 21) + 3 * 4096, 8192],
+            );
+            let seg = paged.segments()[0].clone();
+            let base = seg.base().add((2 << 21) + 4096 + offset);
+            let len = 2 << 21;
+            let err = bulk.fault_in(base, len).unwrap_err();
+            assert_eq!(err, touch_every_4k(&mut paged, base, len).unwrap_err());
+            // The guard page behind the segment, at `base`'s page offset.
+            assert_eq!(err, VmError::Unmapped(seg.end().add(offset)));
+            assert_same_private_state(&bulk, &paged);
+            // The 2 MiB page holding `base` and the three 4 KiB tail pages.
+            assert_eq!(bulk.stats().table.pages_by_size, [3, 1, 0]);
+        }
+    }
+
+    #[test]
+    fn fault_in_of_nothing_maps_nothing() {
+        let mut space = AddressSpace::new(BackingPolicy::default());
+        let seg = space.alloc_heap("a", 8192).unwrap();
+        space.fault_in(seg.base(), 0).unwrap();
+        // Not even an unmapped base is looked at.
+        space.fault_in(VirtAddr::new(0xdead_0000), 0).unwrap();
+        assert_eq!(space.stats().minor_faults, 0);
+        // One byte steps once; one byte more than a page steps twice.
+        space.fault_in(seg.base().add(4000), 1).unwrap();
+        assert_eq!(space.stats().minor_faults, 1);
+        space.fault_in(seg.base().add(4000), 4097).unwrap();
+        assert_eq!(space.stats().minor_faults, 2);
     }
 
     #[test]

@@ -134,12 +134,12 @@ impl PageTableStats {
 ///
 /// let mut frames = FrameAllocator::new();
 /// let mut table = PageTable::new(&mut frames);
-/// let frame = frames.alloc_page(PageSize::Size4K);
-/// table.map(VirtAddr::new(0x4000_0000), PageSize::Size4K, frame, &mut frames);
+/// let (mapped, path) =
+///     table.map_run(VirtAddr::new(0x4000_0000), PageSize::Size4K, 1, &mut frames);
 ///
-/// let path = table.walk(VirtAddr::new(0x4000_0123)).expect("mapped");
+/// assert_eq!(mapped, 1);
+/// assert_eq!(table.walk(VirtAddr::new(0x4000_0123)), Some(path));
 /// assert_eq!(path.steps().len(), 4);
-/// assert_eq!(path.frame_base, frame);
 /// ```
 pub struct PageTable {
     /// `node_count * ENTRIES` packed entries; node `i` owns
@@ -148,16 +148,15 @@ pub struct PageTable {
     /// Simulated physical base address of each node's 4 KiB frame.
     node_paddrs: Vec<u64>,
     stats: PageTableStats,
-    /// Virtual address of the most recent `map`, anchoring the chain memo.
+    /// Start of the most recent `map_run`, anchoring the chain memo.
     chain_va: u64,
-    /// Interior-node chain of the most recent `map`: `chain_nodes[l - 1]` is
-    /// the arena index of the node whose entries are indexed at level `l`.
-    /// Valid for levels `chain_depth..=PT_LEVELS`; interior entries are
-    /// never rewritten (map only fills absent slots), so a remembered chain
-    /// can never go stale — a later `map` sharing a virtual-address prefix
-    /// re-enters the tree at the deepest shared node instead of the root.
-    /// Demand faulting touches pages in address order, so consecutive maps
-    /// usually share everything down to the PT node.
+    /// Interior-node chain of the most recent `map_run`: `chain_nodes[l - 1]`
+    /// is the arena index of the node whose entries are indexed at level
+    /// `l`. Valid for levels `chain_depth..=PT_LEVELS`; interior entries are
+    /// never rewritten (`map_run` only fills absent slots), so a remembered
+    /// chain can never go stale — a later walk sharing a virtual-address
+    /// prefix re-enters the tree at the deepest shared node instead of the
+    /// root.
     chain_nodes: [usize; PT_LEVELS as usize],
     /// Deepest level for which `chain_nodes` is valid; 0 = no map yet.
     chain_depth: u8,
@@ -187,81 +186,62 @@ impl PageTable {
         idx
     }
 
-    /// Maps the page of size `size` containing `va` to the physical page at
-    /// `frame_base`, materialising interior nodes as needed.
+    /// Grows the entry arena once for `nodes` more nodes, to the power of
+    /// two that node-at-a-time growth would have doubled its way up to — so
+    /// a bulk fault-in reallocates once, and ends with the same capacity.
+    pub(crate) fn reserve_nodes(&mut self, nodes: u64) {
+        let want = (self.node_paddrs.len() + nodes as usize).next_power_of_two() * ENTRIES;
+        if want > self.entries.capacity() {
+            self.entries.reserve_exact(want - self.entries.len());
+        }
+    }
+
+    /// Maps every still-absent page among the `count` pages of size `size`
+    /// starting at `va` — one run inside one leaf-level node — taking data
+    /// frames, and frames for the interior nodes the descent has to create,
+    /// from `frames`. Pages already mapped are skipped and take no frame.
     ///
-    /// Returns the number of page-table nodes that had to be created.
+    /// This is the only place frames are paired with pages, so the order
+    /// they leave the bump allocator in is fixed here: the first page's data
+    /// frame, then the interior nodes that page creates, root side first,
+    /// then the remaining data frames contiguously — exactly what faulting
+    /// the run in one page at a time would hand out, and a run of length 1
+    /// *is* a demand fault. Every PTE address and cache-set index downstream
+    /// depends on that order.
+    ///
+    /// Returns the number of pages mapped and the walk path of the page at
+    /// `va` — byte-for-byte what [`walk`](Self::walk) returns for any
+    /// address inside that page, so a faulting caller skips the
+    /// confirmation re-walk.
     ///
     /// # Panics
     ///
-    /// Panics if the page is already mapped, if a *larger* page overlapping
-    /// `va` is already mapped (overlap would corrupt the radix tree), or if
-    /// `frame_base` is not aligned to `size`.
-    pub fn map(
+    /// Panics if `va` is not aligned to `size`, if the run is empty or
+    /// leaves its leaf-level node, if a *larger* page already covers it, or
+    /// if part of it is already mapped by *smaller* pages (either overlap
+    /// would corrupt the radix tree).
+    pub fn map_run(
         &mut self,
         va: VirtAddr,
         size: PageSize,
-        frame_base: PhysAddr,
+        count: u64,
         frames: &mut FrameAllocator,
-    ) -> u8 {
-        self.map_with_path(va, size, frame_base, frames).0
-    }
-
-    /// [`map`](Self::map), additionally returning the walk path of the page
-    /// just mapped — byte-for-byte what [`walk`](Self::walk) would return
-    /// for any address inside the page, since the path depends only on the
-    /// radix indices at levels ≥ the leaf level, which every address in the
-    /// page shares. Demand-paging callers use this to skip the confirmation
-    /// re-walk after a fault.
-    pub fn map_with_path(
-        &mut self,
-        va: VirtAddr,
-        size: PageSize,
-        frame_base: PhysAddr,
-        frames: &mut FrameAllocator,
-    ) -> (u8, WalkPath) {
-        assert!(
-            frame_base.is_aligned(size.bytes()),
-            "frame {frame_base} not aligned to {size}"
-        );
+    ) -> (u64, WalkPath) {
         let leaf_level = size.leaf_level();
-        let mut created = 0u8;
-        let mut node_idx = 0usize;
-        let mut level = PT_LEVELS;
-        if self.chain_depth > 0 {
-            // Re-enter at the deepest remembered node whose position the new
-            // address shares: a match of all radix indices above level `l`
-            // is a match of the bits from `12 + 9l` up.
-            let mut l = self.chain_depth.max(leaf_level);
-            while l < PT_LEVELS {
-                let shift = 12 + 9 * u32::from(l);
-                if va.as_u64() >> shift == self.chain_va >> shift {
-                    node_idx = self.chain_nodes[usize::from(l) - 1];
-                    level = l;
-                    break;
-                }
-                l += 1;
-            }
-        }
+        let first = va.pt_index(leaf_level);
+        assert!(va.is_aligned(size.bytes()), "{va} not aligned to {size}");
+        assert!(
+            count >= 1 && first as u64 + count <= ENTRIES as u64,
+            "a run of {count} {size} pages at {va} does not fit one level-{leaf_level} node"
+        );
         let mut steps = [WalkStep {
             level: 0,
             entry_paddr: PhysAddr::new(0),
         }; PT_LEVELS as usize];
         let mut n = 0usize;
-        // Steps for levels the chain let us skip: the nodes are known, only
-        // the traversal was avoided.
-        let mut skipped = PT_LEVELS;
-        while skipped > level {
-            let node = self.chain_nodes[usize::from(skipped) - 1];
-            let idx = va.pt_index(skipped);
-            steps[n] = WalkStep {
-                level: skipped,
-                entry_paddr: PhysAddr::new(self.node_paddrs[node]).add(idx as u64 * PTE_SIZE),
-            };
-            n += 1;
-            skipped -= 1;
-        }
-        while level > leaf_level {
+        let mut node_idx = 0usize;
+        let mut head_frame = None;
+        for level in (leaf_level + 1..=PT_LEVELS).rev() {
             let idx = va.pt_index(level);
             steps[n] = WalkStep {
                 level,
@@ -271,13 +251,14 @@ impl PageTable {
             self.chain_nodes[usize::from(level) - 1] = node_idx;
             let entry = self.entries[node_idx * ENTRIES + idx];
             if entry & PRESENT == 0 {
-                let child_paddr = frames.alloc_table_node();
-                let child_arena = self.push_node(child_paddr);
-                self.stats.nodes_by_level[level as usize - 2] += 1;
+                // Nothing is mapped below a missing node, so the page at
+                // `va` is the run's first absent one and this is its fault.
+                head_frame.get_or_insert_with(|| frames.alloc_page(size));
+                let child = self.push_node(frames.alloc_table_node());
+                self.stats.nodes_by_level[usize::from(level) - 2] += 1;
                 self.entries[node_idx * ENTRIES + idx] =
-                    PRESENT | ((child_arena as u64) << PAYLOAD_SHIFT);
-                node_idx = child_arena;
-                created += 1;
+                    PRESENT | ((child as u64) << PAYLOAD_SHIFT);
+                node_idx = child;
             } else {
                 assert_eq!(
                     entry & PS,
@@ -286,35 +267,48 @@ impl PageTable {
                 );
                 node_idx = (entry >> PAYLOAD_SHIFT) as usize;
             }
-            level -= 1;
         }
-        let idx = va.pt_index(leaf_level);
         steps[n] = WalkStep {
             level: leaf_level,
-            entry_paddr: PhysAddr::new(self.node_paddrs[node_idx]).add(idx as u64 * PTE_SIZE),
+            entry_paddr: PhysAddr::new(self.node_paddrs[node_idx]).add(first as u64 * PTE_SIZE),
         };
         n += 1;
         self.chain_nodes[usize::from(leaf_level) - 1] = node_idx;
-        let slot = &mut self.entries[node_idx * ENTRIES + idx];
-        assert_eq!(*slot & PRESENT, 0, "page at {va} ({size}) already mapped");
-        let ps_bit = if leaf_level > 1 { PS } else { 0 };
-        *slot = PRESENT | ps_bit | ((frame_base.as_u64() >> PAYLOAD_SHIFT) << PAYLOAD_SHIFT);
+        let start = node_idx * ENTRIES + first;
+        let slots = &mut self.entries[start..start + count as usize];
+        let absent = slots.iter().filter(|&&e| e & PRESENT == 0).count() as u64;
+        let mut next_frame = frames.alloc_pages(size, absent - u64::from(head_frame.is_some()));
+        let flags = PRESENT | if leaf_level > 1 { PS } else { 0 };
+        for slot in slots.iter_mut() {
+            if *slot & PRESENT != 0 {
+                assert!(
+                    *slot & flags == flags,
+                    "cannot map {size} page at {va}: already mapped by smaller pages"
+                );
+                continue;
+            }
+            let frame = head_frame.take().unwrap_or_else(|| {
+                let frame = next_frame;
+                next_frame = next_frame.add(size.bytes());
+                frame
+            });
+            debug_assert!(frame.is_aligned(size.bytes()), "frame {frame} vs {size}");
+            *slot = flags | frame.as_u64();
+        }
         self.stats.pages_by_size[match size {
             PageSize::Size4K => 0,
             PageSize::Size2M => 1,
             PageSize::Size1G => 2,
-        }] += 1;
+        }] += absent;
         self.chain_va = va.as_u64();
         self.chain_depth = leaf_level;
-        (
-            created,
-            WalkPath {
-                steps,
-                len: n as u8,
-                page_size: size,
-                frame_base,
-            },
-        )
+        let path = WalkPath {
+            steps,
+            len: n as u8,
+            page_size: size,
+            frame_base: PhysAddr::new(self.entries[start] & !0xfffu64),
+        };
+        (absent, path)
     }
 
     /// Walks the tree for `va` like hardware would, reporting either the
@@ -334,8 +328,8 @@ impl PageTable {
         let mut level = PT_LEVELS;
         let mut n = 0usize;
         // Re-enter through the chain memo when the address shares a prefix
-        // with the last-mapped page (the common case while demand paging
-        // faults pages in address order). The *reported* steps are identical
+        // with the last-mapped run (the common case while pages are being
+        // faulted in, in address order). The *reported* steps are identical
         // to a root-first traversal — the skipped levels' entries are filled
         // in from the remembered nodes, only their re-reads are avoided; a
         // remembered node can never go stale because interior entries are
@@ -385,7 +379,7 @@ impl PageTable {
                     1 => PageSize::Size4K,
                     2 => PageSize::Size2M,
                     3 => PageSize::Size1G,
-                    _ => unreachable!("PS bit at level 4 is never set by map()"),
+                    _ => unreachable!("PS bit at level 4 is never set by map_run()"),
                 };
                 return ProbeResult::Mapped(WalkPath {
                     steps,
@@ -470,6 +464,7 @@ impl std::fmt::Debug for PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CheckInvariants;
 
     fn setup() -> (FrameAllocator, PageTable) {
         let mut frames = FrameAllocator::new();
@@ -477,17 +472,27 @@ mod tests {
         (frames, table)
     }
 
+    /// Maps one page and returns its frame.
+    fn map(
+        table: &mut PageTable,
+        frames: &mut FrameAllocator,
+        va: u64,
+        size: PageSize,
+    ) -> PhysAddr {
+        let (mapped, path) = table.map_run(VirtAddr::new(va), size, 1, frames);
+        assert_eq!(mapped, 1);
+        path.frame_base
+    }
+
     #[test]
     fn map_and_walk_4k() {
         let (mut frames, mut table) = setup();
-        let frame = frames.alloc_page(PageSize::Size4K);
-        let created = table.map(
-            VirtAddr::new(0x1234_5000),
-            PageSize::Size4K,
-            frame,
-            &mut frames,
+        let frame = map(&mut table, &mut frames, 0x1234_5000, PageSize::Size4K);
+        assert_eq!(
+            table.stats().total_nodes(),
+            4,
+            "fresh 4K mapping creates PDPT, PD, PT nodes"
         );
-        assert_eq!(created, 3, "fresh 4K mapping creates PDPT, PD, PT nodes");
 
         let path = table.walk(VirtAddr::new(0x1234_5678)).unwrap();
         assert_eq!(path.page_size, PageSize::Size4K);
@@ -500,20 +505,10 @@ mod tests {
     #[test]
     fn map_and_walk_superpages() {
         let (mut frames, mut table) = setup();
-        let frame2m = frames.alloc_page(PageSize::Size2M);
-        let frame1g = frames.alloc_page(PageSize::Size1G);
-        table.map(
-            VirtAddr::new(0x4000_0000),
-            PageSize::Size2M,
-            frame2m,
-            &mut frames,
-        );
-        table.map(
-            VirtAddr::new(0x1_0000_0000),
-            PageSize::Size1G,
-            frame1g,
-            &mut frames,
-        );
+        let frame2m = map(&mut table, &mut frames, 0x4000_0000, PageSize::Size2M);
+        let frame1g = map(&mut table, &mut frames, 0x1_0000_0000, PageSize::Size1G);
+        assert!(frame2m.is_aligned(PageSize::Size2M.bytes()));
+        assert!(frame1g.is_aligned(PageSize::Size1G.bytes()));
 
         let p2 = table.walk(VirtAddr::new(0x400f_fff0)).unwrap();
         assert_eq!(p2.page_size, PageSize::Size2M);
@@ -530,8 +525,7 @@ mod tests {
     fn unmapped_addresses_fault() {
         let (mut frames, mut table) = setup();
         assert!(table.walk(VirtAddr::new(0x9999_9000)).is_none());
-        let frame = frames.alloc_page(PageSize::Size4K);
-        table.map(VirtAddr::new(0x1000), PageSize::Size4K, frame, &mut frames);
+        map(&mut table, &mut frames, 0x1000, PageSize::Size4K);
         // Neighbouring page in the same PT node is still unmapped.
         assert!(table.walk(VirtAddr::new(0x2000)).is_none());
         assert!(table.is_mapped(VirtAddr::new(0x1fff)));
@@ -540,25 +534,22 @@ mod tests {
     #[test]
     fn sibling_pages_share_interior_nodes() {
         let (mut frames, mut table) = setup();
-        let f1 = frames.alloc_page(PageSize::Size4K);
-        let f2 = frames.alloc_page(PageSize::Size4K);
-        let c1 = table.map(VirtAddr::new(0x0000), PageSize::Size4K, f1, &mut frames);
-        let c2 = table.map(VirtAddr::new(0x1000), PageSize::Size4K, f2, &mut frames);
-        assert_eq!(c1, 3);
-        assert_eq!(c2, 0, "second page in same PT reuses all nodes");
+        map(&mut table, &mut frames, 0x0000, PageSize::Size4K);
         assert_eq!(table.stats().total_nodes(), 4); // root + 3
+        let before = frames.table_node_bytes();
+        map(&mut table, &mut frames, 0x1000, PageSize::Size4K);
+        assert_eq!(
+            frames.table_node_bytes(),
+            before,
+            "second page in same PT reuses all nodes"
+        );
+        assert_eq!(table.stats().total_nodes(), 4);
     }
 
     #[test]
     fn walk_steps_have_distinct_physical_addresses() {
         let (mut frames, mut table) = setup();
-        let frame = frames.alloc_page(PageSize::Size4K);
-        table.map(
-            VirtAddr::new(0x7f12_3456_7000),
-            PageSize::Size4K,
-            frame,
-            &mut frames,
-        );
+        map(&mut table, &mut frames, 0x7f12_3456_7000, PageSize::Size4K);
         let path = table.walk(VirtAddr::new(0x7f12_3456_7000)).unwrap();
         let mut paddrs: Vec<u64> = path
             .steps()
@@ -572,39 +563,164 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already mapped")]
+    #[should_panic(expected = "already mapped by smaller pages")]
     fn double_map_panics() {
+        // Re-mapping a page at its own size is a skip (see
+        // `map_run_skips_mapped_pages_and_they_take_no_frame`); mapping it
+        // again at a *larger* size would orphan the PT node under it.
         let (mut frames, mut table) = setup();
-        let f1 = frames.alloc_page(PageSize::Size4K);
-        let f2 = frames.alloc_page(PageSize::Size4K);
-        table.map(VirtAddr::new(0x1000), PageSize::Size4K, f1, &mut frames);
-        table.map(VirtAddr::new(0x1000), PageSize::Size4K, f2, &mut frames);
+        map(&mut table, &mut frames, 0x20_1000, PageSize::Size4K);
+        table.map_run(VirtAddr::new(0x20_0000), PageSize::Size2M, 1, &mut frames);
     }
 
     #[test]
     #[should_panic(expected = "larger page already covers")]
     fn mapping_under_superpage_panics() {
         let (mut frames, mut table) = setup();
-        let f1 = frames.alloc_page(PageSize::Size2M);
-        let f2 = frames.alloc_page(PageSize::Size4K);
-        table.map(VirtAddr::new(0x20_0000), PageSize::Size2M, f1, &mut frames);
-        table.map(VirtAddr::new(0x20_1000), PageSize::Size4K, f2, &mut frames);
+        map(&mut table, &mut frames, 0x20_0000, PageSize::Size2M);
+        table.map_run(VirtAddr::new(0x20_1000), PageSize::Size4K, 1, &mut frames);
+    }
+
+    #[test]
+    #[should_panic(expected = "not aligned to 2MB")]
+    fn map_run_rejects_a_misaligned_start() {
+        let (mut frames, mut table) = setup();
+        table.map_run(VirtAddr::new(0x20_1000), PageSize::Size2M, 1, &mut frames);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit one level-1 node")]
+    fn map_run_rejects_a_run_that_leaves_its_leaf_table() {
+        let (mut frames, mut table) = setup();
+        // Entry 510 of its PT node: two pages fit, three do not.
+        table.map_run(VirtAddr::new(510 << 12), PageSize::Size4K, 3, &mut frames);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit one level-3 node")]
+    fn map_run_rejects_an_empty_run() {
+        let (mut frames, mut table) = setup();
+        table.map_run(VirtAddr::new(0), PageSize::Size1G, 0, &mut frames);
+    }
+
+    /// The page-at-a-time oracle for `map_run`: one run of length 1 per page.
+    fn map_singly(
+        table: &mut PageTable,
+        frames: &mut FrameAllocator,
+        va: u64,
+        size: PageSize,
+        count: u64,
+    ) -> u64 {
+        (0..count)
+            .map(|i| {
+                let page = VirtAddr::new(va + i * size.bytes());
+                table.map_run(page, size, 1, frames).0
+            })
+            .sum()
+    }
+
+    #[test]
+    fn map_run_hands_out_frames_in_page_at_a_time_order() {
+        // Fresh leaf tables (nodes created between the first and second data
+        // frame), a second run in an existing table, full 512-entry runs,
+        // and superpage runs whose frames need alignment padding after the
+        // 4 KiB nodes.
+        let plan = [
+            (0x1000_0000u64, PageSize::Size4K, 512u64),
+            (0x1020_0000, PageSize::Size4K, 7),
+            (0x1020_7000, PageSize::Size4K, 505),
+            (0x7f00_0000_0000, PageSize::Size4K, 1),
+            (0x4000_0000, PageSize::Size2M, 3),
+            (0x4000_0000 + (3 << 21), PageSize::Size2M, 509),
+            (0x80_0000_0000, PageSize::Size1G, 4),
+        ];
+        let (mut frames_a, mut bulk) = setup();
+        let (mut frames_b, mut single) = setup();
+        for (va, size, count) in plan {
+            let (mapped, path) = bulk.map_run(VirtAddr::new(va), size, count, &mut frames_a);
+            assert_eq!(mapped, count);
+            assert_eq!(
+                map_singly(&mut single, &mut frames_b, va, size, count),
+                count
+            );
+            assert_eq!(Some(path), bulk.walk(VirtAddr::new(va)));
+            for i in 0..count {
+                let page = VirtAddr::new(va + i * size.bytes());
+                assert_eq!(bulk.walk(page), single.walk(page), "{page} ({size})");
+                assert!(bulk.walk(page).is_some());
+            }
+            assert_eq!(frames_a.high_water_mark(), frames_b.high_water_mark());
+            assert_eq!(bulk.stats(), single.stats());
+            bulk.check_invariants();
+        }
+        assert_eq!(frames_a.data_bytes(), frames_b.data_bytes());
+        assert_eq!(frames_a.table_node_bytes(), frames_b.table_node_bytes());
+    }
+
+    #[test]
+    fn map_run_skips_mapped_pages_and_they_take_no_frame() {
+        let (mut frames_a, mut bulk) = setup();
+        let (mut frames_b, mut single) = setup();
+        // Pre-map a scattering of pages, out of address order.
+        for idx in [300u64, 5, 6, 511, 0, 17] {
+            let va = 0x1000_0000 + idx * 4096;
+            map(&mut bulk, &mut frames_a, va, PageSize::Size4K);
+            map(&mut single, &mut frames_b, va, PageSize::Size4K);
+        }
+        let kept = bulk.walk(VirtAddr::new(0x1000_0000 + 300 * 4096));
+        let (mapped, path) = bulk.map_run(
+            VirtAddr::new(0x1000_0000),
+            PageSize::Size4K,
+            512,
+            &mut frames_a,
+        );
+        assert_eq!(mapped, 506);
+        assert_eq!(Some(path), bulk.walk(VirtAddr::new(0x1000_0000)));
+        assert_eq!(kept, bulk.walk(VirtAddr::new(0x1000_0000 + 300 * 4096)));
+        // The oracle: page at a time, skipping what a walk finds mapped.
+        for idx in 0..512u64 {
+            let va = 0x1000_0000 + idx * 4096;
+            if single.walk(VirtAddr::new(va)).is_none() {
+                map(&mut single, &mut frames_b, va, PageSize::Size4K);
+            }
+            assert_eq!(bulk.walk(VirtAddr::new(va)), single.walk(VirtAddr::new(va)));
+        }
+        assert_eq!(frames_a.high_water_mark(), frames_b.high_water_mark());
+        assert_eq!(frames_a.data_bytes(), 512 * 4096);
+        // A fully mapped run maps nothing and allocates nothing.
+        let (again, _) = bulk.map_run(
+            VirtAddr::new(0x1000_0000),
+            PageSize::Size4K,
+            512,
+            &mut frames_a,
+        );
+        assert_eq!(again, 0);
+        assert_eq!(frames_a.high_water_mark(), frames_b.high_water_mark());
+        assert_eq!(bulk.stats(), single.stats());
+        bulk.check_invariants();
+    }
+
+    #[test]
+    fn reserve_nodes_grows_once_to_the_capacity_doubling_reaches() {
+        let (mut frames_a, mut reserved) = setup();
+        let (mut frames_b, mut grown) = setup();
+        reserved.reserve_nodes(37);
+        let capacity = reserved.entries.capacity();
+        for i in 0..37u64 {
+            let va = 0x1000_0000 + (i << 21);
+            map(&mut reserved, &mut frames_a, va, PageSize::Size4K);
+            map(&mut grown, &mut frames_b, va, PageSize::Size4K);
+        }
+        assert_eq!(reserved.entries.capacity(), capacity, "no regrowth");
+        assert_eq!(capacity, grown.entries.capacity());
+        assert_eq!(capacity, 64 * ENTRIES);
     }
 
     #[test]
     fn stats_track_sizes_and_levels() {
         let (mut frames, mut table) = setup();
-        for i in 0..3u64 {
-            let f = frames.alloc_page(PageSize::Size4K);
-            table.map(VirtAddr::new(i * 0x1000), PageSize::Size4K, f, &mut frames);
-        }
-        let f2m = frames.alloc_page(PageSize::Size2M);
-        table.map(
-            VirtAddr::new(0x8000_0000),
-            PageSize::Size2M,
-            f2m,
-            &mut frames,
-        );
+        table.map_run(VirtAddr::new(0), PageSize::Size4K, 3, &mut frames);
+        map(&mut table, &mut frames, 0x8000_0000, PageSize::Size2M);
         let stats = table.stats();
         assert_eq!(stats.pages_by_size, [3, 1, 0]);
         assert_eq!(stats.total_pages(), 4);
@@ -625,8 +741,7 @@ mod tests {
         }
         // Map a sibling page so interior nodes exist, then probe a hole in
         // the same PT node: the walker fetches all 4 levels before failing.
-        let f = frames.alloc_page(PageSize::Size4K);
-        table.map(VirtAddr::new(0x1000), PageSize::Size4K, f, &mut frames);
+        map(&mut table, &mut frames, 0x1000, PageSize::Size4K);
         match table.probe_walk(VirtAddr::new(0x2000)) {
             ProbeResult::NotPresent { fetched } => {
                 assert_eq!(fetched.steps().len(), 4);
@@ -639,8 +754,7 @@ mod tests {
     #[test]
     fn probe_walk_agrees_with_walk_for_mapped_pages() {
         let (mut frames, mut table) = setup();
-        let f = frames.alloc_page(PageSize::Size2M);
-        table.map(VirtAddr::new(0x4000_0000), PageSize::Size2M, f, &mut frames);
+        map(&mut table, &mut frames, 0x4000_0000, PageSize::Size2M);
         let va = VirtAddr::new(0x4000_1234);
         match table.probe_walk(va) {
             ProbeResult::Mapped(path) => assert_eq!(Some(path), table.walk(va)),
@@ -650,7 +764,6 @@ mod tests {
 
     #[test]
     fn map_with_path_matches_a_fresh_walk() {
-        use crate::CheckInvariants;
         let (mut frames, mut table) = setup();
         // Sequential pages (chain memo hits), a far jump (chain miss), a
         // return near the start (partial-prefix re-entry), and superpages.
@@ -664,8 +777,7 @@ mod tests {
         plan.push((0x5000_0000_0000, PageSize::Size2M));
         for (va, size) in plan {
             let va = VirtAddr::new(va);
-            let f = frames.alloc_page(size);
-            let (_, path) = table.map_with_path(va, size, f, &mut frames);
+            let (_, path) = table.map_run(va, size, 1, &mut frames);
             assert_eq!(Some(path), table.walk(va), "path for {va} ({size})");
             // Any other address inside the page shares the identical path.
             let inner = VirtAddr::new(va.as_u64() + size.bytes() - 1);
@@ -681,14 +793,8 @@ mod tests {
         for _ in 0..100 {
             frames.alloc_page(PageSize::Size1G); // push the bump pointer high
         }
-        let frame = frames.alloc_page(PageSize::Size1G);
+        let frame = map(&mut table, &mut frames, 0x40_0000_0000, PageSize::Size1G);
         assert!(frame.as_u64() > 100 << 30);
-        table.map(
-            VirtAddr::new(0x40_0000_0000),
-            PageSize::Size1G,
-            frame,
-            &mut frames,
-        );
         let path = table.walk(VirtAddr::new(0x40_0000_0000)).unwrap();
         assert_eq!(path.frame_base, frame);
     }

@@ -26,7 +26,10 @@ pub trait Workload {
 
     /// Allocates segments and faults in the working set (the build phase of
     /// the real benchmark, which the paper excludes from measurement via
-    /// dry runs).
+    /// dry runs). Implementations fault whole arrays in with
+    /// [`AddressSpace::fault_in`], not a `touch` per page: the phase is
+    /// excluded from the results, so it should not bound the footprints a
+    /// sweep can reach.
     ///
     /// # Errors
     ///
