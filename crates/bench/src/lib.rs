@@ -1,14 +1,20 @@
-//! # atscale-bench — figure/table regeneration harness
+//! # atscale-bench — experiment registry and regeneration harness
 //!
-//! One binary per table and figure of the paper (see `src/bin/`), plus
-//! Criterion micro-benchmarks of the simulator components (`benches/`).
-//! Shared command-line handling and output plumbing live here.
+//! Every table, figure, ablation and extension of the reproduction is one
+//! entry of [`experiments::REGISTRY`], a view of the one footprint sweep.
+//! The `atscale` binary is the single entry point to all of them
+//! (`atscale list`, `atscale run <experiment>…`, `atscale run all`); the
+//! other binaries in `src/bin/` are tools with their own command lines,
+//! and `benches/` holds Criterion micro-benchmarks of the simulator
+//! components. Command-line options and telemetry scoping live here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod experiments;
+
 use atscale::telemetry::{span, SpanGuard, TelemetrySink};
-use atscale::{Harness, SweepConfig};
+use atscale::{Harness, RunStore, SweepConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -16,21 +22,27 @@ use std::sync::Arc;
 /// is enabled without an explicit `--sample-interval`.
 pub const DEFAULT_SAMPLE_INTERVAL: u64 = 100_000;
 
-/// Common options for figure/table binaries.
+/// The flags [`HarnessOptions::parse`] accepts, for usage messages.
+pub const OPTIONS_USAGE: &str = "[--full | --quick | --test] [--threads N] [--progress] \
+     [--telemetry-summary] [--telemetry-jsonl] [--sample-interval N]";
+
+/// Common options of every `atscale` subcommand.
 ///
-/// Usage: every harness binary accepts `--full` (wider, longer sweep),
-/// `--quick` (the default), `--test` (tiny), `--threads N`, `--progress`
-/// (stderr one-liner per run), and the telemetry switches:
-/// `--telemetry-summary` (print the phase/histogram report and stream
-/// JSONL), `--telemetry-jsonl` (stream JSONL only), `--sample-interval N`
-/// (counter-sampling cadence in retired instructions).
+/// `--full` (wider, longer sweep), `--quick` (the default), `--test`
+/// (tiny), `--threads N`, `--progress` (stderr one-liner per run), and the
+/// telemetry switches: `--telemetry-summary` (print the phase/histogram
+/// report and stream JSONL), `--telemetry-jsonl` (stream JSONL only),
+/// `--sample-interval N` (counter-sampling cadence in retired
+/// instructions). Output goes under `$ATSCALE_RESULTS` (default
+/// `results`).
 #[derive(Debug, Clone)]
 pub struct HarnessOptions {
     /// The sweep parameters.
     pub sweep: SweepConfig,
     /// Worker threads.
     pub threads: Option<usize>,
-    /// Output directory for CSV series.
+    /// Output directory: CSV series, `telemetry/` streams, and the run
+    /// store under `runs/`.
     pub out_dir: PathBuf,
     /// Print the human telemetry report (implies the JSONL stream).
     pub telemetry_summary: bool,
@@ -43,57 +55,40 @@ pub struct HarnessOptions {
 }
 
 impl HarnessOptions {
-    /// Parses options from `std::env::args`, rejecting positional
-    /// arguments.
-    pub fn from_args() -> HarnessOptions {
-        let (opts, positionals) = Self::from_args_with_positionals();
-        if let Some(stray) = positionals.first() {
-            panic!(
-                "unknown option {stray} (try --full, --quick, --threads N, \
-                 --telemetry-summary, --telemetry-jsonl, --sample-interval N, --progress)"
-            );
+    /// Parses `args` (without the program name) into options and the
+    /// non-flag arguments, in order.
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown flag, or the flag whose number is missing.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<(HarnessOptions, Vec<String>), String> {
+        fn number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
+            value
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| format!("{flag} needs a number"))
         }
-        opts
-    }
-
-    /// Like [`HarnessOptions::from_args`], but returns non-flag arguments
-    /// in order instead of rejecting them — for binaries that take
-    /// positional arguments (e.g. `calibrate <workload>`).
-    pub fn from_args_with_positionals() -> (HarnessOptions, Vec<String>) {
-        let args: Vec<String> = std::env::args().collect();
         let mut opts = HarnessOptions::default();
         let mut positionals = Vec::new();
-        let mut iter = args.iter().skip(1);
+        let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--full" => opts.sweep = SweepConfig::full(),
                 "--quick" => opts.sweep = SweepConfig::quick(),
                 "--test" => opts.sweep = SweepConfig::test(),
-                "--threads" => {
-                    opts.threads = iter
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .or_else(|| panic!("--threads needs a number"));
-                }
+                "--threads" => opts.threads = Some(number(&arg, iter.next())?),
                 "--telemetry-summary" => opts.telemetry_summary = true,
                 "--telemetry-jsonl" => opts.telemetry_jsonl = true,
-                "--sample-interval" => {
-                    opts.sample_interval = iter
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .or_else(|| panic!("--sample-interval needs a number"));
-                }
+                "--sample-interval" => opts.sample_interval = Some(number(&arg, iter.next())?),
                 "--progress" => opts.progress = true,
-                other if other.starts_with("--") => panic!(
-                    "unknown option {other} (try --full, --quick, --threads N, \
-                     --telemetry-summary, --telemetry-jsonl, --sample-interval N, --progress)"
-                ),
-                positional => positionals.push(positional.to_string()),
+                other if other.starts_with("--") => return Err(format!("unknown option {other}")),
+                _ => positionals.push(arg),
             }
         }
         let base = std::env::var("ATSCALE_RESULTS").unwrap_or_else(|_| "results".into());
         opts.out_dir = PathBuf::from(base);
-        (opts, positionals)
+        Ok((opts, positionals))
     }
 
     /// Whether any telemetry exporter was requested.
@@ -111,11 +106,13 @@ impl HarnessOptions {
         })
     }
 
-    /// Sets up telemetry for a binary named `name`: installs a process-
+    /// Sets up telemetry for a scope named `name`: installs a process-
     /// global [`TelemetrySink`] streaming to `out_dir/telemetry/{name}.jsonl`
     /// (when enabled) and opens a root span named `name`. Call **before**
-    /// [`HarnessOptions::harness`] and keep the guard alive for the whole
-    /// run — dropping it finalizes the stream and prints the summary.
+    /// [`Harness::with_installed_telemetry`] and keep the guard alive for
+    /// the whole scope — dropping it finalizes the stream, prints the
+    /// summary and uninstalls the sink, so scopes follow one another but
+    /// never nest.
     pub fn telemetry(&self, name: &str) -> TelemetryScope {
         let sink = if self.telemetry_enabled() {
             let path = self.out_dir.join("telemetry").join(format!("{name}.jsonl"));
@@ -143,18 +140,23 @@ impl HarnessOptions {
         }
     }
 
-    /// Builds the cached, parallel harness these options describe, attached
-    /// to the installed telemetry sink (if any) at the effective sampling
-    /// cadence.
-    pub fn harness(&self) -> Harness {
-        let mut harness = Harness::new()
-            .with_default_store()
-            .with_installed_telemetry(self.effective_sample_interval())
-            .with_progress(self.progress);
-        if let Some(t) = self.threads {
-            harness = harness.with_threads(t);
+    /// A harness with `--threads` and `--progress` applied: no run cache,
+    /// no telemetry.
+    pub fn uncached_harness(&self) -> Harness {
+        let harness = Harness::new().with_progress(self.progress);
+        match self.threads {
+            Some(t) => harness.with_threads(t),
+            None => harness,
         }
-        harness
+    }
+
+    /// [`HarnessOptions::uncached_harness`] over the run store in
+    /// `out_dir/runs`. A store directory has one owner: open it once per
+    /// process and `clone()` the harness (panics only on I/O errors
+    /// creating the directory, which is fatal for a harness run).
+    pub fn harness(&self) -> Harness {
+        let store = RunStore::open(self.out_dir.join("runs")).expect("create the run store");
+        self.uncached_harness().with_store(store)
     }
 
     /// Path for a named CSV output.
@@ -178,7 +180,7 @@ impl Default for HarnessOptions {
 }
 
 /// Scope guard returned by [`HarnessOptions::telemetry`]: keeps the
-/// binary's root span open and, on drop, finalizes the JSONL stream,
+/// scope's root span open and, on drop, finalizes the JSONL stream,
 /// prints the human summary when `--telemetry-summary` was given, and
 /// uninstalls the global sink.
 #[derive(Debug)]
@@ -232,18 +234,17 @@ mod tests {
 
     #[test]
     fn harness_builds_with_requested_threads() {
-        let opts = HarnessOptions {
-            threads: Some(2),
-            ..HarnessOptions::default()
-        };
-        // Opening the default store creates files: point it away from the
-        // source tree (no other test in this binary reads the variable).
+        // Opening a store creates files: point it away from the source tree.
         let scratch =
             std::env::temp_dir().join(format!("atscale-bench-lib-test-{}", std::process::id()));
-        std::env::set_var("ATSCALE_RESULTS", &scratch);
-        // Building the harness must not panic and must honour the config.
+        let opts = HarnessOptions {
+            threads: Some(2),
+            out_dir: scratch.clone(),
+            ..HarnessOptions::default()
+        };
         let harness = opts.harness();
         assert_eq!(harness.config(), &atscale_mmu::MachineConfig::haswell());
+        assert!(scratch.join("runs/segments").is_dir());
         let _ = std::fs::remove_dir_all(&scratch);
     }
 }

@@ -1,0 +1,111 @@
+//! The `atscale` command line, driven as a child process: what it lists,
+//! how it rejects what it does not know, and that every ablation's
+//! telemetry stream carries the samples of the runs it made.
+
+use atscale_bench::experiments::REGISTRY;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn atscale(args: &[&str], results: &Path) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_atscale"))
+        .args(args)
+        .env("ATSCALE_RESULTS", results)
+        .output()
+        .expect("launch atscale")
+}
+
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("atscale-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn list_prints_the_registry_in_order() {
+    let out = atscale(&["list"], &scratch("list"));
+    assert!(out.status.success());
+    let listed: Vec<String> = String::from_utf8(out.stdout)
+        .expect("utf-8")
+        .lines()
+        .map(|line| line.split_whitespace().next().expect("name").to_string())
+        .collect();
+    let registered: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
+    assert_eq!(listed, registered);
+}
+
+#[test]
+fn what_it_does_not_know_gets_usage_the_list_and_exit_2() {
+    let results = scratch("reject");
+    for (args, complaint) in [
+        (
+            &["run", "fig2_cc_urand", "fig11_missing", "--test"][..],
+            "unknown experiment fig11_missing",
+        ),
+        (
+            &["run", "fig2_cc_urand", "--fast"][..],
+            "unknown option --fast",
+        ),
+        (&["run", "--test"][..], "run needs an experiment name"),
+        (
+            &["run", "all", "--threads", "many"][..],
+            "--threads needs a number",
+        ),
+        (&["regenerate"][..], "unknown command regenerate"),
+        (&[][..], "no command given"),
+        // The probe hard-codes its sweep: a profile flag would be ignored.
+        (
+            &["calibrate", "--test"][..],
+            "calibrate has a fixed sweep, --test does not apply",
+        ),
+        (
+            &["calibrate", "cc-urand", "--quick"][..],
+            "--quick does not apply",
+        ),
+        (
+            &["calibrate", "cc-random"][..],
+            "unknown workload cc-random",
+        ),
+    ] {
+        let out = atscale(args, &results);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        assert!(stderr.contains(complaint), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: atscale list"), "{args:?}: {stderr}");
+        assert!(stderr.contains("fig10_2mb_pages"), "{args:?}: {stderr}");
+    }
+    // Rejected before anything ran: no store, no CSV, no stream.
+    assert!(!results.exists());
+}
+
+#[test]
+fn every_ablation_streams_the_samples_of_its_runs() {
+    let results = scratch("ablations");
+    let ablations: Vec<&str> = REGISTRY
+        .iter()
+        .map(|e| e.name)
+        .filter(|name| name.starts_with("ablate_"))
+        .collect();
+    assert_eq!(ablations.len(), 4);
+    let mut args = vec!["run"];
+    args.extend(&ablations);
+    args.extend(["--test", "--telemetry-jsonl", "--sample-interval", "20000"]);
+    let out = atscale(&args, &results);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for name in ablations {
+        let stream = results.join("telemetry").join(format!("{name}.jsonl"));
+        let events = std::fs::read_to_string(&stream)
+            .unwrap_or_else(|e| panic!("read {}: {e}", stream.display()));
+        let samples = events
+            .lines()
+            .filter(|line| line.starts_with(r#"{"type":"sample""#))
+            .count();
+        assert!(samples > 0, "{name}: no sample event in {stream:?}");
+        assert!(results.join(format!("{name}.csv")).is_file());
+    }
+    let _ = std::fs::remove_dir_all(&results);
+}

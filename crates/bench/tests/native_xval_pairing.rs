@@ -27,7 +27,7 @@ fn quick_footprints_match_the_test_sweep() {
 #[test]
 fn every_native_kernel_twins_a_sweep_workload() {
     // The sim side of each xval pair comes from the registry names the
-    // figure binaries sweep; a rename on either side would silently
+    // experiments sweep; a rename on either side would silently
     // unpair the streams, so pin the twin names here.
     let ids: Vec<String> = atscale_workloads::WorkloadId::all()
         .iter()
