@@ -24,7 +24,7 @@
 //!
 //! Usage:
 //!   perf_gate [--test|--quick|--full] [--out PATH] [--baseline PATH]
-//!             [--threshold PCT] [--repeat N] [--reference] [--arch NAME]
+//!             [--threshold PCT] [--repeat N] [--arch NAME]
 //!
 //! `--arch NAME` measures on one of the pluggable translation
 //! architectures (`baseline`, `victima`, `dram-cache`, `no-tlb`). Workload
@@ -37,7 +37,7 @@
 //! single pass can swing ±15% and a throughput *gate* must not flake.
 
 use atscale::mmu::MachineConfig;
-use atscale::{execute_run, execute_run_reference, ArchKind, RunSpec, SweepConfig};
+use atscale::{execute_run, ArchKind, RunSpec, SweepConfig};
 use atscale_workloads::WorkloadId;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -73,7 +73,6 @@ struct Options {
     baseline: Option<String>,
     threshold_pct: f64,
     repeat: u32,
-    reference: bool,
     workloads: Option<Vec<WorkloadId>>,
     arch: ArchKind,
 }
@@ -86,7 +85,6 @@ fn parse_args() -> Options {
         baseline: None,
         threshold_pct: 25.0,
         repeat: 1,
-        reference: false,
         workloads: None,
         arch: ArchKind::Baseline,
     };
@@ -135,7 +133,6 @@ fn parse_args() -> Options {
                         .collect(),
                 );
             }
-            "--reference" => opts.reference = true,
             "--arch" => {
                 let name = args.next().expect("--arch takes a name");
                 opts.arch = name.parse().unwrap_or_else(|e: String| panic!("{e}"));
@@ -144,16 +141,11 @@ fn parse_args() -> Options {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
                     "usage: perf_gate [--test|--quick|--full] [--out PATH] \
-                     [--baseline PATH] [--threshold PCT] [--repeat N] [--reference] \
-                     [--arch NAME]"
+                     [--baseline PATH] [--threshold PCT] [--repeat N] [--arch NAME]"
                 );
                 std::process::exit(2);
             }
         }
-    }
-    if opts.reference && opts.arch != ArchKind::Baseline {
-        eprintln!("--reference models only the baseline architecture; drop --arch");
-        std::process::exit(2);
     }
     opts
 }
@@ -191,11 +183,7 @@ fn measure(opts: &Options) -> Report {
             let mut instructions = 0u64;
             loop {
                 for spec in &specs {
-                    let record = if opts.reference {
-                        execute_run_reference(spec, &config)
-                    } else {
-                        execute_run(spec, &config)
-                    };
+                    let record = execute_run(spec, &config);
                     instructions += record.result.counters.inst_retired;
                 }
                 if start.elapsed().as_secs_f64() >= MIN_PASS_SECONDS {

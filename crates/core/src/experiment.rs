@@ -105,15 +105,18 @@ impl SweepConfig {
 /// # Example
 ///
 /// ```no_run
-/// use atscale::{Harness, SweepConfig};
+/// use atscale::{Harness, RunStore, SweepConfig};
 /// use atscale_workloads::WorkloadId;
 ///
-/// let harness = Harness::new().with_default_store();
+/// # fn main() -> std::io::Result<()> {
+/// let harness = Harness::new().with_store(RunStore::open("results/runs")?);
 /// let sweep = SweepConfig::quick();
 /// let points = harness.sweep(WorkloadId::parse("cc-urand").unwrap(), &sweep);
 /// for p in &points {
 ///     println!("{:>12.0} KB  {:+.3}", p.footprint_kb(), p.relative_overhead());
 /// }
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct Harness {
@@ -150,13 +153,6 @@ impl Harness {
     pub fn with_store(mut self, store: RunStore) -> Harness {
         self.store = Some(store);
         self
-    }
-
-    /// Attaches the default `results/runs` cache (panics only on I/O
-    /// errors creating the directory, which is fatal for a harness run).
-    pub fn with_default_store(self) -> Harness {
-        let store = RunStore::default_location().expect("create results/runs");
-        self.with_store(store)
     }
 
     /// Sets the worker-thread count.

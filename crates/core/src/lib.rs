@@ -16,7 +16,7 @@
 //!   intensity, TLB miss rate, walk-cache efficiency, and PTE latency;
 //! * [`PressureMetric`] — the five proxy metrics compared in Table V;
 //! * [`Harness`] — cached, parallel sweep driver regenerating every table
-//!   and figure (see `atscale-bench` for the per-figure binaries);
+//!   and figure (see `atscale-bench` for the `atscale` registry binary);
 //! * [`report`] — aligned text tables and CSV output.
 //!
 //! ## Quickstart

@@ -225,6 +225,7 @@ fn drive<A: TranslationArchitecture>(
 /// Panics as [`execute_run`] does, and on any non-baseline `spec.arch`:
 /// the reference pipeline is frozen at the paper's Table III design, so
 /// only [`ArchKind::Baseline`] has a reference to differ against.
+#[doc(hidden)]
 pub fn execute_run_reference(spec: &RunSpec, config: &MachineConfig) -> RunRecord {
     assert_eq!(
         spec.arch,
@@ -232,12 +233,11 @@ pub fn execute_run_reference(spec: &RunSpec, config: &MachineConfig) -> RunRecor
         "the reference pipeline models only the baseline architecture"
     );
     let mut workload = spec.workload.build_model(spec.nominal_footprint, spec.seed);
-    let mut machine = atscale_mmu::Machine::new(
+    let mut machine = atscale_mmu::ReferenceMachine::new(
         *config,
         BackingPolicy::uniform(spec.page_size),
         workload.profile(),
     );
-    machine.set_reference_mode(true);
     workload
         .setup(machine.space_mut())
         .expect("workload setup allocates within the simulated heap");

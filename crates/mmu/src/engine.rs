@@ -27,12 +27,12 @@
 //! charging it here would pollute the 4 KB-vs-2 MB comparison with a
 //! fault-count artefact instead of a translation effect.
 
-use crate::arch::{ArchKind, ArchLookup, BaselineArch, TranslationArchitecture};
+use crate::arch::{ArchLookup, BaselineArch, TranslationArchitecture};
 use crate::result::{arch_event_pairs, RunResult};
 use crate::telemetry::{MachineTelemetry, TelemetryHandle};
 use crate::{
     AccessOp, AccessSink, Counters, MachineConfig, PageTableWalker, PagingStructureCaches,
-    SpecEvent, SpeculationModel, TlbHierarchy, TlbHit, WorkloadProfile,
+    SpecEvent, SpeculationModel, TlbHierarchy, WorkloadProfile,
 };
 use atscale_cache::{AccessKind, CacheHierarchy};
 use atscale_telemetry::LatencyMetric;
@@ -40,6 +40,10 @@ use atscale_vm::{
     invariant, AddressSpace, BackingPolicy, CheckInvariants, PageSize, PhysAddr, ProbeResult,
     VirtAddr,
 };
+
+mod reference;
+
+pub use reference::ReferenceMachine;
 
 /// Interval (in retired instructions) between speculation-pressure updates.
 const PRESSURE_WINDOW: u64 = 4096;
@@ -78,9 +82,6 @@ pub struct ArchMachine<A: TranslationArchitecture> {
     warmup_instrs: u64,
     budget_instrs: u64,
     warmed: bool,
-    /// When set, every access runs the pre-optimisation reference pipeline
-    /// (see [`Machine::set_reference_mode`]).
-    reference_mode: bool,
     telemetry: MachineTelemetry,
     /// The translation architecture's private state (extension arrays,
     /// stacked-cache directory, …). Zero-sized for [`BaselineArch`].
@@ -123,26 +124,8 @@ impl<A: TranslationArchitecture> ArchMachine<A> {
             warmup_instrs: 0,
             budget_instrs: 0,
             warmed: true,
-            reference_mode: false,
             telemetry: MachineTelemetry::default(),
         }
-    }
-
-    /// Switches the machine onto the force-slow reference pipeline: every
-    /// access consults the page table (bypassing the translation memo) and
-    /// ignores the frame payloads cached in the TLB arrays, exactly as the
-    /// engine behaved before the hot-path restructuring. The golden
-    /// equivalence test runs every workload through both pipelines and
-    /// asserts byte-identical `RunRecord`s; keep this path semantically
-    /// frozen.
-    pub fn set_reference_mode(&mut self, on: bool) {
-        assert!(
-            !on || A::KIND == ArchKind::Baseline,
-            "reference mode is the frozen pre-trait baseline pipeline; \
-             {} has no reference implementation",
-            A::KIND
-        );
-        self.reference_mode = on;
     }
 
     /// Sets the measurement window: `warmup` retired instructions are
@@ -530,93 +513,6 @@ impl<A: TranslationArchitecture> ArchMachine<A> {
         self.stall_window += exposed;
         self.finish_data_access(op, va, walk.cycles, touch.path.frame_base, touch.page_size);
     }
-
-    /// The pre-restructuring access pipeline, kept verbatim as the reference
-    /// implementation for the golden-equivalence test: it consults the page
-    /// table on *every* access (bypassing the translation memo via
-    /// [`AddressSpace::touch_uncached`]) and never reads the TLB frame
-    /// payloads. Do not "optimise" this function — its whole value is that
-    /// it stays the original, obviously-correct pipeline.
-    fn access_reference(&mut self, op: AccessOp, va: VirtAddr) {
-        self.counters.inst_retired += 1;
-        match op {
-            AccessOp::Load => self.counters.loads_retired += 1,
-            AccessOp::Store => self.counters.stores_retired += 1,
-        }
-        self.cycles_f += self.profile.base_cpi;
-        self.spec.note_retired(va);
-
-        let touch = self
-            .space
-            .touch_uncached(va)
-            .unwrap_or_else(|err| panic!("workload accessed invalid memory: {err}"));
-
-        // Translation-side latency this access suffers before its data can
-        // load; fed into the speculation model's branch-resolution windows
-        // (a branch waiting on a TLB-missing load waits for its walk too).
-        let mut translation_cycles = 0u64;
-        match self.tlbs.lookup(va) {
-            TlbHit::L1(_) => {}
-            TlbHit::L2(_) => {
-                match op {
-                    AccessOp::Load => self.counters.stlb_hit_loads += 1,
-                    AccessOp::Store => self.counters.stlb_hit_stores += 1,
-                }
-                translation_cycles = self.tlbs.l2_hit_penalty() as u64;
-                self.record_latency(LatencyMetric::TlbFillCycles, translation_cycles);
-                let exposed = self.tlbs.l2_hit_penalty() as f64 / self.profile.mlp;
-                self.cycles_f += exposed;
-                self.stall_window += exposed;
-            }
-            TlbHit::Miss => {
-                match op {
-                    AccessOp::Load => {
-                        self.counters.stlb_miss_loads += 1;
-                        self.counters.walk_initiated_loads += 1;
-                        self.counters.walk_completed_loads += 1;
-                    }
-                    AccessOp::Store => {
-                        self.counters.stlb_miss_stores += 1;
-                        self.counters.walk_initiated_stores += 1;
-                        self.counters.walk_completed_stores += 1;
-                    }
-                }
-                self.counters.truth_retired_walks += 1;
-                let walk = self
-                    .walker
-                    .walk(va, &touch.path, &mut self.psc, &mut self.caches, None);
-                invariant!(walk.completed, "retired walks always complete");
-                invariant!(
-                    walk.accesses >= 1,
-                    "a completed walk fetches at least the leaf PTE"
-                );
-                self.counters.walk_duration_cycles += walk.cycles;
-                self.counters.pt_accesses += walk.accesses as u64;
-                self.record_latency(LatencyMetric::WalkCycles, walk.cycles);
-                self.record_latency(LatencyMetric::TlbFillCycles, walk.cycles);
-                self.tlbs
-                    .fill(va, touch.page_size, touch.path.frame_base.as_u64());
-                translation_cycles = walk.cycles;
-                let exposure = match op {
-                    AccessOp::Load => 1.0,
-                    AccessOp::Store => self.profile.store_walk_exposure,
-                };
-                let exposed = walk.cycles as f64 * exposure / self.profile.mlp;
-                self.cycles_f += exposed;
-                self.walk_stall_window += exposed;
-                self.stall_window += exposed;
-            }
-        }
-
-        self.finish_data_access(
-            op,
-            va,
-            translation_cycles,
-            touch.path.frame_base,
-            touch.page_size,
-        );
-        self.on_retired_instructions(1);
-    }
 }
 
 impl<A: TranslationArchitecture> AccessSink for ArchMachine<A> {
@@ -626,6 +522,7 @@ impl<A: TranslationArchitecture> AccessSink for ArchMachine<A> {
     /// TLB entry and touches only the TLB array, the counter struct, the
     /// cycle accumulator and the data cache — no page-table consultation at
     /// all. This is bit-for-bit equivalent to the reference pipeline
+    /// ([`ReferenceMachine`], the only other per-access pipeline there is)
     /// because (a) a mapped translation is immutable, so the payload
     /// installed at fill time is always current, (b) `AddressSpace::touch`
     /// on a mapped page is a pure read with no observable effect, and (c)
@@ -639,10 +536,6 @@ impl<A: TranslationArchitecture> AccessSink for ArchMachine<A> {
     /// byte-identity, the perf gate the zero cost).
     #[inline]
     fn access(&mut self, op: AccessOp, va: VirtAddr) {
-        if self.reference_mode {
-            self.access_reference(op, va);
-            return;
-        }
         self.counters.inst_retired += 1;
         match op {
             AccessOp::Load => self.counters.loads_retired += 1,

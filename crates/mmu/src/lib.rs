@@ -71,7 +71,7 @@ pub use config::{
     MachineConfig, MmuCacheConfig, PscLevels, SpecConfig, TlbConfig, TlbGeometry, WalkerConfig,
 };
 pub use counters::{Counters, WalkOutcomes};
-pub use engine::{ArchMachine, Machine};
+pub use engine::{ArchMachine, Machine, ReferenceMachine};
 pub use mmu_cache::{PagingStructureCaches, PscLookup};
 pub use result::RunResult;
 pub use spec::{SpecEvent, SpeculationModel, WrongPathPlan};

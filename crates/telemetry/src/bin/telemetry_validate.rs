@@ -8,6 +8,7 @@
 #![forbid(unsafe_code)]
 
 use atscale_telemetry::schema::validate_stream_all;
+use atscale_telemetry::SCHEMA_VERSION;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -34,8 +35,7 @@ fn main() -> ExitCode {
                 .map(|(t, n)| format!("{t}={n}"))
                 .collect();
             println!(
-                "{path}: OK (schema v{}, {} events: {})",
-                summary.schema,
+                "{path}: OK (schema v{SCHEMA_VERSION}, {} events: {})",
                 summary.lines,
                 counts.join(" ")
             );

@@ -15,8 +15,11 @@
 //! * **v3** — every event carries a `source` tag (`"sim"` for simulator
 //!   streams, `"native"` for the hardware-counter harness), and the
 //!   `native_unavailable` event records an explicit skip when
-//!   `perf_event_open` is denied. Streams announcing v2 in their meta
-//!   event are still accepted under the v2 rules.
+//!   `perf_event_open` is denied.
+//!
+//! Only the current version is accepted: no emitter in the tree writes
+//! anything else, so a stream announcing another version is outside input
+//! and is rejected at its meta event.
 //!
 //! Validation reports **every** violation it can find in one pass
 //! ([`validate_stream_all`]), not just the first — a sim-vs-native schema
@@ -25,9 +28,6 @@
 use crate::{LatencyMetric, SCHEMA_VERSION};
 use serde::Value;
 use std::collections::BTreeMap;
-
-/// Oldest stream version [`validate_stream`] still accepts.
-pub const MIN_SCHEMA_VERSION: u64 = 2;
 
 /// The admissible values of the schema-v3 `source` tag.
 pub const SOURCES: [&str; 2] = ["sim", "native"];
@@ -236,20 +236,15 @@ fn validate_progress(map: &[(String, Value)], errs: &mut Vec<String>) {
     need_u64(map, "wall_ms", "progress", errs);
 }
 
-fn validate_meta(map: &[(String, Value)], errs: &mut Vec<String>) -> Option<u64> {
+fn validate_meta(map: &[(String, Value)], errs: &mut Vec<String>) {
     let schema = check(errs, need(map, "schema", "meta"))
         .and_then(|v| check(errs, as_u64(v, "meta.schema")));
-    if let Some(schema) = schema {
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) {
-            errs.push(format!(
-                "meta.schema {schema} is outside the supported range \
-                 {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}"
-            ));
-            return None;
-        }
+    if let Some(schema) = schema.filter(|&v| v != SCHEMA_VERSION) {
+        errs.push(format!(
+            "meta.schema {schema} is not the supported version {SCHEMA_VERSION}"
+        ));
     }
     need_str(map, "stream", "meta", errs);
-    schema
 }
 
 fn validate_native_unavailable(map: &[(String, Value)], errs: &mut Vec<String>) {
@@ -262,7 +257,7 @@ fn validate_summary(map: &[(String, Value)], errs: &mut Vec<String>) {
     need_u64(map, "spans", "summary", errs);
 }
 
-/// The schema-v3 `source` tag every event must carry.
+/// The `source` tag every event must carry.
 fn validate_source(map: &[(String, Value)], event: &str, errs: &mut Vec<String>) {
     if let Some(source) = check(errs, need(map, "source", event))
         .and_then(|v| check(errs, as_str(v, &format!("{event}.source"))))
@@ -275,10 +270,10 @@ fn validate_source(map: &[(String, Value)], event: &str, errs: &mut Vec<String>)
     }
 }
 
-/// Validates one JSONL line under stream version `version`, returning the
-/// event type (when one could be read at all) plus **every** violation
-/// found — missing keys are reported together, not one per run.
-pub fn validate_line_all(line: &str, version: u64) -> (Option<String>, Vec<String>) {
+/// Validates one JSONL line, returning the event type (when one could be
+/// read at all) plus **every** violation found — missing keys are reported
+/// together, not one per run.
+pub fn validate_line_all(line: &str) -> (Option<String>, Vec<String>) {
     let mut errs = Vec::new();
     let value: Value = match serde_json::from_str(line) {
         Ok(v) => v,
@@ -301,62 +296,31 @@ pub fn validate_line_all(line: &str, version: u64) -> (Option<String>, Vec<Strin
     else {
         return (None, errs);
     };
-    // The meta event declares the version the rest of the stream (and its
-    // own shape) is validated under.
-    let version = match event_type.as_str() {
-        "meta" => validate_meta(map, &mut errs).unwrap_or(version),
-        "sample" => {
-            validate_sample(map, &mut errs);
-            version
-        }
-        "hist" => {
-            validate_hist(map, &mut errs);
-            version
-        }
-        "span" => {
-            validate_span(map, &mut errs);
-            version
-        }
-        "fault" => {
-            validate_fault(map, &mut errs);
-            version
-        }
-        "progress" => {
-            validate_progress(map, &mut errs);
-            version
-        }
-        "native_unavailable" => {
-            if version < 3 {
-                errs.push(format!(
-                    "native_unavailable events require schema v3 (stream is v{version})"
-                ));
-            }
-            validate_native_unavailable(map, &mut errs);
-            version
-        }
-        "summary" => {
-            validate_summary(map, &mut errs);
-            version
-        }
+    match event_type.as_str() {
+        "meta" => validate_meta(map, &mut errs),
+        "sample" => validate_sample(map, &mut errs),
+        "hist" => validate_hist(map, &mut errs),
+        "span" => validate_span(map, &mut errs),
+        "fault" => validate_fault(map, &mut errs),
+        "progress" => validate_progress(map, &mut errs),
+        "native_unavailable" => validate_native_unavailable(map, &mut errs),
+        "summary" => validate_summary(map, &mut errs),
         other => {
             errs.push(format!("unknown event type `{other}`"));
             return (Some(event_type), errs);
         }
-    };
-    if version >= 3 {
-        validate_source(map, &event_type, &mut errs);
     }
+    validate_source(map, &event_type, &mut errs);
     (Some(event_type), errs)
 }
 
-/// Validates one JSONL line under the current [`SCHEMA_VERSION`],
-/// returning the event type on success.
+/// Validates one JSONL line, returning the event type on success.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first schema violation.
 pub fn validate_line(line: &str) -> Result<String, String> {
-    let (event_type, errs) = validate_line_all(line, SCHEMA_VERSION);
+    let (event_type, errs) = validate_line_all(line);
     match errs.into_iter().next() {
         Some(e) => Err(e),
         None => Ok(event_type.expect("error-free line has a type")),
@@ -370,45 +334,23 @@ pub struct StreamSummary {
     pub lines: usize,
     /// Events per `type` discriminator.
     pub by_type: BTreeMap<String, usize>,
-    /// The stream's declared schema version (from the meta event), or the
-    /// current [`SCHEMA_VERSION`] when the meta event was unreadable.
-    pub schema: u64,
 }
 
 /// Validates a whole JSONL stream, collecting **every** violation: every
-/// line must pass [`validate_line_all`] under the version the meta event
-/// declares, the first event must be `meta`, and the last must be
-/// `summary`. Returns the best-effort summary together with all
-/// violations as `(line_number, description)` pairs (1-based; stream-level
-/// violations report line 0).
+/// line must pass [`validate_line_all`], the first event must be `meta`
+/// (announcing [`SCHEMA_VERSION`]), and the last must be `summary`.
+/// Returns the best-effort summary together with all violations as
+/// `(line_number, description)` pairs (1-based; stream-level violations
+/// report line 0).
 pub fn validate_stream_all(text: &str) -> (StreamSummary, Vec<(usize, String)>) {
-    let mut summary = StreamSummary {
-        schema: SCHEMA_VERSION,
-        ..StreamSummary::default()
-    };
+    let mut summary = StreamSummary::default();
     let mut violations = Vec::new();
     let mut last_type = String::new();
-    let mut version = SCHEMA_VERSION;
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        if summary.lines == 0 {
-            // Peek the declared version first so every line of a v2
-            // stream — including the meta event itself — is judged by v2
-            // rules.
-            if let Ok(v) = serde_json::from_str::<Value>(line) {
-                if let Ok(map) = v.as_map() {
-                    if let Some(Ok(schema)) = field(map, "schema").map(|s| as_u64(s, "schema")) {
-                        if (MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) {
-                            version = schema;
-                            summary.schema = schema;
-                        }
-                    }
-                }
-            }
-        }
-        let (event_type, errs) = validate_line_all(line, version);
+        let (event_type, errs) = validate_line_all(line);
         violations.extend(errs.into_iter().map(|e| (i + 1, e)));
         let Some(event_type) = event_type else {
             continue;
@@ -455,9 +397,6 @@ mod tests {
 
     #[test]
     fn meta_line_validates() {
-        // A v2 meta event has no source tag; a v3 one requires it.
-        let line = r#"{"type":"meta","schema":2,"stream":"atscale-telemetry"}"#;
-        assert_eq!(validate_line(line).unwrap(), "meta");
         let line = r#"{"type":"meta","schema":3,"source":"sim","stream":"atscale-telemetry"}"#;
         assert_eq!(validate_line(line).unwrap(), "meta");
         let line = r#"{"type":"meta","schema":3,"stream":"atscale-telemetry"}"#;
@@ -468,8 +407,12 @@ mod tests {
     fn wrong_schema_version_is_rejected() {
         let line = r#"{"type":"meta","schema":99,"stream":"atscale-telemetry"}"#;
         assert!(validate_line(line).unwrap_err().contains("schema"));
-        let line = r#"{"type":"meta","schema":1,"stream":"atscale-telemetry"}"#;
-        assert!(validate_line(line).unwrap_err().contains("schema"));
+        let line = r#"{"type":"meta","schema":2,"source":"sim","stream":"atscale-telemetry"}"#;
+        let err = validate_line(line).unwrap_err();
+        assert!(
+            err.contains("meta.schema 2") && err.contains(&format!("version {SCHEMA_VERSION}")),
+            "the message must name both versions, got: {err}"
+        );
     }
 
     #[test]
@@ -496,7 +439,7 @@ mod tests {
         let line = r#"{"type":"sample","run":"r","instr":10,"cycles":20,
             "counters":[],"rates":[["wcpi",0.4]]}"#
             .replace('\n', " ");
-        let (event_type, errs) = validate_line_all(&line, SCHEMA_VERSION);
+        let (event_type, errs) = validate_line_all(&line);
         assert_eq!(event_type.as_deref(), Some("sample"));
         let text = errs.join("\n");
         for needle in [
@@ -512,14 +455,11 @@ mod tests {
     }
 
     #[test]
-    fn native_unavailable_is_v3_only() {
+    fn native_unavailable_requires_a_reason() {
         let line = r#"{"type":"native_unavailable","source":"native","reason":"EPERM"}"#;
         assert_eq!(validate_line(line).unwrap(), "native_unavailable");
-        let (_, errs) = validate_line_all(line, 2);
-        assert!(
-            errs.iter().any(|e| e.contains("schema v3")),
-            "got: {errs:?}"
-        );
+        let line = r#"{"type":"native_unavailable","source":"native"}"#;
+        assert!(validate_line(line).unwrap_err().contains("`reason`"));
     }
 
     #[test]
@@ -532,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_streams_are_accepted_without_source_tags() {
+    fn v2_streams_are_rejected_at_their_meta_event() {
         let v2 = concat!(
             r#"{"type":"meta","schema":2,"stream":"atscale-telemetry"}"#,
             "\n",
@@ -541,9 +481,23 @@ mod tests {
             r#"{"type":"summary","samples":0,"progress":0,"spans":0}"#,
             "\n"
         );
-        let s = validate_stream(v2).unwrap();
-        assert_eq!(s.schema, 2);
-        assert_eq!(s.lines, 3);
+        let (summary, violations) = validate_stream_all(v2);
+        assert_eq!(summary.lines, 3, "the whole stream is still scanned");
+        let (line, first) = &violations[0];
+        assert_eq!(*line, 1);
+        assert!(
+            first.contains("meta.schema 2 is not the supported version 3"),
+            "got: {first}"
+        );
+        // ...and every line is judged by the current rules.
+        assert_eq!(
+            violations
+                .iter()
+                .filter(|(_, e)| e.contains("missing required key `source`"))
+                .count(),
+            3,
+            "{violations:?}"
+        );
     }
 
     #[test]
@@ -554,8 +508,7 @@ mod tests {
             r#"{"type":"summary","samples":0,"progress":0,"spans":0}"#,
             "\n"
         );
-        let (summary, violations) = validate_stream_all(v3);
-        assert_eq!(summary.schema, 3);
+        let (_, violations) = validate_stream_all(v3);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0]
             .1
@@ -572,7 +525,6 @@ mod tests {
         );
         let s = validate_stream(good).unwrap();
         assert_eq!(s.lines, 2);
-        assert_eq!(s.schema, 3);
         assert_eq!(s.by_type.get("meta"), Some(&1));
 
         let no_meta = r#"{"type":"summary","source":"sim","samples":0,"progress":0,"spans":0}"#;
