@@ -102,21 +102,15 @@ const PANIC_MACROS: [&str; 7] = [
     "assert_ne",
 ];
 
-/// Entry points of the serving tier's worker, connection, and reactor
-/// threads — the roots of the panic-surface pass.
-pub const PANIC_ROOTS: [&str; 10] = [
+/// Entry points of the daemon's threads — the roots of the
+/// panic-surface pass: the scheduler's workers, the acceptor, each
+/// reactor shard's event loop, and the worker-side reply enqueue into a
+/// shard's outbufs.
+pub const PANIC_ROOTS: [&str; 4] = [
     "Scheduler::worker_loop",
-    "serve_connection",
-    "accept_tcp",
-    "accept_unix",
-    "spawn_tcp_conn",
-    "spawn_unix_conn",
-    "ConnWriter::send",
-    // Epoll-tier roots: the acceptor thread, each reactor shard's event
-    // loop, and the worker-side reply enqueue into a shard's outbufs.
-    "accept_epoll",
+    "accept_loop",
     "run_shard",
-    "ConnSink::send",
+    "OutBuf::send",
 ];
 
 /// One recorded `analyze:allow` exemption, for the report and the

@@ -10,7 +10,7 @@
 //! `atscale-serve-loadgen-v1` JSON schema.
 //!
 //! ```text
-//! loadgen [--quick|--soak] [--tier epoll|blocking] [--spawn N]
+//! loadgen [--quick|--soak] [--spawn N]
 //!         [--connections N] [--requests N] [--rate R] [--seed S]
 //!         [--pool K] [--workers N] [--queue N]
 //!         [--addr HOST:PORT]            # use an existing topology
@@ -35,7 +35,6 @@ use std::process::{Child, Command, ExitCode};
 use std::time::{Duration, Instant};
 
 struct Options {
-    tier: String,
     spawn: usize,
     connections: usize,
     requests: usize,
@@ -52,15 +51,13 @@ struct Options {
     fault_seed: u64,
 }
 
-const USAGE: &str = "usage: loadgen [--quick|--soak] [--tier epoll|blocking] [--spawn N] \
-                     [--connections N] [--requests N] [--rate R] [--seed S] [--pool K] \
-                     [--workers N] [--queue N] [--addr HOST:PORT] [--out PATH] \
-                     [--baseline PATH] [--threshold PCT] \
-                     [--fault-spec SPEC] [--fault-seed N]";
+const USAGE: &str = "usage: loadgen [--quick|--soak] [--spawn N] [--connections N] \
+                     [--requests N] [--rate R] [--seed S] [--pool K] [--workers N] \
+                     [--queue N] [--addr HOST:PORT] [--out PATH] [--baseline PATH] \
+                     [--threshold PCT] [--fault-spec SPEC] [--fault-seed N]";
 
 fn parse_args() -> Options {
     let mut opts = Options {
-        tier: "epoll".to_string(),
         spawn: 4,
         connections: 10_000,
         requests: 20_000,
@@ -93,13 +90,6 @@ fn parse_args() -> Options {
                 opts.connections = 10_000;
                 opts.requests = 20_000;
                 opts.rate = 2_000.0;
-            }
-            "--tier" => {
-                opts.tier = next("epoll|blocking");
-                assert!(
-                    opts.tier == "epoll" || opts.tier == "blocking",
-                    "--tier takes epoll|blocking"
-                );
             }
             "--spawn" => opts.spawn = next("a count").parse().expect("--spawn count"),
             "--connections" => {
@@ -199,9 +189,6 @@ fn spawn_topology(opts: &Options) -> Topology {
             .arg("--topology")
             .arg(&topology_arg)
             .stdout(std::process::Stdio::null());
-        if opts.tier == "epoll" {
-            cmd.arg("--io").arg("epoll");
-        }
         if let Some(spec) = &opts.fault_spec {
             cmd.arg("--fault-spec")
                 .arg(spec)
@@ -304,10 +291,9 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "topology: {} shard(s) [{}], tier {}",
+        "topology: {} shard(s) [{}]",
         topology.len(),
-        topology.join(", "),
-        opts.tier
+        topology.join(", ")
     );
 
     // Pre-warm: one routed pass caches every pool spec on its owning
@@ -329,7 +315,6 @@ fn main() -> ExitCode {
         requests: opts.requests,
         rate_per_sec: opts.rate,
         seed: opts.seed,
-        tier: opts.tier.clone(),
     };
     eprintln!(
         "driving {} connection(s), {} request(s) at {:.0} req/s (seed {:#x})",

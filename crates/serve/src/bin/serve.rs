@@ -3,7 +3,7 @@
 //! ```text
 //! atscale-serve --socket /tmp/atscale.sock [--tcp 127.0.0.1:7719]
 //!               [--workers N] [--queue N] [--store DIR | --no-store]
-//!               [--io blocking|epoll] [--reactors N]
+//!               [--reactors N]
 //!               [--shard I --topology ADDR,ADDR,...]
 //!               [--fault-spec SPEC --fault-seed N]   (faults builds only)
 //! ```
@@ -17,12 +17,12 @@
 //! (`Query`/`Compact`/`StoreSegStats`) are served from its online
 //! aggregates.
 //!
-//! `--io epoll` serves TCP through the thread-per-core reactor tier
-//! (non-blocking framed I/O, per-connection write backpressure) instead
-//! of one thread per connection; `--reactors` overrides the shard-count
-//! (default: one per core). `--shard`/`--topology` declare this daemon's
-//! place in a sharded topology, advertised to clients in the v6
-//! `Welcome` handshake so any member bootstraps full-topology routing.
+//! Every endpoint is served by the epoll reactor (non-blocking framed
+//! I/O, per-connection write backpressure); `--reactors` overrides its
+//! shard count (default: one per core). `--shard`/`--topology` declare
+//! this daemon's place in a sharded topology, advertised to clients in
+//! the v6 `Welcome` handshake so any member bootstraps full-topology
+//! routing.
 
 use atscale::RunStore;
 use atscale_serve::{ServeConfig, Server};
@@ -36,7 +36,6 @@ struct Options {
     queue: Option<usize>,
     store_dir: Option<PathBuf>,
     no_store: bool,
-    epoll: bool,
     reactors: Option<usize>,
     shard: u64,
     topology: Vec<String>,
@@ -46,7 +45,7 @@ struct Options {
 
 const USAGE: &str = "usage: atscale-serve [--socket PATH] [--tcp ADDR] \
                      [--workers N] [--queue N] [--store DIR | --no-store] \
-                     [--io blocking|epoll] [--reactors N] \
+                     [--reactors N] \
                      [--shard I --topology ADDR,ADDR,...] \
                      [--fault-spec SPEC --fault-seed N]";
 
@@ -58,7 +57,6 @@ fn parse_args() -> Result<Options, String> {
         queue: None,
         store_dir: None,
         no_store: false,
-        epoll: false,
         reactors: None,
         shard: 0,
         topology: Vec::new(),
@@ -93,13 +91,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.store_dir = Some(PathBuf::from(iter.next().ok_or("--store needs a dir")?));
             }
             "--no-store" => opts.no_store = true,
-            "--io" => {
-                opts.epoll = match iter.next().map(String::as_str) {
-                    Some("epoll") => true,
-                    Some("blocking") => false,
-                    _ => return Err("--io needs blocking|epoll".to_string()),
-                };
-            }
             "--reactors" => {
                 opts.reactors = Some(
                     iter.next()
@@ -147,12 +138,6 @@ fn parse_args() -> Result<Options, String> {
             opts.topology.len()
         ));
     }
-    if opts.epoll && opts.tcp.is_none() {
-        return Err("--io epoll serves TCP; give --tcp".to_string());
-    }
-    if opts.epoll && opts.socket.is_some() {
-        return Err("--io epoll serves TCP only; drop --socket".to_string());
-    }
     Ok(opts)
 }
 
@@ -191,6 +176,9 @@ fn main() -> ExitCode {
     if let Some(queue) = opts.queue {
         config.queue_capacity = queue;
     }
+    if let Some(reactors) = opts.reactors {
+        config.reactors = reactors;
+    }
     // Chaos machinery: a spec-string fault plan lets the soak CI job run
     // real daemon processes under the same deterministic injection the
     // in-process chaos suite uses. Only builds with the `faults` feature
@@ -217,15 +205,7 @@ fn main() -> ExitCode {
     }
     let workers = config.workers;
     let queue = config.queue_capacity;
-    // parse_args guarantees `--io epoll` comes with `--tcp`.
-    let started = match (opts.epoll, &opts.tcp) {
-        (true, Some(tcp)) => match opts.reactors {
-            Some(n) => Server::start_epoll_sharded(config, tcp, n.max(1)),
-            None => Server::start_epoll(config, tcp),
-        },
-        _ => Server::start(config, opts.tcp.as_deref(), opts.socket.as_deref()),
-    };
-    let server = match started {
+    let server = match Server::start(config, opts.tcp.as_deref(), opts.socket.as_deref()) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("atscale-serve: cannot bind: {e}");

@@ -14,11 +14,12 @@
 //! - [`protocol`] — the wire frames (requests, replies, JSON-lines codec);
 //! - [`scheduler`] — single-flight dedup, admission control, deadlines,
 //!   drain;
-//! - [`server`] — sockets, connection threads, lifecycle;
+//! - [`server`] — endpoint binding, request dispatch, lifecycle;
 //! - [`sys`] — the raw epoll/eventfd syscall shim (the crate's single
 //!   sanctioned-unsafe module, mirroring `atscale-native`'s);
-//! - [`reactor`] — the thread-per-core epoll serve tier (non-blocking
-//!   framed I/O, per-connection write backpressure);
+//! - [`reactor`] — the one I/O plane, for TCP and Unix sockets alike: an
+//!   epoll acceptor plus thread-per-core reactor shards (non-blocking
+//!   framed I/O, per-connection backpressure in both directions);
 //! - [`router`] — deterministic consistent hashing of record keys across
 //!   a shard topology;
 //! - [`loadgen`] — the open-loop Poisson load-generation engine behind
@@ -26,8 +27,10 @@
 //! - [`client`] — the blocking client used by `atscale-client` and tests,
 //!   plus the topology-aware [`ShardedClient`].
 //!
-//! Everything runs on std threads; there is no async runtime — the epoll
-//! tier is a hand-rolled reactor over raw syscalls.
+//! Everything runs on std threads; there is no async runtime — the I/O
+//! plane is a hand-rolled reactor over raw syscalls, so the daemon runs
+//! on Linux only (elsewhere [`Server::start`] returns `ENOSYS`; the
+//! client and the wire codec are portable).
 //!
 //! The stack is chaos-tested: with the non-default `faults` feature, a
 //! deterministic `atscale_faults::FaultPlan` can be threaded through the

@@ -25,15 +25,13 @@
 
 use crate::protocol::{self, Reply, Request, Submit};
 use crate::router::ShardMap;
-use crate::sys::{Epoll, Event, Interest};
+use crate::sys::{raw_fd, Epoll, Event, Interest};
 use atscale::RunSpec;
 use atscale_mmu::MachineConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-#[cfg(unix)]
-use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 /// Read-buffer granularity for reply streams.
@@ -114,8 +112,6 @@ pub struct LoadgenConfig {
     pub rate_per_sec: f64,
     /// Seed for the arrival schedule and spec selection.
     pub seed: u64,
-    /// Label recorded in the report (`"epoll"` / `"blocking"` / …).
-    pub tier: String,
 }
 
 /// What a loadgen run measured. Serialized as the
@@ -124,7 +120,8 @@ pub struct LoadgenConfig {
 pub struct LoadgenReport {
     /// Report schema tag.
     pub schema: String,
-    /// Serve tier exercised (`"epoll"` or `"blocking"`).
+    /// Always `"epoll"`, the daemon's one I/O plane; the field stays so
+    /// committed `atscale-serve-loadgen-v1` baselines load unchanged.
     pub tier: String,
     /// Shards in the target topology.
     pub shards: u64,
@@ -176,20 +173,6 @@ struct Conn {
     /// Whether `EPOLLOUT` is currently armed.
     writable_armed: bool,
     dead: bool,
-}
-
-/// The platform fd for epoll registration (mirrors the reactor's idiom;
-/// the non-unix value never reaches a kernel because `Epoll::new` fails
-/// first).
-fn raw_fd(stream: &TcpStream) -> crate::sys::RawFd {
-    #[cfg(unix)]
-    {
-        stream.as_raw_fd()
-    }
-    #[cfg(not(unix))]
-    {
-        -1
-    }
 }
 
 /// Latency percentile over a sorted sample set (microseconds).
@@ -379,7 +362,7 @@ pub fn run(
     let completed = latencies_us.len() as u64;
     Ok(LoadgenReport {
         schema: LoadgenReport::SCHEMA.to_string(),
-        tier: config.tier.clone(),
+        tier: "epoll".to_string(),
         shards: config.topology.len() as u64,
         connections: config.connections as u64,
         rate_per_sec: config.rate_per_sec,

@@ -1,57 +1,140 @@
-//! The thread-per-core epoll serve tier.
+//! The daemon's I/O plane: one acceptor and N thread-per-core reactor
+//! shards over epoll, for TCP and Unix sockets alike.
 //!
-//! One acceptor thread distributes accepted connections round-robin
-//! across N reactor shards (SO_REUSEPORT-style sharding without the
-//! socket option: the kernel balances *packets*, the acceptor balances
-//! *connections* — same effect, no `setsockopt` FFI). Each shard is one
-//! thread owning one epoll instance and every connection assigned to it:
-//! non-blocking framed reads, request dispatch through the same
-//! [`crate::server::handle_request`] the blocking tier uses, and
-//! non-blocking framed writes with per-connection backpressure.
+//! The acceptor thread owns an epoll instance holding every bound
+//! listener plus the eventfd [`ServerHandle::shutdown`] bumps, so a
+//! connect is accepted the moment it lands and an idle daemon sleeps in
+//! the kernel. It hands accepted connections round-robin to the shards
+//! (SO_REUSEPORT-style sharding without the socket option: the kernel
+//! balances *packets*, the acceptor balances *connections* — same
+//! effect, no `setsockopt` FFI). Each shard is one thread owning one
+//! epoll instance and every connection assigned to it: non-blocking
+//! framed reads, request dispatch through
+//! [`crate::server::handle_request`], and non-blocking framed writes with
+//! per-connection backpressure.
 //!
-//! The write path replaces the blocking tier's per-connection writer
-//! mutex + 10 s write timeout: scheduler workers never touch a socket.
-//! [`ConnSink::send`] appends the encoded frame to the connection's
-//! outbound buffer under a short lock and bumps the shard's eventfd; the
-//! reactor drains the buffer with non-blocking writes, arming `EPOLLOUT`
-//! only while bytes remain. A consumer that stops reading accumulates
-//! buffer until [`HIGH_WATER`] and is then shed (marked dead, torn down)
-//! — a slow client costs bounded memory and zero worker time, where the
-//! blocking tier stalled a worker for up to 10 s per frame.
+//! Scheduler workers never touch a socket. [`OutBuf::send`] appends the
+//! encoded frame to the connection's outbound buffer under a short lock
+//! and bumps the shard's eventfd; the reactor drains the buffer with
+//! non-blocking writes, arming `EPOLLOUT` only while bytes remain. A
+//! peer costs bounded memory and zero worker time in both directions:
+//! a consumer that stops reading is shed once its buffer passes
+//! [`HIGH_WATER`], a producer that never sends a newline once its
+//! partial line does, and after shutdown is requested a buffer that
+//! makes no write progress for [`DRAIN_GRACE`] no longer holds the exit.
 
 use crate::protocol::{self, ErrorReply, Reply, Request};
 use crate::scheduler::ReplySink;
 use crate::server::{handle_request, ServerHandle};
-use crate::sys::{Epoll, Event, Interest, WakeFd};
+use crate::sys::{raw_fd, Epoll, Event, Interest, RawFd, WakeFd};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::collections::{BTreeMap, BTreeSet};
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
-use std::os::fd::AsRawFd;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-#[cfg(feature = "faults")]
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Maximum buffered outbound bytes per connection before the slow
-/// consumer is shed. Sized for a full fig1 sweep of record frames
+/// Maximum bytes buffered per connection and direction — outbound frames
+/// waiting for the socket, or an inbound line still missing its newline —
+/// before the peer is shed. Sized for a full fig1 sweep of record frames
 /// (~350 × ~4 KiB) with two orders of magnitude of headroom.
 const HIGH_WATER: usize = 64 << 20;
 
-/// epoll wait bound, so shards notice the stop flag while idle.
-const WAIT_MS: i32 = 50;
+/// How long, once shutdown is requested, a connection's pending output
+/// may make no write progress before it is shed: a connected client that
+/// stops reading must not hold [`crate::Server::join`] forever.
+const DRAIN_GRACE: Duration = Duration::from_secs(2);
+
+/// epoll wait bound while shutting down, when a shard polls for "the
+/// scheduler has drained" and [`DRAIN_GRACE`]; before that it waits
+/// without a timeout.
+const DRAIN_TICK_MS: i32 = 50;
+
+/// Pause after a failed `accept` (fd exhaustion): the listener stays
+/// readable, so without it the level-triggered acceptor would spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Events decoded per `epoll_wait` call.
 const EVENT_BATCH: usize = 64;
 
-/// Token reserved for the shard's wakeup eventfd (fds are non-negative,
-/// so this cannot collide with a connection token).
+/// Token reserved for a thread's wakeup eventfd (fds and listener
+/// indices are small non-negative numbers, so this cannot collide).
 const WAKE_TOKEN: u64 = u64::MAX;
+
+/// Runs `$body` on whichever std socket type the two-variant enum holds.
+macro_rules! on_socket {
+    ($socket:expr, $s:ident => $body:expr) => {
+        match $socket {
+            Self::Tcp($s) => $body,
+            #[cfg(unix)]
+            Self::Unix($s) => $body,
+        }
+    };
+}
+
+/// A bound, non-blocking listening socket of either family.
+#[derive(Debug)]
+pub(crate) enum Listener {
+    Tcp(TcpListener),
+    #[cfg(unix)]
+    Unix(UnixListener),
+}
+
+impl Listener {
+    fn fd(&self) -> RawFd {
+        on_socket!(self, l => raw_fd(l))
+    }
+
+    fn accept(&self) -> io::Result<Stream> {
+        match self {
+            Self::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            #[cfg(unix)]
+            Self::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
+        }
+    }
+}
+
+/// An accepted connection of either family.
+enum Stream {
+    Tcp(TcpStream),
+    #[cfg(unix)]
+    Unix(UnixStream),
+}
+
+impl Stream {
+    fn fd(&self) -> RawFd {
+        on_socket!(self, s => raw_fd(s))
+    }
+
+    /// Switches to non-blocking mode; `false` if the socket refused.
+    fn go_nonblocking(&self) -> bool {
+        if let Self::Tcp(s) = self {
+            // Reply streams are many small frames; never batch them
+            // behind Nagle.
+            let _ = s.set_nodelay(true);
+        }
+        on_socket!(self, s => s.set_nonblocking(true)).is_ok()
+    }
+
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        on_socket!(self, s => s.read(buf))
+    }
+
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        on_socket!(self, s => s.write(buf))
+    }
+
+    fn close(&self) {
+        let _ = on_socket!(self, s => s.shutdown(Shutdown::Both));
+    }
+}
 
 /// One connection's outbound state, shared between the reactor shard
 /// (which drains it onto the socket) and every scheduler worker holding
-/// the connection's [`ConnSink`].
+/// the connection's sink.
 struct OutState {
     /// Encoded frames waiting for the socket.
     bytes: Vec<u8>,
@@ -62,14 +145,20 @@ struct OutState {
     queued: bool,
 }
 
-/// Shared handle to one connection's outbound buffer.
+/// One connection's outbound buffer and the [`ReplySink`] the scheduler
+/// holds for it: encodes on the sending thread, enqueues, and wakes the
+/// owning shard.
 struct OutBuf {
-    fd: i32,
+    fd: RawFd,
     state: Mutex<OutState>,
     /// The owning shard's dirty list: fds with fresh output to flush.
-    dirty: Arc<Mutex<Vec<i32>>>,
+    dirty: Arc<Mutex<Vec<RawFd>>>,
     /// The owning shard's wakeup eventfd.
     wake: Arc<WakeFd>,
+    /// Fault plan driving the `ServerStall`/`ServerWrite` sites (chaos
+    /// machinery; inherited from the scheduler's config).
+    #[cfg(feature = "faults")]
+    faults: Option<Arc<atscale_faults::FaultPlan>>,
 }
 
 impl OutBuf {
@@ -98,45 +187,46 @@ impl OutBuf {
     }
 }
 
-/// The reply sink handed to the scheduler for an epoll-tier connection:
-/// encodes off the worker thread, enqueues, and wakes the reactor.
-struct ConnSink {
-    out: Arc<OutBuf>,
-    /// Fault plan driving the `ServerStall`/`ServerWrite` sites, same
-    /// semantics as the blocking tier's writer (chaos machinery).
-    #[cfg(feature = "faults")]
-    faults: Option<Arc<atscale_faults::FaultPlan>>,
-}
-
-impl ReplySink for ConnSink {
+impl ReplySink for OutBuf {
     fn send(&self, reply: &Reply) {
         #[cfg(feature = "faults")]
         if let Some(plan) = &self.faults {
             use atscale_faults::FaultSite;
             if let Some(rule) = plan.check(FaultSite::ServerStall) {
+                // A stalled peer: the frame arrives, but late — clients
+                // must survive via read timeouts, not hang. Fired from a
+                // direct reply this sleeps the whole shard.
                 std::thread::sleep(Duration::from_millis(rule.stall_ms));
             }
             if plan.check(FaultSite::ServerWrite).is_some() {
-                self.out.state.lock().dead = true;
+                // A socket write error (EPIPE analogue): the connection
+                // is dead from the server's point of view; subsequent
+                // frames evaporate exactly as on a real broken pipe.
+                self.state.lock().dead = true;
                 return;
             }
         }
         let mut line = protocol::encode(reply);
         line.push('\n');
-        self.out.push(line.as_bytes());
+        self.push(line.as_bytes());
     }
 }
 
 /// One epoll-registered connection, owned by its reactor shard.
 struct Conn {
-    stream: TcpStream,
+    stream: Stream,
     /// Partial inbound line (bytes after the last newline).
     inbound: Vec<u8>,
     out: Arc<OutBuf>,
+    /// `out` again, as the trait object requests are dispatched with.
+    sink: Arc<dyn ReplySink>,
     /// `EPOLLOUT` currently armed (pending output met a full socket).
     write_armed: bool,
     /// Close once the outbound buffer drains (shutdown acknowledged).
     close_after_flush: bool,
+    /// While shutting down: since when pending output has made no write
+    /// progress (see [`DRAIN_GRACE`]).
+    stalled_since: Option<Instant>,
 }
 
 /// One reactor shard: the epoll instance plus the cross-thread inbox the
@@ -145,13 +235,13 @@ struct Shard {
     epoll: Epoll,
     wake: Arc<WakeFd>,
     /// Accepted connections waiting to be registered.
-    inbox: Mutex<Vec<TcpStream>>,
+    inbox: Mutex<Vec<Stream>>,
     /// fds whose outbound buffers gained bytes since the last flush pass.
-    dirty: Arc<Mutex<Vec<i32>>>,
+    dirty: Arc<Mutex<Vec<RawFd>>>,
 }
 
 impl Shard {
-    fn new() -> std::io::Result<Shard> {
+    fn new() -> io::Result<Shard> {
         let epoll = Epoll::new()?;
         let wake = Arc::new(WakeFd::new()?);
         epoll.add(wake.raw_fd(), WAKE_TOKEN, Interest::Read)?;
@@ -164,61 +254,74 @@ impl Shard {
     }
 }
 
-/// Starts the epoll tier on an already-bound listener: `shards` reactor
-/// threads plus one acceptor thread. Returns the spawned threads for
-/// [`crate::Server::join`].
+/// Starts the I/O plane on already-bound, non-blocking listeners:
+/// `shards` reactor threads plus the acceptor thread, which comes first
+/// in the returned list ([`crate::Server::join`] joins in order, and the
+/// acceptor is the thread that ends when shutdown is requested).
 ///
 /// # Errors
 ///
-/// Propagates epoll/eventfd creation failures — `ENOSYS` on non-Linux
-/// hosts, where the blocking tier remains the portable path.
+/// Propagates epoll/eventfd failures — `ENOSYS` on hosts without epoll —
+/// before any thread is spawned.
 pub(crate) fn start(
-    listener: TcpListener,
-    handle: ServerHandle,
+    listeners: Vec<Listener>,
+    handle: &ServerHandle,
     shards: usize,
-) -> std::io::Result<Vec<JoinHandle<()>>> {
-    let shards = shards.max(1);
-    let mut pool = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        pool.push(Arc::new(Shard::new()?));
+) -> io::Result<Vec<JoinHandle<()>>> {
+    let pool = (0..shards.max(1))
+        .map(|_| Shard::new().map(Arc::new))
+        .collect::<io::Result<Vec<_>>>()?;
+    let epoll = Epoll::new()?;
+    epoll.add(handle.wake.raw_fd(), WAKE_TOKEN, Interest::Read)?;
+    for (index, listener) in listeners.iter().enumerate() {
+        epoll.add(listener.fd(), index as u64, Interest::Read)?;
     }
-    let mut threads = Vec::with_capacity(shards + 1);
-    for shard in &pool {
-        let shard = Arc::clone(shard);
+    let mut threads = Vec::with_capacity(pool.len() + 1);
+    let acceptor = handle.clone();
+    let shards = pool.clone();
+    threads.push(std::thread::spawn(move || {
+        accept_loop(&epoll, &listeners, &acceptor, &shards);
+    }));
+    for shard in pool {
         let handle = handle.clone();
         threads.push(std::thread::spawn(move || run_shard(&shard, &handle)));
     }
-    threads.push(std::thread::spawn(move || {
-        accept_epoll(&listener, &handle, &pool);
-    }));
     Ok(threads)
 }
 
-/// Accept loop: non-blocking accept, connections handed round-robin to
-/// the reactor shards.
-fn accept_epoll(listener: &TcpListener, handle: &ServerHandle, pool: &[Arc<Shard>]) {
+/// The acceptor: sleeps in epoll until a listener is readable or
+/// shutdown bumps the eventfd, and hands each accepted connection to the
+/// next shard. On the way out it wakes every shard, so they notice the
+/// stop flag without a timeout.
+fn accept_loop(epoll: &Epoll, listeners: &[Listener], handle: &ServerHandle, pool: &[Arc<Shard>]) {
+    let mut events = [Event::default(); EVENT_BATCH];
     let mut next = 0usize;
-    loop {
-        if handle.stopping() {
-            // Wake every shard so they notice the stop flag promptly.
-            for shard in pool {
-                shard.wake.wake();
-            }
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if let Some(shard) = pool.get(next % pool.len()) {
-                    shard.inbox.lock().push(stream);
-                    shard.wake.wake();
+    while !handle.stopping() {
+        let ready = epoll.wait(&mut events, -1).unwrap_or_default();
+        // The wake token names no listener: it only ends the loop.
+        let readable = events.iter().take(ready);
+        for listener in readable.filter_map(|e| listeners.get(e.token as usize)) {
+            loop {
+                match listener.accept() {
+                    Ok(stream) => {
+                        if let Some(shard) = pool.get(next % pool.len()) {
+                            shard.inbox.lock().push(stream);
+                            shard.wake.wake();
+                        }
+                        next = next.wrapping_add(1);
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(_) => {
+                        std::thread::sleep(ACCEPT_BACKOFF);
+                        break;
+                    }
                 }
-                next = next.wrapping_add(1);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(crate::server::ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(crate::server::ACCEPT_POLL),
         }
+    }
+    for shard in pool {
+        shard.wake.wake();
     }
 }
 
@@ -229,10 +332,14 @@ fn run_shard(shard: &Shard, handle: &ServerHandle) {
     // BTreeMap, not HashMap: the shutdown-drain check iterates every
     // connection, and deterministic order keeps the audit's taint pass
     // clean on a path that reaches RunStore::key.
-    let mut conns: BTreeMap<i32, Conn> = BTreeMap::new();
+    let mut conns: BTreeMap<RawFd, Conn> = BTreeMap::new();
     let mut events = [Event::default(); EVENT_BATCH];
     loop {
-        let ready = shard.epoll.wait(&mut events, WAIT_MS).unwrap_or_default();
+        let timeout_ms = if handle.stopping() { DRAIN_TICK_MS } else { -1 };
+        let ready = shard
+            .epoll
+            .wait(&mut events, timeout_ms)
+            .unwrap_or_default();
         #[cfg(feature = "faults")]
         if let Some(plan) = handle.scheduler().fault_plan() {
             use atscale_faults::FaultSite;
@@ -244,13 +351,13 @@ fn run_shard(shard: &Shard, handle: &ServerHandle) {
                 std::thread::sleep(Duration::from_millis(rule.stall_ms));
             }
         }
-        let mut closed = Vec::new();
+        let mut closed = BTreeSet::new();
         for event in events.iter().take(ready) {
             if event.token == WAKE_TOKEN {
                 shard.wake.drain();
                 continue;
             }
-            let fd = event.token as i32;
+            let fd = event.token as RawFd;
             let Some(conn) = conns.get_mut(&fd) else {
                 continue;
             };
@@ -262,24 +369,22 @@ fn run_shard(shard: &Shard, handle: &ServerHandle) {
                 gone = flush_conn(conn, &shard.epoll);
             }
             if gone || (event.closed && !event.readable) {
-                closed.push(fd);
+                closed.insert(fd);
             }
         }
         // Register connections the acceptor handed over.
         for stream in std::mem::take(&mut *shard.inbox.lock()) {
-            register_conn(stream, shard, &mut conns);
+            register_conn(stream, shard, handle, &mut conns);
         }
         // Flush every connection whose buffer gained bytes since the last
         // pass (scheduler workers enqueue + wake; only this thread writes).
         for fd in std::mem::take(&mut *shard.dirty.lock()) {
             if let Some(conn) = conns.get_mut(&fd) {
                 if flush_conn(conn, &shard.epoll) {
-                    closed.push(fd);
+                    closed.insert(fd);
                 }
             }
         }
-        closed.sort_unstable();
-        closed.dedup();
         for fd in closed {
             if let Some(conn) = conns.remove(&fd) {
                 teardown(&conn, &shard.epoll);
@@ -288,9 +393,9 @@ fn run_shard(shard: &Shard, handle: &ServerHandle) {
         if handle.stopping() {
             // Exit only once admitted work has delivered: the scheduler
             // is drained and no connection still buffers output.
+            let flushed = shed_stalled(&mut conns, &shard.epoll);
             let stats = handle.scheduler().stats_reply();
-            let flushed = conns.values().all(|c| c.out.state.lock().bytes.is_empty());
-            if stats.queued == 0 && stats.running == 0 && flushed {
+            if flushed && stats.queued == 0 && stats.running == 0 {
                 for conn in conns.values() {
                     teardown(conn, &shard.epoll);
                 }
@@ -301,17 +406,16 @@ fn run_shard(shard: &Shard, handle: &ServerHandle) {
 }
 
 /// Registers one accepted connection with the shard's epoll instance.
-fn register_conn(stream: TcpStream, shard: &Shard, conns: &mut BTreeMap<i32, Conn>) {
-    if stream.set_nonblocking(true).is_err() {
-        return;
-    }
-    // Reply streams are many small frames; never batch them behind Nagle.
-    let _ = stream.set_nodelay(true);
-    #[cfg(unix)]
-    let fd = stream.as_raw_fd();
-    #[cfg(not(unix))]
-    let fd = -1;
-    if shard.epoll.add(fd, fd as u64, Interest::Read).is_err() {
+fn register_conn(
+    stream: Stream,
+    shard: &Shard,
+    handle: &ServerHandle,
+    conns: &mut BTreeMap<RawFd, Conn>,
+) {
+    #[cfg(not(feature = "faults"))]
+    let _ = handle;
+    let fd = stream.fd();
+    if !stream.go_nonblocking() || shard.epoll.add(fd, fd as u64, Interest::Read).is_err() {
         return;
     }
     let out = Arc::new(OutBuf {
@@ -323,60 +427,82 @@ fn register_conn(stream: TcpStream, shard: &Shard, conns: &mut BTreeMap<i32, Con
         }),
         dirty: Arc::clone(&shard.dirty),
         wake: Arc::clone(&shard.wake),
+        #[cfg(feature = "faults")]
+        faults: handle.scheduler().fault_plan().cloned(),
     });
     conns.insert(
         fd,
         Conn {
             stream,
             inbound: Vec::new(),
+            sink: Arc::clone(&out) as Arc<dyn ReplySink>,
             out,
             write_armed: false,
             close_after_flush: false,
+            stalled_since: None,
         },
     );
 }
 
 /// Drains readable bytes and dispatches every complete frame. Returns
-/// `true` when the connection is finished (EOF, read error, or shed).
+/// `true` when the connection is finished (EOF, read error, shed, or an
+/// inbound line past [`HIGH_WATER`]).
 fn read_frames(conn: &mut Conn, handle: &ServerHandle) -> bool {
     let mut buf = [0u8; 16 * 1024];
     loop {
         match conn.stream.read(&mut buf) {
             Ok(0) => return true, // EOF
-            Ok(n) => conn
-                .inbound
-                .extend_from_slice(buf.get(..n).unwrap_or_default()),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Ok(n) => {
+                // What is already buffered is a partial line, scanned
+                // when it arrived: look for newlines in the fresh bytes
+                // only.
+                let fresh = conn.inbound.len();
+                conn.inbound
+                    .extend_from_slice(buf.get(..n).unwrap_or_default());
+                if dispatch_lines(conn, fresh, handle) {
+                    return true;
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => return true,
         }
     }
-    while let Some(pos) = conn.inbound.iter().position(|&b| b == b'\n') {
-        let rest = conn.inbound.split_off(pos + 1);
-        let line = std::mem::replace(&mut conn.inbound, rest);
-        let line = String::from_utf8_lossy(&line);
-        let line = line.trim();
-        if line.is_empty() {
+}
+
+/// Dispatches every complete line of `conn.inbound` (the first newline
+/// lies at or after `scan`) and drops them from the buffer in one move.
+/// Returns `true` when the connection is finished.
+fn dispatch_lines(conn: &mut Conn, mut scan: usize, handle: &ServerHandle) -> bool {
+    let mut start = 0usize;
+    while let Some(len) = conn
+        .inbound
+        .get(scan..)
+        .and_then(|rest| rest.iter().position(|&b| b == b'\n'))
+    {
+        let end = scan + len;
+        let line = String::from_utf8_lossy(conn.inbound.get(start..end).unwrap_or_default());
+        start = end + 1;
+        scan = start;
+        if line.trim().is_empty() {
             continue;
         }
-        let sink: Arc<dyn ReplySink> = Arc::new(ConnSink {
-            out: Arc::clone(&conn.out),
-            #[cfg(feature = "faults")]
-            faults: handle.scheduler().fault_plan().cloned(),
-        });
-        match protocol::decode::<Request>(line) {
+        match protocol::decode::<Request>(line.trim()) {
             Ok(request) => {
-                if handle_request(&request, &sink, handle) {
+                if handle_request(&request, &conn.sink, handle) {
                     conn.close_after_flush = true;
                 }
             }
-            Err(message) => sink.send(&Reply::Error(ErrorReply { id: 0, message })),
+            Err(message) => conn.sink.send(&Reply::Error(ErrorReply { id: 0, message })),
         }
         if conn.out.state.lock().dead {
             return true;
         }
     }
-    false
+    conn.inbound.drain(..start);
+    // A peer that never sends a newline buys bounded memory, like one
+    // that never reads.
+    conn.inbound.len() > HIGH_WATER
 }
 
 /// Drains the connection's outbound buffer with non-blocking writes,
@@ -396,73 +522,82 @@ fn flush_conn(conn: &mut Conn, epoll: &Epoll) -> bool {
             std::mem::take(&mut state.bytes)
         };
         let mut written = 0usize;
-        let mut stalled = false;
-        let mut failed = false;
-        while written < chunk.len() {
-            match conn.stream.write(chunk.get(written..).unwrap_or_default()) {
-                Ok(0) => {
-                    failed = true;
-                    break;
-                }
+        let outcome = loop {
+            let rest = chunk.get(written..).unwrap_or_default();
+            if rest.is_empty() {
+                break Ok(());
+            }
+            match conn.stream.write(rest) {
+                Ok(0) => break Err(ErrorKind::WriteZero),
                 Ok(n) => written += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    stalled = true;
-                    break;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    failed = true;
-                    break;
-                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => break Err(e.kind()),
+            }
+        };
+        if written > 0 {
+            conn.stalled_since = None;
+        }
+        match outcome {
+            Ok(()) => {}
+            Err(ErrorKind::WouldBlock) => {
+                // Put the remainder back *in front of* anything workers
+                // appended while the lock was released, then wait for
+                // EPOLLOUT — this is the backpressure path.
+                let mut state = conn.out.state.lock();
+                let mut rest = chunk.get(written..).unwrap_or_default().to_vec();
+                rest.extend_from_slice(&state.bytes);
+                state.bytes = rest;
+                drop(state);
+                arm_write(conn, epoll, true);
+                return false;
+            }
+            Err(_) => {
+                conn.out.state.lock().dead = true;
+                return true;
             }
         }
-        if failed {
-            conn.out.state.lock().dead = true;
-            return true;
-        }
-        if stalled {
-            // Put the remainder back *in front of* anything workers
-            // appended while the lock was released, then wait for
-            // EPOLLOUT — this is the backpressure path.
-            let mut state = conn.out.state.lock();
-            let mut rest = chunk.get(written..).unwrap_or_default().to_vec();
-            rest.extend_from_slice(&state.bytes);
-            state.bytes = rest;
-            drop(state);
-            if !conn.write_armed {
-                conn.write_armed = arm_write(conn, epoll, true);
-            }
-            return false;
-        }
     }
-    if conn.write_armed {
-        arm_write(conn, epoll, false);
-        conn.write_armed = false;
-    }
+    arm_write(conn, epoll, false);
     conn.close_after_flush
 }
 
-/// Arms or disarms `EPOLLOUT` for a connection; returns whether the
-/// modification took.
-fn arm_write(conn: &Conn, epoll: &Epoll, armed: bool) -> bool {
-    #[cfg(unix)]
-    let fd = conn.stream.as_raw_fd();
-    #[cfg(not(unix))]
-    let fd = -1;
+/// Arms `EPOLLOUT` while pending output waits on a full socket, disarms
+/// it once the buffer has drained.
+fn arm_write(conn: &mut Conn, epoll: &Epoll, armed: bool) {
     let interest = if armed {
         Interest::ReadWrite
     } else {
         Interest::Read
     };
-    epoll.modify(fd, fd as u64, interest).is_ok()
+    let fd = conn.out.fd;
+    if conn.write_armed != armed && epoll.modify(fd, fd as u64, interest).is_ok() {
+        conn.write_armed = armed;
+    }
+}
+
+/// The shutdown-time write-progress bound: sheds every connection whose
+/// pending output has made no progress for [`DRAIN_GRACE`]. Returns
+/// `true` when no remaining connection still buffers output.
+fn shed_stalled(conns: &mut BTreeMap<RawFd, Conn>, epoll: &Epoll) -> bool {
+    let now = Instant::now();
+    let mut flushed = true;
+    conns.retain(|_, conn| {
+        if conn.out.state.lock().bytes.is_empty() {
+            return true;
+        }
+        if now.duration_since(*conn.stalled_since.get_or_insert(now)) < DRAIN_GRACE {
+            flushed = false;
+            return true;
+        }
+        teardown(conn, epoll);
+        false
+    });
+    flushed
 }
 
 /// Deregisters and kills a finished connection.
 fn teardown(conn: &Conn, epoll: &Epoll) {
     conn.out.state.lock().dead = true;
-    #[cfg(unix)]
-    let _ = epoll.delete(conn.stream.as_raw_fd());
-    #[cfg(not(unix))]
-    let _ = epoll;
-    let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+    let _ = epoll.delete(conn.out.fd);
+    conn.stream.close();
 }

@@ -43,6 +43,10 @@ pub struct ServeConfig {
     pub store: Option<RunStore>,
     /// Worker threads executing jobs.
     pub workers: usize,
+    /// Reactor shards (I/O threads) connections are spread over; default
+    /// one per core. I/O-plane topology only: records are produced by the
+    /// workers and are identical for any shard count.
+    pub reactors: usize,
     /// Admission-queue capacity in unique jobs (running jobs have left the
     /// queue; dedup subscriptions consume no capacity).
     pub queue_capacity: usize,
@@ -65,12 +69,12 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
+        let cores = std::thread::available_parallelism().map_or(2, std::num::NonZero::get);
         ServeConfig {
             machine: MachineConfig::haswell(),
             store: None,
-            workers: std::thread::available_parallelism()
-                .map_or(2, std::num::NonZero::get)
-                .min(4),
+            workers: cores.min(4),
+            reactors: cores,
             // Sized above the largest one-shot batch a stock client sends:
             // the full fig1 sweep is 13 workloads x 9 footprints x 3 page
             // sizes = 351 unique jobs.
@@ -718,7 +722,7 @@ impl Scheduler {
     }
 
     /// The configured fault-injection plan, if any (chaos machinery; the
-    /// server hands it to connection writers for the socket sites).
+    /// reactor hands it to connection sinks for the socket sites).
     #[cfg(feature = "faults")]
     pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
         self.config.faults.as_ref()

@@ -34,6 +34,20 @@ pub use std::os::fd::RawFd;
 #[cfg(not(unix))]
 pub type RawFd = i32;
 
+/// The platform fd of a socket, listener or eventfd, for epoll
+/// registration.
+#[cfg(unix)]
+pub(crate) fn raw_fd(io: &impl AsRawFd) -> RawFd {
+    io.as_raw_fd()
+}
+
+/// Non-unix stub: the value never reaches a kernel, because
+/// [`Epoll::new`] has already failed with `ENOSYS`.
+#[cfg(not(unix))]
+pub(crate) fn raw_fd<T>(_io: &T) -> RawFd {
+    -1
+}
+
 /// Readiness interest for a registered fd.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Interest {
@@ -71,7 +85,7 @@ impl Epoll {
     /// # Errors
     ///
     /// Propagates the kernel's error; `ENOSYS` (38) on non-Linux hosts,
-    /// which the serving tier surfaces as "epoll tier unavailable".
+    /// which `Server::start` returns as is — there is no other I/O plane.
     pub fn new() -> io::Result<Epoll> {
         imp::epoll_create1().map(|file| Epoll { file })
     }
@@ -129,9 +143,10 @@ impl Interest {
     }
 }
 
-/// A wakeup channel into a reactor shard: an `eventfd` whose counter the
+/// A wakeup channel into a reactor thread: an `eventfd` whose counter the
 /// writers bump (scheduler workers with fresh output frames, the acceptor
-/// with fresh connections) and the reactor drains at the top of its loop.
+/// with fresh connections, `ServerHandle::shutdown` for the acceptor
+/// itself) and a shard drains at the top of its loop.
 #[derive(Debug)]
 pub struct WakeFd {
     file: File,
@@ -148,16 +163,8 @@ impl WakeFd {
     }
 
     /// The raw fd, for epoll registration.
-    #[cfg(unix)]
     pub fn raw_fd(&self) -> RawFd {
-        self.file.as_raw_fd()
-    }
-
-    /// The raw fd, for epoll registration (non-unix stub: never reached,
-    /// construction already failed with `ENOSYS`).
-    #[cfg(not(unix))]
-    pub fn raw_fd(&self) -> RawFd {
-        -1
+        raw_fd(&self.file)
     }
 
     /// Bumps the counter, waking any `epoll_pwait` on the fd. Errors are
@@ -355,8 +362,8 @@ mod imp {
     pub(super) const EPOLLRDHUP: u32 = 0x2000;
 
     fn enosys() -> io::Error {
-        // ENOSYS: the epoll tier reports itself unavailable on non-Linux
-        // hosts; the blocking tier remains the portable path.
+        // ENOSYS: no epoll on this target, so the daemon cannot start
+        // here (clients and the wire codec still build and run).
         io::Error::from_raw_os_error(38)
     }
 

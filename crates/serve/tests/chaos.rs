@@ -464,7 +464,7 @@ fn server_stalls_are_survived(seed: u64) -> Outcome {
     }
 }
 
-/// Reactor-loop stalls (the epoll tier's event loop pausing mid-cycle,
+/// Reactor-loop stalls (a shard's event loop pausing mid-cycle,
 /// the moral equivalent of an overloaded I/O thread) delay frames but
 /// corrupt nothing: every record arrives through the stalled reactor and
 /// matches the fault-free run, and shutdown still drains.
@@ -473,18 +473,13 @@ fn reactor_stalls_are_survived(seed: u64) -> Outcome {
         FaultSite::ReactorStall,
         FaultRule::always().stall_ms(15).max_fires(3),
     ));
-    let server = Server::start_epoll_sharded(
-        ServeConfig {
-            store: None,
-            workers: 1,
-            faults: Some(Arc::clone(&plan)),
-            ..ServeConfig::default()
-        },
-        "127.0.0.1:0",
-        1,
-    )
-    .expect("bind epoll tier");
-    let addr = server.tcp_addr().expect("tcp endpoint").to_string();
+    let (server, addr) = start_server(ServeConfig {
+        store: None,
+        workers: 1,
+        reactors: 1,
+        faults: Some(Arc::clone(&plan)),
+        ..ServeConfig::default()
+    });
 
     let mut client = Client::connect(&addr).expect("connect");
     let records = client

@@ -1,13 +1,17 @@
 //! End-to-end daemon tests over real sockets: fig1-sweep parity with the
 //! in-process harness, explicit overload replies, deadline expiry, cache
-//! stats over the wire, and drain-on-shutdown.
+//! stats over the wire, drain-on-shutdown, and the bounds a misbehaving
+//! peer meets (never reading, never sending a newline).
 
 use atscale::{Harness, RunSpec, RunStore, SweepConfig};
 use atscale_mmu::MachineConfig;
+use atscale_serve::protocol::{self, Request, Submit};
 use atscale_serve::{Client, ClientError, ServeConfig, Server, SubmitOptions};
 use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
-use std::time::Duration;
+use std::io::{ErrorKind, Read, Write};
+use std::os::unix::net::UnixStream;
+use std::time::{Duration, Instant};
 
 fn temp_store(tag: &str) -> (std::path::PathBuf, RunStore) {
     let dir = std::env::temp_dir().join(format!("atscale-serve-e2e-{tag}-{}", std::process::id()));
@@ -19,6 +23,21 @@ fn start_server(config: ServeConfig) -> (Server, String) {
     let server = Server::start(config, Some("127.0.0.1:0"), None).expect("bind");
     let addr = server.tcp_addr().expect("tcp endpoint").to_string();
     (server, addr)
+}
+
+/// A daemon on a private Unix socket, one reactor shard (so every
+/// connection of the test shares it).
+fn start_unix_server(tag: &str, store: Option<RunStore>) -> (Server, std::path::PathBuf) {
+    let path = std::env::temp_dir().join(format!("atscale-e2e-{tag}-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let config = ServeConfig {
+        store,
+        workers: 2,
+        reactors: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(config, None, Some(&path)).expect("bind");
+    (server, path)
 }
 
 fn tiny_spec(seed: u64) -> RunSpec {
@@ -234,7 +253,7 @@ fn unix_bind_refuses_a_live_daemon_and_reclaims_a_stale_socket() {
         Some(&path),
     );
     match stolen {
-        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::AddrInUse, "{e}"),
+        Err(e) => assert_eq!(e.kind(), ErrorKind::AddrInUse, "{e}"),
         Ok(_) => panic!("second daemon stole a live socket"),
     }
     first.shutdown_and_join();
@@ -345,4 +364,127 @@ fn shutdown_drains_admitted_work_before_exiting() {
     }
 
     server.join();
+}
+
+/// A connected client that stops reading must not hold shutdown: once
+/// its socket is full its buffered replies make no write progress, and
+/// after a fixed grace the daemon sheds it and exits — while a client
+/// that does read gets every record of a batch admitted before the
+/// shutdown.
+#[test]
+fn a_client_that_stops_reading_cannot_hold_shutdown() {
+    const SUBMITS: u64 = 400;
+    let (dir, store) = temp_store("stalled");
+    let (server, path) = start_unix_server("stalled", Some(store));
+    let target = format!("unix:{}", path.display());
+    let scheduler = server.handle().scheduler().clone();
+
+    let cached: Vec<RunSpec> = (300..304).map(tiny_spec).collect();
+    let mut reader = Client::connect(&target).expect("connect");
+    reader.hello().expect("handshake");
+    reader
+        .run_many(&cached, SubmitOptions::default())
+        .expect("warm the cache");
+
+    // ~17 KiB of frames per submit against a ~200 KiB socket buffer:
+    // almost all of it stays in the daemon's outbound buffer.
+    let mut stalled = UnixStream::connect(&path).expect("connect");
+    for id in 1..=SUBMITS {
+        let mut line = protocol::encode(&Request::Submit(Submit {
+            id,
+            specs: cached.clone(),
+            deadline_ms: None,
+            no_cache: false,
+            sample_interval: 0,
+        }));
+        line.push('\n');
+        stalled
+            .write_all(line.as_bytes())
+            .expect("pipelined submit");
+    }
+    let answered = || {
+        let stats = scheduler.stats_reply();
+        stats.cache_hits + stats.dedup_hits >= SUBMITS * cached.len() as u64
+            && stats.queued == 0
+            && stats.running == 0
+    };
+    while !answered() {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // A batch admitted before the shutdown, by a client that reads.
+    scheduler.pause();
+    let fresh: Vec<RunSpec> = (310..313).map(tiny_spec).collect();
+    let pending = std::thread::spawn({
+        let fresh = fresh.clone();
+        move || reader.run_many(&fresh, SubmitOptions::default())
+    });
+    while scheduler.stats_reply().queued < fresh.len() as u64 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut control = Client::connect(&target).expect("connect");
+    control.shutdown().expect("acknowledged");
+    let requested = Instant::now();
+
+    let records = pending.join().unwrap().expect("the reading client");
+    assert_eq!(
+        records.len(),
+        fresh.len(),
+        "the reading client lost nothing"
+    );
+    server.join();
+    assert!(
+        requested.elapsed() < Duration::from_secs(10),
+        "join waited {:?} on a client that never reads",
+        requested.elapsed()
+    );
+
+    // The stalled connection was closed, not left open: what the kernel
+    // still held drains, then the stream ends.
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("socket timeout");
+    if let Err(e) = stalled.read_to_end(&mut Vec::new()) {
+        assert_eq!(e.kind(), ErrorKind::ConnectionReset, "{e}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A peer that never sends a newline buys bounded memory: the daemon
+/// buffers a partial line up to the reactor's 64 MiB `HIGH_WATER`, then
+/// closes the connection, and keeps serving everyone else.
+#[test]
+fn a_line_that_never_ends_is_cut_off() {
+    const HIGH_WATER: usize = 64 << 20;
+    let (server, path) = start_unix_server("flood", None);
+
+    let mut flood = UnixStream::connect(&path).expect("connect");
+    let chunk = vec![b'x'; 1 << 20];
+    let mut sent = 0usize;
+    let cut = loop {
+        match flood.write(&chunk) {
+            Ok(n) => sent += n,
+            Err(e) => break e,
+        }
+        // The kernel's socket buffers add well under a MiB of slack.
+        assert!(
+            sent <= HIGH_WATER + (16 << 20),
+            "the daemon is still buffering a newline-free line after {sent} bytes"
+        );
+    };
+    assert!(
+        matches!(
+            cut.kind(),
+            ErrorKind::BrokenPipe | ErrorKind::ConnectionReset
+        ),
+        "{cut}"
+    );
+    assert!(
+        sent >= HIGH_WATER,
+        "cut off after only {sent} bytes: a long frame must still fit"
+    );
+
+    let mut healthy = Client::connect(&format!("unix:{}", path.display())).expect("connect");
+    healthy.hello().expect("the daemon outlives the flood");
+    server.shutdown_and_join();
 }

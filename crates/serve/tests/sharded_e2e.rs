@@ -1,9 +1,9 @@
-//! End-to-end tests for the epoll serve tier and the shard router: wire
-//! parity with the blocking tier and the in-process harness, per-shard
-//! placement and single-flight dedup, topology discovery from any
-//! member, and drain-on-shutdown through the reactor.
+//! End-to-end tests for the reactor shards and the shard router: wire
+//! parity between the Unix socket, TCP and the in-process harness,
+//! per-shard placement and single-flight dedup, topology discovery from
+//! any member, and drain-on-shutdown through the reactor.
 
-use atscale::{Harness, RunSpec, RunStore};
+use atscale::{Harness, RunSpec, RunStore, SweepConfig};
 use atscale_mmu::MachineConfig;
 use atscale_serve::{Client, ServeConfig, Server, ShardMap, ShardedClient, SubmitOptions};
 use atscale_vm::PageSize;
@@ -41,66 +41,92 @@ fn reserve_addrs(n: usize) -> Vec<String> {
         .collect()
 }
 
-/// The epoll tier must serve the exact records the blocking tier and the
-/// in-process harness produce, answer the second pass from cache, and
-/// drain on shutdown.
+/// A fig1 `--test` sweep through two reactor shards must yield the exact
+/// records of the in-process harness whichever socket family carries it:
+/// first over `unix:` (executing), then over TCP on the same daemon
+/// (answered from cache). Shutdown then drains through the reactor.
 #[test]
 fn epoll_tier_serves_records_bit_for_bit_and_drains() {
     let (dir, store) = temp_store("epoll");
-    let server = Server::start_epoll_sharded(
+    let socket = std::env::temp_dir().join(format!("atscale-sharded-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&socket);
+    let server = Server::start(
         ServeConfig {
             store: Some(store),
             workers: 2,
+            reactors: 2,
             ..ServeConfig::default()
         },
-        "127.0.0.1:0",
-        2,
+        Some("127.0.0.1:0"),
+        Some(&socket),
     )
-    .expect("bind epoll tier");
+    .expect("bind both endpoints");
     let addr = server.tcp_addr().expect("tcp endpoint").to_string();
 
-    let specs: Vec<RunSpec> = (0..6).map(tiny_spec).collect();
-    let mut client = Client::connect(&addr).expect("connect");
-    let welcome = client.hello().expect("handshake");
-    assert_eq!(welcome.shard, 0, "standalone daemon is shard 0");
-    assert_eq!(welcome.shards, 1);
-    assert!(welcome.topology.is_empty());
-
-    let served = client
-        .run_many(&specs, SubmitOptions::default())
-        .expect("served batch");
+    // The fig1 spec set (one workload, test profile), exactly as
+    // `Harness::sweep_many` builds it.
+    let sweep = SweepConfig::test();
+    let workload = WorkloadId::parse("cc-urand").unwrap();
+    let mut specs = Vec::new();
+    for fp in sweep.footprints() {
+        let base = sweep.spec(workload, fp);
+        specs.push(base);
+        specs.push(base.with_page_size(PageSize::Size2M));
+        specs.push(base.with_page_size(PageSize::Size1G));
+    }
     let direct = Harness::new()
         .with_config(MachineConfig::haswell())
         .run_many(&specs);
+
+    // Connections go to the shards round-robin: the Unix client lands on
+    // one, the TCP client on the other.
+    let mut over_unix =
+        Client::connect(&format!("unix:{}", socket.display())).expect("connect unix");
+    let welcome = over_unix.hello().expect("handshake");
+    assert_eq!(welcome.shard, 0, "standalone daemon is shard 0");
+    assert_eq!(welcome.shards, 1);
+    assert!(welcome.topology.is_empty());
+    let mut over_tcp = Client::connect(&addr).expect("connect tcp");
+    over_tcp.hello().expect("handshake");
+
+    let served = over_unix
+        .run_many(&specs, SubmitOptions::default())
+        .expect("sweep over unix");
+    let executions = over_unix.server_stats().expect("stats").executions;
+    let again = over_tcp
+        .run_many(&specs, SubmitOptions::default())
+        .expect("sweep over tcp");
     assert_eq!(served.len(), direct.len());
-    for (s, d) in served.iter().zip(&direct) {
-        assert_eq!(
-            serde_json::to_vec(s).unwrap(),
-            serde_json::to_vec(d).unwrap(),
-            "epoll-tier record diverges for {}",
-            d.spec.label()
-        );
+    assert_eq!(again.len(), direct.len());
+    for ((u, t), d) in served.iter().zip(&again).zip(&direct) {
+        let want = serde_json::to_vec(d).unwrap();
+        for (transport, got) in [("unix", u), ("tcp", t)] {
+            assert_eq!(
+                serde_json::to_vec(got).unwrap(),
+                want,
+                "record over {transport} diverges from the harness for {}",
+                d.spec.label()
+            );
+        }
     }
 
-    // Cached second pass: zero new executions through the reactor path.
-    let before = client.server_stats().expect("stats").executions;
-    client
-        .run_many(&specs, SubmitOptions::default())
-        .expect("cached batch");
-    let after = client.server_stats().expect("stats");
-    assert_eq!(after.executions, before, "cache-first through the reactor");
+    // The second pass was cache-first: zero new executions.
+    let after = over_tcp.server_stats().expect("stats");
+    assert_eq!(
+        after.executions, executions,
+        "cache-first through the reactor"
+    );
     assert_eq!(after.cache_hits, specs.len() as u64);
 
     // Shutdown drains: a batch submitted just before the Shutdown frame
     // must still be fully answered (reactor flushes outbufs before exit).
-    let mut late = Client::connect(&addr).expect("second connection");
-    late.hello().expect("handshake");
     let late_specs: Vec<RunSpec> = (100..104).map(tiny_spec).collect();
-    let answered = late
+    let answered = over_unix
         .run_many(&late_specs, SubmitOptions::default())
         .expect("late batch answered");
     assert_eq!(answered.len(), late_specs.len());
     server.shutdown_and_join();
+    assert!(!socket.exists(), "join unlinks the socket");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -119,16 +145,17 @@ fn sharded_sweep_matches_single_daemon_and_places_records_per_shard() {
         let (dir, store) = temp_store(&format!("shard{i}"));
         dirs.push(dir);
         servers.push(
-            Server::start_epoll_sharded(
+            Server::start(
                 ServeConfig {
                     store: Some(store),
                     workers: 2,
+                    reactors: 1,
                     shard: i as u64,
                     topology: topology_cfg.clone(),
                     ..ServeConfig::default()
                 },
-                addr,
-                1,
+                Some(addr),
+                None,
             )
             .expect("bind shard"),
         );
@@ -232,14 +259,15 @@ fn sharded_sweep_matches_single_daemon_and_places_records_per_shard() {
 #[test]
 fn sharded_client_survives_a_dropped_connection() {
     let (dir, store) = temp_store("redial");
-    let server = Server::start_epoll_sharded(
+    let server = Server::start(
         ServeConfig {
             store: Some(store),
             workers: 2,
+            reactors: 1,
             ..ServeConfig::default()
         },
-        "127.0.0.1:0",
-        1,
+        Some("127.0.0.1:0"),
+        None,
     )
     .expect("bind");
     let addr = server.tcp_addr().unwrap().to_string();

@@ -9,9 +9,8 @@ use atscale_mmu::AccessSink;
 ///
 /// The parent array must be allocated in the **same address space** as the
 /// graph (typically via `machine.space_mut()`), so that its simulated
-/// accesses resolve; see the `graph_sweep` example. The frontier queue is
-/// kept host-side (GAPBS's sliding queue is sequential and negligible next
-/// to the graph traffic).
+/// accesses resolve. The frontier queue is kept host-side (GAPBS's sliding
+/// queue is sequential and negligible next to the graph traffic).
 ///
 /// Returns the number of vertices reached (including `source`).
 ///
