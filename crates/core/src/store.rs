@@ -28,6 +28,7 @@ use atscale_results::{
 };
 use atscale_vm::PageSize;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -90,7 +91,7 @@ impl RunStore {
     }
 
     /// The old name of [`RunStore::open`]; `benchmark/` still calls it
-    /// (ROADMAP item 2(e) removes both).
+    /// (ROADMAP item 5(b) removes both).
     #[doc(hidden)]
     pub fn open_segmented(dir: impl AsRef<Path>) -> std::io::Result<RunStore> {
         Self::open(dir)
@@ -128,15 +129,34 @@ impl RunStore {
     /// so shard placement and cache identity are the same function by
     /// construction (a record can never land on a shard whose store would
     /// file it under a different key).
+    ///
+    /// The hashed bytes are the canonical JSON of `(spec, config)`. Each
+    /// thread keeps the JSON of the last config it keyed, so a key costs
+    /// one spec serialisation, not a config serialisation as well.
     pub fn key_hash(spec: &RunSpec, config: &MachineConfig) -> u64 {
-        let payload = serde_json::to_string(&(spec, config)).expect("specs serialize");
-        // FNV-1a over the canonical JSON, finished with splitmix64.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in payload.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        thread_local! {
+            static CONFIG_JSON: RefCell<Option<(MachineConfig, String)>> =
+                const { RefCell::new(None) };
         }
-        splitmix64(h)
+        let spec_json = serde_json::to_string(spec).expect("specs serialize");
+        CONFIG_JSON.with_borrow_mut(|memo| {
+            let config_json = match memo {
+                Some((seen, json)) if same_bits(seen, config) => json,
+                _ => {
+                    let json = serde_json::to_string(config).expect("configs serialize");
+                    &memo.insert((*config, json)).1
+                }
+            };
+            // FNV-1a over `[spec,config]`, finished with splitmix64.
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for part in ["[", &spec_json, ",", config_json, "]"] {
+                for b in part.bytes() {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            splitmix64(h)
+        })
     }
 
     /// Loads a cached record, if present. Corruption is only ever a miss:
@@ -227,6 +247,20 @@ impl RunStore {
     pub fn for_each_live_record<F: FnMut(&str, &HotRow, Vec<u8>)>(&self, f: F) {
         self.segments.for_each_live(f);
     }
+}
+
+/// `a == b` with its float fields compared bit for bit: `PartialEq` calls
+/// `0.0` and `-0.0` equal, but they serialise, and so key, differently.
+/// `keys_tell_signed_zeros_apart` counts the config's floats, so a new one
+/// cannot be missed here.
+fn same_bits(a: &MachineConfig, b: &MachineConfig) -> bool {
+    let floats = |c: &MachineConfig| {
+        [
+            c.spec.wrong_path_locality.to_bits(),
+            c.spec.clear_stall_coupling.to_bits(),
+        ]
+    };
+    a == b && floats(a) == floats(b)
 }
 
 /// [`RunStore::open`]'s migration pass over the legacy `{key}.json` files
@@ -369,6 +403,76 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, RunStore::key(&spec(), &config), "keys are stable");
+    }
+
+    /// Literal keys: a codec change that moved them would orphan every
+    /// stored record while every in-process comparison stayed green.
+    #[test]
+    fn keys_are_pinned() {
+        let sweep = crate::SweepConfig::test();
+        let base = sweep.spec(
+            WorkloadId::parse("cc-urand").unwrap(),
+            sweep.footprints()[0],
+        );
+        let haswell = MachineConfig::haswell();
+        let tiny = MachineConfig::tiny_test();
+        for (spec, config, want) in [
+            (base, &haswell, "4157ad30115ffd8d"),
+            (
+                base.with_page_size(PageSize::Size2M),
+                &haswell,
+                "e7e9c9ace8d41040",
+            ),
+            (
+                base.with_arch(crate::ArchKind::Victima),
+                &haswell,
+                "c5c17ffa54210b0a",
+            ),
+            (base, &tiny, "559cc2efba05b4ba"),
+        ] {
+            assert_eq!(RunStore::key(&spec, config), want, "{}", spec.label());
+        }
+    }
+
+    /// The per-thread config memo keys exactly as serialising `(spec,
+    /// config)` afresh does — with configs alternating on one thread, and
+    /// for two configs `==` calls equal whose JSON differs in a zero's sign.
+    #[test]
+    fn keys_tell_signed_zeros_apart() {
+        let fresh = |config: &MachineConfig| {
+            let payload = serde_json::to_string(&(spec(), config)).unwrap();
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for b in payload.bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            splitmix64(h)
+        };
+        let mut zero = MachineConfig::haswell();
+        zero.spec.clear_stall_coupling = 0.0;
+        let mut negative_zero = zero;
+        negative_zero.spec.clear_stall_coupling = -0.0;
+        assert_eq!(zero, negative_zero);
+        for config in [zero, negative_zero, MachineConfig::tiny_test(), zero, zero] {
+            assert_eq!(RunStore::key_hash(&spec(), &config), fresh(&config));
+        }
+        assert_ne!(
+            RunStore::key(&spec(), &zero),
+            RunStore::key(&spec(), &negative_zero)
+        );
+        fn floats(v: &serde::Value) -> usize {
+            match v {
+                serde::Value::F64(_) => 1,
+                serde::Value::Seq(items) => items.iter().map(floats).sum(),
+                serde::Value::Map(entries) => entries.iter().map(|(_, v)| floats(v)).sum(),
+                _ => 0,
+            }
+        }
+        assert_eq!(
+            floats(&MachineConfig::haswell().to_value()),
+            2,
+            "`same_bits` compares every float field of a MachineConfig"
+        );
     }
 
     #[test]

@@ -334,14 +334,37 @@ pub fn encode<T: Serialize>(frame: &T) -> String {
     serde_json::to_string(frame).expect("protocol frames serialize")
 }
 
+/// Most bytes of a bad line, and of its parse error, that [`decode`]'s
+/// error message quotes: a reply to one bad line stays small however long
+/// the line was.
+const ECHO_BYTES: usize = 128;
+
 /// Decodes one JSON line into a frame.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description when the line is not valid JSON or
-/// not a known frame.
+/// not a known frame; it quotes at most [`ECHO_BYTES`] of the line and of
+/// the parse error.
 pub fn decode<T: Deserialize>(line: &str) -> Result<T, String> {
-    serde_json::from_str(line).map_err(|e| format!("bad frame {line:?}: {e}"))
+    serde_json::from_str(line).map_err(|e| {
+        format!(
+            "bad frame {:?} ({} bytes): {}",
+            clip(line),
+            line.len(),
+            clip(&e.to_string())
+        )
+    })
+}
+
+/// The longest prefix of `s` of at most [`ECHO_BYTES`] bytes that ends on
+/// a character boundary.
+fn clip(s: &str) -> &str {
+    let mut end = s.len().min(ECHO_BYTES);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    s.get(..end).unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -380,5 +403,16 @@ mod tests {
         assert!(err.contains("bad frame"));
         let err = decode::<Request>("{\"Nope\":1}").unwrap_err();
         assert!(err.contains("Nope") || err.contains("variant"), "{err}");
+    }
+
+    #[test]
+    fn bad_frames_echo_a_bounded_prefix() {
+        // The parse error would quote the whole string back, too.
+        let line = format!("\"{}\"", "é".repeat(100_000));
+        let err = decode::<Request>(&line).unwrap_err();
+        assert!(err.len() < 3 * ECHO_BYTES, "{} bytes", err.len());
+        assert!(err.contains("(200002 bytes)"), "{err}");
+        let err = decode::<Request>(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
     }
 }

@@ -324,6 +324,9 @@ struct SchedState {
 /// The single-flight scheduler shared by every connection and worker.
 pub struct Scheduler {
     config: ServeConfig,
+    /// The cache-first harness every job clones, built once: `Harness::new`
+    /// asks the OS for the CPU count, which costs more than a cache hit.
+    harness: Harness,
     state: Mutex<SchedState>,
     work: Condvar,
     idle: Condvar,
@@ -342,8 +345,13 @@ impl Scheduler {
     /// the server, not here).
     pub fn new(config: ServeConfig) -> Scheduler {
         let paused = config.start_paused;
+        let mut harness = Harness::new().with_config(config.machine);
+        if let Some(store) = &config.store {
+            harness = harness.with_store(store.clone());
+        }
         Scheduler {
             config,
+            harness,
             state: Mutex::new(SchedState {
                 paused,
                 ..SchedState::default()
@@ -415,6 +423,12 @@ impl Scheduler {
             .deadline_ms
             // analyze:allow(determinism): deadlines are wall-clock by definition; they gate delivery and never enter a RunRecord or its cache key
             .map(|ms| Instant::now() + Duration::from_millis(ms));
+        // Keys depend on nothing the lock guards: compute them outside it.
+        let batch_keys: Vec<String> = req
+            .specs
+            .iter()
+            .map(|spec| self.job_key(spec, req.no_cache))
+            .collect();
         let mut state = self.locked();
         if state.draining {
             return Admission::Draining;
@@ -431,13 +445,10 @@ impl Scheduler {
         }
         // First pass: how many *fresh* jobs would this batch enqueue?
         let mut fresh = 0usize;
-        let mut batch_keys: Vec<String> = Vec::with_capacity(req.specs.len());
-        for spec in &req.specs {
-            let key = self.job_key(spec, req.no_cache);
-            if !state.jobs.contains_key(&key) && !batch_keys.contains(&key) {
+        for (i, key) in batch_keys.iter().enumerate() {
+            if !state.jobs.contains_key(key) && batch_keys.iter().take(i).all(|k| k != key) {
                 fresh += 1;
             }
-            batch_keys.push(key);
         }
         if state.queue.len() + fresh > self.config.queue_capacity {
             return Admission::Overloaded(Overloaded {
@@ -669,14 +680,14 @@ impl Scheduler {
             }
             return (record, false);
         }
-        let mut harness = Harness::new().with_config(self.config.machine);
-        if let Some(store) = &self.config.store {
-            harness = harness.with_store(store.clone());
+        match telemetry {
+            Some(handle) => self
+                .harness
+                .clone()
+                .with_telemetry(handle)
+                .run_detailed(spec),
+            None => self.harness.run_detailed(spec),
         }
-        if let Some(handle) = telemetry {
-            harness = harness.with_telemetry(handle);
-        }
-        harness.run_detailed(spec)
     }
 
     /// Begins draining: new submissions are rejected, queued and running

@@ -1,15 +1,15 @@
 //! End-to-end daemon tests over real sockets: fig1-sweep parity with the
 //! in-process harness, explicit overload replies, deadline expiry, cache
 //! stats over the wire, drain-on-shutdown, and the bounds a misbehaving
-//! peer meets (never reading, never sending a newline).
+//! peer meets (never reading, never sending a newline, nesting too deep).
 
 use atscale::{Harness, RunSpec, RunStore, SweepConfig};
 use atscale_mmu::MachineConfig;
-use atscale_serve::protocol::{self, Request, Submit};
+use atscale_serve::protocol::{self, Reply, Request, Submit};
 use atscale_serve::{Client, ClientError, ServeConfig, Server, SubmitOptions};
 use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
@@ -486,5 +486,40 @@ fn a_line_that_never_ends_is_cut_off() {
 
     let mut healthy = Client::connect(&format!("unix:{}", path.display())).expect("connect");
     healthy.hello().expect("the daemon outlives the flood");
+    server.shutdown_and_join();
+}
+
+/// One line of deep nesting is a bad frame, not a crash: the codec's
+/// nesting bound answers it with an `Error` frame from the shard thread
+/// that decodes it, the connection keeps answering, and the daemon keeps
+/// welcoming other clients.
+#[test]
+fn a_deeply_nested_line_is_a_bad_frame() {
+    let (server, path) = start_unix_server("nesting", None);
+    let mut stream = UnixStream::connect(&path).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("socket timeout");
+    let mut replies = BufReader::new(stream.try_clone().expect("clone")).lines();
+    let mut ask = |line: &str| {
+        stream.write_all(line.as_bytes()).expect("send");
+        stream.write_all(b"\n").expect("send");
+        let reply = replies.next().expect("a reply").expect("read");
+        protocol::decode::<Reply>(&reply).expect("a frame")
+    };
+
+    match ask(&"[".repeat(100_000)) {
+        Reply::Error(e) => assert!(
+            e.message.contains("nesting deeper than 128"),
+            "{}",
+            e.message
+        ),
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
+    let stats = ask(&protocol::encode(&Request::ServerStats));
+    assert!(matches!(stats, Reply::ServerStats(_)), "{stats:?}");
+
+    let mut second = Client::connect(&format!("unix:{}", path.display())).expect("connect");
+    second.hello().expect("a second client is welcomed");
     server.shutdown_and_join();
 }
