@@ -272,7 +272,7 @@ impl Analysis {
                         return ids.clone();
                     }
                 }
-                // Module-qualified call (`store::default_location(...)`):
+                // Module-qualified call (`store::hot_row(...)`):
                 // fall back to free functions with that name.
                 self.by_name
                     .get(&call.name)

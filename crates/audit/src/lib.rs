@@ -1,8 +1,8 @@
 //! # atscale-audit — workspace static-analysis pass
 //!
 //! A self-contained consistency checker for the atscale workspace, run in
-//! CI as `cargo run -p atscale-audit`. It enforces twelve rules that rustc
-//! and clippy cannot express — eight text-scan rules plus four passes built
+//! CI as `cargo run -p atscale-audit`. It enforces eleven rules that rustc
+//! and clippy cannot express — seven text-scan rules plus four passes built
 //! on the `atscale-analyze` lexer/call-graph engine (see [`lex`], [`model`],
 //! [`graph`], [`passes`] and DESIGN.md §14):
 //!
@@ -23,7 +23,7 @@
 //! 3. **Lint wiring** ([`audit_lint_wiring`]) — the `[workspace.lints]`
 //!    policy exists, every member crate opts in, and every crate root
 //!    carries `#![forbid(unsafe_code)]`. One documented FFI exception:
-//!    `crates/native` (the raw `perf_event_open` harness) must carry
+//!    `crates/serve` (the raw `epoll`/`eventfd` reactor shim) must carry
 //!    `#![deny(unsafe_code)]` at its root instead, and any
 //!    `allow(unsafe_code)` / `unsafe` token inside that crate may appear
 //!    only in its syscall shim module `src/sys.rs`.
@@ -47,30 +47,23 @@
 //!    in the instrumented library crates AND exercised by the chaos test
 //!    suite, so the deterministic fault layer can neither grow dead sites
 //!    nor ship recovery paths no chaos scenario arms.
-//! 8. **Native event coverage** ([`audit_native_event_coverage`]) — every
-//!    Table VI counter name exported by `Counters::events()` appears in
-//!    the native harness's `MAPPED` counter group or its explicit
-//!    `UNMAPPED` table (with a reason), never both, and `UNMAPPED` holds
-//!    no stale names — a simulator counter cannot be added without a
-//!    recorded native-mapping decision. Architecture schema counters get
-//!    the same treatment against the `ARCH_UNMAPPED` table.
-//! 9. **Determinism taint** ([`passes::determinism_taint`]) — no
+//! 8. **Determinism taint** ([`passes::determinism_taint`]) — no
 //!    wall-clock, thread-identity, environment, entropy, or
 //!    `HashMap`/`HashSet` iteration in any function that can reach
 //!    `RunRecord` serialization (`RunStore::save`/`key`) or the telemetry
 //!    JSONL stream (`TelemetrySink::sample`).
-//! 10. **Lock discipline** ([`passes::lock_discipline`]) — the
-//!     lock-acquisition order graph must be acyclic, and locks held across
-//!     blocking I/O are flagged.
-//! 11. **Panic surface** ([`passes::panic_surface`]) — panic-capable sites
+//! 9. **Lock discipline** ([`passes::lock_discipline`]) — the
+//!    lock-acquisition order graph must be acyclic, and locks held across
+//!    blocking I/O are flagged.
+//! 10. **Panic surface** ([`passes::panic_surface`]) — panic-capable sites
 //!     reachable from the server worker/connection threads must be
 //!     contained by the scheduler's `catch_unwind` boundary.
-//! 12. **Exemption audit** ([`passes::allow_exemptions`]) — every
+//! 11. **Exemption audit** ([`passes::allow_exemptions`]) — every
 //!     `// analyze:allow(tag): why` carries a known tag and a
 //!     justification, and determinism allows match `ANALYZE_ALLOWLIST.md`
 //!     bidirectionally.
 //!
-//! The eight text-scan rules work on comment-stripped source with a small
+//! The seven text-scan rules work on comment-stripped source with a small
 //! brace matcher (see [`source`]) rather than a full parser: the offline
 //! build vendors no `syn`, and the shapes under audit — struct fields,
 //! impl headers, `pub fn` signatures — are kept canonical by rustfmt. The
@@ -92,7 +85,6 @@ pub mod invariants;
 pub mod lex;
 pub mod lints;
 pub mod model;
-pub mod native;
 pub mod passes;
 pub mod protocol;
 pub mod report;
@@ -104,7 +96,6 @@ pub use faults::audit_fault_site_coverage;
 pub use hotpath::audit_hot_path_allocation;
 pub use invariants::audit_invariant_annotations;
 pub use lints::audit_lint_wiring;
-pub use native::audit_native_event_coverage;
 pub use protocol::audit_protocol_roundtrip;
 pub use telemetry::audit_telemetry_coverage;
 
@@ -301,7 +292,7 @@ pub struct AnalysisOutcome {
     pub report: report::Report,
 }
 
-/// Runs every rule — the eight text-scan rules plus the four call-graph
+/// Runs every rule — the seven text-scan rules plus the four call-graph
 /// passes — and returns the audits together with the report data.
 pub fn run_full(ws: &Workspace) -> AnalysisOutcome {
     let analysis = graph::Analysis::build(ws);
@@ -317,7 +308,6 @@ pub fn run_full(ws: &Workspace) -> AnalysisOutcome {
         audit_protocol_roundtrip(ws),
         audit_hot_path_allocation(ws),
         audit_fault_site_coverage(ws),
-        audit_native_event_coverage(ws),
         det_audit,
         lock_audit,
         panic_audit,

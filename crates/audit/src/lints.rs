@@ -8,15 +8,14 @@
 //! *configuration* itself tamper-evident so a crate cannot quietly drop out
 //! of the policy.
 //!
-//! Two documented FFI exceptions, both raw-syscall shims the workspace
-//! cannot express safely because it vendors no `libc`/`perf`/`mio` crate
-//! to hide them in: `crates/native` wraps `perf_event_open(2)`, and
-//! `crates/serve` wraps `epoll`/`eventfd` for its thread-per-core reactor
-//! tier. Each exception crate's root must carry `#![deny(unsafe_code)]`
-//! instead of `forbid` (deny is overridable by an item-level `allow`,
-//! forbid is not), and this rule pins the blast radius: within each
-//! exception crate, any `allow(unsafe_code)` or `unsafe` token may appear
-//! only in that crate's sanctioned syscall-shim module `src/sys.rs`.
+//! One documented FFI exception, a raw-syscall shim the workspace cannot
+//! express safely because it vendors no `libc`/`mio` crate to hide it in:
+//! `crates/serve` wraps `epoll`/`eventfd` for its reactor. The exception
+//! crate's root must carry `#![deny(unsafe_code)]` instead of `forbid`
+//! (deny is overridable by an item-level `allow`, forbid is not), and this
+//! rule pins the blast radius: within that crate, any `allow(unsafe_code)`
+//! or `unsafe` token may appear only in its sanctioned syscall-shim module
+//! `src/sys.rs`. Every other crate, whatever it is named, must forbid.
 
 use crate::{Audit, Workspace};
 
@@ -92,25 +91,18 @@ struct FfiException {
     module: &'static str,
 }
 
-/// The sanctioned-unsafe sites: `perf_event_open(2)` in `atscale-native`
-/// and `epoll`/`eventfd` in `atscale-serve`'s reactor tier.
-const FFI_EXCEPTIONS: [FfiException; 2] = [
-    FfiException {
-        crate_dir: "crates/native/",
-        root: "crates/native/src/lib.rs",
-        module: "crates/native/src/sys.rs",
-    },
-    FfiException {
-        crate_dir: "crates/serve/",
-        root: "crates/serve/src/lib.rs",
-        module: "crates/serve/src/sys.rs",
-    },
-];
+/// The sanctioned-unsafe sites: `epoll`/`eventfd` in `atscale-serve`'s
+/// reactor.
+const FFI_EXCEPTIONS: [FfiException; 1] = [FfiException {
+    crate_dir: "crates/serve/",
+    root: "crates/serve/src/lib.rs",
+    module: "crates/serve/src/sys.rs",
+}];
 
 /// Every crate root must forbid unsafe code outright — except the
-/// documented FFI crates, whose roots must *deny* it (so each syscall
-/// shim can re-allow it for exactly one module) and whose `unsafe` usage
-/// must stay confined to that module.
+/// documented FFI crate, whose root must *deny* it (so its syscall shim
+/// can re-allow it for exactly one module) and whose `unsafe` usage must
+/// stay confined to that module.
 fn check_unsafe_forbidden(audit: &mut Audit, ws: &Workspace) {
     for root in ws.crate_roots() {
         audit.check();
@@ -286,58 +278,6 @@ workspace = true
     #[test]
     fn ffi_exception_crate_with_deny_and_confined_unsafe_passes() {
         let mut files = good();
-        files.push(("crates/native/Cargo.toml", GOOD_CRATE));
-        files.push((
-            "crates/native/src/lib.rs",
-            "#![deny(unsafe_code)]\npub mod sys;",
-        ));
-        files.push((
-            "crates/native/src/sys.rs",
-            "#[allow(unsafe_code)]\nmod imp { pub fn open() -> i64 { unsafe { syscall(298) } } }",
-        ));
-        let audit = audit_lint_wiring(&workspace_from(&files));
-        assert_eq!(audit.violations, Vec::new());
-    }
-
-    #[test]
-    fn ffi_exception_crate_without_deny_is_flagged() {
-        let mut files = good();
-        files.push(("crates/native/Cargo.toml", GOOD_CRATE));
-        files.push(("crates/native/src/lib.rs", "pub mod sys;"));
-        files.push(("crates/native/src/sys.rs", "pub fn open() -> i64 { 0 }"));
-        let audit = audit_lint_wiring(&workspace_from(&files));
-        assert!(audit
-            .violations
-            .iter()
-            .any(|v| v.message.contains("deny(unsafe_code)")));
-    }
-
-    #[test]
-    fn unsafe_outside_the_syscall_shim_is_flagged() {
-        let mut files = good();
-        files.push(("crates/native/Cargo.toml", GOOD_CRATE));
-        files.push((
-            "crates/native/src/lib.rs",
-            "#![deny(unsafe_code)]\npub mod sys;\npub mod sneaky;",
-        ));
-        files.push(("crates/native/src/sys.rs", "pub fn open() -> i64 { 0 }"));
-        files.push((
-            "crates/native/src/sneaky.rs",
-            "#[allow(unsafe_code)]\npub fn f() { unsafe { core::hint::unreachable_unchecked() } }",
-        ));
-        let audit = audit_lint_wiring(&workspace_from(&files));
-        assert!(audit
-            .violations
-            .iter()
-            .any(|v| v.file == "crates/native/src/sneaky.rs"
-                && v.message.contains("outside the sanctioned FFI module")));
-    }
-
-    #[test]
-    fn serve_epoll_shim_is_a_second_sanctioned_site() {
-        // The serve crate mirrors native's exception: deny at the root,
-        // unsafe confined to src/sys.rs — and anything outside it flags.
-        let mut files = good();
         files.push(("crates/serve/Cargo.toml", GOOD_CRATE));
         files.push((
             "crates/serve/src/lib.rs",
@@ -350,7 +290,23 @@ workspace = true
         files.push(("crates/serve/src/reactor.rs", "pub fn run() {}"));
         let audit = audit_lint_wiring(&workspace_from(&files));
         assert_eq!(audit.violations, Vec::new());
+    }
 
+    #[test]
+    fn ffi_exception_crate_without_deny_is_flagged() {
+        let mut files = good();
+        files.push(("crates/serve/Cargo.toml", GOOD_CRATE));
+        files.push(("crates/serve/src/lib.rs", "pub mod sys;"));
+        files.push(("crates/serve/src/sys.rs", "pub fn ep() -> i64 { 0 }"));
+        let audit = audit_lint_wiring(&workspace_from(&files));
+        assert!(audit
+            .violations
+            .iter()
+            .any(|v| v.message.contains("deny(unsafe_code)")));
+    }
+
+    #[test]
+    fn unsafe_outside_the_syscall_shim_is_flagged() {
         let mut files = good();
         files.push(("crates/serve/Cargo.toml", GOOD_CRATE));
         files.push((
@@ -368,6 +324,33 @@ workspace = true
             .iter()
             .any(|v| v.file == "crates/serve/src/reactor.rs"
                 && v.message.contains("outside the sanctioned FFI module")));
+    }
+
+    #[test]
+    fn a_syscall_shim_outside_serve_is_not_sanctioned() {
+        // The exception is keyed to `crates/serve` alone: any other crate
+        // with a deny root and a `src/sys.rs` shim is an ordinary crate
+        // missing its forbid.
+        let mut files = good();
+        files.push(("crates/native/Cargo.toml", GOOD_CRATE));
+        files.push((
+            "crates/native/src/lib.rs",
+            "#![deny(unsafe_code)]\npub mod sys;",
+        ));
+        files.push((
+            "crates/native/src/sys.rs",
+            "#[allow(unsafe_code)]\nmod imp { pub fn open() -> i64 { unsafe { syscall(298) } } }",
+        ));
+        let audit = audit_lint_wiring(&workspace_from(&files));
+        assert!(
+            audit
+                .violations
+                .iter()
+                .any(|v| v.file == "crates/native/src/lib.rs"
+                    && v.message.contains("forbid(unsafe_code)")),
+            "{:?}",
+            audit.violations
+        );
     }
 
     #[test]

@@ -98,15 +98,6 @@ pub fn has_ident(text: &str, ident: &str) -> bool {
 /// Every `"..."` literal in `text`, in order (comment-stripped input; the
 /// name and reason literals the rules scan contain no escapes).
 pub fn quoted_strings(text: &str) -> Vec<String> {
-    quoted_strings_with_ends(text)
-        .into_iter()
-        .map(|(_, s)| s)
-        .collect()
-}
-
-/// Like [`quoted_strings`], also yielding the byte offset just past each
-/// literal's closing quote.
-pub fn quoted_strings_with_ends(text: &str) -> Vec<(usize, String)> {
     let bytes = text.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;
@@ -121,7 +112,7 @@ pub fn quoted_strings_with_ends(text: &str) -> Vec<(usize, String)> {
                 j += 1;
             }
             if j < bytes.len() {
-                out.push((j + 1, text[start..j].to_string()));
+                out.push(text[start..j].to_string());
             }
             i = j + 1;
         } else {

@@ -14,8 +14,8 @@
 use atscale_audit::graph::Analysis;
 use atscale_audit::{
     audit_counter_coverage, audit_fault_site_coverage, audit_hot_path_allocation,
-    audit_invariant_annotations, audit_lint_wiring, audit_native_event_coverage,
-    audit_protocol_roundtrip, audit_telemetry_coverage,
+    audit_invariant_annotations, audit_lint_wiring, audit_protocol_roundtrip,
+    audit_telemetry_coverage,
 };
 use atscale_audit::{passes, Audit, SourceFile, Workspace};
 use std::fs;
@@ -30,7 +30,6 @@ fn run_rule(rule: &str, ws: &Workspace, a: &Analysis) -> Audit {
         "protocol-roundtrip" => audit_protocol_roundtrip(ws),
         "hot-path-allocation" => audit_hot_path_allocation(ws),
         "fault-site-coverage" => audit_fault_site_coverage(ws),
-        "native-event-coverage" => audit_native_event_coverage(ws),
         "determinism-taint" => passes::determinism_taint(a).0,
         "lock-discipline" => passes::lock_discipline(a).0,
         "panic-surface" => passes::panic_surface(a).0,

@@ -19,7 +19,6 @@
 //!
 //! query options:
 //!   --workload NAME                restrict to one workload
-//!   --source NAME                  restrict to one provenance tag (sim/native)
 //!   --arch NAME                    restrict to one translation architecture
 //!                                  (baseline/victima/dram-cache/no-tlb)
 //!   --min-footprint-mb N           inclusive lower footprint bound
@@ -128,9 +127,6 @@ fn parse_args() -> Result<Options, String> {
             "--progress" => opts.progress = true,
             "--workload" => {
                 opts.filter.workload = Some(iter.next().ok_or("--workload needs a name")?.clone());
-            }
-            "--source" => {
-                opts.filter.source = Some(iter.next().ok_or("--source needs a name")?.clone());
             }
             "--arch" => {
                 let name = iter.next().ok_or("--arch needs a name")?;

@@ -5,8 +5,8 @@
 //! store_compact [--dir DIR] [--verify] [--stats-out PATH]
 //! ```
 //!
-//! Opens `DIR` (default: the harness's default store location,
-//! `results/runs` or `$ATSCALE_RESULTS/runs`) — which, like every open,
+//! Opens `DIR` (default: the store `atscale run` fills,
+//! `$ATSCALE_RESULTS/runs`, or `results/runs`) — which, like every open,
 //! folds any legacy per-file `.json` records into the segment store with
 //! their keys and raw bytes preserved exactly — then compacts. With `--verify`,
 //! the store's online aggregates are diffed against a recomputation from
@@ -80,11 +80,11 @@ fn verify(store: &RunStore, phase: &str) -> Result<(), String> {
 }
 
 fn run(opts: &Options) -> Result<(), String> {
-    let store = match &opts.dir {
-        Some(dir) => RunStore::open(dir),
-        None => RunStore::default_location(),
-    }
-    .map_err(|e| format!("cannot open store: {e}"))?;
+    let dir = opts.dir.clone().unwrap_or_else(|| {
+        let base = std::env::var("ATSCALE_RESULTS").unwrap_or_else(|_| "results".into());
+        PathBuf::from(base).join("runs")
+    });
+    let store = RunStore::open(dir).map_err(|e| format!("cannot open store: {e}"))?;
 
     println!(
         "opened: {} live row(s), {} legacy record(s) migrated by this open",

@@ -107,17 +107,6 @@ impl RunStore {
         self
     }
 
-    /// The default store location, `results/runs` under the workspace,
-    /// overridable with the `ATSCALE_RESULTS` environment variable.
-    ///
-    /// # Errors
-    ///
-    /// As [`RunStore::open`].
-    pub fn default_location() -> std::io::Result<RunStore> {
-        let base = std::env::var("ATSCALE_RESULTS").unwrap_or_else(|_| "results".into());
-        Self::open(Path::new(&base).join("runs"))
-    }
-
     /// Stable cache key for a run: content hash of the spec and machine
     /// configuration (any config change invalidates the cache).
     pub fn key(spec: &RunSpec, config: &MachineConfig) -> String {
@@ -301,8 +290,8 @@ fn migrate_legacy(dir: &Path, segments: &SegmentStore) -> std::io::Result<(u64, 
 /// Extracts the segment store's fixed hot-column schema from a record:
 /// the fig1 axes, the WCPI/regressor fixed-point values, and the Table VI
 /// walk counters. Rows are tagged `source: "sim"` — simulator records are
-/// the only kind the store commits today (native-counter rows arrive via
-/// the telemetry compare path, not the run cache).
+/// the only kind the store holds; the column stays so the segment format
+/// and the results-plane group key are unchanged.
 pub fn hot_row(record: &RunRecord) -> HotRow {
     let counters = &record.result.counters;
     HotRow {

@@ -31,8 +31,7 @@
 //! Each architecture contributes its own counter schema
 //! ([`TranslationArchitecture::extra_counters`], listed statically in
 //! [`ARCH_COUNTER_SCHEMAS`]), which rides in `RunResult::arch_events` and is
-//! audited like the Table VI events (mapped to a native event or explicitly
-//! unmapped with a reason).
+//! audited like the Table VI events.
 
 use crate::{MachineConfig, TlbHierarchy, TlbHit};
 use atscale_cache::{CacheConfig, CacheResponse, HitLevel, SetAssocCache};
@@ -126,9 +125,9 @@ impl Deserialize for ArchKind {
 
 /// Per-architecture counter schemas: names beyond the Table VI event file,
 /// reported through `RunResult::arch_events`. The audit's counter-coverage
-/// and native-event-mapping rules consume this table, so every name here
-/// must be produced by the matching `extra_counters` impl and either mapped
-/// to a native event or explicitly unmapped with a reason.
+/// rule consumes this table, so every name here must be produced by the
+/// matching `extra_counters` impl, and every name it produces must be
+/// listed here.
 pub const ARCH_COUNTER_SCHEMAS: &[(&str, &[&str])] = &[
     ("baseline", &[]),
     (

@@ -226,8 +226,8 @@ impl Counters {
     /// Returns **every** violated invariant, not just the first — when a
     /// counter-plumbing bug breaks several outcomes at once, one report
     /// shows the whole blast radius instead of forcing a fix-rerun loop
-    /// per message (the same one-pass discipline `telemetry_validate` and
-    /// the native reconciliation checks follow).
+    /// per message (the same one-pass discipline `telemetry_validate`
+    /// follows).
     pub fn consistency_errors(&self) -> Vec<String> {
         let o = self.walk_outcomes();
         let mut errs = Vec::new();

@@ -32,8 +32,8 @@ pub struct HotRow {
     pub page_size: String,
     /// Workload seed.
     pub seed: u64,
-    /// Record provenance (`sim` / `native`), mirroring the telemetry
-    /// schema-v3 source tag.
+    /// Record provenance, mirroring the telemetry schema-v3 source tag;
+    /// always `sim`.
     pub source: String,
     /// Translation architecture label (`baseline` / `victima` /
     /// `dram-cache` / `no-tlb`). Rows from pre-arch stores decode as
@@ -349,7 +349,7 @@ impl AggState {
 pub struct QueryFilter {
     /// Restrict to one workload id.
     pub workload: Option<String>,
-    /// Restrict to one provenance tag (`sim` / `native`).
+    /// Restrict to one provenance tag (every row is `sim`).
     pub source: Option<String>,
     /// Restrict to one translation architecture (`baseline` / `victima` /
     /// `dram-cache` / `no-tlb`).

@@ -152,11 +152,13 @@ fn main() -> ExitCode {
     let store = if opts.no_store {
         None
     } else {
-        let opened = match &opts.store_dir {
-            Some(dir) => RunStore::open(dir),
-            None => RunStore::default_location(),
-        };
-        match opened {
+        // Without `--store`, the store `atscale run` fills:
+        // `$ATSCALE_RESULTS/runs` (default `results/runs`).
+        let dir = opts.store_dir.clone().unwrap_or_else(|| {
+            let base = std::env::var("ATSCALE_RESULTS").unwrap_or_else(|_| "results".into());
+            PathBuf::from(base).join("runs")
+        });
+        match RunStore::open(dir) {
             Ok(store) => Some(store),
             Err(e) => {
                 eprintln!("atscale-serve: cannot open run store: {e}");

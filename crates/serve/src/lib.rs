@@ -15,8 +15,8 @@
 //! - [`scheduler`] — single-flight dedup, admission control, deadlines,
 //!   drain;
 //! - [`server`] — endpoint binding, request dispatch, lifecycle;
-//! - [`sys`] — the raw epoll/eventfd syscall shim (the crate's single
-//!   sanctioned-unsafe module, mirroring `atscale-native`'s);
+//! - [`sys`] — the raw epoll/eventfd syscall shim (the workspace's single
+//!   sanctioned-unsafe module);
 //! - [`reactor`] — the one I/O plane, for TCP and Unix sockets alike: an
 //!   epoll acceptor plus thread-per-core reactor shards (non-blocking
 //!   framed I/O, per-connection backpressure in both directions);
@@ -41,8 +41,8 @@
 //! `Failed` frames — is always on.
 
 // `deny`, not `forbid`: the epoll shim in `sys` carries the documented,
-// audit-pinned `#[allow(unsafe_code)]` exception (rule 3), exactly like
-// `atscale-native`'s perf shim.
+// audit-pinned `#[allow(unsafe_code)]` exception (rule 3), the only one
+// in the workspace.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

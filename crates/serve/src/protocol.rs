@@ -23,8 +23,9 @@ pub use atscale::results::{CompactStats, GroupSummary, QueryFilter, QueryResult,
 /// frame-shape change.
 ///
 /// v4: [`RecordDone`] and [`SampleEvent`] carry the telemetry schema-v3
-/// `source` tag (`"sim"` for everything the daemon produces today;
-/// `"native"` is reserved for a future counter-replay path). The vendored
+/// `source` tag, always `"sim"`: the daemon only serves simulated runs.
+/// The field stays on the wire until a format bump with another reason
+/// to happen folds it away. The vendored
 /// serde derive has no field defaulting, so v3 frames do not decode —
 /// client and server are co-versioned in this repository and the handshake
 /// rejects mismatches explicitly.
@@ -412,6 +413,12 @@ mod tests {
         let err = decode::<Request>(&line).unwrap_err();
         assert!(err.len() < 3 * ECHO_BYTES, "{} bytes", err.len());
         assert!(err.contains("(200002 bytes)"), "{err}");
+        // Valid JSON of the wrong shape: a 1 MiB string where `id` wants a
+        // number. The shape error itself is bounded where it is built.
+        let line = format!("{{\"Submit\":{{\"id\":\"{}\"}}}}", "x".repeat(1 << 20));
+        let err = decode::<Request>(&line).unwrap_err();
+        assert!(err.len() < 3 * ECHO_BYTES, "{} bytes", err.len());
+        assert!(err.contains("expected u64, found Str(\"xxx"), "{err}");
         let err = decode::<Request>(&"[".repeat(100_000)).unwrap_err();
         assert!(err.contains("nesting deeper than 128"), "{err}");
     }

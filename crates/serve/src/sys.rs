@@ -1,18 +1,15 @@
 //! Raw `epoll(7)`/`eventfd(2)` bindings — the crate's single FFI boundary.
 //!
-//! The build environment has no `libc` crate, so (exactly like
-//! `atscale-native`'s `perf_event_open` shim, whose idiom this module
-//! mirrors) the syscalls are declared directly as the C library's variadic
-//! `syscall(2)` entry point and the `epoll_event` struct is laid out by
-//! hand. Every fd the kernel hands back is immediately wrapped in a
+//! The build environment has no `libc` crate, so the syscalls are
+//! declared directly as the C library's variadic `syscall(2)` entry point
+//! and the `epoll_event` struct is laid out by hand. Every fd the kernel hands back is immediately wrapped in a
 //! [`File`] so closing is RAII, and the eventfd's read/write halves go
 //! through safe `std::io`.
 //!
 //! Everything `unsafe` in `atscale-serve` lives in this module; the crate
 //! root holds `#![deny(unsafe_code)]` and only this module carries the
 //! narrow `#[allow]` (see `lib.rs` and audit rule 3's documented FFI
-//! exceptions — this is the second sanctioned site, after
-//! `crates/native/src/sys.rs`).
+//! exception — this is the workspace's only sanctioned-unsafe site).
 //!
 //! The wait path uses `epoll_pwait` with a null sigmask on both
 //! architectures: aarch64 never had a bare `epoll_wait` syscall, and with

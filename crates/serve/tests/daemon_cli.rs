@@ -1,5 +1,6 @@
 //! The `atscale-serve` binary's command line: one I/O plane, so no
-//! `--io`, and `--reactors` applies to whatever endpoints are given.
+//! `--io`, and `--reactors` applies to whatever endpoints are given;
+//! without `--store`/`--no-store` it opens `$ATSCALE_RESULTS/runs`.
 
 use atscale_serve::Client;
 use std::process::{Command, Stdio};
@@ -49,4 +50,40 @@ fn socket_is_served_through_reactor_shards() {
     control.shutdown().expect("acknowledged");
     assert!(daemon.wait().expect("reap daemon").success());
     assert!(!path.exists(), "exit unlinks the socket");
+}
+
+#[test]
+fn without_store_flags_the_daemon_opens_the_results_store() {
+    let base = std::env::temp_dir().join(format!("atscale-cli-results-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let path = base.with_extension("sock");
+    let _ = std::fs::remove_file(&path);
+    let mut daemon = Command::new(DAEMON)
+        .env("ATSCALE_RESULTS", &base)
+        .arg("--socket")
+        .arg(&path)
+        .args(["--reactors", "1", "--workers", "1"])
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("launch atscale-serve");
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !path.exists() {
+        assert!(Instant::now() < deadline, "daemon never bound {path:?}");
+        assert!(
+            daemon.try_wait().expect("poll daemon").is_none(),
+            "daemon exited before binding"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // The store is opened before the socket is bound.
+    assert!(
+        base.join("runs/segments").is_dir(),
+        "no store under {base:?}"
+    );
+    let mut control = Client::connect_unix(&path).expect("connect");
+    control.shutdown().expect("acknowledged");
+    assert!(daemon.wait().expect("reap daemon").success());
+    assert!(!path.exists(), "exit unlinks the socket");
+    let _ = std::fs::remove_dir_all(&base);
 }

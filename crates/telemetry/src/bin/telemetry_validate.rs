@@ -2,8 +2,8 @@
 //!
 //! Reports **every** schema violation in each stream (not just the first)
 //! and exits non-zero if any stream has one, so CI can gate the telemetry
-//! smoke jobs on emitted streams staying well-formed and a sim-vs-native
-//! schema diff is debuggable in a single run.
+//! smoke jobs on emitted streams staying well-formed, and a schema diff is
+//! debuggable in a single run.
 
 #![forbid(unsafe_code)]
 

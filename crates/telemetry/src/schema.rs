@@ -4,32 +4,35 @@
 //! discriminator. The schema is versioned by the leading `meta` event
 //! ([`crate::SCHEMA_VERSION`]); [`validate_stream`] enforces both the
 //! per-event shapes and the stream-level protocol (meta first, exactly one
-//! trailing `summary`). CI runs this validator over real `fig1` and
-//! `perf_native` sample streams, and the golden-schema test pins the exact
-//! key sets so schema drift is an explicit, reviewed change.
+//! trailing `summary`). CI runs this validator over the real `fig1` and
+//! served-sweep streams, and the golden-schema test pins the exact key
+//! sets so schema drift is an explicit, reviewed change.
 //!
 //! ## Versions
 //!
 //! * **v1** — initial stream (meta/sample/hist/span/progress/summary).
 //! * **v2** — added the `fault` event (deterministic fault injection).
-//! * **v3** — every event carries a `source` tag (`"sim"` for simulator
-//!   streams, `"native"` for the hardware-counter harness), and the
+//! * **v3** — every event carries a `source` tag, and the
 //!   `native_unavailable` event records an explicit skip when
-//!   `perf_event_open` is denied.
+//!   `perf_event_open` is denied. Every emitter in the tree writes
+//!   `"sim"`; `"native"` and `native_unavailable` were written by the
+//!   hardware-counter harness, since retired, and are still accepted so
+//!   its v3 streams stay valid.
 //!
 //! Only the current version is accepted: no emitter in the tree writes
 //! anything else, so a stream announcing another version is outside input
 //! and is rejected at its meta event.
 //!
 //! Validation reports **every** violation it can find in one pass
-//! ([`validate_stream_all`]), not just the first — a sim-vs-native schema
-//! diff must be debuggable in a single run.
+//! ([`validate_stream_all`]), not just the first — a schema diff must be
+//! debuggable in a single run.
 
 use crate::{LatencyMetric, SCHEMA_VERSION};
 use serde::Value;
 use std::collections::BTreeMap;
 
-/// The admissible values of the schema-v3 `source` tag.
+/// The admissible values of the schema-v3 `source` tag (`"native"` for
+/// compatibility only: nothing in the tree emits it).
 pub const SOURCES: [&str; 2] = ["sim", "native"];
 
 /// Rates every `sample` event must carry — the interval series the paper
@@ -463,6 +466,23 @@ mod tests {
     }
 
     #[test]
+    fn the_retired_harness_skip_stream_still_validates() {
+        // Written verbatim by the hardware-counter harness on a host with
+        // no PMU, before the harness was retired.
+        let skip = concat!(
+            r#"{"type":"meta","source":"native","schema":3,"stream":"atscale-telemetry"}"#,
+            "\n",
+            r#"{"type":"native_unavailable","source":"native","reason":"no usable PMU: perf_event_open: inst_retired.any: No such file or directory (os error 2)"}"#,
+            "\n",
+            r#"{"type":"summary","source":"native","samples":0,"progress":0,"spans":0}"#,
+            "\n"
+        );
+        let summary = validate_stream(skip).unwrap();
+        assert_eq!(summary.lines, 3);
+        assert_eq!(summary.by_type.get("native_unavailable"), Some(&1));
+    }
+
+    #[test]
     fn hist_bucket_counts_must_reconcile() {
         let line = r#"{"type":"hist","source":"sim","metric":"walk_cycles","unit":"cycles",
             "count":3,"sum":10,"min":1,"max":5,"buckets":[{"lo":1,"hi":1,"count":1}]}"#
@@ -503,7 +523,7 @@ mod tests {
     #[test]
     fn v3_streams_require_source_on_every_event() {
         let v3 = concat!(
-            r#"{"type":"meta","schema":3,"source":"native","stream":"atscale-native"}"#,
+            r#"{"type":"meta","schema":3,"source":"native","stream":"atscale-telemetry"}"#,
             "\n",
             r#"{"type":"summary","samples":0,"progress":0,"spans":0}"#,
             "\n"

@@ -15,9 +15,14 @@ use std::sync::Arc;
 ///
 /// Version history: 1 — initial stream; 2 — added the `fault` event
 /// (deterministic fault-injection observations from chaos runs); 3 —
-/// every event carries a `source` tag (`"sim"` | `"native"`) and the
-/// `native_unavailable` event records an explicit hardware-counter skip.
+/// every event carries a `source` tag and the `native_unavailable` event
+/// records an explicit hardware-counter skip.
 pub const SCHEMA_VERSION: u64 = 3;
+
+/// The schema-v3 `source` tag this sink stamps on every event. The
+/// validator also accepts `"native"` and `native_unavailable` events, so
+/// streams from the retired hardware-counter harness stay valid v3.
+const SOURCE: &str = "sim";
 
 struct JsonlWriter {
     path: PathBuf,
@@ -41,7 +46,6 @@ struct SinkState {
     samples: Vec<(String, Sample)>,
     progress_events: u64,
     fault_events: u64,
-    native_unavailable_events: u64,
     jsonl: Option<JsonlWriter>,
     finished: bool,
 }
@@ -55,9 +59,6 @@ struct SinkState {
 pub struct TelemetrySink {
     state: Mutex<SinkState>,
     stderr_progress: bool,
-    /// The schema-v3 `source` tag stamped on every emitted event:
-    /// `"sim"` (default) or `"native"`.
-    source: String,
 }
 
 impl std::fmt::Debug for TelemetrySink {
@@ -77,10 +78,12 @@ impl Default for TelemetrySink {
     }
 }
 
-fn tagged(event_type: &str, source: &str, head: Vec<(String, Value)>, body: Value) -> Value {
+/// One event: `type`, `source`, the `head` fields, then `body`'s fields
+/// when it is a map.
+fn tagged(event_type: &str, head: Vec<(String, Value)>, body: Value) -> Value {
     let mut entries = vec![
         ("type".to_string(), Value::Str(event_type.to_string())),
-        ("source".to_string(), Value::Str(source.to_string())),
+        ("source".to_string(), Value::Str(SOURCE.to_string())),
     ];
     entries.extend(head);
     if let Value::Map(fields) = body {
@@ -98,21 +101,7 @@ impl TelemetrySink {
                 ..SinkState::default()
             }),
             stderr_progress: false,
-            source: "sim".to_string(),
         }
-    }
-
-    /// Sets the schema-v3 `source` tag (`"sim"` or `"native"`) stamped on
-    /// every emitted event. Call **before** [`TelemetrySink::with_jsonl`]
-    /// so the `meta` header carries the tag too.
-    pub fn with_source(mut self, source: impl Into<String>) -> TelemetrySink {
-        self.source = source.into();
-        self
-    }
-
-    /// The stream's `source` tag.
-    pub fn source(&self) -> &str {
-        &self.source
     }
 
     /// Attaches a JSONL stream at `path` (parent directories are created)
@@ -131,15 +120,17 @@ impl TelemetrySink {
             path,
             write_errors: 0,
         };
-        writer.write_event(&Value::Map(vec![
-            ("type".to_string(), Value::Str("meta".to_string())),
-            ("source".to_string(), Value::Str(self.source.clone())),
-            ("schema".to_string(), Value::U64(SCHEMA_VERSION)),
-            (
-                "stream".to_string(),
-                Value::Str("atscale-telemetry".to_string()),
-            ),
-        ]));
+        writer.write_event(&tagged(
+            "meta",
+            vec![
+                ("schema".to_string(), Value::U64(SCHEMA_VERSION)),
+                (
+                    "stream".to_string(),
+                    Value::Str("atscale-telemetry".to_string()),
+                ),
+            ],
+            Value::Null,
+        ));
         self.state.lock().jsonl = Some(writer);
         Ok(self)
     }
@@ -177,12 +168,14 @@ impl TelemetrySink {
     pub fn fault(&self, site: &str, hit: u64) {
         let mut state = self.state.lock();
         state.fault_events += 1;
-        let event = Value::Map(vec![
-            ("type".to_string(), Value::Str("fault".to_string())),
-            ("source".to_string(), Value::Str(self.source.clone())),
-            ("site".to_string(), Value::Str(site.to_string())),
-            ("hit".to_string(), Value::U64(hit)),
-        ]);
+        let event = tagged(
+            "fault",
+            vec![
+                ("site".to_string(), Value::Str(site.to_string())),
+                ("hit".to_string(), Value::U64(hit)),
+            ],
+            Value::Null,
+        );
         if let Some(writer) = state.jsonl.as_mut() {
             // analyze:allow(lock-io): JSONL events are written under the state lock so the stream order is total; the writer is buffered
             writer.write_event(&event);
@@ -192,31 +185,6 @@ impl TelemetrySink {
     /// Number of fault events delivered so far.
     pub fn fault_count(&self) -> u64 {
         self.state.lock().fault_events
-    }
-
-    /// Records that the native hardware-counter harness could not run
-    /// (`perf_event_open` denied or unsupported): an explicit, validated
-    /// skip marker so CI can tell "no native data" from "harness broke".
-    pub fn native_unavailable(&self, reason: &str) {
-        let mut state = self.state.lock();
-        state.native_unavailable_events += 1;
-        let event = Value::Map(vec![
-            (
-                "type".to_string(),
-                Value::Str("native_unavailable".to_string()),
-            ),
-            ("source".to_string(), Value::Str(self.source.clone())),
-            ("reason".to_string(), Value::Str(reason.to_string())),
-        ]);
-        if let Some(writer) = state.jsonl.as_mut() {
-            // analyze:allow(lock-io): skip markers share the ordered JSONL stream; the buffered write stays under the state lock by design
-            writer.write_event(&event);
-        }
-    }
-
-    /// Number of `native_unavailable` events delivered so far.
-    pub fn native_unavailable_count(&self) -> u64 {
-        self.state.lock().native_unavailable_events
     }
 
     /// Finalizes the stream: emits `hist` events for every non-empty
@@ -236,7 +204,6 @@ impl TelemetrySink {
             .map(|m| {
                 tagged(
                     "hist",
-                    &self.source,
                     vec![
                         ("metric".to_string(), Value::Str(m.name().to_string())),
                         ("unit".to_string(), Value::Str(m.unit().to_string())),
@@ -247,18 +214,20 @@ impl TelemetrySink {
             .collect();
         let span_events: Vec<Value> = span_records()
             .iter()
-            .map(|r| tagged("span", &self.source, Vec::new(), r.to_value()))
+            .map(|r| tagged("span", Vec::new(), r.to_value()))
             .collect();
-        let summary = Value::Map(vec![
-            ("type".to_string(), Value::Str("summary".to_string())),
-            ("source".to_string(), Value::Str(self.source.clone())),
-            (
-                "samples".to_string(),
-                Value::U64(state.samples.len() as u64),
-            ),
-            ("progress".to_string(), Value::U64(state.progress_events)),
-            ("spans".to_string(), Value::U64(span_events.len() as u64)),
-        ]);
+        let summary = tagged(
+            "summary",
+            vec![
+                (
+                    "samples".to_string(),
+                    Value::U64(state.samples.len() as u64),
+                ),
+                ("progress".to_string(), Value::U64(state.progress_events)),
+                ("spans".to_string(), Value::U64(span_events.len() as u64)),
+            ],
+            Value::Null,
+        );
         if let Some(writer) = state.jsonl.as_mut() {
             for event in hist_events.iter().chain(&span_events) {
                 // analyze:allow(lock-io): finalization writes under the state lock so no sample can interleave into the hist/span/summary tail
@@ -319,7 +288,6 @@ impl Recorder for TelemetrySink {
         let mut state = self.state.lock();
         let event = tagged(
             "sample",
-            &self.source,
             vec![("run".to_string(), Value::Str(run.to_string()))],
             sample.to_value(),
         );
@@ -340,7 +308,7 @@ impl Recorder for TelemetrySink {
         }
         let mut state = self.state.lock();
         state.progress_events += 1;
-        let line = tagged("progress", &self.source, Vec::new(), event.to_value());
+        let line = tagged("progress", Vec::new(), event.to_value());
         if let Some(writer) = state.jsonl.as_mut() {
             // analyze:allow(lock-io): progress events share the ordered JSONL stream; the buffered write stays under the state lock by design
             writer.write_event(&line);
@@ -417,8 +385,6 @@ mod tests {
             wall_ms: 1,
             cached: false,
         });
-        sink.native_unavailable("perf_event_open: EPERM");
-        assert_eq!(sink.native_unavailable_count(), 1);
         assert_eq!(sink.finish().as_deref(), Some(path.as_path()));
         assert_eq!(sink.finish().as_deref(), Some(path.as_path()), "idempotent");
         let text = std::fs::read_to_string(&path).unwrap();
@@ -428,7 +394,6 @@ mod tests {
             "\"type\":\"fault\"",
             "\"type\":\"hist\"",
             "\"type\":\"progress\"",
-            "\"type\":\"native_unavailable\"",
             "\"type\":\"summary\"",
         ] {
             assert!(text.contains(needle), "missing {needle} in {text}");
@@ -437,27 +402,6 @@ mod tests {
             assert!(
                 line.contains("\"source\":\"sim\""),
                 "schema v3: every event carries the source tag: {line}"
-            );
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn native_source_tags_the_whole_stream() {
-        let path =
-            std::env::temp_dir().join(format!("atscale-sink-native-{}.jsonl", std::process::id()));
-        let sink = TelemetrySink::new()
-            .with_source("native")
-            .with_jsonl(&path)
-            .unwrap();
-        assert_eq!(sink.source(), "native");
-        sink.sample("r", &sample());
-        sink.finish();
-        let text = std::fs::read_to_string(&path).unwrap();
-        for line in text.lines() {
-            assert!(
-                line.contains("\"source\":\"native\""),
-                "native stream mis-tagged: {line}"
             );
         }
         let _ = std::fs::remove_file(&path);

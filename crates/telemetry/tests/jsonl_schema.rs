@@ -1,8 +1,10 @@
 //! Golden test for the JSONL telemetry schema.
 //!
 //! Generates a real stream through [`TelemetrySink`] — one of every event
-//! type — then (a) runs the shipped validator over it and (b) pins the
-//! exact key set of every event type. Any schema drift (added, renamed, or
+//! type it emits — then (a) runs the shipped validator over it and (b)
+//! pins the exact key set of every event type. (`native_unavailable`, which
+//! no emitter in the tree writes any more, is pinned by the validator's
+//! own unit tests.) Any schema drift (added, renamed, or
 //! dropped keys) fails here first and must be an explicit, reviewed change
 //! alongside a `SCHEMA_VERSION` bump or validator update.
 
@@ -15,10 +17,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// The schema under pin: every event type and its exact key set.
 fn golden_keys() -> BTreeMap<&'static str, BTreeSet<&'static str>> {
-    let pairs: [(&str, &[&str]); 8] = [
+    let pairs: [(&str, &[&str]); 7] = [
         ("meta", &["type", "source", "schema", "stream"]),
         ("fault", &["type", "source", "site", "hit"]),
-        ("native_unavailable", &["type", "source", "reason"]),
         (
             "sample",
             &[
@@ -97,7 +98,6 @@ fn generate_stream() -> String {
     sink.latency(LatencyMetric::WalkCycles, 37);
     sink.latency(LatencyMetric::RunWallNanos, 5_000_000);
     sink.fault("WorkerPanic", 2);
-    sink.native_unavailable("perf_event_open: EPERM (perf_event_paranoid)");
     sink.progress(&Progress {
         completed: 1,
         total: 1,
@@ -123,7 +123,6 @@ fn generated_stream_passes_the_shipped_validator() {
     assert_eq!(summary.by_type.get("hist"), Some(&2));
     assert_eq!(summary.by_type.get("span"), Some(&1));
     assert_eq!(summary.by_type.get("fault"), Some(&1));
-    assert_eq!(summary.by_type.get("native_unavailable"), Some(&1));
     assert_eq!(summary.by_type.get("progress"), Some(&1));
     assert_eq!(summary.by_type.get("summary"), Some(&1));
 }

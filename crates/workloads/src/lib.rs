@@ -26,11 +26,6 @@
 //!    tests assert that where kernels and models overlap in footprint, the
 //!    translation metrics agree in trend.
 //!
-//! 3. [`native`] — `SimAlloc`-free host-memory twins of four of the
-//!    kernels (BFS, PageRank, KV, mcf) for the `atscale-native` hardware
-//!    counter harness, where simulated-memory bookkeeping would drown the
-//!    PMU readings the harness exists to take.
-//!
 //! The [`registry`] module names the paper's 13 workload–generator
 //! combinations and builds the model for any requested footprint.
 
@@ -40,12 +35,10 @@
 pub mod kernels;
 pub mod meta;
 pub mod models;
-pub mod native;
 pub mod registry;
 mod simalloc;
 mod workload;
 
-pub use native::{NativeKernel, PreparedKernel};
 pub use registry::{Generator, Program, WorkloadId};
 pub use simalloc::{SimArray, SimBitmap};
 pub use workload::Workload;
