@@ -1,19 +1,12 @@
 //! # atscale-audit — workspace static-analysis pass
 //!
 //! A self-contained consistency checker for the atscale workspace, run in
-//! CI as `cargo run -p atscale-audit`. It enforces eleven rules that rustc
-//! and clippy cannot express — seven text-scan rules plus four passes built
-//! on the `atscale-analyze` lexer/call-graph engine (see [`lex`], [`model`],
-//! [`graph`], [`passes`] and DESIGN.md §14):
+//! CI as `cargo run -p atscale-audit`. It enforces seven rules that rustc,
+//! clippy and the type system cannot express — three text-scan rules plus
+//! four passes built on the `atscale-analyze` lexer/call-graph engine (see
+//! [`lex`], [`model`], [`graph`], [`passes`] and DESIGN.md §14). Rules keep
+//! the numbers they were introduced under:
 //!
-//! 1. **Counter coverage** ([`audit_counter_coverage`]) — every PMU-event
-//!    field of `atscale_mmu::Counters` is exported by `Counters::events`,
-//!    consumed by at least one formula (Table VI walk outcomes, the Eq. 1
-//!    decomposition, a metric, or an invariant), and exercised by at least
-//!    one test, and every name an architecture declares in
-//!    `ARCH_COUNTER_SCHEMAS` is produced by that architecture's
-//!    `extra_counters` impl (and vice versa). Adding a counter without
-//!    wiring it through fails the build.
 //! 2. **Invariant annotations** ([`audit_invariant_annotations`]) — every
 //!    public mutator of counter/TLB/cache state in `atscale-vm`,
 //!    `atscale-cache`, and `atscale-mmu` is covered by the debug-build
@@ -27,26 +20,11 @@
 //!    `#![deny(unsafe_code)]` at its root instead, and any
 //!    `allow(unsafe_code)` / `unsafe` token inside that crate may appear
 //!    only in its syscall shim module `src/sys.rs`.
-//! 4. **Telemetry coverage** ([`audit_telemetry_coverage`]) — the interval
-//!    sampler keeps every counter field representable in its sample stream
-//!    (PMU events via `Counters::events()`, ground-truth fields via
-//!    explicit pushes, rates via the `RATE_NAMES` const) and the MMU
-//!    engine keeps the sampler's entry points wired into its hot paths.
-//! 5. **Protocol round-trips** ([`audit_protocol_roundtrip`]) — every
-//!    `Request`/`Reply` frame variant of the serving protocol
-//!    (`crates/serve`) appears in the round-trip test suite, so a frame
-//!    that serializes but cannot deserialize (a cross-process protocol
-//!    break invisible to type checking) fails CI.
 //! 6. **Hot-path allocation freedom** ([`audit_hot_path_allocation`]) — the
 //!    per-access modules (MMU engine, TLB arrays, walker, set-associative
 //!    cache) contain no allocating or formatting calls outside `#[cold]`
 //!    functions, constructors, and panic messages, so the throughput the
 //!    perf gate defends cannot be eroded by a stray `format!`.
-//! 7. **Fault-site coverage** ([`audit_fault_site_coverage`]) — every
-//!    `atscale_faults::FaultSite` variant is wired into an injection point
-//!    in the instrumented library crates AND exercised by the chaos test
-//!    suite, so the deterministic fault layer can neither grow dead sites
-//!    nor ship recovery paths no chaos scenario arms.
 //! 8. **Determinism taint** ([`passes::determinism_taint`]) — no
 //!    wall-clock, thread-identity, environment, entropy, or
 //!    `HashMap`/`HashSet` iteration in any function that can reach
@@ -63,22 +41,24 @@
 //!     justification, and determinism allows match `ANALYZE_ALLOWLIST.md`
 //!     bidirectionally.
 //!
-//! The seven text-scan rules work on comment-stripped source with a small
-//! brace matcher (see [`source`]) rather than a full parser: the offline
-//! build vendors no `syn`, and the shapes under audit — struct fields,
-//! impl headers, `pub fn` signatures — are kept canonical by rustfmt. The
-//! call-graph passes work on the lexed token stream and a name-resolved
-//! call graph; resolution over-approximates (the safe direction for taint
-//! and panic analysis), with the precision filters documented in
-//! [`graph`]. Every rule is pinned by the golden fixture corpus under
-//! `tests/fixtures/` — exact expected-findings snapshots, positive and
-//! negative per rule.
+//! Rules 1, 4, 5 and 7 (counter, telemetry, protocol and fault-site
+//! coverage) are gone: `counters!` and `fault_sites!` declarations, an
+//! exhaustive frame `match` and the chaos matrix now make what they
+//! scanned for true by construction or checked by a test (DESIGN §14).
+//!
+//! The text-scan rules work on comment-stripped source with a small brace
+//! matcher (see [`source`]) rather than a full parser: the offline build
+//! vendors no `syn`, and the shapes under audit — impl headers, `pub fn`
+//! signatures, manifests — are kept canonical by rustfmt. The call-graph
+//! passes work on the lexed token stream and a name-resolved call graph;
+//! resolution over-approximates (the safe direction for taint and panic
+//! analysis), with the precision filters documented in [`graph`]. Every
+//! rule is pinned by the golden fixture corpus under `tests/fixtures/` —
+//! exact expected-findings snapshots, positive and negative per rule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod counters;
-pub mod faults;
 pub mod graph;
 pub mod hotpath;
 pub mod invariants;
@@ -86,18 +66,12 @@ pub mod lex;
 pub mod lints;
 pub mod model;
 pub mod passes;
-pub mod protocol;
 pub mod report;
 pub mod source;
-pub mod telemetry;
 
-pub use counters::audit_counter_coverage;
-pub use faults::audit_fault_site_coverage;
 pub use hotpath::audit_hot_path_allocation;
 pub use invariants::audit_invariant_annotations;
 pub use lints::audit_lint_wiring;
-pub use protocol::audit_protocol_roundtrip;
-pub use telemetry::audit_telemetry_coverage;
 
 use std::fmt;
 use std::io;
@@ -232,7 +206,7 @@ fn collect(root: &Path, dir: &Path, files: &mut Vec<SourceFile>) -> io::Result<(
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// The rule that fired (e.g. `counter-coverage`).
+    /// The rule that fired (e.g. `lint-wiring`).
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub file: String,
@@ -292,7 +266,7 @@ pub struct AnalysisOutcome {
     pub report: report::Report,
 }
 
-/// Runs every rule — the seven text-scan rules plus the four call-graph
+/// Runs every rule — the three text-scan rules plus the four call-graph
 /// passes — and returns the audits together with the report data.
 pub fn run_full(ws: &Workspace) -> AnalysisOutcome {
     let analysis = graph::Analysis::build(ws);
@@ -301,13 +275,9 @@ pub fn run_full(ws: &Workspace) -> AnalysisOutcome {
     let (panic_audit, panics) = passes::panic_surface(&analysis);
     let allow_audit = passes::allow_exemptions(ws, &analysis);
     let audits = vec![
-        audit_counter_coverage(ws),
         audit_invariant_annotations(ws),
         audit_lint_wiring(ws),
-        audit_telemetry_coverage(ws),
-        audit_protocol_roundtrip(ws),
         audit_hot_path_allocation(ws),
-        audit_fault_site_coverage(ws),
         det_audit,
         lock_audit,
         panic_audit,

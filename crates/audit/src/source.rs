@@ -3,11 +3,9 @@
 //! Since the atscale-analyze rewrite these helpers sit on top of the real
 //! lexer in [`crate::lex`]: comment stripping is token-based (so raw
 //! strings, byte strings, and nested block comments are handled by one
-//! authority), while the brace/paren matchers and the field-reference
+//! authority), while the brace/paren matchers and the impl/`pub fn`
 //! scanners keep their original text-level shape — precise enough for the
 //! rustfmt-canonical constructs they audit, and dependency-free.
-
-use std::collections::BTreeSet;
 
 /// Replaces `//` line comments (including doc comments) and `/* */` block
 /// comments with spaces, preserving byte offsets, line structure, and the
@@ -80,7 +78,7 @@ fn is_ident_byte(c: u8) -> bool {
 
 /// Byte offsets at which `ident` occurs as a standalone identifier (not as
 /// a substring of a longer identifier).
-pub fn ident_positions<'a>(text: &'a str, ident: &'a str) -> impl Iterator<Item = usize> + 'a {
+fn ident_positions<'a>(text: &'a str, ident: &'a str) -> impl Iterator<Item = usize> + 'a {
     let b = text.as_bytes();
     text.match_indices(ident).filter_map(move |(at, _)| {
         let before_ok = at == 0 || !is_ident_byte(b[at - 1]);
@@ -88,38 +86,6 @@ pub fn ident_positions<'a>(text: &'a str, ident: &'a str) -> impl Iterator<Item 
         let after_ok = after >= b.len() || !is_ident_byte(b[after]);
         (before_ok && after_ok).then_some(at)
     })
-}
-
-/// True when `ident` occurs in `text` as a standalone identifier.
-pub fn has_ident(text: &str, ident: &str) -> bool {
-    ident_positions(text, ident).next().is_some()
-}
-
-/// Every `"..."` literal in `text`, in order (comment-stripped input; the
-/// name and reason literals the rules scan contain no escapes).
-pub fn quoted_strings(text: &str) -> Vec<String> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'"' {
-            let start = i + 1;
-            let mut j = start;
-            while j < bytes.len() && bytes[j] != b'"' {
-                if bytes[j] == b'\\' {
-                    j += 1;
-                }
-                j += 1;
-            }
-            if j < bytes.len() {
-                out.push(text[start..j].to_string());
-            }
-            i = j + 1;
-        } else {
-            i += 1;
-        }
-    }
-    out
 }
 
 /// Given the index of an opening `{`, returns the index one past its
@@ -184,38 +150,6 @@ pub fn matching_paren(src: &str, open: usize) -> Option<usize> {
     None
 }
 
-/// The `{ ... }` body (braces excluded) of the block that follows the first
-/// occurrence of `needle`, e.g. `block_after(src, "pub fn events")`.
-pub fn block_after<'a>(src: &'a str, needle: &str) -> Option<&'a str> {
-    let at = src.find(needle)?;
-    let open = at + src[at..].find('{')?;
-    let end = matching_brace(src, open)?;
-    Some(&src[open + 1..end - 1])
-}
-
-/// `src` with the block body following `needle` blanked out — used to
-/// exclude a region (such as `Counters::events`) from a consumption scan.
-pub fn without_block(src: &str, needle: &str) -> String {
-    let Some(at) = src.find(needle) else {
-        return src.to_string();
-    };
-    let Some(open) = src[at..].find('{').map(|o| at + o) else {
-        return src.to_string();
-    };
-    let Some(end) = matching_brace(src, open) else {
-        return src.to_string();
-    };
-    let mut out = String::with_capacity(src.len());
-    out.push_str(&src[..open + 1]);
-    out.extend(
-        src[open + 1..end - 1]
-            .chars()
-            .map(|c| if c == '\n' { '\n' } else { ' ' }),
-    );
-    out.push_str(&src[end - 1..]);
-    out
-}
-
 /// The non-test prefix of a source file: everything before the first
 /// `#[cfg(test)]` attribute (rustfmt places test modules last).
 pub fn non_test_region(src: &str) -> &str {
@@ -223,55 +157,6 @@ pub fn non_test_region(src: &str) -> &str {
         Some(at) => &src[..at],
         None => src,
     }
-}
-
-/// The test suffix of a source file: everything from the first
-/// `#[cfg(test)]` attribute onward, or `""` when the file has no tests.
-pub fn test_region(src: &str) -> &str {
-    match src.find("#[cfg(test)]") {
-        Some(at) => &src[at..],
-        None => "",
-    }
-}
-
-/// Distinct `self.<field>` references in a block of code.
-pub fn self_field_refs(text: &str) -> BTreeSet<String> {
-    let b = text.as_bytes();
-    ident_positions(text, "self")
-        .filter_map(|at| {
-            let dot = at + 4;
-            if b.get(dot) != Some(&b'.') {
-                return None;
-            }
-            let start = dot + 1;
-            let mut end = start;
-            while end < b.len() && is_ident_byte(b[end]) {
-                end += 1;
-            }
-            (end > start && !b[start].is_ascii_digit()).then(|| text[start..end].to_string())
-        })
-        .collect()
-}
-
-/// True when `text` contains a *read* of `.field` — a dotted occurrence not
-/// immediately followed by an assignment operator (which would make it a
-/// counter bump or overwrite rather than a consumption).
-pub fn reads_field(text: &str, field: &str) -> bool {
-    let b = text.as_bytes();
-    ident_positions(text, field).any(|at| {
-        if at == 0 || b[at - 1] != b'.' {
-            return false;
-        }
-        let mut j = at + field.len();
-        while j < b.len() && (b[j] == b' ' || b[j] == b'\n') {
-            j += 1;
-        }
-        match b.get(j) {
-            Some(b'+' | b'-' | b'*' | b'/') if b.get(j + 1) == Some(&b'=') => false,
-            Some(b'=') if b.get(j + 1) != Some(&b'=') => false,
-            _ => true,
-        }
-    })
 }
 
 /// One `impl` block: optional trait name, the implementing type, and the
@@ -450,43 +335,20 @@ mod tests {
 
     #[test]
     fn ident_matching_respects_boundaries() {
-        assert!(has_ident("let cycles = 1;", "cycles"));
-        assert!(!has_ident("let walk_cycles = 1;", "cycles"));
-        assert!(!has_ident("cyclesx", "cycles"));
+        let hits = |text| ident_positions(text, "cycles").collect::<Vec<_>>();
+        assert_eq!(hits("let cycles = 1;"), [4]);
+        assert!(hits("let walk_cycles = 1;").is_empty());
+        assert!(hits("cyclesx").is_empty());
     }
 
     #[test]
     fn block_extraction_matches_braces() {
         let src = "pub fn events(&self) { if x { y } z } fn other() {}";
-        assert_eq!(
-            block_after(src, "pub fn events").unwrap().trim(),
-            "if x { y } z"
-        );
-    }
-
-    #[test]
-    fn without_block_blanks_only_the_target() {
-        let src = "fn a() { keep } fn b() { drop_me } fn c() { keep2 }";
-        let out = without_block(src, "fn b");
-        assert!(out.contains("keep") && out.contains("keep2"));
-        assert!(!out.contains("drop_me"));
-        assert_eq!(out.len(), src.len());
-    }
-
-    #[test]
-    fn self_field_refs_collects_reads() {
-        let refs = self_field_refs("self.alpha + self.beta; other.gamma");
-        assert!(refs.contains("alpha") && refs.contains("beta"));
-        assert!(!refs.contains("gamma"));
-    }
-
-    #[test]
-    fn reads_are_distinguished_from_writes() {
-        assert!(reads_field("let x = c.cycles + 1;", "cycles"));
-        assert!(!reads_field("self.cycles += 1;", "cycles"));
-        assert!(!reads_field("self.cycles = 0;", "cycles"));
-        assert!(reads_field("if self.cycles == 0 {}", "cycles"));
-        assert!(!reads_field("let cycles = 1;", "cycles")); // not dotted
+        let open = src.find('{').unwrap();
+        let end = matching_brace(src, open).unwrap();
+        assert_eq!(&src[open..end], "{ if x { y } z }");
+        let call = "f(a, (b, \")\"), c) tail";
+        assert_eq!(matching_paren(call, 1), Some(call.len() - 5));
     }
 
     #[test]

@@ -1,13 +1,10 @@
 //! The audit's acceptance tests, run against the *real* workspace.
 //!
 //! The positive half pins the contract: the shipped tree has zero
-//! violations, so `cargo test -p atscale-audit` fails the moment someone
-//! adds a counter field without wiring it through events/formula/tests, or
-//! a state mutator without invariant coverage. The negative half doctors
-//! the real `counters.rs` in memory and asserts each coverage leg trips.
+//! violations, and `run_full` runs exactly the seven rules, so a rule
+//! dropped by accident fails here. The negative half doctors the real tree
+//! in memory and asserts the rules still trip on it.
 
-use atscale_audit::counters::COUNTERS_PATH;
-use atscale_audit::telemetry::{ENGINE_PATH, TELEMETRY_PATH};
 use atscale_audit::{run_all, run_full, SourceFile, Workspace};
 use std::path::Path;
 
@@ -33,6 +30,27 @@ fn the_shipped_workspace_is_clean() {
         );
         assert!(audit.checked > 0, "rule `{}` ran no checks", audit.rule);
     }
+}
+
+#[test]
+fn run_full_runs_exactly_the_seven_rules_in_order() {
+    let rules: Vec<&str> = run_full(&real_workspace())
+        .audits
+        .iter()
+        .map(|a| a.rule)
+        .collect();
+    assert_eq!(
+        rules,
+        [
+            "invariant-annotation",
+            "lint-wiring",
+            "hot-path-allocation",
+            "determinism-taint",
+            "lock-discipline",
+            "panic-surface",
+            "analyze-allowlist",
+        ]
+    );
 }
 
 #[test]
@@ -80,83 +98,6 @@ fn the_analysis_passes_are_not_vacuous() {
     );
 }
 
-/// Doctors the real counters.rs with `edit` and returns all violations.
-fn violations_after(edit: impl Fn(&str) -> String) -> Vec<String> {
-    let mut ws = real_workspace();
-    let file = ws
-        .files
-        .iter_mut()
-        .find(|f| f.path.ends_with(COUNTERS_PATH))
-        .expect("counters.rs present");
-    *file = SourceFile::new(file.path.clone(), edit(&file.text));
-    run_all(&ws)
-        .into_iter()
-        .flat_map(|a| a.violations)
-        .map(|v| v.to_string())
-        .collect()
-}
-
-#[test]
-fn adding_a_counter_without_wiring_fails_every_coverage_leg() {
-    // A new PMU field nobody exports, consumes, or tests.
-    let violations = violations_after(|src| {
-        src.replace(
-            "pub inst_retired: u64,",
-            "pub inst_retired: u64,\n    pub unwired_event: u64,",
-        )
-    });
-    assert!(
-        violations
-            .iter()
-            .any(|v| v.contains("`unwired_event`") && v.contains("events()")),
-        "missing events() violation in {violations:?}"
-    );
-    assert!(
-        violations
-            .iter()
-            .any(|v| v.contains("`unwired_event`") && v.contains("formula")),
-        "missing formula violation in {violations:?}"
-    );
-    assert!(
-        violations
-            .iter()
-            .any(|v| v.contains("`unwired_event`") && v.contains("never exercised by a test")),
-        "missing test violation in {violations:?}"
-    );
-}
-
-#[test]
-fn dropping_a_field_from_events_is_caught() {
-    let violations =
-        violations_after(|src| src.replace("(\"machine_clears.count\", self.machine_clears),", ""));
-    assert!(
-        violations
-            .iter()
-            .any(|v| v.contains("`machine_clears`") && v.contains("events()")),
-        "missing events() violation in {violations:?}"
-    );
-}
-
-#[test]
-fn dropping_the_ground_truth_checks_is_caught() {
-    // Sever `truth_aborted_walks` from both consistency paths. The field
-    // keeps its formula reads (engine bumps aside, `first_regression_since`
-    // is not a consistency check), so only the truth rule should fire.
-    // The doctored source only has to fool the text scan, not compile.
-    let violations = violations_after(|src| {
-        src.replace("== self.truth_aborted_walks", "== 0")
-            .replace("o.aborted, self.truth_aborted_walks,", "o.aborted, 0,")
-            .replace("+ self.truth_aborted_walks", "")
-            .replace("self.truth_aborted_walks\n        );", "0\n        );")
-    });
-    assert!(
-        violations
-            .iter()
-            .any(|v| v.contains("truth_aborted_walks") && v.contains("validate")),
-        "missing ground-truth violation in {violations:?}"
-    );
-}
-
 #[test]
 fn removing_the_lint_opt_in_is_caught() {
     let mut ws = real_workspace();
@@ -179,50 +120,6 @@ fn removing_the_lint_opt_in_is_caught() {
             .iter()
             .any(|v| v.contains("crates/mmu/Cargo.toml") && v.contains("[lints]")),
         "missing lint-wiring violation in {violations:?}"
-    );
-}
-
-/// Doctors the real file at `path` with `edit` and returns all violations.
-fn violations_after_editing(path: &str, edit: impl Fn(&str) -> String) -> Vec<String> {
-    let mut ws = real_workspace();
-    let file = ws
-        .files
-        .iter_mut()
-        .find(|f| f.path.ends_with(path))
-        .unwrap_or_else(|| panic!("{path} present"));
-    *file = SourceFile::new(file.path.clone(), edit(&file.text));
-    run_all(&ws)
-        .into_iter()
-        .flat_map(|a| a.violations)
-        .map(|v| v.to_string())
-        .collect()
-}
-
-#[test]
-fn dropping_a_truth_field_from_the_sampler_is_caught() {
-    // Sever `truth_aborted_walks` from the sample stream: truth fields are
-    // not in events(), so counter_sample is their only telemetry route.
-    let violations = violations_after_editing(TELEMETRY_PATH, |src| {
-        src.replace("cur.truth_aborted_walks", "0")
-    });
-    assert!(
-        violations
-            .iter()
-            .any(|v| v.contains("truth_aborted_walks") && v.contains("counter_sample")),
-        "missing telemetry-coverage violation in {violations:?}"
-    );
-}
-
-#[test]
-fn unwiring_the_final_sample_from_the_engine_is_caught() {
-    let violations = violations_after_editing(ENGINE_PATH, |src| {
-        src.replace("self.telemetry.take_final_sample", "noop")
-    });
-    assert!(
-        violations
-            .iter()
-            .any(|v| v.contains("take_final_sample") && v.contains("unwired")),
-        "missing engine-wiring violation in {violations:?}"
     );
 }
 

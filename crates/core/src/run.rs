@@ -26,8 +26,8 @@ pub struct RunSpec {
     pub warmup_instr: u64,
     /// Measured instructions.
     pub budget_instr: u64,
-    /// Translation architecture the machine runs (ROADMAP item 3's
-    /// scenario-matrix dimension). `ArchKind::Baseline` is the paper's
+    /// Translation architecture the machine runs (the scenario-matrix
+    /// dimension PR 10 added, DESIGN §18). `ArchKind::Baseline` is the paper's
     /// Table III design and the default for every legacy spec.
     pub arch: ArchKind,
 }

@@ -91,7 +91,7 @@ impl RunStore {
     }
 
     /// The old name of [`RunStore::open`]; `benchmark/` still calls it
-    /// (ROADMAP item 5(b) removes both).
+    /// (the benchmark PR deferred since PR 17 removes both).
     #[doc(hidden)]
     pub fn open_segmented(dir: impl AsRef<Path>) -> std::io::Result<RunStore> {
         Self::open(dir)

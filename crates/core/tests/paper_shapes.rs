@@ -7,6 +7,7 @@ use atscale::{Decomposition, Harness, OverheadPoint, PressureMetric, RunSpec, Sw
 use atscale_mmu::MachineConfig;
 use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
+use serde::{Serialize, Value};
 
 fn spec(workload: &str, footprint: u64, budget: u64) -> RunSpec {
     RunSpec {
@@ -118,6 +119,34 @@ fn equation_1_identity_holds_for_every_workload() {
         d.assert_identity(1e-9);
         record.result.counters.assert_consistent();
     }
+}
+
+/// Every field of the counter file is produced: each one, read off the
+/// serialised `Counters` (so a field the `counters!` declaration adds is
+/// covered with no edit here), is non-zero in at least one of a few runs.
+#[test]
+fn every_counter_is_produced() {
+    let runs = [
+        spec("bc-urand", 128 << 20, 300_000),
+        spec("memcached-uniform", 64 << 20, 100_000),
+    ];
+    let maps: Vec<Vec<(String, Value)>> = runs
+        .iter()
+        .map(|run| {
+            let record = atscale::execute_run(run, &MachineConfig::haswell());
+            match record.result.counters.to_value() {
+                Value::Map(fields) => fields,
+                other => panic!("Counters serialises as a map, not {other:?}"),
+            }
+        })
+        .collect();
+    let silent: Vec<&str> = maps[0]
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| maps.iter().all(|m| matches!(m[*i].1, Value::U64(0))))
+        .map(|(_, (name, _))| name.as_str())
+        .collect();
+    assert!(silent.is_empty(), "counters no run produces: {silent:?}");
 }
 
 /// §V-C: accesses per walk stay within the paper's 1–2 range (the paging

@@ -28,15 +28,39 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Named injection points threaded through the serve/store pipeline.
-///
-/// Each variant corresponds to one `plan.check(FaultSite::…)` call site in
-/// production code (gated behind the consuming crate's `faults` feature);
-/// the atscale-audit `fault-site-coverage` rule enforces that every
-/// variant is both wired into a library source file and exercised by the
-/// chaos suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultSite {
+/// Declares the fault sites once — each one's doc and identifier — and
+/// emits [`FaultSite`], [`FaultSite::ALL`] (declaration order, which is the
+/// plan's index order) and [`FaultSite::name`] (the identifier itself).
+macro_rules! fault_sites {
+    ($($(#[doc = $doc:literal])* $site:ident,)+) => {
+        /// Named injection points threaded through the serve/store pipeline.
+        ///
+        /// Each variant corresponds to one `plan.check(FaultSite::…)` call
+        /// site in production code (gated behind the consuming crate's
+        /// `faults` feature). The chaos matrix fails unless every site
+        /// fires in at least one of its scenarios.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum FaultSite {
+            $($(#[doc = $doc])* $site,)+
+        }
+
+        impl FaultSite {
+            /// Every site, in declaration order (index order for the plan's
+            /// per-site counters).
+            pub const ALL: [FaultSite; [$(FaultSite::$site),+].len()] = [$(FaultSite::$site),+];
+
+            /// Stable name used in logs, telemetry events, and chaos outcome
+            /// lines: the variant's identifier.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(FaultSite::$site => stringify!($site),)+
+                }
+            }
+        }
+    };
+}
+
+fault_sites! {
     /// Segment store WAL append: the frame write fails before anything
     /// reaches disk, so the row never commits (exercises the caller's
     /// save-is-advisory contract).
@@ -83,30 +107,9 @@ pub enum FaultSite {
 }
 
 impl FaultSite {
-    /// Every site, in declaration order (index order for the plan's
-    /// per-site counters).
-    pub const ALL: [FaultSite; 13] = [
-        FaultSite::StoreWrite,
-        FaultSite::StoreRename,
-        FaultSite::ServerWrite,
-        FaultSite::ServerStall,
-        FaultSite::ClientWrite,
-        FaultSite::ClientRead,
-        FaultSite::ClientStall,
-        FaultSite::WorkerPanic,
-        FaultSite::QueuePressure,
-        FaultSite::DeadlineExpiry,
-        FaultSite::SegmentTorn,
-        FaultSite::IndexRename,
-        FaultSite::ReactorStall,
-    ];
-
     /// Stable dense index of this site (its position in [`Self::ALL`]).
     pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|s| *s == self)
-            .expect("every site is listed in ALL")
+        self as usize
     }
 
     /// Looks a site up by its [`FaultSite::name`], case-insensitively.
@@ -115,26 +118,6 @@ impl FaultSite {
             .iter()
             .copied()
             .find(|s| s.name().eq_ignore_ascii_case(name))
-    }
-
-    /// Stable name used in logs, telemetry events, and chaos outcome
-    /// lines.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultSite::StoreWrite => "StoreWrite",
-            FaultSite::StoreRename => "StoreRename",
-            FaultSite::ServerWrite => "ServerWrite",
-            FaultSite::ServerStall => "ServerStall",
-            FaultSite::ClientWrite => "ClientWrite",
-            FaultSite::ClientRead => "ClientRead",
-            FaultSite::ClientStall => "ClientStall",
-            FaultSite::WorkerPanic => "WorkerPanic",
-            FaultSite::QueuePressure => "QueuePressure",
-            FaultSite::DeadlineExpiry => "DeadlineExpiry",
-            FaultSite::SegmentTorn => "SegmentTorn",
-            FaultSite::IndexRename => "IndexRename",
-            FaultSite::ReactorStall => "ReactorStall",
-        }
     }
 }
 
@@ -291,13 +274,15 @@ impl FaultPlan {
     /// Grammar: `;`-separated clauses, each `Site[:key=value]...` with the
     /// site named as in [`FaultSite::name`] (case-insensitive) and keys
     /// `p` (fire probability, default 1.0), `after`, `max_fires`,
-    /// `stall_ms`, `torn_keep`. Example:
+    /// `stall_ms`, `torn_keep` (`p` and `torn_keep` are fractions in
+    /// `[0, 1]`). Example:
     /// `ReactorStall:stall_ms=5:max_fires=100;ServerStall:p=0.01`.
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed clause: unknown site,
-    /// unknown key, a value that does not parse, or a bare key.
+    /// unknown key, a value that does not parse or is out of range, or a
+    /// bare key.
     pub fn parse(seed: u64, spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new(seed);
         for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
@@ -311,12 +296,20 @@ impl FaultPlan {
                     .split_once('=')
                     .ok_or_else(|| format!("expected key=value, got {kv:?} in {clause:?}"))?;
                 let bad = || format!("bad value {value:?} for {key} in {clause:?}");
+                // A fraction in [0, 1]; NaN fails the range check too.
+                let fraction = || {
+                    value
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|f| (0.0..=1.0).contains(f))
+                        .ok_or_else(bad)
+                };
                 match key {
-                    "p" => rule.probability = value.parse().map_err(|_| bad())?,
+                    "p" => rule.probability = fraction()?,
                     "after" => rule.after = value.parse().map_err(|_| bad())?,
                     "max_fires" => rule.max_fires = Some(value.parse().map_err(|_| bad())?),
                     "stall_ms" => rule.stall_ms = value.parse().map_err(|_| bad())?,
-                    "torn_keep" => rule.torn_keep = value.parse().map_err(|_| bad())?,
+                    "torn_keep" => rule.torn_keep = fraction()?,
                     other => return Err(format!("unknown fault-rule key {other:?} in {clause:?}")),
                 }
             }

@@ -1,8 +1,10 @@
 //! Software performance counters mirroring the paper's hardware events.
 //!
 //! The paper's entire methodology consumes Intel PMU events; this module is
-//! the reproduction's substitute. Counter fields carry the Intel event names
-//! in their documentation and in [`Counters::events`], and the Table VI
+//! the reproduction's substitute. One `counters!` declaration pairs each
+//! field with its Intel event name, so a field cannot be added that
+//! [`Counters::events`] (or, for ground truth, [`Counters::truth_events`])
+//! does not export and interval samples do not carry. The Table VI
 //! walk-outcome arithmetic is implemented verbatim in
 //! [`Counters::walk_outcomes`].
 //!
@@ -15,59 +17,103 @@
 use atscale_vm::{invariant, CheckInvariants};
 use serde::{Deserialize, Serialize};
 
-/// The software performance-counter file.
+/// Declares the counter file once — each field's doc, identifier and event
+/// name, in two groups — and emits [`Counters`] (fields in declaration
+/// order, which is the serialised order), [`Counters::events`] over the
+/// `pmu` group and [`Counters::truth_events`] over the `truth` group. A
+/// field without an event name, or a name without a field, does not parse.
 ///
-/// All fields are cumulative event counts since the last reset. Events
-/// suffixed `_loads` / `_stores` mirror Intel's split DTLB event pairs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counters {
-    /// `inst_retired.any` — retired instructions.
-    pub inst_retired: u64,
-    /// `cpu_clk_unhalted.thread` — core cycles.
-    pub cycles: u64,
-    /// `mem_uops_retired.all_loads`.
-    pub loads_retired: u64,
-    /// `mem_uops_retired.all_stores`.
-    pub stores_retired: u64,
-    /// `mem_uops_retired.stlb_miss_loads` — retired loads that missed the
-    /// second-level TLB (and therefore walked).
-    pub stlb_miss_loads: u64,
-    /// `mem_uops_retired.stlb_miss_stores`.
-    pub stlb_miss_stores: u64,
-    /// `dtlb_load_misses.stlb_hit` — loads that missed the L1 DTLB but hit
-    /// the shared L2 TLB.
-    pub stlb_hit_loads: u64,
-    /// `dtlb_store_misses.stlb_hit`.
-    pub stlb_hit_stores: u64,
-    /// `dtlb_load_misses.miss_causes_a_walk` — load walks *initiated*,
-    /// speculative or not.
-    pub walk_initiated_loads: u64,
-    /// `dtlb_store_misses.miss_causes_a_walk`.
-    pub walk_initiated_stores: u64,
-    /// `dtlb_load_misses.walk_completed` — load walks that ran to
-    /// completion (retired *or* wrong-path).
-    pub walk_completed_loads: u64,
-    /// `dtlb_store_misses.walk_completed`.
-    pub walk_completed_stores: u64,
-    /// `dtlb_load_misses.walk_duration` + store counterpart — cycles with a
-    /// walk outstanding (includes cycles spent on walks later aborted).
-    pub walk_duration_cycles: u64,
-    /// `page_walker_loads` total — PTE fetches issued by the walker.
-    pub pt_accesses: u64,
-    /// `machine_clears.count`.
-    pub machine_clears: u64,
-    /// `br_misp_retired.all_branches`.
-    pub branch_mispredicts: u64,
-    /// Demand-paging minor faults (OS-level, `perf`'s `minor-faults`).
-    pub minor_faults: u64,
+/// Only `ident` and `literal` fragments reach the struct, and `pub`/`u64`
+/// are written out: the vendored `serde_derive` walks raw tokens, and
+/// `vis`/`ty` fragments would reach it wrapped in invisible groups.
+macro_rules! counters {
+    (
+        pmu { $($(#[doc = $doc:literal])* $field:ident => $event:literal,)+ }
+        truth { $($(#[doc = $tdoc:literal])* $tfield:ident => $tevent:literal,)+ }
+    ) => {
+        /// The software performance-counter file.
+        ///
+        /// All fields are cumulative event counts since the last reset. Events
+        /// suffixed `_loads` / `_stores` mirror Intel's split DTLB event pairs;
+        /// the `truth_*` fields are simulator ground truth with no hardware
+        /// equivalent.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct Counters {
+            $(
+                $(#[doc = $doc])*
+                #[doc = concat!("\n\nEvent `", $event, "`.")]
+                pub $field: u64,
+            )+
+            $(
+                $(#[doc = $tdoc])*
+                #[doc = concat!("\n\nSampled as `", $tevent, "`.")]
+                pub $tfield: u64,
+            )+
+        }
 
-    // ---- simulator ground truth (no hardware equivalent) ----
-    /// Ground truth: walks whose instruction retired.
-    pub truth_retired_walks: u64,
-    /// Ground truth: walks that completed on a squashed (wrong) path.
-    pub truth_wrong_path_walks: u64,
-    /// Ground truth: walks squashed before completion.
-    pub truth_aborted_walks: u64,
+        impl Counters {
+            /// The hardware events as `(intel_event_name, value)` pairs, in
+            /// declaration order, for report output that looks like `perf stat`.
+            pub fn events(&self) -> Vec<(&'static str, u64)> {
+                vec![$(($event, self.$field),)+]
+            }
+
+            /// The ground-truth fields as `(name, value)` pairs: the `truth.*`
+            /// names interval samples carry next to [`Counters::events`].
+            pub fn truth_events(&self) -> Vec<(&'static str, u64)> {
+                vec![$(($tevent, self.$tfield),)+]
+            }
+        }
+    };
+}
+
+counters! {
+    pmu {
+        /// Retired instructions.
+        inst_retired => "inst_retired.any",
+        /// Core cycles.
+        cycles => "cpu_clk_unhalted.thread",
+        /// Retired loads.
+        loads_retired => "mem_uops_retired.all_loads",
+        /// Retired stores.
+        stores_retired => "mem_uops_retired.all_stores",
+        /// Retired loads that missed the second-level TLB (and therefore
+        /// walked).
+        stlb_miss_loads => "mem_uops_retired.stlb_miss_loads",
+        /// Retired stores that missed the second-level TLB.
+        stlb_miss_stores => "mem_uops_retired.stlb_miss_stores",
+        /// Loads that missed the L1 DTLB but hit the shared L2 TLB.
+        stlb_hit_loads => "dtlb_load_misses.stlb_hit",
+        /// Stores that missed the L1 DTLB but hit the shared L2 TLB.
+        stlb_hit_stores => "dtlb_store_misses.stlb_hit",
+        /// Load walks *initiated*, speculative or not.
+        walk_initiated_loads => "dtlb_load_misses.miss_causes_a_walk",
+        /// Store walks initiated.
+        walk_initiated_stores => "dtlb_store_misses.miss_causes_a_walk",
+        /// Load walks that ran to completion (retired *or* wrong-path).
+        walk_completed_loads => "dtlb_load_misses.walk_completed",
+        /// Store walks that ran to completion.
+        walk_completed_stores => "dtlb_store_misses.walk_completed",
+        /// Cycles with a walk outstanding, loads and stores (includes cycles
+        /// spent on walks later aborted).
+        walk_duration_cycles => "dtlb_misses.walk_duration",
+        /// PTE fetches issued by the walker.
+        pt_accesses => "page_walker_loads.total",
+        /// Machine clears.
+        machine_clears => "machine_clears.count",
+        /// Retired mispredicted branches.
+        branch_mispredicts => "br_misp_retired.all_branches",
+        /// Demand-paging minor faults (OS-level, as `perf` counts them).
+        minor_faults => "minor-faults",
+    }
+    truth {
+        /// Ground truth: walks whose instruction retired.
+        truth_retired_walks => "truth.retired_walks",
+        /// Ground truth: walks that completed on a squashed (wrong) path.
+        truth_wrong_path_walks => "truth.wrong_path_walks",
+        /// Ground truth: walks squashed before completion.
+        truth_aborted_walks => "truth.aborted_walks",
+    }
 }
 
 /// Walk-outcome decomposition per the paper's Table VI.
@@ -165,55 +211,15 @@ impl Counters {
         ratio(self.cycles, self.inst_retired)
     }
 
-    /// The counter file as `(intel_event_name, value)` pairs, for report
-    /// output that looks like `perf stat`.
-    pub fn events(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("inst_retired.any", self.inst_retired),
-            ("cpu_clk_unhalted.thread", self.cycles),
-            ("mem_uops_retired.all_loads", self.loads_retired),
-            ("mem_uops_retired.all_stores", self.stores_retired),
-            ("mem_uops_retired.stlb_miss_loads", self.stlb_miss_loads),
-            ("mem_uops_retired.stlb_miss_stores", self.stlb_miss_stores),
-            ("dtlb_load_misses.stlb_hit", self.stlb_hit_loads),
-            ("dtlb_store_misses.stlb_hit", self.stlb_hit_stores),
-            (
-                "dtlb_load_misses.miss_causes_a_walk",
-                self.walk_initiated_loads,
-            ),
-            (
-                "dtlb_store_misses.miss_causes_a_walk",
-                self.walk_initiated_stores,
-            ),
-            ("dtlb_load_misses.walk_completed", self.walk_completed_loads),
-            (
-                "dtlb_store_misses.walk_completed",
-                self.walk_completed_stores,
-            ),
-            ("dtlb_misses.walk_duration", self.walk_duration_cycles),
-            ("page_walker_loads.total", self.pt_accesses),
-            ("machine_clears.count", self.machine_clears),
-            ("br_misp_retired.all_branches", self.branch_mispredicts),
-            ("minor-faults", self.minor_faults),
-        ]
-    }
-
     /// Returns the event name of the first counter that is *smaller* than in
     /// `prev`. Counters are cumulative: between two snapshots of the same
     /// measurement window every field must be monotonically non-decreasing.
     /// Returns `None` when no counter regressed.
     pub fn first_regression_since(&self, prev: &Counters) -> Option<&'static str> {
-        let truth = |c: &Counters| {
-            [
-                ("truth.retired_walks", c.truth_retired_walks),
-                ("truth.wrong_path_walks", c.truth_wrong_path_walks),
-                ("truth.aborted_walks", c.truth_aborted_walks),
-            ]
-        };
         self.events()
             .into_iter()
-            .chain(truth(self))
-            .zip(prev.events().into_iter().chain(truth(prev)))
+            .chain(self.truth_events())
+            .zip(prev.events().into_iter().chain(prev.truth_events()))
             .find(|((_, now), (_, before))| now < before)
             .map(|((name, _), _)| name)
     }
@@ -245,26 +251,21 @@ impl Counters {
                 o.completed, o.initiated
             ));
         }
-        if o.retired != self.truth_retired_walks {
-            errs.push(format!(
-                "Table VI retired walks (mem_uops_retired.stlb_miss_*: {}) diverge from retired \
-                 ground truth (truth.retired_walks: {})",
-                o.retired, self.truth_retired_walks
-            ));
-        }
-        if o.wrong_path != self.truth_wrong_path_walks {
-            errs.push(format!(
-                "Table VI wrong-path walks (completed - retired: {}) diverge from wrong-path \
-                 ground truth (truth.wrong_path_walks: {})",
-                o.wrong_path, self.truth_wrong_path_walks
-            ));
-        }
-        if o.aborted != self.truth_aborted_walks {
-            errs.push(format!(
-                "Table VI aborted walks (initiated - completed: {}) diverge from aborted \
-                 ground truth (truth.aborted_walks: {})",
-                o.aborted, self.truth_aborted_walks
-            ));
+        // In `truth` declaration order: retired, wrong-path, aborted.
+        let derived = [
+            ("retired", "mem_uops_retired.stlb_miss_*", o.retired),
+            ("wrong-path", "completed - retired", o.wrong_path),
+            ("aborted", "initiated - completed", o.aborted),
+        ];
+        for ((outcome, formula, value), (name, truth)) in
+            derived.into_iter().zip(self.truth_events())
+        {
+            if value != truth {
+                errs.push(format!(
+                    "Table VI {outcome} walks ({formula}: {value}) diverge from {outcome} \
+                     ground truth ({name}: {truth})"
+                ));
+            }
         }
         let truth_total =
             self.truth_retired_walks + self.truth_wrong_path_walks + self.truth_aborted_walks;
@@ -371,6 +372,7 @@ impl CheckInvariants for Counters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn sample() -> Counters {
         Counters {
@@ -460,6 +462,35 @@ mod tests {
         assert!(errs.iter().any(|e| e.contains("aborted ground truth")));
         assert!(errs.iter().any(|e| e.contains("walk outcome partition")));
         assert!(sample().consistency_errors().is_empty());
+    }
+
+    #[test]
+    fn truth_field_must_feed_consistency_checks() {
+        // Bump each serialised `truth_*` field alone in a consistent file:
+        // a ground-truth field no consistency check reads passes here.
+        let Value::Map(fields) = sample().to_value() else {
+            panic!("Counters serialises as a map");
+        };
+        let truth: Vec<&str> = fields
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .filter(|name| name.starts_with("truth_"))
+            .collect();
+        assert_eq!(truth.len(), sample().truth_events().len());
+        for field in truth {
+            let bumped = fields
+                .iter()
+                .map(|(name, value)| match value {
+                    Value::U64(n) if name == field => (name.clone(), Value::U64(n + 1)),
+                    _ => (name.clone(), value.clone()),
+                })
+                .collect();
+            let c = Counters::from_value(&Value::Map(bumped)).unwrap();
+            assert!(
+                !c.consistency_errors().is_empty(),
+                "`{field}` bumped alone passes every consistency check"
+            );
+        }
     }
 
     #[test]

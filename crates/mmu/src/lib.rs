@@ -65,7 +65,7 @@ mod walker;
 pub use access::{AccessOp, AccessSink, BatchSink, CountingSink, SinkEvent, WorkloadProfile};
 pub use arch::{
     ArchKind, ArchLookup, BaselineArch, DramCacheArch, NoTlbArch, TranslationArchitecture,
-    VictimaArch, ARCH_COUNTER_SCHEMAS,
+    VictimaArch,
 };
 pub use config::{
     MachineConfig, MmuCacheConfig, PscLevels, SpecConfig, TlbConfig, TlbGeometry, WalkerConfig,

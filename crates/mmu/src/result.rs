@@ -37,8 +37,10 @@ pub struct RunResult {
     /// interval). The final sample's cumulative counters reconcile exactly
     /// with `counters`.
     pub samples: Vec<Sample>,
-    /// Architecture-specific counters (`(name, value)` per the
-    /// architecture's [`crate::ARCH_COUNTER_SCHEMAS`] entry). Empty for
+    /// Architecture-specific counters (`(name, value)` in the order the
+    /// architecture's
+    /// [`extra_counters`](crate::TranslationArchitecture::extra_counters)
+    /// produces them). Empty for
     /// baseline-shaped designs — and omitted from the serialized record
     /// when empty, so baseline `RunRecord`s stay byte-identical to every
     /// pre-architecture store and benchmark baseline.

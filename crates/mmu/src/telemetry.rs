@@ -89,27 +89,22 @@ fn per(delta: u64, base: u64) -> f64 {
 /// Builds one interval sample from cumulative counter and PTE-location
 /// snapshots taken now (`cur`) and at the previous sample point (`prev`).
 ///
-/// The `counters` list carries every PMU event of [`Counters::events`]
-/// plus the simulator ground-truth fields, cumulatively; `rates` carry the
-/// [`RATE_NAMES`] derived over the interval. `atscale-audit` statically
-/// verifies this function keeps every counter field representable.
+/// The `counters` list carries every field of the counter file
+/// cumulatively, [`Counters::events`] then [`Counters::truth_events`], so a
+/// field the `counters!` declaration adds is sampled with no edit here;
+/// `rates` carry the [`RATE_NAMES`] derived over the interval.
 pub fn counter_sample(
     cur: &Counters,
     prev: &Counters,
     pte_cur: &LevelCounts,
     pte_prev: &LevelCounts,
 ) -> Sample {
-    let mut counters: Vec<(String, u64)> = cur
+    let counters = cur
         .events()
         .into_iter()
+        .chain(cur.truth_events())
         .map(|(name, value)| (name.to_string(), value))
         .collect();
-    counters.push(("truth.retired_walks".to_string(), cur.truth_retired_walks));
-    counters.push((
-        "truth.wrong_path_walks".to_string(),
-        cur.truth_wrong_path_walks,
-    ));
-    counters.push(("truth.aborted_walks".to_string(), cur.truth_aborted_walks));
 
     let d_instr = cur.inst_retired.saturating_sub(prev.inst_retired);
     let d_cycles = cur.cycles.saturating_sub(prev.cycles);
@@ -131,7 +126,8 @@ pub fn counter_sample(
         )
     };
 
-    let values = [
+    // Typed by `RATE_NAMES`: a name without a value does not compile.
+    let values: [f64; RATE_NAMES.len()] = [
         per(d_walk_cycles, d_instr),
         per(d_cycles, d_instr),
         1000.0 * per(d_stlb_miss, d_instr),

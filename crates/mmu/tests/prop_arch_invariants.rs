@@ -59,6 +59,16 @@ fn run_trace<A: TranslationArchitecture>(
     m.finish()
 }
 
+/// Each architecture's counter schema, pinned as literals. No `_` arm: a
+/// new architecture does not compile here until it has one.
+fn schema(kind: ArchKind) -> Vec<&'static str> {
+    match kind {
+        ArchKind::Baseline | ArchKind::NoTlb => Vec::new(),
+        ArchKind::Victima => vec!["victima.hits", "victima.fills", "victima.evictions"],
+        ArchKind::DramCache => vec!["dram_cache.pte_hits", "dram_cache.pte_misses"],
+    }
+}
+
 /// Runs the trace on every architecture, in [`ArchKind::ALL`] order.
 fn run_all(steps: &[Step], page: PageSize) -> [RunResult; 4] {
     [
@@ -143,15 +153,14 @@ proptest! {
         }
     }
 
-    /// `arch_events` carries exactly the architecture's declared counter
-    /// schema, in schema order — nothing extra, nothing missing, on any
-    /// trace.
+    /// `arch_events` carries exactly the architecture's counter schema, in
+    /// schema order — nothing extra, nothing missing, on any trace.
     #[test]
     fn arch_events_match_declared_schemas(steps in steps()) {
         let results = run_all(&steps, PageSize::Size4K);
         for (result, kind) in results.iter().zip(ArchKind::ALL) {
             let produced: Vec<&str> = result.arch_events.iter().map(|(n, _)| n.as_str()).collect();
-            prop_assert_eq!(produced, kind.counter_schema().to_vec(), "{}", kind);
+            prop_assert_eq!(produced, schema(kind), "{}", kind);
         }
     }
 }

@@ -9,9 +9,10 @@
 //! `id`.
 //!
 //! The enums serialize externally tagged (`{"Submit": {...}}`), matching
-//! the vendored serde derive; every variant must round-trip, which the
-//! `protocol-roundtrip` audit rule enforces by requiring each variant to
-//! appear in `tests/protocol_roundtrip.rs`.
+//! the vendored serde derive; every variant must round-trip.
+//! `tests/protocol_roundtrip.rs` maps its samples to variants through an
+//! exhaustive `match`, so a new variant does not compile there until it has
+//! an arm, and fails the test until it has a sample.
 
 use atscale::{RunRecord, RunSpec, StoreStats};
 use atscale_telemetry::{Progress, Sample};

@@ -127,7 +127,8 @@ impl Server {
     }
 
     /// `benchmark/` calls this and cannot be edited outside a benchmark
-    /// PR (ROADMAP 5(b) removes it): [`Server::start`] on a TCP endpoint.
+    /// PR (the one deferred since PR 17 removes it): [`Server::start`] on a
+    /// TCP endpoint.
     #[doc(hidden)]
     pub fn start_epoll_sharded(
         config: ServeConfig,

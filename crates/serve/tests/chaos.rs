@@ -12,8 +12,8 @@
 //! classification, the fired-site signature, and the record digests — is
 //! a pure function of its seed. The matrix test runs every scenario
 //! twice per seed and requires the rendered outcome lines to match
-//! exactly; CI then runs the whole suite twice and diffs the emitted
-//! line files. Reproduce any CI failure locally with
+//! exactly, and every `FaultSite` to fire in at least one scenario; CI
+//! then runs the whole suite twice and diffs the emitted line files. Reproduce any CI failure locally with
 //! `CHAOS_SEEDS=<seed> cargo test -p atscale-serve --test chaos -- --nocapture`.
 
 #![cfg(feature = "faults")]
@@ -132,19 +132,22 @@ struct Outcome {
     name: &'static str,
     seed: u64,
     classification: String,
-    fires: String,
+    /// Every plan the scenario armed, in the order their fire signatures
+    /// join on the outcome line.
+    plans: Vec<Arc<FaultPlan>>,
     digests: Vec<u64>,
 }
 
 impl Outcome {
     fn line(&self) -> String {
         let digests: Vec<String> = self.digests.iter().map(|d| format!("{d:016x}")).collect();
+        let fires: Vec<String> = self.plans.iter().map(|p| p.signature()).collect();
         format!(
             "{} seed={:#x} outcome={} fires=[{}] digests=[{}]",
             self.name,
             self.seed,
             self.classification,
-            self.fires,
+            fires.join("|"),
             digests.join(",")
         )
     }
@@ -226,7 +229,7 @@ fn store_write_and_rename_failures_are_nonfatal(seed: u64) -> Outcome {
         name: "store_write_and_rename_failures_are_nonfatal",
         seed,
         classification: "records-delivered-despite-save-failures".to_string(),
-        fires: plan.signature(),
+        plans: vec![plan],
         digests,
     }
 }
@@ -298,7 +301,7 @@ fn worker_panic_contained(seed: u64) -> Outcome {
         name: "worker_panic_contained",
         seed,
         classification: "both-subscribers-failed-then-resubmit-ok".to_string(),
-        fires: plan.signature(),
+        plans: vec![plan],
         digests,
     }
 }
@@ -366,7 +369,7 @@ fn queue_pressure_backoff_retry(seed: u64) -> Outcome {
         name: "queue_pressure_backoff_retry",
         seed,
         classification: "retried-to-success-and-gave-up-on-budget".to_string(),
-        fires: format!("{}|{}", plan.signature(), stubborn.signature()),
+        plans: vec![plan, stubborn],
         digests,
     }
 }
@@ -419,7 +422,7 @@ fn server_write_faults_surface_as_client_errors(seed: u64) -> Outcome {
         name: "server_write_faults_surface_as_client_errors",
         seed,
         classification: "io-error-surfaced-and-server-healthy".to_string(),
-        fires: plan.signature(),
+        plans: vec![plan],
         digests,
     }
 }
@@ -459,7 +462,7 @@ fn server_stalls_are_survived(seed: u64) -> Outcome {
         name: "server_stalls_are_survived",
         seed,
         classification: "all-records-delivered-through-stalls".to_string(),
-        fires: plan.signature(),
+        plans: vec![plan],
         digests,
     }
 }
@@ -502,7 +505,7 @@ fn reactor_stalls_are_survived(seed: u64) -> Outcome {
         name: "reactor_stalls_are_survived",
         seed,
         classification: "all-records-delivered-through-reactor-stalls".to_string(),
-        fires: plan.signature(),
+        plans: vec![plan],
         digests,
     }
 }
@@ -562,7 +565,7 @@ fn client_socket_faults_terminate(seed: u64) -> Outcome {
         name: "client_socket_faults_terminate",
         seed,
         classification: "write-io-read-io-server-healthy".to_string(),
-        fires: format!("{}|{}", write_plan.signature(), read_plan.signature()),
+        plans: vec![write_plan, read_plan],
         digests,
     }
 }
@@ -604,7 +607,7 @@ fn forced_deadline_expiry(seed: u64) -> Outcome {
         name: "forced_deadline_expiry",
         seed,
         classification: "expired-then-resubmit-ok".to_string(),
-        fires: plan.signature(),
+        plans: vec![plan],
         digests,
     }
 }
@@ -675,7 +678,7 @@ fn segment_torn_append_recovers(seed: u64) -> Outcome {
         name: "segment_torn_append_recovers",
         seed,
         classification: "torn-tail-quarantined-then-recompute-ok".to_string(),
-        fires: plan.signature(),
+        plans: vec![plan],
         digests,
     }
 }
@@ -744,7 +747,7 @@ fn index_rename_failure_rebuilds(seed: u64) -> Outcome {
         name: "index_rename_failure_rebuilds",
         seed,
         classification: "index-rebuilt-then-cache-hit".to_string(),
-        fires: plan.signature(),
+        plans: vec![plan],
         digests,
     }
 }
@@ -801,6 +804,7 @@ fn seeds() -> Vec<u64> {
 fn run_matrix(seeds: &[u64]) {
     quiet_injected_panics();
     let mut lines = Vec::new();
+    let mut fired = [0u64; FaultSite::ALL.len()];
     for (name, scenario) in SCENARIOS {
         for &seed in seeds {
             let first = scenario(seed);
@@ -811,7 +815,21 @@ fn run_matrix(seeds: &[u64]) {
                 "scenario `{name}` is not deterministic for seed {seed:#x}"
             );
             lines.push(first.line());
+            for plan in &first.plans {
+                for site in FaultSite::ALL {
+                    fired[site.index()] += plan.fires(site);
+                }
+            }
         }
+    }
+    // A site that fired is both wired into library code and armed by a
+    // scenario; one that never fires is dead chaos surface or untested
+    // recovery code.
+    for site in FaultSite::ALL {
+        assert!(
+            fired[site.index()] > 0,
+            "fault site {site} never fired in the chaos matrix"
+        );
     }
     lines.sort();
     if let Ok(path) = std::env::var("CHAOS_OUT") {
