@@ -193,6 +193,11 @@ impl Analysis {
         &self.files[fi].fns[gi]
     }
 
+    /// The model of the Rust source at workspace-relative `path`.
+    pub fn file(&self, path: &str) -> Option<&FileModel> {
+        self.files.iter().find(|f| f.path == path)
+    }
+
     /// The file model a node lives in.
     pub fn file_of(&self, id: NodeId) -> &FileModel {
         &self.files[self.fns[id].0]
@@ -322,12 +327,7 @@ fn bfs(edges: &[Vec<NodeId>], start: &[NodeId]) -> Vec<bool> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::test_support::workspace_from;
-
-    fn analysis(files: &[(&str, &str)]) -> Analysis {
-        Analysis::build(&workspace_from(files))
-    }
+    use crate::test_support::analysis_from as analysis;
 
     #[test]
     fn free_and_method_calls_build_edges() {

@@ -16,12 +16,14 @@
 //!   claim visible to both the optimiser and this audit;
 //! * **constructors (`fn new`)** — arrays are allocated once per run at
 //!   machine build time; the audited property is per-*access* allocation
-//!   freedom, not zero allocation ever.
+//!   freedom, not zero allocation ever. The name must be exactly `new`.
 //!
-//! Everything else that matches a forbidden pattern fails the audit.
+//! Everything else that matches a forbidden pattern fails the audit. The
+//! scan runs on the module's non-test code tokens, so a `format!` inside a
+//! string literal or a comment is text, not a call.
 
-use crate::source::{matching_brace, matching_paren, non_test_region};
-use crate::{Audit, Workspace};
+use crate::graph::Analysis;
+use crate::Audit;
 
 const RULE: &str = "hot-path-allocation";
 
@@ -34,58 +36,76 @@ const HOT_MODULES: [&str; 4] = [
     "crates/cache/src/set_assoc.rs",
 ];
 
-/// Call patterns that allocate or format.
-const FORBIDDEN: [&str; 8] = [
-    "format!",
-    "String::from",
-    ".to_string()",
-    ".to_owned()",
-    "vec!",
-    "Vec::new",
-    "Vec::with_capacity",
-    "Box::new",
+/// Call patterns that allocate or format, each with its token spelling.
+const FORBIDDEN: [(&str, &[&str]); 8] = [
+    ("format!", &["format", "!"]),
+    ("String::from", &["String", ":", ":", "from"]),
+    (".to_string()", &[".", "to_string", "(", ")"]),
+    (".to_owned()", &[".", "to_owned", "(", ")"]),
+    ("vec!", &["vec", "!"]),
+    ("Vec::new", &["Vec", ":", ":", "new"]),
+    ("Vec::with_capacity", &["Vec", ":", ":", "with_capacity"]),
+    ("Box::new", &["Box", ":", ":", "new"]),
 ];
 
 /// Macros whose arguments are error-path message formatting.
 const PANIC_MACROS: [&str; 10] = [
-    "panic!",
-    "assert!",
-    "assert_eq!",
-    "assert_ne!",
-    "debug_assert!",
-    "debug_assert_eq!",
-    "debug_assert_ne!",
-    "unreachable!",
-    "invariant!",
-    "unimplemented!",
+    "panic",
+    "assert",
+    "assert_eq",
+    "assert_ne",
+    "debug_assert",
+    "debug_assert_eq",
+    "debug_assert_ne",
+    "unreachable",
+    "invariant",
+    "unimplemented",
 ];
 
 /// Runs the hot-path allocation rule over the workspace.
-pub fn audit_hot_path_allocation(ws: &Workspace) -> Audit {
+pub fn audit_hot_path_allocation(a: &Analysis) -> Audit {
     let mut audit = Audit::new(RULE);
     for module in HOT_MODULES {
         audit.check();
-        let Some(file) = ws.file(module) else {
+        let Some(file) = a.file(module) else {
             audit.fail(
                 module,
                 "hot-path module not found — if it moved, update the audit's module list",
             );
             continue;
         };
-        // Scan the literal-blanked code view: a `format!` mentioned inside
-        // a string (or a doc comment) is text, not a call, and must not
-        // trip the rule.
-        let scope = blank_exempt_regions(non_test_region(&file.code));
-        for pattern in FORBIDDEN {
+        // Exempt token ranges: panic-macro arguments, `#[cold]` and `new`
+        // bodies.
+        let mut exempt = vec![false; file.tokens.len()];
+        for (s, e) in file
+            .fns
+            .iter()
+            .filter(|f| f.cold || f.name == "new")
+            .filter_map(|f| f.body)
+        {
+            exempt[s..e].fill(true);
+        }
+        for i in file.non_test_code() {
+            let open = PANIC_MACROS
+                .iter()
+                .find_map(|m| file.spelled(i, &[m, "!", "("]));
+            if let Some((open, end)) = open.and_then(|o| Some((o, file.matching(o)?))) {
+                exempt[open..end].fill(true);
+            }
+        }
+        for (pattern, words) in FORBIDDEN {
             audit.check();
-            for at in scope.match_indices(pattern).map(|(at, _)| at) {
-                let line = scope[..at].lines().count();
+            for i in file
+                .non_test_code()
+                .filter(|&i| !exempt[i] && file.spells(i, words))
+            {
                 audit.fail(
                     &file.path,
                     format!(
-                        "`{pattern}` on the hot path (line {line}) — allocation and \
+                        "`{pattern}` on the hot path (line {}) — allocation and \
                          formatting belong in `#[cold]` helpers, constructors, or \
-                         panic messages"
+                         panic messages",
+                        file.tokens[i].line
                     ),
                 );
             }
@@ -94,69 +114,10 @@ pub fn audit_hot_path_allocation(ws: &Workspace) -> Audit {
     audit
 }
 
-/// Returns `src` with the three exempt region kinds blanked to spaces
-/// (newlines kept, so byte offsets and line numbers survive).
-fn blank_exempt_regions(src: &str) -> String {
-    let mut text = src.to_string();
-    blank_macro_arguments(&mut text);
-    blank_fn_bodies_after(&mut text, "#[cold]");
-    blank_fn_bodies_after(&mut text, "fn new");
-    text
-}
-
-/// Blanks the parenthesised arguments of every panic-family macro call.
-fn blank_macro_arguments(text: &mut String) {
-    for mac in PANIC_MACROS {
-        let mut from = 0usize;
-        while let Some(at) = text[from..].find(mac).map(|o| from + o) {
-            let after = at + mac.len();
-            let Some(open) = text[after..]
-                .find(|c: char| !c.is_whitespace())
-                .map(|o| after + o)
-                .filter(|&o| text.as_bytes()[o] == b'(')
-            else {
-                from = after;
-                continue;
-            };
-            let Some(end) = matching_paren(text, open) else {
-                from = after;
-                continue;
-            };
-            blank_range(text, open + 1, end - 1);
-            from = end;
-        }
-    }
-}
-
-/// Blanks the `{ ... }` body of every function introduced by `needle`
-/// (`#[cold]` attribute or a constructor's `fn new`).
-fn blank_fn_bodies_after(text: &mut String, needle: &str) {
-    let mut from = 0usize;
-    while let Some(at) = text[from..].find(needle).map(|o| from + o) {
-        let Some(open) = text[at..].find('{').map(|o| at + o) else {
-            return;
-        };
-        let Some(end) = matching_brace(text, open) else {
-            return;
-        };
-        blank_range(text, open + 1, end - 1);
-        from = end;
-    }
-}
-
-/// Overwrites `[start, end)` with spaces, preserving newlines.
-fn blank_range(text: &mut String, start: usize, end: usize) {
-    let blanked: String = text[start..end]
-        .chars()
-        .map(|c| if c == '\n' { '\n' } else { ' ' })
-        .collect();
-    text.replace_range(start..end, &blanked);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::workspace_from;
+    use crate::test_support::analysis_from;
 
     /// A minimal clean hot-path module set.
     fn clean_files() -> Vec<(&'static str, &'static str)> {
@@ -176,8 +137,7 @@ mod tests {
 
     #[test]
     fn clean_modules_pass() {
-        let ws = workspace_from(&clean_files());
-        let audit = audit_hot_path_allocation(&ws);
+        let audit = audit_hot_path_allocation(&analysis_from(&clean_files()));
         assert_eq!(audit.violations, Vec::new());
         assert!(audit.checked > 4);
     }
@@ -189,7 +149,7 @@ mod tests {
             "crates/mmu/src/engine.rs",
             "impl Machine {\n    pub fn access(&mut self) { let s = format!(\"{}\", 1); }\n}\n",
         );
-        let audit = audit_hot_path_allocation(&workspace_from(&files));
+        let audit = audit_hot_path_allocation(&analysis_from(&files));
         assert!(audit
             .violations
             .iter()
@@ -209,8 +169,24 @@ mod tests {
             ("crates/mmu/src/walker.rs", ""),
             ("crates/cache/src/set_assoc.rs", ""),
         ];
-        let audit = audit_hot_path_allocation(&workspace_from(&files));
+        let audit = audit_hot_path_allocation(&analysis_from(&files));
         assert_eq!(audit.violations, Vec::new());
+    }
+
+    #[test]
+    fn only_a_fn_named_exactly_new_is_a_constructor() {
+        // Constructors run once per machine; `fn new_scratch` is per-access
+        // code like any other.
+        let mut files = clean_files();
+        files[2] = (
+            "crates/mmu/src/walker.rs",
+            "pub fn new_scratch() -> V {\n    Vec::new()\n}\n",
+        );
+        let audit = audit_hot_path_allocation(&analysis_from(&files));
+        assert_eq!(audit.violations.len(), 1);
+        assert!(audit.violations[0]
+            .message
+            .starts_with("`Vec::new` on the hot path (line 2)"));
     }
 
     #[test]
@@ -220,7 +196,7 @@ mod tests {
             "crates/mmu/src/walker.rs",
             "#[cold]\nfn slow_report() -> String { format!(\"{}\", 1) }\npub fn walk() {}\n",
         );
-        let audit = audit_hot_path_allocation(&workspace_from(&files));
+        let audit = audit_hot_path_allocation(&analysis_from(&files));
         assert_eq!(audit.violations, Vec::new());
     }
 
@@ -231,7 +207,7 @@ mod tests {
             "crates/cache/src/set_assoc.rs",
             "pub fn access(x: u64) {\n    assert!(x > 0, \"bad {}\", format!(\"{x}\"));\n}\n",
         );
-        let audit = audit_hot_path_allocation(&workspace_from(&files));
+        let audit = audit_hot_path_allocation(&analysis_from(&files));
         assert_eq!(audit.violations, Vec::new());
     }
 
@@ -240,9 +216,10 @@ mod tests {
         let mut files = clean_files();
         files[3] = (
             "crates/cache/src/set_assoc.rs",
-            "pub fn access(x: u64) {\n    assert!(x > 0, \"bad\");\n    let v = Vec::new();\n}\n",
+            "pub fn access(x: u64) {\n    assert!(x > 0, \"bad\");\n    let v = o.unwrap_or_else(Vec::new);\n}\n",
         );
-        let audit = audit_hot_path_allocation(&workspace_from(&files));
+        // A path value allocates when called, so it counts like a call.
+        let audit = audit_hot_path_allocation(&analysis_from(&files));
         assert!(audit
             .violations
             .iter()
@@ -256,7 +233,7 @@ mod tests {
             "crates/mmu/src/tlb.rs",
             "pub fn lookup() {}\n#[cfg(test)]\nmod tests {\n    fn h() { let v = vec![1]; }\n}\n",
         );
-        let audit = audit_hot_path_allocation(&workspace_from(&files));
+        let audit = audit_hot_path_allocation(&analysis_from(&files));
         assert_eq!(audit.violations, Vec::new());
     }
 
@@ -269,7 +246,7 @@ mod tests {
             "crates/mmu/src/walker.rs",
             "pub fn walk() {\n    let msg = \"never call format! or Vec::new here\";\n    emit(msg);\n}\n",
         );
-        let audit = audit_hot_path_allocation(&workspace_from(&files));
+        let audit = audit_hot_path_allocation(&analysis_from(&files));
         assert_eq!(audit.violations, Vec::new());
     }
 
@@ -280,7 +257,7 @@ mod tests {
             "crates/mmu/src/walker.rs",
             "/// Never use `format!` or `Box::new` on this path.\n// vec! is also banned.\npub fn walk() {}\n",
         );
-        let audit = audit_hot_path_allocation(&workspace_from(&files));
+        let audit = audit_hot_path_allocation(&analysis_from(&files));
         assert_eq!(audit.violations, Vec::new());
     }
 
@@ -288,23 +265,10 @@ mod tests {
     fn missing_module_is_flagged() {
         let mut files = clean_files();
         files.remove(2);
-        let audit = audit_hot_path_allocation(&workspace_from(&files));
+        let audit = audit_hot_path_allocation(&analysis_from(&files));
         assert!(audit
             .violations
             .iter()
             .any(|v| v.file.contains("walker.rs") && v.message.contains("not found")));
-    }
-
-    #[test]
-    fn real_workspace_hot_modules_are_clean() {
-        // The self-audit the rule exists for: the actual workspace sources.
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .and_then(std::path::Path::parent)
-            .expect("workspace root")
-            .to_path_buf();
-        let ws = Workspace::load(&root).expect("load workspace");
-        let audit = audit_hot_path_allocation(&ws);
-        assert_eq!(audit.violations, Vec::new());
     }
 }

@@ -12,9 +12,14 @@
 //! The rule also verifies the wiring: `Machine::finish` must run a full
 //! sweep and the pressure-window path must run the O(1) counter checks, so
 //! the layer cannot silently fall out of the hot paths.
+//!
+//! Everything is read off the item model ([`crate::model::FnItem`]): a
+//! mutator is a non-test `is_pub && mut_self` method of an inherent impl,
+//! and a covered type is one with a non-test `impl CheckInvariants`.
 
-use crate::source::{impl_blocks, non_test_region, pub_fns};
-use crate::{Audit, Workspace};
+use crate::graph::Analysis;
+use crate::model::CallKind;
+use crate::Audit;
 
 const RULE: &str = "invariant-annotation";
 
@@ -58,78 +63,74 @@ pub const COVERED_INDIRECTLY: [(&str, &str); 6] = [
     ),
 ];
 
-/// Substrings whose presence in a mutator body counts as an inline check.
-const INLINE_CHECKS: [&str; 3] = ["invariant!", "check_invariants", "debug_assert"];
-
 /// Runs the invariant-annotation rule over the workspace.
-pub fn audit_invariant_annotations(ws: &Workspace) -> Audit {
+pub fn audit_invariant_annotations(a: &Analysis) -> Audit {
     let mut audit = Audit::new(RULE);
-    let files: Vec<_> = ws
-        .rust_sources()
-        .filter(|f| STATE_CRATES.iter().any(|c| f.path.contains(c)))
-        .collect();
+    // The non-test fns of the state crates, each with its file.
+    let fns = || {
+        a.files
+            .iter()
+            .filter(|f| STATE_CRATES.iter().any(|c| f.path.contains(c)))
+            .flat_map(|f| f.fns.iter().filter(|g| !g.in_tests).map(move |g| (f, g)))
+    };
 
     // Pass 1: which types implement CheckInvariants?
-    let mut covered: Vec<String> = files
-        .iter()
-        .flat_map(|f| impl_blocks(non_test_region(&f.stripped)))
-        .filter(|b| b.trait_name.as_deref() == Some("CheckInvariants"))
-        .map(|b| b.type_name)
+    let mut covered: Vec<&str> = fns()
+        .filter(|(_, g)| g.impl_trait.as_deref() == Some("CheckInvariants"))
+        .filter_map(|(_, g)| g.impl_type.as_deref())
         .collect();
-    covered.extend(COVERED_INDIRECTLY.iter().map(|(t, _)| (*t).to_string()));
+    covered.extend(COVERED_INDIRECTLY.iter().map(|(t, _)| *t));
 
-    // Pass 2: every public mutator must be covered.
-    for file in &files {
-        for block in impl_blocks(non_test_region(&file.stripped)) {
-            if block.trait_name.is_some() {
-                continue; // trait methods follow the trait's contract
-            }
-            for f in pub_fns(block.body) {
-                if !f.takes_mut_self() {
-                    continue;
-                }
-                audit.check();
-                let type_covered = covered.contains(&block.type_name);
-                let inline = INLINE_CHECKS.iter().any(|c| f.body.contains(c));
-                if !type_covered && !inline {
-                    audit.fail(
-                        &file.path,
-                        format!(
-                            "`{}::{}` mutates state but `{}` neither implements \
-                             `CheckInvariants` nor performs inline invariant checks \
-                             (and is not on the indirect-coverage allowlist)",
-                            block.type_name, f.name, block.type_name
-                        ),
-                    );
-                }
-            }
+    // Pass 2: every public mutator of an inherent impl must be covered
+    // (trait methods follow the trait's contract).
+    for (file, f) in fns().filter(|(_, f)| f.is_pub && f.mut_self && f.impl_trait.is_none()) {
+        let Some(ty) = f.impl_type.as_deref() else {
+            continue;
+        };
+        audit.check();
+        let inline = file.calls_of(f).iter().any(|c| {
+            c.name == "check_invariants"
+                || c.kind == CallKind::Macro
+                    && (c.name == "invariant" || c.name.starts_with("debug_assert"))
+        });
+        if !covered.contains(&ty) && !inline {
+            audit.fail(
+                &file.path,
+                format!(
+                    "`{ty}::{}` mutates state but `{ty}` neither implements \
+                     `CheckInvariants` nor performs inline invariant checks \
+                     (and is not on the indirect-coverage allowlist)",
+                    f.name
+                ),
+            );
         }
     }
 
-    check_engine_wiring(&mut audit, ws);
+    check_engine_wiring(&mut audit, a);
     audit
 }
 
 /// The engine hot paths must actually invoke the layer.
-fn check_engine_wiring(audit: &mut Audit, ws: &Workspace) {
+fn check_engine_wiring(audit: &mut Audit, a: &Analysis) {
     const ENGINE: &str = "crates/mmu/src/engine.rs";
-    let Some(engine) = ws.file(ENGINE) else {
+    let Some(engine) = a.file(ENGINE) else {
         audit.fail(ENGINE, format!("{ENGINE} not found in workspace"));
         return;
     };
-    let src = non_test_region(&engine.stripped);
-    for (needle, why) in [
+    for (needle, words, why) in [
         (
             "self.check_invariants()",
+            &["self", ".", "check_invariants", "(", ")"][..],
             "Machine::finish must run a full invariant sweep in debug builds",
         ),
         (
             "debug_check_window",
+            &["debug_check_window"][..],
             "the pressure-window path must run the O(1) counter checks in debug builds",
         ),
     ] {
         audit.check();
-        if !src.contains(needle) {
+        if !engine.non_test_code().any(|i| engine.spells(i, words)) {
             audit.fail(ENGINE, format!("missing `{needle}` — {why}"));
         }
     }
@@ -138,7 +139,7 @@ fn check_engine_wiring(audit: &mut Audit, ws: &Workspace) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::workspace_from;
+    use crate::test_support::analysis_from;
 
     /// Engine stub satisfying the wiring checks.
     const ENGINE: &str = "
@@ -161,11 +162,11 @@ mod tests {
                 fn check_invariants(&self) {}
             }
         ";
-        let ws = workspace_from(&[
+        let a = analysis_from(&[
             ("crates/mmu/src/tlb.rs", src),
             ("crates/mmu/src/engine.rs", ENGINE),
         ]);
-        assert_eq!(audit_invariant_annotations(&ws).violations, Vec::new());
+        assert_eq!(audit_invariant_annotations(&a).violations, Vec::new());
     }
 
     #[test]
@@ -175,11 +176,11 @@ mod tests {
                 pub fn mutate(&mut self) { self.state += 1 }
             }
         ";
-        let ws = workspace_from(&[
+        let a = analysis_from(&[
             ("crates/cache/src/rogue.rs", src),
             ("crates/mmu/src/engine.rs", ENGINE),
         ]);
-        let audit = audit_invariant_annotations(&ws);
+        let audit = audit_invariant_annotations(&a);
         assert_eq!(audit.violations.len(), 1);
         assert!(audit.violations[0].message.contains("`Rogue::mutate`"));
     }
@@ -194,11 +195,11 @@ mod tests {
                 }
             }
         ";
-        let ws = workspace_from(&[
+        let a = analysis_from(&[
             ("crates/vm/src/lone.rs", src),
             ("crates/mmu/src/engine.rs", ENGINE),
         ]);
-        assert_eq!(audit_invariant_annotations(&ws).violations, Vec::new());
+        assert_eq!(audit_invariant_annotations(&a).violations, Vec::new());
     }
 
     #[test]
@@ -208,11 +209,11 @@ mod tests {
                 pub fn stats(&self) -> u64 { self.n }
             }
         ";
-        let ws = workspace_from(&[
+        let a = analysis_from(&[
             ("crates/vm/src/viewer.rs", src),
             ("crates/mmu/src/engine.rs", ENGINE),
         ]);
-        assert_eq!(audit_invariant_annotations(&ws).violations, Vec::new());
+        assert_eq!(audit_invariant_annotations(&a).violations, Vec::new());
     }
 
     #[test]
@@ -222,20 +223,20 @@ mod tests {
                 pub fn alloc_page(&mut self) -> u64 { 0 }
             }
         ";
-        let ws = workspace_from(&[
+        let a = analysis_from(&[
             ("crates/vm/src/frame.rs", src),
             ("crates/mmu/src/engine.rs", ENGINE),
         ]);
-        assert_eq!(audit_invariant_annotations(&ws).violations, Vec::new());
+        assert_eq!(audit_invariant_annotations(&a).violations, Vec::new());
     }
 
     #[test]
     fn missing_engine_wiring_is_flagged() {
-        let ws = workspace_from(&[(
+        let a = analysis_from(&[(
             "crates/mmu/src/engine.rs",
             "impl Machine { pub fn finish(&mut self) { invariant!(true) } }",
         )]);
-        let audit = audit_invariant_annotations(&ws);
+        let audit = audit_invariant_annotations(&a);
         assert!(audit
             .violations
             .iter()
@@ -253,10 +254,10 @@ mod tests {
                 pub fn mutate(&mut self) { self.n += 1 }
             }
         ";
-        let ws = workspace_from(&[
+        let a = analysis_from(&[
             ("crates/stats/src/lib.rs", src),
             ("crates/mmu/src/engine.rs", ENGINE),
         ]);
-        assert_eq!(audit_invariant_annotations(&ws).violations, Vec::new());
+        assert_eq!(audit_invariant_annotations(&a).violations, Vec::new());
     }
 }

@@ -3,9 +3,9 @@
 //! PR 1's audit worked on comment-stripped text with a brace matcher —
 //! precise enough for shapes rustfmt keeps canonical, but blind to the
 //! difference between code and the *contents* of string literals, and
-//! unable to support real program analysis. This lexer is the foundation
-//! the call-graph and the determinism/lock/panic passes build on: it
-//! tokenizes Rust source into identifiers, literals, comments, and
+//! unable to support real program analysis. This lexer is the audit's one
+//! front end: [`crate::model::FileModel::parse`] is its only caller, and
+//! every rule reads the tokens and items built from it. It tokenizes Rust source into identifiers, literals, comments, and
 //! punctuation with exact byte spans and line numbers, understanding
 //! escapes, raw strings (`r#"…"#`), byte/char literals, lifetimes, and
 //! nested block comments.
@@ -274,51 +274,6 @@ fn scan_char(b: &[u8], open: usize) -> usize {
     i
 }
 
-/// `src` with comment bytes blanked to spaces (newlines kept): byte
-/// offsets, line structure, and literal contents all survive.
-pub fn blank_comments(src: &str) -> String {
-    blank_where(src, Token::is_comment)
-}
-
-/// `src` with comments blanked *and* the contents of string/char literals
-/// blanked (delimiters kept) — the view for scanning *code* patterns,
-/// where `"format!"` inside a message must not look like a macro call.
-pub fn blank_comments_and_literals(src: &str) -> String {
-    let mut out: Vec<u8> = src.as_bytes().to_vec();
-    for t in lex(src) {
-        match t.kind {
-            TokenKind::LineComment | TokenKind::BlockComment => {
-                blank_span(&mut out, t.start, t.end);
-            }
-            // Keep one delimiter byte at each end so brace/paren
-            // matchers still see a literal, not stray punctuation.
-            TokenKind::Str | TokenKind::RawStr | TokenKind::Char if t.end - t.start > 2 => {
-                blank_span(&mut out, t.start + 1, t.end - 1);
-            }
-            _ => {}
-        }
-    }
-    String::from_utf8(out).expect("blanking to ASCII spaces preserves UTF-8")
-}
-
-fn blank_where(src: &str, blank: impl Fn(&Token) -> bool) -> String {
-    let mut out: Vec<u8> = src.as_bytes().to_vec();
-    for t in lex(src) {
-        if blank(&t) {
-            blank_span(&mut out, t.start, t.end);
-        }
-    }
-    String::from_utf8(out).expect("blanking to ASCII spaces preserves UTF-8")
-}
-
-fn blank_span(out: &mut [u8], start: usize, end: usize) {
-    for c in &mut out[start..end] {
-        if *c != b'\n' {
-            *c = b' ';
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,32 +369,10 @@ mod tests {
     }
 
     #[test]
-    fn blank_comments_preserves_offsets_and_strings() {
-        let src = "let a = \"// not a comment\"; // real\nlet b = 1; /* gone */ let c = 2;";
-        let s = blank_comments(src);
-        assert_eq!(s.len(), src.len());
-        assert!(s.contains("// not a comment"));
-        assert!(!s.contains("real"));
-        assert!(!s.contains("gone"));
-        assert!(s.contains("let c = 2;"));
-    }
-
-    #[test]
-    fn blank_literals_hides_code_lookalikes_in_strings() {
-        let src = "let m = \"never format! here\"; let v = format!(\"x\");";
-        let s = blank_comments_and_literals(src);
-        assert_eq!(s.len(), src.len());
-        // The call survives; the mention inside the string does not.
-        assert_eq!(s.matches("format!").count(), 1);
-        assert!(s.contains("format!(\" \")") || s.contains("format!(\"  \")"));
-    }
-
-    #[test]
     fn lexer_never_panics_on_malformed_input() {
         for src in ["\"unterminated", "r#\"open", "'", "/* open", "b'", "\\"] {
-            let _ = lex(src);
-            let _ = blank_comments(src);
-            let _ = blank_comments_and_literals(src);
+            let toks = lex(src);
+            assert!(toks.iter().all(|t| t.start < t.end && t.end <= src.len()));
         }
     }
 }

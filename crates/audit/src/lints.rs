@@ -16,7 +16,12 @@
 //! rule pins the blast radius: within that crate, any `allow(unsafe_code)`
 //! or `unsafe` token may appear only in its sanctioned syscall-shim module
 //! `src/sys.rs`. Every other crate, whatever it is named, must forbid.
+//!
+//! The manifest checks read TOML text; the crate-root and confinement
+//! checks read code tokens, so a comment or string mentioning `unsafe`
+//! neither satisfies nor trips them.
 
+use crate::graph::Analysis;
 use crate::{Audit, Workspace};
 
 const RULE: &str = "lint-wiring";
@@ -25,11 +30,11 @@ const RULE: &str = "lint-wiring";
 const REQUIRED_RUST_LINTS: [&str; 2] = ["missing_docs", "unsafe_code"];
 
 /// Runs the lint-wiring rule over the workspace.
-pub fn audit_lint_wiring(ws: &Workspace) -> Audit {
+pub fn audit_lint_wiring(ws: &Workspace, a: &Analysis) -> Audit {
     let mut audit = Audit::new(RULE);
     check_root_tables(&mut audit, ws);
     check_member_manifests(&mut audit, ws);
-    check_unsafe_forbidden(&mut audit, ws);
+    check_unsafe_forbidden(&mut audit, ws, a);
     audit
 }
 
@@ -80,34 +85,31 @@ fn check_member_manifests(audit: &mut Audit, ws: &Workspace) {
     }
 }
 
-/// One sanctioned raw-syscall site: the crate allowed to contain
-/// `unsafe`, and the single module its unsafe code must live in.
-struct FfiException {
-    /// Crate directory prefix the confinement scan covers.
-    crate_dir: &'static str,
-    /// The crate root, which must `deny` (not `forbid`) `unsafe_code`.
-    root: &'static str,
-    /// The only module allowed to `allow(unsafe_code)` / use `unsafe`.
-    module: &'static str,
-}
-
-/// The sanctioned-unsafe sites: `epoll`/`eventfd` in `atscale-serve`'s
-/// reactor.
-const FFI_EXCEPTIONS: [FfiException; 1] = [FfiException {
-    crate_dir: "crates/serve/",
-    root: "crates/serve/src/lib.rs",
-    module: "crates/serve/src/sys.rs",
-}];
+/// The one sanctioned raw-syscall site, `epoll`/`eventfd` in
+/// `atscale-serve`'s reactor: the crate allowed to contain `unsafe`, its
+/// root (which must `deny`, not `forbid`, `unsafe_code`), and the only
+/// module its unsafe code may live in.
+const FFI_CRATE: &str = "crates/serve/";
+const FFI_ROOT: &str = "crates/serve/src/lib.rs";
+const FFI_MODULE: &str = "crates/serve/src/sys.rs";
 
 /// Every crate root must forbid unsafe code outright — except the
 /// documented FFI crate, whose root must *deny* it (so its syscall shim
 /// can re-allow it for exactly one module) and whose `unsafe` usage must
 /// stay confined to that module.
-fn check_unsafe_forbidden(audit: &mut Audit, ws: &Workspace) {
-    for root in ws.crate_roots() {
+fn check_unsafe_forbidden(audit: &mut Audit, ws: &Workspace, a: &Analysis) {
+    // Each member crate's root: `src/lib.rs`, or `src/main.rs` for
+    // binary-only crates.
+    let roots = ws.crate_manifests().filter_map(|m| {
+        let dir = m.path.trim_end_matches("/Cargo.toml");
+        a.file(&format!("{dir}/src/lib.rs"))
+            .or_else(|| a.file(&format!("{dir}/src/main.rs")))
+    });
+    let inner_attr = |lint| ["#", "!", "[", lint, "(", "unsafe_code", ")", "]"];
+    for root in roots {
         audit.check();
-        if FFI_EXCEPTIONS.iter().any(|e| e.root == root.path) {
-            if !root.text.contains("#![deny(unsafe_code)]") {
+        if root.path == FFI_ROOT {
+            if !root.contains(&inner_attr("deny")) {
                 audit.fail(
                     &root.path,
                     "an FFI-exception crate must carry `#![deny(unsafe_code)]` at its root \
@@ -115,55 +117,31 @@ fn check_unsafe_forbidden(audit: &mut Audit, ws: &Workspace) {
                      the guard)",
                 );
             }
-        } else if !root.text.contains("#![forbid(unsafe_code)]") {
+        } else if !root.contains(&inner_attr("forbid")) {
             audit.fail(
                 &root.path,
                 "missing `#![forbid(unsafe_code)]` at the crate root",
             );
         }
     }
-    // Each exception stays surgical: inside its crate, unsafe code and
+    // The exception stays surgical: inside its crate, unsafe code and
     // `allow(unsafe_code)` opt-outs may appear only in the syscall shim.
-    for exception in &FFI_EXCEPTIONS {
-        for file in ws
-            .rust_sources()
-            .filter(|f| f.path.starts_with(exception.crate_dir))
-        {
-            if file.path == exception.module {
-                continue;
-            }
-            audit.check();
-            if file.code.contains("allow(unsafe_code)") || has_unsafe_token(&file.code) {
-                audit.fail(
-                    &file.path,
-                    format!(
-                        "unsafe code outside the sanctioned FFI module `{}` — the exception \
-                         covers the syscall shim only",
-                        exception.module
-                    ),
-                );
-            }
+    for file in a
+        .files
+        .iter()
+        .filter(|f| f.path.starts_with(FFI_CRATE) && f.path != FFI_MODULE)
+    {
+        audit.check();
+        if file.contains(&["unsafe"]) || file.contains(&["allow", "(", "unsafe_code", ")"]) {
+            audit.fail(
+                &file.path,
+                format!(
+                    "unsafe code outside the sanctioned FFI module `{FFI_MODULE}` — the \
+                     exception covers the syscall shim only"
+                ),
+            );
         }
     }
-}
-
-/// True when `unsafe` appears as a standalone token (word-boundary match,
-/// so `unsafe_code` in lint attributes does not count).
-fn has_unsafe_token(code: &str) -> bool {
-    let bytes = code.as_bytes();
-    let is_ident = |c: u8| c == b'_' || c.is_ascii_alphanumeric();
-    let mut from = 0;
-    while let Some(at) = code[from..].find("unsafe") {
-        let start = from + at;
-        let end = start + "unsafe".len();
-        let before_ok = start == 0 || !is_ident(bytes[start - 1]);
-        let after_ok = end == bytes.len() || !is_ident(bytes[end]);
-        if before_ok && after_ok {
-            return true;
-        }
-        from = end;
-    }
-    false
 }
 
 /// True when `key = ...` appears inside the given TOML table (before the
@@ -202,6 +180,11 @@ mod tests {
     use super::*;
     use crate::test_support::workspace_from;
 
+    fn lint(files: &[(&str, &str)]) -> Audit {
+        let ws = workspace_from(files);
+        audit_lint_wiring(&ws, &Analysis::build(&ws))
+    }
+
     const GOOD_ROOT: &str = "
 [workspace]
 members = [\"crates/*\"]
@@ -234,8 +217,7 @@ workspace = true
 
     #[test]
     fn wired_workspace_passes() {
-        let ws = workspace_from(&good());
-        assert_eq!(audit_lint_wiring(&ws).violations, Vec::new());
+        assert_eq!(lint(&good()).violations, Vec::new());
     }
 
     #[test]
@@ -246,7 +228,7 @@ workspace = true
         );
         let mut files = good();
         files[0] = ("Cargo.toml", Box::leak(root.into_boxed_str()));
-        let audit = audit_lint_wiring(&workspace_from(&files));
+        let audit = lint(&files);
         assert!(audit
             .violations
             .iter()
@@ -257,7 +239,7 @@ workspace = true
     fn crate_without_opt_in_is_flagged() {
         let mut files = good();
         files[1] = ("crates/x/Cargo.toml", "[package]\nname = \"x\"\n");
-        let audit = audit_lint_wiring(&workspace_from(&files));
+        let audit = lint(&files);
         assert!(audit
             .violations
             .iter()
@@ -267,8 +249,12 @@ workspace = true
     #[test]
     fn missing_forbid_unsafe_is_flagged() {
         let mut files = good();
-        files[2] = ("crates/x/src/lib.rs", "pub fn f() {}");
-        let audit = audit_lint_wiring(&workspace_from(&files));
+        // A doc comment saying the attribute is not the attribute.
+        files[2] = (
+            "crates/x/src/lib.rs",
+            "//! #![forbid(unsafe_code)]\npub fn f() {}",
+        );
+        let audit = lint(&files);
         assert!(audit
             .violations
             .iter()
@@ -288,7 +274,7 @@ workspace = true
             "#[allow(unsafe_code)]\nmod imp { pub fn ep() -> i64 { unsafe { syscall(291) } } }",
         ));
         files.push(("crates/serve/src/reactor.rs", "pub fn run() {}"));
-        let audit = audit_lint_wiring(&workspace_from(&files));
+        let audit = lint(&files);
         assert_eq!(audit.violations, Vec::new());
     }
 
@@ -298,7 +284,7 @@ workspace = true
         files.push(("crates/serve/Cargo.toml", GOOD_CRATE));
         files.push(("crates/serve/src/lib.rs", "pub mod sys;"));
         files.push(("crates/serve/src/sys.rs", "pub fn ep() -> i64 { 0 }"));
-        let audit = audit_lint_wiring(&workspace_from(&files));
+        let audit = lint(&files);
         assert!(audit
             .violations
             .iter()
@@ -318,7 +304,7 @@ workspace = true
             "crates/serve/src/reactor.rs",
             "#[allow(unsafe_code)]\npub fn run() { unsafe { core::hint::unreachable_unchecked() } }",
         ));
-        let audit = audit_lint_wiring(&workspace_from(&files));
+        let audit = lint(&files);
         assert!(audit
             .violations
             .iter()
@@ -341,7 +327,7 @@ workspace = true
             "crates/native/src/sys.rs",
             "#[allow(unsafe_code)]\nmod imp { pub fn open() -> i64 { unsafe { syscall(298) } } }",
         ));
-        let audit = audit_lint_wiring(&workspace_from(&files));
+        let audit = lint(&files);
         assert!(
             audit
                 .violations
@@ -355,13 +341,24 @@ workspace = true
 
     #[test]
     fn unsafe_code_lint_names_do_not_trip_the_token_scan() {
-        // `unsafe_code` (the lint name) contains `unsafe` as a substring;
-        // the word-boundary scan must not flag crate roots that merely
-        // mention the lint.
-        assert!(!has_unsafe_token("#![deny(unsafe_code)]"));
-        assert!(has_unsafe_token("unsafe { x() }"));
-        assert!(has_unsafe_token("unsafe fn f() {}"));
-        assert!(!has_unsafe_token("let not_unsafe_thing = 1;"));
+        // `unsafe_code` (the lint name) contains `unsafe`, and comments and
+        // strings may say the word: only an `unsafe` token counts.
+        let reactor = |src| {
+            let mut files = good();
+            files.push(("crates/serve/Cargo.toml", GOOD_CRATE));
+            files.push((
+                "crates/serve/src/lib.rs",
+                "#![deny(unsafe_code)]\npub mod reactor;",
+            ));
+            files.push(("crates/serve/src/reactor.rs", src));
+            lint(&files).violations
+        };
+        assert_eq!(
+            reactor("// no unsafe here\npub fn run() { let not_unsafe_thing = \"unsafe\"; }"),
+            Vec::new()
+        );
+        assert_eq!(reactor("unsafe fn f() {}").len(), 1);
+        assert_eq!(reactor("#![allow(unsafe_code)]").len(), 1);
     }
 
     #[test]
@@ -369,7 +366,7 @@ workspace = true
         let root = GOOD_ROOT.replace("missing_docs = \"warn\"\n", "");
         let mut files = good();
         files[0] = ("Cargo.toml", Box::leak(root.into_boxed_str()));
-        let audit = audit_lint_wiring(&workspace_from(&files));
+        let audit = lint(&files);
         assert!(audit
             .violations
             .iter()

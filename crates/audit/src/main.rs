@@ -48,7 +48,7 @@ fn main() -> ExitCode {
     );
     let outcome = run_full(&ws);
     let mut failed = false;
-    for audit in &outcome.audits {
+    for audit in &outcome.rules {
         println!(
             "  {:<22} {:>3} checks, {} violation{}",
             audit.rule,
@@ -58,13 +58,13 @@ fn main() -> ExitCode {
         );
         failed |= !audit.violations.is_empty();
     }
-    for audit in &outcome.audits {
+    for audit in &outcome.rules {
         for v in &audit.violations {
             eprintln!("{v}");
         }
     }
     if let Some(path) = report_path {
-        let json = outcome.report.to_json(&outcome.audits);
+        let json = outcome.to_json();
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("atscale-audit: cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;

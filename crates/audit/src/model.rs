@@ -3,9 +3,10 @@
 //! Built on the token stream from [`crate::lex`], this module extracts the
 //! program structure the analysis passes need:
 //!
-//! * **function items** — every `fn`, associated with its `impl` type when
-//!   it has one, with exact body token ranges (nested closures belong to
-//!   the enclosing function; nested `fn` items get their own entry and are
+//! * **function items** — every `fn`, associated with its `impl` type (and
+//!   trait) when it has one, with its visibility, receiver and `#[cold]`
+//!   marker, and exact body token ranges (nested closures belong to the
+//!   enclosing function; nested `fn` items get their own entry and are
 //!   excluded from the outer body's scans);
 //! * **call sites** — `name(...)`, `.name(...)`, `Path::name(...)`, and
 //!   `name!(...)` macro invocations, each with its qualifying path prefix
@@ -42,6 +43,16 @@ pub struct FnItem {
     pub qualified: String,
     /// The `impl` type the function belongs to, if any.
     pub impl_type: Option<String>,
+    /// The trait of an enclosing `impl Trait for Type` block (last path
+    /// segment, generics dropped).
+    pub impl_trait: Option<String>,
+    /// True for `pub` and restricted `pub(crate)` / `pub(in …)` items.
+    pub is_pub: bool,
+    /// True when the receiver is `&mut self` (lifetime allowed:
+    /// `&'a mut self`).
+    pub mut_self: bool,
+    /// True when a `#[cold]` attribute precedes the `fn`.
+    pub cold: bool,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Token-index range `[start, end)` of the body (braces excluded);
@@ -50,6 +61,8 @@ pub struct FnItem {
     /// True when the function lives in a `#[cfg(test)]` region or a
     /// `tests/` integration file.
     pub in_tests: bool,
+    /// Token index of the `fn` keyword.
+    pub token: usize,
 }
 
 /// How a call site names its callee.
@@ -88,6 +101,15 @@ pub enum LockKind {
     Mutex,
     /// `RwLock<_>`.
     RwLock,
+}
+
+/// The lock kind a type name spells, if it names one.
+fn lock_kind(word: &str) -> Option<LockKind> {
+    match word {
+        "Mutex" => Some(LockKind::Mutex),
+        "RwLock" => Some(LockKind::RwLock),
+        _ => None,
+    }
 }
 
 /// One declared lock.
@@ -163,25 +185,28 @@ pub struct FileModel {
     /// constructor in this file (fields, locals, params) — the receivers
     /// whose iteration order is nondeterministic.
     pub hash_bindings: Vec<String>,
-    /// Byte offset where the `#[cfg(test)]` region starts, if any.
+    /// Byte offset of the first `#[cfg(test)]` attribute (as code tokens;
+    /// rustfmt places test modules last): everything from here on is test
+    /// code. This is the audit's only non-test boundary.
     test_start: Option<usize>,
 }
 
 impl FileModel {
     /// Parses one file. `path` decides test-ness for `tests/` files.
     pub fn parse(path: &str, src: &str) -> FileModel {
-        let tokens = lex(src);
-        let test_start = src.find("#[cfg(test)]");
         let mut model = FileModel {
             path: path.to_string(),
             src: src.to_string(),
-            tokens,
+            tokens: lex(src),
             fns: Vec::new(),
             locks: Vec::new(),
             allows: Vec::new(),
             hash_bindings: Vec::new(),
-            test_start,
+            test_start: None,
         };
+        model.test_start = (0..model.tokens.len())
+            .find(|&i| model.spells(i, &["#", "[", "cfg", "(", "test", ")", "]"]))
+            .map(|i| model.tokens[i].start);
         model.parse_allows();
         model.parse_items();
         model.parse_bindings();
@@ -191,6 +216,39 @@ impl FileModel {
     /// True when byte offset `at` is inside the test region.
     fn offset_in_tests(&self, at: usize) -> bool {
         self.path.contains("/tests/") || self.test_start.is_some_and(|t| at >= t)
+    }
+
+    /// Indices of the code tokens (comments skipped) outside the test
+    /// region.
+    pub fn non_test_code(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.tokens.len()).filter(|&i| {
+            !self.tokens[i].is_comment() && !self.offset_in_tests(self.tokens[i].start)
+        })
+    }
+
+    /// When the code tokens from index `i` on have exactly the texts
+    /// `words` (comments between them skipped), the index of the last one:
+    /// `["Vec", ":", ":", "new"]` matches `Vec::new` but neither
+    /// `SmallVec::new` nor the text of a string literal.
+    pub fn spelled(&self, i: usize, words: &[&str]) -> Option<usize> {
+        let mut at = Some(i).filter(|&i| i < self.tokens.len() && !self.tokens[i].is_comment());
+        let mut last = None;
+        for word in words {
+            let j = at.filter(|&j| self.tokens[j].text(&self.src) == *word)?;
+            last = Some(j);
+            at = self.next_code_token(j).map(|(n, _)| n);
+        }
+        last
+    }
+
+    /// True when the code tokens from index `i` on spell `words`.
+    pub fn spells(&self, i: usize, words: &[&str]) -> bool {
+        self.spelled(i, words).is_some()
+    }
+
+    /// True when `words` are spelled anywhere in the file's code.
+    pub fn contains(&self, words: &[&str]) -> bool {
+        (0..self.tokens.len()).any(|i| self.spells(i, words))
     }
 
     /// The token at `i`, skipping backward over comments.
@@ -237,6 +295,32 @@ impl FileModel {
                     depth -= 1;
                     if depth == 0 {
                         return Some(i + 1);
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// Token index of the opener that matches the closer at `close`
+    /// (`)`/`]`), scanning backward and honouring nesting.
+    pub fn matching_open(&self, close: usize) -> Option<usize> {
+        let (o, c) = match self.src.as_bytes()[self.tokens[close].start] {
+            b')' => (b'(', b')'),
+            b']' => (b'[', b']'),
+            _ => return None,
+        };
+        let mut depth = 0i64;
+        for i in (0..=close).rev() {
+            let t = &self.tokens[i];
+            if t.kind == TokenKind::Punct {
+                let ch = self.src.as_bytes()[t.start];
+                if ch == c {
+                    depth += 1;
+                } else if ch == o {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Some(i);
                     }
                 }
             }
@@ -309,8 +393,8 @@ impl FileModel {
     fn parse_items(&mut self) {
         let mut fns = Vec::new();
         let mut locks = Vec::new();
-        // (impl type name, token end) stack entries for impl/struct blocks.
-        let mut impl_stack: Vec<(String, usize)> = Vec::new();
+        // (impl type, impl trait, token end) entries for open impl blocks.
+        let mut impl_stack: Vec<(String, Option<String>, usize)> = Vec::new();
         let mut i = 0usize;
         while i < self.tokens.len() {
             let t = self.tokens[i];
@@ -318,13 +402,13 @@ impl FileModel {
                 i += 1;
                 continue;
             }
-            impl_stack.retain(|(_, end)| i < *end);
+            impl_stack.retain(|(_, _, end)| i < *end);
             if t.kind == TokenKind::Ident {
                 match t.text(&self.src) {
                     "impl" => {
-                        if let Some((name, body_open)) = self.impl_header(i) {
+                        if let Some((name, trait_name, body_open)) = self.impl_header(i) {
                             if let Some(end) = self.matching(body_open) {
-                                impl_stack.push((name, end));
+                                impl_stack.push((name, trait_name, end));
                                 i = body_open + 1;
                                 continue;
                             }
@@ -342,8 +426,12 @@ impl FileModel {
                         if let Some((ni, name_tok)) = self.next_code_token(i) {
                             if name_tok.kind == TokenKind::Ident {
                                 let name = name_tok.text(&self.src).to_string();
-                                let (body, next) = self.fn_body(ni);
-                                let impl_type = impl_stack.last().map(|(n, _)| n.clone());
+                                let (params, body, next) = self.fn_signature(ni);
+                                let (is_pub, cold) = self.fn_prefix(i);
+                                let (impl_type, impl_trait) =
+                                    impl_stack.last().map_or((None, None), |(ty, tr, _)| {
+                                        (Some(ty.clone()), tr.clone())
+                                    });
                                 let qualified = match &impl_type {
                                     Some(ty) => format!("{ty}::{name}"),
                                     None => name.clone(),
@@ -353,9 +441,14 @@ impl FileModel {
                                     name,
                                     qualified,
                                     impl_type,
+                                    impl_trait,
+                                    is_pub,
+                                    mut_self: params.is_some_and(|p| self.receiver_is_mut_self(p)),
+                                    cold,
                                     line: t.line,
                                     body,
                                     in_tests: self.offset_in_tests(t.start),
+                                    token: i,
                                 });
                                 // Do not skip the body: nested fn items and
                                 // impls inside it still get parsed.
@@ -377,27 +470,24 @@ impl FileModel {
     }
 
     /// Parses an `impl` header starting at token `i`; returns the
-    /// implementing type's base name and the body-opening `{` token index.
-    fn impl_header(&self, i: usize) -> Option<(String, usize)> {
+    /// implementing type's base name, the trait's (for `impl Trait for
+    /// Type`), and the body-opening `{` token index.
+    fn impl_header(&self, i: usize) -> Option<(String, Option<String>, usize)> {
         // Find the body-opening brace at angle-depth 0.
         let mut angle = 0i64;
         let mut j = i + 1;
-        let mut idents: Vec<(usize, String)> = Vec::new();
+        let mut idents: Vec<&str> = Vec::new();
         while j < self.tokens.len() {
             let t = &self.tokens[j];
             match t.kind {
                 TokenKind::Punct => match self.src.as_bytes()[t.start] {
                     b'<' => angle += 1,
                     b'>' => angle -= 1,
-                    b'{' if angle <= 0 => {
-                        break;
-                    }
+                    b'{' if angle <= 0 => break,
                     b';' => return None,
                     _ => {}
                 },
-                TokenKind::Ident if angle == 0 => {
-                    idents.push((j, t.text(&self.src).to_string()));
-                }
+                TokenKind::Ident if angle == 0 => idents.push(t.text(&self.src)),
                 _ => {}
             }
             j += 1;
@@ -405,19 +495,78 @@ impl FileModel {
         if j >= self.tokens.len() {
             return None;
         }
-        // `impl Trait for Type` → the segment after `for`; `impl Type` →
-        // the last path segment before `{` (skipping `where` clauses).
-        let ty = match idents.iter().position(|(_, w)| w == "for") {
-            Some(at) => idents.get(at + 1).map(|(_, w)| w.clone()),
-            None => {
-                let stop = idents
-                    .iter()
-                    .position(|(_, w)| w == "where")
-                    .unwrap_or(idents.len());
-                idents[..stop].last().map(|(_, w)| w.clone())
-            }
+        // `impl Trait for Type` → the segments either side of `for`;
+        // `impl Type` → the last path segment. A `where` clause (and any
+        // `for<'a>` bound in it) is not part of the header.
+        let header = match idents.iter().position(|w| *w == "where") {
+            Some(at) => &idents[..at],
+            None => &idents[..],
         };
-        ty.map(|ty| (ty, j))
+        let (ty, trait_name) = match header.iter().position(|w| *w == "for") {
+            Some(at) => (header.get(at + 1), at.checked_sub(1).map(|t| header[t])),
+            None => (header.last(), None),
+        };
+        ty.map(|ty| (ty.to_string(), trait_name.map(str::to_string), j))
+    }
+
+    /// Visibility and `#[cold]` marker of the `fn` keyword at token `i`,
+    /// read backward over its qualifiers (`const`, `async`, `unsafe`,
+    /// `extern "C"`), its visibility (`pub`, `pub(crate)`, `pub(in …)`)
+    /// and its outer attributes.
+    fn fn_prefix(&self, i: usize) -> (bool, bool) {
+        let mut j = i;
+        while let Some((pj, p)) = self.prev_code_token(j) {
+            let qualifier = p.kind == TokenKind::Str
+                || ["const", "async", "unsafe", "extern"]
+                    .iter()
+                    .any(|q| p.is_ident(&self.src, q));
+            if !qualifier {
+                break;
+            }
+            j = pj;
+        }
+        let vis = match self.prev_code_token(j) {
+            Some((pj, p)) if p.is_punct(&self.src, b')') => self
+                .matching_open(pj)
+                .and_then(|open| self.prev_code_token(open)),
+            other => other,
+        };
+        let is_pub = match vis {
+            Some((vj, v)) if v.is_ident(&self.src, "pub") => {
+                j = vj;
+                true
+            }
+            _ => false,
+        };
+        let mut cold = false;
+        while let Some((close, p)) = self.prev_code_token(j) {
+            if !p.is_punct(&self.src, b']') {
+                break;
+            }
+            let Some(open) = self.matching_open(close) else {
+                break;
+            };
+            match self.prev_code_token(open) {
+                Some((hash, h)) if h.is_punct(&self.src, b'#') => {
+                    cold |= self.spells(open, &["[", "cold", "]"]);
+                    j = hash;
+                }
+                _ => break,
+            }
+        }
+        (is_pub, cold)
+    }
+
+    /// True when the parameter list opening at token `open` starts with a
+    /// `&mut self` receiver (a lifetime such as `&'a mut self` allowed).
+    fn receiver_is_mut_self(&self, open: usize) -> bool {
+        let words: Vec<&str> = self.tokens[open + 1..]
+            .iter()
+            .filter(|t| !t.is_comment() && t.kind != TokenKind::Lifetime)
+            .take(3)
+            .map(|t| t.text(&self.src))
+            .collect();
+        words == ["&", "mut", "self"]
     }
 
     /// Records `Mutex`/`RwLock` fields of the struct declared at token `i`.
@@ -464,12 +613,7 @@ impl FileModel {
                             _ => {}
                         }
                     } else if u.kind == TokenKind::Ident {
-                        let kind = match u.text(&self.src) {
-                            "Mutex" => Some(LockKind::Mutex),
-                            "RwLock" => Some(LockKind::RwLock),
-                            _ => None,
-                        };
-                        if let Some(kind) = kind {
+                        if let Some(kind) = lock_kind(u.text(&self.src)) {
                             locks.push(LockDecl {
                                 id: format!("{struct_name}.{field}"),
                                 kind,
@@ -506,12 +650,7 @@ impl FileModel {
                 return;
             }
             if t.kind == TokenKind::Ident {
-                let kind = match t.text(&self.src) {
-                    "Mutex" => Some(LockKind::Mutex),
-                    "RwLock" => Some(LockKind::RwLock),
-                    _ => None,
-                };
-                if let Some(kind) = kind {
+                if let Some(kind) = lock_kind(t.text(&self.src)) {
                     locks.push(LockDecl {
                         id: format!("static {name}"),
                         kind,
@@ -528,21 +667,9 @@ impl FileModel {
     /// Records `let name: ...Mutex...` / `let name = Mutex::new(...)`
     /// locals, scoped to the enclosing function.
     fn let_lock(&self, i: usize, fns: &[FnItem], locks: &mut Vec<LockDecl>) {
-        let Some((ni, name_tok)) = self.next_code_token(i) else {
+        let Some((ni, name)) = self.let_name(i) else {
             return;
         };
-        let (ni, name_tok) = if name_tok.is_ident(&self.src, "mut") {
-            match self.next_code_token(ni) {
-                Some(x) => x,
-                None => return,
-            }
-        } else {
-            (ni, name_tok)
-        };
-        if name_tok.kind != TokenKind::Ident {
-            return;
-        }
-        let name = name_tok.text(&self.src).to_string();
         // Scan to the end of the statement for a Mutex/RwLock mention at
         // the *start* of the type or initializer (a `Vec<Mutex<_>>` also
         // counts: locking an element locks a declared local lock).
@@ -557,12 +684,7 @@ impl FileModel {
                     _ => {}
                 }
             } else if t.kind == TokenKind::Ident {
-                let kind = match t.text(&self.src) {
-                    "Mutex" => Some(LockKind::Mutex),
-                    "RwLock" => Some(LockKind::RwLock),
-                    _ => None,
-                };
-                if let Some(kind) = kind {
+                if let Some(kind) = lock_kind(t.text(&self.src)) {
                     let owner = fns
                         .iter()
                         .rev()
@@ -572,7 +694,7 @@ impl FileModel {
                         id: format!("{owner}.{name}"),
                         kind,
                         path: self.path.clone(),
-                        line: name_tok.line,
+                        line: self.tokens[ni].line,
                     });
                     return;
                 }
@@ -581,29 +703,33 @@ impl FileModel {
         }
     }
 
-    /// Finds a `fn` item's body given the name-token index: returns the
-    /// body token range (braces excluded) and the index to resume at.
-    fn fn_body(&self, name_i: usize) -> (Option<(usize, usize)>, usize) {
+    /// Scans a `fn` item's signature given the name-token index: returns
+    /// the parameter list's `(` token, the body token range (braces
+    /// excluded) and the index to resume at.
+    fn fn_signature(&self, name_i: usize) -> (Option<usize>, Option<(usize, usize)>, usize) {
         let mut j = name_i + 1;
         let mut depth = 0i64;
+        let mut params = None;
         while let Some(t) = self.tokens.get(j) {
             if t.kind == TokenKind::Punct {
                 match self.src.as_bytes()[t.start] {
+                    b'(' if depth == 0 && params.is_none() => {
+                        params = Some(j);
+                        depth += 1;
+                    }
                     b'<' | b'(' | b'[' => depth += 1,
                     b'>' | b')' | b']' => depth -= 1,
                     b'{' if depth <= 0 => {
-                        return match self.matching(j) {
-                            Some(end) => (Some((j + 1, end - 1)), j + 1),
-                            None => (None, j + 1),
-                        };
+                        let body = self.matching(j).map(|end| (j + 1, end - 1));
+                        return (params, body, j + 1);
                     }
-                    b';' if depth <= 0 => return (None, j + 1),
+                    b';' if depth <= 0 => return (params, None, j + 1),
                     _ => {}
                 }
             }
             j += 1;
         }
-        (None, j)
+        (params, None, j)
     }
 
     /// Collects identifiers declared with `HashMap`/`HashSet` types or
@@ -761,24 +887,10 @@ impl FileModel {
     /// balanced angle-bracket list — followed by `(`: a turbofish call
     /// like `drive::<BaselineArch>(spec)` or `iter.collect::<Vec<_>>()`.
     fn turbofish_paren_follows(&self, i: usize) -> bool {
-        let Some((c1, t1)) = self.next_code_token(i) else {
+        let after = self.next_code_token(i);
+        let Some(mut j) = after.and_then(|(c, _)| self.spelled(c, &[":", ":", "<"])) else {
             return false;
         };
-        if !t1.is_punct(&self.src, b':') {
-            return false;
-        }
-        let Some((c2, t2)) = self.next_code_token(c1) else {
-            return false;
-        };
-        if !t2.is_punct(&self.src, b':') {
-            return false;
-        }
-        let Some((mut j, t3)) = self.next_code_token(c2) else {
-            return false;
-        };
-        if !t3.is_punct(&self.src, b'<') {
-            return false;
-        }
         let mut depth = 1usize;
         let mut prev_dash = false;
         while depth > 0 {
@@ -812,29 +924,10 @@ impl FileModel {
         while let Some((pj, p)) = self.prev_code_token(j) {
             if p.is_punct(&self.src, b']') || p.is_punct(&self.src, b')') {
                 // Skip the bracketed/parenthesised group backward.
-                let close = self.src.as_bytes()[p.start];
-                let open = if close == b']' { b'[' } else { b'(' };
-                let mut depth = 0i64;
-                let mut k = pj;
-                loop {
-                    let u = &self.tokens[k];
-                    if u.kind == TokenKind::Punct {
-                        let ch = self.src.as_bytes()[u.start];
-                        if ch == close {
-                            depth += 1;
-                        } else if ch == open {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                    }
-                    if k == 0 {
-                        return chain;
-                    }
-                    k -= 1;
-                }
-                j = k;
+                let Some(open) = self.matching_open(pj) else {
+                    return chain;
+                };
+                j = open;
                 continue;
             }
             if p.kind == TokenKind::Ident {
@@ -854,15 +947,6 @@ impl FileModel {
         chain
     }
 
-    /// The function item whose body contains token index `i`, preferring
-    /// the innermost (latest-starting) match.
-    pub fn fn_containing(&self, i: usize) -> Option<&FnItem> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.is_some_and(|(s, e)| (s..e).contains(&i)))
-            .max_by_key(|f| f.body.map(|(s, _)| s))
-    }
-
     /// Lock acquisitions in the body of `f`: `.lock()` always counts;
     /// `.read()`/`.write()` only when the receiver resolves to a declared
     /// `RwLock` (those names collide with `io::Read`/`io::Write`).
@@ -877,13 +961,9 @@ impl FileModel {
                 continue;
             }
             // Zero-argument call only: `.lock()` — `.read(buf)` is I/O.
-            let open = match self.next_code_token(call.token) {
-                Some((oi, t)) if t.is_punct(&self.src, b'(') => oi,
-                _ => continue,
-            };
-            match self.next_code_token(open) {
-                Some((_, t)) if t.is_punct(&self.src, b')') => {}
-                _ => continue,
+            let after = self.next_code_token(call.token);
+            if !after.is_some_and(|(open, _)| self.spells(open, &["(", ")"])) {
+                continue;
             }
             let chain = self.receiver_chain(call.token);
             let resolved = self.resolve_lock(f, &chain, all_locks);
@@ -945,18 +1025,11 @@ impl FileModel {
                     b';' | b',' if depth <= 0 && bound.is_none() => return i,
                     _ => {}
                 }
-            } else if let Some(name) = &bound {
-                if t.is_ident(&self.src, "drop") {
-                    if let Some((oi, o)) = self.next_code_token(i) {
-                        if o.is_punct(&self.src, b'(') {
-                            if let Some((_, arg)) = self.next_code_token(oi) {
-                                if arg.is_ident(&self.src, name) {
-                                    return i;
-                                }
-                            }
-                        }
-                    }
-                }
+            } else if bound
+                .as_deref()
+                .is_some_and(|name| self.spells(i, &["drop", "(", name]))
+            {
+                return i;
             }
             i += 1;
         }
@@ -985,16 +1058,19 @@ impl FileModel {
         if !self.tokens[j].is_ident(&self.src, "let") {
             return None;
         }
-        let (ni, name) = self.next_code_token(j)?;
-        let (_, name) = if name.is_ident(&self.src, "mut") {
+        self.let_name(j).map(|(_, name)| name)
+    }
+
+    /// The index and text of the name bound by the `let` at token `i`
+    /// (`let [mut] name`), when it is a plain identifier.
+    fn let_name(&self, i: usize) -> Option<(usize, String)> {
+        let (ni, name) = self.next_code_token(i)?;
+        let (ni, name) = if name.is_ident(&self.src, "mut") {
             self.next_code_token(ni)?
         } else {
             (ni, name)
         };
-        if name.kind != TokenKind::Ident {
-            return None;
-        }
-        Some(name.text(&self.src).to_string())
+        (name.kind == TokenKind::Ident).then(|| (ni, name.text(&self.src).to_string()))
     }
 
     /// Resolves a receiver chain to a lock declaration: `self.field` via
@@ -1042,6 +1118,89 @@ mod tests {
         let quals: Vec<&str> = m.fns.iter().map(|f| f.qualified.as_str()).collect();
         assert_eq!(quals, vec!["free", "Foo::method", "Bar::fmt", "decl"]);
         assert!(m.fns[3].body.is_none(), "bodyless trait decl");
+    }
+
+    #[test]
+    fn impl_headers_are_parsed() {
+        let src = "
+            impl Foo { fn a() {} }
+            impl fmt::Display for Bar<'_> { fn b() {} }
+            impl<T> CheckInvariants for Baz<T> where T: for<'a> Fn(&'a u8) { fn c() {} }
+        ";
+        let m = FileModel::parse("x.rs", src);
+        let headers: Vec<(Option<&str>, Option<&str>)> = m
+            .fns
+            .iter()
+            .map(|f| (f.impl_type.as_deref(), f.impl_trait.as_deref()))
+            .collect();
+        assert_eq!(
+            headers,
+            [
+                (Some("Foo"), None),
+                (Some("Bar"), Some("Display")),
+                (Some("Baz"), Some("CheckInvariants")),
+            ]
+        );
+    }
+
+    /// Each fn's name and flags: `P`ub, `M`ut-self receiver, `C`old, `T`est.
+    fn flags(src: &str) -> Vec<String> {
+        let m = FileModel::parse("crates/mmu/src/tlb.rs", src);
+        m.fns
+            .iter()
+            .map(|f| {
+                let on = [
+                    (f.is_pub, 'P'),
+                    (f.mut_self, 'M'),
+                    (f.cold, 'C'),
+                    (f.in_tests, 'T'),
+                ];
+                let set: String = on.iter().filter(|(b, _)| *b).map(|(_, c)| c).collect();
+                format!("{} {set}", f.name)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pub_fns_sees_multiline_signatures_and_visibility() {
+        // A mutator is `P` and `M` but not `T`.
+        let src = "
+            impl Tlb {
+                pub fn map(
+                    &mut self,
+                    va: u64,
+                ) -> u64 { va }
+                fn private(&mut self) {}
+                pub(crate) fn crate_fn(&mut self) { x() }
+                pub(in crate::x) fn scoped(&'a mut self) {}
+                pub const fn read_only(&self) -> u64 { 1 }
+                pub fn consume(self, f: &mut self::Frame) {}
+            }
+            #[cfg(test)]
+            mod tests { impl Tlb { pub fn poke(&mut self) {} } }
+        ";
+        let want = [
+            "map PM",
+            "private M",
+            "crate_fn PM",
+            "scoped PM",
+            "read_only P",
+        ];
+        assert_eq!(flags(src), [&want[..], &["consume P", "poke PMT"]].concat());
+    }
+
+    #[test]
+    fn cold_attributes_are_read_through_other_attributes() {
+        let src = "
+            #[cold]
+            #[inline(never)]
+            /// Reports a stall.
+            pub(crate) fn report() {}
+            #[inline]
+            fn hot() {}
+            #[cold] fn also_cold() {}
+        ";
+        assert_eq!(flags(src), ["report PC", "hot ", "also_cold C"]);
     }
 
     #[test]
@@ -1220,7 +1379,8 @@ fn f() {
 
     #[test]
     fn test_regions_are_marked() {
-        let src = "fn prod() {}\n#[cfg(test)]\nmod tests { fn t() {} }";
+        // Only the attribute spelled in code starts the test region.
+        let src = "// #[cfg(test)]\nfn prod() { \"#[cfg(test)]\"; }\n#[cfg(test)]\nmod tests { fn t() {} }";
         let m = FileModel::parse("crates/x/src/lib.rs", src);
         assert!(!m.fns[0].in_tests);
         assert!(m.fns[1].in_tests);

@@ -8,8 +8,8 @@
 //!   iteration on any call path that reaches RunRecord serialization
 //!   (`RunStore::save`/`RunStore::key`) or the deterministic telemetry
 //!   sample stream (`TelemetrySink::sample`). Escape hatch:
-//!   `// analyze:allow(determinism): why`, audited against the checked-in
-//!   allowlist by [`allow_exemptions`].
+//!   `// analyze:allow(determinism): why`; [`allow_exemptions`] requires the
+//!   why.
 //! * **lock-discipline** ([`lock_discipline`]) — builds the
 //!   lock-acquisition order graph, fails on cycles, and flags locks held
 //!   across blocking I/O (socket/file writes, reads, sleeps), with
@@ -27,7 +27,8 @@
 use crate::graph::{Analysis, NodeId};
 use crate::lex::TokenKind;
 use crate::model::{AllowSite, CallKind, CallSite, FileModel, FnItem, LockSite};
-use crate::{Audit, Workspace};
+use crate::Audit;
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The functions whose output must be byte-for-byte deterministic: the
@@ -113,9 +114,8 @@ pub const PANIC_ROOTS: [&str; 4] = [
     "OutBuf::send",
 ];
 
-/// One recorded `analyze:allow` exemption, for the report and the
-/// allowlist audit.
-#[derive(Debug, Clone)]
+/// One recorded `analyze:allow` exemption, for the report.
+#[derive(Debug, Clone, Serialize)]
 pub struct AllowRecord {
     /// Declaring file.
     pub file: String,
@@ -128,7 +128,7 @@ pub struct AllowRecord {
 }
 
 /// Report data from the determinism pass.
-#[derive(Debug)]
+#[derive(Debug, Serialize)]
 pub struct DeterminismReport {
     /// Sink functions found in this workspace.
     pub sinks: Vec<String>,
@@ -140,7 +140,7 @@ pub struct DeterminismReport {
 
 /// One edge of the lock-acquisition order graph: `from` was held when
 /// `to` was acquired (possibly via a callee).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LockEdge {
     /// The already-held lock.
     pub from: String,
@@ -153,7 +153,7 @@ pub struct LockEdge {
 }
 
 /// Report data from the lock-discipline pass.
-#[derive(Debug)]
+#[derive(Debug, Serialize)]
 pub struct LockReport {
     /// Every declared lock (`Type.field`, `static NAME`, `fn.local`).
     pub declared: Vec<String>,
@@ -164,7 +164,7 @@ pub struct LockReport {
 }
 
 /// One panic-capable site reachable from a worker-thread root.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PanicSiteRecord {
     /// Qualified name of the containing function.
     pub function: String,
@@ -179,7 +179,7 @@ pub struct PanicSiteRecord {
 }
 
 /// Report data from the panic-surface pass.
-#[derive(Debug)]
+#[derive(Debug, Serialize)]
 pub struct PanicReport {
     /// Root functions found in this workspace.
     pub roots: Vec<String>,
@@ -313,17 +313,18 @@ pub fn determinism_taint(a: &Analysis) -> (Audit, DeterminismReport) {
             }
         }
     }
-    let mut allows = Vec::new();
-    for file in &a.files {
-        for s in &file.allows {
-            allows.push(AllowRecord {
+    let allows = a
+        .files
+        .iter()
+        .flat_map(|file| {
+            file.allows.iter().map(|s| AllowRecord {
                 file: file.path.clone(),
                 line: s.line,
                 tag: s.tag.clone(),
                 justification: s.justification.clone(),
-            });
-        }
-    }
+            })
+        })
+        .collect();
     let report = DeterminismReport {
         sinks,
         tainted: tainted_names.into_iter().collect(),
@@ -586,26 +587,13 @@ fn signature_mentions_guard(file: &FileModel, f: &FnItem) -> bool {
     let Some((start, _)) = f.body else {
         return false;
     };
-    // Walk back from the body to the `fn` keyword, scanning signature
-    // tokens (bounded: signatures are short).
-    let mut i = start.saturating_sub(1);
-    for _ in 0..128 {
-        let t = &file.tokens[i];
-        if t.is_ident(&file.src, "fn") {
-            return false;
-        }
-        if t.kind == TokenKind::Ident {
-            let w = t.text(&file.src);
-            if w == "MutexGuard" || w == "RwLockReadGuard" || w == "RwLockWriteGuard" {
-                return true;
-            }
-        }
-        if i == 0 {
-            return false;
-        }
-        i -= 1;
-    }
-    false
+    file.tokens[f.token..start].iter().any(|t| {
+        t.kind == TokenKind::Ident
+            && matches!(
+                t.text(&file.src),
+                "MutexGuard" | "RwLockReadGuard" | "RwLockWriteGuard"
+            )
+    })
 }
 
 /// Direct blocking operations in a node's call list: blocking methods
@@ -765,19 +753,9 @@ pub fn panic_surface(a: &Analysis) -> (Audit, PanicReport) {
                 contained_count += 1;
                 continue;
             }
-            let allow = allow_for(file, "panic", line);
-            let is_allowed = matches!(allow, Some(s) if !s.justification.is_empty());
-            if let Some(s) = allow {
-                if s.justification.is_empty() {
-                    audit.fail(
-                        file.path.clone(),
-                        format!(
-                            "line {}: `analyze:allow(panic)` must carry a justification",
-                            s.line
-                        ),
-                    );
-                }
-            } else {
+            let is_allowed =
+                allow_for(file, "panic", line).is_some_and(|s| !s.justification.is_empty());
+            if !allowed(&mut audit, file, "panic", line) {
                 audit.fail(
                     file.path.clone(),
                     format!(
@@ -852,13 +830,11 @@ const KEYWORD_BEFORE_BRACKET: [&str; 4] = ["in", "return", "break", "else"];
 
 /// **Pass 4 — exemption audit.**
 ///
-/// Every `analyze:allow(determinism)` in the tree must appear in the
-/// checked-in `ANALYZE_ALLOWLIST.md` (entries `- <path> | <justification>`)
-/// and vice versa, so determinism exemptions cannot accumulate silently.
-/// Additionally, *every* allow of any tag must carry a justification.
-pub fn allow_exemptions(ws: &Workspace, a: &Analysis) -> Audit {
+/// Every `analyze:allow(tag)` in the tree must carry a known tag
+/// (`determinism`, `lock-io`, `panic`) and a non-empty justification, so an
+/// exemption always says why it is safe where it is made.
+pub fn allow_exemptions(a: &Analysis) -> Audit {
     let mut audit = Audit::new("analyze-allowlist");
-    let mut tree: Vec<(String, String)> = Vec::new();
     for file in &a.files {
         // The engine's own sources document the allow grammar in comments;
         // they are infrastructure, not audited product code.
@@ -883,53 +859,6 @@ pub fn allow_exemptions(ws: &Workspace, a: &Analysis) -> Audit {
                     format!("line {}: unknown analyze:allow tag `{}`", s.line, s.tag),
                 );
             }
-            if s.tag == "determinism" {
-                tree.push((file.path.clone(), s.justification.clone()));
-            }
-        }
-    }
-    let Some(list) = ws.file("ANALYZE_ALLOWLIST.md") else {
-        if !tree.is_empty() {
-            audit.check();
-            audit.fail(
-                "ANALYZE_ALLOWLIST.md",
-                "missing: every `analyze:allow(determinism)` must be recorded in \
-                 ANALYZE_ALLOWLIST.md with its justification",
-            );
-        }
-        return audit;
-    };
-    let entries: Vec<(String, String)> = list
-        .text
-        .lines()
-        .filter_map(|l| {
-            let l = l.trim().strip_prefix("- ")?;
-            let (path, just) = l.split_once('|')?;
-            Some((path.trim().to_string(), just.trim().to_string()))
-        })
-        .collect();
-    for (path, just) in &tree {
-        audit.check();
-        if !entries.iter().any(|(p, j)| p == path && j == just) {
-            audit.fail(
-                path.clone(),
-                format!(
-                    "`analyze:allow(determinism)` with justification \"{just}\" has no \
-                     matching entry in ANALYZE_ALLOWLIST.md (`- {path} | {just}`)"
-                ),
-            );
-        }
-    }
-    for (path, just) in &entries {
-        audit.check();
-        if !tree.iter().any(|(p, j)| p == path && j == just) {
-            audit.fail(
-                "ANALYZE_ALLOWLIST.md",
-                format!(
-                    "stale entry `- {path} | {just}`: no matching \
-                     `analyze:allow(determinism)` in the tree"
-                ),
-            );
         }
     }
     audit

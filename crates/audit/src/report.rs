@@ -1,13 +1,11 @@
-//! The machine-readable `analysis_report.json` artifact.
-//!
-//! The audit crate is dependency-free, so the JSON is hand-rolled: a
-//! small escaping writer over the pass outputs. Schema
-//! (`atscale-analyze/v1`):
+//! The machine-readable `analysis_report.json` artifact, written with the
+//! workspace's vendored `serde_json`. Schema (`atscale-analyze/v2`):
 //!
 //! ```json
 //! {
-//!   "schema": "atscale-analyze/v1",
-//!   "rules": [{"rule": "...", "checked": 0, "violations": [{"file": "...", "message": "..."}]}],
+//!   "schema": "atscale-analyze/v2",
+//!   "rules": [{"rule": "...", "checked": 0,
+//!              "violations": [{"rule": "...", "file": "...", "message": "..."}]}],
 //!   "determinism": {
 //!     "sinks": ["RunStore::save", ...],
 //!     "tainted": ["Scheduler::worker_loop", ...],
@@ -20,8 +18,8 @@
 //!   },
 //!   "panics": {
 //!     "roots": ["Scheduler::worker_loop", ...],
-//!     "contained": 0,
-//!     "sites": [{"fn": "...", "file": "...", "line": 0, "kind": "...", "allowed": true}]
+//!     "sites": [{"function": "...", "file": "...", "line": 0, "kind": "...", "allowed": true}],
+//!     "contained": 0
 //!   }
 //! }
 //! ```
@@ -29,168 +27,34 @@
 //! Arrays are emitted in deterministic (sorted or source) order, so the
 //! artifact diffs cleanly between CI runs.
 
-use crate::passes::{DeterminismReport, LockReport, PanicReport};
-use crate::Audit;
-use std::fmt::Write as _;
+use crate::AnalysisOutcome;
 
-/// The assembled report data from one full analysis run.
-#[derive(Debug)]
-pub struct Report {
-    /// Determinism-taint pass output.
-    pub determinism: DeterminismReport,
-    /// Lock-discipline pass output.
-    pub locks: LockReport,
-    /// Panic-surface pass output.
-    pub panics: PanicReport,
-}
+/// The report's schema tag.
+pub const SCHEMA: &str = "atscale-analyze/v2";
 
-impl Report {
-    /// Renders the full JSON document, including per-rule outcomes.
-    pub fn to_json(&self, audits: &[Audit]) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n  \"schema\": \"atscale-analyze/v1\",\n  \"rules\": [");
-        for (i, a) in audits.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"rule\": {}, \"checked\": {}, \"violations\": [",
-                esc(a.rule),
-                a.checked
-            );
-            for (j, v) in a.violations.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(
-                    s,
-                    "\n      {{\"file\": {}, \"message\": {}}}",
-                    esc(&v.file),
-                    esc(&v.message)
-                );
-            }
-            if !a.violations.is_empty() {
-                s.push_str("\n    ");
-            }
-            s.push_str("]}");
-        }
-        s.push_str("\n  ],\n  \"determinism\": {\n    \"sinks\": ");
-        str_array(&mut s, &self.determinism.sinks);
-        s.push_str(",\n    \"tainted\": ");
-        str_array(&mut s, &self.determinism.tainted);
-        s.push_str(",\n    \"allows\": [");
-        for (i, a) in self.determinism.allows.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n      {{\"file\": {}, \"line\": {}, \"tag\": {}, \"justification\": {}}}",
-                esc(&a.file),
-                a.line,
-                esc(&a.tag),
-                esc(&a.justification)
-            );
-        }
-        if !self.determinism.allows.is_empty() {
-            s.push_str("\n    ");
-        }
-        s.push_str("]\n  },\n  \"locks\": {\n    \"declared\": ");
-        str_array(&mut s, &self.locks.declared);
-        s.push_str(",\n    \"edges\": [");
-        for (i, e) in self.locks.edges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n      {{\"from\": {}, \"to\": {}, \"file\": {}, \"line\": {}}}",
-                esc(&e.from),
-                esc(&e.to),
-                esc(&e.file),
-                e.line
-            );
-        }
-        if !self.locks.edges.is_empty() {
-            s.push_str("\n    ");
-        }
-        s.push_str("],\n    \"cycles\": [");
-        for (i, c) in self.locks.cycles.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            str_array(&mut s, c);
-        }
-        s.push_str("]\n  },\n  \"panics\": {\n    \"roots\": ");
-        str_array(&mut s, &self.panics.roots);
-        let _ = write!(
-            s,
-            ",\n    \"contained\": {},\n    \"sites\": [",
-            self.panics.contained
-        );
-        for (i, p) in self.panics.sites.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n      {{\"fn\": {}, \"file\": {}, \"line\": {}, \"kind\": {}, \"allowed\": {}}}",
-                esc(&p.function),
-                esc(&p.file),
-                p.line,
-                esc(&p.kind),
-                p.allowed
-            );
-        }
-        if !self.panics.sites.is_empty() {
-            s.push_str("\n    ");
-        }
-        s.push_str("]\n  }\n}\n");
-        s
+impl AnalysisOutcome {
+    /// Renders the full JSON document.
+    pub fn to_json(&self) -> String {
+        serde_json::to_string(self).expect("the report is plain strings, numbers and arrays")
     }
-}
-
-fn str_array(s: &mut String, items: &[String]) {
-    s.push('[');
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&esc(item));
-    }
-    s.push(']');
-}
-
-/// JSON string escaping: quotes, backslashes, and control characters.
-fn esc(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len() + 2);
-    out.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::passes::{AllowRecord, LockEdge, PanicSiteRecord};
+    use crate::passes::{
+        AllowRecord, DeterminismReport, LockEdge, LockReport, PanicReport, PanicSiteRecord,
+    };
+    use crate::Audit;
+    use serde::{Serialize, Value};
 
     #[test]
     fn report_renders_valid_shape_and_escapes() {
-        let report = Report {
+        let mut audit = Audit::new("determinism-taint");
+        audit.fail("f.rs", "say \"no\"");
+        let outcome = AnalysisOutcome {
+            schema: SCHEMA,
+            rules: vec![audit],
             determinism: DeterminismReport {
                 sinks: vec!["RunStore::save".to_string()],
                 tainted: vec!["a".to_string(), "b\"quote".to_string()],
@@ -223,14 +87,11 @@ mod tests {
                 contained: 7,
             },
         };
-        let audits = vec![Audit::new("determinism-taint")];
-        let json = report.to_json(&audits);
-        assert!(json.contains("\"schema\": \"atscale-analyze/v1\""));
-        assert!(json.contains("\"b\\\"quote\""));
-        assert!(json.contains("\"wall\\tclock\""));
-        assert!(json.contains("\"contained\": 7"));
-        // Balanced braces/brackets — a cheap well-formedness check.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let json = outcome.to_json();
+        assert!(json.starts_with(r#"{"schema":"atscale-analyze/v2","rules":[{"rule":"#));
+        assert!(json.contains(r#""b\"quote""#) && json.contains(r#""wall\tclock""#));
+        // It parses back to exactly the document it was written from.
+        let doc: Value = serde_json::from_str(&json).expect("the report is valid JSON");
+        assert_eq!(doc, outcome.to_value());
     }
 }

@@ -30,13 +30,13 @@ const RULES: [&str; 7] = [
 
 fn run_rule(rule: &str, ws: &Workspace, a: &Analysis) -> Audit {
     match rule {
-        "invariant-annotation" => audit_invariant_annotations(ws),
-        "lint-wiring" => audit_lint_wiring(ws),
-        "hot-path-allocation" => audit_hot_path_allocation(ws),
+        "invariant-annotation" => audit_invariant_annotations(a),
+        "lint-wiring" => audit_lint_wiring(ws, a),
+        "hot-path-allocation" => audit_hot_path_allocation(a),
         "determinism-taint" => passes::determinism_taint(a).0,
         "lock-discipline" => passes::lock_discipline(a).0,
         "panic-surface" => passes::panic_surface(a).0,
-        "analyze-allowlist" => passes::allow_exemptions(ws, a),
+        "analyze-allowlist" => passes::allow_exemptions(a),
         other => panic!("unknown rule `{other}` in a fixture header"),
     }
 }
@@ -69,7 +69,10 @@ fn run_case(dir: &Path) -> Result<(), String> {
         if name == "expected.txt" {
             expected_text = Some(text);
         } else {
-            files.push(SourceFile::new(name.replace("__", "/"), text));
+            files.push(SourceFile {
+                path: name.replace("__", "/"),
+                text,
+            });
         }
     }
     let expected_text = expected_text.expect("case has an expected.txt");

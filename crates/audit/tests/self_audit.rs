@@ -35,7 +35,7 @@ fn the_shipped_workspace_is_clean() {
 #[test]
 fn run_full_runs_exactly_the_seven_rules_in_order() {
     let rules: Vec<&str> = run_full(&real_workspace())
-        .audits
+        .rules
         .iter()
         .map(|a| a.rule)
         .collect();
@@ -61,7 +61,7 @@ fn the_analysis_passes_are_not_vacuous() {
     // exist with real catch_unwind containment behind them. If a rename
     // silently broke an anchor, the passes would pass on an empty graph.
     let outcome = run_full(&real_workspace());
-    let r = &outcome.report;
+    let r = &outcome;
     assert!(
         r.determinism.sinks.len() >= 2,
         "determinism sinks did not resolve: {:?}",
@@ -106,10 +106,7 @@ fn removing_the_lint_opt_in_is_caught() {
         .iter_mut()
         .find(|f| f.path == "crates/mmu/Cargo.toml")
         .expect("mmu manifest present");
-    *file = SourceFile::new(
-        file.path.clone(),
-        file.text.replace("[lints]\nworkspace = true", ""),
-    );
+    file.text = file.text.replace("[lints]\nworkspace = true", "");
     let violations: Vec<String> = run_all(&ws)
         .into_iter()
         .flat_map(|a| a.violations)
@@ -126,10 +123,10 @@ fn removing_the_lint_opt_in_is_caught() {
 #[test]
 fn an_uncovered_state_mutator_is_caught() {
     let mut ws = real_workspace();
-    ws.files.push(SourceFile::new(
-        "crates/mmu/src/rogue.rs".to_string(),
-        "impl RogueState { pub fn mutate(&mut self) { self.n += 1; } }".to_string(),
-    ));
+    ws.files.push(SourceFile {
+        path: "crates/mmu/src/rogue.rs".to_string(),
+        text: "impl RogueState { pub fn mutate(&mut self) { self.n += 1; } }".to_string(),
+    });
     let violations: Vec<String> = run_all(&ws)
         .into_iter()
         .flat_map(|a| a.violations)
@@ -139,4 +136,42 @@ fn an_uncovered_state_mutator_is_caught() {
         violations.iter().any(|v| v.contains("RogueState::mutate")),
         "missing invariant-annotation violation in {violations:?}"
     );
+}
+
+#[test]
+fn the_tree_carries_exactly_five_determinism_allows() {
+    // Each determinism allow lets nondeterminism touch a path to a record,
+    // its key or a telemetry sample. Pinning the count keeps a new one
+    // from landing silently: raise it only for an allow that meets the bar
+    // in DESIGN §14.4.
+    let outcome = run_full(&real_workspace());
+    let allows: Vec<String> = outcome
+        .determinism
+        .allows
+        .iter()
+        .filter(|a| a.tag == "determinism" && !a.file.starts_with("crates/audit/"))
+        .map(|a| format!("{}:{}: {}", a.file, a.line, a.justification))
+        .collect();
+    assert_eq!(allows.len(), 5, "{allows:#?}");
+}
+
+#[test]
+fn uncontained_compaction_is_caught() {
+    // The daemon compacts on a reactor thread inside `catch_unwind`.
+    // Without it, every panic site under `SegmentStore::compact` would
+    // unwind a reactor shard, and panic-surface must say so.
+    let mut ws = real_workspace();
+    let file = ws
+        .files
+        .iter_mut()
+        .find(|f| f.path == "crates/serve/src/server.rs")
+        .expect("server.rs present");
+    let contained = "std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.compact()))";
+    assert!(file.text.contains(contained), "Compact arm moved");
+    file.text = file.text.replace(contained, "Ok(store.compact())");
+    let found = run_all(&ws)
+        .into_iter()
+        .flat_map(|a| a.violations)
+        .any(|v| v.rule == "panic-surface" && v.message.contains("`SegmentStore::compact`"));
+    assert!(found, "panic-surface missed uncontained compaction");
 }

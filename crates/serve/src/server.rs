@@ -271,11 +271,21 @@ pub(crate) fn handle_request(
             writer.send(&store.map_or_else(no_store, |s| Reply::QueryResult(s.query(filter))));
         }
         Request::Compact => {
-            let reply = match handle.scheduler.store().map(atscale::RunStore::compact) {
-                Some(Ok(stats)) => Reply::Compacted(stats),
-                Some(Err(e)) => Reply::Error(ErrorReply {
+            // Compaction runs on this reactor thread: contain a panic in it
+            // so it fails this request instead of unwinding the shard. The
+            // store's poison recovery may lose cached rows after that, never
+            // serve a wrong record (DESIGN §16).
+            let reply = match handle.scheduler.store().map(|store| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.compact()))
+            }) {
+                Some(Ok(Ok(stats))) => Reply::Compacted(stats),
+                Some(Ok(Err(e))) => Reply::Error(ErrorReply {
                     id: 0,
                     message: format!("compaction failed: {e}"),
+                }),
+                Some(Err(_)) => Reply::Error(ErrorReply {
+                    id: 0,
+                    message: "compaction panicked".to_string(),
                 }),
                 None => no_store(),
             };
