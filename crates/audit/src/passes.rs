@@ -32,11 +32,16 @@ use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The functions whose output must be byte-for-byte deterministic: the
-/// RunRecord serialization pair and the telemetry sample stream. Spans,
+/// RunRecord serialization entry points (a save, a save of bytes the
+/// caller serialised, a key) and the telemetry sample stream. Spans,
 /// progress, and histogram events deliberately carry wall-clock and are
 /// *not* sinks.
-pub const DETERMINISM_SINKS: [&str; 3] =
-    ["RunStore::save", "RunStore::key", "TelemetrySink::sample"];
+pub const DETERMINISM_SINKS: [&str; 4] = [
+    "RunStore::save",
+    "RunStore::save_encoded",
+    "RunStore::key",
+    "TelemetrySink::sample",
+];
 
 /// Qualified calls whose results are nondeterministic: `(prefix, name,
 /// what it leaks)`.

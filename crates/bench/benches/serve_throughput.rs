@@ -3,7 +3,7 @@
 //! and single-flight dedup fan-out (one spec, 64 subscribers).
 
 use atscale::{RunSpec, RunStore};
-use atscale_serve::protocol::{Reply, Submit};
+use atscale_serve::protocol::{self, Reply, Submit};
 use atscale_serve::{Client, ReplySink, Scheduler, ServeConfig, Server, SubmitOptions};
 use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
@@ -85,7 +85,9 @@ impl CountingSink {
 }
 
 impl ReplySink for CountingSink {
-    fn send(&self, reply: &Reply) {
+    fn send(&self, frame: &[u8]) {
+        let line = std::str::from_utf8(frame).expect("frames are UTF-8");
+        let reply: Reply = protocol::decode(line).expect("frames decode");
         if matches!(reply, Reply::BatchDone(_)) {
             *self.batches.lock().unwrap() += 1;
             self.done.notify_all();

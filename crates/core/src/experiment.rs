@@ -7,6 +7,7 @@ use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -203,10 +204,22 @@ impl Harness {
     }
 
     /// Like [`Harness::run`], but also reports whether the record was
-    /// served from the cache — the serving daemon forwards this to clients
-    /// and counts fresh executions for its single-flight accounting.
+    /// served from the cache.
     pub fn run_detailed(&self, spec: &RunSpec) -> (RunRecord, bool) {
-        self.run_timed(spec)
+        let (run, cached) = self.run_timed(spec, None, true);
+        (run.into_record(), cached)
+    }
+
+    /// Like [`Harness::run_detailed`], for a caller that already holds
+    /// `spec`'s [`RunStore::key`] under this harness's config and wants the
+    /// record as its JSON, `serde_json::to_vec(record)` — the serving
+    /// daemon, which splices it into a reply frame. A cache hit's stored
+    /// bytes come back unparsed, unless telemetry is attached: a sampling
+    /// harness must see that the record has samples, a recorder replays
+    /// them. An execution is serialised once, for the store and the caller.
+    pub fn run_json(&self, spec: &RunSpec, key: &str) -> (Vec<u8>, bool) {
+        let (run, cached) = self.run_timed(spec, Some(key), false);
+        (run.into_json(), cached)
     }
 
     /// The attached recorder, if the telemetry handle carries one.
@@ -222,40 +235,57 @@ impl Harness {
 
     /// Runs one spec under a `run` span, records its wall-clock, and
     /// replays the record's sampled series into the recorder. Returns the
-    /// record and whether it was served from the cache.
-    fn run_timed(&self, spec: &RunSpec) -> (RunRecord, bool) {
+    /// run and whether it was served from the cache.
+    fn run_timed(&self, spec: &RunSpec, key: Option<&str>, parse: bool) -> (Obtained, bool) {
         let _phase = span!("run");
         // analyze:allow(determinism): run wall-clock feeds the latency histogram (operator telemetry), never the RunRecord or its key
         let start = Instant::now();
-        let (record, cached) = self.obtain(spec);
+        let (run, cached) = self.obtain(spec, key, parse);
         if let Some(recorder) = self.recorder() {
             let wall = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             recorder.latency(LatencyMetric::RunWallNanos, wall);
-            let label = spec.label();
-            for sample in &record.result.samples {
-                recorder.sample(&label, sample);
+            // With telemetry attached, `obtain` always parses.
+            if let Obtained::Record(record, _) = &run {
+                let label = spec.label();
+                for sample in &record.result.samples {
+                    recorder.sample(&label, sample);
+                }
             }
         }
-        (record, cached)
+        (run, cached)
     }
 
-    fn obtain(&self, spec: &RunSpec) -> (RunRecord, bool) {
+    /// The one choice between a cache hit and an execution. `key` is
+    /// `spec`'s [`RunStore::key`] when the caller already holds it. A hit
+    /// is parsed if `parse` is set or telemetry is attached, and then
+    /// bytes that do not parse are a miss; otherwise it is the stored
+    /// bytes as they are.
+    fn obtain(&self, spec: &RunSpec, key: Option<&str>, parse: bool) -> (Obtained, bool) {
         let Some(store) = &self.store else {
             let record =
                 crate::execute_run_with_telemetry(spec, &self.config, self.telemetry.as_ref());
-            return (record, false);
+            return (Obtained::Record(record, None), false);
         };
-        let key = RunStore::key(spec, &self.config);
-        if let Some(record) = store.load(&key) {
+        let key = key.map_or_else(
+            || Cow::Owned(RunStore::key(spec, &self.config)),
+            Cow::Borrowed,
+        );
+        if let Some(json) = store.load_raw(&key) {
+            if !parse && self.telemetry.is_none() {
+                return (Obtained::Stored(json), true);
+            }
             // A cached record without a sampled series cannot satisfy a
             // sampling harness: fall through, re-run, and overwrite.
-            if !self.sampling_requested() || !record.result.samples.is_empty() {
-                return (record, true);
+            if let Ok(record) = serde_json::from_slice::<RunRecord>(&json) {
+                if !self.sampling_requested() || !record.result.samples.is_empty() {
+                    return (Obtained::Record(record, Some(json)), true);
+                }
             }
         }
         let record = crate::execute_run_with_telemetry(spec, &self.config, self.telemetry.as_ref());
-        let _ = store.save(&key, &record); // cache write failure is non-fatal
-        (record, false)
+        let json = serde_json::to_vec(&record).expect("records serialize");
+        let _ = store.save_encoded(&key, &record, &json); // cache write failure is non-fatal
+        (Obtained::Record(record, Some(json)), false)
     }
 
     fn emit_progress(&self, event: &Progress) {
@@ -289,7 +319,7 @@ impl Harness {
                     }
                     // analyze:allow(determinism): per-run wall-clock is progress metadata for operators, never part of a record
                     let start = Instant::now();
-                    let (record, cached) = self.run_timed(&specs[i]);
+                    let (run, cached) = self.run_timed(&specs[i], None, true);
                     self.emit_progress(&Progress {
                         completed: done.fetch_add(1, Ordering::Relaxed) + 1,
                         total: specs.len(),
@@ -297,7 +327,7 @@ impl Harness {
                         wall_ms: u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX),
                         cached,
                     });
-                    *results[i].lock() = Some(record);
+                    *results[i].lock() = Some(run.into_record());
                 });
             }
         })
@@ -370,6 +400,38 @@ impl Default for Harness {
     }
 }
 
+/// A run as [`Harness::obtain`] found or made it.
+// `Record` dominates the size because `RunRecord` carries full counter
+// state; a value lives only until its caller unwraps it, so boxing would
+// buy an allocation per run and save nothing.
+#[allow(clippy::large_enum_variant)]
+enum Obtained {
+    /// A cache hit's stored bytes, unparsed.
+    Stored(Vec<u8>),
+    /// A parsed hit or an execution, with the record's JSON when a store
+    /// holds it.
+    Record(RunRecord, Option<Vec<u8>>),
+}
+
+impl Obtained {
+    fn into_record(self) -> RunRecord {
+        match self {
+            Obtained::Record(record, _) => record,
+            // Unreached: the typed callers ask `obtain` to parse.
+            Obtained::Stored(json) => serde_json::from_slice(&json).expect("stored records parse"),
+        }
+    }
+
+    fn into_json(self) -> Vec<u8> {
+        match self {
+            Obtained::Stored(json) | Obtained::Record(_, Some(json)) => json,
+            Obtained::Record(record, None) => {
+                serde_json::to_vec(&record).expect("records serialize")
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,6 +479,29 @@ mod tests {
         let fresh = harness.run(&spec);
         let cached = harness.run(&spec);
         assert_eq!(fresh.result.counters, cached.result.counters);
+    }
+
+    /// `run_json` hands back a hit's stored bytes, and they are the JSON of
+    /// the record `run` returns; a sampling harness still re-runs a
+    /// sample-less entry.
+    #[test]
+    fn run_json_hits_are_the_stored_bytes() {
+        let dir = std::env::temp_dir().join(format!("atscale-run-json-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let harness = Harness::new().with_store(RunStore::open(&dir).unwrap());
+        let spec = SweepConfig::test().spec(WorkloadId::parse("tc-kron").unwrap(), 16 << 20);
+        let key = RunStore::key(&spec, harness.config());
+        let (fresh, cached) = harness.run_json(&spec, &key);
+        assert!(!cached);
+        assert_eq!(harness.run_json(&spec, &key), (fresh.clone(), true));
+        assert_eq!(serde_json::to_vec(&harness.run(&spec)).unwrap(), fresh);
+
+        let sampling = harness.with_telemetry(TelemetryHandle::sampling_only(5_000));
+        let (sampled, cached) = sampling.run_json(&spec, &key);
+        assert!(!cached, "a sample-less hit cannot serve a sampling harness");
+        let record: RunRecord = serde_json::from_slice(&sampled).unwrap();
+        assert!(!record.result.samples.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

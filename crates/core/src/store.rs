@@ -13,7 +13,7 @@
 //! store under `dir/segments`, and loads return the saved bytes bit for
 //! bit. Directories written before the segment store existed hold one
 //! checksum-less `{key}.json` file per record; [`RunStore::open`] folds
-//! those in, and nothing else ever reads that format.
+//! those in, re-serialised, and nothing else ever reads that format.
 //!
 //! A store directory has one owner at a time — one `open`, cloned as
 //! often as needed within the process. [`atscale_results::store`] says
@@ -65,8 +65,11 @@ impl RunStore {
     /// corrupt segments and `*.tmp` droppings), then migrates every legacy
     /// `{key}.json` record found in `dir` into it.
     ///
-    /// Migration rules: the key is the file stem and the stored bytes are
-    /// the file's bytes, so dedup keys and replay stay bit-for-bit; a file
+    /// Migration rules: the key is the file stem, so dedup keys stay
+    /// bit-for-bit, and the stored bytes are the parsed record serialised
+    /// again — exactly what [`RunStore::save`] writes, so every row is
+    /// canonical JSON on one line, whatever whitespace the file held (a
+    /// cache hit is spliced into its reply frame unparsed); a file
     /// that does not parse as a [`RunRecord`] is renamed to a
     /// `{key}.json.corrupt` sidecar and its key is a miss; a file is
     /// removed only after its append returned, and a key the segment store
@@ -148,10 +151,20 @@ impl RunStore {
         })
     }
 
-    /// Loads a cached record, if present. Corruption is only ever a miss:
-    /// the segment store quarantines what fails its CRC when it opens.
+    /// The cached record's bytes, unparsed, if present: the
+    /// `serde_json::to_vec` output [`RunStore::save`] stored, bit for bit.
+    /// Corruption is only ever a miss: the segment store quarantines what
+    /// fails its CRC when it opens. Nothing checks that the bytes still
+    /// parse as today's [`RunRecord`]; a change to the record's shape must
+    /// change its key.
+    pub fn load_raw(&self, key: &str) -> Option<Vec<u8>> {
+        self.segments.load(key)
+    }
+
+    /// Loads a cached record, if present: [`RunStore::load_raw`], parsed.
+    /// Bytes that do not parse are a miss.
     pub fn load(&self, key: &str) -> Option<RunRecord> {
-        serde_json::from_slice(&self.segments.load(key)?).ok()
+        serde_json::from_slice(&self.load_raw(key)?).ok()
     }
 
     /// Saves a record under `key` (see
@@ -162,8 +175,23 @@ impl RunStore {
     /// Returns the I/O error if the record cannot be written; callers
     /// treat the cache as advisory.
     pub fn save(&self, key: &str, record: &RunRecord) -> std::io::Result<()> {
-        let payload = serde_json::to_vec(record).expect("records serialize");
-        self.segments.append(key, hot_row(record), &payload)
+        let json = serde_json::to_vec(record).expect("records serialize");
+        self.save_encoded(key, record, &json)
+    }
+
+    /// [`RunStore::save`] for a caller that already holds the record's
+    /// JSON, `serde_json::to_vec(record)`: those bytes are stored as given.
+    ///
+    /// # Errors
+    ///
+    /// As [`RunStore::save`].
+    pub fn save_encoded(&self, key: &str, record: &RunRecord, json: &[u8]) -> std::io::Result<()> {
+        debug_assert_eq!(
+            serde_json::to_vec(record).ok().as_deref(),
+            Some(json),
+            "stored bytes are the record's canonical JSON"
+        );
+        self.segments.append(key, hot_row(record), json)
     }
 
     /// Entry count, bytes on disk, and what opening the store had to clean
@@ -276,7 +304,10 @@ fn migrate_legacy(dir: &Path, segments: &SegmentStore) -> std::io::Result<(u64, 
             continue;
         };
         if !segments.contains(key) {
-            segments.append(key, hot_row(&record), &bytes)?;
+            // Canonical bytes, not the file's: a hit splices the row into
+            // a one-line frame, so a newline in the file would split it.
+            let json = serde_json::to_vec(&record).expect("records serialize");
+            segments.append(key, hot_row(&record), &json)?;
             migrated += 1;
         }
         fs::remove_file(&path)?;
@@ -496,6 +527,22 @@ mod tests {
         let recomputed = serde_json::to_vec(&store.load(&key).unwrap()).unwrap();
         assert_eq!(recomputed, pristine, "recomputed record is byte-identical");
         assert_eq!(store.stats().entries, 1);
+    }
+
+    /// A legacy file that parses but is not canonical JSON — here a
+    /// newline after its first `{` — migrates as `save` would have written
+    /// it, under the same key.
+    #[test]
+    fn migration_stores_canonical_bytes() {
+        let config = MachineConfig::haswell();
+        let record = crate::execute_run(&spec(), &config);
+        let key = RunStore::key(&spec(), &config);
+        let canonical = serde_json::to_vec(&record).unwrap();
+        let mut spaced = b"{\n".to_vec();
+        spaced.extend_from_slice(&canonical[1..]);
+        let store = RunStore::open(legacy_dir("canonical", &[(&key, &spaced)])).unwrap();
+        assert_eq!(store.migrated(), 1);
+        assert_eq!(store.load_raw(&key), Some(canonical));
     }
 
     #[test]

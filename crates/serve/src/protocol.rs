@@ -14,7 +14,7 @@
 //! exhaustive `match`, so a new variant does not compile there until it has
 //! an arm, and fails the test until it has a sample.
 
-use atscale::{RunRecord, RunSpec, StoreStats};
+use atscale::{ArchKind, RunRecord, RunSpec, StoreStats};
 use atscale_telemetry::{Progress, Sample};
 use serde::{Deserialize, Serialize};
 
@@ -334,6 +334,33 @@ pub enum Reply {
 /// Encodes one frame as a JSON line (no trailing newline).
 pub fn encode<T: Serialize>(frame: &T) -> String {
     serde_json::to_string(frame).expect("protocol frames serialize")
+}
+
+/// Encodes a [`Reply::Record`] frame around a record's JSON as the run
+/// store holds it, `serde_json::to_vec` of a [`RunRecord`]: the frame's
+/// fixed fields are written here and `record` is copied in unparsed, so a
+/// cache hit is never parsed or serialised again. The vendored
+/// `serde_json` has no `RawValue`, hence the hand-written prefix; it is
+/// [`RecordDone`]'s fields in declaration order, and the result is
+/// byte-identical to [`encode`] of the typed frame (pinned for every record
+/// of the test sweep on every architecture by `tests/raw_hits.rs`).
+pub fn encode_record(
+    id: u64,
+    index: u64,
+    cached: bool,
+    deduped: bool,
+    arch: ArchKind,
+    record: &[u8],
+) -> Vec<u8> {
+    let head = format!(
+        "{{\"Record\":{{\"id\":{id},\"index\":{index},\"cached\":{cached},\
+         \"deduped\":{deduped},\"source\":\"sim\",\"arch\":\"{arch}\",\"record\":"
+    );
+    let mut frame = Vec::with_capacity(head.len() + record.len() + 2);
+    frame.extend_from_slice(head.as_bytes());
+    frame.extend_from_slice(record);
+    frame.extend_from_slice(b"}}");
+    frame
 }
 
 /// Most bytes of a bad line, and of its parse error, that [`decode`]'s

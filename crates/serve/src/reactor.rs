@@ -24,7 +24,7 @@
 //! makes no write progress for [`DRAIN_GRACE`] no longer holds the exit.
 
 use crate::protocol::{self, ErrorReply, Reply, Request};
-use crate::scheduler::ReplySink;
+use crate::scheduler::{send_reply, ReplySink};
 use crate::server::{handle_request, ServerHandle};
 use crate::sys::{raw_fd, Epoll, Event, Interest, RawFd, WakeFd};
 use parking_lot::Mutex;
@@ -146,8 +146,8 @@ struct OutState {
 }
 
 /// One connection's outbound buffer and the [`ReplySink`] the scheduler
-/// holds for it: encodes on the sending thread, enqueues, and wakes the
-/// owning shard.
+/// holds for it: enqueues frames the sending thread encoded, and wakes
+/// the owning shard.
 struct OutBuf {
     fd: RawFd,
     state: Mutex<OutState>,
@@ -161,34 +161,11 @@ struct OutBuf {
     faults: Option<Arc<atscale_faults::FaultPlan>>,
 }
 
-impl OutBuf {
-    /// Appends encoded bytes and wakes the shard. Never blocks on the
-    /// socket; a buffer past [`HIGH_WATER`] sheds the connection instead.
-    fn push(&self, frame: &[u8]) {
-        {
-            let mut state = self.state.lock();
-            if state.dead {
-                return;
-            }
-            if state.bytes.len() + frame.len() > HIGH_WATER {
-                // Slow-consumer shed: the client stopped reading faster
-                // than we produce. Drop the connection, not the worker.
-                state.dead = true;
-                state.bytes = Vec::new();
-            } else {
-                state.bytes.extend_from_slice(frame);
-            }
-            if !state.queued {
-                state.queued = true;
-                self.dirty.lock().push(self.fd);
-            }
-        }
-        self.wake.wake();
-    }
-}
-
 impl ReplySink for OutBuf {
-    fn send(&self, reply: &Reply) {
+    /// Appends the frame and its newline and wakes the shard. Never blocks
+    /// on the socket; a buffer past [`HIGH_WATER`] sheds the connection
+    /// instead.
+    fn send(&self, frame: &[u8]) {
         #[cfg(feature = "faults")]
         if let Some(plan) = &self.faults {
             use atscale_faults::FaultSite;
@@ -206,9 +183,29 @@ impl ReplySink for OutBuf {
                 return;
             }
         }
-        let mut line = protocol::encode(reply);
-        line.push('\n');
-        self.push(line.as_bytes());
+        {
+            let mut state = self.state.lock();
+            if state.dead {
+                return;
+            }
+            if state.bytes.len() + frame.len() + 1 > HIGH_WATER {
+                // Slow-consumer shed: the client stopped reading faster
+                // than we produce. Drop the connection, not the worker.
+                state.dead = true;
+                state.bytes = Vec::new();
+            } else {
+                // One reservation for both: an empty buffer would otherwise
+                // be sized to the frame, and the newline would reallocate it.
+                state.bytes.reserve(frame.len() + 1);
+                state.bytes.extend_from_slice(frame);
+                state.bytes.push(b'\n');
+            }
+            if !state.queued {
+                state.queued = true;
+                self.dirty.lock().push(self.fd);
+            }
+        }
+        self.wake.wake();
     }
 }
 
@@ -493,7 +490,7 @@ fn dispatch_lines(conn: &mut Conn, mut scan: usize, handle: &ServerHandle) -> bo
                     conn.close_after_flush = true;
                 }
             }
-            Err(message) => conn.sink.send(&Reply::Error(ErrorReply { id: 0, message })),
+            Err(message) => send_reply(&*conn.sink, &Reply::Error(ErrorReply { id: 0, message })),
         }
         if conn.out.state.lock().dead {
             return true;

@@ -12,10 +12,10 @@
 //! skipped) and again at delivery.
 
 use crate::protocol::{
-    Accepted, BatchDone, DeadlineExceeded, JobFailed, Overloaded, ProgressEvent, RecordDone, Reply,
+    self, Accepted, BatchDone, DeadlineExceeded, JobFailed, Overloaded, ProgressEvent, Reply,
     SampleEvent, ServerStatsReply, Submit,
 };
-use atscale::{Harness, RunRecord, RunSpec, RunStore};
+use atscale::{Harness, RunSpec, RunStore};
 #[cfg(feature = "faults")]
 use atscale_faults::{FaultPlan, FaultRule, FaultSite};
 use atscale_mmu::{MachineConfig, TelemetryHandle};
@@ -26,13 +26,26 @@ use std::sync::Arc;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Where replies for one connection go. The server implements this over a
-/// socket writer; tests implement it over an in-memory collector.
+/// Where replies for one connection go. Frames arrive encoded: one JSON
+/// object, without its newline, from [`protocol::encode`] — or, for a
+/// record, [`protocol::encode_record`]. The server implements this over a
+/// connection's outbound buffer; tests implement it over in-memory
+/// collectors that decode every frame.
 pub trait ReplySink: Send + Sync {
-    /// Delivers one frame to the client (errors are the sink's problem —
-    /// a dead connection swallows its frames).
-    fn send(&self, reply: &Reply);
+    /// Delivers one encoded frame to the client (errors are the sink's
+    /// problem — a dead connection swallows its frames).
+    fn send(&self, frame: &[u8]);
 }
+
+/// Encodes `reply` and delivers it on `sink`.
+pub(crate) fn send_reply(sink: &dyn ReplySink, reply: &Reply) {
+    sink.send(protocol::encode(reply).as_bytes());
+}
+
+/// Marks a `no_cache` job's key: such a job neither coalesces with nor is
+/// answered by cache-permitted work, and its record is stored under the
+/// key without this suffix.
+const FRESH: &str = "!fresh";
 
 /// Serving-daemon configuration.
 #[derive(Debug)]
@@ -175,79 +188,73 @@ impl Batch {
     fn resolve(&self, sub: &Subscriber, outcome: &JobOutcome, stats: &ServeStats) {
         self.wait_ready();
         let now = Instant::now();
+        let label = outcome.spec.label();
         // A record-less outcome is either a contained worker panic
         // (`error` carries the panic message) or a shed job, which only
         // ever has expired subscribers: the worker removes it from the
         // dedup map under the scheduler lock before anyone else can join.
-        let resolution = if outcome.error.is_some() {
-            Resolution::Failed
-        } else if outcome.record.is_none() || sub.deadline.is_some_and(|d| now > d) {
-            Resolution::Expired
-        } else {
-            Resolution::Delivered
+        let frame = match (&outcome.error, &outcome.record) {
+            (Some(message), _) => {
+                self.failed.fetch_add(1, Ordering::SeqCst);
+                protocol::encode(&Reply::Failed(JobFailed {
+                    id: self.id,
+                    index: sub.index,
+                    label: label.clone(),
+                    message: message.clone(),
+                }))
+                .into_bytes()
+            }
+            (None, Some(record)) if sub.deadline.is_none_or(|d| now <= d) => {
+                self.delivered.fetch_add(1, Ordering::SeqCst);
+                protocol::encode_record(
+                    self.id,
+                    sub.index,
+                    outcome.cached,
+                    sub.deduped,
+                    outcome.spec.arch,
+                    record,
+                )
+            }
+            (None, _) => {
+                self.expired.fetch_add(1, Ordering::SeqCst);
+                stats.expired.fetch_add(1, Ordering::SeqCst);
+                protocol::encode(&Reply::Deadline(DeadlineExceeded {
+                    id: self.id,
+                    index: sub.index,
+                    label: label.clone(),
+                }))
+                .into_bytes()
+            }
         };
-        if resolution == Resolution::Failed {
-            self.failed.fetch_add(1, Ordering::SeqCst);
-            self.sink.send(&Reply::Failed(JobFailed {
-                id: self.id,
-                index: sub.index,
-                label: outcome.label.clone(),
-                message: outcome.error.clone().unwrap_or_default(),
-            }));
-        } else if resolution == Resolution::Expired {
-            self.expired.fetch_add(1, Ordering::SeqCst);
-            stats.expired.fetch_add(1, Ordering::SeqCst);
-            self.sink.send(&Reply::Deadline(DeadlineExceeded {
-                id: self.id,
-                index: sub.index,
-                label: outcome.label.clone(),
-            }));
-        } else {
-            self.delivered.fetch_add(1, Ordering::SeqCst);
-            let record = outcome.record.as_ref().expect("checked above").clone();
-            self.sink.send(&Reply::Record(RecordDone {
-                id: self.id,
-                index: sub.index,
-                cached: outcome.cached,
-                deduped: sub.deduped,
-                source: "sim".to_string(),
-                arch: record.spec.arch.to_string(),
-                record,
-            }));
-        }
+        self.sink.send(&frame);
         let resolved = self.resolved.fetch_add(1, Ordering::SeqCst) + 1;
-        self.sink.send(&Reply::Progress(ProgressEvent {
-            id: self.id,
-            progress: Progress {
-                completed: resolved,
-                total: self.total,
-                label: outcome.label.clone(),
-                wall_ms: outcome.wall_ms,
-                cached: outcome.cached,
-            },
-        }));
+        send_reply(
+            &*self.sink,
+            &Reply::Progress(ProgressEvent {
+                id: self.id,
+                progress: Progress {
+                    completed: resolved,
+                    total: self.total,
+                    label,
+                    wall_ms: outcome.wall_ms,
+                    cached: outcome.cached,
+                },
+            }),
+        );
         // Counted after the send, not with `resolved`: a worker preempted
         // before its `Progress` must not trail another worker's `BatchDone`.
         if self.announced.fetch_add(1, Ordering::SeqCst) + 1 == self.total {
-            self.sink.send(&Reply::BatchDone(BatchDone {
-                id: self.id,
-                delivered: self.delivered.load(Ordering::SeqCst) as u64,
-                expired: self.expired.load(Ordering::SeqCst) as u64,
-                failed: self.failed.load(Ordering::SeqCst) as u64,
-            }));
+            send_reply(
+                &*self.sink,
+                &Reply::BatchDone(BatchDone {
+                    id: self.id,
+                    delivered: self.delivered.load(Ordering::SeqCst) as u64,
+                    expired: self.expired.load(Ordering::SeqCst) as u64,
+                    failed: self.failed.load(Ordering::SeqCst) as u64,
+                }),
+            );
         }
     }
-}
-
-/// How one spec of a batch was resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Resolution {
-    /// A record was delivered.
-    Delivered,
-    /// The spec missed its deadline (or its job was shed).
-    Expired,
-    /// The spec's job failed via a contained worker panic.
-    Failed,
 }
 
 /// One batch spec's subscription to a job.
@@ -269,12 +276,15 @@ struct SubscriberRecorder {
 
 impl Recorder for SubscriberRecorder {
     fn sample(&self, run: &str, sample: &Sample) {
-        self.sink.send(&Reply::Sample(SampleEvent {
-            id: self.id,
-            run: run.to_string(),
-            source: "sim".to_string(),
-            sample: sample.clone(),
-        }));
+        send_reply(
+            &*self.sink,
+            &Reply::Sample(SampleEvent {
+                id: self.id,
+                run: run.to_string(),
+                source: "sim".to_string(),
+                sample: sample.clone(),
+            }),
+        );
     }
 
     fn latency(&self, _metric: LatencyMetric, _value: u64) {}
@@ -285,7 +295,6 @@ impl Recorder for SubscriberRecorder {
 /// One unique unit of simulation work and everyone waiting on it.
 struct Job {
     spec: RunSpec,
-    no_cache: bool,
     subscribers: Vec<Subscriber>,
     /// Live telemetry router: subscribers requesting samples attach here.
     /// Attaching while the job is still queued takes full effect; attaching
@@ -302,12 +311,14 @@ struct Job {
 
 /// What resolving a job yields for its subscribers.
 struct JobOutcome {
-    record: Option<RunRecord>,
+    /// The job's spec: its label and architecture go on the reply frames.
+    spec: RunSpec,
+    /// The record's JSON, as the run store holds it.
+    record: Option<Vec<u8>>,
     /// The contained panic message when the job's worker panicked;
     /// `None` record + `None` error means the job was shed (all
     /// subscribers expired).
     error: Option<String>,
-    label: String,
     cached: bool,
     wall_ms: u64,
 }
@@ -385,10 +396,12 @@ impl Scheduler {
     /// Dedup key for one spec under this server's machine config: the run
     /// cache key, partitioned by cache mode (a `no_cache` submission must
     /// not coalesce onto — or be answered by — a cache-permitted job).
+    /// It is the only key a served job computes: the worker's store lookup
+    /// and `no_cache` write-back reuse it.
     fn job_key(&self, spec: &RunSpec, no_cache: bool) -> String {
         let base = RunStore::key(spec, &self.config.machine);
         if no_cache {
-            format!("{base}!fresh")
+            base + FRESH
         } else {
             base
         }
@@ -402,19 +415,22 @@ impl Scheduler {
     pub fn submit(&self, req: &Submit, sink: Arc<dyn ReplySink>) {
         match self.admit(req, Arc::clone(&sink)) {
             Admission::Accepted(a, batch) => {
-                sink.send(&Reply::Accepted(a));
+                send_reply(&*sink, &Reply::Accepted(a));
                 // Only now may workers deliver this batch's record frames
                 // (they wait on the gate), keeping per-connection order.
                 batch.mark_ready();
             }
             Admission::Overloaded(o) => {
                 self.stats.overloaded.fetch_add(1, Ordering::SeqCst);
-                sink.send(&Reply::Overloaded(o));
+                send_reply(&*sink, &Reply::Overloaded(o));
             }
-            Admission::Draining => sink.send(&Reply::Error(crate::protocol::ErrorReply {
-                id: req.id,
-                message: "server is draining; submission rejected".to_string(),
-            })),
+            Admission::Draining => send_reply(
+                &*sink,
+                &Reply::Error(protocol::ErrorReply {
+                    id: req.id,
+                    message: "server is draining; submission rejected".to_string(),
+                }),
+            ),
         }
     }
 
@@ -465,7 +481,6 @@ impl Scheduler {
             let existed = state.jobs.contains_key(&key);
             let job = state.jobs.entry(key.clone()).or_insert_with(|| Job {
                 spec: *spec,
-                no_cache: req.no_cache,
                 subscribers: Vec::new(),
                 fanout: Arc::new(FanoutRecorder::new()),
                 sample_interval: 0,
@@ -574,9 +589,9 @@ impl Scheduler {
                 job = shed;
                 drop(state);
                 outcome = JobOutcome {
+                    spec: job.spec,
                     record: None,
                     error: None,
-                    label: job.spec.label(),
                     cached: false,
                     wall_ms: 0,
                 };
@@ -591,7 +606,6 @@ impl Scheduler {
                     continue;
                 };
                 let spec = queued.spec;
-                let no_cache = queued.no_cache;
                 let fanout = Arc::clone(&queued.fanout);
                 let sample_interval = queued.sample_interval;
                 drop(state);
@@ -603,8 +617,9 @@ impl Scheduler {
                 // the worker thread and strand the single-flight entry
                 // (which would wedge every coalesced subscriber forever).
                 let execution = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.execute(&spec, no_cache, &fanout, sample_interval)
+                    self.execute(&spec, &key, &fanout, sample_interval)
                 }));
+                let wall_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
                 outcome = match execution {
                     Ok((record, cached)) => {
                         if cached {
@@ -613,21 +628,21 @@ impl Scheduler {
                             self.stats.executions.fetch_add(1, Ordering::SeqCst);
                         }
                         JobOutcome {
-                            label: record.spec.label(),
+                            spec,
                             record: Some(record),
                             error: None,
                             cached,
-                            wall_ms: u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX),
+                            wall_ms,
                         }
                     }
                     Err(panic) => {
                         self.stats.failed.fetch_add(1, Ordering::SeqCst);
                         JobOutcome {
+                            spec,
                             record: None,
                             error: Some(panic_message(panic.as_ref())),
-                            label: spec.label(),
                             cached: false,
-                            wall_ms: u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX),
+                            wall_ms,
                         }
                     }
                 };
@@ -656,15 +671,17 @@ impl Scheduler {
         }
     }
 
-    /// Executes one job: cache-first through the harness, or fresh with a
-    /// write-back when the submission bypassed the cache.
+    /// Executes the job under `key` (its [`Scheduler::job_key`]) and
+    /// returns the record's JSON and whether it was a cache hit:
+    /// cache-first through the harness, or fresh with a write-back when
+    /// the submission bypassed the cache.
     fn execute(
         &self,
         spec: &RunSpec,
-        no_cache: bool,
+        key: &str,
         fanout: &Arc<FanoutRecorder>,
         sample_interval: u64,
-    ) -> (RunRecord, bool) {
+    ) -> (Vec<u8>, bool) {
         #[cfg(feature = "faults")]
         if self.fault(FaultSite::WorkerPanic).is_some() {
             panic!("injected fault: WorkerPanic mid-job");
@@ -672,21 +689,22 @@ impl Scheduler {
         let telemetry = (fanout.target_count() > 0 || sample_interval > 0).then(|| {
             TelemetryHandle::new(Arc::clone(fanout) as Arc<dyn Recorder>, sample_interval)
         });
-        if no_cache {
+        if let Some(store_key) = key.strip_suffix(FRESH) {
             let record =
                 atscale::execute_run_with_telemetry(spec, &self.config.machine, telemetry.as_ref());
+            let json = serde_json::to_vec(&record).expect("records serialize");
             if let Some(store) = &self.config.store {
-                let _ = store.save(&RunStore::key(spec, &self.config.machine), &record);
+                let _ = store.save_encoded(store_key, &record, &json);
             }
-            return (record, false);
+            return (json, false);
         }
         match telemetry {
             Some(handle) => self
                 .harness
                 .clone()
                 .with_telemetry(handle)
-                .run_detailed(spec),
-            None => self.harness.run_detailed(spec),
+                .run_json(spec, key),
+            None => self.harness.run_json(spec, key),
         }
     }
 

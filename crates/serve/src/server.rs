@@ -11,7 +11,7 @@
 
 use crate::protocol::{ErrorReply, Reply, Request, Welcome, PROTOCOL_VERSION};
 use crate::reactor::Listener;
-use crate::scheduler::{ReplySink, Scheduler, ServeConfig};
+use crate::scheduler::{send_reply, ReplySink, Scheduler, ServeConfig};
 use crate::sys::WakeFd;
 use atscale::StoreStats;
 use std::net::{SocketAddr, TcpListener};
@@ -220,62 +220,53 @@ pub(crate) fn handle_request(
     writer: &Arc<dyn ReplySink>,
     handle: &ServerHandle,
 ) -> bool {
-    match request {
-        Request::Hello(hello) => {
-            if hello.protocol == PROTOCOL_VERSION {
-                writer.send(&Reply::Welcome(Welcome {
-                    protocol: PROTOCOL_VERSION,
-                    server: format!("atscale-serve/{}", env!("CARGO_PKG_VERSION")),
-                    workers: handle.scheduler.workers() as u64,
-                    queue_capacity: handle.scheduler.queue_capacity() as u64,
-                    shard: handle.scheduler.shard(),
-                    shards: handle.scheduler.shards(),
-                    topology: handle.scheduler.topology().to_vec(),
-                    architectures: atscale::ArchKind::ALL
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect(),
-                }));
-            } else {
-                writer.send(&Reply::Error(ErrorReply {
-                    id: 0,
-                    message: format!(
-                        "protocol mismatch: client speaks {}, server speaks {PROTOCOL_VERSION}",
-                        hello.protocol
-                    ),
-                }));
-            }
-        }
+    let reply = match request {
+        Request::Hello(hello) if hello.protocol == PROTOCOL_VERSION => Reply::Welcome(Welcome {
+            protocol: PROTOCOL_VERSION,
+            server: format!("atscale-serve/{}", env!("CARGO_PKG_VERSION")),
+            workers: handle.scheduler.workers() as u64,
+            queue_capacity: handle.scheduler.queue_capacity() as u64,
+            shard: handle.scheduler.shard(),
+            shards: handle.scheduler.shards(),
+            topology: handle.scheduler.topology().to_vec(),
+            architectures: atscale::ArchKind::ALL
+                .iter()
+                .map(ToString::to_string)
+                .collect(),
+        }),
+        Request::Hello(hello) => Reply::Error(ErrorReply {
+            id: 0,
+            message: format!(
+                "protocol mismatch: client speaks {}, server speaks {PROTOCOL_VERSION}",
+                hello.protocol
+            ),
+        }),
+        Request::Submit(submit) if submit.specs.is_empty() => Reply::Error(ErrorReply {
+            id: submit.id,
+            message: "empty batch".to_string(),
+        }),
         Request::Submit(submit) => {
-            if submit.specs.is_empty() {
-                writer.send(&Reply::Error(ErrorReply {
-                    id: submit.id,
-                    message: "empty batch".to_string(),
-                }));
-            } else {
-                handle.scheduler.submit(submit, Arc::clone(writer));
-            }
+            // The scheduler answers on `writer` itself.
+            handle.scheduler.submit(submit, Arc::clone(writer));
+            return false;
         }
-        Request::CacheStats => {
-            let stats = handle
+        Request::CacheStats => Reply::CacheStats(
+            handle
                 .scheduler
                 .store()
-                .map_or_else(StoreStats::default, atscale::RunStore::stats);
-            writer.send(&Reply::CacheStats(stats));
-        }
-        Request::ServerStats => {
-            writer.send(&Reply::ServerStats(handle.scheduler.stats_reply()));
-        }
+                .map_or_else(StoreStats::default, atscale::RunStore::stats),
+        ),
+        Request::ServerStats => Reply::ServerStats(handle.scheduler.stats_reply()),
         Request::Query(filter) => {
             let store = handle.scheduler.store();
-            writer.send(&store.map_or_else(no_store, |s| Reply::QueryResult(s.query(filter))));
+            store.map_or_else(no_store, |s| Reply::QueryResult(s.query(filter)))
         }
         Request::Compact => {
             // Compaction runs on this reactor thread: contain a panic in it
             // so it fails this request instead of unwinding the shard. The
             // store's poison recovery may lose cached rows after that, never
             // serve a wrong record (DESIGN §16).
-            let reply = match handle.scheduler.store().map(|store| {
+            match handle.scheduler.store().map(|store| {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.compact()))
             }) {
                 Some(Ok(Ok(stats))) => Reply::Compacted(stats),
@@ -288,17 +279,18 @@ pub(crate) fn handle_request(
                     message: "compaction panicked".to_string(),
                 }),
                 None => no_store(),
-            };
-            writer.send(&reply);
+            }
         }
         Request::StoreSegStats => {
             let store = handle.scheduler.store();
-            writer.send(&store.map_or_else(no_store, |s| Reply::StoreSegStats(s.seg_stats())));
+            store.map_or_else(no_store, |s| Reply::StoreSegStats(s.seg_stats()))
         }
-        Request::Shutdown => {
-            writer.send(&Reply::ShuttingDown);
-            handle.shutdown();
-        }
+        Request::Shutdown => Reply::ShuttingDown,
+    };
+    send_reply(&**writer, &reply);
+    let shutdown = matches!(request, Request::Shutdown);
+    if shutdown {
+        handle.shutdown();
     }
-    matches!(request, Request::Shutdown)
+    shutdown
 }

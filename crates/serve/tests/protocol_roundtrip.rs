@@ -11,9 +11,10 @@
 use atscale::{RunRecord, RunSpec, StoreStats};
 use atscale_mmu::MachineConfig;
 use atscale_serve::protocol::{
-    decode, encode, Accepted, BatchDone, CompactStats, DeadlineExceeded, ErrorReply, GroupSummary,
-    Hello, JobFailed, Overloaded, ProgressEvent, QueryFilter, QueryResult, RecordDone, Reply,
-    Request, SampleEvent, SegStats, ServerStatsReply, Submit, Welcome, PROTOCOL_VERSION,
+    decode, encode, encode_record, Accepted, BatchDone, CompactStats, DeadlineExceeded, ErrorReply,
+    GroupSummary, Hello, JobFailed, Overloaded, ProgressEvent, QueryFilter, QueryResult,
+    RecordDone, Reply, Request, SampleEvent, SegStats, ServerStatsReply, Submit, Welcome,
+    PROTOCOL_VERSION,
 };
 use atscale_telemetry::{Progress, Sample};
 use atscale_vm::PageSize;
@@ -206,6 +207,20 @@ fn replies() -> Vec<Reply> {
                 record,
             }
         }),
+        // The daemon splices its record frames: one built as it builds
+        // them must decode, and re-encode to the same line.
+        decode(
+            std::str::from_utf8(&encode_record(
+                5,
+                2,
+                false,
+                true,
+                atscale::ArchKind::Baseline,
+                &serde_json::to_vec(&record()).unwrap(),
+            ))
+            .unwrap(),
+        )
+        .expect("a spliced record frame decodes"),
         Reply::Deadline(DeadlineExceeded {
             id: 2,
             index: 4,

@@ -226,3 +226,39 @@ fn legacy_directory_is_migrated_at_open_and_served_from_cache() {
     assert_eq!(reopened.len(), specs.len());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A legacy record that parses but is not canonical JSON — a newline
+/// after its first `{` — migrates re-serialised: its hit is spliced into a
+/// one-line `Record` frame, and the client receives the canonical bytes.
+#[test]
+fn a_legacy_record_with_a_newline_is_served_canonical() {
+    let dir = temp_dir("newline");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let machine = ServeConfig::default().machine;
+    let spec = sweep_specs(&["cc-urand"])[0];
+    let canonical = serde_json::to_vec(&atscale::execute_run(&spec, &machine)).expect("serializes");
+    let mut spaced = b"{\n".to_vec();
+    spaced.extend_from_slice(&canonical[1..]);
+    let path = dir.join(format!("{}.json", RunStore::key(&spec, &machine)));
+    std::fs::write(path, &spaced).expect("legacy file");
+
+    let store = RunStore::open(&dir).expect("open migrates");
+    assert_eq!(store.migrated(), 1);
+    let (server, addr) = start_server(ServeConfig {
+        store: Some(store),
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(&addr).expect("connect");
+    client.hello().expect("handshake");
+    let records = client
+        .run_many(&[spec], SubmitOptions::default())
+        .expect("the hit is one frame");
+    assert_eq!(
+        serde_json::to_vec(&records[0]).expect("serializes"),
+        canonical
+    );
+    let stats = client.server_stats().expect("server stats");
+    assert_eq!((stats.executions, stats.cache_hits), (0, 1));
+    server.shutdown_and_join();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -3,7 +3,7 @@
 //! write-backs leave no temp-file droppings.
 
 use atscale::{RunSpec, RunStore};
-use atscale_serve::protocol::{Reply, Submit};
+use atscale_serve::protocol::{self, Reply, Submit};
 use atscale_serve::{ReplySink, Scheduler, ServeConfig};
 use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
@@ -55,9 +55,19 @@ impl Collector {
     }
 }
 
+/// Decodes one encoded frame, as a client would.
+fn decode(frame: &[u8]) -> Reply {
+    let line = std::str::from_utf8(frame).expect("frames are UTF-8");
+    assert!(
+        !line.contains('\n'),
+        "frames reach the sink without newline"
+    );
+    protocol::decode(line).expect("frames decode")
+}
+
 impl ReplySink for Collector {
-    fn send(&self, reply: &Reply) {
-        self.replies.lock().unwrap().push(reply.clone());
+    fn send(&self, frame: &[u8]) {
+        self.replies.lock().unwrap().push(decode(frame));
         self.done.notify_all();
     }
 }
@@ -263,16 +273,16 @@ impl HoldFirstProgress {
 }
 
 impl ReplySink for HoldFirstProgress {
-    fn send(&self, reply: &Reply) {
-        let first_progress =
-            matches!(reply, Reply::Progress(_)) && !self.seen_progress.swap(true, Ordering::SeqCst);
+    fn send(&self, frame: &[u8]) {
+        let first_progress = matches!(decode(frame), Reply::Progress(_))
+            && !self.seen_progress.swap(true, Ordering::SeqCst);
         if first_progress {
             let mut released = self.released.lock().unwrap();
             while !*released {
                 released = self.release_cv.wait(released).unwrap();
             }
         }
-        self.frames.send(reply);
+        self.frames.send(frame);
     }
 }
 
