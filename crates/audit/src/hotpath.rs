@@ -2,7 +2,7 @@
 //!
 //! The PR-4 throughput work rests on the per-access pipeline never touching
 //! the allocator: one `format!` in a TLB lookup or a `Vec::new` per walk
-//! melts the instr/s the perf gate defends. rustc cannot express "this
+//! melts the benchmark's `sim_minstr_per_s`. rustc cannot express "this
 //! module is allocation-free", so this rule scans the hot-path modules —
 //! the MMU engine, the TLB arrays, the page-table walker, and the
 //! set-associative cache array — for allocating or formatting calls.

@@ -4,9 +4,10 @@
 //! entry of [`experiments::REGISTRY`], a view of the one footprint sweep.
 //! The `atscale` binary is the single entry point to all of them
 //! (`atscale list`, `atscale run <experiment>…`, `atscale run all`); the
-//! other binaries in `src/bin/` are tools with their own command lines,
-//! and `benches/` holds Criterion micro-benchmarks of the simulator
-//! components. Command-line options and telemetry scoping live here.
+//! other binaries in `src/bin/` are tools with their own command lines.
+//! Simulator and daemon speed is measured by the repo benchmark
+//! (`bash benchmark/run.sh`), not here. Command-line options and telemetry
+//! scoping live here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

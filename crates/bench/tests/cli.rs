@@ -1,6 +1,7 @@
 //! The `atscale` command line, driven as a child process: what it lists,
-//! how it rejects what it does not know, and that every ablation's
-//! telemetry stream carries the samples of the runs it made.
+//! how it rejects what it does not know, that `--progress` prints with
+//! telemetry on, and that every ablation's telemetry stream carries the
+//! samples of the runs it made.
 
 use atscale_bench::experiments::REGISTRY;
 use std::path::{Path, PathBuf};
@@ -76,6 +77,37 @@ fn what_it_does_not_know_gets_usage_the_list_and_exit_2() {
     }
     // Rejected before anything ran: no store, no CSV, no stream.
     assert!(!results.exists());
+}
+
+#[test]
+fn progress_reaches_stderr_and_the_stream_alike() {
+    let results = scratch("progress");
+    let out = atscale(
+        &[
+            "run",
+            "fig2_cc_urand",
+            "--test",
+            "--progress",
+            "--telemetry-jsonl",
+        ],
+        &results,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let printed = stderr
+        .lines()
+        .filter(|line| line.starts_with("[atscale] run "))
+        .count();
+    assert_eq!(printed, 9, "{stderr}");
+    let stream = results.join("telemetry/fig2_cc_urand.jsonl");
+    let events = std::fs::read_to_string(&stream)
+        .unwrap_or_else(|e| panic!("read {}: {e}", stream.display()));
+    let streamed = events
+        .lines()
+        .filter(|line| line.starts_with(r#"{"type":"progress""#))
+        .count();
+    assert_eq!(streamed, 9);
+    let _ = std::fs::remove_dir_all(&results);
 }
 
 #[test]

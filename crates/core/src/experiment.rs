@@ -185,9 +185,9 @@ impl Harness {
         }
     }
 
-    /// Enables the stderr progress fallback: with no recorder attached,
-    /// [`Harness::run_many`] prints a one-line [`Progress`] event per
-    /// finished run (with a recorder, progress always flows through it).
+    /// Enables stderr progress: [`Harness::run_many`] prints a one-line
+    /// [`Progress`] event per finished run (an attached recorder receives
+    /// every event either way).
     pub fn with_progress(mut self, progress: bool) -> Harness {
         self.progress = progress;
         self
@@ -289,10 +289,11 @@ impl Harness {
     }
 
     fn emit_progress(&self, event: &Progress) {
-        match self.recorder() {
-            Some(recorder) => recorder.progress(event),
-            None if self.progress => eprintln!("{}", event.render()),
-            None => {}
+        if self.progress {
+            eprintln!("{}", event.render());
+        }
+        if let Some(recorder) = self.recorder() {
+            recorder.progress(event);
         }
     }
 

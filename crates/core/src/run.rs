@@ -165,8 +165,8 @@ pub fn execute_run_with_telemetry(
     // Static dispatch per architecture: each arm instantiates the whole
     // drive loop monomorphically, so the baseline arm *is* the
     // pre-architecture hot path — no dyn call appears on the per-access
-    // path for any architecture (the perf gate holds the baseline arm to
-    // the PR-4 numbers).
+    // path for any architecture (the repo benchmark's `sim_minstr_per_s`
+    // reports the baseline arm's speed).
     match spec.arch {
         ArchKind::Baseline => drive::<BaselineArch>(spec, config, telemetry),
         ArchKind::Victima => drive::<VictimaArch>(spec, config, telemetry),

@@ -11,10 +11,10 @@
 //! Dispatch is **generic, not virtual**: the engine is
 //! `ArchMachine<A: TranslationArchitecture>` and `Machine` is a type alias
 //! for `ArchMachine<BaselineArch>`, so the monomorphic L1-hit fast path from
-//! the hot-path restructuring compiles exactly as before (the perf gate A/B
-//! run vs `BENCH_PR4.json` enforces this). The golden conformance suite
-//! additionally proves the trait-dispatched baseline produces byte-identical
-//! `RunRecord`s to the frozen reference pipeline.
+//! the hot-path restructuring compiles exactly as before (the repo
+//! benchmark's `sim_minstr_per_s` reports its speed). The golden
+//! conformance suite additionally proves the trait-dispatched baseline
+//! produces byte-identical `RunRecord`s to the frozen reference pipeline.
 //!
 //! Four architectures ship:
 //!

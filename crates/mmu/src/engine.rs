@@ -533,7 +533,7 @@ impl<A: TranslationArchitecture> AccessSink for ArchMachine<A> {
     /// Translation routes through the [`TranslationArchitecture`] — for
     /// [`BaselineArch`] the lookup inlines to exactly the former
     /// `tlbs.lookup_frame` dispatch (the conformance suite proves the
-    /// byte-identity, the perf gate the zero cost).
+    /// byte-identity; the benchmark's `sim_minstr_per_s` reports the cost).
     #[inline]
     fn access(&mut self, op: AccessOp, va: VirtAddr) {
         self.counters.inst_retired += 1;

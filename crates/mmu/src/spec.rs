@@ -214,11 +214,6 @@ impl SpeculationModel {
         }
         unreachable!("weighted segment selection is exhaustive")
     }
-
-    /// The current data-latency estimate (cycles) used for squash windows.
-    pub fn data_latency_estimate(&self) -> f64 {
-        self.data_lat_ema
-    }
 }
 
 fn sample_gap(rng: &mut SmallRng, rate: f64) -> u64 {

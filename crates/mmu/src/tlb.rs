@@ -243,13 +243,6 @@ pub enum TlbHit {
     Miss,
 }
 
-impl TlbHit {
-    /// `true` unless this is a miss.
-    pub fn is_hit(&self) -> bool {
-        !matches!(self, TlbHit::Miss)
-    }
-}
-
 /// Lookup/fill statistics for the hierarchy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TlbStats {

@@ -274,11 +274,6 @@ impl Client {
         self
     }
 
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Attaches a fault-injection plan: subsequent socket traffic routes
     /// through the plan's `ClientWrite`/`ClientRead`/`ClientStall` sites.
     /// Chaos-test machinery.
@@ -689,8 +684,8 @@ pub struct ShardedClient {
     /// Lazily-dialled persistent connection per shard.
     conns: Vec<Option<Client>>,
     retry: RetryPolicy,
-    /// The machine configuration keys are computed against — must match
-    /// the servers' (both default to Haswell).
+    /// The machine keys are computed against: the daemons', which is
+    /// always `ServeConfig`'s default, Haswell.
     machine: MachineConfig,
     #[cfg(feature = "faults")]
     faults: Option<std::sync::Arc<atscale_faults::FaultPlan>>,
@@ -751,14 +746,6 @@ impl ShardedClient {
         self
     }
 
-    /// Overrides the machine configuration records are keyed against
-    /// (must match the servers'; both default to Haswell).
-    #[must_use]
-    pub fn with_machine(mut self, machine: MachineConfig) -> ShardedClient {
-        self.machine = machine;
-        self
-    }
-
     /// Attaches a fault-injection plan, propagated to every per-shard
     /// connection (chaos machinery).
     #[cfg(feature = "faults")]
@@ -779,11 +766,6 @@ impl ShardedClient {
     /// Every shard's address in shard order.
     pub fn topology(&self) -> &[String] {
         &self.topology
-    }
-
-    /// The shard that owns a spec's record.
-    pub fn shard_of(&self, spec: &RunSpec) -> usize {
-        self.map.shard_for(spec, &self.machine)
     }
 
     /// The persistent connection to `shard`, dialling (and handshaking)

@@ -1,7 +1,7 @@
 //! End-to-end results plane: the v5 `Query`/`Compact`/`StoreSegStats`
 //! verbs over a real socket against a segment-backed store.
 //!
-//! The load-bearing assertion is the PR's acceptance criterion: `query`
+//! The load-bearing assertion is the results plane's contract: `query`
 //! aggregates must equal aggregates recomputed from the raw `RunRecord`s
 //! — exactly for count and the β/c fit (both are integer-sum state, so
 //! insertion order cannot perturb them), and within the documented sketch

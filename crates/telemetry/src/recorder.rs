@@ -115,7 +115,7 @@ pub struct Progress {
 }
 
 impl Progress {
-    /// The one-line rendering used for the stderr fallback.
+    /// The one-line rendering `--progress` prints to stderr.
     pub fn render(&self) -> String {
         format!(
             "[atscale] run {}/{} {} ({} ms{})",

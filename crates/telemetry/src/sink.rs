@@ -58,7 +58,6 @@ struct SinkState {
 /// per instruction.
 pub struct TelemetrySink {
     state: Mutex<SinkState>,
-    stderr_progress: bool,
 }
 
 impl std::fmt::Debug for TelemetrySink {
@@ -100,7 +99,6 @@ impl TelemetrySink {
                 hists: vec![LogHistogram::new(); LatencyMetric::ALL.len()],
                 ..SinkState::default()
             }),
-            stderr_progress: false,
         }
     }
 
@@ -133,12 +131,6 @@ impl TelemetrySink {
         ));
         self.state.lock().jsonl = Some(writer);
         Ok(self)
-    }
-
-    /// Also echoes progress events to stderr (for interactive sweeps).
-    pub fn with_stderr_progress(mut self, enabled: bool) -> TelemetrySink {
-        self.stderr_progress = enabled;
-        self
     }
 
     /// Snapshot of one latency histogram.
@@ -303,9 +295,6 @@ impl Recorder for TelemetrySink {
     }
 
     fn progress(&self, event: &Progress) {
-        if self.stderr_progress {
-            eprintln!("{}", event.render());
-        }
         let mut state = self.state.lock();
         state.progress_events += 1;
         let line = tagged("progress", Vec::new(), event.to_value());

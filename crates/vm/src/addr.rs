@@ -159,14 +159,6 @@ impl VirtAddr {
     }
 }
 
-impl PhysAddr {
-    /// Returns the 4 KiB physical frame number containing this address.
-    #[inline]
-    pub const fn frame_4k(self) -> u64 {
-        self.0 >> 12
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

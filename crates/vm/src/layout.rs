@@ -96,11 +96,6 @@ impl Segment {
         self.base.add(self.len)
     }
 
-    /// The page size the owning policy asked for when this was allocated.
-    pub fn requested_page_size(&self) -> PageSize {
-        self.requested
-    }
-
     /// `true` if `va` falls inside the segment.
     pub fn contains(&self, va: VirtAddr) -> bool {
         va >= self.base && va < self.end()
