@@ -111,12 +111,14 @@ const PANIC_MACROS: [&str; 7] = [
 /// Entry points of the daemon's threads — the roots of the
 /// panic-surface pass: the scheduler's workers, the acceptor, each
 /// reactor shard's event loop, and the worker-side reply enqueue into a
-/// shard's outbufs.
-pub const PANIC_ROOTS: [&str; 4] = [
-    "Scheduler::worker_loop",
-    "accept_loop",
-    "run_shard",
-    "OutBuf::send",
+/// shard's outbufs. A bare name matches every function so named, so the
+/// free-function roots are pinned to their file (`ShardedClient::run_shard`
+/// is client code, not a daemon thread).
+pub const PANIC_ROOTS: [(&str, Option<&str>); 4] = [
+    ("Scheduler::worker_loop", None),
+    ("accept_loop", Some("crates/serve/src/reactor.rs")),
+    ("run_shard", Some("crates/serve/src/reactor.rs")),
+    ("OutBuf::send", None),
 ];
 
 /// One recorded `analyze:allow` exemption, for the report.
@@ -702,10 +704,14 @@ pub fn panic_surface(a: &Analysis) -> (Audit, PanicReport) {
     let mut audit = Audit::new("panic-surface");
     let mut root_ids: Vec<NodeId> = Vec::new();
     let mut roots = Vec::new();
-    for r in PANIC_ROOTS {
-        let ids = a.find(r);
+    for (name, file) in PANIC_ROOTS {
+        let ids: Vec<NodeId> = a
+            .find(name)
+            .into_iter()
+            .filter(|&id| file.is_none_or(|f| a.file_of(id).path == f))
+            .collect();
         if !ids.is_empty() {
-            roots.push(r.to_string());
+            roots.push(name.to_string());
         }
         root_ids.extend(ids);
     }

@@ -99,6 +99,35 @@ fn the_analysis_passes_are_not_vacuous() {
 }
 
 #[test]
+fn client_code_is_not_a_panic_root() {
+    // `ShardedClient::run_shard` shares its name with the reactor's shard
+    // loop; the roots are pinned by file, so nothing the client reaches
+    // counts as reachable from a daemon thread — not even a panic planted
+    // in that very function.
+    let mut ws = real_workspace();
+    let file = ws
+        .files
+        .iter_mut()
+        .find(|f| f.path == "crates/serve/src/client.rs")
+        .expect("client.rs present");
+    let body = "    ) -> Result<Vec<RunRecord>, ClientError> {\n        let policy = self.retry;";
+    assert!(file.text.contains(body), "ShardedClient::run_shard moved");
+    file.text = file.text.replace(
+        body,
+        &body.replace("let policy", "None::<u8>.unwrap();\n        let policy"),
+    );
+    let outcome = run_full(&ws);
+    let client_sites: Vec<String> = outcome
+        .panics
+        .sites
+        .iter()
+        .filter(|s| s.file == "crates/serve/src/client.rs")
+        .map(|s| format!("{}:{} {}", s.file, s.line, s.function))
+        .collect();
+    assert!(client_sites.is_empty(), "{client_sites:#?}");
+}
+
+#[test]
 fn removing_the_lint_opt_in_is_caught() {
     let mut ws = real_workspace();
     let file = ws

@@ -39,7 +39,7 @@ use std::sync::Arc;
 pub struct StoreStats {
     /// Number of cached run records (live segment-store rows).
     pub entries: u64,
-    /// Bytes on disk across segments, WAL and index.
+    /// Bytes on disk across segments and the WAL.
     pub bytes: u64,
     /// Temp files (`*.tmp`) of writes that crashed before their rename,
     /// removed when this store was opened; a healthy store reports none.
@@ -101,7 +101,7 @@ impl RunStore {
     }
 
     /// Attaches a fault-injection plan to the segment store (its
-    /// `StoreWrite`/`SegmentTorn`/`StoreRename`/`IndexRename` sites).
+    /// `StoreWrite`/`SegmentTorn`/`StoreRename` sites).
     /// Test-only machinery — exists solely behind the `faults` feature.
     #[cfg(feature = "faults")]
     #[must_use]

@@ -95,10 +95,6 @@ fault_sites! {
     /// framed row survives on disk (exercises torn-tail quarantine and
     /// truncate-to-last-valid-entry on reopen).
     SegmentTorn,
-    /// Segment store index persist: the tmp→final rename of the index
-    /// file fails (exercises the index-is-advisory contract: reopen must
-    /// rebuild the index by scanning segments and the WAL).
-    IndexRename,
     /// Epoll reactor shard: a stall at the top of the event loop — the
     /// shard stops reading sockets and draining outbound buffers for the
     /// stall (exercises the level-triggered recovery path: all readiness

@@ -1,5 +1,5 @@
-//! The hot-column row schema and the mergeable per-group aggregate state,
-//! plus the wire-facing query types the serving protocol re-exports.
+//! The hot-column row schema and the per-group aggregate state, plus the
+//! wire-facing query types the serving protocol re-exports.
 //!
 //! Grouping is per `(workload, footprint MB, source, arch)` — the paper's
 //! fig1 axes plus the translation-architecture scenario axis. Each group
@@ -7,14 +7,15 @@
 //! `(log10 footprint_KB, WCPI)`; a footprint-range query merges the
 //! matching groups' regression states, which *is* the fig1 β/c fit over
 //! those runs — per architecture, when the filter pins one. All per-group
-//! state is integral, so group merge inherits the exact associativity of
-//! its parts.
+//! state is integral, so adding and retracting rows is exact and the
+//! query's merge is exactly associative.
 //!
-//! Rows and aggregates encoded before the arch axis existed (WAL v1
-//! frames, segment v1 files) decode with `arch = "baseline"`, which is
-//! exactly what those records measured.
+//! The state lives in memory only: the segment store rebuilds it from
+//! the rows' hot columns at open. Rows encoded before the arch axis
+//! existed (WAL v1 frames, segment v1 files) decode with
+//! `arch = "baseline"`, which is exactly what those records measured.
 
-use crate::codec::{Corrupt, Dec, DecResult, Enc};
+use crate::codec::{Dec, DecResult, Enc};
 use crate::regress::Regress;
 use crate::sketch::Sketch;
 use serde::{Deserialize, Serialize};
@@ -122,8 +123,8 @@ impl HotRow {
 
 /// Aggregation group identity: the fig1 axes plus the architecture axis.
 /// `arch` is deliberately the *last* field: derived `Ord` compares fields
-/// in declaration order, so pre-arch states (all `baseline`) keep their
-/// exact sorted order and the canonical-form check accepts them unchanged.
+/// in declaration order, and that order is the order of
+/// [`QueryResult::groups`].
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct GroupKey {
     /// Workload id string.
@@ -136,8 +137,8 @@ pub struct GroupKey {
     pub arch: String,
 }
 
-/// Per-group mergeable aggregate: WCPI sketch, β/c regression state, and
-/// exact walk-cycle / instruction sums.
+/// Per-group aggregate: WCPI sketch, β/c regression state, and exact
+/// walk-cycle / instruction sums.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroupAgg {
     /// WCPI distribution.
@@ -165,31 +166,8 @@ impl GroupAgg {
         self.instructions -= u128::from(row.inst_retired);
     }
 
-    fn merge(&mut self, other: &GroupAgg) {
-        self.sketch.merge(&other.sketch);
-        self.regress.merge(&other.regress);
-        self.walk_cycles += other.walk_cycles;
-        self.instructions += other.instructions;
-    }
-
     fn is_empty(&self) -> bool {
         self.sketch.is_empty() && self.regress.count() == 0
-    }
-
-    fn encode(&self, enc: &mut Enc) {
-        self.sketch.encode(enc);
-        self.regress.encode(enc);
-        enc.u128(self.walk_cycles);
-        enc.u128(self.instructions);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> DecResult<GroupAgg> {
-        Ok(GroupAgg {
-            sketch: Sketch::decode(dec)?,
-            regress: Regress::decode(dec)?,
-            walk_cycles: dec.u128()?,
-            instructions: dec.u128()?,
-        })
     }
 }
 
@@ -201,7 +179,7 @@ pub struct AggState {
 }
 
 impl AggState {
-    /// An empty state (the merge identity).
+    /// An empty state.
     pub fn new() -> AggState {
         AggState::default()
     }
@@ -248,14 +226,6 @@ impl AggState {
         }
     }
 
-    /// Merges `other` in. Exactly associative and commutative, with
-    /// [`AggState::new`] as identity — pinned by `tests/prop_merge.rs`.
-    pub fn merge(&mut self, other: &AggState) {
-        for (key, agg) in &other.groups {
-            self.slot(key.clone()).merge(agg);
-        }
-    }
-
     /// Answers a filter in `O(matching groups)`: merges the matching
     /// groups' sketches and regression states and summarizes.
     pub fn query(&self, filter: &QueryFilter) -> QueryResult {
@@ -289,57 +259,6 @@ impl AggState {
             intercept: fit.map(|f| f.intercept),
             groups,
         }
-    }
-
-    /// Serializes into `enc`.
-    pub fn encode(&self, enc: &mut Enc) {
-        enc.u32(u32::try_from(self.groups.len()).expect("group count fits u32"));
-        for (key, agg) in &self.groups {
-            enc.str(&key.workload);
-            enc.u64(key.footprint_mb);
-            enc.str(&key.source);
-            enc.str(&key.arch);
-            agg.encode(enc);
-        }
-    }
-
-    /// Deserializes a state, validating the sorted canonical form.
-    pub fn decode(dec: &mut Dec<'_>) -> DecResult<AggState> {
-        Self::decode_with(dec, true)
-    }
-
-    /// Decodes a state written before the arch axis existed (segment v1
-    /// aggregate blocks), defaulting every key's `arch` to `baseline`.
-    /// `arch` is `GroupKey`'s last `Ord` field, so the stored sort order
-    /// is still canonical after the default is applied.
-    pub(crate) fn decode_v1(dec: &mut Dec<'_>) -> DecResult<AggState> {
-        Self::decode_with(dec, false)
-    }
-
-    fn decode_with(dec: &mut Dec<'_>, with_arch: bool) -> DecResult<AggState> {
-        let n = dec.u32()? as usize;
-        let mut groups = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let key = GroupKey {
-                workload: dec.str()?,
-                footprint_mb: dec.u64()?,
-                source: dec.str()?,
-                arch: if with_arch {
-                    dec.str()?
-                } else {
-                    "baseline".to_string()
-                },
-            };
-            if groups
-                .last()
-                .is_some_and(|(prev, _): &(GroupKey, _)| prev >= &key)
-            {
-                return Err(Corrupt);
-            }
-            let agg = GroupAgg::decode(dec)?;
-            groups.push((key, agg));
-        }
-        Ok(AggState { groups })
     }
 }
 
@@ -426,7 +345,7 @@ pub struct SegStats {
     pub live_rows: u64,
     /// Superseded rows awaiting compaction.
     pub dead_rows: u64,
-    /// On-disk bytes across segments, WAL, and index.
+    /// On-disk bytes across segments and the WAL.
     pub disk_bytes: u64,
     /// Corrupt files or torn WAL tails quarantined since open.
     pub quarantined: u64,
@@ -526,43 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_concatenation_and_identity() {
-        let rows = [
-            row("cc-urand", 16, 1, 0.1),
-            row("cc-urand", 64, 1, 0.4),
-            row("bfs-urand", 16, 2, 0.3),
-        ];
-        let mut left = AggState::new();
-        left.add(&rows[0]);
-        let mut right = AggState::new();
-        right.add(&rows[1]);
-        right.add(&rows[2]);
-        let mut merged = left.clone();
-        merged.merge(&right);
-        let mut all = AggState::new();
-        for r in &rows {
-            all.add(r);
-        }
-        assert_eq!(merged, all);
-        let mut with_identity = all.clone();
-        with_identity.merge(&AggState::new());
-        assert_eq!(with_identity, all);
-    }
-
-    #[test]
-    fn codec_roundtrip_rejects_unsorted_state() {
-        let mut state = AggState::new();
-        state.add(&row("cc-urand", 16, 1, 0.1));
-        state.add(&row("bfs-urand", 64, 2, 0.5));
-        let mut enc = Enc::new();
-        state.encode(&mut enc);
-        let bytes = enc.finish();
-        let mut dec = Dec::new(&bytes);
-        assert_eq!(AggState::decode(&mut dec).unwrap(), state);
-        assert!(dec.done().is_ok());
-    }
-
-    #[test]
     fn hot_row_codec_roundtrip() {
         let r = row("pr-urand", 256, 9, 1.25);
         let mut enc = Enc::new();
@@ -616,27 +498,6 @@ mod tests {
             fit("victima") < fit("baseline"),
             "victima's extended reach must flatten the slope"
         );
-    }
-
-    #[test]
-    fn v1_state_decodes_with_baseline_arch() {
-        // A hand-rolled v1 aggregate image: keys without the arch string.
-        let mut expect = AggState::new();
-        expect.add(&row("bfs-urand", 64, 2, 0.5));
-        expect.add(&row("cc-urand", 16, 1, 0.1));
-        let mut enc = Enc::new();
-        enc.u32(2);
-        for (key, agg) in expect.groups() {
-            enc.str(&key.workload);
-            enc.u64(key.footprint_mb);
-            enc.str(&key.source);
-            agg.encode(&mut enc);
-        }
-        let bytes = enc.finish();
-        let mut dec = Dec::new(&bytes);
-        let decoded = AggState::decode_v1(&mut dec).unwrap();
-        assert!(dec.done().is_ok());
-        assert_eq!(decoded, expect, "v1 keys default to arch=baseline");
     }
 
     #[test]

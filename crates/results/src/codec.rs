@@ -1,9 +1,8 @@
-//! Little-endian binary codec shared by the WAL, segment, and index file
-//! formats, plus the CRC-32 used to frame every block.
+//! Little-endian binary codec shared by the WAL and segment formats, plus
+//! the CRC-32 used to frame every block.
 //!
 //! The vendored serde stack is JSON-only and Value-tree based; persisting
-//! columnar blocks through it would both bloat the files and forbid the
-//! `i128` fixed-point sums the mergeable aggregates need. A ~100-line
+//! columnar blocks through it would bloat the files. A ~100-line
 //! hand-rolled codec with explicit bounds checks is smaller than the
 //! workaround would be.
 
@@ -60,11 +59,6 @@ impl Enc {
         Enc::default()
     }
 
-    /// Appends a `u8`.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
     /// Appends a little-endian `u32`.
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -77,16 +71,6 @@ impl Enc {
 
     /// Appends a little-endian `i64`.
     pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u128`.
-    pub fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `i128`.
-    pub fn i128(&mut self, v: i128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -130,11 +114,6 @@ impl<'a> Dec<'a> {
         Ok(slice)
     }
 
-    /// Reads a `u8`.
-    pub fn u8(&mut self) -> DecResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> DecResult<u32> {
         Ok(u32::from_le_bytes(
@@ -153,20 +132,6 @@ impl<'a> Dec<'a> {
     pub fn i64(&mut self) -> DecResult<i64> {
         Ok(i64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Reads a little-endian `u128`.
-    pub fn u128(&mut self) -> DecResult<u128> {
-        Ok(u128::from_le_bytes(
-            self.take(16)?.try_into().expect("16 bytes"),
-        ))
-    }
-
-    /// Reads a little-endian `i128`.
-    pub fn i128(&mut self) -> DecResult<i128> {
-        Ok(i128::from_le_bytes(
-            self.take(16)?.try_into().expect("16 bytes"),
         ))
     }
 
@@ -211,22 +176,16 @@ mod tests {
     #[test]
     fn roundtrip_every_primitive() {
         let mut enc = Enc::new();
-        enc.u8(7);
         enc.u32(0xDEAD_BEEF);
         enc.u64(u64::MAX - 1);
         enc.i64(-42);
-        enc.u128(u128::MAX >> 1);
-        enc.i128(-(1i128 << 100));
         enc.bytes(b"raw");
         enc.str("cc-urand");
         let bytes = enc.finish();
         let mut dec = Dec::new(&bytes);
-        assert_eq!(dec.u8().unwrap(), 7);
         assert_eq!(dec.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(dec.u64().unwrap(), u64::MAX - 1);
         assert_eq!(dec.i64().unwrap(), -42);
-        assert_eq!(dec.u128().unwrap(), u128::MAX >> 1);
-        assert_eq!(dec.i128().unwrap(), -(1i128 << 100));
         assert_eq!(dec.bytes().unwrap(), b"raw");
         assert_eq!(dec.str().unwrap(), "cc-urand");
         assert!(dec.done().is_ok());

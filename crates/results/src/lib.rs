@@ -14,14 +14,15 @@
 //! Layering:
 //!
 //! * [`codec`] / [`lz`] — the binary framing and compression primitives.
-//! * [`sketch`] / [`regress`] / [`aggregate`] — mergeable aggregation
-//!   state. Merging per-segment aggregates in any order/grouping equals
+//! * [`sketch`] / [`regress`] / [`aggregate`] — in-memory aggregation
+//!   state with exact retraction. Merging groups in any order equals
 //!   aggregating the concatenated records: exact for counts, means, and
 //!   the β/c fit (integer fixed-point sums), bounded by
 //!   [`QUANTILE_RELATIVE_ERROR`] for quantiles.
-//! * [`SegmentStore`] — WAL + sealed segments + advisory index behind one
-//!   handle, with tmp+fsync+rename durability, a quarantine-and-recompute
-//!   corruption contract, and a single-owner directory (see [`store`]).
+//! * [`SegmentStore`] — WAL + sealed segments behind one handle, with the
+//!   key index and live aggregate rebuilt from the columns at open,
+//!   tmp+fsync+rename durability, a quarantine-and-recompute corruption
+//!   contract, and a single-owner directory (see [`store`]).
 //!
 //! The crate is deliberately ignorant of the simulator: callers hand it a
 //! dedup key (the record-byte hash), a [`HotRow`], and the raw record

@@ -4,12 +4,11 @@
 //! The state is the four OLS sums over fixed-point integers (`x` at
 //! [`X_SCALE`], `y` at [`crate::sketch::VALUE_SCALE`]) accumulated in
 //! `i128`. Integer sums make merge exactly associative and commutative,
-//! so the fit computed from merged per-segment states is **bit-identical**
+//! so the fit computed from merged per-group states is **bit-identical**
 //! to the fit over the concatenated records — the "exact for count and
 //! fit" half of the results-plane equivalence contract (the quantile half
 //! is bounded, see [`crate::sketch`]).
 
-use crate::codec::{Dec, DecResult, Enc};
 use crate::sketch::VALUE_SCALE;
 
 /// Fixed-point scale for the regressor `log10(footprint_KB)`: 1 unit = 1e-6.
@@ -104,26 +103,6 @@ impl Regress {
             intercept: mean_y - beta * mean_x,
         })
     }
-
-    /// Serializes into `enc`.
-    pub fn encode(&self, enc: &mut Enc) {
-        enc.u64(self.n);
-        enc.i128(self.sx);
-        enc.i128(self.sy);
-        enc.i128(self.sxx);
-        enc.i128(self.sxy);
-    }
-
-    /// Deserializes an accumulator.
-    pub fn decode(dec: &mut Dec<'_>) -> DecResult<Regress> {
-        Ok(Regress {
-            n: dec.u64()?,
-            sx: dec.i128()?,
-            sy: dec.i128()?,
-            sxx: dec.i128()?,
-            sxy: dec.i128()?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -185,16 +164,5 @@ mod tests {
         r.add(x_fp(6.0), value_fp(1.0));
         r.remove(x_fp(6.0), value_fp(1.0));
         assert_eq!(r, before);
-    }
-
-    #[test]
-    fn codec_roundtrip() {
-        let r = accumulate(&[(4.0, 0.1), (5.0, 0.4), (6.0, 1.0)]);
-        let mut enc = Enc::new();
-        r.encode(&mut enc);
-        let bytes = enc.finish();
-        let mut dec = Dec::new(&bytes);
-        assert_eq!(Regress::decode(&mut dec).unwrap(), r);
-        assert!(dec.done().is_ok());
     }
 }

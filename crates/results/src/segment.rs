@@ -8,40 +8,39 @@
 //!   page_size, seed, source, arch, wcpi_fp, x_fp, walk_duration_cycles,
 //!   inst_retired, cycles, walks_initiated, walks_completed, walks_retired)
 //! 1 raw-sidecar block (per-row LZ-compressed raw record JSON)
-//! 1 aggregate block (the AggState over this segment's rows)
 //! ```
 //!
-//! Version 1 files — written before the translation-architecture axis —
-//! have no `arch` column and a v1 aggregate block; they still decode
-//! (every row and group key gets `arch = "baseline"`), so an existing
-//! store keeps serving across the upgrade. New segments are always v2.
+//! Version 1 and 2 files end in one more block, an aggregate over the
+//! segment's rows. Nothing reads it: it still counts rows that a later
+//! segment supersedes, so such blocks cannot be merged, and open rebuilds
+//! the live aggregate from the columns anyway. It is CRC-checked like
+//! every other block and then skipped. Version 1 files, written before
+//! the translation-architecture axis, also have no `arch` column: every
+//! row decodes with `arch = "baseline"`. New segments are always v3.
 //!
 //! Every block is framed `[len u32][crc u32][payload]` and validated on
 //! read; any failure makes the whole file [`Corrupt`] and the store
 //! quarantines it (records are recomputable by construction, so
-//! quarantine granularity is the file). The aggregate block means a
-//! reopened store can merge per-segment aggregates instead of re-deriving
-//! them row by row, and `store_compact --verify` can diff that merged
-//! state against a from-raw recomputation.
+//! quarantine granularity is the file).
 
-use crate::aggregate::{AggState, HotRow};
+use crate::aggregate::HotRow;
 use crate::codec::{crc32, Corrupt, Dec, DecResult, Enc};
 
 /// File magic (`"ASEG"` little-endian).
 const SEG_MAGIC: u32 = 0x4745_5341;
 /// Pre-arch format version (no arch column): read-only compatibility.
 const SEG_VERSION_V1: u32 = 1;
-/// Current format version (arch column after source).
-const SEG_VERSION: u32 = 2;
+/// Current format version: v2 (arch column after source) without the
+/// trailing aggregate block.
+const SEG_VERSION: u32 = 3;
 
-/// A decoded segment: parallel row vectors plus the aggregate sidecar.
+/// A decoded segment: parallel row vectors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SegmentData {
     pub keys: Vec<String>,
     pub hots: Vec<HotRow>,
     /// Per-row LZ-compressed raw record JSON.
     pub raws: Vec<Vec<u8>>,
-    pub agg: AggState,
 }
 
 impl SegmentData {
@@ -71,10 +70,6 @@ pub(crate) fn encode_segment(keys: &[String], hots: &[HotRow], raws: &[Vec<u8>])
     assert_eq!(keys.len(), hots.len());
     assert_eq!(keys.len(), raws.len());
     let rows = keys.len();
-    let mut agg = AggState::new();
-    for hot in hots {
-        agg.add(hot);
-    }
     let mut out = Vec::new();
     out.extend_from_slice(&SEG_MAGIC.to_le_bytes());
     out.extend_from_slice(&SEG_VERSION.to_le_bytes());
@@ -106,10 +101,6 @@ pub(crate) fn encode_segment(keys: &[String], hots: &[HotRow], raws: &[Vec<u8>])
     push_block(&mut out, &column(rows, |e, i| e.u64(hots[i].walks_retired)));
     // Raw sidecar block.
     push_block(&mut out, &column(rows, |e, i| e.bytes(&raws[i])));
-    // Aggregate sidecar block.
-    let mut agg_enc = Enc::new();
-    agg.encode(&mut agg_enc);
-    push_block(&mut out, &agg_enc.finish());
     out
 }
 
@@ -169,11 +160,11 @@ pub(crate) fn decode_segment(data: &[u8]) -> DecResult<SegmentData> {
     if u32::from_le_bytes(data[0..4].try_into().expect("4 bytes")) != SEG_MAGIC {
         return Err(Corrupt);
     }
-    let v1 = match u32::from_le_bytes(data[4..8].try_into().expect("4 bytes")) {
-        SEG_VERSION => false,
-        SEG_VERSION_V1 => true,
-        _ => return Err(Corrupt),
-    };
+    let version = u32::from_le_bytes(data[4..8].try_into().expect("4 bytes"));
+    if !(SEG_VERSION_V1..=SEG_VERSION).contains(&version) {
+        return Err(Corrupt);
+    }
+    let v1 = version == SEG_VERSION_V1;
     let rows = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes")) as usize;
     let mut blocks = Blocks { data, pos: 12 };
     let keys = decode_column(blocks.next()?, rows, Dec::str)?;
@@ -196,14 +187,10 @@ pub(crate) fn decode_segment(data: &[u8]) -> DecResult<SegmentData> {
     let walks_completed = decode_column(blocks.next()?, rows, Dec::u64)?;
     let walks_retired = decode_column(blocks.next()?, rows, Dec::u64)?;
     let raws = decode_column(blocks.next()?, rows, Dec::bytes)?;
-    let agg_payload = blocks.next()?;
-    let mut agg_dec = Dec::new(agg_payload);
-    let agg = if v1 {
-        AggState::decode_v1(&mut agg_dec)?
-    } else {
-        AggState::decode(&mut agg_dec)?
-    };
-    agg_dec.done()?;
+    if version < SEG_VERSION {
+        // The v1/v2 aggregate block: CRC-checked, never decoded.
+        blocks.next()?;
+    }
     if blocks.pos != data.len() {
         return Err(Corrupt);
     }
@@ -232,21 +219,7 @@ pub(crate) fn decode_segment(data: &[u8]) -> DecResult<SegmentData> {
             walks_retired: walks_retired[i],
         });
     }
-    // The stored aggregate must equal one recomputed from the columns —
-    // a stale or tampered sidecar is corruption, not a best effort.
-    let mut recomputed = AggState::new();
-    for hot in &hots {
-        recomputed.add(hot);
-    }
-    if recomputed != agg {
-        return Err(Corrupt);
-    }
-    Ok(SegmentData {
-        keys,
-        hots,
-        raws,
-        agg,
-    })
+    Ok(SegmentData { keys, hots, raws })
 }
 
 #[cfg(test)]
@@ -291,11 +264,6 @@ mod tests {
         assert_eq!(seg.hots, hots);
         assert_eq!(seg.raws, raws);
         assert_eq!(seg.rows(), 7);
-        let mut expect = AggState::new();
-        for hot in &hots {
-            expect.add(hot);
-        }
-        assert_eq!(seg.agg, expect);
     }
 
     #[test]
@@ -303,62 +271,32 @@ mod tests {
         let image = encode_segment(&[], &[], &[]);
         let seg = decode_segment(&image).unwrap();
         assert_eq!(seg.rows(), 0);
-        assert!(seg.agg.is_empty());
     }
 
-    /// Encodes a v1 (pre-arch) segment image for the compatibility test:
-    /// version 1, no arch column, v1 aggregate block.
-    fn encode_segment_v1(keys: &[String], hots: &[HotRow], raws: &[Vec<u8>]) -> Vec<u8> {
-        let rows = keys.len();
-        let mut agg = AggState::new();
-        for hot in hots {
-            agg.add(hot);
+    /// Encodes a pre-v3 image: version 2 is today's columns, version 1
+    /// drops the arch column. Both end in an aggregate block; any
+    /// CRC-framed payload stands in for it, since nothing decodes it.
+    fn encode_legacy(version: u32, keys: &[String], hots: &[HotRow], raws: &[Vec<u8>]) -> Vec<u8> {
+        let mut image = encode_segment(keys, hots, raws);
+        image[4..8].copy_from_slice(&version.to_le_bytes());
+        if version == SEG_VERSION_V1 {
+            // Cut the arch column, the seventh block.
+            let (start, end) = {
+                let mut blocks = Blocks {
+                    data: &image,
+                    pos: 12,
+                };
+                for _ in 0..6 {
+                    blocks.next().unwrap();
+                }
+                let start = blocks.pos;
+                blocks.next().unwrap();
+                (start, blocks.pos)
+            };
+            image.drain(start..end);
         }
-        let mut out = Vec::new();
-        out.extend_from_slice(&SEG_MAGIC.to_le_bytes());
-        out.extend_from_slice(&SEG_VERSION_V1.to_le_bytes());
-        out.extend_from_slice(&(rows as u32).to_le_bytes());
-        push_block(&mut out, &column(rows, |e, i| e.str(&keys[i])));
-        push_block(&mut out, &column(rows, |e, i| e.str(&hots[i].workload)));
-        push_block(&mut out, &column(rows, |e, i| e.u64(hots[i].footprint_mb)));
-        push_block(&mut out, &column(rows, |e, i| e.str(&hots[i].page_size)));
-        push_block(&mut out, &column(rows, |e, i| e.u64(hots[i].seed)));
-        push_block(&mut out, &column(rows, |e, i| e.str(&hots[i].source)));
-        push_block(&mut out, &column(rows, |e, i| e.i64(hots[i].wcpi_fp)));
-        push_block(&mut out, &column(rows, |e, i| e.i64(hots[i].x_fp)));
-        push_block(
-            &mut out,
-            &column(rows, |e, i| e.u64(hots[i].walk_duration_cycles)),
-        );
-        push_block(&mut out, &column(rows, |e, i| e.u64(hots[i].inst_retired)));
-        push_block(&mut out, &column(rows, |e, i| e.u64(hots[i].cycles)));
-        push_block(
-            &mut out,
-            &column(rows, |e, i| e.u64(hots[i].walks_initiated)),
-        );
-        push_block(
-            &mut out,
-            &column(rows, |e, i| e.u64(hots[i].walks_completed)),
-        );
-        push_block(&mut out, &column(rows, |e, i| e.u64(hots[i].walks_retired)));
-        push_block(&mut out, &column(rows, |e, i| e.bytes(&raws[i])));
-        // v1 aggregate block: keys encoded without the arch string.
-        // GroupAgg's fields are pub, so its byte layout is reproduced
-        // directly (sketch, regress, exact sums — unchanged between v1
-        // and v2; only the key layout differs).
-        let mut agg_enc = Enc::new();
-        agg_enc.u32(agg.groups().len() as u32);
-        for (key, group) in agg.groups() {
-            agg_enc.str(&key.workload);
-            agg_enc.u64(key.footprint_mb);
-            agg_enc.str(&key.source);
-            group.sketch.encode(&mut agg_enc);
-            group.regress.encode(&mut agg_enc);
-            agg_enc.u128(group.walk_cycles);
-            agg_enc.u128(group.instructions);
-        }
-        push_block(&mut out, &agg_enc.finish());
-        out
+        push_block(&mut image, b"an aggregate block nothing decodes");
+        image
     }
 
     #[test]
@@ -367,16 +305,29 @@ mod tests {
         for hot in &mut hots {
             hot.arch = "baseline".to_string();
         }
-        let image = encode_segment_v1(&keys, &hots, &raws);
+        let image = encode_legacy(SEG_VERSION_V1, &keys, &hots, &raws);
         let seg = decode_segment(&image).expect("v1 images stay readable");
         assert_eq!(seg.keys, keys);
         assert_eq!(seg.hots, hots, "every v1 row defaults to arch=baseline");
         assert_eq!(seg.raws, raws);
-        let mut expect = AggState::new();
-        for hot in &hots {
-            expect.add(hot);
-        }
-        assert_eq!(seg.agg, expect, "v1 agg block keys default to baseline");
+    }
+
+    #[test]
+    fn v2_aggregate_block_is_crc_checked_and_skipped() {
+        let (keys, hots, raws) = rows(5);
+        let image = encode_legacy(2, &keys, &hots, &raws);
+        let seg = decode_segment(&image).expect("v2 images stay readable");
+        assert_eq!(seg.keys, keys);
+        assert_eq!(seg.hots, hots);
+        assert_eq!(seg.raws, raws);
+        // A flip inside the skipped block still fails its CRC.
+        let mut damaged = image.clone();
+        let last = damaged.len() - 1;
+        damaged[last] ^= 0x10;
+        assert_eq!(decode_segment(&damaged), Err(Corrupt));
+        // And a v2 file without its trailing block is torn.
+        let v3_len = encode_segment(&keys, &hots, &raws).len();
+        assert_eq!(decode_segment(&image[..v3_len]), Err(Corrupt));
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! Values are quantized to integers at [`VALUE_SCALE`] before they ever
 //! reach a sketch, and the sketch state is integers only (bucket counts
 //! and an `i128` fixed-point sum). That makes every operation *exactly*
-//! associative and commutative: merging per-segment sketches in any order
-//! or grouping yields bit-identical state — the property the daemon's
-//! online aggregation and `store_compact`'s verify pass both lean on,
-//! pinned by `tests/prop_merge.rs`.
+//! associative and commutative, and retraction an exact inverse: a
+//! store's live sketch after any mix of appends, supersessions and
+//! reopens is bit-identical to one built from its live rows in one pass —
+//! the property the daemon's online aggregation and `store_compact`'s
+//! verify pass both lean on, pinned by `tests/prop_merge.rs`.
 //!
 //! Positive values land in geometric buckets of ratio `2^(1/8)`; a
 //! quantile is reported as its bucket's geometric midpoint, so the
@@ -14,8 +15,6 @@
 //! one-part-in-`VALUE_SCALE` quantization, negligible for WCPI). Zero and
 //! negative values (an idle run's WCPI is exactly 0) count in a dedicated
 //! zero bucket reported as `0.0`, exactly.
-
-use crate::codec::{Corrupt, Dec, DecResult, Enc};
 
 /// Fixed-point scale for sketched values (WCPI): 1 unit = 1e-9.
 pub const VALUE_SCALE: f64 = 1e9;
@@ -153,48 +152,6 @@ impl Sketch {
             .last()
             .map_or(0.0, |&(b, _)| bucket_midpoint(b))
     }
-
-    /// Serializes into `enc` (binary, see `codec`).
-    pub fn encode(&self, enc: &mut Enc) {
-        enc.u64(self.count);
-        enc.u64(self.zero_count);
-        enc.i128(self.sum_fp);
-        enc.u32(u32::try_from(self.buckets.len()).expect("bucket count fits u32"));
-        for &(b, n) in &self.buckets {
-            enc.i64(i64::from(b));
-            enc.u64(n);
-        }
-    }
-
-    /// Deserializes a sketch, validating canonical form.
-    pub fn decode(dec: &mut Dec<'_>) -> DecResult<Sketch> {
-        let count = dec.u64()?;
-        let zero_count = dec.u64()?;
-        let sum_fp = dec.i128()?;
-        let n = dec.u32()? as usize;
-        let mut buckets = Vec::with_capacity(n.min(4096));
-        let mut last: Option<i32> = None;
-        let mut bucket_total = zero_count;
-        for _ in 0..n {
-            let b = i32::try_from(dec.i64()?).map_err(|_| Corrupt)?;
-            let cnt = dec.u64()?;
-            if cnt == 0 || last.is_some_and(|prev| prev >= b) {
-                return Err(Corrupt);
-            }
-            last = Some(b);
-            bucket_total = bucket_total.checked_add(cnt).ok_or(Corrupt)?;
-            buckets.push((b, cnt));
-        }
-        if bucket_total != count {
-            return Err(Corrupt);
-        }
-        Ok(Sketch {
-            count,
-            zero_count,
-            sum_fp,
-            buckets,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -262,20 +219,5 @@ mod tests {
         s.add_fp(value_fp(0.0));
         s.remove_fp(value_fp(0.0));
         assert_eq!(s, before);
-    }
-
-    #[test]
-    fn codec_roundtrip_and_corruption_detection() {
-        let s = sketch_of(&[0.0, 0.1, 0.1, 2.0, 300.0]);
-        let mut enc = Enc::new();
-        s.encode(&mut enc);
-        let bytes = enc.finish();
-        let mut dec = Dec::new(&bytes);
-        assert_eq!(Sketch::decode(&mut dec).unwrap(), s);
-        assert!(dec.done().is_ok());
-        // A tampered count no longer matches the bucket totals.
-        let mut bad = bytes;
-        bad[0] ^= 1;
-        assert_eq!(Sketch::decode(&mut Dec::new(&bad)), Err(Corrupt));
     }
 }

@@ -1,20 +1,21 @@
-//! The append-only segment store: WAL + sealed columnar segments + index
-//! + live aggregate, behind one handle.
+//! The append-only segment store: WAL + sealed columnar segments on disk,
+//! key index + live aggregate in memory, behind one handle.
 //!
 //! Write path: [`SegmentStore::append`] frames the row into the WAL
 //! (write + fsync under the store lock — the WAL is the serialization
 //! point), folds it into the in-memory index and live [`AggState`], and
 //! seals a columnar segment once the WAL holds a segment's worth of rows.
-//! Sealed segments and the index file are written tmp + fsync + rename
-//! (`write_atomic`).
+//! Sealed segments are written tmp + fsync + rename (`write_atomic`).
+//! The directory holds `wal.log` and `seg-*.seg` files and nothing else:
+//! open rebuilds the index and the live aggregate from the segments' key
+//! and hot columns plus the WAL.
 //!
 //! Crash/corruption contract (quarantine-and-recompute): a torn WAL tail
 //! is quarantined to `wal.corrupt` and truncated away; a segment failing
 //! any CRC is renamed to `*.corrupt` wholesale; `*.tmp` droppings of a
-//! write that crashed before its rename are removed at open; the index is
-//! *advisory* — missing, stale, or half-renamed index files are rebuilt
-//! from the segment scan. Every quarantined record is recomputable by
-//! construction, so corruption is only ever a cache miss.
+//! write that crashed before its rename are removed at open. Every
+//! quarantined record is recomputable by construction, so corruption is
+//! only ever a cache miss.
 //!
 //! Concurrency: a segment directory has **one owner** — one open handle
 //! (cloned or `Arc`-shared freely; handles are `Sync` and appends
@@ -26,7 +27,7 @@
 //! because every row on disk is CRC-framed and content-keyed.
 
 use crate::aggregate::{AggState, CompactStats, HotRow, QueryFilter, QueryResult, SegStats};
-use crate::codec::{crc32, Corrupt, Dec, DecResult, Enc};
+use crate::codec::Corrupt;
 use crate::lz;
 use crate::segment::{decode_segment, encode_segment, SegmentData};
 use crate::wal::{encode_entry, scan, WalEntry};
@@ -40,8 +41,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const WAL_NAME: &str = "wal.log";
-const INDEX_NAME: &str = "index.bin";
-const INDEX_MAGIC: u32 = 0x5844_4941; // "AIDX"
 
 /// Default number of WAL rows that triggers sealing a segment.
 pub const DEFAULT_SEAL_THRESHOLD: usize = 256;
@@ -76,7 +75,6 @@ struct Inner {
     dead_rows: u64,
     quarantined: u64,
     seal_threshold: usize,
-    index_bytes: u64,
 }
 
 impl Inner {
@@ -112,21 +110,6 @@ impl Inner {
         }
         self.live.add(hot);
     }
-
-    /// Live sealed rows as sorted `(key, seg_id, row)` triples — the
-    /// index file's canonical content.
-    fn sealed_entries(&self) -> Vec<(String, u64, u32)> {
-        let mut out = Vec::new();
-        for seg in &self.segments {
-            for (row, key) in seg.data.keys.iter().enumerate() {
-                if self.index.get(key) == Some(&Loc::Seg { id: seg.id, row }) {
-                    out.push((key.clone(), seg.id, row as u32));
-                }
-            }
-        }
-        out.sort();
-        out
-    }
 }
 
 /// An append-only columnar run-record store. See the module docs for the
@@ -150,9 +133,8 @@ impl std::fmt::Debug for SegmentStore {
 impl SegmentStore {
     /// Opens (creating if needed) a segment store at `dir`, scanning
     /// sealed segments and the WAL: corrupt segments and torn WAL tails
-    /// are quarantined, `*.tmp` droppings are removed, the index and live
-    /// aggregate are rebuilt, and a missing or stale index file is
-    /// rewritten.
+    /// are quarantined, `*.tmp` droppings are removed, and the index and
+    /// live aggregate are rebuilt from the columns.
     ///
     /// # Errors
     ///
@@ -171,7 +153,6 @@ impl SegmentStore {
             dead_rows: 0,
             quarantined: 0,
             seal_threshold: DEFAULT_SEAL_THRESHOLD,
-            index_bytes: 0,
         };
         // Sealed segments, in id order. One owner per directory, so any
         // `*.tmp` here is the dropping of a write that crashed: removed.
@@ -218,7 +199,7 @@ impl SegmentStore {
             inner.wal_bytes = scanned.good_bytes;
             inner.wal = scanned.entries;
         }
-        // Rebuild index + live aggregate in commit order.
+        // Rebuild index + live aggregate from the columns, in commit order.
         for s in 0..inner.segments.len() {
             for row in 0..inner.segments[s].data.rows() {
                 let id = inner.segments[s].id;
@@ -232,30 +213,13 @@ impl SegmentStore {
             let hot = inner.wal[i].hot.clone();
             inner.commit(&key, Loc::Wal(i), &hot);
         }
-        let store = SegmentStore {
+        Ok(SegmentStore {
             dir,
             inner: Mutex::new(inner),
             tmp_collected,
             #[cfg(feature = "faults")]
             faults: Mutex::new(None),
-        };
-        {
-            let mut inner = store.guard();
-            // Self-heal the advisory index: rewrite unless the persisted
-            // file already matches the scan.
-            let computed = inner.sealed_entries();
-            match load_index(&store.dir.join(INDEX_NAME)) {
-                Ok(persisted) if persisted == computed => {
-                    inner.index_bytes =
-                        fs::metadata(store.dir.join(INDEX_NAME)).map_or(0, |m| m.len());
-                }
-                _ => {
-                    // analyze:allow(lock-io): open is single-threaded — the handle has not been shared yet, so holding the freshly built index lock across the advisory index rewrite cannot block anyone
-                    let _ = store.persist_index(&mut inner, &computed);
-                }
-            }
-        }
-        Ok(store)
+        })
     }
 
     /// Sets the number of WAL rows that triggers sealing a segment.
@@ -271,8 +235,8 @@ impl SegmentStore {
     }
 
     /// Attaches a fault-injection plan: subsequent appends route through
-    /// the plan's `StoreWrite`/`SegmentTorn` sites, segment and index
-    /// renames through `StoreRename`/`IndexRename`. Test-only machinery.
+    /// the plan's `StoreWrite`/`SegmentTorn` sites, segment renames
+    /// through `StoreRename`. Test-only machinery.
     #[cfg(feature = "faults")]
     pub fn set_fault_plan(&self, plan: std::sync::Arc<FaultPlan>) {
         *self.faults.lock().unwrap_or_else(PoisonError::into_inner) = Some(plan);
@@ -392,44 +356,45 @@ impl SegmentStore {
             return Ok(());
         }
         let id = inner.segments.last().map_or(0, |s| s.id + 1);
-        let keys: Vec<String> = inner.wal.iter().map(|e| e.key.clone()).collect();
-        let hots: Vec<HotRow> = inner.wal.iter().map(|e| e.hot.clone()).collect();
-        let raws: Vec<Vec<u8>> = inner.wal.iter().map(|e| e.raw_lz.clone()).collect();
-        let image = encode_segment(&keys, &hots, &raws);
-        let path = self.dir.join(format!("seg-{id:06}.seg"));
-        self.write_atomic(&path, &image)?;
-        let mut agg = AggState::new();
-        for hot in &hots {
-            agg.add(hot);
-        }
+        let seg = self.write_segment(
+            id,
+            inner.wal.iter().map(|e| e.key.clone()).collect(),
+            inner.wal.iter().map(|e| e.hot.clone()).collect(),
+            inner.wal.iter().map(|e| e.raw_lz.clone()).collect(),
+        )?;
         // Relocate live WAL rows to their sealed positions.
-        for (row, key) in keys.iter().enumerate() {
+        for (row, key) in seg.data.keys.iter().enumerate() {
             if inner.index.get(key) == Some(&Loc::Wal(row)) {
                 inner.index.insert(key.clone(), Loc::Seg { id, row });
             }
         }
-        inner.segments.push(SegMeta {
-            id,
-            path,
-            bytes: image.len() as u64,
-            data: SegmentData {
-                keys,
-                hots,
-                raws,
-                agg,
-            },
-        });
+        inner.segments.push(seg);
         inner.wal.clear();
         inner.wal_bytes = 0;
         if let Some(file) = &inner.wal_file {
             file.set_len(0)?;
             file.sync_all()?;
         }
-        // The index is advisory: a failed persist (including the injected
-        // IndexRename fault) leaves a stale file that reopen rebuilds.
-        let entries = inner.sealed_entries();
-        let _ = self.persist_index(inner, &entries);
         Ok(())
+    }
+
+    /// Writes the parallel row vectors as sealed segment `id`.
+    fn write_segment(
+        &self,
+        id: u64,
+        keys: Vec<String>,
+        hots: Vec<HotRow>,
+        raws: Vec<Vec<u8>>,
+    ) -> std::io::Result<SegMeta> {
+        let image = encode_segment(&keys, &hots, &raws);
+        let path = self.dir.join(format!("seg-{id:06}.seg"));
+        self.write_atomic(&path, &image)?;
+        Ok(SegMeta {
+            id,
+            path,
+            bytes: image.len() as u64,
+            data: SegmentData { keys, hots, raws },
+        })
     }
 
     /// Rewrites every live row into a single fresh segment, dropping
@@ -441,61 +406,31 @@ impl SegmentStore {
     /// the store is unchanged in that case.
     pub fn compact(&self) -> std::io::Result<CompactStats> {
         let mut inner = self.guard();
-        let bytes_before = inner.segments.iter().map(|s| s.bytes).sum::<u64>()
-            + inner.wal_bytes
-            + inner.index_bytes;
+        let bytes_before = inner.segments.iter().map(|s| s.bytes).sum::<u64>() + inner.wal_bytes;
         let segments_before = inner.segments.len() as u64;
         let dead_rows_dropped = inner.dead_rows;
         // Live rows, sorted by key for a deterministic image.
-        let mut rows: Vec<(String, HotRow, Vec<u8>)> = Vec::new();
-        for (key, loc) in &inner.index {
-            rows.push((
-                key.clone(),
-                inner.hot_at(*loc).clone(),
-                inner.raw_at(*loc).to_vec(),
-            ));
-        }
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut live: Vec<(&String, Loc)> = inner.index.iter().map(|(k, l)| (k, *l)).collect();
+        live.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let keys: Vec<String> = live.iter().map(|(k, _)| (*k).clone()).collect();
+        let hots: Vec<HotRow> = live.iter().map(|(_, l)| inner.hot_at(*l).clone()).collect();
+        let raws: Vec<Vec<u8>> = live
+            .iter()
+            .map(|(_, l)| inner.raw_at(*l).to_vec())
+            .collect();
+        let live_rows = keys.len() as u64;
         let id = inner.segments.last().map_or(0, |s| s.id + 1);
-        let mut stats = CompactStats {
-            segments_before,
-            segments_after: 0,
-            live_rows: rows.len() as u64,
-            dead_rows_dropped,
-            bytes_before,
-            bytes_after: 0,
-        };
-        let new_meta = if rows.is_empty() {
+        let compacted = if keys.is_empty() {
             None
         } else {
-            let keys: Vec<String> = rows.iter().map(|r| r.0.clone()).collect();
-            let hots: Vec<HotRow> = rows.iter().map(|r| r.1.clone()).collect();
-            let raws: Vec<Vec<u8>> = rows.iter().map(|r| r.2.clone()).collect();
-            let image = encode_segment(&keys, &hots, &raws);
-            let path = self.dir.join(format!("seg-{id:06}.seg"));
             // analyze:allow(lock-io): compaction replaces the files the index under this lock describes
-            self.write_atomic(&path, &image)?;
-            let mut agg = AggState::new();
-            for hot in &hots {
-                agg.add(hot);
-            }
-            Some(SegMeta {
-                id,
-                path,
-                bytes: image.len() as u64,
-                data: SegmentData {
-                    keys,
-                    hots,
-                    raws,
-                    agg,
-                },
-            })
+            Some(self.write_segment(id, keys, hots, raws)?)
         };
         // Point of no return: the compacted segment (if any) is durable.
         for seg in &inner.segments {
             let _ = fs::remove_file(&seg.path);
         }
-        inner.segments = new_meta.into_iter().collect();
+        inner.segments = compacted.into_iter().collect();
         inner.wal.clear();
         inner.wal_bytes = 0;
         if let Some(file) = &inner.wal_file {
@@ -513,12 +448,14 @@ impl SegmentStore {
                 inner.commit(&key, Loc::Seg { id, row }, &hot);
             }
         }
-        let entries = inner.sealed_entries();
-        // analyze:allow(lock-io): the advisory index must describe the compacted segment set this lock just installed; releasing before the rewrite would let an append interleave a stale index
-        let _ = self.persist_index(&mut inner, &entries);
-        stats.segments_after = inner.segments.len() as u64;
-        stats.bytes_after = inner.segments.iter().map(|s| s.bytes).sum::<u64>() + inner.index_bytes;
-        Ok(stats)
+        Ok(CompactStats {
+            segments_before,
+            segments_after: inner.segments.len() as u64,
+            live_rows,
+            dead_rows_dropped,
+            bytes_before,
+            bytes_after: inner.segments.iter().map(|s| s.bytes).sum(),
+        })
     }
 
     /// Answers `filter` from the live aggregate — `O(matching groups)`,
@@ -548,9 +485,7 @@ impl SegmentStore {
             wal_rows: inner.wal.len() as u64,
             live_rows: inner.index.len() as u64,
             dead_rows: inner.dead_rows,
-            disk_bytes: inner.segments.iter().map(|s| s.bytes).sum::<u64>()
-                + inner.wal_bytes
-                + inner.index_bytes,
+            disk_bytes: inner.segments.iter().map(|s| s.bytes).sum::<u64>() + inner.wal_bytes,
             quarantined: inner.quarantined,
         }
     }
@@ -595,41 +530,13 @@ impl SegmentStore {
             file.write_all(bytes)?;
             file.sync_all()?;
             #[cfg(feature = "faults")]
-            self.inject(if name == INDEX_NAME {
-                FaultSite::IndexRename
-            } else {
-                FaultSite::StoreRename
-            })?;
+            self.inject(FaultSite::StoreRename)?;
             fs::rename(&tmp, path)
         })();
         if result.is_err() {
             let _ = fs::remove_file(&tmp);
         }
         result
-    }
-
-    fn persist_index(
-        &self,
-        inner: &mut Inner,
-        entries: &[(String, u64, u32)],
-    ) -> std::io::Result<()> {
-        let mut payload = Enc::new();
-        payload.u32(u32::try_from(entries.len()).expect("entry count fits u32"));
-        for (key, id, row) in entries {
-            payload.str(key);
-            payload.u64(*id);
-            payload.u32(*row);
-        }
-        let payload = payload.finish();
-        let mut image = Enc::new();
-        image.u32(INDEX_MAGIC);
-        image.u32(u32::try_from(payload.len()).expect("index stays under 4 GiB"));
-        image.u32(crc32(&payload));
-        let mut image = image.finish();
-        image.extend_from_slice(&payload);
-        self.write_atomic(&self.dir.join(INDEX_NAME), &image)?;
-        inner.index_bytes = image.len() as u64;
-        Ok(())
     }
 }
 
@@ -638,33 +545,6 @@ fn segment_id(path: &Path) -> Option<u64> {
     let name = path.file_name()?.to_str()?;
     let stem = name.strip_prefix("seg-")?.strip_suffix(".seg")?;
     stem.parse().ok()
-}
-
-/// Reads and validates the index file into sorted `(key, seg_id, row)`
-/// triples.
-fn load_index(path: &Path) -> DecResult<Vec<(String, u64, u32)>> {
-    let bytes = fs::read(path).map_err(|_| Corrupt)?;
-    let mut dec = Dec::new(&bytes);
-    if dec.u32()? != INDEX_MAGIC {
-        return Err(Corrupt);
-    }
-    let len = dec.u32()? as usize;
-    let crc = dec.u32()?;
-    if dec.remaining() != len {
-        return Err(Corrupt);
-    }
-    let payload = &bytes[12..];
-    if crc32(payload) != crc {
-        return Err(Corrupt);
-    }
-    let mut dec = Dec::new(payload);
-    let count = dec.u32()? as usize;
-    let mut out = Vec::with_capacity(count.min(65_536));
-    for _ in 0..count {
-        out.push((dec.str()?, dec.u64()?, dec.u32()?));
-    }
-    dec.done()?;
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -878,23 +758,31 @@ mod tests {
     }
 
     #[test]
-    fn missing_or_corrupt_index_is_rebuilt() {
-        let dir = scratch("index");
-        {
-            let store = SegmentStore::open(&dir).unwrap().with_seal_threshold(1);
+    fn the_directory_holds_only_the_wal_and_segments() {
+        let dir = scratch("files");
+        let names = || {
+            let mut names: Vec<String> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        let store = SegmentStore::open(&dir).unwrap().with_seal_threshold(2);
+        assert!(names().is_empty(), "an empty store is just the directory");
+        for (key, seed) in [("aa", 1u64), ("bb", 2), ("aa", 3)] {
             store
-                .append("aa", hot("cc-urand", 16, 1, 0.1), &raw(1))
+                .append(key, hot("cc-urand", 16 * seed, seed, 0.1), &raw(seed))
                 .unwrap();
         }
-        let index = dir.join(INDEX_NAME);
-        assert!(index.exists(), "seal persists the index");
-        fs::write(&index, b"garbage").unwrap();
-        let store = SegmentStore::open(&dir).unwrap();
-        assert_eq!(store.load("aa").unwrap(), raw(1), "rebuilt from scan");
-        drop(store);
-        let reloaded = load_index(&index).expect("self-healed on reopen");
-        assert_eq!(reloaded.len(), 1);
-        assert_eq!(reloaded[0].0, "aa");
+        assert_eq!(names(), ["seg-000000.seg", "wal.log"]);
+        store.compact().unwrap();
+        assert_eq!(names(), ["seg-000001.seg", "wal.log"]);
+        let disk: u64 = names()
+            .iter()
+            .map(|n| fs::metadata(dir.join(n)).unwrap().len())
+            .sum();
+        assert_eq!(store.seg_stats().disk_bytes, disk, "every byte is counted");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -909,7 +797,8 @@ mod tests {
             assert_eq!(store.tmp_collected(), 0);
         }
         // A crash between `File::create` and `rename`, once in a seal and
-        // once in an index persist.
+        // once in the index write of a store from before the index file
+        // was dropped.
         fs::write(dir.join(".seg-000001.seg.7.tmp"), b"half a segment").unwrap();
         fs::write(dir.join(".index.bin.8.tmp"), b"half an index").unwrap();
         let store = SegmentStore::open(&dir).unwrap();

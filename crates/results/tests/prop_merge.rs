@@ -1,60 +1,67 @@
-//! Property coverage for the mergeability contract the segment store
-//! leans on: folding per-segment aggregates together — in any order, any
-//! grouping — must equal aggregating the concatenated records. Exactly,
-//! for everything except quantiles; within the documented relative error
+//! Property coverage for the aggregation contract the segment store
+//! leans on: the live aggregate a store holds — after appends, re-appends
+//! that supersede rows in earlier segments, seals and a reopen — equals a
+//! one-pass aggregate over the last write of each key. Exactly, for
+//! everything except quantiles; within the documented relative error
 //! bound for quantiles.
 
 use atscale_results::{
-    value_fp, x_fp, AggState, HotRow, QueryFilter, QUANTILE_RELATIVE_ERROR, VALUE_SCALE,
+    value_fp, x_fp, AggState, HotRow, QueryFilter, SegmentStore, QUANTILE_RELATIVE_ERROR,
+    VALUE_SCALE,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const WORKLOADS: [&str; 3] = ["cc-urand", "bfs-urand", "tc-kron"];
 const FOOTPRINTS: [u64; 4] = [16, 64, 256, 1024];
+/// Distinct keys the appends draw from: few enough that most draws
+/// re-append a key sealed in an earlier segment.
+const KEYS: usize = 12;
 
 /// The raw draw for one row: workload pick, footprint pick, seed, WCPI
 /// (from well under a zero-adjacent value up to pathological walk-bound
 /// ones).
 type RowDraw = (usize, usize, u64, f64);
 
-fn row_strategy() -> impl Strategy<Value = Vec<RowDraw>> {
-    prop::collection::vec(
-        (
-            0..WORKLOADS.len(),
-            0..FOOTPRINTS.len(),
-            0u64..1 << 16,
-            1e-6f64..50.0,
-        ),
-        0..120,
+fn row_draw() -> impl Strategy<Value = RowDraw> {
+    (
+        0..WORKLOADS.len(),
+        0..FOOTPRINTS.len(),
+        0u64..1 << 16,
+        1e-6f64..50.0,
     )
 }
 
-fn materialize(draws: &[RowDraw]) -> Vec<HotRow> {
-    draws
-        .iter()
-        .map(|&(w, f, seed, wcpi)| {
-            let mb = FOOTPRINTS[f];
-            HotRow {
-                workload: WORKLOADS[w].to_string(),
-                footprint_mb: mb,
-                page_size: "4K".to_string(),
-                seed,
-                source: "sim".to_string(),
-                arch: if seed % 3 == 0 { "no-tlb" } else { "baseline" }.to_string(),
-                wcpi_fp: value_fp(wcpi),
-                x_fp: x_fp((mb as f64 * 1024.0).log10()),
-                walk_duration_cycles: (wcpi * 1e5) as u64,
-                inst_retired: 100_000,
-                cycles: 150_000,
-                walks_initiated: 90,
-                walks_completed: 80,
-                walks_retired: 70,
-            }
-        })
-        .collect()
+fn row_strategy() -> impl Strategy<Value = Vec<RowDraw>> {
+    prop::collection::vec(row_draw(), 0..120)
 }
 
-fn aggregate(rows: &[HotRow]) -> AggState {
+fn hot_row(&(w, f, seed, wcpi): &RowDraw) -> HotRow {
+    let mb = FOOTPRINTS[f];
+    HotRow {
+        workload: WORKLOADS[w].to_string(),
+        footprint_mb: mb,
+        page_size: "4K".to_string(),
+        seed,
+        source: "sim".to_string(),
+        arch: if seed % 3 == 0 { "no-tlb" } else { "baseline" }.to_string(),
+        wcpi_fp: value_fp(wcpi),
+        x_fp: x_fp((mb as f64 * 1024.0).log10()),
+        walk_duration_cycles: (wcpi * 1e5) as u64,
+        inst_retired: 100_000,
+        cycles: 150_000,
+        walks_initiated: 90,
+        walks_completed: 80,
+        walks_retired: 70,
+    }
+}
+
+fn materialize(draws: &[RowDraw]) -> Vec<HotRow> {
+    draws.iter().map(hot_row).collect()
+}
+
+fn aggregate<'a>(rows: impl IntoIterator<Item = &'a HotRow>) -> AggState {
     let mut state = AggState::new();
     for row in rows {
         state.add(row);
@@ -62,50 +69,61 @@ fn aggregate(rows: &[HotRow]) -> AggState {
     state
 }
 
+/// A unique scratch directory per case.
+fn scratch_dir() -> std::path::PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "atscale-prop-merge-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 proptest! {
-    /// Any partition of the rows into "segments", merged in any order
-    /// (the shuffle), equals the aggregate over all rows at once.
-    /// This is exactly what reopening a multi-segment store computes.
+    /// Appends with re-appended keys, sealed at a drawn threshold so a
+    /// key's superseded row often sits in an earlier segment, then a
+    /// reopen: the store's aggregate and query answers equal a one-pass
+    /// aggregate over each key's last write, and every key loads its last
+    /// write's bytes.
     #[test]
-    fn merge_equals_concatenation_for_any_partition_and_order(
-        draws in row_strategy(),
-        cuts in prop::collection::vec(0u64..1 << 32, 0..6),
-        shuffle_seed in 0u64..u64::MAX,
+    fn reopen_equals_one_pass_over_the_last_write_of_each_key(
+        appends in prop::collection::vec((0..KEYS, row_draw()), 0..60),
+        seal_threshold in 1usize..8,
     ) {
-        let rows = materialize(&draws);
-        let all = aggregate(&rows);
-        // Partition at sorted cut points.
-        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c as usize % (rows.len() + 1)).collect();
-        cuts.sort_unstable();
-        cuts.dedup();
-        let mut parts: Vec<AggState> = Vec::new();
-        let mut start = 0usize;
-        for &cut in &cuts {
-            parts.push(aggregate(&rows[start..cut]));
-            start = cut;
+        let dir = scratch_dir();
+        let mut last: BTreeMap<String, (HotRow, Vec<u8>)> = BTreeMap::new();
+        {
+            let store = SegmentStore::open(&dir)
+                .expect("open store")
+                .with_seal_threshold(seal_threshold);
+            for (i, (key, draw)) in appends.iter().enumerate() {
+                let key = format!("key-{key:02}");
+                let hot = hot_row(draw);
+                let raw = format!("{{\"append\":{i}}}").into_bytes();
+                store.append(&key, hot.clone(), &raw).expect("append");
+                last.insert(key, (hot, raw));
+            }
         }
-        parts.push(aggregate(&rows[start..]));
-        // Deterministic shuffle of the merge order (splitmix-style walk).
-        let mut order: Vec<usize> = (0..parts.len()).collect();
-        let mut s = shuffle_seed;
-        for i in (1..order.len()).rev() {
-            s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            order.swap(i, (s >> 33) as usize % (i + 1));
+        let store = SegmentStore::open(&dir).expect("reopen");
+        let expect = aggregate(last.values().map(|(hot, _)| hot));
+        prop_assert_eq!(store.seg_stats().quarantined, 0);
+        prop_assert_eq!(store.live_len(), last.len() as u64);
+        prop_assert_eq!(&store.aggregate(), &expect);
+        for filter in [
+            QueryFilter::default(),
+            QueryFilter {
+                arch: Some("no-tlb".to_string()),
+                ..QueryFilter::default()
+            },
+        ] {
+            prop_assert_eq!(store.query(&filter), expect.query(&filter));
         }
-        let mut merged = AggState::new(); // identity on the left
-        for &i in &order {
-            merged.merge(&parts[i]);
+        for (key, (_, raw)) in &last {
+            prop_assert_eq!(&store.load(key).expect("live key loads"), raw);
         }
-        prop_assert_eq!(&merged, &all, "merge must equal concatenation");
-        // Identity on the right, too.
-        let mut with_identity = merged.clone();
-        with_identity.merge(&AggState::new());
-        prop_assert_eq!(&with_identity, &all);
-        // And the derived answers agree bit-for-bit (pure functions of
-        // equal state, but pin it explicitly).
-        let q_all = all.query(&QueryFilter::default());
-        let q_merged = with_identity.query(&QueryFilter::default());
-        prop_assert_eq!(q_all, q_merged);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Retraction is an exact inverse regardless of interleaving:

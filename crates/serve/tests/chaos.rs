@@ -683,82 +683,13 @@ fn segment_torn_append_recovers(seed: u64) -> Outcome {
     }
 }
 
-/// A failed index rename (crash between writing the tmp index and
-/// renaming it) is advisory-only: reopen detects the stale/missing index
-/// and rebuilds it from the sealed segments, so the cache still hits and
-/// every record stays byte-identical.
-fn index_rename_failure_rebuilds(seed: u64) -> Outcome {
-    let plan = Arc::new(
-        FaultPlan::new(seed).with_rule(FaultSite::IndexRename, FaultRule::always().max_fires(1)),
-    );
-    let dir = scratch_dir("idx-rename", seed);
-    let store = RunStore::open(&dir)
-        .expect("open store")
-        .with_fault_plan(Arc::clone(&plan));
-    // Seal after every row so the append reaches the index-persist path
-    // the fault is armed at.
-    store.set_seal_threshold(1);
-    let (server, addr) = start_server(ServeConfig {
-        store: Some(store),
-        workers: 1,
-        faults: Some(Arc::clone(&plan)),
-        ..ServeConfig::default()
-    });
-
-    let spec = [tiny_spec(seed)];
-    let mut records = Vec::new();
-    let mut client = Client::connect(&addr).expect("connect");
-    records.extend(
-        client
-            .run_many(&spec, SubmitOptions::default())
-            .expect("index persistence is advisory"),
-    );
-    let seg = client.seg_stats().expect("seg stats");
-    assert_eq!(seg.segments, 1, "the row sealed despite the failed rename");
-    assert_eq!(seg.live_rows, 1);
-    server.shutdown_and_join();
-    assert_eq!(plan.fires(FaultSite::IndexRename), 1);
-
-    // Reopen: the index is rebuilt from the segments themselves — the
-    // cache hits without any recompute.
-    let reopened = RunStore::open(&dir).expect("reopen");
-    let (server, addr) = start_server(ServeConfig {
-        store: Some(reopened),
-        workers: 1,
-        ..ServeConfig::default()
-    });
-    let mut client = Client::connect(&addr).expect("connect");
-    records.extend(
-        client
-            .run_many(&spec, SubmitOptions::default())
-            .expect("rebuilt index serves"),
-    );
-    let digests = assert_byte_identical(&records, seed, "index_rename_failure_rebuilds");
-    let stats = client.server_stats().expect("server stats");
-    assert_eq!(stats.executions, 0, "no recompute: the index self-healed");
-    assert_eq!(stats.cache_hits, 1);
-    let seg = client.seg_stats().expect("seg stats");
-    assert_eq!(seg.live_rows, 1);
-    assert_eq!(seg.quarantined, 0, "nothing was lost, nothing quarantined");
-
-    server.shutdown_and_join();
-    let _ = std::fs::remove_dir_all(&dir);
-    Outcome {
-        name: "index_rename_failure_rebuilds",
-        seed,
-        classification: "index-rebuilt-then-cache-hit".to_string(),
-        plans: vec![plan],
-        digests,
-    }
-}
-
 // ---------------------------------------------------------------------
 // The matrix
 // ---------------------------------------------------------------------
 
 type Scenario = fn(u64) -> Outcome;
 
-const SCENARIOS: [(&str, Scenario); 10] = [
+const SCENARIOS: [(&str, Scenario); 9] = [
     (
         "store_write_and_rename_failures_are_nonfatal",
         store_write_and_rename_failures_are_nonfatal,
@@ -777,10 +708,6 @@ const SCENARIOS: [(&str, Scenario); 10] = [
     ),
     ("forced_deadline_expiry", forced_deadline_expiry),
     ("segment_torn_append_recovers", segment_torn_append_recovers),
-    (
-        "index_rename_failure_rebuilds",
-        index_rename_failure_rebuilds,
-    ),
 ];
 
 fn parse_seed(text: &str) -> u64 {
