@@ -500,7 +500,7 @@ impl<A: TranslationArchitecture> ArchMachine<A> {
         self.arch.fill(
             &mut self.tlbs,
             va,
-            touch.page_size,
+            touch.path.page_size,
             touch.path.frame_base.as_u64(),
         );
         let exposure = match op {
@@ -511,7 +511,13 @@ impl<A: TranslationArchitecture> ArchMachine<A> {
         self.cycles_f += exposed;
         self.walk_stall_window += exposed;
         self.stall_window += exposed;
-        self.finish_data_access(op, va, walk.cycles, touch.path.frame_base, touch.page_size);
+        self.finish_data_access(
+            op,
+            va,
+            walk.cycles,
+            touch.path.frame_base,
+            touch.path.page_size,
+        );
     }
 }
 

@@ -129,7 +129,7 @@ impl AccessSink for ReferenceMachine {
                     .record_latency(LatencyMetric::TlbFillCycles, walk.cycles);
                 self.0
                     .tlbs
-                    .fill(va, touch.page_size, touch.path.frame_base.as_u64());
+                    .fill(va, touch.path.page_size, touch.path.frame_base.as_u64());
                 translation_cycles = walk.cycles;
                 let exposure = match op {
                     AccessOp::Load => 1.0,
@@ -147,7 +147,7 @@ impl AccessSink for ReferenceMachine {
             va,
             translation_cycles,
             touch.path.frame_base,
-            touch.page_size,
+            touch.path.page_size,
         );
         self.0.on_retired_instructions(1);
     }

@@ -33,7 +33,7 @@
 //! let mut space = AddressSpace::new(BackingPolicy::uniform(PageSize::Size4K));
 //! let seg = space.alloc_heap("array", 1 << 20)?; // 1 MiB heap segment
 //! let touch = space.touch(seg.base())?;          // demand-map first page
-//! assert_eq!(touch.page_size, PageSize::Size4K);
+//! assert_eq!(touch.path.page_size, PageSize::Size4K);
 //! assert!(space.translate(seg.base()).is_some());
 //! # Ok(())
 //! # }

@@ -19,10 +19,9 @@ pub struct Translation {
 /// whether this touch demand-mapped the page (a minor fault).
 #[derive(Debug, Clone, Copy)]
 pub struct TouchOutcome {
-    /// Root-to-leaf walk path for the containing page.
+    /// Root-to-leaf walk path for the containing page; its `page_size` is
+    /// the size of the page backing the address.
     pub path: WalkPath,
-    /// Size of the page backing the address.
-    pub page_size: PageSize,
     /// `true` if this call created the mapping (first touch).
     pub minor_fault: bool,
 }
@@ -73,7 +72,7 @@ impl SpaceStats {
 /// let seg = space.alloc_heap("edges", 64 << 20)?;
 /// let first = space.touch(seg.base())?;
 /// assert!(first.minor_fault);
-/// assert_eq!(first.page_size, PageSize::Size2M);
+/// assert_eq!(first.path.page_size, PageSize::Size2M);
 /// let again = space.touch(seg.base().add(1024))?;
 /// assert!(!again.minor_fault, "same 2 MiB page already mapped");
 /// # Ok(())
@@ -211,7 +210,6 @@ impl AddressSpace {
                 self.memo_hits += 1;
                 return Ok(TouchOutcome {
                     path,
-                    page_size: path.page_size,
                     minor_fault: false,
                 });
             }
@@ -231,7 +229,6 @@ impl AddressSpace {
         if let Some(path) = self.table.walk(va) {
             return Ok(TouchOutcome {
                 path,
-                page_size: path.page_size,
                 minor_fault: false,
             });
         }
@@ -249,7 +246,6 @@ impl AddressSpace {
         );
         Ok(TouchOutcome {
             path,
-            page_size: backing.size,
             minor_fault: true,
         })
     }
@@ -508,12 +504,12 @@ mod tests {
         let mut space = AddressSpace::new(BackingPolicy::uniform(PageSize::Size1G));
         let small = space.alloc_heap("small", 256 << 20).unwrap();
         let t = space.touch(small.base()).unwrap();
-        assert_eq!(t.page_size, PageSize::Size4K);
+        assert_eq!(t.path.page_size, PageSize::Size4K);
         assert_eq!(space.stats().fallback_faults, 1);
 
         let big = space.alloc_heap("big", 2 << 30).unwrap();
         let t = space.touch(big.base()).unwrap();
-        assert_eq!(t.page_size, PageSize::Size1G);
+        assert_eq!(t.path.page_size, PageSize::Size1G);
     }
 
     #[test]
@@ -563,7 +559,6 @@ mod tests {
                 let a = memo.touch(va).unwrap();
                 let b = plain.touch_uncached(va).unwrap();
                 assert_eq!(a.path, b.path);
-                assert_eq!(a.page_size, b.page_size);
                 assert_eq!(a.minor_fault, b.minor_fault);
             }
         }

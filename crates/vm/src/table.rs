@@ -19,9 +19,41 @@ pub const PT_LEVELS: u8 = 4;
 
 const ENTRIES: usize = 512;
 
-const PRESENT: u64 = 1;
-const PS: u64 = 1 << 7;
-const PAYLOAD_SHIFT: u64 = 12;
+// Host entry format. The *simulated* PTE is still `PTE_SIZE` (8) bytes —
+// `entry_paddr` strides by it — but the host keeps only the 32 bits a walk
+// reads: bit 0 present, bit 1 PS (a 2 MiB or 1 GiB leaf), and bits 2–31 a
+// payload — the child's arena index in an interior entry, the 4 KiB frame
+// number (`paddr >> 12`) in a leaf.
+const PRESENT: u32 = 1;
+const PS: u32 = 1 << 1;
+const FLAG_BITS: u32 = 2;
+/// Payloads are below 2^30: frames below 4 TiB of simulated physical memory,
+/// fewer than 2^30 nodes. `map_run` checks it once per run.
+const PAYLOAD_LIMIT: u64 = 1 << (32 - FLAG_BITS);
+
+/// A present host entry: `flags` (PRESENT, and PS for a superpage leaf)
+/// over `payload`, which the caller has checked against `PAYLOAD_LIMIT`.
+#[inline]
+fn pack(flags: u32, payload: u64) -> u32 {
+    debug_assert!(payload < PAYLOAD_LIMIT);
+    flags | (payload as u32) << FLAG_BITS
+}
+
+/// The payload of a present host entry.
+#[inline]
+fn payload(entry: u32) -> u64 {
+    u64::from(entry >> FLAG_BITS)
+}
+
+/// Panics unless `payload` fits an entry. Each node takes a 4 KiB frame, so
+/// 2^30 nodes would also fill 4 TiB: one bound covers both payloads.
+fn check_payload(payload: u64, what: &str) {
+    assert!(
+        payload < PAYLOAD_LIMIT,
+        "{what} {payload:#x} does not fit a 32-bit page-table entry: \
+         the simulator maps frames below 4 TiB of physical memory"
+    );
+}
 
 /// One step of a page-table walk: the entry the walker must fetch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,11 +153,15 @@ impl PageTableStats {
 /// A sparse 4-level radix page table.
 ///
 /// Nodes live in one flat arena: node `i` owns entries
-/// `[i * 512, (i + 1) * 512)` of a single `Vec<u64>`, with its simulated
+/// `[i * 512, (i + 1) * 512)` of a single `Vec<u32>`, with its simulated
 /// physical base in a parallel `node_paddrs` vector. Walks are therefore a
 /// chain of direct index computations over two contiguous allocations —
 /// no per-node pointer chase, no per-node boxed array — which matters
 /// because the walker runs on every TLB miss of every simulated access.
+///
+/// A simulated PTE is 8 bytes (`node_base + 8 * index`); only its host copy
+/// is 4 bytes, holding the present and PS bits and a 30-bit child index or
+/// frame number, so simulated physical memory is bounded at 4 TiB.
 ///
 /// # Example
 ///
@@ -142,9 +178,9 @@ impl PageTableStats {
 /// assert_eq!(path.steps().len(), 4);
 /// ```
 pub struct PageTable {
-    /// `node_count * ENTRIES` packed entries; node `i` owns
+    /// `node_count * ENTRIES` packed 32-bit host entries; node `i` owns
     /// `entries[i * ENTRIES..(i + 1) * ENTRIES]`.
-    entries: Vec<u64>,
+    entries: Vec<u32>,
     /// Simulated physical base address of each node's 4 KiB frame.
     node_paddrs: Vec<u64>,
     stats: PageTableStats,
@@ -169,7 +205,7 @@ impl PageTable {
         let mut stats = PageTableStats::default();
         stats.nodes_by_level[PT_LEVELS as usize - 1] = 1;
         PageTable {
-            entries: vec![0u64; ENTRIES],
+            entries: vec![0u32; ENTRIES],
             node_paddrs: vec![root_paddr.as_u64()],
             stats,
             chain_va: 0,
@@ -217,9 +253,10 @@ impl PageTable {
     /// # Panics
     ///
     /// Panics if `va` is not aligned to `size`, if the run is empty or
-    /// leaves its leaf-level node, if a *larger* page already covers it, or
-    /// if part of it is already mapped by *smaller* pages (either overlap
-    /// would corrupt the radix tree).
+    /// leaves its leaf-level node, if a *larger* page already covers it, if
+    /// part of it is already mapped by *smaller* pages (either overlap
+    /// would corrupt the radix tree), or if a frame it maps would lie past
+    /// 4 TiB of simulated physical memory (the host entry's payload bound).
     pub fn map_run(
         &mut self,
         va: VirtAddr,
@@ -255,9 +292,9 @@ impl PageTable {
                 // `va` is the run's first absent one and this is its fault.
                 head_frame.get_or_insert_with(|| frames.alloc_page(size));
                 let child = self.push_node(frames.alloc_table_node());
+                check_payload(child as u64, "page-table node");
                 self.stats.nodes_by_level[usize::from(level) - 2] += 1;
-                self.entries[node_idx * ENTRIES + idx] =
-                    PRESENT | ((child as u64) << PAYLOAD_SHIFT);
+                self.entries[node_idx * ENTRIES + idx] = pack(PRESENT, child as u64);
                 node_idx = child;
             } else {
                 assert_eq!(
@@ -265,7 +302,7 @@ impl PageTable {
                     0,
                     "cannot map {size} page at {va}: a larger page already covers it"
                 );
-                node_idx = (entry >> PAYLOAD_SHIFT) as usize;
+                node_idx = payload(entry) as usize;
             }
         }
         steps[n] = WalkStep {
@@ -277,7 +314,17 @@ impl PageTable {
         let start = node_idx * ENTRIES + first;
         let slots = &mut self.entries[start..start + count as usize];
         let absent = slots.iter().filter(|&&e| e & PRESENT == 0).count() as u64;
-        let mut next_frame = frames.alloc_pages(size, absent - u64::from(head_frame.is_some()));
+        let fresh = absent - u64::from(head_frame.is_some());
+        let mut next_frame = frames.alloc_pages(size, fresh);
+        // The run's last frame is its highest: the head frame precedes the
+        // nodes it creates, which precede the rest.
+        let last_frame = match fresh {
+            0 => head_frame,
+            n => Some(next_frame.add((n - 1) * size.bytes())),
+        };
+        if let Some(last) = last_frame {
+            check_payload(last.as_u64() >> 12, "frame");
+        }
         let flags = PRESENT | if leaf_level > 1 { PS } else { 0 };
         for slot in slots.iter_mut() {
             if *slot & PRESENT != 0 {
@@ -293,7 +340,7 @@ impl PageTable {
                 frame
             });
             debug_assert!(frame.is_aligned(size.bytes()), "frame {frame} vs {size}");
-            *slot = flags | frame.as_u64();
+            *slot = pack(flags, frame.as_u64() >> 12);
         }
         self.stats.pages_by_size[match size {
             PageSize::Size4K => 0,
@@ -306,7 +353,7 @@ impl PageTable {
             steps,
             len: n as u8,
             page_size: size,
-            frame_base: PhysAddr::new(self.entries[start] & !0xfffu64),
+            frame_base: PhysAddr::new(payload(self.entries[start]) << 12),
         };
         (absent, path)
     }
@@ -385,10 +432,10 @@ impl PageTable {
                     steps,
                     len: n as u8,
                     page_size,
-                    frame_base: PhysAddr::new(entry & !0xfffu64),
+                    frame_base: PhysAddr::new(payload(entry) << 12),
                 });
             }
-            node_idx = (entry >> PAYLOAD_SHIFT) as usize;
+            node_idx = payload(entry) as usize;
             level -= 1;
         }
     }
@@ -409,6 +456,53 @@ impl PageTable {
     /// Occupancy statistics (node and page counts).
     pub fn stats(&self) -> PageTableStats {
         self.stats
+    }
+
+    /// The interior levels, root first (few nodes: one per 512 of the level
+    /// below). Every present interior entry names an arena node that no
+    /// other entry names, the nodes named at each level are the ones the
+    /// stats count there, and every superpage leaf holds a frame aligned to
+    /// its size.
+    fn check_interior_levels(&self) {
+        let mut named = vec![false; self.node_paddrs.len()];
+        named[0] = true;
+        let mut level_nodes = vec![0usize];
+        for level in (2..=PT_LEVELS).rev() {
+            let mut children = Vec::new();
+            for &node in &level_nodes {
+                for &entry in &self.entries[node * ENTRIES..(node + 1) * ENTRIES] {
+                    if entry & PRESENT == 0 {
+                        continue;
+                    }
+                    if entry & PS != 0 {
+                        let frames_per_page = 1u64 << (9 * (level - 1));
+                        crate::invariant!(
+                            level < PT_LEVELS && payload(entry).is_multiple_of(frames_per_page),
+                            "level-{level} leaf holds frame {:#x}: a root leaf, or unaligned",
+                            payload(entry)
+                        );
+                        continue;
+                    }
+                    let child = payload(entry) as usize;
+                    crate::invariant!(
+                        named.get(child) == Some(&false),
+                        "level-{level} entry names node {child}: outside the arena of {} \
+                         or already named",
+                        named.len()
+                    );
+                    named[child] = true;
+                    children.push(child);
+                }
+            }
+            crate::invariant!(
+                children.len() as u64 == self.stats.nodes_by_level[usize::from(level) - 2],
+                "level-{level} entries name {} nodes, stats count {} at level {}",
+                children.len(),
+                self.stats.nodes_by_level[usize::from(level) - 2],
+                level - 1
+            );
+            level_nodes = children;
+        }
     }
 }
 
@@ -431,6 +525,9 @@ impl crate::CheckInvariants for PageTable {
             "a 4-level table has exactly one root node, stats claim {}",
             self.stats.nodes_by_level[PT_LEVELS as usize - 1]
         );
+        if cfg!(debug_assertions) {
+            self.check_interior_levels();
+        }
         if self.chain_depth > 0 {
             // The chain memo must agree with a fresh walk of the anchor.
             let path = self
@@ -797,5 +894,47 @@ mod tests {
         assert!(frame.as_u64() > 100 << 30);
         let path = table.walk(VirtAddr::new(0x40_0000_0000)).unwrap();
         assert_eq!(path.frame_base, frame);
+
+        // The highest representable frame: a 4 KiB page ending at 4 TiB.
+        let (mut frames, mut table) = setup();
+        bump_to(&mut frames, (4 << 40) - 4096);
+        let frame = map(&mut table, &mut frames, 0x7f00_0000_0000, PageSize::Size4K);
+        assert_eq!(frame.as_u64(), (4 << 40) - 4096);
+        let path = table.walk(VirtAddr::new(0x7f00_0000_0fff)).unwrap();
+        assert_eq!(path.frame_base, frame);
+        table.check_invariants();
+    }
+
+    /// Pushes the bump pointer to `next` with 1 GiB pages, then 4 KiB ones.
+    fn bump_to(frames: &mut FrameAllocator, next: u64) {
+        frames.alloc_pages(PageSize::Size1G, (next >> 30) - 1);
+        let gap = next - frames.high_water_mark().as_u64();
+        frames.alloc_pages(PageSize::Size4K, gap / 4096);
+        assert_eq!(frames.high_water_mark().as_u64(), next);
+    }
+
+    #[test]
+    #[should_panic(expected = "below 4 TiB")]
+    fn a_frame_past_4_tib_panics() {
+        let (mut frames, mut table) = setup();
+        bump_to(&mut frames, 4 << 40);
+        map(&mut table, &mut frames, 0x7f00_0000_0000, PageSize::Size4K);
+    }
+
+    #[test]
+    fn host_entries_take_2_kib_per_node() {
+        let (mut frames, mut table) = setup();
+        for run in 0..512u64 {
+            table.map_run(
+                VirtAddr::new((1 << 30) + (run << 21)),
+                PageSize::Size4K,
+                512,
+                &mut frames,
+            );
+        }
+        let nodes = table.stats().total_nodes() as usize;
+        assert_eq!(nodes, 1 + 1 + 1 + 512);
+        assert_eq!(size_of_val(&table.entries[..]), nodes * 2048);
+        table.check_invariants();
     }
 }
