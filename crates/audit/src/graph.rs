@@ -24,7 +24,7 @@ use crate::model::{CallKind, CallSite, FileModel, FnItem, LockDecl, LockSite};
 use crate::Workspace;
 use std::collections::BTreeMap;
 
-/// A node id: index into [`Analysis::fns`].
+/// A node id: index into `Analysis::fns`.
 pub type NodeId = usize;
 
 /// Method names whose calls are almost always `std` collection/iterator/

@@ -22,6 +22,8 @@
 //! if cached-answer p99 worsened by more than `--threshold` percent or
 //! goodput dropped by more than the same margin. CI runs
 //! `loadgen --quick` against the committed `BENCH_SERVE_BASELINE.json`.
+//! An unknown flag, a missing or malformed value, or `--spawn 0` prints
+//! the usage line and exits 2 before anything is spawned.
 
 use atscale::mmu::MachineConfig;
 use atscale::RunSpec;
@@ -56,7 +58,9 @@ const USAGE: &str = "usage: loadgen [--quick|--soak] [--spawn N] [--connections 
                      [--queue N] [--addr HOST:PORT] [--out PATH] [--baseline PATH] \
                      [--threshold PCT] [--fault-spec SPEC] [--fault-seed N]";
 
-fn parse_args() -> Options {
+/// Parses the command line; `Err` carries the complaint printed above the
+/// usage line.
+fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         spawn: 4,
         connections: 10_000,
@@ -75,8 +79,9 @@ fn parse_args() -> Options {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut next = |what: &str| args.next().unwrap_or_else(|| panic!("{arg} takes {what}"));
-        match arg.as_str() {
+        let flag = arg.as_str();
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag {
             // CI smoke: small enough for a shared runner, same code path.
             "--quick" => {
                 opts.spawn = 2;
@@ -91,37 +96,37 @@ fn parse_args() -> Options {
                 opts.requests = 20_000;
                 opts.rate = 2_000.0;
             }
-            "--spawn" => opts.spawn = next("a count").parse().expect("--spawn count"),
-            "--connections" => {
-                opts.connections = next("a count").parse().expect("--connections count");
-            }
-            "--requests" => opts.requests = next("a count").parse().expect("--requests count"),
-            "--rate" => opts.rate = next("req/s").parse().expect("--rate number"),
-            "--seed" => opts.seed = next("a seed").parse().expect("--seed number"),
-            "--pool" => opts.pool = next("a count").parse().expect("--pool count"),
-            "--workers" => opts.workers = next("a count").parse().expect("--workers count"),
-            "--queue" => opts.queue = next("a count").parse().expect("--queue count"),
-            "--addr" => opts.addr = Some(next("an address")),
-            "--out" => opts.out = next("a path"),
-            "--baseline" => opts.baseline = Some(next("a path")),
-            "--threshold" => {
-                opts.threshold_pct = next("a percentage").parse().expect("--threshold number");
-            }
+            "--spawn" => opts.spawn = number(flag, value()?)?,
+            "--connections" => opts.connections = number(flag, value()?)?,
+            "--requests" => opts.requests = number(flag, value()?)?,
+            "--rate" => opts.rate = number(flag, value()?)?,
+            "--seed" => opts.seed = number(flag, value()?)?,
+            "--pool" => opts.pool = number(flag, value()?)?,
+            "--workers" => opts.workers = number(flag, value()?)?,
+            "--queue" => opts.queue = number(flag, value()?)?,
+            "--addr" => opts.addr = Some(value()?),
+            "--out" => opts.out = value()?,
+            "--baseline" => opts.baseline = Some(value()?),
+            "--threshold" => opts.threshold_pct = number(flag, value()?)?,
             // Forwarded to every spawned daemon: the nightly soak runs the
             // topology under the chaos suite's fault plans. Needs daemons
             // built with the serve crate's `faults` feature.
-            "--fault-spec" => opts.fault_spec = Some(next("a fault spec")),
-            "--fault-seed" => {
-                opts.fault_seed = next("a seed").parse().expect("--fault-seed number");
-            }
-            other => {
-                eprintln!("unknown argument: {other}\n{USAGE}");
-                std::process::exit(2);
-            }
+            "--fault-spec" => opts.fault_spec = Some(value()?),
+            "--fault-seed" => opts.fault_seed = number(flag, value()?)?,
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
-    assert!(opts.spawn >= 1, "--spawn must be at least 1");
-    opts
+    if opts.spawn == 0 {
+        return Err("--spawn must be at least 1".to_string());
+    }
+    Ok(opts)
+}
+
+/// `value` parsed as the number `flag` takes.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} needs a number, got {value:?}"))
 }
 
 /// The pre-warmed spec pool: tiny cc-urand runs differing only by seed,
@@ -275,7 +280,13 @@ fn regressions(
 }
 
 fn main() -> ExitCode {
-    let opts = parse_args();
+    let opts = match parse_args() {
+        Ok(opts) => opts,
+        Err(complaint) => {
+            eprintln!("{complaint}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let machine = MachineConfig::haswell();
     let pool = spec_pool(opts.pool);
 

@@ -1,7 +1,7 @@
-//! The `atscale` command line, driven as a child process: what it lists,
-//! how it rejects what it does not know, that `--progress` prints with
-//! telemetry on, and that every ablation's telemetry stream carries the
-//! samples of the runs it made.
+//! The `atscale` and `loadgen` command lines, driven as child processes:
+//! what `atscale` lists, how both reject what they do not know, that
+//! `--progress` prints with telemetry on, and that every ablation's
+//! telemetry stream carries the samples of the runs it made.
 
 use atscale_bench::experiments::REGISTRY;
 use std::path::{Path, PathBuf};
@@ -19,6 +19,25 @@ fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("atscale-cli-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+#[test]
+fn loadgen_rejects_bad_flags_with_usage_and_exit_2() {
+    for (args, complaint) in [
+        (&["--spawn", "x"][..], "--spawn needs a number"),
+        (&["--rate"][..], "--rate needs a value"),
+        (&["--spawn", "0"][..], "--spawn must be at least 1"),
+        (&["--fast"][..], "unknown argument: --fast"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_loadgen"))
+            .args(args)
+            .output()
+            .expect("launch loadgen");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(complaint), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: loadgen"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -201,10 +201,10 @@ fn drive<A: TranslationArchitecture>(
         // Kernels see `&mut dyn AccessSink`, but batching kernels pay one
         // virtual dispatch per *chunk*: `event_batch`'s body is instantiated
         // per implementing type, so inside the machine's instance every
-        // per-event call is a direct (inlined) `Machine::access`. Wrapping
-        // the machine in a `BatchSink` here was benchmarked and lost — for
-        // per-item kernels it converts each virtual call into a buffer push
-        // plus a deferred drain of the same event, strictly more work.
+        // per-event call is a direct (inlined) `Machine::access`. Buffering
+        // per-item kernels' events here was benchmarked and lost: each
+        // virtual call becomes a buffer push plus a deferred drain of the
+        // same event, strictly more work.
         workload.run(&mut machine);
     }
     let result = machine.finish();

@@ -10,8 +10,7 @@
 //! equality, not counter-by-counter: bytes.
 
 use atscale::{execute_run, execute_run_reference, Harness, RunSpec, SweepConfig};
-use atscale_mmu::{BatchSink, Machine};
-use atscale_vm::{BackingPolicy, PageSize};
+use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
 
 fn record_bytes(record: &atscale::RunRecord) -> Vec<u8> {
@@ -56,43 +55,6 @@ fn fast_path_matches_reference_across_page_sizes() {
                 "pipelines diverged for {workload} at {page_size}"
             );
         }
-    }
-}
-
-/// Driving the machine through the [`BatchSink`] buffering adaptor — the
-/// chunking path per-item kernels can opt into — must also leave the record
-/// bytes unchanged: buffered delivery preserves event order and the stop
-/// position exactly.
-#[test]
-fn batch_sink_drive_matches_direct_drive() {
-    let sweep = SweepConfig::test();
-    let config = atscale_mmu::MachineConfig::haswell();
-    for workload in [
-        WorkloadId::parse("pr-urand").unwrap(),
-        WorkloadId::parse("mcf-rand").unwrap(),
-    ] {
-        let spec = sweep.spec(workload, 32 << 20);
-        let direct = record_bytes(&execute_run(&spec, &config));
-
-        // execute_run, inlined, with the drive going through a BatchSink.
-        let mut model = spec.workload.build_model(spec.nominal_footprint, spec.seed);
-        let mut machine = Machine::new(
-            config,
-            BackingPolicy::uniform(spec.page_size),
-            model.profile(),
-        );
-        model
-            .setup(machine.space_mut())
-            .expect("setup fits the simulated heap");
-        machine.set_limits(spec.warmup_instr, spec.budget_instr);
-        {
-            let mut sink = BatchSink::new(&mut machine);
-            model.run(&mut sink);
-        } // drop flushes the tail
-        let result = machine.finish();
-        let batched = record_bytes(&atscale::RunRecord { spec, result });
-
-        assert_eq!(direct, batched, "BatchSink drive diverged for {workload}");
     }
 }
 

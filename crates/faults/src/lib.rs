@@ -216,7 +216,7 @@ const SITES: usize = FaultSite::ALL.len();
 /// make every fire reproducible and observable.
 ///
 /// The fire decision for arrival `hit` at site `s` is a pure function of
-/// `(seed, s, hit)` — a [`splitmix64`] hash compared against the rule's
+/// `(seed, s, hit)` — a `splitmix64` hash compared against the rule's
 /// probability — so concurrent arrivals may *order* differently between
 /// runs, but each individual arrival always makes the same choice. With
 /// `probability: 1.0` rules (the chaos suite's default) the full injected

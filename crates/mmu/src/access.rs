@@ -24,17 +24,6 @@ pub enum SinkEvent {
     Instructions(u64),
 }
 
-impl SinkEvent {
-    /// Retired instructions this event represents (accesses count as one).
-    #[inline]
-    pub fn retired(&self) -> u64 {
-        match *self {
-            SinkEvent::Access(..) => 1,
-            SinkEvent::Instructions(n) => n,
-        }
-    }
-}
-
 /// Receiver of a workload's dynamic instruction stream.
 ///
 /// Workload kernels *push* their retired loads, stores and non-memory
@@ -47,10 +36,9 @@ impl SinkEvent {
 /// instruction; `instructions(n)` reports the `n` *non-memory* instructions
 /// retired since the previous event.
 ///
-/// The batch entry points ([`access_batch`](Self::access_batch),
-/// [`event_batch`](Self::event_batch)) exist for throughput: a kernel can
+/// [`event_batch`](Self::event_batch) exists for throughput: a kernel can
 /// push a chunk of events through one virtual call instead of one per
-/// access. The default implementations loop over the per-item methods, so
+/// access. The default implementation loops over the per-item methods, so
 /// batching never changes what a sink observes — only how often it is
 /// called.
 pub trait AccessSink {
@@ -65,15 +53,6 @@ pub trait AccessSink {
     /// should poll this at loop boundaries and return early.
     fn done(&self) -> bool;
 
-    /// A chunk of consecutive memory operations with no intervening
-    /// non-memory instructions. Equivalent to calling
-    /// [`access`](Self::access) once per element, in order.
-    fn access_batch(&mut self, batch: &[(AccessOp, VirtAddr)]) {
-        for &(op, va) in batch {
-            self.access(op, va);
-        }
-    }
-
     /// An ordered chunk of interleaved access and instruction events.
     /// Equivalent to dispatching each event through the per-item methods,
     /// in order.
@@ -86,17 +65,6 @@ pub trait AccessSink {
         }
     }
 
-    /// Would this sink report [`done`](Self::done) after `pending` more
-    /// retired instructions? Lets a buffering adaptor answer `done` for the
-    /// stream position its caller has *emitted* rather than the position the
-    /// sink has *consumed*, so batching stops kernels at exactly the same
-    /// event as unbatched execution. Sinks without an instruction budget can
-    /// keep the default (which ignores `pending`).
-    fn done_after(&self, pending: u64) -> bool {
-        let _ = pending;
-        self.done()
-    }
-
     /// Convenience wrapper for a load.
     fn load(&mut self, va: VirtAddr) {
         self.access(AccessOp::Load, va);
@@ -105,114 +73,6 @@ pub trait AccessSink {
     /// Convenience wrapper for a store.
     fn store(&mut self, va: VirtAddr) {
         self.access(AccessOp::Store, va);
-    }
-}
-
-/// A buffering adaptor that turns a per-call access stream into batched
-/// [`AccessSink::event_batch`] submissions against a *concrete* inner sink.
-///
-/// Workload kernels talk to `dyn AccessSink`; wrapping the machine in a
-/// `BatchSink` confines the virtual dispatch to a cheap buffer push and
-/// delivers the stream to the machine in monomorphic chunks (the compiler
-/// sees `S` and inlines the whole per-event pipeline). Events are flushed in
-/// emission order and never reordered or coalesced, so the inner sink
-/// observes the identical stream; `done` is answered via
-/// [`AccessSink::done_after`] with the buffered instruction count, so
-/// kernels stop at exactly the same event as without the adaptor.
-///
-/// The buffer is flushed on drop; call [`flush`](Self::flush) first when the
-/// inner sink must be inspected while the adaptor is still alive.
-#[derive(Debug)]
-pub struct BatchSink<'a, S: AccessSink> {
-    inner: &'a mut S,
-    buf: Vec<SinkEvent>,
-    pending_instrs: u64,
-}
-
-/// Events buffered before a flush. Sized so the buffer lives in L1 while
-/// still amortising the virtual call ~256×.
-const BATCH_CAPACITY: usize = 256;
-
-impl<'a, S: AccessSink> BatchSink<'a, S> {
-    /// Wraps `inner` in a batching buffer.
-    pub fn new(inner: &'a mut S) -> Self {
-        BatchSink {
-            inner,
-            buf: Vec::with_capacity(BATCH_CAPACITY),
-            pending_instrs: 0,
-        }
-    }
-
-    /// Delivers all buffered events to the inner sink, in order.
-    pub fn flush(&mut self) {
-        if !self.buf.is_empty() {
-            self.inner.event_batch(&self.buf);
-            self.buf.clear();
-            self.pending_instrs = 0;
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, event: SinkEvent) {
-        self.buf.push(event);
-        self.pending_instrs += event.retired();
-        if self.buf.len() >= BATCH_CAPACITY {
-            self.flush();
-        }
-    }
-}
-
-impl<S: AccessSink> Drop for BatchSink<'_, S> {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-impl<S: AccessSink> atscale_vm::CheckInvariants for BatchSink<'_, S> {
-    fn check_invariants(&self) {
-        atscale_vm::invariant!(
-            self.buf.len() <= BATCH_CAPACITY,
-            "batch buffer overran its capacity: {} events",
-            self.buf.len()
-        );
-        let pending: u64 = self.buf.iter().map(SinkEvent::retired).sum();
-        atscale_vm::invariant!(
-            self.pending_instrs == pending,
-            "pending-instruction tally ({}) diverges from the buffered events ({pending})",
-            self.pending_instrs
-        );
-    }
-}
-
-impl<S: AccessSink> AccessSink for BatchSink<'_, S> {
-    #[inline]
-    fn access(&mut self, op: AccessOp, va: VirtAddr) {
-        self.push(SinkEvent::Access(op, va));
-    }
-
-    #[inline]
-    fn instructions(&mut self, n: u64) {
-        self.push(SinkEvent::Instructions(n));
-    }
-
-    fn access_batch(&mut self, batch: &[(AccessOp, VirtAddr)]) {
-        for &(op, va) in batch {
-            self.push(SinkEvent::Access(op, va));
-        }
-    }
-
-    fn event_batch(&mut self, events: &[SinkEvent]) {
-        for &event in events {
-            self.push(event);
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.inner.done_after(self.pending_instrs)
-    }
-
-    fn done_after(&self, pending: u64) -> bool {
-        self.inner.done_after(self.pending_instrs + pending)
     }
 }
 
@@ -266,10 +126,6 @@ impl AccessSink for CountingSink {
 
     fn done(&self) -> bool {
         self.budget != 0 && self.total_instructions() >= self.budget
-    }
-
-    fn done_after(&self, pending: u64) -> bool {
-        self.budget != 0 && self.total_instructions() + pending >= self.budget
     }
 }
 
@@ -380,13 +236,6 @@ mod tests {
     #[derive(Default)]
     struct JournalSink {
         events: Vec<SinkEvent>,
-        budget: u64,
-    }
-
-    impl JournalSink {
-        fn consumed(&self) -> u64 {
-            self.events.iter().map(SinkEvent::retired).sum()
-        }
     }
 
     impl AccessSink for JournalSink {
@@ -399,67 +248,35 @@ mod tests {
         }
 
         fn done(&self) -> bool {
-            self.budget != 0 && self.consumed() >= self.budget
-        }
-
-        fn done_after(&self, pending: u64) -> bool {
-            self.budget != 0 && self.consumed() + pending >= self.budget
+            false
         }
     }
 
     #[test]
-    fn batch_sink_delivers_identical_stream() {
+    fn event_batch_delivers_identical_stream() {
+        let events: Vec<SinkEvent> = (0..1000u64)
+            .flat_map(|i| {
+                [
+                    SinkEvent::Access(AccessOp::Load, VirtAddr::new(i << 12)),
+                    SinkEvent::Instructions(i % 7),
+                    SinkEvent::Access(AccessOp::Store, VirtAddr::new(i << 6)),
+                ]
+            })
+            .collect();
         let mut direct = JournalSink::default();
-        let mut batched = JournalSink::default();
-        let drive = |sink: &mut dyn AccessSink| {
-            for i in 0..1000u64 {
-                sink.load(VirtAddr::new(i << 12));
-                sink.instructions(i % 7);
-                sink.store(VirtAddr::new(i << 6));
+        for &event in &events {
+            match event {
+                SinkEvent::Access(AccessOp::Load, va) => direct.load(va),
+                SinkEvent::Access(AccessOp::Store, va) => direct.store(va),
+                SinkEvent::Instructions(n) => direct.instructions(n),
             }
-            sink.access_batch(&[
-                (AccessOp::Load, VirtAddr::new(0x1000)),
-                (AccessOp::Store, VirtAddr::new(0x2000)),
-            ]);
-        };
-        drive(&mut direct);
-        {
-            let mut adaptor = BatchSink::new(&mut batched);
-            drive(&mut adaptor);
-        } // drop flushes the tail
-        assert_eq!(direct.events, batched.events);
-    }
-
-    #[test]
-    fn batch_sink_done_tracks_emitted_position() {
-        let mut inner = JournalSink {
-            budget: 5,
-            ..Default::default()
-        };
-        let mut sink = BatchSink::new(&mut inner);
-        // Nothing flushed yet (buffer far below capacity), but `done` must
-        // still flip at the same emitted event as unbatched execution.
-        sink.load(VirtAddr::new(0));
-        sink.instructions(3);
-        assert!(!sink.done(), "4 of 5 instructions emitted");
-        sink.store(VirtAddr::new(64));
-        assert!(sink.done(), "budget reached while still buffered");
-        assert!(sink.done_after(10));
-        drop(sink);
-        assert_eq!(inner.consumed(), 5);
-    }
-
-    #[test]
-    fn batch_sink_flushes_at_capacity() {
-        let mut inner = CountingSink::new();
-        let mut sink = BatchSink::new(&mut inner);
-        for i in 0..BATCH_CAPACITY {
-            sink.load(VirtAddr::new((i as u64) << 12));
         }
-        // Capacity reached: the buffer must have been delivered already.
-        assert_eq!(sink.inner.loads, BATCH_CAPACITY as u64);
-        drop(sink);
-        assert_eq!(inner.loads, BATCH_CAPACITY as u64);
+        let mut batched = JournalSink::default();
+        for chunk in events.chunks(256) {
+            batched.event_batch(chunk);
+        }
+        assert_eq!(direct.events, events);
+        assert_eq!(batched.events, events);
     }
 
     #[test]

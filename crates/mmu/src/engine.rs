@@ -574,14 +574,6 @@ impl<A: TranslationArchitecture> AccessSink for ArchMachine<A> {
     fn done(&self) -> bool {
         self.budget_instrs != 0 && self.total_retired >= self.warmup_instrs + self.budget_instrs
     }
-
-    /// Batching support: `true` once `pending` more retired instructions
-    /// would exhaust the budget — the position a buffering adaptor's caller
-    /// has emitted, not the position this machine has consumed.
-    fn done_after(&self, pending: u64) -> bool {
-        self.budget_instrs != 0
-            && self.total_retired + pending >= self.warmup_instrs + self.budget_instrs
-    }
 }
 
 #[cfg(test)]

@@ -159,10 +159,6 @@ impl AccessSink for ReferenceMachine {
     fn done(&self) -> bool {
         self.0.done()
     }
-
-    fn done_after(&self, pending: u64) -> bool {
-        self.0.done_after(pending)
-    }
 }
 
 #[cfg(test)]

@@ -62,7 +62,7 @@ mod tlb;
 mod trace;
 mod walker;
 
-pub use access::{AccessOp, AccessSink, BatchSink, CountingSink, SinkEvent, WorkloadProfile};
+pub use access::{AccessOp, AccessSink, CountingSink, SinkEvent, WorkloadProfile};
 pub use arch::{
     ArchKind, ArchLookup, BaselineArch, DramCacheArch, NoTlbArch, TranslationArchitecture,
     VictimaArch,

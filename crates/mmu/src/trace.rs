@@ -2,7 +2,7 @@
 //!
 //! Architects routinely decouple workload execution from simulation by
 //! capturing an address trace once and replaying it against many machine
-//! configurations. This module provides that workflow for any
+//! configurations. This module provides that workflow, in memory, for any
 //! [`AccessSink`]-driven workload: wrap the machine in a
 //! [`RecordingSink`], run once, then [`Trace::replay`] against as many
 //! configurations as needed — each replay sees the *identical* access
@@ -10,7 +10,6 @@
 
 use crate::{AccessOp, AccessSink};
 use atscale_vm::VirtAddr;
-use std::io::{self, Read, Write};
 
 /// One event of a recorded access trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,11 +48,6 @@ pub enum TraceEvent {
 pub struct Trace {
     events: Vec<TraceEvent>,
 }
-
-const TAG_LOAD: u8 = 0;
-const TAG_STORE: u8 = 1;
-const TAG_INSTR: u8 = 2;
-const MAGIC: &[u8; 8] = b"ATSCTRC1";
 
 impl Trace {
     /// An empty trace.
@@ -95,66 +89,6 @@ impl Trace {
             }
         }
         self.events.len()
-    }
-
-    /// Serialises the trace to a writer in a compact binary format
-    /// (8-byte magic, then 9 bytes per event).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_to<W: Write>(&self, mut writer: W) -> io::Result<()> {
-        writer.write_all(MAGIC)?;
-        for event in &self.events {
-            let (tag, value) = match *event {
-                TraceEvent::Load(va) => (TAG_LOAD, va),
-                TraceEvent::Store(va) => (TAG_STORE, va),
-                TraceEvent::Instructions(n) => (TAG_INSTR, n),
-            };
-            writer.write_all(&[tag])?;
-            writer.write_all(&value.to_le_bytes())?;
-        }
-        Ok(())
-    }
-
-    /// Deserialises a trace previously written with [`Trace::write_to`].
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` for a bad magic number, unknown event tag, or
-    /// truncated event; propagates reader I/O errors.
-    pub fn read_from<R: Read>(mut reader: R) -> io::Result<Trace> {
-        let mut magic = [0u8; 8];
-        reader.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not an atscale trace (bad magic)",
-            ));
-        }
-        let mut events = Vec::new();
-        let mut record = [0u8; 9];
-        loop {
-            match reader.read_exact(&mut record) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-                Err(e) => return Err(e),
-            }
-            let value = u64::from_le_bytes(record[1..9].try_into().expect("8 bytes"));
-            let event = match record[0] {
-                TAG_LOAD => TraceEvent::Load(value),
-                TAG_STORE => TraceEvent::Store(value),
-                TAG_INSTR => TraceEvent::Instructions(value),
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unknown trace event tag {other}"),
-                    ))
-                }
-            };
-            events.push(event);
-        }
-        Ok(Trace { events })
     }
 }
 
@@ -219,10 +153,6 @@ impl AccessSink for RecordingSink<'_> {
     fn done(&self) -> bool {
         self.inner.done()
     }
-
-    fn done_after(&self, pending: u64) -> bool {
-        self.inner.done_after(pending)
-    }
 }
 
 #[cfg(test)]
@@ -237,32 +167,6 @@ mod tests {
             TraceEvent::Store(0x2008),
             TraceEvent::Load(0xffff_ffff_ffff),
         ])
-    }
-
-    #[test]
-    fn serialization_roundtrips() {
-        let trace = sample();
-        let mut bytes = Vec::new();
-        trace.write_to(&mut bytes).unwrap();
-        assert_eq!(bytes.len(), 8 + 9 * trace.len());
-        let back = Trace::read_from(bytes.as_slice()).unwrap();
-        assert_eq!(back, trace);
-    }
-
-    #[test]
-    fn bad_magic_is_rejected() {
-        let err = Trace::read_from(&b"NOTATRACE"[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn unknown_tag_is_rejected() {
-        let mut bytes = Vec::new();
-        Trace::new().write_to(&mut bytes).unwrap();
-        bytes.push(99);
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        let err = Trace::read_from(bytes.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -85,20 +85,12 @@ impl RetryPolicy {
         if nanos < 2 {
             return cap;
         }
-        let z =
-            splitmix64(self.jitter_seed ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let z = atscale::gen::splitmix64(
+            self.jitter_seed ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        );
         let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
         Duration::from_nanos(nanos / 2 + ((nanos / 2) as f64 * unit) as u64)
     }
-}
-
-/// `splitmix64`, kept local so the retry jitter needs no dependency on
-/// the generators crate.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Why a client call failed.
@@ -939,6 +931,15 @@ mod tests {
             assert!(a >= cap / 2, "jitter keeps at least half the cap");
         }
         assert!(policy.backoff(30) <= policy.max_backoff);
+    }
+
+    /// The jitter is `atscale::gen::splitmix64`; these pauses pin it, so
+    /// the chaos suite's retry cadence cannot drift with the generator.
+    #[test]
+    fn backoff_is_pinned_for_the_default_seed() {
+        let policy = RetryPolicy::default();
+        let pauses: Vec<u128> = (0..3).map(|n| policy.backoff(n).as_nanos()).collect();
+        assert_eq!(pauses, [31_528_396, 77_861_755, 131_916_948]);
     }
 
     #[test]

@@ -373,7 +373,7 @@ const ECHO_BYTES: usize = 128;
 /// # Errors
 ///
 /// Returns a human-readable description when the line is not valid JSON or
-/// not a known frame; it quotes at most [`ECHO_BYTES`] of the line and of
+/// not a known frame; it quotes at most `ECHO_BYTES` of the line and of
 /// the parse error.
 pub fn decode<T: Deserialize>(line: &str) -> Result<T, String> {
     serde_json::from_str(line).map_err(|e| {

@@ -10,18 +10,18 @@
 //! effect, no `setsockopt` FFI). Each shard is one thread owning one
 //! epoll instance and every connection assigned to it: non-blocking
 //! framed reads, request dispatch through
-//! [`crate::server::handle_request`], and non-blocking framed writes with
+//! `handle_request`, and non-blocking framed writes with
 //! per-connection backpressure.
 //!
-//! Scheduler workers never touch a socket. [`OutBuf::send`] appends the
+//! Scheduler workers never touch a socket. `OutBuf::send` appends the
 //! encoded frame to the connection's outbound buffer under a short lock
 //! and bumps the shard's eventfd; the reactor drains the buffer with
 //! non-blocking writes, arming `EPOLLOUT` only while bytes remain. A
 //! peer costs bounded memory and zero worker time in both directions:
 //! a consumer that stops reading is shed once its buffer passes
-//! [`HIGH_WATER`], a producer that never sends a newline once its
+//! `HIGH_WATER`, a producer that never sends a newline once its
 //! partial line does, and after shutdown is requested a buffer that
-//! makes no write progress for [`DRAIN_GRACE`] no longer holds the exit.
+//! makes no write progress for `DRAIN_GRACE` no longer holds the exit.
 
 use crate::protocol::{self, ErrorReply, Reply, Request};
 use crate::scheduler::{send_reply, ReplySink};

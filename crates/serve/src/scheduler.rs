@@ -1,7 +1,7 @@
 //! The serving scheduler: single-flight deduplication, bounded admission,
 //! deadlines, and drain-on-shutdown over the `atscale` harness.
 //!
-//! One [`Job`] is one unique `(spec, cache-mode)` unit of simulation work.
+//! One `Job` is one unique `(spec, cache-mode)` unit of simulation work.
 //! Submissions subscribe batches of specs to jobs: a spec whose job is
 //! already queued *or running* coalesces onto it (single-flight — N
 //! concurrent identical requests cost one execution, every subscriber

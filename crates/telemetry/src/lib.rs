@@ -12,7 +12,7 @@
 //! * **Latency histograms** ([`LogHistogram`], [`LatencyMetric`]) —
 //!   fixed-layout log-scale histograms of walk duration, TLB fill latency
 //!   and per-run harness wall-clock; merge-able across threads.
-//! * **Phase spans** ([`span`], [`span!`]) — nested wall-clock spans over
+//! * **Phase spans** ([`span()`], [`span!`]) — nested wall-clock spans over
 //!   harness phases (`sweep/run`, generator setup, …) aggregated in a
 //!   process-global registry and rendered as the `--telemetry-summary`
 //!   table.

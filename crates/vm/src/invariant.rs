@@ -5,10 +5,10 @@
 //! This module provides the machinery that keeps those identities *checked*
 //! rather than assumed:
 //!
-//! * [`invariant!`] — an assertion macro active in debug builds and compiled
-//!   to nothing in release builds. Every evaluation is counted in a
-//!   process-wide tally so a run can report "N invariant checks executed,
-//!   0 violations" (see [`summary`]).
+//! * [`invariant!`](crate::invariant!) — an assertion macro active in
+//!   debug builds and compiled to nothing in release builds. Every
+//!   evaluation is counted in a process-wide tally so a run can report
+//!   "N invariant checks executed, 0 violations" (see [`summary`]).
 //! * [`CheckInvariants`] — a trait implemented by every stateful structure
 //!   in the translation stack (page table, address space, cache hierarchy,
 //!   TLBs, paging-structure caches, counters, the machine itself). Hot
@@ -49,7 +49,8 @@ pub fn record_violation(location: &str, message: &str) -> ! {
 
 /// Number of invariant checks executed by this process so far.
 ///
-/// Always 0 in release builds, where [`invariant!`] compiles out.
+/// Always 0 in release builds, where [`invariant!`](crate::invariant!)
+/// compiles out.
 pub fn checks_run() -> u64 {
     CHECKS.load(Ordering::Relaxed)
 }
@@ -100,8 +101,8 @@ impl fmt::Display for InvariantSummary {
 
 /// Structures whose internal consistency can be verified at runtime.
 ///
-/// Implementations panic (via [`invariant!`]) on violation in debug builds
-/// and are free in release builds. Callers in hot paths should invoke this
+/// Implementations panic (via [`invariant!`](crate::invariant!)) on
+/// violation in debug builds and are free in release builds. Callers in hot paths should invoke this
 /// at a bounded cadence (e.g. once per accounting window), not per access.
 pub trait CheckInvariants {
     /// Verifies every structural invariant of `self`.

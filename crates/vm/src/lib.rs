@@ -18,7 +18,8 @@
 //! * [`AddressSpace`] — segments, a heap, demand paging, bulk fault-in, and
 //!   translation.
 //! * [`invariant!`] / [`CheckInvariants`] — the debug-build runtime
-//!   invariant layer used across the whole workspace (see [`invariant`]).
+//!   invariant layer used across the whole workspace (see
+//!   [`invariant`](mod@invariant)).
 //!
 //! Virtual footprints of hundreds of gigabytes are representable because the
 //! page table is materialised only for *touched* pages: untouched regions

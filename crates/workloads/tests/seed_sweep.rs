@@ -41,11 +41,7 @@ impl AccessSink for BoundsSink {
     }
 
     fn done(&self) -> bool {
-        self.done_after(0)
-    }
-
-    fn done_after(&self, pending: u64) -> bool {
-        self.stray.is_some() || self.retired + pending >= BUDGET_INSTR
+        self.stray.is_some() || self.retired >= BUDGET_INSTR
     }
 }
 
