@@ -138,15 +138,6 @@ fn run(opts: &HarnessOptions, names: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Every workload x footprint of the sweep, as 4 KB specs.
-fn ladder(sweep: &SweepConfig) -> Vec<RunSpec> {
-    let footprints = sweep.footprints();
-    WorkloadId::all()
-        .iter()
-        .flat_map(|&w| footprints.iter().map(move |&fp| sweep.spec(w, fp)))
-        .collect()
-}
-
 fn print_fit(label: &str, answer: &QueryResult) {
     match (answer.beta, answer.intercept) {
         (Some(beta), Some(c)) => println!(
@@ -163,26 +154,21 @@ fn print_fit(label: &str, answer: &QueryResult) {
 /// Warms the run cache under `opts.out_dir` through a sibling
 /// `atscale-serve`, and returns once that daemon has exited.
 fn warm_through_daemon(opts: &HarnessOptions) {
-    // Size the admission queue to the sweep so the whole batch fits
-    // (admission is whole-batch-atomic; an undersized queue would reject
-    // it Overloaded).
-    let ladder = ladder(&opts.sweep);
     // What fig1 needs: every point at the three page sizes.
-    let specs: Vec<RunSpec> = ladder
-        .iter()
-        .flat_map(|&base| {
-            [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G]
-                .map(|size| base.with_page_size(size))
-        })
-        .collect();
+    let specs = opts.sweep.specs(&WorkloadId::all());
     // The scenario matrix's off-baseline wing: every alternative
-    // translation architecture over the same ladder, 4 KB pages only (the
+    // translation architecture over the same points, 4 KB pages only (the
     // per-architecture β/c fit needs the footprint axis, not the superpage
     // axis — baseline already covers 2M/1G for the figures).
     let arch_specs: Vec<RunSpec> = ArchKind::ALL
         .iter()
         .filter(|&&arch| arch != ArchKind::Baseline)
-        .flat_map(|&arch| ladder.iter().map(move |spec| spec.with_arch(arch)))
+        .flat_map(|&arch| {
+            specs
+                .iter()
+                .filter(|spec| spec.page_size == PageSize::Size4K)
+                .map(move |spec| spec.with_arch(arch))
+        })
         .collect();
     let socket = std::env::temp_dir().join(format!("atscale-make-all-{}.sock", std::process::id()));
     let self_path = std::env::current_exe().expect("own path");
@@ -191,6 +177,9 @@ fn warm_through_daemon(opts: &HarnessOptions) {
         .arg(&socket)
         .arg("--store")
         .arg(opts.out_dir.join("runs"))
+        // Size the admission queue to the larger batch so each is one
+        // `run_many` submission (admission is whole-batch-atomic; an
+        // undersized queue would reject it Overloaded).
         .arg("--queue")
         .arg(specs.len().max(arch_specs.len()).to_string())
         .spawn()
@@ -204,10 +193,8 @@ fn warm_through_daemon(opts: &HarnessOptions) {
     };
     let welcome = client.hello().expect("handshake");
     println!("warming cache via {} ({})", welcome.server, target);
-    // Chunked submission: belt and braces on top of the sized queue, and
-    // it retries politely if the daemon is busy.
     let records = client
-        .run_chunked(&specs, SubmitOptions::default())
+        .run_many(&specs, SubmitOptions::default())
         .expect("sweep batch");
     println!("daemon resolved {} specs", records.len());
 
@@ -227,7 +214,7 @@ fn warm_through_daemon(opts: &HarnessOptions) {
     // alternative translation architecture, then one arch-filtered Query
     // per architecture for the fig1-style per-arch β/c fit.
     let arch_records = client
-        .run_chunked(&arch_specs, SubmitOptions::default())
+        .run_many(&arch_specs, SubmitOptions::default())
         .expect("arch-matrix batch");
     println!(
         "\narch matrix: daemon resolved {} off-baseline specs",
@@ -249,10 +236,8 @@ fn warm_through_daemon(opts: &HarnessOptions) {
 /// One row per (workload, footprint): the named workload over five
 /// footprints, or all 13 over three.
 fn calibrate(opts: &HarnessOptions, workload: Option<WorkloadId>) {
-    let _telemetry = opts.telemetry("calibrate");
-    let harness = opts
-        .uncached_harness()
-        .with_installed_telemetry(opts.effective_sample_interval());
+    let telemetry = opts.telemetry("calibrate");
+    let harness = telemetry.attach(opts.uncached_harness());
     let (workloads, points) = match workload {
         Some(workload) => (vec![workload], 5),
         None => (WorkloadId::all().to_vec(), 3),

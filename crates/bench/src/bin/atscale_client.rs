@@ -39,6 +39,9 @@
 //!   --csv PATH                     write the overhead series as CSV
 //!   --progress                     one stderr line per resolved spec
 //! ```
+//!
+//! A bad command line prints the usage and exits 2; a failure at run time
+//! exits 1.
 
 use atscale::report::{fmt, human_bytes, Table};
 use atscale::telemetry::TelemetrySink;
@@ -46,7 +49,6 @@ use atscale::{ArchKind, OverheadPoint, RunSpec, SweepConfig};
 use atscale_serve::protocol::{QueryFilter, Reply};
 use atscale_serve::{Client, ShardedClient, SubmitOptions};
 use atscale_telemetry::Recorder;
-use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -69,6 +71,17 @@ struct Options {
 const USAGE: &str = "usage: atscale-client [--connect TARGET] \
                      (ping|sweep|cache-stats|server-stats|query|compact|seg-stats|shutdown) \
                      [sweep/query options]";
+
+const COMMANDS: [&str; 8] = [
+    "ping",
+    "sweep",
+    "cache-stats",
+    "server-stats",
+    "query",
+    "compact",
+    "seg-stats",
+    "shutdown",
+];
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
@@ -153,33 +166,25 @@ fn parse_args() -> Result<Options, String> {
             command if !command.starts_with("--") && opts.command.is_empty() => {
                 opts.command = command.to_string();
             }
-            other => return Err(format!("unknown option {other}\n{USAGE}")),
+            other => return Err(format!("unknown option {other}")),
         }
     }
     if opts.command.is_empty() {
-        return Err(format!("no command given\n{USAGE}"));
+        return Err("no command given".to_string());
+    }
+    if !COMMANDS.contains(&opts.command.as_str()) {
+        return Err(format!("unknown command {}", opts.command));
     }
     Ok(opts)
 }
 
-/// The fig1 spec set: every workload at every sweep footprint, at all three
-/// page sizes — byte-for-byte the specs `Harness::sweep_many` runs.
-fn sweep_specs(workloads: &[WorkloadId], sweep: &SweepConfig, arch: ArchKind) -> Vec<RunSpec> {
-    let footprints = sweep.footprints();
-    let mut specs = Vec::new();
-    for &w in workloads {
-        for &fp in &footprints {
-            let base = sweep.spec(w, fp).with_arch(arch);
-            specs.push(base);
-            specs.push(base.with_page_size(PageSize::Size2M));
-            specs.push(base.with_page_size(PageSize::Size1G));
-        }
-    }
-    specs
-}
-
 fn run_sweep(client: &mut ShardedClient, opts: &Options) -> Result<(), String> {
-    let specs = sweep_specs(&opts.workloads, &opts.sweep, opts.arch);
+    let specs: Vec<RunSpec> = opts
+        .sweep
+        .specs(&opts.workloads)
+        .into_iter()
+        .map(|spec| spec.with_arch(opts.arch))
+        .collect();
     println!(
         "sweep[{}]: {} workloads x {} points x 3 page sizes = {} specs via {} ({} shard(s))",
         opts.arch,
@@ -424,7 +429,7 @@ fn run(opts: &Options) -> Result<(), String> {
             println!("server acknowledged shutdown; it will drain and exit");
             Ok(())
         }
-        other => Err(format!("unknown command {other}\n{USAGE}")),
+        other => Err(format!("unknown command {other}")),
     }
 }
 
@@ -432,8 +437,8 @@ fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(opts) => opts,
         Err(e) => {
-            eprintln!("atscale-client: {e}");
-            return ExitCode::FAILURE;
+            eprintln!("atscale-client: {e}\n{USAGE}");
+            return ExitCode::from(2);
         }
     };
     match run(&opts) {

@@ -12,7 +12,8 @@
 //! the store's online aggregates are diffed against a recomputation from
 //! the raw records both before and after compaction; any mismatch is a
 //! hard failure. `--stats-out` writes the final segment-store occupancy
-//! as JSON (the CI results-smoke artifact).
+//! as JSON (the CI results-smoke artifact). A bad command line prints the
+//! usage and exits 2; a failure at run time exits 1.
 
 use atscale::results::{AggState, QueryFilter};
 use atscale::{hot_row, RunRecord, RunStore};
@@ -46,7 +47,7 @@ fn parse_args() -> Result<Options, String> {
                     iter.next().ok_or("--stats-out needs a path")?,
                 ));
             }
-            other => return Err(format!("unknown option {other}\n{USAGE}")),
+            other => return Err(format!("unknown option {other}")),
         }
     }
     Ok(opts)
@@ -135,8 +136,8 @@ fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(opts) => opts,
         Err(e) => {
-            eprintln!("store_compact: {e}");
-            return ExitCode::FAILURE;
+            eprintln!("store_compact: {e}\n{USAGE}");
+            return ExitCode::from(2);
         }
     };
     match run(&opts) {

@@ -91,12 +91,10 @@ impl Experiment {
     /// is `out_dir/telemetry/<name>.jsonl`), on a clone of `base` — the
     /// one [`HarnessOptions::harness`] of the process.
     pub fn run(&self, opts: &HarnessOptions, base: &Harness) {
-        let _telemetry = opts.telemetry(self.name);
+        let telemetry = opts.telemetry(self.name);
         let ctx = Ctx {
             opts,
-            harness: base
-                .clone()
-                .with_installed_telemetry(opts.effective_sample_interval()),
+            harness: telemetry.attach(base.clone()),
             name: self.name,
             checks_before: invariant::summary(),
         };

@@ -16,6 +16,7 @@ pub mod experiments;
 
 use atscale::telemetry::{span, SpanGuard, TelemetrySink};
 use atscale::{Harness, RunStore, SweepConfig};
+use atscale_mmu::TelemetryHandle;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -107,22 +108,17 @@ impl HarnessOptions {
         })
     }
 
-    /// Sets up telemetry for a scope named `name`: installs a process-
-    /// global [`TelemetrySink`] streaming to `out_dir/telemetry/{name}.jsonl`
-    /// (when enabled) and opens a root span named `name`. Call **before**
-    /// [`Harness::with_installed_telemetry`] and keep the guard alive for
-    /// the whole scope — dropping it finalizes the stream, prints the
-    /// summary and uninstalls the sink, so scopes follow one another but
-    /// never nest.
+    /// Sets up telemetry for a scope named `name`: a [`TelemetrySink`]
+    /// streaming to `out_dir/telemetry/{name}.jsonl` (when enabled) and a
+    /// root span named `name`. [`TelemetryScope::attach`] hands the sink
+    /// to a harness; keep the guard alive for the whole scope — dropping
+    /// it finalizes the stream and prints the summary, so scopes follow
+    /// one another but never nest.
     pub fn telemetry(&self, name: &str) -> TelemetryScope {
         let sink = if self.telemetry_enabled() {
             let path = self.out_dir.join("telemetry").join(format!("{name}.jsonl"));
             match TelemetrySink::new().with_jsonl(&path) {
-                Ok(sink) => {
-                    let sink = Arc::new(sink);
-                    atscale::telemetry::install(Arc::clone(&sink));
-                    Some(sink)
-                }
+                Ok(sink) => Some(Arc::new(sink)),
                 Err(e) => {
                     eprintln!(
                         "[atscale] cannot open telemetry stream {}: {e}",
@@ -136,6 +132,7 @@ impl HarnessOptions {
         };
         TelemetryScope {
             sink,
+            sample_interval: self.effective_sample_interval(),
             summary: self.telemetry_summary,
             span: Some(span(name)),
         }
@@ -181,20 +178,33 @@ impl Default for HarnessOptions {
 }
 
 /// Scope guard returned by [`HarnessOptions::telemetry`]: keeps the
-/// scope's root span open and, on drop, finalizes the JSONL stream,
-/// prints the human summary when `--telemetry-summary` was given, and
-/// uninstalls the global sink.
+/// scope's root span open and, on drop, finalizes the JSONL stream and
+/// prints the human summary when `--telemetry-summary` was given.
 #[derive(Debug)]
 pub struct TelemetryScope {
     sink: Option<Arc<TelemetrySink>>,
+    /// [`HarnessOptions::effective_sample_interval`].
+    sample_interval: u64,
     summary: bool,
     span: Option<SpanGuard>,
 }
 
 impl TelemetryScope {
-    /// The sink this scope installed, if telemetry was enabled.
-    pub fn sink(&self) -> Option<&Arc<TelemetrySink>> {
-        self.sink.as_ref()
+    /// `harness` reporting to this scope: its sink, sampling at the
+    /// options' cadence. With no sink a non-zero cadence still samples
+    /// (series land in [`atscale::RunRecord`]s); zero leaves the harness
+    /// untouched.
+    pub fn attach(&self, harness: Harness) -> Harness {
+        match &self.sink {
+            Some(sink) => harness.with_telemetry(TelemetryHandle::new(
+                Arc::clone(sink) as _,
+                self.sample_interval,
+            )),
+            None if self.sample_interval > 0 => {
+                harness.with_telemetry(TelemetryHandle::sampling_only(self.sample_interval))
+            }
+            None => harness,
+        }
     }
 }
 
@@ -210,7 +220,6 @@ impl Drop for TelemetryScope {
             if let Some(path) = path {
                 eprintln!("[atscale] telemetry stream: {}", path.display());
             }
-            atscale::telemetry::uninstall();
         }
     }
 }

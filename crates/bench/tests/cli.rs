@@ -1,5 +1,6 @@
-//! The `atscale` and `loadgen` command lines, driven as child processes:
-//! what `atscale` lists, how both reject what they do not know, that
+//! The `atscale`, `loadgen`, `atscale-client` and `store_compact` command
+//! lines, driven as child processes: what `atscale` lists, how each
+//! rejects what it does not know (usage, exit 2), that
 //! `--progress` prints with telemetry on, and that every ablation's
 //! telemetry stream carries the samples of the runs it made.
 
@@ -37,6 +38,33 @@ fn loadgen_rejects_bad_flags_with_usage_and_exit_2() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(complaint), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: loadgen"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn client_and_store_compact_reject_bad_command_lines_with_usage_and_exit_2() {
+    let client = env!("CARGO_BIN_EXE_atscale-client");
+    let compact = env!("CARGO_BIN_EXE_store_compact");
+    for (bin, args, complaint, usage) in [
+        (
+            client,
+            &["ping", "--fast"][..],
+            "unknown option --fast",
+            "usage: atscale-client",
+        ),
+        (client, &[][..], "no command given", "usage: atscale-client"),
+        (
+            compact,
+            &["--dir"][..],
+            "--dir needs a path",
+            "usage: store_compact",
+        ),
+    ] {
+        let out = Command::new(bin).args(args).output().expect("launch");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains(complaint), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains(usage), "{bin} {args:?}: {stderr}");
     }
 }
 

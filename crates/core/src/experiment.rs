@@ -99,6 +99,18 @@ impl SweepConfig {
             arch: crate::ArchKind::Baseline,
         }
     }
+
+    /// The fig1 spec set: every workload at every sweep point at 4 KB,
+    /// 2 MB and 1 GB pages, in that order (workload-major, then
+    /// footprint, then page size) — what [`Harness::sweep_many`] runs.
+    pub fn specs(&self, workloads: &[WorkloadId]) -> Vec<RunSpec> {
+        let footprints = self.footprints();
+        workloads
+            .iter()
+            .flat_map(|&w| footprints.iter().map(move |&fp| self.spec(w, fp)))
+            .flat_map(|base| PageSize::ALL.map(|size| base.with_page_size(size)))
+            .collect()
+    }
 }
 
 /// Parallel, cached experiment driver.
@@ -169,20 +181,6 @@ impl Harness {
     pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Harness {
         self.telemetry = Some(telemetry);
         self
-    }
-
-    /// Attaches the process-global [`atscale_telemetry::installed`] sink,
-    /// if any, sampling every `sample_interval` retired instructions.
-    /// With no sink installed, a non-zero interval still samples (series
-    /// land in [`RunRecord`]s); zero leaves the harness untouched.
-    pub fn with_installed_telemetry(self, sample_interval: u64) -> Harness {
-        match atscale_telemetry::installed() {
-            Some(sink) => self.with_telemetry(TelemetryHandle::new(sink, sample_interval)),
-            None if sample_interval > 0 => {
-                self.with_telemetry(TelemetryHandle::sampling_only(sample_interval))
-            }
-            None => self,
-        }
     }
 
     /// Enables stderr progress: [`Harness::run_many`] prints a one-line
@@ -368,22 +366,11 @@ impl Harness {
         sweep: &SweepConfig,
     ) -> Vec<Vec<OverheadPoint>> {
         let _phase = span!("sweep");
-        let footprints = sweep.footprints();
-        let mut specs = Vec::new();
-        for &w in workloads {
-            for &fp in &footprints {
-                let base = sweep.spec(w, fp);
-                specs.push(base);
-                specs.push(base.with_page_size(PageSize::Size2M));
-                specs.push(base.with_page_size(PageSize::Size1G));
-            }
-        }
-        let mut records = self.run_many(&specs).into_iter();
+        let mut records = self.run_many(&sweep.specs(workloads)).into_iter();
         workloads
             .iter()
             .map(|_| {
-                footprints
-                    .iter()
+                (0..sweep.points)
                     .map(|_| OverheadPoint {
                         run_4k: records.next().expect("spec count matches"),
                         run_2m: records.next().expect("spec count matches"),

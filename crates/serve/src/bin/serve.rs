@@ -9,7 +9,9 @@
 //! ```
 //!
 //! Binds the requested endpoints, serves until a client sends a
-//! `Shutdown` frame, drains in-flight work, and exits 0. Cache-first by
+//! `Shutdown` frame, drains in-flight work, and exits 0. A bad command
+//! line prints the usage and exits 2; a failure at run time exits 1.
+//! Cache-first by
 //! default: runs are answered from (and written back to) the run store,
 //! so repeated figure regenerations cost one simulation each. Opening
 //! the store folds any legacy per-file `.json` records into the columnar
@@ -122,11 +124,11 @@ fn parse_args() -> Result<Options, String> {
                     .and_then(|v| v.parse().ok())
                     .ok_or("--fault-seed needs a number")?;
             }
-            other => return Err(format!("unknown option {other}\n{USAGE}")),
+            other => return Err(format!("unknown option {other}")),
         }
     }
     if opts.socket.is_none() && opts.tcp.is_none() {
-        return Err(format!("no endpoint given\n{USAGE}"));
+        return Err("no endpoint given".to_string());
     }
     if opts.no_store && opts.store_dir.is_some() {
         return Err("--store and --no-store are mutually exclusive".to_string());
@@ -145,8 +147,8 @@ fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(opts) => opts,
         Err(e) => {
-            eprintln!("atscale-serve: {e}");
-            return ExitCode::FAILURE;
+            eprintln!("atscale-serve: {e}\n{USAGE}");
+            return ExitCode::from(2);
         }
     };
     let store = if opts.no_store {
@@ -191,8 +193,8 @@ fn main() -> ExitCode {
         match atscale_faults::FaultPlan::parse(opts.fault_seed, spec) {
             Ok(plan) => config.faults = Some(std::sync::Arc::new(plan)),
             Err(e) => {
-                eprintln!("atscale-serve: bad --fault-spec: {e}");
-                return ExitCode::FAILURE;
+                eprintln!("atscale-serve: bad --fault-spec: {e}\n{USAGE}");
+                return ExitCode::from(2);
             }
         }
     }
@@ -203,7 +205,7 @@ fn main() -> ExitCode {
             "atscale-serve: --fault-spec needs a daemon built with the `faults` \
              feature (cargo build -p atscale-serve --features faults)"
         );
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     }
     let workers = config.workers;
     let queue = config.queue_capacity;

@@ -1,18 +1,16 @@
 //! The blocking client: connect, submit, stream the reply frames.
 //!
-//! One [`Client`] is one connection. Requests are written as JSON lines;
-//! submissions stream back `Accepted` → (`Sample` | `Progress` | `Record`
-//! | `Deadline` | `Failed`)* → `BatchDone`, which [`Client::run_many`]
-//! folds back into the harness's `run_many` contract: records in spec
-//! order.
+//! One [`Client`] is one connection: it sends one batch or one verb and
+//! reads the reply, and never retries. Submissions stream back
+//! `Accepted` → (`Sample` | `Progress` | `Record` | `Deadline` |
+//! `Failed`)* → `BatchDone`, which [`Client::run_many`] folds back into
+//! the harness's `run_many` contract: records in spec order.
 //!
-//! Transient failures are handled by a unified [`RetryPolicy`]: capped
-//! exponential backoff with deterministic jitter, retrying **only**
-//! idempotent rejections (`Overloaded` — the batch was rejected
-//! atomically, nothing was enqueued, so resubmission cannot
-//! double-execute). Everything else — connection loss, protocol breaks,
-//! server errors, failed jobs — surfaces immediately as an explicit
-//! error, never a silent retry and never a hang.
+//! [`ShardedClient`] is the one retry loop: it splits a batch into chunks
+//! each shard's admission queue can hold and, under a [`RetryPolicy`],
+//! resubmits a chunk the server rejected `Overloaded` or whose connection
+//! dropped. Everything else — protocol breaks, server errors, failed
+//! jobs — surfaces at once as an explicit error, never a hang.
 
 use crate::protocol::{
     self, CompactStats, Hello, Overloaded, QueryFilter, QueryResult, Reply, Request, SegStats,
@@ -26,26 +24,21 @@ use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Chunk size for [`Client::run_chunked`] when the server's capacity is
-/// unknown (handshake skipped).
-const FALLBACK_CHUNK: usize = 128;
-
-/// How [`Client::run_chunked`] retries transient rejections: capped
-/// exponential backoff with deterministic jitter derived from
-/// `jitter_seed` (the chaos suite seeds it from the fault plan, so a
-/// replayed seed reproduces the exact retry cadence), bounded by an
-/// attempt budget and an optional overall deadline.
-///
-/// Only idempotent rejections are ever retried: an `Overloaded` reply
-/// means the whole batch was rejected atomically, so resubmitting cannot
-/// double-execute anything. Failures that may have had effects (I/O loss
-/// mid-stream, failed jobs) are surfaced, not retried.
+/// How [`ShardedClient::run_chunked`] retries a chunk: capped exponential
+/// backoff with deterministic jitter derived from `jitter_seed` (the
+/// chaos suite seeds it from the fault plan, so a replayed seed
+/// reproduces the exact retry cadence), within one attempt budget per
+/// chunk. Two failures share that budget: `Overloaded` (the chunk was
+/// rejected atomically, nothing enqueued) and a dropped connection
+/// (re-dialled; the resubmitted chunk replays byte-identically because
+/// execution is deterministic and cache-first). Failed jobs and missed
+/// deadlines are surfaced, not retried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per chunk (first try included) before the last
-    /// rejection is surfaced.
+    /// failure is surfaced.
     pub max_attempts: u32,
     /// Backoff before the first retry; doubles per retry.
     pub base_backoff: Duration,
@@ -54,9 +47,6 @@ pub struct RetryPolicy {
     /// Seed for the deterministic jitter (each backoff lands in
     /// `[cap/2, cap)` of its exponential step).
     pub jitter_seed: u64,
-    /// Overall wall-clock budget across all chunks and retries of one
-    /// `run_chunked` call; `None` = bounded by `max_attempts` alone.
-    pub overall_deadline: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
@@ -66,7 +56,6 @@ impl Default for RetryPolicy {
             base_backoff: Duration::from_millis(50),
             max_backoff: Duration::from_secs(2),
             jitter_seed: 0x5eed_0000_5eed_0000,
-            overall_deadline: None,
         }
     }
 }
@@ -153,10 +142,10 @@ pub struct SubmitOptions {
     pub sample_interval: u64,
 }
 
-/// Handle onto the underlying socket for deadline control (the boxed
+/// The connection's socket, kept for deadline control (the boxed
 /// reader/writer halves cannot reach `set_read_timeout` through the trait
 /// object).
-enum TimeoutControl {
+enum Socket {
     Tcp(TcpStream),
     #[cfg(unix)]
     Unix(UnixStream),
@@ -169,12 +158,10 @@ pub struct Client {
     next_id: u64,
     /// The server's admission-queue capacity, learned from the `Welcome`
     /// handshake (0 until [`Client::hello`] has run). Sizes
-    /// [`Client::run_chunked`] batches.
+    /// [`ShardedClient::run_chunked`] chunks.
     server_capacity: u64,
-    /// Retry policy for [`Client::run_chunked`].
-    retry: RetryPolicy,
     /// Socket handle for [`Client::set_read_timeout`].
-    control: Option<TimeoutControl>,
+    socket: Socket,
     /// Fault plan driving the `ClientWrite`/`ClientRead`/`ClientStall`
     /// sites (chaos machinery).
     #[cfg(feature = "faults")]
@@ -214,11 +201,7 @@ impl Client {
         // Frames are small and latency-bound; Nagle would add ~40 ms per
         // round-trip.
         stream.set_nodelay(true)?;
-        let read_half = stream.try_clone()?;
-        let control = TimeoutControl::Tcp(stream.try_clone()?);
-        let mut client = Self::from_halves(Box::new(read_half), Box::new(stream));
-        client.control = Some(control);
-        Ok(client)
+        Self::from_socket(Socket::Tcp(stream))
     }
 
     /// Connects over a Unix socket.
@@ -230,12 +213,7 @@ impl Client {
     pub fn connect_unix(path: &Path) -> std::io::Result<Client> {
         #[cfg(unix)]
         {
-            let stream = UnixStream::connect(path)?;
-            let read_half = stream.try_clone()?;
-            let control = TimeoutControl::Unix(stream.try_clone()?);
-            let mut client = Self::from_halves(Box::new(read_half), Box::new(stream));
-            client.control = Some(control);
-            Ok(client)
+            Self::from_socket(Socket::Unix(UnixStream::connect(path)?))
         }
         #[cfg(not(unix))]
         {
@@ -246,24 +224,22 @@ impl Client {
         }
     }
 
-    fn from_halves(read: Box<dyn Read + Send>, write: Box<dyn Write + Send>) -> Client {
-        Client {
+    /// A client on `socket`, reading and writing through clones of it.
+    fn from_socket(socket: Socket) -> std::io::Result<Client> {
+        let (read, write): (Box<dyn Read + Send>, Box<dyn Write + Send>) = match &socket {
+            Socket::Tcp(s) => (Box::new(s.try_clone()?), Box::new(s.try_clone()?)),
+            #[cfg(unix)]
+            Socket::Unix(s) => (Box::new(s.try_clone()?), Box::new(s.try_clone()?)),
+        };
+        Ok(Client {
             reader: BufReader::new(read),
             writer: write,
             next_id: 1,
             server_capacity: 0,
-            retry: RetryPolicy::default(),
-            control: None,
+            socket,
             #[cfg(feature = "faults")]
             faults: None,
-        }
-    }
-
-    /// Replaces the retry policy [`Client::run_chunked`] uses.
-    #[must_use]
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Client {
-        self.retry = policy;
-        self
+        })
     }
 
     /// Attaches a fault-injection plan: subsequent socket traffic routes
@@ -282,17 +258,12 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Fails with `Unsupported` on a connection without a socket handle
-    /// (in-memory test transports), or with the socket's error.
+    /// Fails with the socket's error.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        match &self.control {
-            Some(TimeoutControl::Tcp(stream)) => stream.set_read_timeout(timeout),
+        match &self.socket {
+            Socket::Tcp(stream) => stream.set_read_timeout(timeout),
             #[cfg(unix)]
-            Some(TimeoutControl::Unix(stream)) => stream.set_read_timeout(timeout),
-            None => Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "no socket handle for this transport",
-            )),
+            Socket::Unix(stream) => stream.set_read_timeout(timeout),
         }
     }
 
@@ -340,24 +311,31 @@ impl Client {
         }
     }
 
+    /// One verb: sends `request` and reads its single reply, turning
+    /// `Reply::Error` into [`ClientError::Server`].
+    fn call(&mut self, request: &Request) -> Result<Reply, ClientError> {
+        self.send(request)?;
+        match self.read_reply()? {
+            Reply::Error(e) => Err(ClientError::Server(e.message)),
+            reply => Ok(reply),
+        }
+    }
+
     /// Performs the hello handshake.
     ///
     /// # Errors
     ///
     /// Fails on I/O errors, protocol mismatch, or an unexpected reply.
     pub fn hello(&mut self) -> Result<Welcome, ClientError> {
-        self.send(&Request::Hello(Hello {
+        let hello = Request::Hello(Hello {
             protocol: PROTOCOL_VERSION,
-        }))?;
-        match self.read_reply()? {
+        });
+        match self.call(&hello)? {
             Reply::Welcome(w) => {
                 self.server_capacity = w.queue_capacity;
                 Ok(w)
             }
-            Reply::Error(e) => Err(ClientError::Server(e.message)),
-            other => Err(ClientError::Protocol(format!(
-                "expected Welcome, got {other:?}"
-            ))),
+            other => Err(unexpected("Welcome", &other)),
         }
     }
 
@@ -368,7 +346,9 @@ impl Client {
     }
 
     /// Submits a batch and blocks until every spec resolves, returning
-    /// records in spec order — `Harness::run_many` over the wire.
+    /// records in spec order — `Harness::run_many` over the wire. The
+    /// batch is one admission: it must fit the server's queue, or use
+    /// [`ShardedClient::run_chunked`].
     ///
     /// # Errors
     ///
@@ -452,116 +432,15 @@ impl Client {
             .collect()
     }
 
-    /// [`Client::run_many`] for batches of any size: splits `specs` into
-    /// chunks the server's admission queue can hold (sized from the
-    /// `Welcome` handshake) and retries a chunk under the client's
-    /// [`RetryPolicy`] when the server answers `Overloaded` — the one
-    /// rejection that is provably idempotent to resubmit (the batch was
-    /// rejected atomically, nothing enqueued). Records come back in spec
-    /// order, exactly as `run_many`.
-    ///
-    /// Call [`Client::hello`] first so the chunk size matches the server;
-    /// without it a conservative fallback is used. A `deadline_ms` applies
-    /// per chunk, from that chunk's admission.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::run_many`], except `Overloaded` is only surfaced after
-    /// the policy's attempt budget or overall deadline is exhausted (the
-    /// server stayed full for the whole window).
-    pub fn run_chunked(
-        &mut self,
-        specs: &[RunSpec],
-        opts: SubmitOptions,
-    ) -> Result<Vec<RunRecord>, ClientError> {
-        self.run_chunked_with(specs, opts, |_| {})
-    }
-
-    /// [`Client::run_chunked`] with a frame observer, as
-    /// [`Client::run_many_with`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::run_chunked`].
-    pub fn run_chunked_with(
-        &mut self,
-        specs: &[RunSpec],
-        opts: SubmitOptions,
-        mut on_event: impl FnMut(&Reply),
-    ) -> Result<Vec<RunRecord>, ClientError> {
-        let chunk = self.chunk_size();
-        let policy = self.retry;
-        let started = Instant::now();
-        let mut records = Vec::with_capacity(specs.len());
-        let mut offset = 0u64;
-        for chunk_specs in specs.chunks(chunk) {
-            let mut attempt = 0u32;
-            loop {
-                match self.run_many_with(chunk_specs, opts, &mut on_event) {
-                    Ok(mut chunk_records) => {
-                        records.append(&mut chunk_records);
-                        break;
-                    }
-                    // The only retried failure: atomically-rejected
-                    // batches are idempotent to resubmit.
-                    Err(ClientError::Overloaded(o)) => {
-                        attempt += 1;
-                        let out_of_time = policy
-                            .overall_deadline
-                            .is_some_and(|budget| started.elapsed() >= budget);
-                        if attempt >= policy.max_attempts || out_of_time {
-                            return Err(ClientError::Overloaded(o));
-                        }
-                        let mut pause = policy.backoff(attempt - 1);
-                        if let Some(budget) = policy.overall_deadline {
-                            pause = pause.min(budget.saturating_sub(started.elapsed()));
-                        }
-                        std::thread::sleep(pause);
-                    }
-                    // Rebase chunk-local spec indices onto the full batch.
-                    Err(ClientError::Expired(indices)) => {
-                        return Err(ClientError::Expired(
-                            indices.into_iter().map(|i| i + offset).collect(),
-                        ));
-                    }
-                    Err(ClientError::Failed(jobs)) => {
-                        return Err(ClientError::Failed(
-                            jobs.into_iter()
-                                .map(|(i, message)| (i + offset, message))
-                                .collect(),
-                        ));
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            offset += chunk_specs.len() as u64;
-        }
-        Ok(records)
-    }
-
-    /// How many specs [`Client::run_chunked`] submits per batch: half the
-    /// advertised queue capacity, leaving admission headroom for jobs
-    /// already queued and for other clients.
-    fn chunk_size(&self) -> usize {
-        match usize::try_from(self.server_capacity) {
-            Ok(0) | Err(_) => FALLBACK_CHUNK,
-            Ok(capacity) => (capacity / 2).max(1),
-        }
-    }
-
     /// Fetches the server's run-cache occupancy.
     ///
     /// # Errors
     ///
     /// Fails on I/O errors or an unexpected reply.
     pub fn cache_stats(&mut self) -> Result<StoreStats, ClientError> {
-        self.send(&Request::CacheStats)?;
-        match self.read_reply()? {
+        match self.call(&Request::CacheStats)? {
             Reply::CacheStats(s) => Ok(s),
-            Reply::Error(e) => Err(ClientError::Server(e.message)),
-            other => Err(ClientError::Protocol(format!(
-                "expected CacheStats, got {other:?}"
-            ))),
+            other => Err(unexpected("CacheStats", &other)),
         }
     }
 
@@ -571,13 +450,9 @@ impl Client {
     ///
     /// Fails on I/O errors or an unexpected reply.
     pub fn server_stats(&mut self) -> Result<ServerStatsReply, ClientError> {
-        self.send(&Request::ServerStats)?;
-        match self.read_reply()? {
+        match self.call(&Request::ServerStats)? {
             Reply::ServerStats(s) => Ok(s),
-            Reply::Error(e) => Err(ClientError::Server(e.message)),
-            other => Err(ClientError::Protocol(format!(
-                "expected ServerStats, got {other:?}"
-            ))),
+            other => Err(unexpected("ServerStats", &other)),
         }
     }
 
@@ -591,13 +466,9 @@ impl Client {
     /// Fails on I/O errors, an unexpected reply, or
     /// [`ClientError::Server`] when the server has no segment store.
     pub fn query(&mut self, filter: &QueryFilter) -> Result<QueryResult, ClientError> {
-        self.send(&Request::Query(filter.clone()))?;
-        match self.read_reply()? {
+        match self.call(&Request::Query(filter.clone()))? {
             Reply::QueryResult(r) => Ok(r),
-            Reply::Error(e) => Err(ClientError::Server(e.message)),
-            other => Err(ClientError::Protocol(format!(
-                "expected QueryResult, got {other:?}"
-            ))),
+            other => Err(unexpected("QueryResult", &other)),
         }
     }
 
@@ -610,13 +481,9 @@ impl Client {
     /// [`ClientError::Server`] when the server has no segment store or the
     /// compaction itself failed.
     pub fn compact(&mut self) -> Result<CompactStats, ClientError> {
-        self.send(&Request::Compact)?;
-        match self.read_reply()? {
+        match self.call(&Request::Compact)? {
             Reply::Compacted(stats) => Ok(stats),
-            Reply::Error(e) => Err(ClientError::Server(e.message)),
-            other => Err(ClientError::Protocol(format!(
-                "expected Compacted, got {other:?}"
-            ))),
+            other => Err(unexpected("Compacted", &other)),
         }
     }
 
@@ -627,13 +494,9 @@ impl Client {
     /// Fails on I/O errors, an unexpected reply, or
     /// [`ClientError::Server`] when the server has no segment store.
     pub fn seg_stats(&mut self) -> Result<SegStats, ClientError> {
-        self.send(&Request::StoreSegStats)?;
-        match self.read_reply()? {
+        match self.call(&Request::StoreSegStats)? {
             Reply::StoreSegStats(stats) => Ok(stats),
-            Reply::Error(e) => Err(ClientError::Server(e.message)),
-            other => Err(ClientError::Protocol(format!(
-                "expected StoreSegStats, got {other:?}"
-            ))),
+            other => Err(unexpected("StoreSegStats", &other)),
         }
     }
 
@@ -644,18 +507,21 @@ impl Client {
     ///
     /// Fails on I/O errors or an unexpected reply.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        self.send(&Request::Shutdown)?;
-        match self.read_reply()? {
+        match self.call(&Request::Shutdown)? {
             Reply::ShuttingDown => Ok(()),
-            other => Err(ClientError::Protocol(format!(
-                "expected ShuttingDown, got {other:?}"
-            ))),
+            other => Err(unexpected("ShuttingDown", &other)),
         }
     }
 }
 
+/// The [`ClientError::Protocol`] for a verb answered with the wrong frame.
+fn unexpected(expected: &str, got: &Reply) -> ClientError {
+    ClientError::Protocol(format!("expected {expected}, got {got:?}"))
+}
+
 /// A topology-aware client: one persistent framed connection per shard,
-/// every spec routed to the shard that owns its record hash.
+/// every spec routed to the shard that owns its record hash, and the one
+/// place that chunks, backs off and re-dials.
 ///
 /// Connect to *any* member of a topology; the v6 `Welcome` advertises the
 /// full address list, and every subsequent batch is partitioned by
@@ -663,11 +529,12 @@ impl Client {
 /// that names the record in each shard's store, so single-flight dedup
 /// and the record cache stay exact per shard. Connections persist across
 /// [`ShardedClient::run_chunked`] calls (no reconnect per chunk); a
-/// dropped connection is re-dialled under the [`RetryPolicy`] and its
-/// chunk resubmitted, which is safe because execution is deterministic
-/// and cache-first — a replayed chunk returns byte-identical records.
+/// dropped connection is re-dialled under the [`RetryPolicy`] and only
+/// the interrupted chunk is resubmitted, which is safe because execution
+/// is deterministic and cache-first — a replayed chunk returns
+/// byte-identical records.
 ///
-/// Against a standalone (pre-topology) daemon this degrades to exactly
+/// A standalone (pre-topology) daemon is a one-shard topology: exactly
 /// one connection and no routing.
 pub struct ShardedClient {
     /// Every shard's address, in shard-index order.
@@ -727,25 +594,27 @@ impl ShardedClient {
         })
     }
 
-    /// Replaces the retry policy (applies to `Overloaded` backoff inside
-    /// each shard's chunked run *and* to reconnect-on-drop).
+    /// Replaces the retry policy: one attempt budget per chunk, shared by
+    /// `Overloaded` backoff and reconnect-on-drop.
     #[must_use]
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> ShardedClient {
         self.retry = policy;
-        for conn in self.conns.iter_mut().flatten() {
-            conn.retry = policy;
-        }
         self
     }
 
-    /// Attaches a fault-injection plan, propagated to every per-shard
-    /// connection (chaos machinery).
+    /// Attaches a fault-injection plan to every per-shard connection, the
+    /// seed connection included (chaos machinery).
     #[cfg(feature = "faults")]
     #[must_use]
     pub fn with_fault_plan(
         mut self,
         plan: std::sync::Arc<atscale_faults::FaultPlan>,
     ) -> ShardedClient {
+        for slot in &mut self.conns {
+            *slot = slot
+                .take()
+                .map(|conn| conn.with_fault_plan(std::sync::Arc::clone(&plan)));
+        }
         self.faults = Some(plan);
         self
     }
@@ -763,28 +632,25 @@ impl ShardedClient {
     /// The persistent connection to `shard`, dialling (and handshaking)
     /// it on first use or after a drop.
     fn ensure_conn(&mut self, shard: usize) -> Result<&mut Client, ClientError> {
-        let addr = self
-            .topology
-            .get(shard)
-            .ok_or_else(|| ClientError::Protocol(format!("shard {shard} outside topology")))?
-            .clone();
-        let slot = self
-            .conns
-            .get_mut(shard)
-            .ok_or_else(|| ClientError::Protocol(format!("shard {shard} outside topology")))?;
-        if slot.is_none() {
-            #[allow(unused_mut)]
-            let mut client = Client::connect(&addr)?.with_retry_policy(self.retry);
-            #[cfg(feature = "faults")]
-            let mut client = match &self.faults {
-                Some(plan) => client.with_fault_plan(std::sync::Arc::clone(plan)),
-                None => client,
-            };
-            client.hello()?;
-            *slot = Some(client);
-        }
-        slot.as_mut()
-            .ok_or_else(|| ClientError::Protocol("connection slot vanished".to_string()))
+        let (Some(addr), Some(slot)) = (self.topology.get(shard), self.conns.get_mut(shard)) else {
+            return Err(ClientError::Protocol(format!(
+                "shard {shard} outside topology"
+            )));
+        };
+        let client = match slot.take() {
+            Some(client) => client,
+            None => {
+                #[allow(unused_mut)]
+                let mut client = Client::connect(addr)?;
+                #[cfg(feature = "faults")]
+                if let Some(plan) = &self.faults {
+                    client = client.with_fault_plan(std::sync::Arc::clone(plan));
+                }
+                client.hello()?;
+                client
+            }
+        };
+        Ok(slot.insert(client))
     }
 
     /// The seed shard's advertised admission capacity, dialling it if no
@@ -793,15 +659,18 @@ impl ShardedClient {
         self.ensure_conn(0).ok().and_then(|c| c.server_capacity())
     }
 
-    /// [`Client::run_chunked`] across the topology: specs partitioned by
-    /// owning shard, each partition chunk-submitted on that shard's
-    /// persistent connection, records reassembled into spec order.
+    /// [`Client::run_many`] for batches of any size, across the topology:
+    /// specs partitioned by owning shard, each partition submitted in
+    /// chunks of half that shard's advertised queue capacity on its
+    /// persistent connection, records reassembled into spec order. A
+    /// `deadline_ms` applies per chunk, from that chunk's admission.
     ///
     /// # Errors
     ///
-    /// As [`Client::run_chunked`]; connection drops are re-dialled under
-    /// the retry policy before surfacing, and `Expired`/`Failed` indices
-    /// refer to the original batch.
+    /// As [`Client::run_many`], except that `Overloaded` and connection
+    /// drops surface only once a chunk has spent the [`RetryPolicy`]'s
+    /// attempt budget, and `Expired`/`Failed` indices refer to the
+    /// original batch.
     pub fn run_chunked(
         &mut self,
         specs: &[RunSpec],
@@ -811,7 +680,7 @@ impl ShardedClient {
     }
 
     /// [`ShardedClient::run_chunked`] with a frame observer, as
-    /// [`Client::run_chunked_with`] — streamed `Sample`/`Progress` frames
+    /// [`Client::run_many_with`] — streamed `Sample`/`Progress` frames
     /// from every shard pass through the one observer (in shard order,
     /// since partitions run sequentially on this thread).
     ///
@@ -833,9 +702,6 @@ impl ShardedClient {
         }
         let mut slots: Vec<Option<RunRecord>> = vec![None; specs.len()];
         for (shard, indices) in by_shard.iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
             let shard_specs: Vec<RunSpec> = indices
                 .iter()
                 .filter_map(|&i| specs.get(i).copied())
@@ -855,9 +721,14 @@ impl ShardedClient {
             .collect()
     }
 
-    /// One shard's partition: chunk-run on the persistent connection,
-    /// reconnecting and resubmitting on drop, remapping error indices
-    /// back to the original batch.
+    /// One shard's partition, chunk by chunk on the persistent
+    /// connection. A chunk is half the shard's advertised queue capacity
+    /// (at least 1), leaving admission headroom for jobs already queued
+    /// and for other clients. Each chunk gets the policy's attempt
+    /// budget: `Overloaded` backs off and resubmits it; a dropped
+    /// connection is re-dialled and the same chunk resubmitted. Answered
+    /// chunks are never resubmitted, and error indices are mapped from
+    /// chunk-local straight to `indices`, the original batch's.
     fn run_shard(
         &mut self,
         shard: usize,
@@ -867,45 +738,54 @@ impl ShardedClient {
         on_event: &mut dyn FnMut(&Reply),
     ) -> Result<Vec<RunRecord>, ClientError> {
         let policy = self.retry;
-        let remap = |local: u64| -> u64 {
-            usize::try_from(local)
-                .ok()
-                .and_then(|i| indices.get(i))
-                .map_or(local, |&orig| orig as u64)
-        };
+        let mut records = Vec::with_capacity(shard_specs.len());
         let mut attempt = 0u32;
-        loop {
-            let result = self
-                .ensure_conn(shard)
-                .and_then(|conn| conn.run_chunked_with(shard_specs, opts, &mut *on_event));
+        while records.len() < shard_specs.len() {
+            let done = records.len();
+            let result = self.ensure_conn(shard).and_then(|conn| {
+                let chunk =
+                    usize::try_from(conn.server_capacity / 2).map_or(usize::MAX, |c| c.max(1));
+                let end = done.saturating_add(chunk).min(shard_specs.len());
+                let chunk_specs = shard_specs.get(done..end).unwrap_or_default();
+                conn.run_many_with(chunk_specs, opts, &mut *on_event)
+            });
+            let to_batch = |local: u64| -> u64 {
+                usize::try_from(local)
+                    .ok()
+                    .and_then(|i| indices.get(done + i))
+                    .map_or(local, |&orig| orig as u64)
+            };
+            attempt += 1;
             match result {
-                Ok(records) => return Ok(records),
-                // Reconnect-on-drop: a dead socket (or a server that
-                // closed mid-stream) costs the connection, not the sweep.
-                // Resubmitting the whole partition is safe — execution is
-                // deterministic and cache-first, so the replay returns
-                // byte-identical records without double-charging fresh
-                // executions for anything already cached.
-                Err(ClientError::Io(_)) if attempt + 1 < policy.max_attempts => {
+                Ok(mut chunk_records) => {
+                    records.append(&mut chunk_records);
+                    attempt = 0;
+                }
+                Err(ClientError::Overloaded(_)) if attempt < policy.max_attempts => {
+                    std::thread::sleep(policy.backoff(attempt - 1));
+                }
+                // Reconnect-on-drop: a dead socket costs the connection,
+                // not the sweep.
+                Err(ClientError::Io(_)) if attempt < policy.max_attempts => {
                     if let Some(slot) = self.conns.get_mut(shard) {
                         *slot = None;
                     }
-                    attempt += 1;
                     std::thread::sleep(policy.backoff(attempt - 1));
                 }
-                Err(ClientError::Expired(indices)) => {
+                Err(ClientError::Expired(local)) => {
                     return Err(ClientError::Expired(
-                        indices.into_iter().map(remap).collect(),
+                        local.into_iter().map(to_batch).collect(),
                     ));
                 }
                 Err(ClientError::Failed(jobs)) => {
                     return Err(ClientError::Failed(
-                        jobs.into_iter().map(|(i, m)| (remap(i), m)).collect(),
+                        jobs.into_iter().map(|(i, m)| (to_batch(i), m)).collect(),
                     ));
                 }
                 Err(e) => return Err(e),
             }
         }
+        Ok(records)
     }
 }
 

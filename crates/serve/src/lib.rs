@@ -24,8 +24,9 @@
 //!   a shard topology;
 //! - [`loadgen`] — the open-loop Poisson load-generation engine behind
 //!   the `loadgen` bench binary;
-//! - [`client`] — the blocking client used by `atscale-client` and tests,
-//!   plus the topology-aware [`ShardedClient`].
+//! - [`client`] — [`Client`], one blocking connection that sends one
+//!   batch or one verb, and the topology-aware [`ShardedClient`], the
+//!   one place that chunks, backs off and re-dials.
 //!
 //! Everything runs on std threads; there is no async runtime — the I/O
 //! plane is a hand-rolled reactor over raw syscalls, so the daemon runs
@@ -36,9 +37,9 @@
 //! deterministic `atscale_faults::FaultPlan` can be threaded through the
 //! store, scheduler, server, and client (see `tests/chaos.rs` and
 //! DESIGN.md §13). Release builds compile every injection site out; the
-//! recovery machinery the faults forced into existence — the client's
-//! [`RetryPolicy`], store quarantine/GC, worker-panic containment with
-//! `Failed` frames — is always on.
+//! recovery machinery the faults forced into existence — the sharded
+//! client's [`RetryPolicy`], store quarantine/GC, worker-panic
+//! containment with `Failed` frames — is always on.
 
 // `deny`, not `forbid`: the epoll shim in `sys` carries the documented,
 // audit-pinned `#[allow(unsafe_code)]` exception (rule 3), the only one

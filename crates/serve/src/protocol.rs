@@ -125,7 +125,7 @@ pub struct Welcome {
     /// Admission-queue capacity in unique jobs. Batches whose fresh-job
     /// count would overflow it are rejected `Overloaded`, so clients
     /// submitting more specs than this must chunk
-    /// ([`crate::Client::run_chunked`] does).
+    /// ([`crate::ShardedClient::run_chunked`] does).
     pub queue_capacity: u64,
     /// This daemon's shard index within its topology (v6; 0 standalone).
     pub shard: u64,

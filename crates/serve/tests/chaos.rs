@@ -21,7 +21,9 @@
 use atscale::{RunRecord, RunSpec, RunStore};
 use atscale_faults::{FaultPlan, FaultRule, FaultSite};
 use atscale_mmu::MachineConfig;
-use atscale_serve::{Client, ClientError, RetryPolicy, ServeConfig, Server, SubmitOptions};
+use atscale_serve::{
+    Client, ClientError, RetryPolicy, ServeConfig, Server, ShardedClient, SubmitOptions,
+};
 use atscale_telemetry::schema::validate_stream;
 use atscale_telemetry::TelemetrySink;
 use atscale_vm::PageSize;
@@ -306,7 +308,7 @@ fn worker_panic_contained(seed: u64) -> Outcome {
     }
 }
 
-/// Injected admission pressure: the chunked client retries rejected
+/// Injected admission pressure: the sharded client retries rejected
 /// chunks under its policy and wins once the pressure lifts; a client
 /// whose attempt budget is smaller than the pressure gives up with the
 /// explicit `Overloaded` error.
@@ -316,7 +318,6 @@ fn queue_pressure_backoff_retry(seed: u64) -> Outcome {
         base_backoff: Duration::from_millis(1),
         max_backoff: Duration::from_millis(4),
         jitter_seed: seed,
-        overall_deadline: None,
     };
 
     // Pressure 3 < budget 8: the 4th admission succeeds.
@@ -329,15 +330,15 @@ fn queue_pressure_backoff_retry(seed: u64) -> Outcome {
         faults: Some(Arc::clone(&plan)),
         ..ServeConfig::default()
     });
-    let mut client = Client::connect(&addr)
+    let mut client = ShardedClient::connect(&addr)
         .expect("connect")
         .with_retry_policy(fast_retry);
-    client.hello().expect("handshake");
     let records = client
         .run_chunked(&[tiny_spec(seed)], SubmitOptions::default())
         .expect("retry outlasts the injected pressure");
     let digests = assert_byte_identical(&records, seed, "queue_pressure_backoff_retry");
-    let stats = client.server_stats().expect("server stats");
+    let mut stats_client = Client::connect(&addr).expect("connect");
+    let stats = stats_client.server_stats().expect("server stats");
     assert_eq!(stats.overloaded, 3, "every injected rejection was counted");
     server.shutdown_and_join();
 
@@ -351,18 +352,18 @@ fn queue_pressure_backoff_retry(seed: u64) -> Outcome {
         faults: Some(Arc::clone(&stubborn)),
         ..ServeConfig::default()
     });
-    let mut impatient = Client::connect(&addr2)
+    let mut impatient = ShardedClient::connect(&addr2)
         .expect("connect")
         .with_retry_policy(RetryPolicy {
             max_attempts: 2,
             ..fast_retry
         });
-    impatient.hello().expect("handshake");
     let err = impatient
         .run_chunked(&[tiny_spec(seed)], SubmitOptions::default())
         .expect_err("attempt budget smaller than the pressure");
     assert!(matches!(err, ClientError::Overloaded(_)), "{err}");
-    assert_eq!(impatient.server_stats().expect("stats").overloaded, 2);
+    let mut stats_client = Client::connect(&addr2).expect("connect");
+    assert_eq!(stats_client.server_stats().expect("stats").overloaded, 2);
     server2.shutdown_and_join();
 
     Outcome {

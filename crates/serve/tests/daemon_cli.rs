@@ -14,8 +14,8 @@ fn io_flag_is_an_unknown_option() {
         .args(["--tcp", "127.0.0.1:0", "--io", "epoll", "--no-store"])
         .output()
         .expect("run atscale-serve");
-    assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("unknown option --io"), "{stderr}");
 }
 

@@ -6,7 +6,7 @@
 use atscale::{Harness, RunSpec, RunStore, SweepConfig};
 use atscale_mmu::MachineConfig;
 use atscale_serve::protocol::{self, Reply, Request, Submit};
-use atscale_serve::{Client, ClientError, ServeConfig, Server, SubmitOptions};
+use atscale_serve::{Client, ClientError, ServeConfig, Server, ShardedClient, SubmitOptions};
 use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -189,8 +189,9 @@ fn full_queue_rejects_with_explicit_overloaded_reply() {
 }
 
 /// A batch larger than the whole admission queue can never be admitted in
-/// one piece — `run_chunked` must split it (sized from the advertised
-/// capacity in `Welcome`) and still return every record in spec order.
+/// one piece — `ShardedClient::run_chunked` must split it (sized from the
+/// advertised capacity in `Welcome`) and still return every record in
+/// spec order.
 #[test]
 fn run_chunked_resolves_batches_larger_than_the_queue() {
     let (server, addr) = start_server(ServeConfig {
@@ -213,7 +214,8 @@ fn run_chunked_resolves_batches_larger_than_the_queue() {
     assert!(matches!(err, ClientError::Overloaded(_)), "{err}");
 
     // …but the chunked path resolves all of it, in order.
-    let records = client
+    let records = ShardedClient::connect(&addr)
+        .expect("connect")
         .run_chunked(&specs, SubmitOptions::default())
         .expect("chunked batch resolves");
     assert_eq!(records.len(), specs.len());

@@ -4,11 +4,15 @@
 //! any member, and drain-on-shutdown through the reactor.
 
 use atscale::{Harness, RunSpec, RunStore, SweepConfig};
+use atscale_faults::{FaultPlan, FaultRule, FaultSite};
 use atscale_mmu::MachineConfig;
-use atscale_serve::{Client, ServeConfig, Server, ShardMap, ShardedClient, SubmitOptions};
+use atscale_serve::{
+    Client, ClientError, ServeConfig, Server, ShardMap, ShardedClient, SubmitOptions,
+};
 use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
 use std::net::TcpListener;
+use std::sync::Arc;
 
 fn temp_store(tag: &str) -> (std::path::PathBuf, RunStore) {
     let dir =
@@ -253,9 +257,10 @@ fn sharded_sweep_matches_single_daemon_and_places_records_per_shard() {
     }
 }
 
-/// Reconnect-on-drop: killing a shard's connection mid-session must be
-/// transparent — the sharded client re-dials and the resubmitted
-/// partition returns byte-identical records (deterministic + cache-first).
+/// Another client connecting and hanging up between two passes leaves a
+/// sharded client's persistent connection serving: the second pass over
+/// the same socket returns byte-identical records. (The re-dial path is
+/// `sharded_client_redials_and_resubmits_only_the_interrupted_chunk`.)
 #[test]
 fn sharded_client_survives_a_dropped_connection() {
     let (dir, store) = temp_store("redial");
@@ -278,9 +283,8 @@ fn sharded_client_survives_a_dropped_connection() {
         .run_chunked(&specs, SubmitOptions::default())
         .expect("first pass");
 
-    // Second sharded client, dropped after its handshake, proves the
-    // server tears dead connections down; then the surviving client runs
-    // again — whatever happened to its socket in between, records match.
+    // A second sharded client, dropped after its handshake; then the
+    // first runs again on its own connection.
     drop(ShardedClient::connect(&addr).expect("transient client"));
     let second = client
         .run_chunked(&specs, SubmitOptions::default())
@@ -293,4 +297,102 @@ fn sharded_client_survives_a_dropped_connection() {
     }
     server.shutdown_and_join();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reconnect-on-drop: a read that dies mid-chunk costs the connection,
+/// not the sweep. The sharded client re-dials and resubmits only the
+/// interrupted chunk; the chunks already answered are not sent again.
+#[test]
+fn sharded_client_redials_and_resubmits_only_the_interrupted_chunk() {
+    let (dir, store) = temp_store("redial-chunk");
+    let server = Server::start(
+        ServeConfig {
+            store: Some(store),
+            workers: 2,
+            reactors: 1,
+            // Chunks of two specs: six specs are three chunks.
+            queue_capacity: 4,
+            ..ServeConfig::default()
+        },
+        Some("127.0.0.1:0"),
+        None,
+    )
+    .expect("bind");
+    let addr = server.tcp_addr().unwrap().to_string();
+    let specs: Vec<RunSpec> = (300..306).map(tiny_spec).collect();
+    let direct = Harness::new()
+        .with_config(MachineConfig::haswell())
+        .run_many(&specs);
+
+    // A chunk reads six frames: Accepted, Record + Progress per spec,
+    // BatchDone. The eighth read is the second chunk's first after its
+    // Accepted.
+    let plan = Arc::new(FaultPlan::new(0x2ed1).with_rule(
+        FaultSite::ClientRead,
+        FaultRule::always().after(7).max_fires(1),
+    ));
+    let mut client = ShardedClient::connect(&addr)
+        .expect("connect")
+        .with_fault_plan(Arc::clone(&plan));
+    let records = client
+        .run_chunked(&specs, SubmitOptions::default())
+        .expect("the dropped chunk is re-dialled and resubmitted");
+    assert_eq!(plan.fires(FaultSite::ClientRead), 1, "the read fault fired");
+    assert_eq!(records.len(), direct.len());
+    for (got, want) in records.iter().zip(&direct) {
+        assert_eq!(
+            serde_json::to_vec(got).unwrap(),
+            serde_json::to_vec(want).unwrap(),
+            "record diverges from the fault-free run for {}",
+            want.spec.label()
+        );
+    }
+
+    let stats = Client::connect(&addr)
+        .expect("connect")
+        .server_stats()
+        .expect("server stats");
+    assert_eq!(stats.executions, 6, "every spec executed exactly once");
+    assert_eq!(
+        stats.cache_hits + stats.dedup_hits,
+        2,
+        "only the interrupted chunk came back"
+    );
+    server.shutdown_and_join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An expired spec in a later chunk is reported by its index in the
+/// whole batch, not its index in the chunk.
+#[test]
+fn expired_indices_in_a_later_chunk_refer_to_the_batch() {
+    // One worker pops in admission order: the third pop is the second
+    // chunk's first spec, and the injected expiry sheds it.
+    let plan = Arc::new(FaultPlan::new(0xe1).with_rule(
+        FaultSite::DeadlineExpiry,
+        FaultRule::always().after(2).max_fires(1),
+    ));
+    let server = Server::start(
+        ServeConfig {
+            store: None,
+            workers: 1,
+            queue_capacity: 4,
+            faults: Some(Arc::clone(&plan)),
+            ..ServeConfig::default()
+        },
+        Some("127.0.0.1:0"),
+        None,
+    )
+    .expect("bind");
+    let addr = server.tcp_addr().unwrap().to_string();
+    let specs: Vec<RunSpec> = (400..404).map(tiny_spec).collect();
+    let err = ShardedClient::connect(&addr)
+        .expect("connect")
+        .run_chunked(&specs, SubmitOptions::default())
+        .expect_err("one spec was shed");
+    match err {
+        ClientError::Expired(indices) => assert_eq!(indices, vec![2]),
+        other => panic!("expected Expired, got {other:?}"),
+    }
+    server.shutdown_and_join();
 }

@@ -52,5 +52,5 @@ mod span;
 pub use fanout::FanoutRecorder;
 pub use hist::{bucket_bounds, HistBucket, HistogramSnapshot, LogHistogram, BUCKETS, SUBBUCKETS};
 pub use recorder::{LatencyMetric, Progress, Recorder, Sample};
-pub use sink::{install, installed, uninstall, TelemetrySink, SCHEMA_VERSION};
+pub use sink::{TelemetrySink, SCHEMA_VERSION};
 pub use span::{render_spans, reset_spans, span, span_records, SpanGuard, SpanRecord};

@@ -1,6 +1,5 @@
 //! The standard [`Recorder`] implementation: in-memory aggregation plus an
-//! optional JSONL event stream, and the process-global sink registry the
-//! harness binaries install into.
+//! optional JSONL event stream.
 
 use crate::{span_records, LatencyMetric, LogHistogram, Progress, Recorder, Sample};
 use parking_lot::Mutex;
@@ -8,7 +7,6 @@ use serde::{Serialize, Value};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// JSONL schema version emitted in the `meta` event and checked by the
 /// schema validator.
@@ -305,24 +303,6 @@ impl Recorder for TelemetrySink {
     }
 }
 
-static GLOBAL: Mutex<Option<Arc<TelemetrySink>>> = Mutex::new(None);
-
-/// Installs `sink` as the process-global telemetry sink, returning the
-/// previously installed one (if any).
-pub fn install(sink: Arc<TelemetrySink>) -> Option<Arc<TelemetrySink>> {
-    GLOBAL.lock().replace(sink)
-}
-
-/// The process-global sink, if one is installed.
-pub fn installed() -> Option<Arc<TelemetrySink>> {
-    GLOBAL.lock().clone()
-}
-
-/// Removes and returns the process-global sink.
-pub fn uninstall() -> Option<Arc<TelemetrySink>> {
-    GLOBAL.lock().take()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,20 +374,5 @@ mod tests {
             );
         }
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn global_install_roundtrip() {
-        let sink = Arc::new(TelemetrySink::new());
-        let prev = install(Arc::clone(&sink));
-        assert!(installed().is_some());
-        match prev {
-            Some(p) => {
-                install(p);
-            }
-            None => {
-                uninstall();
-            }
-        }
     }
 }
