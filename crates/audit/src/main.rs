@@ -1,7 +1,8 @@
 //! CLI entry point: `cargo run -p atscale-audit [workspace-root] [--report PATH]`.
 //!
-//! Exits non-zero when any rule reports a violation, so CI can gate on
-//! it. `--report PATH` additionally writes the machine-readable
+//! Exits 1 when any rule reports a violation or the workspace cannot be
+//! read, so CI can gate on it, and 2 with its usage on a bad command line.
+//! `--report PATH` additionally writes the machine-readable
 //! `analysis_report.json` (see [`atscale_audit::report`]).
 
 #![forbid(unsafe_code)]
@@ -18,16 +19,10 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--report" => match args.next() {
                 Some(p) => report_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("atscale-audit: --report requires a path");
-                    return ExitCode::FAILURE;
-                }
+                None => return usage("--report requires a path"),
             },
             _ if root.is_none() => root = Some(PathBuf::from(arg)),
-            _ => {
-                eprintln!("atscale-audit: unexpected argument `{arg}`");
-                return ExitCode::FAILURE;
-            }
+            _ => return usage(&format!("unexpected argument `{arg}`")),
         }
     }
     let root = root.unwrap_or_else(find_workspace_root);
@@ -78,6 +73,13 @@ fn main() -> ExitCode {
         println!("atscale-audit: OK");
         ExitCode::SUCCESS
     }
+}
+
+/// Reports a bad command line with the usage: exit 2.
+fn usage(problem: &str) -> ExitCode {
+    eprintln!("atscale-audit: {problem}");
+    eprintln!("usage: atscale-audit [workspace-root] [--report PATH]");
+    ExitCode::from(2)
 }
 
 /// Walks upward from the current directory to the first `Cargo.toml`

@@ -204,3 +204,30 @@ fn uncontained_compaction_is_caught() {
         .any(|v| v.rule == "panic-surface" && v.message.contains("`SegmentStore::compact`"));
     assert!(found, "panic-surface missed uncontained compaction");
 }
+
+#[test]
+fn the_cli_exits_2_on_a_bad_command_line_and_1_on_a_bad_root() {
+    let audit = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_atscale-audit"))
+            .args(args)
+            .output()
+            .expect("launch atscale-audit");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    for args in [&["--report"][..], &["a", "b"][..]] {
+        let (code, stderr) = audit(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: atscale-audit"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let missing =
+        std::env::temp_dir().join(format!("atscale-audit-missing-{}", std::process::id()));
+    let (code, stderr) = audit(&[missing.to_str().expect("UTF-8 temp dir")]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("cannot load workspace"), "{stderr}");
+}

@@ -4,16 +4,17 @@
 //! The daemon accepts [`RunSpec`](atscale::RunSpec) batches over
 //! newline-delimited JSON (TCP and/or a Unix socket), schedules them with
 //! single-flight deduplication and bounded admission, answers cache-first
-//! from a [`RunStore`](atscale::RunStore), and streams per-job telemetry
-//! (progress, interval samples) plus final records back to every
-//! subscribed client. Shutdown is graceful: in-flight work drains, every
-//! accepted batch is answered.
+//! from a [`RunStore`](atscale::RunStore), and streams final records back
+//! to every subscribed client, each with its progress event and, when
+//! asked for, its interval samples replayed from the record. Shutdown is
+//! graceful: in-flight work drains, every accepted batch is answered.
 //!
 //! Layering:
 //!
 //! - [`protocol`] — the wire frames (requests, replies, JSON-lines codec);
 //! - [`scheduler`] — single-flight dedup, admission control, deadlines,
-//!   drain;
+//!   drain, and delivery: every frame of a batch after `Accepted`,
+//!   samples included, is written by `Batch::resolve`;
 //! - [`server`] — endpoint binding, request dispatch, lifecycle;
 //! - [`sys`] — the raw epoll/eventfd syscall shim (the workspace's single
 //!   sanctioned-unsafe module);

@@ -3,10 +3,11 @@
 //! Every frame is one JSON object (or bare string for unit requests) on one
 //! line. Requests flow client → server, replies flow back; a connection
 //! carries any number of requests, and replies to a submission are
-//! *streamed* — progress, interval samples, then one record per spec as
-//! each completes, closed by a batch-done frame. Frames for concurrent
-//! requests on one connection are correlated by the client-chosen request
-//! `id`.
+//! *streamed*: `Accepted` first, then per spec as each completes — its
+//! interval samples when the submission asked for them, its record (or a
+//! deadline/failure frame), a progress event — closed by a batch-done
+//! frame. Frames for concurrent requests on one connection are correlated
+//! by the client-chosen request `id`.
 //!
 //! The enums serialize externally tagged (`{"Submit": {...}}`), matching
 //! the vendored serde derive; every variant must round-trip.
@@ -81,7 +82,8 @@ pub struct Submit {
     /// written back to the store unless the server runs cache-less).
     pub no_cache: bool,
     /// Interval-sampling cadence in retired instructions (0 = no sample
-    /// stream). Sampled series stream back as [`SampleEvent`] frames.
+    /// stream). Each delivered record's series streams back just before
+    /// it, as [`SampleEvent`] frames.
     pub sample_interval: u64,
 }
 
@@ -239,15 +241,17 @@ pub struct ProgressEvent {
     pub progress: Progress,
 }
 
-/// A streamed interval sample from a running job.
+/// One interval sample of a delivered record, replayed from the record
+/// in series order just before its [`RecordDone`] frame, for a submission
+/// that set [`Submit::sample_interval`]. Cached, fresh and `no_cache`
+/// records stream alike.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SampleEvent {
     /// Correlation id of the [`Submit`].
     pub id: u64,
     /// Label of the run the sample belongs to.
     pub run: String,
-    /// Measurement provenance (telemetry schema v3): `"sim"` for samples
-    /// streamed out of the daemon's workers.
+    /// Measurement provenance (telemetry schema v3): always `"sim"`.
     pub source: String,
     /// The sample payload (PR 2 telemetry schema).
     pub sample: Sample,

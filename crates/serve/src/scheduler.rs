@@ -15,11 +15,11 @@ use crate::protocol::{
     self, Accepted, BatchDone, DeadlineExceeded, JobFailed, Overloaded, ProgressEvent, Reply,
     SampleEvent, ServerStatsReply, Submit,
 };
-use atscale::{Harness, RunSpec, RunStore};
+use atscale::{Harness, RunRecord, RunSpec, RunStore};
 #[cfg(feature = "faults")]
 use atscale_faults::{FaultPlan, FaultRule, FaultSite};
 use atscale_mmu::{MachineConfig, TelemetryHandle};
-use atscale_telemetry::{FanoutRecorder, LatencyMetric, Progress, Recorder, Sample};
+use atscale_telemetry::{Progress, Sample};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -126,6 +126,9 @@ pub(crate) struct Batch {
     sink: Arc<dyn ReplySink>,
     id: u64,
     total: usize,
+    /// Whether the submission asked for samples: each delivered record is
+    /// then preceded by its sampled series, one `Sample` frame apiece.
+    sampled: bool,
     delivered: AtomicUsize,
     expired: AtomicUsize,
     failed: AtomicUsize,
@@ -134,18 +137,19 @@ pub(crate) struct Batch {
     announced: AtomicUsize,
     /// Set once the `Accepted` frame has been written. Workers delivering
     /// this batch's frames wait on it, so a cache-hit resolving faster
-    /// than the admission path cannot reorder `Record` before `Accepted`
-    /// on the connection.
+    /// than the admission path cannot put any frame before `Accepted` on
+    /// the connection.
     ready: Mutex<bool>,
     ready_cv: Condvar,
 }
 
 impl Batch {
-    fn new(sink: Arc<dyn ReplySink>, id: u64, total: usize) -> Batch {
+    fn new(sink: Arc<dyn ReplySink>, req: &Submit) -> Batch {
         Batch {
             sink,
-            id,
-            total,
+            id: req.id,
+            total: req.specs.len(),
+            sampled: req.sample_interval > 0,
             delivered: AtomicUsize::new(0),
             expired: AtomicUsize::new(0),
             failed: AtomicUsize::new(0),
@@ -181,10 +185,13 @@ impl Batch {
         }
     }
 
-    /// Streams the frames resolving spec `index`, then `BatchDone` once
-    /// every spec of the batch is resolved. An expiry is counted into
-    /// `stats` before its frame goes out, so a client that has read the
-    /// frame never sees the counter lag behind it.
+    /// Streams the frames resolving spec `index` — for a sampled batch, a
+    /// delivered record's samples first, replayed from the record as the
+    /// harness replays them — then `BatchDone` once every spec of the
+    /// batch is resolved. This is the only code that writes a batch's
+    /// frames after `Accepted`, and it waits for that frame first. An
+    /// expiry is counted into `stats` before its frame goes out, so a
+    /// client that has read the frame never sees the counter lag behind it.
     fn resolve(&self, sub: &Subscriber, outcome: &JobOutcome, stats: &ServeStats) {
         self.wait_ready();
         let now = Instant::now();
@@ -206,6 +213,19 @@ impl Batch {
             }
             (None, Some(record)) if sub.deadline.is_none_or(|d| now <= d) => {
                 self.delivered.fetch_add(1, Ordering::SeqCst);
+                if self.sampled {
+                    for sample in &outcome.samples {
+                        send_reply(
+                            &*self.sink,
+                            &Reply::Sample(SampleEvent {
+                                id: self.id,
+                                run: label.clone(),
+                                source: "sim".to_string(),
+                                sample: sample.clone(),
+                            }),
+                        );
+                    }
+                }
                 protocol::encode_record(
                     self.id,
                     sub.index,
@@ -267,45 +287,14 @@ struct Subscriber {
     deduped: bool,
 }
 
-/// Forwards one subscriber's share of a running job's telemetry as
-/// protocol frames ([`SampleEvent`]s).
-struct SubscriberRecorder {
-    sink: Arc<dyn ReplySink>,
-    id: u64,
-}
-
-impl Recorder for SubscriberRecorder {
-    fn sample(&self, run: &str, sample: &Sample) {
-        send_reply(
-            &*self.sink,
-            &Reply::Sample(SampleEvent {
-                id: self.id,
-                run: run.to_string(),
-                source: "sim".to_string(),
-                sample: sample.clone(),
-            }),
-        );
-    }
-
-    fn latency(&self, _metric: LatencyMetric, _value: u64) {}
-
-    fn progress(&self, _event: &Progress) {}
-}
-
 /// One unique unit of simulation work and everyone waiting on it.
 struct Job {
     spec: RunSpec,
     subscribers: Vec<Subscriber>,
-    /// Live telemetry router: subscribers requesting samples attach here.
-    /// Attaching while the job is still queued takes full effect; attaching
-    /// after execution started only yields samples if the job began with
-    /// sampling enabled (the worker decides once, at start, whether to
-    /// build a telemetry handle — a late attach to a no-telemetry job sees
-    /// nothing, it cannot retroactively enable sampling).
-    fanout: Arc<FanoutRecorder>,
     /// Widest sampling cadence requested by any subscriber (0 = none).
-    /// Snapshotted when a worker pops the job; updates after that point
-    /// (late coalescers) are ignored for the already-running execution.
+    /// Read once, when a worker pops the job: a sampled subscriber that
+    /// coalesces onto a job already running without sampling gets its
+    /// record and no samples.
     sample_interval: u64,
 }
 
@@ -315,12 +304,28 @@ struct JobOutcome {
     spec: RunSpec,
     /// The record's JSON, as the run store holds it.
     record: Option<Vec<u8>>,
+    /// The record's sampled series, taken for a sampling job only.
+    samples: Vec<Sample>,
     /// The contained panic message when the job's worker panicked;
     /// `None` record + `None` error means the job was shed (all
     /// subscribers expired).
     error: Option<String>,
     cached: bool,
     wall_ms: u64,
+}
+
+impl JobOutcome {
+    /// A record-less outcome: a shed job (`error` is `None`) or a failed one.
+    fn unanswered(spec: RunSpec, error: Option<String>, wall_ms: u64) -> JobOutcome {
+        JobOutcome {
+            spec,
+            record: None,
+            samples: Vec::new(),
+            error,
+            cached: false,
+            wall_ms,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -474,7 +479,7 @@ impl Scheduler {
             });
         }
         // Second pass: subscribe every spec.
-        let batch = Arc::new(Batch::new(Arc::clone(&sink), req.id, req.specs.len()));
+        let batch = Arc::new(Batch::new(sink, req));
         let mut enqueued = 0u64;
         let mut deduped = 0u64;
         for (index, (spec, key)) in req.specs.iter().zip(batch_keys).enumerate() {
@@ -482,7 +487,6 @@ impl Scheduler {
             let job = state.jobs.entry(key.clone()).or_insert_with(|| Job {
                 spec: *spec,
                 subscribers: Vec::new(),
-                fanout: Arc::new(FanoutRecorder::new()),
                 sample_interval: 0,
             });
             job.subscribers.push(Subscriber {
@@ -491,13 +495,7 @@ impl Scheduler {
                 deadline,
                 deduped: existed,
             });
-            if req.sample_interval > 0 {
-                job.sample_interval = job.sample_interval.max(req.sample_interval);
-                job.fanout.attach(Arc::new(SubscriberRecorder {
-                    sink: Arc::clone(&sink),
-                    id: req.id,
-                }));
-            }
+            job.sample_interval = job.sample_interval.max(req.sample_interval);
             if existed {
                 deduped += 1;
                 self.stats.dedup_hits.fetch_add(1, Ordering::SeqCst);
@@ -588,13 +586,7 @@ impl Scheduler {
                 };
                 job = shed;
                 drop(state);
-                outcome = JobOutcome {
-                    spec: job.spec,
-                    record: None,
-                    error: None,
-                    cached: false,
-                    wall_ms: 0,
-                };
+                outcome = JobOutcome::unanswered(job.spec, None, 0);
             } else {
                 // Snapshot what execution needs; the job stays in the map
                 // so single-flight covers running jobs too. Presence is
@@ -606,7 +598,6 @@ impl Scheduler {
                     continue;
                 };
                 let spec = queued.spec;
-                let fanout = Arc::clone(&queued.fanout);
                 let sample_interval = queued.sample_interval;
                 drop(state);
 
@@ -617,11 +608,11 @@ impl Scheduler {
                 // the worker thread and strand the single-flight entry
                 // (which would wedge every coalesced subscriber forever).
                 let execution = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.execute(&spec, &key, &fanout, sample_interval)
+                    self.execute(&spec, &key, sample_interval)
                 }));
                 let wall_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
                 outcome = match execution {
-                    Ok((record, cached)) => {
+                    Ok((record, samples, cached)) => {
                         if cached {
                             self.stats.cache_hits.fetch_add(1, Ordering::SeqCst);
                         } else {
@@ -630,6 +621,7 @@ impl Scheduler {
                         JobOutcome {
                             spec,
                             record: Some(record),
+                            samples,
                             error: None,
                             cached,
                             wall_ms,
@@ -637,13 +629,7 @@ impl Scheduler {
                     }
                     Err(panic) => {
                         self.stats.failed.fetch_add(1, Ordering::SeqCst);
-                        JobOutcome {
-                            spec,
-                            record: None,
-                            error: Some(panic_message(panic.as_ref())),
-                            cached: false,
-                            wall_ms,
-                        }
+                        JobOutcome::unanswered(spec, Some(panic_message(panic.as_ref())), wall_ms)
                     }
                 };
                 // Only the popping worker removes the key it popped, so
@@ -672,40 +658,43 @@ impl Scheduler {
     }
 
     /// Executes the job under `key` (its [`Scheduler::job_key`]) and
-    /// returns the record's JSON and whether it was a cache hit:
-    /// cache-first through the harness, or fresh with a write-back when
-    /// the submission bypassed the cache.
+    /// returns the record's JSON, its samples when `sample_interval` asks
+    /// for them, and whether it was a cache hit: cache-first through the
+    /// harness, or fresh with a write-back when the submission bypassed
+    /// the cache.
     fn execute(
         &self,
         spec: &RunSpec,
         key: &str,
-        fanout: &Arc<FanoutRecorder>,
         sample_interval: u64,
-    ) -> (Vec<u8>, bool) {
+    ) -> (Vec<u8>, Vec<Sample>, bool) {
         #[cfg(feature = "faults")]
         if self.fault(FaultSite::WorkerPanic).is_some() {
             panic!("injected fault: WorkerPanic mid-job");
         }
-        let telemetry = (fanout.target_count() > 0 || sample_interval > 0).then(|| {
-            TelemetryHandle::new(Arc::clone(fanout) as Arc<dyn Recorder>, sample_interval)
-        });
+        let telemetry =
+            (sample_interval > 0).then(|| TelemetryHandle::sampling_only(sample_interval));
         if let Some(store_key) = key.strip_suffix(FRESH) {
-            let record =
+            let mut record =
                 atscale::execute_run_with_telemetry(spec, &self.config.machine, telemetry.as_ref());
             let json = serde_json::to_vec(&record).expect("records serialize");
             if let Some(store) = &self.config.store {
                 let _ = store.save_encoded(store_key, &record, &json);
             }
-            return (json, false);
+            return (json, std::mem::take(&mut record.result.samples), false);
         }
-        match telemetry {
-            Some(handle) => self
-                .harness
-                .clone()
-                .with_telemetry(handle)
-                .run_json(spec, key),
-            None => self.harness.run_json(spec, key),
-        }
+        let Some(handle) = telemetry else {
+            let (json, cached) = self.harness.run_json(spec, key);
+            return (json, Vec::new(), cached);
+        };
+        let (json, cached) = self
+            .harness
+            .clone()
+            .with_telemetry(handle)
+            .run_json(spec, key);
+        // A sampling harness parsed or serialised these bytes itself.
+        let record: RunRecord = serde_json::from_slice(&json).expect("sampled records parse");
+        (json, record.result.samples, cached)
     }
 
     /// Begins draining: new submissions are rejected, queued and running

@@ -3,12 +3,14 @@
 //! relies on — a spliced frame is byte-identical to the typed frame, a
 //! store written through `RunStore::save` is served with hits only, a
 //! corrupt row is re-executed rather than spliced, and requests that need
-//! the record itself (sampling) or no cache at all still get it.
+//! the record itself (sampling) or no cache at all still get it — a
+//! sampled one with its series streamed as `Sample` frames.
 
 use atscale::{ArchKind, Harness, RunRecord, RunSpec, RunStore, SweepConfig};
 use atscale_mmu::MachineConfig;
 use atscale_serve::protocol::{encode, encode_record, RecordDone, Reply, ServerStatsReply};
 use atscale_serve::{Client, ServeConfig, Server, SubmitOptions};
+use atscale_telemetry::Sample;
 use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
 use std::path::{Path, PathBuf};
@@ -199,36 +201,76 @@ fn no_cache_and_sampling_requests_still_get_their_record() {
     }];
     let direct = serde_json::to_vec(&atscale::execute_run(&spec[0], &MachineConfig::haswell()))
         .expect("serializes");
+    let label = spec[0].label();
     let mut run = |opts: SubmitOptions| {
-        let records = client.run_many(&spec, opts).expect("resolves");
+        let mut streamed = Vec::new();
+        let records = client
+            .run_many_with(&spec, opts, |reply| {
+                if let Reply::Sample(event) = reply {
+                    assert_eq!(
+                        (event.run.as_str(), event.source.as_str()),
+                        (&*label, "sim")
+                    );
+                    streamed.push(event.sample.clone());
+                }
+            })
+            .expect("resolves");
         let stats = client.server_stats().expect("server stats");
-        (records, (stats.executions, stats.cache_hits))
+        (records, (stats.executions, stats.cache_hits), streamed)
+    };
+    // The series a sampled request streams is its record's, in order.
+    let replayed = |records: &[RunRecord], streamed: &[Sample]| {
+        assert!(!streamed.is_empty(), "a sampled request streams samples");
+        assert_eq!(streamed, records[0].result.samples.as_slice());
     };
 
     let fresh = SubmitOptions {
         no_cache: true,
         ..SubmitOptions::default()
     };
-    let (records, counts) = run(fresh);
+    let (records, counts, streamed) = run(fresh);
     assert_eq!(serde_json::to_vec(&records[0]).expect("serializes"), direct);
     assert_eq!(counts, (1, 0));
-    let (records, counts) = run(SubmitOptions::default());
+    assert!(
+        streamed.is_empty(),
+        "an unsampled request streams no samples"
+    );
+    let (records, counts, streamed) = run(SubmitOptions::default());
     assert_eq!(serde_json::to_vec(&records[0]).expect("serializes"), direct);
     assert_eq!(counts, (1, 1), "no_cache wrote back under the store key");
+    assert!(
+        streamed.is_empty(),
+        "an unsampled request streams no samples"
+    );
 
     let sampling = SubmitOptions {
         sample_interval: 5_000,
         ..SubmitOptions::default()
     };
-    let (records, counts) = run(sampling);
+    let (records, counts, streamed) = run(sampling);
     assert!(!records[0].result.samples.is_empty());
     assert_eq!(counts, (2, 1), "a sample-less hit cannot answer it");
-    let (again, counts) = run(sampling);
+    replayed(&records, &streamed);
+    let (again, counts, streamed) = run(sampling);
     assert_eq!(counts, (2, 2), "the sampled record replaced the row");
     assert_eq!(
         serde_json::to_vec(&again[0]).expect("serializes"),
         serde_json::to_vec(&records[0]).expect("serializes")
     );
+    replayed(&again, &streamed);
+
+    // A sampled `no_cache` request executes afresh and still streams the
+    // series: nothing replays it on the way to the store.
+    let (fresh_sampled, counts, streamed) = run(SubmitOptions {
+        no_cache: true,
+        ..sampling
+    });
+    assert_eq!(counts, (3, 2));
+    assert_eq!(
+        serde_json::to_vec(&fresh_sampled[0]).expect("serializes"),
+        serde_json::to_vec(&records[0]).expect("serializes")
+    );
+    replayed(&fresh_sampled, &streamed);
 
     server.shutdown_and_join();
     let _ = std::fs::remove_dir_all(&dir);

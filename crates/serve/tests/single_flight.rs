@@ -255,28 +255,38 @@ fn stress_overlapping_batches_share_executions_and_leave_no_droppings() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Holds the first `Progress` frame it is handed until released, so a test
-/// can park one worker between counting its spec and announcing it.
-#[derive(Default)]
-struct HoldFirstProgress {
+/// Holds the first frame `holds` matches until released, so a test can
+/// park the thread sending it — a worker between counting its spec and
+/// announcing it, or a submission between admission and `Accepted`.
+struct HoldFirst {
     frames: Collector,
-    seen_progress: AtomicBool,
+    holds: fn(&Reply) -> bool,
+    seen: AtomicBool,
     released: Mutex<bool>,
     release_cv: Condvar,
 }
 
-impl HoldFirstProgress {
+impl HoldFirst {
+    fn new(holds: fn(&Reply) -> bool) -> HoldFirst {
+        HoldFirst {
+            frames: Collector::default(),
+            holds,
+            seen: AtomicBool::new(false),
+            released: Mutex::new(false),
+            release_cv: Condvar::new(),
+        }
+    }
+
     fn release(&self) {
         *self.released.lock().unwrap() = true;
         self.release_cv.notify_all();
     }
 }
 
-impl ReplySink for HoldFirstProgress {
+impl ReplySink for HoldFirst {
     fn send(&self, frame: &[u8]) {
-        let first_progress = matches!(decode(frame), Reply::Progress(_))
-            && !self.seen_progress.swap(true, Ordering::SeqCst);
-        if first_progress {
+        let first = (self.holds)(&decode(frame)) && !self.seen.swap(true, Ordering::SeqCst);
+        if first {
             let mut released = self.released.lock().unwrap();
             while !*released {
                 released = self.release_cv.wait(released).unwrap();
@@ -299,7 +309,7 @@ fn no_frame_trails_batch_done() {
         ..ServeConfig::default()
     }));
     let workers = spawn_workers(&scheduler);
-    let sink = Arc::new(HoldFirstProgress::default());
+    let sink = Arc::new(HoldFirst::new(|r| matches!(r, Reply::Progress(_))));
     scheduler.submit(
         &Submit {
             id: 1,
@@ -330,4 +340,60 @@ fn no_frame_trails_batch_done() {
         .filter(|r| matches!(r, Reply::Progress(_)))
         .count();
     assert_eq!(progress, 2);
+}
+
+/// A sampled batch's frames follow `Accepted`: while the submission is
+/// parked before writing `Accepted`, the worker executes the job but
+/// writes nothing, and the samples come out of the record at delivery.
+#[test]
+fn no_frame_precedes_accepted() {
+    let scheduler = Arc::new(Scheduler::new(ServeConfig {
+        store: None,
+        workers: 1,
+        ..ServeConfig::default()
+    }));
+    let workers = spawn_workers(&scheduler);
+    let sink = Arc::new(HoldFirst::new(|r| matches!(r, Reply::Accepted(_))));
+    let submitter = {
+        let scheduler = Arc::clone(&scheduler);
+        let sink = Arc::clone(&sink);
+        std::thread::spawn(move || {
+            scheduler.submit(
+                &Submit {
+                    id: 1,
+                    specs: vec![spec(16, 7)],
+                    deadline_ms: None,
+                    no_cache: false,
+                    sample_interval: 5_000,
+                },
+                sink as Arc<dyn ReplySink>,
+            );
+        })
+    };
+    while scheduler.stats_reply().executions < 1 {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    sink.release();
+    submitter.join().unwrap();
+    sink.frames.wait_batch_done();
+    stop(&scheduler, workers);
+
+    let replies = sink.frames.replies.lock().unwrap().clone();
+    let kinds: Vec<&str> = replies
+        .iter()
+        .map(|r| match r {
+            Reply::Accepted(_) => "Accepted",
+            Reply::Sample(_) => "Sample",
+            Reply::Record(_) => "Record",
+            Reply::Progress(_) => "Progress",
+            Reply::BatchDone(_) => "BatchDone",
+            _ => "other",
+        })
+        .collect();
+    let samples = kinds.iter().filter(|k| **k == "Sample").count();
+    assert!(samples > 0, "a sampled request streams samples: {kinds:?}");
+    let mut expected = vec!["Accepted"];
+    expected.extend(std::iter::repeat_n("Sample", samples));
+    expected.extend(["Record", "Progress", "BatchDone"]);
+    assert_eq!(kinds, expected);
 }

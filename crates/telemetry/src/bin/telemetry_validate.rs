@@ -1,9 +1,10 @@
 //! CLI JSONL schema validator: `telemetry_validate <stream.jsonl>...`.
 //!
 //! Reports **every** schema violation in each stream (not just the first)
-//! and exits non-zero if any stream has one, so CI can gate the telemetry
-//! smoke jobs on emitted streams staying well-formed, and a schema diff is
-//! debuggable in a single run.
+//! and exits 1 if any stream has one or cannot be read, so CI can gate the
+//! telemetry smoke jobs on emitted streams staying well-formed, and a
+//! schema diff is debuggable in a single run. No path at all is a bad
+//! command line: usage, exit 2.
 
 #![forbid(unsafe_code)]
 
@@ -15,7 +16,7 @@ fn main() -> ExitCode {
     let paths: Vec<String> = std::env::args().skip(1).collect();
     if paths.is_empty() {
         eprintln!("usage: telemetry_validate <stream.jsonl>...");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     }
     let mut failed = false;
     for path in &paths {

@@ -42,14 +42,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod fanout;
 mod hist;
 mod recorder;
 pub mod schema;
 mod sink;
 mod span;
 
-pub use fanout::FanoutRecorder;
 pub use hist::{bucket_bounds, HistBucket, HistogramSnapshot, LogHistogram, BUCKETS, SUBBUCKETS};
 pub use recorder::{LatencyMetric, Progress, Recorder, Sample};
 pub use sink::{TelemetrySink, SCHEMA_VERSION};

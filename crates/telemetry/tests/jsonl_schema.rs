@@ -184,3 +184,35 @@ fn sample_events_preserve_emission_order() {
         "rates reordered in {sample_line}"
     );
 }
+
+#[test]
+fn the_validator_exits_2_on_a_bad_command_line_and_1_on_a_bad_stream() {
+    let validate = |args: &[&std::path::Path]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_telemetry_validate"))
+            .args(args)
+            .output()
+            .expect("launch telemetry_validate");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (code, stderr) = validate(&[]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("usage: telemetry_validate"), "{stderr}");
+
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let good = dir.join(format!("atscale-validate-good-{pid}.jsonl"));
+    let bad = dir.join(format!("atscale-validate-bad-{pid}.jsonl"));
+    let missing = dir.join(format!("atscale-validate-missing-{pid}.jsonl"));
+    std::fs::write(&good, generate_stream()).unwrap();
+    std::fs::write(&bad, "{\"type\":\"sample\"\n").unwrap();
+    assert_eq!(validate(&[&good]).0, Some(0));
+    let (code, stderr) = validate(&[&good, &bad]);
+    assert_eq!(code, Some(1), "an invalid stream: {stderr}");
+    let (code, stderr) = validate(&[&missing]);
+    assert_eq!(code, Some(1), "an unreadable stream: {stderr}");
+    let _ = std::fs::remove_file(&good);
+    let _ = std::fs::remove_file(&bad);
+}
