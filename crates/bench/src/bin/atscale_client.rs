@@ -8,7 +8,6 @@
 //!   sweep                 run the fig1-style footprint sweep through the
 //!                         daemon (records identical to the in-process
 //!                         harness) and print the overhead table
-//!   cache-stats           run-cache occupancy
 //!   server-stats          scheduler counters
 //!   query                 aggregate statistics (count, mean/p50/p99 WCPI,
 //!                         fitted β/c) from the segment store's online
@@ -69,13 +68,12 @@ struct Options {
 }
 
 const USAGE: &str = "usage: atscale-client [--connect TARGET] \
-                     (ping|sweep|cache-stats|server-stats|query|compact|seg-stats|shutdown) \
+                     (ping|sweep|server-stats|query|compact|seg-stats|shutdown) \
                      [sweep/query options]";
 
-const COMMANDS: [&str; 8] = [
+const COMMANDS: [&str; 7] = [
     "ping",
     "sweep",
-    "cache-stats",
     "server-stats",
     "query",
     "compact",
@@ -368,14 +366,6 @@ fn run(opts: &Options) -> Result<(), String> {
             );
             Ok(())
         }
-        "cache-stats" => {
-            let stats = client.cache_stats().map_err(|e| e.to_string())?;
-            println!(
-                "run cache: {} entries, {} bytes, {} tmp droppings, {} quarantined",
-                stats.entries, stats.bytes, stats.tmp_files, stats.corrupt_files
-            );
-            Ok(())
-        }
         "server-stats" => {
             let s = client.server_stats().map_err(|e| e.to_string())?;
             println!(
@@ -397,31 +387,12 @@ fn run(opts: &Options) -> Result<(), String> {
         "query" => run_query(&mut client, opts),
         "compact" => {
             let c = client.compact().map_err(|e| e.to_string())?;
-            println!(
-                "compacted: {} -> {} segments | {} live rows kept, {} dead dropped | \
-                 {} -> {} bytes",
-                c.segments_before,
-                c.segments_after,
-                c.live_rows,
-                c.dead_rows_dropped,
-                c.bytes_before,
-                c.bytes_after
-            );
+            println!("compacted: {c}");
             Ok(())
         }
         "seg-stats" => {
             let s = client.seg_stats().map_err(|e| e.to_string())?;
-            println!(
-                "segment store: {} segments ({} rows) + {} WAL rows | {} live, {} dead | \
-                 {} bytes on disk | {} quarantined",
-                s.segments,
-                s.segment_rows,
-                s.wal_rows,
-                s.live_rows,
-                s.dead_rows,
-                s.disk_bytes,
-                s.quarantined
-            );
+            println!("segment store: {s}");
             Ok(())
         }
         "shutdown" => {

@@ -5,15 +5,14 @@
 //! store_compact [--dir DIR] [--verify] [--stats-out PATH]
 //! ```
 //!
-//! Opens `DIR` (default: the store `atscale run` fills,
-//! `$ATSCALE_RESULTS/runs`, or `results/runs`) — which, like every open,
-//! folds any legacy per-file `.json` records into the segment store with
-//! their keys and raw bytes preserved exactly — then compacts. With `--verify`,
-//! the store's online aggregates are diffed against a recomputation from
-//! the raw records both before and after compaction; any mismatch is a
-//! hard failure. `--stats-out` writes the final segment-store occupancy
-//! as JSON (the CI results-smoke artifact). A bad command line prints the
-//! usage and exits 2; a failure at run time exits 1.
+//! Opens the segment store under `DIR` (default: the store `atscale run`
+//! fills, `$ATSCALE_RESULTS/runs`, or `results/runs`), then compacts.
+//! With `--verify`, the store's online aggregates are diffed against a
+//! recomputation from the raw records both before and after compaction;
+//! a mismatch, or a stored record that does not parse, is a failure.
+//! `--stats-out` writes the final segment-store occupancy as JSON (the CI
+//! results-smoke artifact). A bad command line prints the usage and exits
+//! 2; a failure at run time exits 1.
 
 use atscale::results::{AggState, QueryFilter};
 use atscale::{hot_row, RunRecord, RunStore};
@@ -61,12 +60,22 @@ fn parse_args() -> Result<Options, String> {
 fn verify(store: &RunStore, phase: &str) -> Result<(), String> {
     let mut recomputed = AggState::new();
     let mut rows = 0u64;
+    let mut unparsed = None;
     store.for_each_live_record(|key, _hot, raw| {
-        let record: RunRecord = serde_json::from_slice(&raw)
-            .unwrap_or_else(|e| panic!("stored record {key} does not parse: {e}"));
-        recomputed.add(&hot_row(&record));
-        rows += 1;
+        if unparsed.is_some() {
+            return;
+        }
+        match serde_json::from_slice::<RunRecord>(&raw) {
+            Ok(record) => {
+                recomputed.add(&hot_row(&record));
+                rows += 1;
+            }
+            Err(e) => unparsed = Some(format!("{phase}: stored record {key} does not parse: {e}")),
+        }
     });
+    if let Some(e) = unparsed {
+        return Err(e);
+    }
     let all = QueryFilter::default();
     let want = recomputed.query(&all);
     let got = store.query(&all);
@@ -87,11 +96,7 @@ fn run(opts: &Options) -> Result<(), String> {
     });
     let store = RunStore::open(dir).map_err(|e| format!("cannot open store: {e}"))?;
 
-    println!(
-        "opened: {} live row(s), {} legacy record(s) migrated by this open",
-        store.seg_stats().live_rows,
-        store.migrated()
-    );
+    println!("opened: {} live row(s)", store.seg_stats().live_rows);
     if opts.verify {
         verify(&store, "pre-compact")?;
     }
@@ -99,31 +104,13 @@ fn run(opts: &Options) -> Result<(), String> {
     let compacted = store
         .compact()
         .map_err(|e| format!("compaction failed: {e}"))?;
-    println!(
-        "compacted: {} -> {} segments | {} live rows kept, {} dead dropped | {} -> {} bytes",
-        compacted.segments_before,
-        compacted.segments_after,
-        compacted.live_rows,
-        compacted.dead_rows_dropped,
-        compacted.bytes_before,
-        compacted.bytes_after
-    );
+    println!("compacted: {compacted}");
     if opts.verify {
         verify(&store, "post-compact")?;
     }
 
     let stats = store.seg_stats();
-    println!(
-        "segment store: {} segments ({} rows) + {} WAL rows | {} live, {} dead | \
-         {} bytes on disk | {} quarantined",
-        stats.segments,
-        stats.segment_rows,
-        stats.wal_rows,
-        stats.live_rows,
-        stats.dead_rows,
-        stats.disk_bytes,
-        stats.quarantined
-    );
+    println!("segment store: {stats}");
     if let Some(path) = &opts.stats_out {
         let text = serde_json::to_string(&stats).expect("seg stats serialize");
         std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;

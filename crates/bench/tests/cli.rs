@@ -1,9 +1,11 @@
 //! The `atscale`, `loadgen`, `atscale-client` and `store_compact` command
 //! lines, driven as child processes: what `atscale` lists, how each
-//! rejects what it does not know (usage, exit 2), that
+//! rejects what it does not know (usage, exit 2), that `store_compact
+//! --verify` fails a bad row with exit 1, that
 //! `--progress` prints with telemetry on, and that every ablation's
 //! telemetry stream carries the samples of the runs it made.
 
+use atscale::results::{HotRow, SegmentStore};
 use atscale_bench::experiments::REGISTRY;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -66,6 +68,44 @@ fn client_and_store_compact_reject_bad_command_lines_with_usage_and_exit_2() {
         assert!(stderr.contains(complaint), "{bin} {args:?}: {stderr}");
         assert!(stderr.contains(usage), "{bin} {args:?}: {stderr}");
     }
+}
+
+/// A live row whose JSON is not a record fails `--verify` as a run-time
+/// failure — exit 1, naming the row's key — not a panic.
+#[test]
+fn store_compact_verify_fails_on_an_unparseable_row_with_exit_1() {
+    let dir = scratch("verify-unparsed");
+    let key = "00000000deadbeef";
+    let hot = HotRow {
+        workload: "cc-urand".to_string(),
+        footprint_mb: 16,
+        page_size: "4K".to_string(),
+        seed: 1,
+        source: "sim".to_string(),
+        arch: "baseline".to_string(),
+        wcpi_fp: 0,
+        x_fp: 0,
+        walk_duration_cycles: 0,
+        inst_retired: 1,
+        cycles: 1,
+        walks_initiated: 0,
+        walks_completed: 0,
+        walks_retired: 0,
+    };
+    SegmentStore::open(dir.join("segments"))
+        .expect("open segment store")
+        .append(key, hot, b"{\"not\":1}")
+        .expect("seed a row");
+    let out = Command::new(env!("CARGO_BIN_EXE_store_compact"))
+        .arg("--dir")
+        .arg(&dir)
+        .arg("--verify")
+        .output()
+        .expect("launch store_compact");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(key), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

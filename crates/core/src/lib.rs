@@ -63,7 +63,7 @@ pub use run::{execute_run, execute_run_reference, execute_run_with_telemetry, Ru
 /// `atscale-mmu` dependency.
 pub use atscale_mmu::ArchKind;
 pub use scaling::{fit_overhead_scaling, ScalingFit};
-pub use store::{hot_row, RunStore, StoreStats};
+pub use store::{hot_row, RunStore};
 
 // The full stack, re-exported so examples and the bench harness can depend
 // on `atscale` alone.

@@ -349,6 +349,27 @@ pub struct SegStats {
     pub disk_bytes: u64,
     /// Corrupt files or torn WAL tails quarantined since open.
     pub quarantined: u64,
+    /// `*.tmp` droppings of crashed writes removed at open; a healthy
+    /// store reports none.
+    pub tmp_files: u64,
+}
+
+impl std::fmt::Display for SegStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} segments ({} rows) + {} WAL rows | {} live, {} dead | {} bytes on disk | \
+             {} quarantined, {} tmp droppings",
+            self.segments,
+            self.segment_rows,
+            self.wal_rows,
+            self.live_rows,
+            self.dead_rows,
+            self.disk_bytes,
+            self.quarantined,
+            self.tmp_files
+        )
+    }
 }
 
 /// What a `Compact` did (wire type).
@@ -367,6 +388,21 @@ pub struct CompactStats {
     pub bytes_before: u64,
     /// On-disk bytes after.
     pub bytes_after: u64,
+}
+
+impl std::fmt::Display for CompactStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} -> {} segments | {} live rows kept, {} dead dropped | {} -> {} bytes",
+            self.segments_before,
+            self.segments_after,
+            self.live_rows,
+            self.dead_rows_dropped,
+            self.bytes_before,
+            self.bytes_after
+        )
+    }
 }
 
 #[cfg(test)]

@@ -74,6 +74,7 @@ struct Inner {
     live: AggState,
     dead_rows: u64,
     quarantined: u64,
+    tmp_files: u64,
     seal_threshold: usize,
 }
 
@@ -117,7 +118,6 @@ impl Inner {
 pub struct SegmentStore {
     dir: PathBuf,
     inner: Mutex<Inner>,
-    tmp_collected: u64,
     #[cfg(feature = "faults")]
     faults: Mutex<Option<std::sync::Arc<FaultPlan>>>,
 }
@@ -152,19 +152,19 @@ impl SegmentStore {
             live: AggState::new(),
             dead_rows: 0,
             quarantined: 0,
+            tmp_files: 0,
             seal_threshold: DEFAULT_SEAL_THRESHOLD,
         };
         // Sealed segments, in id order. One owner per directory, so any
         // `*.tmp` here is the dropping of a write that crashed: removed.
         let mut seg_paths: Vec<(u64, PathBuf)> = Vec::new();
-        let mut tmp_collected = 0;
         for entry in fs::read_dir(&dir)?.filter_map(Result::ok) {
             let path = entry.path();
             if let Some(id) = segment_id(&path) {
                 seg_paths.push((id, path));
             } else if path.extension().is_some_and(|x| x == "tmp") && fs::remove_file(&path).is_ok()
             {
-                tmp_collected += 1;
+                inner.tmp_files += 1;
             }
         }
         seg_paths.sort();
@@ -216,7 +216,6 @@ impl SegmentStore {
         Ok(SegmentStore {
             dir,
             inner: Mutex::new(inner),
-            tmp_collected,
             #[cfg(feature = "faults")]
             faults: Mutex::new(None),
         })
@@ -329,11 +328,6 @@ impl SegmentStore {
         lz::decompress(inner.raw_at(loc)).ok()
     }
 
-    /// Whether `key` has a live row.
-    pub fn contains(&self, key: &str) -> bool {
-        self.guard().index.contains_key(key)
-    }
-
     /// Number of live (distinct-key) rows.
     pub fn live_len(&self) -> u64 {
         self.guard().index.len() as u64
@@ -369,13 +363,29 @@ impl SegmentStore {
             }
         }
         inner.segments.push(seg);
+        self.clear_wal(inner)
+    }
+
+    /// Empties the WAL in memory and on disk — also when this handle has
+    /// appended nothing yet and so holds no open WAL file, as after an
+    /// open that found WAL rows.
+    fn clear_wal(&self, inner: &mut Inner) -> std::io::Result<()> {
+        let on_disk = inner.wal_bytes > 0;
         inner.wal.clear();
         inner.wal_bytes = 0;
-        if let Some(file) = &inner.wal_file {
-            file.set_len(0)?;
-            file.sync_all()?;
-        }
-        Ok(())
+        let opened;
+        let file = match &inner.wal_file {
+            Some(file) => file,
+            None if on_disk => {
+                opened = fs::OpenOptions::new()
+                    .write(true)
+                    .open(self.dir.join(WAL_NAME))?;
+                &opened
+            }
+            None => return Ok(()),
+        };
+        file.set_len(0)?;
+        file.sync_all()
     }
 
     /// Writes the parallel row vectors as sealed segment `id`.
@@ -431,12 +441,7 @@ impl SegmentStore {
             let _ = fs::remove_file(&seg.path);
         }
         inner.segments = compacted.into_iter().collect();
-        inner.wal.clear();
-        inner.wal_bytes = 0;
-        if let Some(file) = &inner.wal_file {
-            file.set_len(0)?;
-            file.sync_all()?;
-        }
+        self.clear_wal(&mut inner)?;
         inner.index.clear();
         inner.live = AggState::new();
         inner.dead_rows = 0;
@@ -469,12 +474,6 @@ impl SegmentStore {
         self.guard().live.clone()
     }
 
-    /// `*.tmp` droppings of crashed writes that [`SegmentStore::open`]
-    /// found and removed.
-    pub fn tmp_collected(&self) -> u64 {
-        self.tmp_collected
-    }
-
     /// Store occupancy counters (maintained incrementally; no directory
     /// scan).
     pub fn seg_stats(&self) -> SegStats {
@@ -487,6 +486,7 @@ impl SegmentStore {
             dead_rows: inner.dead_rows,
             disk_bytes: inner.segments.iter().map(|s| s.bytes).sum::<u64>() + inner.wal_bytes,
             quarantined: inner.quarantined,
+            tmp_files: inner.tmp_files,
         }
     }
 
@@ -592,7 +592,6 @@ mod tests {
             .append("00", hot("cc-urand", 16, 1, 0.1), &raw(1))
             .unwrap();
         assert_eq!(store.load("00").unwrap(), raw(1));
-        assert!(store.contains("00"));
         assert_eq!(store.live_len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -786,6 +785,49 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A handle that has not appended holds no open WAL file; sealing or
+    /// compacting the rows its open found must still empty `wal.log`, or
+    /// the next open replays them as superseding duplicates.
+    #[test]
+    fn seal_and_compact_empty_a_wal_found_at_open() {
+        let dir = scratch("walreopen");
+        let disk = || -> u64 {
+            fs::read_dir(&dir)
+                .unwrap()
+                .filter_map(Result::ok)
+                .map(|e| e.metadata().unwrap().len())
+                .sum()
+        };
+        let append = |keys: &[&str]| {
+            let store = SegmentStore::open(&dir).unwrap();
+            for (seed, key) in keys.iter().enumerate() {
+                let seed = seed as u64 + 1;
+                store
+                    .append(key, hot("cc-urand", 16 * seed, seed, 0.1), &raw(seed))
+                    .unwrap();
+            }
+        };
+        append(&["aa", "bb"]);
+        let store = SegmentStore::open(&dir).unwrap();
+        store.seal().unwrap();
+        drop(store);
+        let store = SegmentStore::open(&dir).unwrap();
+        let stats = store.seg_stats();
+        assert_eq!((stats.wal_rows, stats.dead_rows), (0, 0), "{stats:?}");
+        assert_eq!(stats.disk_bytes, disk(), "every byte is counted");
+        drop(store);
+        append(&["cc"]);
+        let store = SegmentStore::open(&dir).unwrap();
+        store.compact().unwrap();
+        drop(store);
+        let store = SegmentStore::open(&dir).unwrap();
+        let stats = store.seg_stats();
+        assert_eq!((stats.wal_rows, stats.dead_rows), (0, 0), "{stats:?}");
+        assert_eq!(stats.live_rows, 3);
+        assert_eq!(stats.disk_bytes, disk(), "every byte is counted");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn stale_tmp_files_are_collected_on_open() {
         let dir = scratch("tmpgc");
@@ -794,7 +836,7 @@ mod tests {
             store
                 .append("aa", hot("cc-urand", 16, 1, 0.1), &raw(1))
                 .unwrap();
-            assert_eq!(store.tmp_collected(), 0);
+            assert_eq!(store.seg_stats().tmp_files, 0);
         }
         // A crash between `File::create` and `rename`, once in a seal and
         // once in the index write of a store from before the index file
@@ -802,7 +844,7 @@ mod tests {
         fs::write(dir.join(".seg-000001.seg.7.tmp"), b"half a segment").unwrap();
         fs::write(dir.join(".index.bin.8.tmp"), b"half an index").unwrap();
         let store = SegmentStore::open(&dir).unwrap();
-        assert_eq!(store.tmp_collected(), 2);
+        assert_eq!(store.seg_stats().tmp_files, 2);
         let left = fs::read_dir(&dir)
             .unwrap()
             .filter_map(Result::ok)
@@ -812,7 +854,7 @@ mod tests {
         assert_eq!(store.load("aa").unwrap(), raw(1), "records untouched");
         drop(store);
         let store = SegmentStore::open(&dir).unwrap();
-        assert_eq!(store.tmp_collected(), 0, "clean reopen");
+        assert_eq!(store.seg_stats().tmp_files, 0, "clean reopen");
         let _ = fs::remove_dir_all(&dir);
     }
 

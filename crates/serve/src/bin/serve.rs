@@ -13,9 +13,9 @@
 //! line prints the usage and exits 2; a failure at run time exits 1.
 //! Cache-first by
 //! default: runs are answered from (and written back to) the run store,
-//! so repeated figure regenerations cost one simulation each. Opening
-//! the store folds any legacy per-file `.json` records into the columnar
-//! segment store, and the v5 results-plane verbs
+//! so repeated figure regenerations cost one simulation each. The store
+//! is the columnar segment store under `DIR/segments` (nothing else in
+//! `DIR` is read), and the results-plane verbs
 //! (`Query`/`Compact`/`StoreSegStats`) are served from its online
 //! aggregates.
 //!

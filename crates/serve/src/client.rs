@@ -17,7 +17,7 @@ use crate::protocol::{
     ServerStatsReply, Submit, Welcome, PROTOCOL_VERSION,
 };
 use crate::router::ShardMap;
-use atscale::{RunRecord, RunSpec, StoreStats};
+use atscale::{RunRecord, RunSpec};
 use atscale_mmu::MachineConfig;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -430,18 +430,6 @@ impl Client {
                 s.ok_or_else(|| ClientError::Protocol("batch done with missing record".to_string()))
             })
             .collect()
-    }
-
-    /// Fetches the server's run-cache occupancy.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors or an unexpected reply.
-    pub fn cache_stats(&mut self) -> Result<StoreStats, ClientError> {
-        match self.call(&Request::CacheStats)? {
-            Reply::CacheStats(s) => Ok(s),
-            other => Err(unexpected("CacheStats", &other)),
-        }
     }
 
     /// Fetches the scheduler's counters.

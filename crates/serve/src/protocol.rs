@@ -15,7 +15,7 @@
 //! exhaustive `match`, so a new variant does not compile there until it has
 //! an arm, and fails the test until it has a sample.
 
-use atscale::{ArchKind, RunRecord, RunSpec, StoreStats};
+use atscale::{ArchKind, RunRecord, RunSpec};
 use atscale_telemetry::{Progress, Sample};
 use serde::{Deserialize, Serialize};
 
@@ -57,7 +57,13 @@ pub use atscale::results::{CompactStats, GroupSummary, QueryFilter, QueryResult,
 /// architecture (`arch`); [`QueryFilter`] accepts an `arch` restriction
 /// and [`GroupSummary`] reports each group's architecture, making the
 /// fig1-style β/c fit queryable per architecture.
-pub const PROTOCOL_VERSION: u64 = 7;
+///
+/// v8: one occupancy verb. The run-cache occupancy request and its
+/// reply are gone; [`Request::StoreSegStats`] is the store's only
+/// occupancy report, and [`SegStats`] gained the `tmp_files` count only
+/// the old reply carried. Every store verb now answers [`Reply::Error`] on
+/// a store-less daemon, where the old verb answered zeros.
+pub const PROTOCOL_VERSION: u64 = 8;
 
 /// Client → server handshake: announces the client's protocol revision.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -95,8 +101,6 @@ pub enum Request {
     /// Batch submission; answered by `Accepted` or `Overloaded`, then a
     /// reply stream closed by `BatchDone`.
     Submit(Submit),
-    /// Run-cache occupancy; answered by [`Reply::CacheStats`].
-    CacheStats,
     /// Scheduler counters; answered by [`Reply::ServerStats`].
     ServerStats,
     /// Aggregate query over the segment-backed results store; answered by
@@ -318,8 +322,6 @@ pub enum Reply {
     Progress(ProgressEvent),
     /// Streamed interval sample.
     Sample(SampleEvent),
-    /// Run-cache occupancy ([`atscale::RunStore::stats`] over the wire).
-    CacheStats(StoreStats),
     /// Scheduler counters.
     ServerStats(ServerStatsReply),
     /// Aggregate answer to a [`Request::Query`] (v5).
@@ -425,8 +427,8 @@ mod tests {
             Request::Shutdown
         );
         assert_eq!(
-            decode::<Request>(&encode(&Request::CacheStats)).unwrap(),
-            Request::CacheStats
+            decode::<Request>(&encode(&Request::StoreSegStats)).unwrap(),
+            Request::StoreSegStats
         );
     }
 

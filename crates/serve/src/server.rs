@@ -13,7 +13,6 @@ use crate::protocol::{ErrorReply, Reply, Request, Welcome, PROTOCOL_VERSION};
 use crate::reactor::Listener;
 use crate::scheduler::{send_reply, ReplySink, Scheduler, ServeConfig};
 use crate::sys::WakeFd;
-use atscale::StoreStats;
 use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -250,12 +249,6 @@ pub(crate) fn handle_request(
             handle.scheduler.submit(submit, Arc::clone(writer));
             return false;
         }
-        Request::CacheStats => Reply::CacheStats(
-            handle
-                .scheduler
-                .store()
-                .map_or_else(StoreStats::default, atscale::RunStore::stats),
-        ),
         Request::ServerStats => Reply::ServerStats(handle.scheduler.stats_reply()),
         Request::Query(filter) => {
             let store = handle.scheduler.store();

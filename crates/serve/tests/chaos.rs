@@ -221,10 +221,10 @@ fn store_write_and_rename_failures_are_nonfatal(seed: u64) -> Outcome {
 
     // A reopen finds the row, nothing to quarantine and no dropping from
     // the failed rename.
-    let reopened = RunStore::open(&dir).expect("reopen").stats();
-    assert_eq!(reopened.entries, 1);
+    let reopened = RunStore::open(&dir).expect("reopen").seg_stats();
+    assert_eq!(reopened.live_rows, 1);
     assert_eq!(reopened.tmp_files, 0, "failed saves leave no droppings");
-    assert_eq!(reopened.corrupt_files, 0);
+    assert_eq!(reopened.quarantined, 0);
 
     let _ = std::fs::remove_dir_all(&dir);
     Outcome {

@@ -8,7 +8,7 @@
 //! results-plane verbs (`Query`, `Compact`, `StoreSegStats`) cannot be
 //! dropped either: `atscale-client` and `results_plane_e2e` build them.
 
-use atscale::{RunRecord, RunSpec, StoreStats};
+use atscale::{RunRecord, RunSpec};
 use atscale_mmu::MachineConfig;
 use atscale_serve::protocol::{
     decode, encode, encode_record, Accepted, BatchDone, CompactStats, DeadlineExceeded, ErrorReply,
@@ -67,7 +67,6 @@ fn request_variant(frame: &Request) -> (usize, usize) {
         frame,
         Request::Hello(_),
         Request::Submit(_),
-        Request::CacheStats,
         Request::ServerStats,
         Request::Query(_),
         Request::Compact,
@@ -88,7 +87,6 @@ fn reply_variant(frame: &Reply) -> (usize, usize) {
         Reply::BatchDone(_),
         Reply::Progress(_),
         Reply::Sample(_),
-        Reply::CacheStats(_),
         Reply::ServerStats(_),
         Reply::QueryResult(_),
         Reply::Compacted(_),
@@ -135,7 +133,6 @@ fn requests() -> Vec<Request> {
             no_cache: false,
             sample_interval: 0,
         }),
-        Request::CacheStats,
         Request::ServerStats,
         Request::Shutdown,
         Request::Query(QueryFilter {
@@ -259,12 +256,6 @@ fn replies() -> Vec<Reply> {
                 rates: vec![("wcpi".to_string(), 0.125)],
             },
         }),
-        Reply::CacheStats(StoreStats {
-            entries: 11,
-            bytes: 48_123,
-            tmp_files: 0,
-            corrupt_files: 1,
-        }),
         Reply::ServerStats(ServerStatsReply {
             executions: 100,
             cache_hits: 40,
@@ -321,6 +312,7 @@ fn replies() -> Vec<Reply> {
             dead_rows: 12,
             disk_bytes: 90_000,
             quarantined: 1,
+            tmp_files: 2,
         }),
         Reply::Error(ErrorReply {
             id: 0,
@@ -389,11 +381,6 @@ fn request_hello_roundtrips() {
 #[test]
 fn request_submit_roundtrips() {
     roundtrip_requests(|f| matches!(f, Request::Submit(_)));
-}
-
-#[test]
-fn request_cache_stats_roundtrips() {
-    roundtrip_requests(|f| matches!(f, Request::CacheStats));
 }
 
 #[test]
@@ -477,11 +464,6 @@ fn reply_progress_roundtrips() {
 #[test]
 fn reply_sample_roundtrips() {
     roundtrip_replies(|f| matches!(f, Reply::Sample(_)));
-}
-
-#[test]
-fn reply_cache_stats_roundtrips() {
-    roundtrip_replies(|f| matches!(f, Reply::CacheStats(_)));
 }
 
 #[test]

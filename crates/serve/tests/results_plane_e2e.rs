@@ -176,28 +176,26 @@ fn results_plane_verbs_error_explicitly_without_a_store() {
     server.shutdown_and_join();
 }
 
-/// An old results directory — one JSON file per record, one of them torn —
-/// handed to the daemon: opening the store migrates it, so every intact
-/// record is a cache hit served byte-identically, the torn one is
-/// quarantined and recomputed, and the next open has nothing to migrate.
+/// A results directory from before the segment store — one `{key}.json`
+/// file per record — handed to the daemon: nothing reads those files, so
+/// the store opens empty, every spec is recomputed byte-identical to the
+/// harness, and the files are left exactly as they were.
 #[test]
-fn legacy_directory_is_migrated_at_open_and_served_from_cache() {
+fn legacy_directory_opens_empty_and_is_recomputed() {
     let dir = temp_dir("legacy");
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let machine = ServeConfig::default().machine;
     let specs = sweep_specs(&["cc-urand"]);
-    let mut expected = Vec::new();
+    let mut files = Vec::new();
     for spec in &specs {
         let bytes = serde_json::to_vec(&atscale::execute_run(spec, &machine)).expect("serializes");
         let path = dir.join(format!("{}.json", RunStore::key(spec, &machine)));
-        std::fs::write(path, &bytes).expect("legacy file");
-        expected.push(bytes);
+        std::fs::write(&path, &bytes).expect("legacy file");
+        files.push((path, bytes));
     }
-    let torn = dir.join(format!("{}.json", RunStore::key(&specs[0], &machine)));
-    std::fs::write(&torn, &expected[0][..expected[0].len() / 2]).expect("tear one");
 
-    let store = RunStore::open(&dir).expect("open migrates");
-    assert_eq!(store.migrated(), specs.len() as u64 - 1);
+    let store = RunStore::open(&dir).expect("open");
+    assert_eq!(store.seg_stats().live_rows, 0, "legacy files are not read");
     let (server, addr) = start_server(ServeConfig {
         store: Some(store),
         ..ServeConfig::default()
@@ -207,58 +205,24 @@ fn legacy_directory_is_migrated_at_open_and_served_from_cache() {
     let records = client
         .run_many(&specs, SubmitOptions::default())
         .expect("sweep resolves");
-    for (record, bytes) in records.iter().zip(&expected) {
+    for (record, (_, bytes)) in records.iter().zip(&files) {
         assert_eq!(&serde_json::to_vec(record).expect("serializes"), bytes);
     }
     let stats = client.server_stats().expect("server stats");
-    assert_eq!(stats.cache_hits, specs.len() as u64 - 1);
-    assert_eq!(stats.executions, 1, "only the torn record is recomputed");
-    let cache = client.cache_stats().expect("cache stats");
-    assert_eq!(cache.entries, specs.len() as u64);
-    assert_eq!(cache.corrupt_files, 1);
-    let all = client.query(&QueryFilter::default()).expect("query");
-    assert_eq!(all.count, specs.len() as u64);
-    server.shutdown_and_join();
-
-    assert!(torn.with_extension("json.corrupt").exists());
-    let reopened = RunStore::open(&dir).expect("reopen");
-    assert_eq!(reopened.migrated(), 0);
-    assert_eq!(reopened.len(), specs.len());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A legacy record that parses but is not canonical JSON — a newline
-/// after its first `{` — migrates re-serialised: its hit is spliced into a
-/// one-line `Record` frame, and the client receives the canonical bytes.
-#[test]
-fn a_legacy_record_with_a_newline_is_served_canonical() {
-    let dir = temp_dir("newline");
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let machine = ServeConfig::default().machine;
-    let spec = sweep_specs(&["cc-urand"])[0];
-    let canonical = serde_json::to_vec(&atscale::execute_run(&spec, &machine)).expect("serializes");
-    let mut spaced = b"{\n".to_vec();
-    spaced.extend_from_slice(&canonical[1..]);
-    let path = dir.join(format!("{}.json", RunStore::key(&spec, &machine)));
-    std::fs::write(path, &spaced).expect("legacy file");
-
-    let store = RunStore::open(&dir).expect("open migrates");
-    assert_eq!(store.migrated(), 1);
-    let (server, addr) = start_server(ServeConfig {
-        store: Some(store),
-        ..ServeConfig::default()
-    });
-    let mut client = Client::connect(&addr).expect("connect");
-    client.hello().expect("handshake");
-    let records = client
-        .run_many(&[spec], SubmitOptions::default())
-        .expect("the hit is one frame");
     assert_eq!(
-        serde_json::to_vec(&records[0]).expect("serializes"),
-        canonical
+        stats.executions,
+        specs.len() as u64,
+        "every spec recomputed"
     );
-    let stats = client.server_stats().expect("server stats");
-    assert_eq!((stats.executions, stats.cache_hits), (0, 1));
+    assert_eq!(stats.cache_hits, 0);
+    assert_eq!(
+        client.seg_stats().expect("seg stats").live_rows,
+        specs.len() as u64
+    );
     server.shutdown_and_join();
+
+    for (path, bytes) in &files {
+        assert_eq!(&std::fs::read(path).expect("legacy file kept"), bytes);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -95,11 +95,11 @@ fn fig1_sweep_through_the_daemon_matches_the_harness_bit_for_bit() {
         );
     }
 
-    // Satellite: cache occupancy over the wire reflects the sweep.
-    let stats = client.cache_stats().expect("cache stats");
-    assert_eq!(stats.entries, specs.len() as u64);
+    // Store occupancy over the wire reflects the sweep.
+    let stats = client.seg_stats().expect("seg stats");
+    assert_eq!(stats.live_rows, specs.len() as u64);
     assert_eq!(stats.tmp_files, 0);
-    assert!(stats.bytes > 0);
+    assert!(stats.disk_bytes > 0);
 
     // Second submission is answered from the cache: no new executions.
     let before = client.server_stats().expect("stats").executions;

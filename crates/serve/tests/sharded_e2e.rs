@@ -226,9 +226,9 @@ fn sharded_sweep_matches_single_daemon_and_places_records_per_shard() {
         assert_eq!(welcome.shard, i as u64, "member knows its shard index");
         assert_eq!(welcome.shards, shards as u64);
         assert_eq!(welcome.topology, addrs, "every member advertises all");
-        let stats = probe.cache_stats().expect("cache stats");
+        let stats = probe.seg_stats().expect("seg stats");
         assert_eq!(
-            stats.entries,
+            stats.live_rows,
             expected[i].len() as u64,
             "shard {i} holds exactly its routed records"
         );

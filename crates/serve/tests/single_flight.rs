@@ -247,8 +247,8 @@ fn stress_overlapping_batches_share_executions_and_leave_no_droppings() {
         pool.len() as u64,
         "each unique spec executed exactly once"
     );
-    let stats = store.stats();
-    assert_eq!(stats.entries, pool.len() as u64);
+    let stats = store.seg_stats();
+    assert_eq!(stats.live_rows, pool.len() as u64);
     assert_eq!(stats.tmp_files, 0, "no temp-file droppings");
 
     stop(&scheduler, workers);
