@@ -29,7 +29,7 @@ const STATE_CRATES: [&str; 3] = ["crates/vm/src/", "crates/cache/src/", "crates/
 /// Types whose state is validated through the invariants of an owning
 /// structure rather than a `CheckInvariants` impl of their own. Each entry
 /// carries the justification the audit report shows on demand.
-pub const COVERED_INDIRECTLY: [(&str, &str); 6] = [
+pub const COVERED_INDIRECTLY: [(&str, &str); 5] = [
     (
         "LevelCounts",
         "a pure tally with no internal invariant of its own; its consistency \
@@ -56,10 +56,6 @@ pub const COVERED_INDIRECTLY: [(&str, &str); 6] = [
         "its observable effect — wrong-path and squashed walks — is checked by \
          Counters::check_invariants ground-truth equalities and the engine's \
          coupling checks",
-    ),
-    (
-        "Trace",
-        "append-only diagnostic event log; carries no counter or cache state",
     ),
 ];
 

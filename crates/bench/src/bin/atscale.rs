@@ -200,11 +200,14 @@ fn warm_through_daemon(opts: &HarnessOptions) {
 
     // Fig1 aggregates straight from the daemon's online per-group state:
     // one Query verb per workload, answered in O(groups) without touching
-    // the raw records we just submitted.
-    println!("\nfig1 aggregates via the results plane:");
+    // the raw records we just submitted. The paper fits its scaling law
+    // over the 4K runs; the 2M and 1G runs are only the overhead baseline.
+    let four_k = || Some("4K".to_string());
+    println!("\nfig1 aggregates via the results plane (4K):");
     for &w in &WorkloadId::all() {
         let filter = QueryFilter {
             workload: Some(w.to_string()),
+            page_size: four_k(),
             ..QueryFilter::default()
         };
         print_fit(&w.to_string(), &client.query(&filter).expect("fig1 query"));
@@ -224,6 +227,7 @@ fn warm_through_daemon(opts: &HarnessOptions) {
     for &arch in &ArchKind::ALL {
         let filter = QueryFilter {
             arch: Some(arch.to_string()),
+            page_size: four_k(),
             ..QueryFilter::default()
         };
         print_fit(arch.as_str(), &client.query(&filter).expect("arch query"));

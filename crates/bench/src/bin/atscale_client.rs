@@ -20,6 +20,8 @@
 //!   --workload NAME                restrict to one workload
 //!   --arch NAME                    restrict to one translation architecture
 //!                                  (baseline/victima/dram-cache/no-tlb)
+//!   --page-size 4K|2M|1G           restrict to one page size (the paper
+//!                                  fits its scaling law over the 4K runs)
 //!   --min-footprint-mb N           inclusive lower footprint bound
 //!   --max-footprint-mb N           inclusive upper footprint bound
 //!   --jsonl PATH                   write per-group summaries as JSON lines
@@ -146,6 +148,13 @@ fn parse_args() -> Result<Options, String> {
                 // restrict to it.
                 opts.arch = arch;
                 opts.filter.arch = Some(arch.to_string());
+            }
+            "--page-size" => {
+                let size = iter.next().ok_or("--page-size needs 4K, 2M or 1G")?;
+                if !matches!(size.as_str(), "4K" | "2M" | "1G") {
+                    return Err(format!("unknown page size {size} (4K, 2M or 1G)"));
+                }
+                opts.filter.page_size = Some(size.clone());
             }
             "--min-footprint-mb" => {
                 opts.filter.min_footprint_mb = Some(
@@ -302,7 +311,7 @@ fn run_query(client: &mut Client, opts: &Options) -> Result<(), String> {
     let mut table = Table::new(&[
         "workload",
         "footprint_mb",
-        "source",
+        "page_size",
         "arch",
         "count",
         "mean_wcpi",
@@ -313,7 +322,7 @@ fn run_query(client: &mut Client, opts: &Options) -> Result<(), String> {
         table.row_owned(vec![
             g.workload.clone(),
             g.footprint_mb.to_string(),
-            g.source.clone(),
+            g.page_size.clone(),
             g.arch.clone(),
             g.count.to_string(),
             fmt(g.mean_wcpi, 4),

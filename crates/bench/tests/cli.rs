@@ -80,17 +80,9 @@ fn store_compact_verify_fails_on_an_unparseable_row_with_exit_1() {
         workload: "cc-urand".to_string(),
         footprint_mb: 16,
         page_size: "4K".to_string(),
-        seed: 1,
-        source: "sim".to_string(),
         arch: "baseline".to_string(),
         wcpi_fp: 0,
         x_fp: 0,
-        walk_duration_cycles: 0,
-        inst_retired: 1,
-        cycles: 1,
-        walks_initiated: 0,
-        walks_completed: 0,
-        walks_retired: 0,
     };
     SegmentStore::open(dir.join("segments"))
         .expect("open segment store")

@@ -96,16 +96,22 @@ impl RunSpec {
     /// are untouched).
     pub fn label(&self) -> String {
         let mb = self.nominal_footprint >> 20;
-        let page = match self.page_size {
-            PageSize::Size4K => "4K",
-            PageSize::Size2M => "2M",
-            PageSize::Size1G => "1G",
-        };
+        let page = page_label(self.page_size);
         if self.arch == ArchKind::Baseline {
             format!("{} {mb}MB {page}", self.workload)
         } else {
             format!("{} {mb}MB {page}@{}", self.workload, self.arch)
         }
+    }
+}
+
+/// The short page-size label of spec labels and the results plane's
+/// `page_size` column: `4K` / `2M` / `1G`.
+pub(crate) fn page_label(page_size: PageSize) -> &'static str {
+    match page_size {
+        PageSize::Size4K => "4K",
+        PageSize::Size2M => "2M",
+        PageSize::Size1G => "1G",
     }
 }
 

@@ -20,13 +20,13 @@
 //! what two simultaneous owners get (lost cache rows; never a wrong
 //! record, never a panic).
 
+use crate::run::page_label;
 use crate::{RunRecord, RunSpec};
 use atscale_gen::splitmix64;
 use atscale_mmu::MachineConfig;
 use atscale_results::{
     value_fp, x_fp, CompactStats, HotRow, QueryFilter, QueryResult, SegStats, SegmentStore,
 };
-use atscale_vm::PageSize;
 use std::cell::RefCell;
 use std::path::Path;
 use std::sync::Arc;
@@ -223,33 +223,17 @@ fn same_bits(a: &MachineConfig, b: &MachineConfig) -> bool {
     a == b && floats(a) == floats(b)
 }
 
-/// Extracts the segment store's fixed hot-column schema from a record:
-/// the fig1 axes, the WCPI/regressor fixed-point values, and the Table VI
-/// walk counters. Rows are tagged `source: "sim"` — simulator records are
-/// the only kind the store holds; the column stays so the segment format
-/// and the results-plane group key are unchanged.
+/// Extracts the segment store's hot columns from a record: the axes a
+/// query groups on (workload, footprint, page size, architecture) and the
+/// WCPI / regressor fixed-point values it fits.
 pub fn hot_row(record: &RunRecord) -> HotRow {
-    let counters = &record.result.counters;
     HotRow {
         workload: record.spec.workload.to_string(),
         footprint_mb: record.spec.nominal_footprint >> 20,
-        page_size: match record.spec.page_size {
-            PageSize::Size4K => "4K",
-            PageSize::Size2M => "2M",
-            PageSize::Size1G => "1G",
-        }
-        .to_string(),
-        seed: record.spec.seed,
-        source: "sim".to_string(),
+        page_size: page_label(record.spec.page_size).to_string(),
         arch: record.spec.arch.to_string(),
-        wcpi_fp: value_fp(counters.wcpi()),
+        wcpi_fp: value_fp(record.result.counters.wcpi()),
         x_fp: x_fp(record.log10_footprint_kb()),
-        walk_duration_cycles: counters.walk_duration_cycles,
-        inst_retired: counters.inst_retired,
-        cycles: counters.cycles,
-        walks_initiated: counters.walks_initiated(),
-        walks_completed: counters.walks_completed(),
-        walks_retired: counters.walks_retired(),
     }
 }
 
@@ -517,6 +501,54 @@ mod tests {
             store.query(&QueryFilter::default()),
             q,
             "aggregates identical after reopen"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The paper fits its scaling law over the 4K runs; the 2M and 1G
+    /// runs of the same points are only the overhead baseline. A query
+    /// pinning `4K` must fit exactly those runs, not all three pooled.
+    #[test]
+    fn a_4k_query_fits_the_4k_runs_alone() {
+        let dir = temp_dir("pagesize");
+        let store = RunStore::open(&dir).unwrap();
+        let config = MachineConfig::haswell();
+        let mut four_k = Vec::new();
+        for mb in [8u64, 16, 32] {
+            for page_size in PageSize::ALL {
+                let mut s = spec().with_page_size(page_size);
+                s.nominal_footprint = mb << 20;
+                let record = crate::execute_run(&s, &config);
+                store.save(&RunStore::key(&s, &config), &record).unwrap();
+                if page_size == PageSize::Size4K {
+                    four_k.push(record);
+                }
+            }
+        }
+        let q = store.query(&QueryFilter {
+            workload: Some("tc-kron".to_string()),
+            page_size: Some("4K".to_string()),
+            ..QueryFilter::default()
+        });
+        assert_eq!(q.count, four_k.len() as u64);
+        assert_eq!(q.groups.len(), 3, "one group per footprint");
+        assert!(q.groups.iter().all(|g| g.page_size == "4K" && g.count == 1));
+        let x: Vec<f64> = four_k.iter().map(RunRecord::log10_footprint_kb).collect();
+        let y: Vec<f64> = four_k.iter().map(|r| r.result.counters.wcpi()).collect();
+        let fit = atscale_stats::ols(&x, &y).unwrap();
+        let close = |got: Option<f64>, want: f64| {
+            let got = got.expect("three footprints fit");
+            assert!(
+                (got - want).abs() <= 1e-5 * (1.0 + want.abs()),
+                "{got} vs {want}"
+            );
+        };
+        close(q.beta, fit.slope);
+        close(q.intercept, fit.intercept);
+        assert_eq!(
+            store.query(&QueryFilter::default()).count,
+            9,
+            "all three pooled"
         );
         let _ = fs::remove_dir_all(&dir);
     }

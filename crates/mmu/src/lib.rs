@@ -77,5 +77,5 @@ pub use result::RunResult;
 pub use spec::{SpecEvent, SpeculationModel, WrongPathPlan};
 pub use telemetry::{counter_sample, TelemetryHandle, RATE_NAMES};
 pub use tlb::{TlbArray, TlbHierarchy, TlbHit, TlbStats};
-pub use trace::{RecordingSink, Trace, TraceEvent};
+pub use trace::{RecordingSink, Trace};
 pub use walker::{PageTableWalker, WalkResult};

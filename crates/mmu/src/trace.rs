@@ -8,26 +8,15 @@
 //! configurations as needed — each replay sees the *identical* access
 //! stream, eliminating workload-side variance from ablations.
 
-use crate::{AccessOp, AccessSink};
+use crate::{AccessOp, AccessSink, SinkEvent};
 use atscale_vm::VirtAddr;
-
-/// One event of a recorded access trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A retired load at the given virtual address.
-    Load(u64),
-    /// A retired store at the given virtual address.
-    Store(u64),
-    /// `n` retired non-memory instructions.
-    Instructions(u64),
-}
 
 /// A recorded access trace.
 ///
 /// # Example
 ///
 /// ```
-/// use atscale_mmu::{AccessSink, CountingSink, RecordingSink, Trace};
+/// use atscale_mmu::{AccessSink, CountingSink, RecordingSink};
 /// use atscale_vm::VirtAddr;
 ///
 /// let mut inner = CountingSink::new();
@@ -46,15 +35,10 @@ pub enum TraceEvent {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
+    events: Vec<SinkEvent>,
 }
 
 impl Trace {
-    /// An empty trace.
-    pub fn new() -> Trace {
-        Trace::default()
-    }
-
     /// Number of events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -65,16 +49,6 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// The recorded events.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Appends an event.
-    pub fn push(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-
     /// Replays the trace into a sink, stopping early if the sink reports
     /// `done`. Returns the number of events delivered.
     pub fn replay(&self, sink: &mut dyn AccessSink) -> usize {
@@ -83,26 +57,11 @@ impl Trace {
                 return i;
             }
             match *event {
-                TraceEvent::Load(va) => sink.load(VirtAddr::new(va)),
-                TraceEvent::Store(va) => sink.store(VirtAddr::new(va)),
-                TraceEvent::Instructions(n) => sink.instructions(n),
+                SinkEvent::Access(op, va) => sink.access(op, va),
+                SinkEvent::Instructions(n) => sink.instructions(n),
             }
         }
         self.events.len()
-    }
-}
-
-impl FromIterator<TraceEvent> for Trace {
-    fn from_iter<I: IntoIterator<Item = TraceEvent>>(iter: I) -> Trace {
-        Trace {
-            events: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<TraceEvent> for Trace {
-    fn extend<I: IntoIterator<Item = TraceEvent>>(&mut self, iter: I) {
-        self.events.extend(iter);
     }
 }
 
@@ -126,7 +85,7 @@ impl<'a> RecordingSink<'a> {
     pub fn new(inner: &'a mut dyn AccessSink) -> RecordingSink<'a> {
         RecordingSink {
             inner,
-            trace: Trace::new(),
+            trace: Trace::default(),
         }
     }
 
@@ -138,15 +97,12 @@ impl<'a> RecordingSink<'a> {
 
 impl AccessSink for RecordingSink<'_> {
     fn access(&mut self, op: AccessOp, va: VirtAddr) {
-        self.trace.push(match op {
-            AccessOp::Load => TraceEvent::Load(va.as_u64()),
-            AccessOp::Store => TraceEvent::Store(va.as_u64()),
-        });
+        self.trace.events.push(SinkEvent::Access(op, va));
         self.inner.access(op, va);
     }
 
     fn instructions(&mut self, n: u64) {
-        self.trace.push(TraceEvent::Instructions(n));
+        self.trace.events.push(SinkEvent::Instructions(n));
         self.inner.instructions(n);
     }
 
@@ -161,12 +117,13 @@ mod tests {
     use crate::CountingSink;
 
     fn sample() -> Trace {
-        Trace::from_iter([
-            TraceEvent::Load(0x1000),
-            TraceEvent::Instructions(5),
-            TraceEvent::Store(0x2008),
-            TraceEvent::Load(0xffff_ffff_ffff),
-        ])
+        let mut inner = CountingSink::new();
+        let mut rec = RecordingSink::new(&mut inner);
+        rec.load(VirtAddr::new(0x1000));
+        rec.instructions(5);
+        rec.store(VirtAddr::new(0x2008));
+        rec.load(VirtAddr::new(0xffff_ffff_ffff));
+        rec.into_trace()
     }
 
     #[test]

@@ -1,28 +1,25 @@
 //! The hot-column row schema and the per-group aggregate state, plus the
 //! wire-facing query types the serving protocol re-exports.
 //!
-//! Grouping is per `(workload, footprint MB, source, arch)` — the paper's
-//! fig1 axes plus the translation-architecture scenario axis. Each group
-//! carries a WCPI [`Sketch`] and a [`Regress`] accumulator over
+//! Grouping is per `(workload, footprint MB, page size, arch)` — the
+//! paper's fig1 axes plus the translation-architecture scenario axis. Each
+//! group carries a WCPI [`Sketch`] and a [`Regress`] accumulator over
 //! `(log10 footprint_KB, WCPI)`; a footprint-range query merges the
 //! matching groups' regression states, which *is* the fig1 β/c fit over
-//! those runs — per architecture, when the filter pins one. All per-group
-//! state is integral, so adding and retracting rows is exact and the
-//! query's merge is exactly associative.
+//! those runs — per page size and per architecture, when the filter pins
+//! them. All per-group state is integral, so adding and retracting rows is
+//! exact and the query's merge is exactly associative.
 //!
 //! The state lives in memory only: the segment store rebuilds it from
-//! the rows' hot columns at open. Rows encoded before the arch axis
-//! existed (WAL v1 frames, segment v1 files) decode with
-//! `arch = "baseline"`, which is exactly what those records measured.
+//! the rows' hot columns at open.
 
 use crate::codec::{Dec, DecResult, Enc};
 use crate::regress::Regress;
 use crate::sketch::Sketch;
 use serde::{Deserialize, Serialize};
 
-/// The fixed hot-field schema extracted from one `RunRecord` — everything
-/// a fig1/Table VI aggregate query needs without touching the raw JSON
-/// sidecar.
+/// The hot columns of one `RunRecord`: exactly what a [`QueryFilter`]
+/// groups and fits on, without touching the raw JSON sidecar.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HotRow {
     /// Workload id string, e.g. `cc-urand`.
@@ -31,32 +28,14 @@ pub struct HotRow {
     pub footprint_mb: u64,
     /// Page size label (`4K` / `2M` / `1G`).
     pub page_size: String,
-    /// Workload seed.
-    pub seed: u64,
-    /// Record provenance, mirroring the telemetry schema-v3 source tag;
-    /// always `sim`.
-    pub source: String,
     /// Translation architecture label (`baseline` / `victima` /
-    /// `dram-cache` / `no-tlb`). Rows from pre-arch stores decode as
-    /// `baseline`.
+    /// `dram-cache` / `no-tlb`).
     pub arch: String,
     /// WCPI at [`crate::sketch::VALUE_SCALE`] fixed point.
     pub wcpi_fp: i64,
     /// `log10(measured footprint KB)` at [`crate::regress::X_SCALE`]
     /// fixed point — Table IV's regressor.
     pub x_fp: i64,
-    /// `dtlb_misses.walk_duration` cycles.
-    pub walk_duration_cycles: u64,
-    /// `inst_retired.any`.
-    pub inst_retired: u64,
-    /// `cpu_clk_unhalted.thread` cycles.
-    pub cycles: u64,
-    /// Table VI "Initiated" walks.
-    pub walks_initiated: u64,
-    /// Table VI "Completed" walks.
-    pub walks_completed: u64,
-    /// Table VI "Retired" walks.
-    pub walks_retired: u64,
 }
 
 impl HotRow {
@@ -65,7 +44,7 @@ impl HotRow {
         GroupKey {
             workload: self.workload.clone(),
             footprint_mb: self.footprint_mb,
-            source: self.source.clone(),
+            page_size: self.page_size.clone(),
             arch: self.arch.clone(),
         }
     }
@@ -74,96 +53,56 @@ impl HotRow {
         enc.str(&self.workload);
         enc.u64(self.footprint_mb);
         enc.str(&self.page_size);
-        enc.u64(self.seed);
-        enc.str(&self.source);
         enc.str(&self.arch);
         enc.i64(self.wcpi_fp);
         enc.i64(self.x_fp);
-        enc.u64(self.walk_duration_cycles);
-        enc.u64(self.inst_retired);
-        enc.u64(self.cycles);
-        enc.u64(self.walks_initiated);
-        enc.u64(self.walks_completed);
-        enc.u64(self.walks_retired);
     }
 
     pub(crate) fn decode(dec: &mut Dec<'_>) -> DecResult<HotRow> {
-        Self::decode_with(dec, true)
-    }
-
-    /// Decodes a row written before the arch column existed (WAL v1
-    /// frames), defaulting `arch = "baseline"`.
-    pub(crate) fn decode_v1(dec: &mut Dec<'_>) -> DecResult<HotRow> {
-        Self::decode_with(dec, false)
-    }
-
-    fn decode_with(dec: &mut Dec<'_>, with_arch: bool) -> DecResult<HotRow> {
         Ok(HotRow {
             workload: dec.str()?,
             footprint_mb: dec.u64()?,
             page_size: dec.str()?,
-            seed: dec.u64()?,
-            source: dec.str()?,
-            arch: if with_arch {
-                dec.str()?
-            } else {
-                "baseline".to_string()
-            },
+            arch: dec.str()?,
             wcpi_fp: dec.i64()?,
             x_fp: dec.i64()?,
-            walk_duration_cycles: dec.u64()?,
-            inst_retired: dec.u64()?,
-            cycles: dec.u64()?,
-            walks_initiated: dec.u64()?,
-            walks_completed: dec.u64()?,
-            walks_retired: dec.u64()?,
         })
     }
 }
 
 /// Aggregation group identity: the fig1 axes plus the architecture axis.
-/// `arch` is deliberately the *last* field: derived `Ord` compares fields
-/// in declaration order, and that order is the order of
-/// [`QueryResult::groups`].
+/// Derived `Ord` compares fields in declaration order, and that order is
+/// the order of [`QueryResult::groups`].
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct GroupKey {
     /// Workload id string.
     pub workload: String,
     /// Nominal footprint in MiB.
     pub footprint_mb: u64,
-    /// Record provenance.
-    pub source: String,
+    /// Page size label.
+    pub page_size: String,
     /// Translation architecture label.
     pub arch: String,
 }
 
-/// Per-group aggregate: WCPI sketch, β/c regression state, and exact
-/// walk-cycle / instruction sums.
+/// Per-group aggregate: WCPI sketch and β/c regression state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroupAgg {
     /// WCPI distribution.
     pub sketch: Sketch,
     /// `(log10 footprint_KB, WCPI)` OLS state.
     pub regress: Regress,
-    /// Σ `walk_duration_cycles` (exact).
-    pub walk_cycles: u128,
-    /// Σ `inst_retired` (exact).
-    pub instructions: u128,
 }
 
 impl GroupAgg {
     fn add(&mut self, row: &HotRow) {
         self.sketch.add_fp(row.wcpi_fp);
         self.regress.add(row.x_fp, row.wcpi_fp);
-        self.walk_cycles += u128::from(row.walk_duration_cycles);
-        self.instructions += u128::from(row.inst_retired);
     }
 
     fn remove(&mut self, row: &HotRow) {
         self.sketch.remove_fp(row.wcpi_fp);
         self.regress.remove(row.x_fp, row.wcpi_fp);
-        self.walk_cycles -= u128::from(row.walk_duration_cycles);
-        self.instructions -= u128::from(row.inst_retired);
     }
 
     fn is_empty(&self) -> bool {
@@ -192,11 +131,6 @@ impl AggState {
     /// `true` when no rows have been observed.
     pub fn is_empty(&self) -> bool {
         self.groups.is_empty()
-    }
-
-    /// The groups, sorted by key.
-    pub fn groups(&self) -> &[(GroupKey, GroupAgg)] {
-        &self.groups
     }
 
     fn slot(&mut self, key: GroupKey) -> &mut GroupAgg {
@@ -241,7 +175,7 @@ impl AggState {
             groups.push(GroupSummary {
                 workload: key.workload.clone(),
                 footprint_mb: key.footprint_mb,
-                source: key.source.clone(),
+                page_size: key.page_size.clone(),
                 arch: key.arch.clone(),
                 count: agg.sketch.count(),
                 mean_wcpi: agg.sketch.mean(),
@@ -263,13 +197,15 @@ impl AggState {
 }
 
 /// A `Query` request's filter: every field is optional, `None` matches
-/// everything (wire type, protocol v5; `arch` added in v7).
+/// everything (wire type, protocol v5; `arch` added in v7, `page_size`
+/// in v9).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueryFilter {
     /// Restrict to one workload id.
     pub workload: Option<String>,
-    /// Restrict to one provenance tag (every row is `sim`).
-    pub source: Option<String>,
+    /// Restrict to one page size (`4K` / `2M` / `1G`) — the paper's
+    /// scaling law is fitted over the 4K runs alone.
+    pub page_size: Option<String>,
     /// Restrict to one translation architecture (`baseline` / `victima` /
     /// `dram-cache` / `no-tlb`).
     pub arch: Option<String>,
@@ -283,7 +219,7 @@ impl QueryFilter {
     /// Whether `key` passes the filter.
     pub fn matches(&self, key: &GroupKey) -> bool {
         self.workload.as_ref().is_none_or(|w| *w == key.workload)
-            && self.source.as_ref().is_none_or(|s| *s == key.source)
+            && self.page_size.as_ref().is_none_or(|p| *p == key.page_size)
             && self.arch.as_ref().is_none_or(|a| *a == key.arch)
             && self.min_footprint_mb.is_none_or(|m| key.footprint_mb >= m)
             && self.max_footprint_mb.is_none_or(|m| key.footprint_mb <= m)
@@ -297,8 +233,8 @@ pub struct GroupSummary {
     pub workload: String,
     /// Nominal footprint, MiB.
     pub footprint_mb: u64,
-    /// Record provenance.
-    pub source: String,
+    /// Page size label.
+    pub page_size: String,
     /// Translation architecture label.
     pub arch: String,
     /// Runs in the group.
@@ -328,7 +264,7 @@ pub struct QueryResult {
     pub beta: Option<f64>,
     /// Fitted intercept c; `None` exactly when `beta` is.
     pub intercept: Option<f64>,
-    /// Per-group breakdown, sorted by `(workload, footprint, source, arch)`.
+    /// Per-group breakdown, sorted by `(workload, footprint, page_size, arch)`.
     pub groups: Vec<GroupSummary>,
 }
 
@@ -411,37 +347,37 @@ mod tests {
     use crate::regress::x_fp;
     use crate::sketch::value_fp;
 
-    pub(crate) fn row(workload: &str, mb: u64, seed: u64, wcpi: f64) -> HotRow {
+    fn row(workload: &str, mb: u64, wcpi: f64) -> HotRow {
         HotRow {
             workload: workload.to_string(),
             footprint_mb: mb,
             page_size: "4K".to_string(),
-            seed,
-            source: "sim".to_string(),
             arch: "baseline".to_string(),
             wcpi_fp: value_fp(wcpi),
             x_fp: x_fp((mb as f64 * 1024.0).log10()),
-            walk_duration_cycles: (wcpi * 1e5) as u64,
-            inst_retired: 100_000,
-            cycles: 150_000,
-            walks_initiated: 900,
-            walks_completed: 800,
-            walks_retired: 700,
         }
     }
 
     #[test]
-    fn add_groups_by_workload_footprint_source() {
+    fn add_groups_by_workload_footprint_page_size() {
         let mut state = AggState::new();
-        state.add(&row("cc-urand", 16, 1, 0.1));
-        state.add(&row("cc-urand", 16, 2, 0.2));
-        state.add(&row("cc-urand", 64, 1, 0.4));
-        state.add(&row("bfs-urand", 16, 1, 0.3));
-        assert_eq!(state.len(), 3);
+        state.add(&row("cc-urand", 16, 0.1));
+        state.add(&row("cc-urand", 16, 0.2));
+        state.add(&row("cc-urand", 64, 0.4));
+        state.add(&row("bfs-urand", 16, 0.3));
+        let mut huge = row("cc-urand", 16, 0.01);
+        huge.page_size = "2M".to_string();
+        state.add(&huge);
+        assert_eq!(
+            state.len(),
+            4,
+            "same axes, distinct page size: distinct groups"
+        );
         let all = state.query(&QueryFilter::default());
-        assert_eq!(all.count, 4);
+        assert_eq!(all.count, 5);
         let cc16 = state.query(&QueryFilter {
             workload: Some("cc-urand".to_string()),
+            page_size: Some("4K".to_string()),
             max_footprint_mb: Some(16),
             ..QueryFilter::default()
         });
@@ -454,7 +390,7 @@ mod tests {
     fn range_query_fits_across_footprints() {
         let mut state = AggState::new();
         for (mb, wcpi) in [(16u64, 0.1), (32, 0.2), (64, 0.4), (128, 0.7)] {
-            state.add(&row("cc-urand", mb, 7, wcpi));
+            state.add(&row("cc-urand", mb, wcpi));
         }
         let q = state.query(&QueryFilter {
             workload: Some("cc-urand".to_string()),
@@ -468,13 +404,13 @@ mod tests {
     #[test]
     fn remove_is_exact_inverse() {
         let mut state = AggState::new();
-        state.add(&row("cc-urand", 16, 1, 0.1));
+        state.add(&row("cc-urand", 16, 0.1));
         let before = state.clone();
-        let extra = row("cc-urand", 16, 2, 0.9);
+        let extra = row("cc-urand", 16, 0.9);
         state.add(&extra);
         state.remove(&extra);
         assert_eq!(state, before);
-        let lone = row("tc-kron", 512, 3, 2.0);
+        let lone = row("tc-kron", 512, 2.0);
         state.add(&lone);
         state.remove(&lone);
         assert_eq!(state, before, "emptied group disappears");
@@ -482,7 +418,7 @@ mod tests {
 
     #[test]
     fn hot_row_codec_roundtrip() {
-        let r = row("pr-urand", 256, 9, 1.25);
+        let r = row("pr-urand", 256, 1.25);
         let mut enc = Enc::new();
         r.encode(&mut enc);
         let bytes = enc.finish();
@@ -490,8 +426,8 @@ mod tests {
         assert_eq!(HotRow::decode(&mut dec).unwrap(), r);
     }
 
-    pub(crate) fn arch_row(workload: &str, mb: u64, seed: u64, wcpi: f64, arch: &str) -> HotRow {
-        let mut r = row(workload, mb, seed, wcpi);
+    fn arch_row(workload: &str, mb: u64, wcpi: f64, arch: &str) -> HotRow {
+        let mut r = row(workload, mb, wcpi);
         r.arch = arch.to_string();
         r
     }
@@ -499,9 +435,9 @@ mod tests {
     #[test]
     fn architectures_group_separately_and_filter() {
         let mut state = AggState::new();
-        state.add(&row("cc-urand", 16, 1, 0.4));
-        state.add(&arch_row("cc-urand", 16, 1, 0.1, "victima"));
-        state.add(&arch_row("cc-urand", 16, 1, 3.0, "no-tlb"));
+        state.add(&row("cc-urand", 16, 0.4));
+        state.add(&arch_row("cc-urand", 16, 0.1, "victima"));
+        state.add(&arch_row("cc-urand", 16, 3.0, "no-tlb"));
         assert_eq!(state.len(), 3, "same axes, distinct arch: distinct groups");
         let victima = state.query(&QueryFilter {
             arch: Some("victima".to_string()),
@@ -518,8 +454,8 @@ mod tests {
     fn arch_filtered_range_query_fits_per_architecture() {
         let mut state = AggState::new();
         for (mb, base, vict) in [(16u64, 0.2, 0.1), (64, 0.5, 0.2), (256, 1.1, 0.35)] {
-            state.add(&row("cc-urand", mb, 7, base));
-            state.add(&arch_row("cc-urand", mb, 7, vict, "victima"));
+            state.add(&row("cc-urand", mb, base));
+            state.add(&arch_row("cc-urand", mb, vict, "victima"));
         }
         let fit = |arch: &str| {
             state
@@ -534,29 +470,5 @@ mod tests {
             fit("victima") < fit("baseline"),
             "victima's extended reach must flatten the slope"
         );
-    }
-
-    #[test]
-    fn v1_hot_row_decodes_with_baseline_arch() {
-        let expect = row("pr-urand", 256, 9, 1.25);
-        // Encode without the arch column, as v1 WAL frames did.
-        let mut enc = Enc::new();
-        enc.str(&expect.workload);
-        enc.u64(expect.footprint_mb);
-        enc.str(&expect.page_size);
-        enc.u64(expect.seed);
-        enc.str(&expect.source);
-        enc.i64(expect.wcpi_fp);
-        enc.i64(expect.x_fp);
-        enc.u64(expect.walk_duration_cycles);
-        enc.u64(expect.inst_retired);
-        enc.u64(expect.cycles);
-        enc.u64(expect.walks_initiated);
-        enc.u64(expect.walks_completed);
-        enc.u64(expect.walks_retired);
-        let bytes = enc.finish();
-        let mut dec = Dec::new(&bytes);
-        assert_eq!(HotRow::decode_v1(&mut dec).unwrap(), expect);
-        assert!(dec.done().is_ok());
     }
 }

@@ -1,15 +1,15 @@
 //! The results plane: an append-only columnar store for run records with
 //! online, mergeable aggregation.
 //!
-//! This crate is the run cache's one on-disk format. The format it
-//! replaced kept one JSON file per run (`RunStore::open` still folds such
-//! files in), so answering a fig1 question ("β/c over the cc-urand
-//! sweep") meant replaying every record. This crate stores the same
-//! records as fixed-schema column blocks (sealed segments) plus an
+//! This crate is the run cache's one on-disk format. Answering a fig1
+//! question ("β/c over the cc-urand sweep at 4K pages") must not mean
+//! replaying every record, so the store keeps each record as the six hot
+//! columns a query groups and fits on (sealed segments) plus an
 //! LZ-compressed raw-JSON sidecar for bit-for-bit replay, and maintains
-//! per-`(workload, footprint, source)` aggregate state — a WCPI quantile
-//! [`Sketch`] and a streaming β/c [`Regress`] accumulator — incrementally
-//! as records commit, so sweep queries are `O(groups)`, not `O(runs)`.
+//! per-`(workload, footprint, page size, arch)` aggregate state — a WCPI
+//! quantile [`Sketch`] and a streaming β/c [`Regress`] accumulator —
+//! incrementally as records commit, so sweep queries are `O(groups)`, not
+//! `O(runs)`.
 //!
 //! Layering:
 //!

@@ -13,9 +13,10 @@
 //! Crash/corruption contract (quarantine-and-recompute): a torn WAL tail
 //! is quarantined to `wal.corrupt` and truncated away; a segment failing
 //! any CRC is renamed to `*.corrupt` wholesale; `*.tmp` droppings of a
-//! write that crashed before its rename are removed at open. Every
-//! quarantined record is recomputable by construction, so corruption is
-//! only ever a cache miss.
+//! write that crashed before its rename are removed at open. A segment or
+//! WAL frame in an older format is undecodable and takes the same path.
+//! Every quarantined record is recomputable by construction, so
+//! corruption is only ever a cache miss.
 //!
 //! Concurrency: a segment directory has **one owner** — one open handle
 //! (cloned or `Arc`-shared freely; handles are `Sync` and appends
@@ -222,13 +223,6 @@ impl SegmentStore {
     }
 
     /// Sets the number of WAL rows that triggers sealing a segment.
-    #[must_use]
-    pub fn with_seal_threshold(self, rows: usize) -> Self {
-        self.set_seal_threshold(rows);
-        self
-    }
-
-    /// [`SegmentStore::with_seal_threshold`] for an already-shared handle.
     pub fn set_seal_threshold(&self, rows: usize) {
         self.guard().seal_threshold = rows.max(1);
     }
@@ -553,22 +547,14 @@ mod tests {
     use crate::regress::x_fp;
     use crate::sketch::value_fp;
 
-    fn hot(workload: &str, mb: u64, seed: u64, wcpi: f64) -> HotRow {
+    fn hot(workload: &str, mb: u64, wcpi: f64) -> HotRow {
         HotRow {
             workload: workload.to_string(),
             footprint_mb: mb,
             page_size: "4K".to_string(),
-            seed,
-            source: "sim".to_string(),
             arch: "baseline".to_string(),
             wcpi_fp: value_fp(wcpi),
             x_fp: x_fp((mb as f64 * 1024.0).log10()),
-            walk_duration_cycles: (wcpi * 1e5) as u64,
-            inst_retired: 100_000,
-            cycles: 150_000,
-            walks_initiated: 90,
-            walks_completed: 80,
-            walks_retired: 70,
         }
     }
 
@@ -589,7 +575,7 @@ mod tests {
         let store = SegmentStore::open(&dir).unwrap();
         assert!(store.load("00").is_none());
         store
-            .append("00", hot("cc-urand", 16, 1, 0.1), &raw(1))
+            .append("00", hot("cc-urand", 16, 0.1), &raw(1))
             .unwrap();
         assert_eq!(store.load("00").unwrap(), raw(1));
         assert_eq!(store.live_len(), 1);
@@ -600,21 +586,22 @@ mod tests {
     fn rows_survive_reopen_before_and_after_seal() {
         let dir = scratch("reopen");
         {
-            let store = SegmentStore::open(&dir).unwrap().with_seal_threshold(2);
+            let store = SegmentStore::open(&dir).unwrap();
+            store.set_seal_threshold(2);
             store
-                .append("aa", hot("cc-urand", 16, 1, 0.1), &raw(1))
+                .append("aa", hot("cc-urand", 16, 0.1), &raw(1))
                 .unwrap();
             // One row: still in the WAL.
             assert_eq!(store.seg_stats().wal_rows, 1);
             store
-                .append("bb", hot("cc-urand", 64, 2, 0.4), &raw(2))
+                .append("bb", hot("cc-urand", 64, 0.4), &raw(2))
                 .unwrap();
             // Threshold reached: sealed into a segment.
             let stats = store.seg_stats();
             assert_eq!(stats.segments, 1);
             assert_eq!(stats.wal_rows, 0);
             store
-                .append("cc", hot("bfs-urand", 16, 3, 0.3), &raw(3))
+                .append("cc", hot("bfs-urand", 16, 0.3), &raw(3))
                 .unwrap();
         }
         let store = SegmentStore::open(&dir).unwrap();
@@ -632,17 +619,18 @@ mod tests {
     #[test]
     fn duplicate_keys_are_last_write_wins_with_exact_aggregate_retraction() {
         let dir = scratch("dup");
-        let store = SegmentStore::open(&dir).unwrap().with_seal_threshold(2);
+        let store = SegmentStore::open(&dir).unwrap();
+        store.set_seal_threshold(2);
         store
-            .append("aa", hot("cc-urand", 16, 1, 0.1), &raw(1))
+            .append("aa", hot("cc-urand", 16, 0.1), &raw(1))
             .unwrap();
         store
-            .append("bb", hot("cc-urand", 64, 2, 0.4), &raw(2))
+            .append("bb", hot("cc-urand", 64, 0.4), &raw(2))
             .unwrap(); // seals
                        // Re-save `aa` with different measurements (the harness's
                        // samples-refresh overwrite).
         store
-            .append("aa", hot("cc-urand", 16, 1, 0.9), &raw(9))
+            .append("aa", hot("cc-urand", 16, 0.9), &raw(9))
             .unwrap();
         assert_eq!(store.load("aa").unwrap(), raw(9), "newest wins");
         let stats = store.seg_stats();
@@ -650,8 +638,8 @@ mod tests {
         assert_eq!(stats.dead_rows, 1);
         // The aggregate must equal one built from only the live rows.
         let mut expect = AggState::new();
-        expect.add(&hot("cc-urand", 16, 1, 0.9));
-        expect.add(&hot("cc-urand", 64, 2, 0.4));
+        expect.add(&hot("cc-urand", 16, 0.9));
+        expect.add(&hot("cc-urand", 64, 0.4));
         assert_eq!(store.aggregate(), expect);
         // And survive a reopen (segment row superseded by WAL row).
         drop(store);
@@ -664,7 +652,8 @@ mod tests {
     #[test]
     fn compact_drops_dead_rows_and_preserves_everything_live() {
         let dir = scratch("compact");
-        let store = SegmentStore::open(&dir).unwrap().with_seal_threshold(2);
+        let store = SegmentStore::open(&dir).unwrap();
+        store.set_seal_threshold(2);
         for (key, seed, wcpi) in [
             ("aa", 1u64, 0.1),
             ("bb", 2, 0.4),
@@ -672,11 +661,7 @@ mod tests {
             ("aa", 9, 0.9),
         ] {
             store
-                .append(
-                    key,
-                    hot("cc-urand", 16 * seed.max(1), seed, wcpi),
-                    &raw(seed),
-                )
+                .append(key, hot("cc-urand", 16 * seed.max(1), wcpi), &raw(seed))
                 .unwrap();
         }
         let agg_before = store.aggregate();
@@ -709,10 +694,10 @@ mod tests {
         {
             let store = SegmentStore::open(&dir).unwrap();
             store
-                .append("aa", hot("cc-urand", 16, 1, 0.1), &raw(1))
+                .append("aa", hot("cc-urand", 16, 0.1), &raw(1))
                 .unwrap();
             store
-                .append("bb", hot("cc-urand", 64, 2, 0.4), &raw(2))
+                .append("bb", hot("cc-urand", 64, 0.4), &raw(2))
                 .unwrap();
         }
         // Tear the last frame.
@@ -726,7 +711,7 @@ mod tests {
         assert!(dir.join("wal.corrupt").exists(), "evidence quarantined");
         // The recompute path: re-append lands cleanly after the truncate.
         store
-            .append("bb", hot("cc-urand", 64, 2, 0.4), &raw(2))
+            .append("bb", hot("cc-urand", 64, 0.4), &raw(2))
             .unwrap();
         drop(store);
         let store = SegmentStore::open(&dir).unwrap();
@@ -739,9 +724,10 @@ mod tests {
     fn corrupt_segment_is_quarantined_wholesale() {
         let dir = scratch("segcorrupt");
         {
-            let store = SegmentStore::open(&dir).unwrap().with_seal_threshold(1);
+            let store = SegmentStore::open(&dir).unwrap();
+            store.set_seal_threshold(1);
             store
-                .append("aa", hot("cc-urand", 16, 1, 0.1), &raw(1))
+                .append("aa", hot("cc-urand", 16, 0.1), &raw(1))
                 .unwrap();
         }
         let seg = dir.join("seg-000000.seg");
@@ -767,11 +753,12 @@ mod tests {
             names.sort();
             names
         };
-        let store = SegmentStore::open(&dir).unwrap().with_seal_threshold(2);
+        let store = SegmentStore::open(&dir).unwrap();
+        store.set_seal_threshold(2);
         assert!(names().is_empty(), "an empty store is just the directory");
         for (key, seed) in [("aa", 1u64), ("bb", 2), ("aa", 3)] {
             store
-                .append(key, hot("cc-urand", 16 * seed, seed, 0.1), &raw(seed))
+                .append(key, hot("cc-urand", 16 * seed, 0.1), &raw(seed))
                 .unwrap();
         }
         assert_eq!(names(), ["seg-000000.seg", "wal.log"]);
@@ -803,7 +790,7 @@ mod tests {
             for (seed, key) in keys.iter().enumerate() {
                 let seed = seed as u64 + 1;
                 store
-                    .append(key, hot("cc-urand", 16 * seed, seed, 0.1), &raw(seed))
+                    .append(key, hot("cc-urand", 16 * seed, 0.1), &raw(seed))
                     .unwrap();
             }
         };
@@ -832,9 +819,10 @@ mod tests {
     fn stale_tmp_files_are_collected_on_open() {
         let dir = scratch("tmpgc");
         {
-            let store = SegmentStore::open(&dir).unwrap().with_seal_threshold(1);
+            let store = SegmentStore::open(&dir).unwrap();
+            store.set_seal_threshold(1);
             store
-                .append("aa", hot("cc-urand", 16, 1, 0.1), &raw(1))
+                .append("aa", hot("cc-urand", 16, 0.1), &raw(1))
                 .unwrap();
             assert_eq!(store.seg_stats().tmp_files, 0);
         }
@@ -867,7 +855,7 @@ mod tests {
             store
                 .append(
                     &format!("{seed:016x}"),
-                    hot("cc-urand", mb, seed, 0.1 * (seed + 1) as f64),
+                    hot("cc-urand", mb, 0.1 * (seed + 1) as f64),
                     &raw(seed),
                 )
                 .unwrap();

@@ -12,13 +12,12 @@
 use crate::aggregate::HotRow;
 use crate::codec::{crc32, Corrupt, Dec, DecResult, Enc};
 
-/// v1 frame magic (`"AWAL"` little-endian) — rows without the arch
-/// column. Still decoded (with `arch = "baseline"`), never written.
-const WAL_MAGIC_V1: u32 = 0x4C41_5741;
-/// v2 frame magic (`"AWL2"` little-endian) — rows carrying the arch
-/// column. A log may mix v1 and v2 frames: the magic is per frame, so an
-/// upgraded daemon appends v2 frames to a v1 log in place.
-const WAL_MAGIC: u32 = 0x324C_5741;
+/// Frame magic (`"AWL3"` little-endian): frames carrying the six hot
+/// columns. A frame under any other magic — the `"AWAL"` (v1) and
+/// `"AWL2"` (v2) frames of older stores included — fails the scan like a
+/// torn frame, so an older log is quarantined whole and its rows are
+/// recomputed.
+const WAL_MAGIC: u32 = 0x334C_5741;
 
 /// One committed row: the dedup key, the hot columns, and the
 /// LZ-compressed raw record JSON.
@@ -46,15 +45,11 @@ pub(crate) fn encode_entry(entry: &WalEntry) -> Vec<u8> {
     out
 }
 
-fn decode_payload(payload: &[u8], v1: bool) -> DecResult<WalEntry> {
+fn decode_payload(payload: &[u8]) -> DecResult<WalEntry> {
     let mut dec = Dec::new(payload);
     let entry = WalEntry {
         key: dec.str()?,
-        hot: if v1 {
-            HotRow::decode_v1(&mut dec)?
-        } else {
-            HotRow::decode(&mut dec)?
-        },
+        hot: HotRow::decode(&mut dec)?,
         raw_lz: dec.bytes()?,
     };
     dec.done()?;
@@ -107,11 +102,9 @@ fn next_entry(data: &[u8], pos: usize) -> DecResult<Option<(WalEntry, usize)>> {
         return Ok(None);
     }
     let mut dec = Dec::new(&data[pos..]);
-    let v1 = match dec.u32()? {
-        WAL_MAGIC => false,
-        WAL_MAGIC_V1 => true,
-        _ => return Err(Corrupt),
-    };
+    if dec.u32()? != WAL_MAGIC {
+        return Err(Corrupt);
+    }
     let len = dec.u32()? as usize;
     let crc = dec.u32()?;
     let header = 12usize;
@@ -123,7 +116,7 @@ fn next_entry(data: &[u8], pos: usize) -> DecResult<Option<(WalEntry, usize)>> {
     if crc32(payload) != crc {
         return Err(Corrupt);
     }
-    Ok(Some((decode_payload(payload, v1)?, end)))
+    Ok(Some((decode_payload(payload)?, end)))
 }
 
 #[cfg(test)]
@@ -139,17 +132,9 @@ mod tests {
                 workload: "cc-urand".to_string(),
                 footprint_mb: 16,
                 page_size: "4K".to_string(),
-                seed,
-                source: "sim".to_string(),
                 arch: "baseline".to_string(),
-                wcpi_fp: value_fp(0.125),
+                wcpi_fp: value_fp(0.125 * seed as f64),
                 x_fp: x_fp(4.2),
-                walk_duration_cycles: 9_000,
-                inst_retired: 100_000,
-                cycles: 150_000,
-                walks_initiated: 90,
-                walks_completed: 80,
-                walks_retired: 70,
             },
             raw_lz: crate::lz::compress(br#"{"spec":{"seed":1}}"#),
         }
@@ -186,46 +171,15 @@ mod tests {
         }
     }
 
-    /// Encodes `entry` as a pre-arch v1 frame: old magic, no arch column.
-    fn encode_entry_v1(entry: &WalEntry) -> Vec<u8> {
-        let mut payload = Enc::new();
-        payload.str(&entry.key);
-        payload.str(&entry.hot.workload);
-        payload.u64(entry.hot.footprint_mb);
-        payload.str(&entry.hot.page_size);
-        payload.u64(entry.hot.seed);
-        payload.str(&entry.hot.source);
-        payload.i64(entry.hot.wcpi_fp);
-        payload.i64(entry.hot.x_fp);
-        payload.u64(entry.hot.walk_duration_cycles);
-        payload.u64(entry.hot.inst_retired);
-        payload.u64(entry.hot.cycles);
-        payload.u64(entry.hot.walks_initiated);
-        payload.u64(entry.hot.walks_completed);
-        payload.u64(entry.hot.walks_retired);
-        payload.bytes(&entry.raw_lz);
-        let payload = payload.finish();
-        let mut frame = Enc::new();
-        frame.u32(WAL_MAGIC_V1);
-        frame.u32(u32::try_from(payload.len()).unwrap());
-        frame.u32(crc32(&payload));
-        let mut out = frame.finish();
-        out.extend_from_slice(&payload);
-        out
-    }
-
     #[test]
-    fn v1_frames_decode_with_baseline_arch_and_mix_with_v2() {
-        // An upgraded daemon appends v2 frames after a v1 log's tail.
-        let old = entry("a", 1);
-        let new = entry("b", 2);
-        let mut data = encode_entry_v1(&old);
-        data.extend_from_slice(&encode_entry(&new));
-        let scan = scan(&data);
-        assert_eq!(scan.entries, vec![old, new]);
-        assert_eq!(scan.entries[0].hot.arch, "baseline");
-        assert!(scan.torn_tail.is_none());
-        assert_eq!(scan.good_bytes, data.len() as u64);
+    fn a_v2_frame_is_corrupt() {
+        // An `"AWL2"` frame: intact length and CRC, the previous magic.
+        let mut frame = encode_entry(&entry("a", 1));
+        frame[0..4].copy_from_slice(&0x324C_5741u32.to_le_bytes());
+        let scan = scan(&frame);
+        assert!(scan.entries.is_empty());
+        assert_eq!(scan.good_bytes, 0);
+        assert_eq!(scan.torn_tail, Some(frame));
     }
 
     #[test]

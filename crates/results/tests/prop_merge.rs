@@ -42,18 +42,10 @@ fn hot_row(&(w, f, seed, wcpi): &RowDraw) -> HotRow {
     HotRow {
         workload: WORKLOADS[w].to_string(),
         footprint_mb: mb,
-        page_size: "4K".to_string(),
-        seed,
-        source: "sim".to_string(),
+        page_size: ["4K", "2M", "1G"][(seed / 3 % 3) as usize].to_string(),
         arch: if seed % 3 == 0 { "no-tlb" } else { "baseline" }.to_string(),
         wcpi_fp: value_fp(wcpi),
         x_fp: x_fp((mb as f64 * 1024.0).log10()),
-        walk_duration_cycles: (wcpi * 1e5) as u64,
-        inst_retired: 100_000,
-        cycles: 150_000,
-        walks_initiated: 90,
-        walks_completed: 80,
-        walks_retired: 70,
     }
 }
 
@@ -95,9 +87,8 @@ proptest! {
         let dir = scratch_dir();
         let mut last: BTreeMap<String, (HotRow, Vec<u8>)> = BTreeMap::new();
         {
-            let store = SegmentStore::open(&dir)
-                .expect("open store")
-                .with_seal_threshold(seal_threshold);
+            let store = SegmentStore::open(&dir).expect("open store");
+            store.set_seal_threshold(seal_threshold);
             for (i, (key, draw)) in appends.iter().enumerate() {
                 let key = format!("key-{key:02}");
                 let hot = hot_row(draw);
@@ -115,6 +106,10 @@ proptest! {
             QueryFilter::default(),
             QueryFilter {
                 arch: Some("no-tlb".to_string()),
+                ..QueryFilter::default()
+            },
+            QueryFilter {
+                page_size: Some("4K".to_string()),
                 ..QueryFilter::default()
             },
         ] {

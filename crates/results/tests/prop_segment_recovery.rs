@@ -18,8 +18,6 @@ fn mk_row(i: u64) -> (String, HotRow, Vec<u8>) {
         workload: "cc-urand".to_string(),
         footprint_mb: mb,
         page_size: "4K".to_string(),
-        seed: i,
-        source: "sim".to_string(),
         arch: if i.is_multiple_of(4) {
             "victima"
         } else {
@@ -28,12 +26,6 @@ fn mk_row(i: u64) -> (String, HotRow, Vec<u8>) {
         .to_string(),
         wcpi_fp: value_fp(wcpi),
         x_fp: x_fp((mb as f64 * 1024.0).log10()),
-        walk_duration_cycles: 1_000 + i,
-        inst_retired: 100_000,
-        cycles: 150_000,
-        walks_initiated: 90,
-        walks_completed: 80,
-        walks_retired: 70,
     };
     let raw = format!("{{\"run\":{i},\"wcpi\":{wcpi}}}").into_bytes();
     (format!("key-{i:04}"), hot, raw)
@@ -63,9 +55,8 @@ const ROWS: u64 = 4;
 
 /// Seals `ROWS` rows into `seg-000000.seg` and returns the rows.
 fn seed_sealed_segment(dir: &std::path::Path) -> Vec<(String, HotRow, Vec<u8>)> {
-    let store = SegmentStore::open(dir)
-        .expect("open store")
-        .with_seal_threshold(ROWS as usize);
+    let store = SegmentStore::open(dir).expect("open store");
+    store.set_seal_threshold(ROWS as usize);
     let rows: Vec<_> = (0..ROWS).map(mk_row).collect();
     for (key, hot, raw) in &rows {
         store.append(key, hot.clone(), raw).expect("append");
@@ -179,7 +170,8 @@ proptest! {
         // frame's end offset as it lands.
         let mut ends: Vec<u64> = Vec::new();
         {
-            let store = SegmentStore::open(&dir).expect("open store").with_seal_threshold(1024);
+            let store = SegmentStore::open(&dir).expect("open store");
+            store.set_seal_threshold(1024);
             for (key, hot, raw) in &rows {
                 store.append(key, hot.clone(), raw).expect("append");
                 ends.push(std::fs::metadata(&wal).expect("wal exists").len());

@@ -63,7 +63,13 @@ pub use atscale::results::{CompactStats, GroupSummary, QueryFilter, QueryResult,
 /// occupancy report, and [`SegStats`] gained the `tmp_files` count only
 /// the old reply carried. Every store verb now answers [`Reply::Error`] on
 /// a store-less daemon, where the old verb answered zeros.
-pub const PROTOCOL_VERSION: u64 = 8;
+///
+/// v9: the results plane groups by page size. [`QueryFilter`] and
+/// [`GroupSummary`] carry `page_size` (`4K` / `2M` / `1G`) where they
+/// carried the constant `source`, so a filter pinning `4K` fits the
+/// paper's per-page-size scaling law instead of pooling the baseline
+/// runs. [`RecordDone`] and [`SampleEvent`] keep their `source` tag.
+pub const PROTOCOL_VERSION: u64 = 9;
 
 /// Client → server handshake: announces the client's protocol revision.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

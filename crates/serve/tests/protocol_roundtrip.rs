@@ -137,7 +137,7 @@ fn requests() -> Vec<Request> {
         Request::Shutdown,
         Request::Query(QueryFilter {
             workload: Some("cc-urand".to_string()),
-            source: Some("sim".to_string()),
+            page_size: Some("4K".to_string()),
             arch: Some("victima".to_string()),
             min_footprint_mb: Some(16),
             max_footprint_mb: Some(1024),
@@ -278,7 +278,7 @@ fn replies() -> Vec<Reply> {
             groups: vec![GroupSummary {
                 workload: "cc-urand".to_string(),
                 footprint_mb: 64,
-                source: "sim".to_string(),
+                page_size: "4K".to_string(),
                 arch: "victima".to_string(),
                 count: 9,
                 mean_wcpi: 0.2,
