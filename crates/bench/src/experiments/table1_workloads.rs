@@ -12,9 +12,9 @@ pub(super) fn run(ctx: &Ctx) {
     for id in WorkloadId::all() {
         t1.row_owned(vec![
             id.to_string(),
-            id.program.suite().to_string(),
-            id.program.name().to_string(),
-            id.generator.name().to_string(),
+            id.program().suite().to_string(),
+            id.program().name().to_string(),
+            id.generator().name().to_string(),
         ]);
     }
     println!("{}", t1.render());

@@ -1,14 +1,16 @@
-//! Validation tests anchoring the paper-scale statistical models to the
-//! real kernels: where both can run (small footprints), the translation
+//! The cc-urand model against a real connected-components kernel
+//! ([`cc_kernel`]): where both can run (small footprints), the translation
 //! metrics must agree in magnitude and direction.
+
+mod cc_kernel;
 
 use atscale::Decomposition;
 use atscale_gen::urand::{edges, UrandConfig};
 use atscale_mmu::{AccessSink, Machine, MachineConfig, RunResult};
 use atscale_vm::{BackingPolicy, PageSize};
-use atscale_workloads::kernels::{connected_components, CsrGraph};
 use atscale_workloads::meta;
-use atscale_workloads::{SimArray, WorkloadId};
+use atscale_workloads::WorkloadId;
+use cc_kernel::{connected_components, CsrGraph, SimArray};
 
 /// Runs the real CC kernel on an actual urand graph through the MMU sim.
 fn run_real_cc(scale: u32, budget: u64) -> RunResult {

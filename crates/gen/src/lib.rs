@@ -2,30 +2,26 @@
 //!
 //! The paper drives each workload with the synthetic input generator
 //! embedded in its benchmark suite, sweeping sizes to produce memory
-//! footprints from ~250 MB to ~600 GB:
+//! footprints from ~250 MB to ~600 GB. This crate keeps the pieces the
+//! workspace runs:
 //!
-//! | Generator | Suite | Shape |
-//! |-----------|-------|-------|
-//! | [`urand`]   | GAPBS | uniform-random graph (Erdős–Rényi-like) |
-//! | [`kron`]    | GAPBS | Kronecker/RMAT scale-free graph |
-//! | [`ycsb`]    | YCSB/memcached | uniform (or Zipfian) key draws |
-//! | [`mcf_net`] | SPEC mcf | random min-cost-flow network |
-//! | [`points`]  | PARSEC streamcluster | Gaussian-mixture points |
+//! | Item | Shape | Used by |
+//! |------|-------|---------|
+//! | [`urand`] | GAPBS uniform-random graph (Erdős–Rényi-like) | the reference CC kernel in `atscale`'s `model_vs_kernel` test |
+//! | [`kron`]  | GAPBS Kronecker/RMAT scale-free graph | the same kernel's tests |
+//! | [`zipf`]  | Zipf(θ) ranks in O(1) state | the kron graph and mcf models' skewed draws |
+//! | [`splitmix64`] | 64-bit mixing | the models, the sweep's per-footprint seeds and the run store |
+//! | [`seed_stream`] | per-stream seeds | [`urand`] and [`kron`] |
 //!
 //! All generators are deterministic functions of an explicit seed, and the
 //! graph generators can *stream*: edge `i` (or vertex `v`'s neighbour list)
-//! is recomputable in O(1) memory via [`splitmix64`] hashing, which is what
-//! lets workload models reach paper-scale footprints without materialising
-//! hundreds of gigabytes of edges.
+//! is recomputable in O(1) memory via [`splitmix64`] hashing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod kron;
-pub mod mcf_net;
-pub mod points;
 pub mod urand;
-pub mod ycsb;
 pub mod zipf;
 
 /// SplitMix64: a fast, high-quality 64-bit mixing function.

@@ -2,8 +2,6 @@
 //! and distribution-shape invariants.
 
 use atscale_gen::kron::{self, KronConfig};
-use atscale_gen::mcf_net::{generate, McfConfig};
-use atscale_gen::points::{point, PointsConfig};
 use atscale_gen::urand::{self, UrandConfig};
 use atscale_gen::zipf::{zeta, Zipf};
 use proptest::prelude::*;
@@ -59,36 +57,6 @@ proptest! {
         }
         if n > 1 {
             prop_assert!(zeta(n, theta) > zeta(n - 1, theta));
-        }
-    }
-
-    /// Generated mcf networks are structurally valid: endpoints in range,
-    /// forward layering, positive supply.
-    #[test]
-    fn mcf_networks_are_valid(trips in 1u32..300, seed in 0u64..200) {
-        let net = generate(McfConfig::new(trips, seed));
-        prop_assert_eq!(net.nodes, trips + 1);
-        prop_assert!(net.supply >= 1);
-        for arc in &net.arcs {
-            prop_assert!(arc.from < net.nodes && arc.to < net.nodes);
-            prop_assert!(arc.capacity > 0);
-            if arc.from != 0 && arc.to != 0 {
-                prop_assert!(arc.to > arc.from, "forward in time");
-            }
-        }
-    }
-
-    /// Points are finite, in the unit cube, and deterministic.
-    #[test]
-    fn points_are_finite_and_bounded(seed in 0u64..500, index in 0u64..100_000) {
-        let cfg = PointsConfig { dims: 16, centers: 4, spread: 0.05, seed };
-        let mut a = vec![0.0f32; 16];
-        let mut b = vec![0.0f32; 16];
-        point(cfg, index, &mut a);
-        point(cfg, index, &mut b);
-        prop_assert_eq!(&a, &b);
-        for x in a {
-            prop_assert!((0.0..=1.0).contains(&x));
         }
     }
 }

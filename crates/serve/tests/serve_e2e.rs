@@ -491,6 +491,53 @@ fn a_line_that_never_ends_is_cut_off() {
     server.shutdown_and_join();
 }
 
+/// A raw connection to a Unix-socket daemon: each call sends one line and
+/// decodes the one reply frame it gets back.
+fn raw_asker(path: &std::path::Path) -> impl FnMut(&str) -> Reply {
+    let mut stream = UnixStream::connect(path).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("socket timeout");
+    let mut replies = BufReader::new(stream.try_clone().expect("clone")).lines();
+    move |line: &str| {
+        stream.write_all(line.as_bytes()).expect("send");
+        stream.write_all(b"\n").expect("send");
+        let reply = replies.next().expect("a reply").expect("read");
+        protocol::decode::<Reply>(&reply).expect("a frame")
+    }
+}
+
+/// A spec naming a workload the paper does not study is a bad frame: the
+/// `Error` reply names the pair, the connection keeps answering, and
+/// nothing runs.
+#[test]
+fn a_spec_outside_the_paper_is_a_bad_frame() {
+    let (server, path) = start_unix_server("outside", None);
+    let mut ask = raw_asker(&path);
+
+    let valid = protocol::encode(&Request::Submit(Submit {
+        id: 7,
+        specs: vec![tiny_spec(1)],
+        deadline_ms: None,
+        no_cache: false,
+        sample_interval: 0,
+    }));
+    let (from, to) = (
+        r#""program":"Cc","generator":"Urand""#,
+        r#""program":"Mcf","generator":"Kron""#,
+    );
+    assert!(valid.contains(from), "{valid}");
+    match ask(&valid.replace(from, to)) {
+        Reply::Error(e) => assert!(e.message.contains("mcf-kron"), "{}", e.message),
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
+    match ask(&protocol::encode(&Request::ServerStats)) {
+        Reply::ServerStats(stats) => assert_eq!(stats.executions, 0, "{stats:?}"),
+        other => panic!("expected ServerStats, got {other:?}"),
+    }
+    server.shutdown_and_join();
+}
+
 /// One line of deep nesting is a bad frame, not a crash: the codec's
 /// nesting bound answers it with an `Error` frame from the shard thread
 /// that decodes it, the connection keeps answering, and the daemon keeps
@@ -498,17 +545,7 @@ fn a_line_that_never_ends_is_cut_off() {
 #[test]
 fn a_deeply_nested_line_is_a_bad_frame() {
     let (server, path) = start_unix_server("nesting", None);
-    let mut stream = UnixStream::connect(&path).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("socket timeout");
-    let mut replies = BufReader::new(stream.try_clone().expect("clone")).lines();
-    let mut ask = |line: &str| {
-        stream.write_all(line.as_bytes()).expect("send");
-        stream.write_all(b"\n").expect("send");
-        let reply = replies.next().expect("a reply").expect("read");
-        protocol::decode::<Reply>(&reply).expect("a frame")
-    };
+    let mut ask = raw_asker(&path);
 
     match ask(&"[".repeat(100_000)) {
         Reply::Error(e) => assert!(

@@ -9,36 +9,24 @@
 //! | SPEC 2006 | `mcf` | `rand` | network simplex |
 //! | PARSEC | `streamcluster` | `rand` | clustering |
 //!
-//! This crate provides each of them **twice**:
+//! Each program has one implementation here: a statistical access-pattern
+//! model in [`models`] that reaches the paper's multi-gigabyte footprints
+//! in O(1) host memory. The [`registry`] module names the paper's 13
+//! workload–generator combinations and builds the model for any requested
+//! footprint.
 //!
-//! 1. [`kernels`] — real, executable Rust implementations of the algorithms
-//!    (BFS, betweenness centrality, connected components, PageRank, triangle
-//!    counting on actual CSR graphs; a chaining hash-table KV cache; a
-//!    successive-shortest-path min-cost-flow solver; a streaming k-median
-//!    clusterer). Their data lives in host memory but is *addressed* through
-//!    [`SimArray`]s in simulated virtual memory, so every load/store they
-//!    perform is pushed into an [`atscale_mmu::AccessSink`]. These run at
-//!    small-to-medium footprints and anchor the models to reality.
-//!
-//! 2. [`models`] — statistical access-pattern models of the same kernels
-//!    that reach the paper's multi-gigabyte footprints in O(1) host memory
-//!    by exploiting the streaming generators in `atscale-gen`. Validation
-//!    tests assert that where kernels and models overlap in footprint, the
-//!    translation metrics agree in trend.
-//!
-//! The [`registry`] module names the paper's 13 workload–generator
-//! combinations and builds the model for any requested footprint.
+//! One model is checked against a real kernel: `atscale`'s
+//! `model_vs_kernel` test runs a label-propagation connected-components
+//! kernel on an actual `urand` CSR graph beside the cc-urand model and
+//! compares their translation metrics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod kernels;
 pub mod meta;
 pub mod models;
 pub mod registry;
-mod simalloc;
 mod workload;
 
 pub use registry::{Generator, Program, WorkloadId};
-pub use simalloc::{SimArray, SimBitmap};
 pub use workload::Workload;

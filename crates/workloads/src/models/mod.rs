@@ -4,10 +4,11 @@
 //! *instruction mix* of each workload, not its computed answers. These
 //! models reproduce each Table I program's memory behaviour — array
 //! layouts, sequential/dependent/random access mixes, hot-set structure —
-//! at any footprint, in O(1) host memory, by exploiting the streaming
-//! generators in `atscale-gen`. The real kernels in [`crate::kernels`]
-//! anchor them: validation tests check that where both can run, the
-//! translation metrics agree in trend.
+//! at any footprint, in O(1) host memory: addresses come from seeded random
+//! draws, never from a materialised input. They are the
+//! only implementation of each program; `atscale`'s `model_vs_kernel` test
+//! checks the cc-urand model against a real connected-components kernel at
+//! the footprints that kernel reaches.
 //!
 //! Each model's `run` is a *sampled window* of the program's steady state:
 //! sequential cursors start at random positions and the stream runs until

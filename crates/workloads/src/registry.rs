@@ -2,7 +2,7 @@
 
 use crate::models::{GraphGen, GraphKernel, GraphModel, KvModel, McfModel, StreamclusterModel};
 use crate::workload::Workload;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
 /// Program under study (paper Table I).
@@ -67,30 +67,25 @@ impl Generator {
     }
 }
 
-/// A workload identity: `program-generator`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+/// A workload identity: `program-generator`, always one of the 13 pairs
+/// in [`WorkloadId::all`]. It serialises as a `{program, generator}` map;
+/// decoding rejects any other pair, so a wire spec cannot name a workload
+/// the paper does not study.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct WorkloadId {
-    /// The program.
-    pub program: Program,
-    /// The input generator.
-    pub generator: Generator,
+    program: Program,
+    generator: Generator,
 }
 
 impl WorkloadId {
-    /// Creates an identity.
-    ///
-    /// # Panics
-    ///
-    /// Panics for combinations the paper does not study (e.g. `mcf-kron`).
-    pub fn new(program: Program, generator: Generator) -> Self {
-        let id = WorkloadId { program, generator };
-        assert!(
-            Self::all().contains(&id),
-            "{}-{} is not one of the paper's workloads",
-            program.name(),
-            generator.name()
-        );
-        id
+    /// The program.
+    pub const fn program(self) -> Program {
+        self.program
+    }
+
+    /// The input generator.
+    pub const fn generator(self) -> Generator {
+        self.generator
     }
 
     /// All 13 combinations the paper studies.
@@ -185,6 +180,23 @@ impl WorkloadId {
     }
 }
 
+impl Deserialize for WorkloadId {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let entries = v.as_map()?;
+        let id = WorkloadId {
+            program: serde::field(entries, "program")?,
+            generator: serde::field(entries, "generator")?,
+        };
+        if WorkloadId::all().contains(&id) {
+            Ok(id)
+        } else {
+            Err(serde::Error::msg(format!(
+                "{id} is not one of the paper's workloads"
+            )))
+        }
+    }
+}
+
 impl fmt::Display for WorkloadId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}-{}", self.program.name(), self.generator.name())
@@ -224,14 +236,22 @@ mod tests {
     fn parse_roundtrips_every_workload() {
         for id in WorkloadId::all() {
             assert_eq!(WorkloadId::parse(&id.to_string()), Some(id));
+            assert_eq!(WorkloadId::from_value(&id.to_value()), Ok(id));
         }
         assert!(WorkloadId::parse("nonsense").is_none());
     }
 
     #[test]
-    #[should_panic(expected = "not one of the paper's workloads")]
-    fn invalid_combination_panics() {
-        WorkloadId::new(Program::Mcf, Generator::Kron);
+    fn pairs_outside_the_paper_fail_to_decode() {
+        for (program, generator, label) in [("Bc", "Rand", "bc-rand"), ("Mcf", "Kron", "mcf-kron")]
+        {
+            let v = Value::Map(vec![
+                ("program".to_string(), Value::Str(program.to_string())),
+                ("generator".to_string(), Value::Str(generator.to_string())),
+            ]);
+            let err = WorkloadId::from_value(&v).expect_err(label);
+            assert!(err.to_string().contains(label), "{err}");
+        }
     }
 
     #[test]
