@@ -30,7 +30,7 @@ pub type NodeId = usize;
 /// Method names whose calls are almost always `std` collection/iterator/
 /// `Option`/`Result` APIs; a method call with one of these names never
 /// resolves to a workspace function (see [`Analysis::resolve_call`]).
-pub const STD_COLLIDING_METHODS: [&str; 54] = [
+pub const STD_COLLIDING_METHODS: [&str; 53] = [
     // Collections.
     "push",
     "pop",
@@ -40,7 +40,6 @@ pub const STD_COLLIDING_METHODS: [&str; 54] = [
     "get",
     "get_mut",
     "extend",
-    "append",
     "clear",
     "take",
     "entry",
@@ -119,7 +118,8 @@ impl Analysis {
     /// Parses every Rust source in `ws` and builds the call graph.
     pub fn build(ws: &Workspace) -> Analysis {
         let files: Vec<FileModel> = ws
-            .rust_sources()
+            .files
+            .iter()
             .map(|f| FileModel::parse(&f.path, &f.text))
             .collect();
         let mut locks = Vec::new();
@@ -370,6 +370,24 @@ mod tests {
         // `Self::` resolves against the caller's impl type.
         let key = a.find("Store::key")[0];
         assert!(a.reachable_from(&[key])[a.find("Store::save_impl")[0]]);
+    }
+
+    #[test]
+    fn append_method_calls_resolve_to_workspace_methods() {
+        // `RunStore::save` reaches the segment store through
+        // `self.segments.append(..)`; a denylisted `append` would hide
+        // everything below it from the lock and panic passes.
+        let a = analysis(&[(
+            "crates/x/src/lib.rs",
+            "
+            struct Segments;
+            impl Segments { fn append(&self, key: &str) {} }
+            struct Store { segments: Segments }
+            impl Store { fn save(&self) { self.segments.append(\"k\"); } }
+            ",
+        )]);
+        let save = a.find("Store::save")[0];
+        assert!(a.reachable_from(&[save])[a.find("Segments::append")[0]]);
     }
 
     #[test]

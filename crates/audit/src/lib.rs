@@ -1,31 +1,30 @@
 //! # atscale-audit — workspace static-analysis pass
 //!
 //! A self-contained consistency checker for the atscale workspace, run in
-//! CI as `cargo run -p atscale-audit`. It enforces seven rules that rustc,
+//! CI as `cargo run -p atscale-audit`. It enforces five rules that rustc,
 //! clippy and the type system cannot express, in this order (numbered as
 //! introduced; each module documents its rule, DESIGN.md §14 the whole):
 //!
 //! 2. [`audit_invariant_annotations`] — public state mutators in `vm`,
 //!    `cache` and `mmu` are covered by the debug-build invariant layer, and
 //!    the layer stays wired into the MMU engine;
-//! 3. [`audit_lint_wiring`] — every crate opts in to the workspace lint
-//!    policy and forbids `unsafe_code`; the one FFI exception keeps its
-//!    unsafe code in `crates/serve/src/sys.rs`;
 //! 6. [`audit_hot_path_allocation`] — the per-access modules do not
 //!    allocate or format outside `#[cold]` fns, constructors and panic
 //!    messages;
 //! 8. [`passes::determinism_taint`], 9. [`passes::lock_discipline`] and
-//!    10. [`passes::panic_surface`] — the call-graph passes;
-//! 11. [`passes::allow_exemptions`] — every `analyze:allow(tag)` has a
-//!     known tag and a justification.
+//!    10. [`passes::panic_surface`] — the call-graph passes. Each of them
+//!    honours a justified `// analyze:allow(tag): why` and fails on one
+//!    without the why.
 //!
-//! All of them read one front end: each Rust source is lexed once
-//! ([`lex`]) into a token stream and an item model ([`model`]), which also
-//! feed the call graph ([`graph`]); only manifests are read as text. The
-//! offline build vendors no `syn`, so the model reads only the shapes
-//! under audit (impl headers, `fn` signatures, attributes, calls), which
-//! rustfmt keeps canonical. Every rule is pinned by the golden fixture
-//! corpus under `tests/fixtures/`, positive and negative per rule.
+//! All of them read one front end: each Rust source under `crates/` is
+//! lexed once ([`lex`]) into a token stream and an item model ([`model`]),
+//! which also feed the call graph ([`graph`]). The audit reads no other
+//! file. The offline build vendors no `syn`, so the model reads only the
+//! shapes under audit (impl headers, `fn` signatures, attributes, calls),
+//! which rustfmt keeps canonical. Every rule is pinned by the golden
+//! fixture corpus under `tests/fixtures/`, positive and negative per rule.
+//! The workspace lint policy (`[lints]` opt-ins, `forbid(unsafe_code)`
+//! roots) is textual and is checked by a CI step, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,14 +33,12 @@ pub mod graph;
 pub mod hotpath;
 pub mod invariants;
 pub mod lex;
-pub mod lints;
 pub mod model;
 pub mod passes;
 pub mod report;
 
 pub use hotpath::audit_hot_path_allocation;
 pub use invariants::audit_invariant_annotations;
-pub use lints::audit_lint_wiring;
 
 use serde::Serialize;
 use std::fmt;
@@ -57,7 +54,7 @@ pub struct SourceFile {
     pub text: String,
 }
 
-/// The loaded workspace: root manifest plus everything under `crates/`.
+/// The loaded workspace: every Rust source under `crates/`.
 #[derive(Debug)]
 pub struct Workspace {
     /// Filesystem root the files were loaded from.
@@ -67,15 +64,10 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Loads the root `Cargo.toml` and every `.rs` / `Cargo.toml` under
-    /// `root/crates/`, skipping build output.
+    /// Loads every `.rs` file under `root/crates/`, skipping build output
+    /// and the fixture corpus.
     pub fn load(root: &Path) -> io::Result<Workspace> {
         let mut files = Vec::new();
-        let root_manifest = root.join("Cargo.toml");
-        files.push(SourceFile {
-            path: "Cargo.toml".to_string(),
-            text: std::fs::read_to_string(&root_manifest)?,
-        });
         collect(root, &root.join("crates"), &mut files)?;
         files.sort_by(|a, b| a.path.cmp(&b.path));
         Ok(Workspace {
@@ -83,26 +75,9 @@ impl Workspace {
             files,
         })
     }
-
-    /// The file at workspace-relative `path`.
-    pub fn file(&self, path: &str) -> Option<&SourceFile> {
-        self.files.iter().find(|f| f.path == path)
-    }
-
-    /// All Rust sources.
-    pub fn rust_sources(&self) -> impl Iterator<Item = &SourceFile> {
-        self.files.iter().filter(|f| f.path.ends_with(".rs"))
-    }
-
-    /// Member-crate manifests (`crates/*/Cargo.toml`).
-    pub fn crate_manifests(&self) -> impl Iterator<Item = &SourceFile> {
-        self.files
-            .iter()
-            .filter(|f| f.path.starts_with("crates/") && f.path.ends_with("/Cargo.toml"))
-    }
 }
 
-/// Recursively collects `.rs` and `Cargo.toml` files under `dir`.
+/// Recursively collects `.rs` files under `dir`.
 fn collect(root: &Path, dir: &Path, files: &mut Vec<SourceFile>) -> io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
@@ -116,7 +91,7 @@ fn collect(root: &Path, dir: &Path, files: &mut Vec<SourceFile>) -> io::Result<(
             if name != "target" && name != "fixtures" && !name.starts_with('.') {
                 collect(root, &path, files)?;
             }
-        } else if name.ends_with(".rs") || name == "Cargo.toml" {
+        } else if name.ends_with(".rs") {
             let rel = path
                 .strip_prefix(root)
                 .unwrap_or(&path)
@@ -132,7 +107,7 @@ fn collect(root: &Path, dir: &Path, files: &mut Vec<SourceFile>) -> io::Result<(
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Violation {
-    /// The rule that fired (e.g. `lint-wiring`).
+    /// The rule that fired (e.g. `panic-surface`).
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub file: String,
@@ -208,12 +183,10 @@ pub fn run_full(ws: &Workspace) -> AnalysisOutcome {
     let (panic_audit, panics) = passes::panic_surface(&analysis);
     let rules = vec![
         audit_invariant_annotations(&analysis),
-        audit_lint_wiring(ws, &analysis),
         audit_hot_path_allocation(&analysis),
         det_audit,
         lock_audit,
         panic_audit,
-        passes::allow_exemptions(&analysis),
     ];
     AnalysisOutcome {
         schema: report::SCHEMA,

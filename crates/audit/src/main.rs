@@ -82,16 +82,13 @@ fn usage(problem: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Walks upward from the current directory to the first `Cargo.toml`
-/// declaring `[workspace]`, falling back to the compile-time layout.
+/// Walks upward from the current directory to the first one holding a
+/// `crates/` directory, falling back to the compile-time layout.
 fn find_workspace_root() -> PathBuf {
     let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
+        if dir.join("crates").is_dir() {
+            return dir;
         }
         if !dir.pop() {
             // `crates/audit` → workspace root, resolved at compile time.

@@ -246,11 +246,6 @@ impl FileModel {
         self.spelled(i, words).is_some()
     }
 
-    /// True when `words` are spelled anywhere in the file's code.
-    pub fn contains(&self, words: &[&str]) -> bool {
-        (0..self.tokens.len()).any(|i| self.spells(i, words))
-    }
-
     /// The token at `i`, skipping backward over comments.
     pub fn prev_code_token(&self, i: usize) -> Option<(usize, &Token)> {
         let mut j = i;

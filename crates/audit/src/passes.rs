@@ -1,6 +1,6 @@
-//! The three call-graph analysis passes and the exemption audit.
+//! The three call-graph analysis passes.
 //!
-//! All four run on the [`crate::graph::Analysis`] built from the whole
+//! All three run on the [`crate::graph::Analysis`] built from the whole
 //! workspace:
 //!
 //! * **determinism-taint** ([`determinism_taint`]) — no wall-clock,
@@ -8,8 +8,7 @@
 //!   iteration on any call path that reaches RunRecord serialization
 //!   (`RunStore::save`/`RunStore::key`) or the deterministic telemetry
 //!   sample stream (`TelemetrySink::sample`). Escape hatch:
-//!   `// analyze:allow(determinism): why`; [`allow_exemptions`] requires the
-//!   why.
+//!   `// analyze:allow(determinism): why`.
 //! * **lock-discipline** ([`lock_discipline`]) — builds the
 //!   lock-acquisition order graph, fails on cycles, and flags locks held
 //!   across blocking I/O (socket/file writes, reads, sleeps), with
@@ -18,6 +17,10 @@
 //!   indexing/panic-macro sites reachable from the server worker threads
 //!   and requires each to be contained by the scheduler's `catch_unwind`
 //!   boundary or carry `// analyze:allow(panic): why`.
+//!
+//! An allow exempts only the finding its tag names, and only with a why:
+//! one without a justification is itself a finding of the pass it would
+//! silence, and one with an unknown tag exempts nothing.
 //!
 //! Each pass documents its approximations inline; the call graph is
 //! name-resolved (see [`crate::graph`]), so reachability over-approximates
@@ -838,39 +841,3 @@ fn panic_sites(file: &FileModel, f: &FnItem) -> Vec<(usize, u32, String)> {
 
 /// Identifiers that may precede `[` without it being an indexing site.
 const KEYWORD_BEFORE_BRACKET: [&str; 4] = ["in", "return", "break", "else"];
-
-/// **Pass 4 — exemption audit.**
-///
-/// Every `analyze:allow(tag)` in the tree must carry a known tag
-/// (`determinism`, `lock-io`, `panic`) and a non-empty justification, so an
-/// exemption always says why it is safe where it is made.
-pub fn allow_exemptions(a: &Analysis) -> Audit {
-    let mut audit = Audit::new("analyze-allowlist");
-    for file in &a.files {
-        // The engine's own sources document the allow grammar in comments;
-        // they are infrastructure, not audited product code.
-        if file.path.starts_with("crates/audit/") {
-            continue;
-        }
-        for s in &file.allows {
-            audit.check();
-            if s.justification.is_empty() {
-                audit.fail(
-                    file.path.clone(),
-                    format!(
-                        "line {}: `analyze:allow({})` must carry a justification \
-                         (`// analyze:allow({}): <why>`)",
-                        s.line, s.tag, s.tag
-                    ),
-                );
-            }
-            if !matches!(s.tag.as_str(), "determinism" | "lock-io" | "panic") {
-                audit.fail(
-                    file.path.clone(),
-                    format!("line {}: unknown analyze:allow tag `{}`", s.line, s.tag),
-                );
-            }
-        }
-    }
-    audit
-}

@@ -12,31 +12,27 @@
 //! (false positives fail the corpus), nothing less (false negatives too).
 
 use atscale_audit::graph::Analysis;
-use atscale_audit::{audit_hot_path_allocation, audit_invariant_annotations, audit_lint_wiring};
+use atscale_audit::{audit_hot_path_allocation, audit_invariant_annotations};
 use atscale_audit::{passes, Audit, SourceFile, Workspace};
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Every rule `run_full` runs, in its order.
-const RULES: [&str; 7] = [
+const RULES: [&str; 5] = [
     "invariant-annotation",
-    "lint-wiring",
     "hot-path-allocation",
     "determinism-taint",
     "lock-discipline",
     "panic-surface",
-    "analyze-allowlist",
 ];
 
-fn run_rule(rule: &str, ws: &Workspace, a: &Analysis) -> Audit {
+fn run_rule(rule: &str, a: &Analysis) -> Audit {
     match rule {
         "invariant-annotation" => audit_invariant_annotations(a),
-        "lint-wiring" => audit_lint_wiring(ws, a),
         "hot-path-allocation" => audit_hot_path_allocation(a),
         "determinism-taint" => passes::determinism_taint(a).0,
         "lock-discipline" => passes::lock_discipline(a).0,
         "panic-surface" => passes::panic_surface(a).0,
-        "analyze-allowlist" => passes::allow_exemptions(a),
         other => panic!("unknown rule `{other}` in a fixture header"),
     }
 }
@@ -97,7 +93,7 @@ fn run_case(dir: &Path) -> Result<(), String> {
     let analysis = Analysis::build(&ws);
     let mut got = Vec::new();
     for rule in rules {
-        let audit = run_rule(rule, &ws, &analysis);
+        let audit = run_rule(rule, &analysis);
         assert!(
             audit.checked > 0,
             "{}: rule `{rule}` ran no checks",

@@ -1,9 +1,7 @@
-pub fn admit(&mut self) {
+pub fn admit(spec: &RunSpec) -> String {
     // analyze:allow(determinism)
     let t = std::time::Instant::now();
     // analyze:allow(everything): the tag grammar only knows determinism, lock-io, and panic
     let u = std::time::Instant::now();
-    // analyze:allow(determinism): deadlines are wall-clock by definition
-    let v = std::time::Instant::now();
-    use_all(t, u, v);
+    stamp(t, u, RunStore::key(spec))
 }

@@ -1,7 +1,7 @@
 //! The audit's acceptance tests, run against the *real* workspace.
 //!
 //! The positive half pins the contract: the shipped tree has zero
-//! violations, and `run_full` runs exactly the seven rules, so a rule
+//! violations, and `run_full` runs exactly the five rules, so a rule
 //! dropped by accident fails here. The negative half doctors the real tree
 //! in memory and asserts the rules still trip on it.
 
@@ -33,7 +33,7 @@ fn the_shipped_workspace_is_clean() {
 }
 
 #[test]
-fn run_full_runs_exactly_the_seven_rules_in_order() {
+fn run_full_runs_exactly_the_five_rules_in_order() {
     let rules: Vec<&str> = run_full(&real_workspace())
         .rules
         .iter()
@@ -43,12 +43,10 @@ fn run_full_runs_exactly_the_seven_rules_in_order() {
         rules,
         [
             "invariant-annotation",
-            "lint-wiring",
             "hot-path-allocation",
             "determinism-taint",
             "lock-discipline",
             "panic-surface",
-            "analyze-allowlist",
         ]
     );
 }
@@ -125,28 +123,6 @@ fn client_code_is_not_a_panic_root() {
         .map(|s| format!("{}:{} {}", s.file, s.line, s.function))
         .collect();
     assert!(client_sites.is_empty(), "{client_sites:#?}");
-}
-
-#[test]
-fn removing_the_lint_opt_in_is_caught() {
-    let mut ws = real_workspace();
-    let file = ws
-        .files
-        .iter_mut()
-        .find(|f| f.path == "crates/mmu/Cargo.toml")
-        .expect("mmu manifest present");
-    file.text = file.text.replace("[lints]\nworkspace = true", "");
-    let violations: Vec<String> = run_all(&ws)
-        .into_iter()
-        .flat_map(|a| a.violations)
-        .map(|v| v.to_string())
-        .collect();
-    assert!(
-        violations
-            .iter()
-            .any(|v| v.contains("crates/mmu/Cargo.toml") && v.contains("[lints]")),
-        "missing lint-wiring violation in {violations:?}"
-    );
 }
 
 #[test]

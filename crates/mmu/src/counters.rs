@@ -306,38 +306,9 @@ impl CheckInvariants for Counters {
     fn check_invariants(&self) {
         let o = self.walk_outcomes();
         invariant!(
-            o.retired <= o.completed && o.completed <= o.initiated,
-            "Table VI ordering: retired {} <= completed {} <= initiated {}",
-            o.retired,
-            o.completed,
-            o.initiated
-        );
-        invariant!(
-            o.retired == self.truth_retired_walks,
-            "counter-derived retired walks ({}) diverge from ground truth ({})",
-            o.retired,
-            self.truth_retired_walks
-        );
-        invariant!(
-            o.wrong_path == self.truth_wrong_path_walks,
-            "counter-derived wrong-path walks ({}) diverge from ground truth ({})",
-            o.wrong_path,
-            self.truth_wrong_path_walks
-        );
-        invariant!(
-            o.aborted == self.truth_aborted_walks,
-            "counter-derived aborted walks ({}) diverge from ground truth ({})",
-            o.aborted,
-            self.truth_aborted_walks
-        );
-        invariant!(
-            o.initiated
-                == self.truth_retired_walks
-                    + self.truth_wrong_path_walks
-                    + self.truth_aborted_walks,
-            "walk accounting: initiated ({}) != retired + wrong-path + squashed ({})",
-            o.initiated,
-            self.truth_retired_walks + self.truth_wrong_path_walks + self.truth_aborted_walks
+            self.consistency_errors().is_empty(),
+            "{}",
+            self.consistency_errors().join("; ")
         );
         invariant!(
             self.accesses_retired() <= self.inst_retired,

@@ -290,6 +290,7 @@ impl SegmentStore {
         self.inject(FaultSite::StoreWrite)?;
         let mut inner = self.guard();
         if inner.wal_file.is_none() {
+            // analyze:allow(lock-io): the first append opens the WAL under the lock that orders every write to it
             inner.wal_file = Some(
                 fs::OpenOptions::new()
                     .create(true)

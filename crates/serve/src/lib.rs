@@ -42,9 +42,9 @@
 //! client's [`RetryPolicy`], store quarantine/GC, worker-panic
 //! containment with `Failed` frames — is always on.
 
-// `deny`, not `forbid`: the epoll shim in `sys` carries the documented,
-// audit-pinned `#[allow(unsafe_code)]` exception (rule 3), the only one
-// in the workspace.
+// `deny`, not `forbid`: the epoll shim in `sys` is the workspace's one
+// documented exception that allows unsafe code back, and CI's lint-policy
+// step keeps it the only one.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
