@@ -3,9 +3,8 @@
 //!
 //! The serve daemon's single-flight dedup and the run-cache layer both key
 //! on serialized [`RunRecord`]s, so the PR-4 hot-path restructuring
-//! (batched sink API, TLB frame payloads, adaptive translation memo,
-//! page-table chain memo, zeta memoisation) is only admissible if it
-//! changes *nothing* observable. These tests run every workload through
+//! (batched sink API, TLB frame payloads, page-table chain memo, zeta
+//! memoisation) is only admissible if it changes *nothing* observable. These tests run every workload through
 //! both pipelines and compare the serialized bytes — not approximate
 //! equality, not counter-by-counter: bytes.
 

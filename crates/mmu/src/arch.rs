@@ -33,7 +33,7 @@
 //! rides in `RunResult::arch_events`, and the tests pin each schema as
 //! literals.
 
-use crate::{MachineConfig, TlbHierarchy, TlbHit};
+use crate::{ArchLookup, MachineConfig, TlbHierarchy};
 use atscale_cache::{CacheConfig, CacheResponse, HitLevel, SetAssocCache};
 use atscale_vm::{PageSize, PhysAddr, VirtAddr};
 use serde::{Deserialize, Serialize, Value};
@@ -115,32 +115,6 @@ impl Deserialize for ArchKind {
     }
 }
 
-/// Outcome of an architecture's translation lookup, mirroring [`TlbHit`]
-/// but carrying the architecture-chosen second-level penalty so designs
-/// with different second-level latencies share one engine leg.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArchLookup {
-    /// First-level hit: zero added translation latency.
-    L1 {
-        /// Page size of the hit entry.
-        size: PageSize,
-        /// Frame base payload of the hit entry.
-        frame: u64,
-    },
-    /// Second-level hit (shared L2 TLB, or an architecture's extension
-    /// level): costs `penalty` cycles, counts as a retired STLB hit.
-    L2 {
-        /// Page size of the hit entry.
-        size: PageSize,
-        /// Frame base payload of the hit entry.
-        frame: u64,
-        /// Extra translation cycles for this hit.
-        penalty: u32,
-    },
-    /// Missed every level: a page-table walk is required.
-    Miss,
-}
-
 /// A pluggable translation architecture: the policy seam between the
 /// execution engine and the translation structures.
 ///
@@ -153,6 +127,9 @@ pub enum ArchLookup {
 ///    `misses` statistics must be incremented per call, because the engine's
 ///    counter couplings (`tlb.misses == walks initiated`, `tlb.l2_hits >=
 ///    retired STLB hits`) are checked for every architecture.
+///    [`TlbHierarchy::lookup`] counts the hit it finds; on its `None` the
+///    architecture counts the miss ([`TlbHierarchy::count_miss`]) or a hit
+///    of its own level ([`TlbHierarchy::count_l2_hit`]).
 /// 2. [`fill`](Self::fill) — where a completed walk installs its result.
 /// 3. [`pte_fetch_latency`](Self::pte_fetch_latency) — what each PTE fetch
 ///    costs, given the cache hierarchy's response (the walk driver seam).
@@ -191,8 +168,8 @@ pub trait TranslationArchitecture: std::fmt::Debug + Send + Sized + 'static {
 
 /// The paper's Table III design, expressed through the trait. Required to be
 /// bit-identical to the pre-trait engine: `lookup` is exactly
-/// [`TlbHierarchy::lookup_frame`] and `fill` exactly [`TlbHierarchy::fill`],
-/// with no extra state.
+/// [`TlbHierarchy::lookup`] plus the miss count, and `fill` exactly
+/// [`TlbHierarchy::fill`], with no extra state.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BaselineArch;
 
@@ -206,15 +183,10 @@ impl TranslationArchitecture for BaselineArch {
 
     #[inline]
     fn lookup(&mut self, tlbs: &mut TlbHierarchy, va: VirtAddr) -> ArchLookup {
-        match tlbs.lookup_frame(va) {
-            (TlbHit::L1(size), frame) => ArchLookup::L1 { size, frame },
-            (TlbHit::L2(size), frame) => ArchLookup::L2 {
-                size,
-                frame,
-                penalty: tlbs.l2_hit_penalty(),
-            },
-            (TlbHit::Miss, _) => ArchLookup::Miss,
-        }
+        tlbs.lookup(va).unwrap_or_else(|| {
+            tlbs.count_miss();
+            ArchLookup::Miss
+        })
     }
 
     #[inline]
@@ -270,16 +242,8 @@ impl TranslationArchitecture for VictimaArch {
     }
 
     fn lookup(&mut self, tlbs: &mut TlbHierarchy, va: VirtAddr) -> ArchLookup {
-        if let Some((hit, frame)) = tlbs.lookup_frame_open(va) {
-            return match hit {
-                TlbHit::L1(size) => ArchLookup::L1 { size, frame },
-                TlbHit::L2(size) => ArchLookup::L2 {
-                    size,
-                    frame,
-                    penalty: tlbs.l2_hit_penalty(),
-                },
-                TlbHit::Miss => unreachable!("open lookup never reports a miss"),
-            };
+        if let Some(hit) = tlbs.lookup(va) {
+            return hit;
         }
         // Real hierarchy missed: probe the cache-backed extension. Like the
         // shared L2 it holds 4 KB and 2 MB entries (1 GB translations have
@@ -306,7 +270,7 @@ impl TranslationArchitecture for VictimaArch {
             self.fills += 1;
             if self
                 .array
-                .fill_frame_evicting(TlbHierarchy::l2_key(va, size), frame_base)
+                .fill_frame(TlbHierarchy::l2_key(va, size), frame_base)
             {
                 self.evictions += 1;
             }
@@ -421,7 +385,7 @@ impl TranslationArchitecture for NoTlbArch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MachineConfig;
+    use crate::{MachineConfig, TlbStats};
 
     fn tlbs() -> TlbHierarchy {
         TlbHierarchy::new(MachineConfig::tiny_test().tlb)
@@ -449,21 +413,70 @@ mod tests {
                 a.fill(va, PageSize::Size4K, (i as u64) << 12);
                 arch.fill(&mut b, va, PageSize::Size4K, (i as u64) << 12);
             }
-            let direct = a.lookup_frame(va);
-            let via_arch = arch.lookup(&mut b, va);
-            let mapped = match direct {
-                (TlbHit::L1(size), frame) => ArchLookup::L1 { size, frame },
-                (TlbHit::L2(size), frame) => ArchLookup::L2 {
-                    size,
-                    frame,
-                    penalty: a.l2_hit_penalty(),
-                },
-                (TlbHit::Miss, _) => ArchLookup::Miss,
-            };
-            assert_eq!(via_arch, mapped, "access {i}");
+            let direct = a.lookup(va).unwrap_or_else(|| {
+                a.count_miss();
+                ArchLookup::Miss
+            });
+            assert_eq!(arch.lookup(&mut b, va), direct, "access {i}");
             assert_eq!(a.stats(), b.stats(), "stats diverged at access {i}");
         }
         assert!(arch.extra_counters().is_empty());
+    }
+
+    /// Drives `A` through a seeded mix of lookups and fills on the tiny
+    /// hierarchy, checking after every lookup that exactly one of the
+    /// hierarchy's `l1_hits` / `l2_hits` / `misses` grew, and the one the
+    /// outcome names. Returns the final statistics and the architecture.
+    fn drive_counting_contract<A: TranslationArchitecture>() -> (TlbStats, A) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let config = MachineConfig::tiny_test();
+        let mut tlbs = TlbHierarchy::new(config.tlb);
+        let mut arch = A::new(&config);
+        let mut rng = SmallRng::seed_from_u64(0x7ab1e);
+        let mut lookups = 0;
+        for _ in 0..20_000 {
+            // 96 pages per size, each size in its own region: past the
+            // shared L2's reach, partly within Victima's extension.
+            let (size, region) = match rng.gen_range(0u32..8) {
+                0 => (PageSize::Size1G, 1 << 46),
+                1 | 2 => (PageSize::Size2M, 1 << 45),
+                _ => (PageSize::Size4K, 0),
+            };
+            let va = VirtAddr::new(region + rng.gen_range(0u64..96) * size.bytes());
+            if rng.gen_bool(0.3) {
+                arch.fill(&mut tlbs, va, size, va.as_u64());
+                continue;
+            }
+            let before = tlbs.stats();
+            let outcome = arch.lookup(&mut tlbs, va);
+            lookups += 1;
+            let mut expected = before;
+            match outcome {
+                ArchLookup::L1 { .. } => expected.l1_hits += 1,
+                ArchLookup::L2 { .. } => expected.l2_hits += 1,
+                ArchLookup::Miss => expected.misses += 1,
+            }
+            assert_eq!(tlbs.stats(), expected, "{}: lookup {lookups}", A::KIND);
+        }
+        assert_eq!(tlbs.stats().lookups(), lookups, "{}", A::KIND);
+        (tlbs.stats(), arch)
+    }
+
+    #[test]
+    fn every_architecture_counts_each_lookup_once() {
+        let (baseline, _) = drive_counting_contract::<BaselineArch>();
+        assert!(baseline.l1_hits > 0 && baseline.l2_hits > 0 && baseline.misses > 0);
+        let (dram_cache, _) = drive_counting_contract::<DramCacheArch>();
+        assert_eq!(dram_cache, baseline, "same TLBs, same lookups");
+        let (victima, arch) = drive_counting_contract::<VictimaArch>();
+        assert!(
+            victima.misses < baseline.misses,
+            "the extension served some"
+        );
+        assert!(arch.hits > 0);
+        let (no_tlb, _) = drive_counting_contract::<NoTlbArch>();
+        assert_eq!(no_tlb.misses, no_tlb.lookups());
     }
 
     #[test]

@@ -27,12 +27,12 @@
 //! charging it here would pollute the 4 KB-vs-2 MB comparison with a
 //! fault-count artefact instead of a translation effect.
 
-use crate::arch::{ArchLookup, BaselineArch, TranslationArchitecture};
+use crate::arch::{BaselineArch, TranslationArchitecture};
 use crate::result::{arch_event_pairs, RunResult};
 use crate::telemetry::{MachineTelemetry, TelemetryHandle};
 use crate::{
-    AccessOp, AccessSink, Counters, MachineConfig, PageTableWalker, PagingStructureCaches,
-    SpecEvent, SpeculationModel, TlbHierarchy, WorkloadProfile,
+    AccessOp, AccessSink, ArchLookup, Counters, MachineConfig, PageTableWalker,
+    PagingStructureCaches, SpecEvent, SpeculationModel, TlbHierarchy, WorkloadProfile,
 };
 use atscale_cache::{AccessKind, CacheHierarchy};
 use atscale_telemetry::LatencyMetric;
@@ -343,7 +343,7 @@ impl<A: TranslationArchitecture> ArchMachine<A> {
             let walk = match self.space.probe_walk(va) {
                 ProbeResult::Mapped(path) => {
                     let arch = &mut self.arch;
-                    let w = self.walker.walk_hooked(
+                    let w = self.walker.walk(
                         va,
                         &path,
                         &mut self.psc,
@@ -363,7 +363,7 @@ impl<A: TranslationArchitecture> ArchMachine<A> {
                 }
                 ProbeResult::NotPresent { fetched } => {
                     let arch = &mut self.arch;
-                    self.walker.walk_prefix_hooked(
+                    self.walker.walk_prefix(
                         fetched.steps(),
                         &mut self.caches,
                         Some(budget),
@@ -479,7 +479,7 @@ impl<A: TranslationArchitecture> ArchMachine<A> {
             .unwrap_or_else(|err| panic!("workload accessed invalid memory: {err}"));
         let walk = {
             let arch = &mut self.arch;
-            self.walker.walk_hooked(
+            self.walker.walk(
                 va,
                 &touch.path,
                 &mut self.psc,
@@ -537,9 +537,10 @@ impl<A: TranslationArchitecture> AccessSink for ArchMachine<A> {
     /// enforces this equivalence over every workload.
     ///
     /// Translation routes through the [`TranslationArchitecture`] — for
-    /// [`BaselineArch`] the lookup inlines to exactly the former
-    /// `tlbs.lookup_frame` dispatch (the conformance suite proves the
-    /// byte-identity; the benchmark's `sim_minstr_per_s` reports the cost).
+    /// [`BaselineArch`] the lookup inlines to exactly
+    /// [`TlbHierarchy::lookup`] plus the miss count (the conformance suite
+    /// proves the byte-identity; the benchmark's `sim_minstr_per_s` reports
+    /// the cost).
     #[inline]
     fn access(&mut self, op: AccessOp, va: VirtAddr) {
         self.counters.inst_retired += 1;

@@ -16,7 +16,7 @@
 
 use super::Machine;
 use crate::result::RunResult;
-use crate::{AccessOp, AccessSink, MachineConfig, TlbHit, WorkloadProfile};
+use crate::{AccessOp, AccessSink, ArchLookup, MachineConfig, WorkloadProfile};
 use atscale_telemetry::LatencyMetric;
 use atscale_vm::{invariant, AddressSpace, BackingPolicy, CheckInvariants, VirtAddr};
 
@@ -61,10 +61,9 @@ impl CheckInvariants for ReferenceMachine {
 impl AccessSink for ReferenceMachine {
     /// The pre-restructuring access pipeline, kept verbatim as the reference
     /// implementation for the golden-equivalence test: it consults the page
-    /// table on *every* access (bypassing the translation memo via
-    /// [`AddressSpace::touch_uncached`]) and never reads the TLB frame
-    /// payloads. Do not "optimise" this function — its whole value is that
-    /// it stays the original, obviously-correct pipeline.
+    /// table on *every* access ([`AddressSpace::touch`]) and never reads the
+    /// TLB frame payloads. Do not "optimise" this function — its whole value
+    /// is that it stays the original, obviously-correct pipeline.
     fn access(&mut self, op: AccessOp, va: VirtAddr) {
         self.0.counters.inst_retired += 1;
         match op {
@@ -77,7 +76,7 @@ impl AccessSink for ReferenceMachine {
         let touch = self
             .0
             .space
-            .touch_uncached(va)
+            .touch(va)
             .unwrap_or_else(|err| panic!("workload accessed invalid memory: {err}"));
 
         // Translation-side latency this access suffers before its data can
@@ -85,8 +84,8 @@ impl AccessSink for ReferenceMachine {
         // (a branch waiting on a TLB-missing load waits for its walk too).
         let mut translation_cycles = 0u64;
         match self.0.tlbs.lookup(va) {
-            TlbHit::L1(_) => {}
-            TlbHit::L2(_) => {
+            Some(ArchLookup::L1 { .. }) => {}
+            Some(ArchLookup::L2 { .. }) => {
                 match op {
                     AccessOp::Load => self.0.counters.stlb_hit_loads += 1,
                     AccessOp::Store => self.0.counters.stlb_hit_stores += 1,
@@ -98,7 +97,8 @@ impl AccessSink for ReferenceMachine {
                 self.0.cycles_f += exposed;
                 self.0.stall_window += exposed;
             }
-            TlbHit::Miss => {
+            None | Some(ArchLookup::Miss) => {
+                self.0.tlbs.count_miss();
                 match op {
                     AccessOp::Load => {
                         self.0.counters.stlb_miss_loads += 1;
@@ -112,10 +112,14 @@ impl AccessSink for ReferenceMachine {
                     }
                 }
                 self.0.counters.truth_retired_walks += 1;
-                let walk =
-                    self.0
-                        .walker
-                        .walk(va, &touch.path, &mut self.0.psc, &mut self.0.caches, None);
+                let walk = self.0.walker.walk(
+                    va,
+                    &touch.path,
+                    &mut self.0.psc,
+                    &mut self.0.caches,
+                    None,
+                    |_, r| u64::from(r.latency),
+                );
                 invariant!(walk.completed, "retired walks always complete");
                 invariant!(
                     walk.accesses >= 1,

@@ -64,8 +64,7 @@ mod walker;
 
 pub use access::{AccessOp, AccessSink, CountingSink, SinkEvent, WorkloadProfile};
 pub use arch::{
-    ArchKind, ArchLookup, BaselineArch, DramCacheArch, NoTlbArch, TranslationArchitecture,
-    VictimaArch,
+    ArchKind, BaselineArch, DramCacheArch, NoTlbArch, TranslationArchitecture, VictimaArch,
 };
 pub use config::{
     MachineConfig, MmuCacheConfig, PscLevels, SpecConfig, TlbConfig, TlbGeometry, WalkerConfig,
@@ -76,6 +75,6 @@ pub use mmu_cache::{PagingStructureCaches, PscLookup};
 pub use result::RunResult;
 pub use spec::{SpecEvent, SpeculationModel, WrongPathPlan};
 pub use telemetry::{counter_sample, TelemetryHandle, RATE_NAMES};
-pub use tlb::{TlbArray, TlbHierarchy, TlbHit, TlbStats};
+pub use tlb::{ArchLookup, TlbArray, TlbHierarchy, TlbStats};
 pub use trace::{RecordingSink, Trace};
 pub use walker::{PageTableWalker, WalkResult};

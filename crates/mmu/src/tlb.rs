@@ -118,40 +118,12 @@ impl TlbArray {
     /// Inserts a key carrying a frame-base payload, evicting the LRU entry
     /// of its set if necessary. Refilling a resident key refreshes its
     /// recency (and payload) instead of duplicating it.
+    ///
+    /// Returns whether the install displaced a live entry (`true`) rather
+    /// than refreshing a resident key or consuming an empty way;
+    /// architecture extensions count capacity evictions with it.
     #[inline]
-    pub fn fill_frame(&mut self, key: u64, frame: u64) {
-        self.filled = true;
-        let set = self.set_slice(key);
-        self.clock += 1;
-        let tags = &mut self.tags[set.clone()];
-        let stamps = &mut self.stamps[set.clone()];
-        if let Some(pos) = tags.iter().position(|&t| t == key) {
-            stamps[pos] = self.clock;
-            self.frames[set.start + pos] = frame;
-            return;
-        }
-        // Evict the LRU way: minimum stamp, first index on ties (invalid
-        // ways keep stamp 0, so empty slots are consumed before evictions —
-        // the same victim the rotate-based representation chose).
-        let mut victim = 0;
-        let mut oldest = stamps[0];
-        for (i, &stamp) in stamps.iter().enumerate().skip(1) {
-            if stamp < oldest {
-                oldest = stamp;
-                victim = i;
-            }
-        }
-        tags[victim] = key;
-        self.frames[set.start + victim] = frame;
-        stamps[victim] = self.clock;
-    }
-
-    /// Like [`fill_frame`](Self::fill_frame), but reports whether the
-    /// install displaced a live entry (`true`) rather than refreshing a
-    /// resident key or consuming an empty way. Architecture extensions use
-    /// this to count capacity evictions; the plain fill stays untouched so
-    /// the baseline hot path is unchanged.
-    pub fn fill_frame_evicting(&mut self, key: u64, frame: u64) -> bool {
+    pub fn fill_frame(&mut self, key: u64, frame: u64) -> bool {
         self.filled = true;
         let set = self.set_slice(key);
         self.clock += 1;
@@ -162,6 +134,9 @@ impl TlbArray {
             self.frames[set.start + pos] = frame;
             return false;
         }
+        // Evict the LRU way: minimum stamp, first index on ties (invalid
+        // ways keep stamp 0, so empty slots are consumed before evictions —
+        // the same victim the rotate-based representation chose).
         let mut victim = 0;
         let mut oldest = stamps[0];
         for (i, &stamp) in stamps.iter().enumerate().skip(1) {
@@ -232,14 +207,31 @@ impl CheckInvariants for TlbArray {
     }
 }
 
-/// Where a TLB lookup hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TlbHit {
-    /// Hit in a first-level DTLB — zero added latency.
-    L1(PageSize),
-    /// Hit in the shared second-level TLB — costs the L2 penalty.
-    L2(PageSize),
-    /// Missed both levels — a page-table walk is required.
+/// Outcome of a translation lookup. [`TlbHierarchy::lookup`] returns the
+/// two hit variants; a [`TranslationArchitecture`](crate::TranslationArchitecture)
+/// returns [`Miss`](Self::Miss) once every level it owns has missed. The
+/// second-level penalty rides in the hit, so designs with different
+/// second-level latencies share one engine leg.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArchLookup {
+    /// First-level hit: zero added translation latency.
+    L1 {
+        /// Page size of the hit entry.
+        size: PageSize,
+        /// Frame base payload of the hit entry.
+        frame: u64,
+    },
+    /// Second-level hit (shared L2 TLB, or an architecture's extension
+    /// level): costs `penalty` cycles, counts as a retired STLB hit.
+    L2 {
+        /// Page size of the hit entry.
+        size: PageSize,
+        /// Frame base payload of the hit entry.
+        frame: u64,
+        /// Extra translation cycles for this hit.
+        penalty: u32,
+    },
+    /// Missed every level: a page-table walk is required.
     Miss,
 }
 
@@ -306,23 +298,24 @@ impl TlbHierarchy {
         self.l2_hit_penalty
     }
 
-    /// Looks up `va` across all arrays.
+    /// Looks up `va` across all arrays, counting the hit it finds and
+    /// returning the entry's frame base with it, so the caller can form the
+    /// physical address without re-walking the page table. An L2 hit is
+    /// promoted into its L1 array and carries
+    /// [`l2_hit_penalty`](Self::l2_hit_penalty).
+    ///
+    /// Returns `None` on a full miss **without** counting it: the caller
+    /// either serves the translation from a level of its own or records the
+    /// miss with [`count_miss`](Self::count_miss).
     ///
     /// Hardware probes each size class in parallel because the page size of
     /// a virtual address is unknown before translation; we do the same.
-    pub fn lookup(&mut self, va: VirtAddr) -> TlbHit {
-        self.lookup_frame(va).0
-    }
-
-    /// Like [`lookup`](Self::lookup), but also returns the frame base
-    /// stored with the hit entry (0 on miss), letting the caller form the
-    /// physical address without re-walking the page table.
     #[inline]
-    pub fn lookup_frame(&mut self, va: VirtAddr) -> (TlbHit, u64) {
+    pub fn lookup(&mut self, va: VirtAddr) -> Option<ArchLookup> {
         for size in PageSize::ALL {
             if let Some(frame) = self.l1_for(size).lookup_frame(va.vpn(size)) {
                 self.stats.l1_hits += 1;
-                return (TlbHit::L1(size), frame);
+                return Some(ArchLookup::L1 { size, frame });
             }
         }
         for size in [PageSize::Size4K, PageSize::Size2M] {
@@ -330,39 +323,17 @@ impl TlbHierarchy {
                 self.stats.l2_hits += 1;
                 // Promote into the matching L1, as hardware refills do.
                 self.l1_for(size).fill_frame(va.vpn(size), frame);
-                return (TlbHit::L2(size), frame);
-            }
-        }
-        self.stats.misses += 1;
-        (TlbHit::Miss, 0)
-    }
-
-    /// Like [`lookup_frame`](Self::lookup_frame), but *open at the bottom*:
-    /// on a full miss it returns `None` **without** counting a miss, so a
-    /// translation architecture can probe its own extension level first and
-    /// classify the outcome itself (via [`count_l2_hit`](Self::count_l2_hit)
-    /// or [`count_miss`](Self::count_miss)). Hit paths count exactly as
-    /// [`lookup_frame`](Self::lookup_frame) does.
-    #[inline]
-    pub fn lookup_frame_open(&mut self, va: VirtAddr) -> Option<(TlbHit, u64)> {
-        for size in PageSize::ALL {
-            if let Some(frame) = self.l1_for(size).lookup_frame(va.vpn(size)) {
-                self.stats.l1_hits += 1;
-                return Some((TlbHit::L1(size), frame));
-            }
-        }
-        for size in [PageSize::Size4K, PageSize::Size2M] {
-            if let Some(frame) = self.l2.lookup_frame(Self::l2_key(va, size)) {
-                self.stats.l2_hits += 1;
-                self.l1_for(size).fill_frame(va.vpn(size), frame);
-                return Some((TlbHit::L2(size), frame));
+                return Some(ArchLookup::L2 {
+                    size,
+                    frame,
+                    penalty: self.l2_hit_penalty,
+                });
             }
         }
         None
     }
 
-    /// Records a full-hierarchy miss resolved outside the hierarchy —
-    /// the closing bookkeeping for [`lookup_frame_open`](Self::lookup_frame_open).
+    /// Records a full-hierarchy miss — the one place a miss is counted.
     #[inline]
     pub fn count_miss(&mut self) {
         self.stats.misses += 1;
@@ -459,20 +430,25 @@ mod tests {
         TlbHierarchy::new(crate::MachineConfig::tiny_test().tlb)
     }
 
+    /// An L1 hit on `size` carrying `frame`.
+    fn l1(size: PageSize, frame: u64) -> Option<ArchLookup> {
+        Some(ArchLookup::L1 { size, frame })
+    }
+
     #[test]
     fn miss_then_fill_then_hit() {
         let mut tlb = hierarchy();
         let va = VirtAddr::new(0x1234_5000);
-        assert_eq!(tlb.lookup(va), TlbHit::Miss);
+        assert_eq!(tlb.lookup(va), None);
         tlb.fill(va, PageSize::Size4K, 0x9000);
-        assert_eq!(tlb.lookup(va), TlbHit::L1(PageSize::Size4K));
+        assert_eq!(tlb.lookup(va), l1(PageSize::Size4K, 0x9000));
         // Same page, different offset.
         assert_eq!(
             tlb.lookup(VirtAddr::new(0x1234_5fff)),
-            TlbHit::L1(PageSize::Size4K)
+            l1(PageSize::Size4K, 0x9000)
         );
         // Neighbouring page misses.
-        assert_eq!(tlb.lookup(VirtAddr::new(0x1234_6000)), TlbHit::Miss);
+        assert_eq!(tlb.lookup(VirtAddr::new(0x1234_6000)), None);
     }
 
     #[test]
@@ -480,10 +456,7 @@ mod tests {
         let mut tlb = hierarchy();
         let va = VirtAddr::new(0x1234_5000);
         tlb.fill(va, PageSize::Size4K, 0xabc0_0000);
-        assert_eq!(
-            tlb.lookup_frame(va),
-            (TlbHit::L1(PageSize::Size4K), 0xabc0_0000)
-        );
+        assert_eq!(tlb.lookup(va), l1(PageSize::Size4K, 0xabc0_0000));
     }
 
     #[test]
@@ -492,14 +465,20 @@ mod tests {
         // tiny_test: L1-4K has 8 entries (2-way × 4 sets); L2 has 32.
         // Fill 16 pages: early ones are evicted from L1 but still in L2.
         for i in 0..16u64 {
-            tlb.fill(VirtAddr::new(i << 12), PageSize::Size4K, i << 12);
+            tlb.fill(VirtAddr::new(i << 12), PageSize::Size4K, (i + 1) << 12);
         }
-        let (hit, frame) = tlb.lookup_frame(VirtAddr::new(0));
-        assert_eq!(hit, TlbHit::L2(PageSize::Size4K));
-        // The L2 entry still carries the frame installed at fill time.
-        assert_eq!(frame, 0);
+        // The L2 entry still carries the frame installed at fill time, and
+        // the hit carries the hierarchy's L2 penalty.
+        assert_eq!(
+            tlb.lookup(VirtAddr::new(0)),
+            Some(ArchLookup::L2 {
+                size: PageSize::Size4K,
+                frame: 1 << 12,
+                penalty: tlb.l2_hit_penalty(),
+            })
+        );
         // The L2 hit promoted the entry back into L1.
-        assert_eq!(tlb.lookup(VirtAddr::new(0)), TlbHit::L1(PageSize::Size4K));
+        assert_eq!(tlb.lookup(VirtAddr::new(0)), l1(PageSize::Size4K, 1 << 12));
     }
 
     #[test]
@@ -509,7 +488,7 @@ mod tests {
         // Anywhere within the 2 MB page hits.
         assert_eq!(
             tlb.lookup(VirtAddr::new((1 << 21) - 1)),
-            TlbHit::L1(PageSize::Size2M)
+            l1(PageSize::Size2M, 0)
         );
     }
 
@@ -521,11 +500,8 @@ mod tests {
         for i in 0..3u64 {
             tlb.fill(VirtAddr::new(i << 30), PageSize::Size1G, 0);
         }
-        assert_eq!(tlb.lookup(VirtAddr::new(0)), TlbHit::Miss);
-        assert_eq!(
-            tlb.lookup(VirtAddr::new(2 << 30)),
-            TlbHit::L1(PageSize::Size1G)
-        );
+        assert_eq!(tlb.lookup(VirtAddr::new(0)), None);
+        assert_eq!(tlb.lookup(VirtAddr::new(2 << 30)), l1(PageSize::Size1G, 0));
     }
 
     #[test]
@@ -535,14 +511,16 @@ mod tests {
         let va_4k = VirtAddr::new(7 << 12);
         let va_2m = VirtAddr::new(7 << 21);
         tlb.fill(va_4k, PageSize::Size4K, 0);
-        assert_eq!(tlb.lookup(va_2m), TlbHit::Miss);
+        assert_eq!(tlb.lookup(va_2m), None);
     }
 
     #[test]
     fn stats_count_all_outcomes() {
         let mut tlb = hierarchy();
         let va = VirtAddr::new(0x8000);
-        tlb.lookup(va); // miss
+        assert_eq!(tlb.lookup(va), None);
+        assert_eq!(tlb.stats().lookups(), 0, "a miss is the caller's to count");
+        tlb.count_miss();
         tlb.fill(va, PageSize::Size4K, 0);
         tlb.lookup(va); // L1 hit
         let stats = tlb.stats();
@@ -560,7 +538,28 @@ mod tests {
         let va = VirtAddr::new(0x4000);
         tlb.fill(va, PageSize::Size4K, 0);
         tlb.flush();
-        assert_eq!(tlb.lookup(va), TlbHit::Miss);
+        assert_eq!(tlb.lookup(va), None);
+    }
+
+    #[test]
+    fn fill_frame_reports_only_displaced_live_entries() {
+        // One set of two ways: keys 0, 1, 2 all index to it.
+        let mut tlb = TlbArray::new(TlbGeometry::new(2, 2));
+        assert!(!tlb.fill_frame(0, 10), "empty way");
+        assert!(!tlb.fill_frame(1, 11), "empty way");
+        assert!(!tlb.fill_frame(0, 20), "refreshing a resident key");
+        assert_eq!(
+            tlb.lookup_frame(0),
+            Some(20),
+            "refresh replaces the payload"
+        );
+        // Full set: key 1 is now the LRU way and goes.
+        assert!(tlb.fill_frame(2, 12), "full set");
+        assert!(tlb.probe(0) && tlb.probe(2) && !tlb.probe(1));
+        tlb.flush();
+        assert!(!tlb.fill_frame(1, 11), "flushed ways are empty again");
+        assert!(!tlb.fill_frame(2, 12), "flushed ways are empty again");
+        assert!(tlb.fill_frame(0, 10));
     }
 
     #[test]

@@ -12,12 +12,10 @@
 //!
 //! * **v1** — initial stream (meta/sample/hist/span/progress/summary).
 //! * **v2** — added the `fault` event (deterministic fault injection).
-//! * **v3** — every event carries a `source` tag, and the
-//!   `native_unavailable` event records an explicit skip when
-//!   `perf_event_open` is denied. Every emitter in the tree writes
-//!   `"sim"`; `"native"` and `native_unavailable` were written by the
-//!   hardware-counter harness, since retired, and are still accepted so
-//!   its v3 streams stay valid.
+//! * **v3** — every event carries a `source` tag. Every emitter writes
+//!   `"sim"`, the only value accepted. (v3 also defined a `"native"` source
+//!   and a `native_unavailable` skip event for the hardware-counter
+//!   harness; the harness is retired and the validator rejects both.)
 //!
 //! Only the current version is accepted: no emitter in the tree writes
 //! anything else, so a stream announcing another version is outside input
@@ -31,9 +29,8 @@ use crate::{LatencyMetric, SCHEMA_VERSION};
 use serde::Value;
 use std::collections::BTreeMap;
 
-/// The admissible values of the schema-v3 `source` tag (`"native"` for
-/// compatibility only: nothing in the tree emits it).
-pub const SOURCES: [&str; 2] = ["sim", "native"];
+/// The admissible values of the schema-v3 `source` tag.
+pub const SOURCES: [&str; 1] = ["sim"];
 
 /// Rates every `sample` event must carry — the interval series the paper
 /// reproduction is observed through.
@@ -250,10 +247,6 @@ fn validate_meta(map: &[(String, Value)], errs: &mut Vec<String>) {
     need_str(map, "stream", "meta", errs);
 }
 
-fn validate_native_unavailable(map: &[(String, Value)], errs: &mut Vec<String>) {
-    need_str(map, "reason", "native_unavailable", errs);
-}
-
 fn validate_summary(map: &[(String, Value)], errs: &mut Vec<String>) {
     need_u64(map, "samples", "summary", errs);
     need_u64(map, "progress", "summary", errs);
@@ -306,7 +299,6 @@ pub fn validate_line_all(line: &str) -> (Option<String>, Vec<String>) {
         "span" => validate_span(map, &mut errs),
         "fault" => validate_fault(map, &mut errs),
         "progress" => validate_progress(map, &mut errs),
-        "native_unavailable" => validate_native_unavailable(map, &mut errs),
         "summary" => validate_summary(map, &mut errs),
         other => {
             errs.push(format!("unknown event type `{other}`"));
@@ -458,31 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn native_unavailable_requires_a_reason() {
-        let line = r#"{"type":"native_unavailable","source":"native","reason":"EPERM"}"#;
-        assert_eq!(validate_line(line).unwrap(), "native_unavailable");
-        let line = r#"{"type":"native_unavailable","source":"native"}"#;
-        assert!(validate_line(line).unwrap_err().contains("`reason`"));
-    }
-
-    #[test]
-    fn the_retired_harness_skip_stream_still_validates() {
-        // Written verbatim by the hardware-counter harness on a host with
-        // no PMU, before the harness was retired.
-        let skip = concat!(
-            r#"{"type":"meta","source":"native","schema":3,"stream":"atscale-telemetry"}"#,
-            "\n",
-            r#"{"type":"native_unavailable","source":"native","reason":"no usable PMU: perf_event_open: inst_retired.any: No such file or directory (os error 2)"}"#,
-            "\n",
-            r#"{"type":"summary","source":"native","samples":0,"progress":0,"spans":0}"#,
-            "\n"
-        );
-        let summary = validate_stream(skip).unwrap();
-        assert_eq!(summary.lines, 3);
-        assert_eq!(summary.by_type.get("native_unavailable"), Some(&1));
-    }
-
-    #[test]
     fn hist_bucket_counts_must_reconcile() {
         let line = r#"{"type":"hist","source":"sim","metric":"walk_cycles","unit":"cycles",
             "count":3,"sum":10,"min":1,"max":5,"buckets":[{"lo":1,"hi":1,"count":1}]}"#
@@ -523,7 +490,7 @@ mod tests {
     #[test]
     fn v3_streams_require_source_on_every_event() {
         let v3 = concat!(
-            r#"{"type":"meta","schema":3,"source":"native","stream":"atscale-telemetry"}"#,
+            r#"{"type":"meta","schema":3,"source":"sim","stream":"atscale-telemetry"}"#,
             "\n",
             r#"{"type":"summary","samples":0,"progress":0,"spans":0}"#,
             "\n"

@@ -13,13 +13,11 @@ use std::path::{Path, PathBuf};
 ///
 /// Version history: 1 — initial stream; 2 — added the `fault` event
 /// (deterministic fault-injection observations from chaos runs); 3 —
-/// every event carries a `source` tag and the `native_unavailable` event
-/// records an explicit hardware-counter skip.
+/// every event carries a `source` tag.
 pub const SCHEMA_VERSION: u64 = 3;
 
-/// The schema-v3 `source` tag this sink stamps on every event. The
-/// validator also accepts `"native"` and `native_unavailable` events, so
-/// streams from the retired hardware-counter harness stay valid v3.
+/// The schema-v3 `source` tag this sink stamps on every event, and the only
+/// one the validator accepts.
 const SOURCE: &str = "sim";
 
 struct JsonlWriter {

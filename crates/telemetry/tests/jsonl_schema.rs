@@ -2,11 +2,9 @@
 //!
 //! Generates a real stream through [`TelemetrySink`] — one of every event
 //! type it emits — then (a) runs the shipped validator over it and (b)
-//! pins the exact key set of every event type. (`native_unavailable`, which
-//! no emitter in the tree writes any more, is pinned by the validator's
-//! own unit tests.) Any schema drift (added, renamed, or
-//! dropped keys) fails here first and must be an explicit, reviewed change
-//! alongside a `SCHEMA_VERSION` bump or validator update.
+//! pins the exact key set of every event type. Any schema drift (added,
+//! renamed, or dropped keys) fails here first and must be an explicit,
+//! reviewed change alongside a `SCHEMA_VERSION` bump or validator update.
 
 use atscale_telemetry::schema::{validate_stream, REQUIRED_COUNTERS, REQUIRED_RATES};
 use atscale_telemetry::{

@@ -87,38 +87,7 @@ pub struct AddressSpace {
     frames: FrameAllocator,
     minor_faults: u64,
     fallback_faults: u64,
-    /// Direct-mapped translation memo: slot `(va >> 12) % MEMO_SLOTS` caches
-    /// the full walk path keyed by the 4 KiB-page number. Mappings are
-    /// immutable once created (this space never unmaps), so a memo entry can
-    /// never go stale; a conflicting page number simply overwrites the slot.
-    memo: Vec<Option<(u64, WalkPath)>>,
-    /// Probes observed in the current adaptive-memo window.
-    memo_probes: u32,
-    /// Hits observed in the current adaptive-memo window.
-    memo_hits: u32,
-    /// Whether [`touch`](Self::touch) still consults the memo. The memo pays
-    /// for itself only while the touched working set fits its reach: a hit
-    /// saves a radix walk, but a miss costs a probe plus an entry write.
-    /// Once a full window's hit rate drops below [`MEMO_KEEP_HITS`] /
-    /// [`MEMO_WINDOW`], the memo switches itself off for the rest of the
-    /// space's life. The decision is a pure function of the touch sequence,
-    /// so runs stay deterministic, and the memo never affects results either
-    /// way — only how they are computed.
-    memo_enabled: bool,
 }
-
-/// Translation-memo slots. Power of two so the slot index is a mask; sized
-/// to cover a 32 MiB resident set of 4 KiB pages without conflict misses.
-const MEMO_SLOTS: usize = 8192;
-
-/// Touches per adaptive-memo observation window.
-const MEMO_WINDOW: u32 = 1 << 16;
-
-/// Hits a window must produce for the memo to stay enabled (25% — below
-/// that, probe-and-write overhead on the misses outweighs the walks the
-/// hits save; measured on the 256 MB+ footprints of the quick sweep, where
-/// the memo's 32 MiB reach covers almost nothing of the working set).
-const MEMO_KEEP_HITS: u32 = MEMO_WINDOW / 4;
 
 impl AddressSpace {
     /// Creates an empty address space with the given backing policy.
@@ -133,10 +102,6 @@ impl AddressSpace {
             frames,
             minor_faults: 0,
             fallback_faults: 0,
-            memo: vec![None; MEMO_SLOTS],
-            memo_probes: 0,
-            memo_hits: 0,
-            memo_enabled: true,
         }
     }
 
@@ -162,16 +127,8 @@ impl AddressSpace {
     }
 
     /// Ensures the page containing `va` is mapped (demand paging) and
-    /// returns its walk path.
-    ///
-    /// Warm translations are answered from a direct-mapped memo instead of
-    /// re-walking the radix tree; because a walk of a mapped page is a pure
-    /// read and mappings are immutable, the memoised answer is always
-    /// exactly what the walk would return. The memo is *adaptive*: once an
-    /// observation window shows its hit rate has collapsed (a working set
-    /// far beyond the memo's 32 MiB reach), it switches itself off and
-    /// `touch` degenerates to the direct walk — paying a probe and an entry
-    /// write per touch is a measured net loss on large-footprint sweeps.
+    /// returns its walk path: a radix walk of the page table, and on a
+    /// first touch the demand fault that maps the page.
     ///
     /// # Errors
     ///
@@ -179,53 +136,6 @@ impl AddressSpace {
     /// the simulated equivalent of a segmentation fault.
     #[inline]
     pub fn touch(&mut self, va: VirtAddr) -> Result<TouchOutcome, VmError> {
-        // One predictable branch and nothing else on the self-disabled
-        // path: once a streaming working set has switched the memo off,
-        // `touch` must cost exactly a direct walk — the memo machinery
-        // (window bookkeeping, probe, slot write) lives outlined in
-        // `touch_memoised` so it cannot weigh the fast path down.
-        if self.memo_enabled {
-            self.touch_memoised(va)
-        } else {
-            self.touch_uncached(va)
-        }
-    }
-
-    /// The memoised arm of [`touch`](Self::touch): window accounting, the
-    /// direct-mapped probe, and the fill on miss. Deliberately *not*
-    /// inline — it only runs while the memo is paying for itself, and
-    /// keeping it out of line keeps the disabled-path dispatcher tiny.
-    fn touch_memoised(&mut self, va: VirtAddr) -> Result<TouchOutcome, VmError> {
-        if self.memo_probes >= MEMO_WINDOW {
-            self.close_memo_window();
-            if !self.memo_enabled {
-                return self.touch_uncached(va);
-            }
-        }
-        self.memo_probes += 1;
-        let page = va.as_u64() >> 12;
-        let slot = (page as usize) & (MEMO_SLOTS - 1);
-        if let Some((key, path)) = self.memo[slot] {
-            if key == page {
-                self.memo_hits += 1;
-                return Ok(TouchOutcome {
-                    path,
-                    minor_fault: false,
-                });
-            }
-        }
-        let outcome = self.touch_uncached(va)?;
-        self.memo[slot] = Some((page, outcome.path));
-        Ok(outcome)
-    }
-
-    /// [`touch`](Self::touch) without the translation memo: always consults
-    /// the page table directly. This is the reference implementation the
-    /// memoised path must agree with; the simulator's force-slow reference
-    /// mode uses it verbatim. Inline so the dispatcher's disabled arm
-    /// collapses to the walk itself.
-    #[inline]
-    pub fn touch_uncached(&mut self, va: VirtAddr) -> Result<TouchOutcome, VmError> {
         if let Some(path) = self.table.walk(va) {
             return Ok(TouchOutcome {
                 path,
@@ -254,13 +164,12 @@ impl AddressSpace {
     ///
     /// Leaves exactly what calling [`touch`](Self::touch) at `base`,
     /// `base + 4096`, … below `base + len` would leave — the same pages on
-    /// the same frames, the same page-table nodes, the same [`SpaceStats`],
-    /// and (for a range not touched before) the same adaptive-memo
-    /// decision — but walks the range one *leaf table* at a time instead of
-    /// one page at a time: the backing size is resolved and the tree
-    /// descended once per run of up to 512 pages, and the cursor advances
-    /// by the resolved page size, so set-up costs O(page-table nodes), not
-    /// O(pages). Pages already mapped are skipped.
+    /// the same frames, the same page-table nodes and the same
+    /// [`SpaceStats`] — but walks the range one *leaf table* at a time
+    /// instead of one page at a time: the backing size is resolved and the
+    /// tree descended once per run of up to 512 pages, and the cursor
+    /// advances by the resolved page size, so set-up costs O(page-table
+    /// nodes), not O(pages). Pages already mapped are skipped.
     ///
     /// # Errors
     ///
@@ -300,8 +209,6 @@ impl AddressSpace {
                 break None;
             }
         };
-        let stepped = failed_at.unwrap_or(last_step).as_u64() - base.as_u64();
-        self.note_memo_misses(stepped / 4096 + 1);
         if cfg!(debug_assertions) {
             self.check_invariants();
         }
@@ -319,29 +226,6 @@ impl AddressSpace {
             self.fallback_faults += mapped;
         }
         path
-    }
-
-    /// Shows the adaptive-memo window `probes` misses in one go: what a
-    /// 4 KiB-stride sweep of untouched pages records one by one, each step
-    /// probing a page number of its own.
-    fn note_memo_misses(&mut self, mut probes: u64) {
-        while self.memo_enabled && probes > 0 {
-            if self.memo_probes >= MEMO_WINDOW {
-                self.close_memo_window();
-                continue;
-            }
-            let taken = probes.min(u64::from(MEMO_WINDOW - self.memo_probes));
-            self.memo_probes += taken as u32;
-            probes -= taken;
-        }
-    }
-
-    /// Ends a full observation window: the memo stays on only if the window
-    /// produced [`MEMO_KEEP_HITS`] hits.
-    fn close_memo_window(&mut self) {
-        self.memo_enabled = self.memo_hits >= MEMO_KEEP_HITS;
-        self.memo_probes = 0;
-        self.memo_hits = 0;
     }
 
     /// Translates `va` if it is mapped. Does not fault pages in.
@@ -440,25 +324,6 @@ impl CheckInvariants for AddressSpace {
                 pair[1].name()
             );
         }
-        for entry in self.memo.iter().flatten() {
-            let (page, path) = *entry;
-            crate::invariant!(
-                self.table.walk(VirtAddr::new(page << 12)) == Some(path),
-                "translation memo disagrees with the page table for page {page:#x}"
-            );
-        }
-        crate::invariant!(
-            self.memo_probes <= MEMO_WINDOW,
-            "memo window overran: {} probes in a {}-probe window",
-            self.memo_probes,
-            MEMO_WINDOW
-        );
-        crate::invariant!(
-            self.memo_hits <= self.memo_probes,
-            "memo hits ({}) exceed probes ({}) in the current window",
-            self.memo_hits,
-            self.memo_probes
-        );
     }
 }
 
@@ -544,59 +409,6 @@ mod tests {
         assert_eq!(stats.virtual_bytes, 1 << 20);
     }
 
-    #[test]
-    fn memoised_touch_agrees_with_uncached_touch() {
-        let mut memo = AddressSpace::new(BackingPolicy::uniform(PageSize::Size4K));
-        let mut plain = AddressSpace::new(BackingPolicy::uniform(PageSize::Size4K));
-        let seg_m = memo.alloc_heap("a", 64 << 20).unwrap();
-        let seg_p = plain.alloc_heap("a", 64 << 20).unwrap();
-        assert_eq!(seg_m.base(), seg_p.base());
-        // A stride that wraps the 8192-slot memo several times, revisiting
-        // pages so hits, misses and conflict evictions all occur.
-        for round in 0..3u64 {
-            for i in 0..20_000u64 {
-                let va = seg_m.base().add(((i * 37 + round) % (64 << 8)) * 4096 / 16);
-                let a = memo.touch(va).unwrap();
-                let b = plain.touch_uncached(va).unwrap();
-                assert_eq!(a.path, b.path);
-                assert_eq!(a.minor_fault, b.minor_fault);
-            }
-        }
-        assert_eq!(memo.stats(), plain.stats());
-        memo.check_invariants();
-    }
-
-    #[test]
-    fn memo_disables_itself_on_streaming_touches_and_stays_correct() {
-        let mut adaptive = AddressSpace::new(BackingPolicy::uniform(PageSize::Size4K));
-        let mut plain = AddressSpace::new(BackingPolicy::uniform(PageSize::Size4K));
-        let seg_a = adaptive.alloc_heap("a", 1 << 30).unwrap();
-        let seg_p = plain.alloc_heap("a", 1 << 30).unwrap();
-        assert_eq!(seg_a.base(), seg_p.base());
-        // A sequential first-touch sweep (every touch a new page) never hits
-        // the memo; after one full observation window it must switch off.
-        let pages = (MEMO_WINDOW as u64) + 1000;
-        for i in 0..pages {
-            let a = adaptive.touch(seg_a.base().add(i * 4096)).unwrap();
-            let b = plain.touch_uncached(seg_p.base().add(i * 4096)).unwrap();
-            assert_eq!(a.path, b.path);
-            assert_eq!(a.minor_fault, b.minor_fault);
-        }
-        assert!(
-            !adaptive.memo_enabled,
-            "a zero-hit window must disable the memo"
-        );
-        // Disabled ≠ wrong: re-touches still agree with the direct walk.
-        for i in (0..pages).step_by(511) {
-            let a = adaptive.touch(seg_a.base().add(i * 4096)).unwrap();
-            let b = plain.touch_uncached(seg_p.base().add(i * 4096)).unwrap();
-            assert_eq!(a.path, b.path);
-            assert!(!a.minor_fault);
-        }
-        assert_eq!(adaptive.stats(), plain.stats());
-        adaptive.check_invariants();
-    }
-
     /// The page-at-a-time loop `fault_in` replaced, kept as its oracle.
     fn touch_every_4k(space: &mut AddressSpace, base: VirtAddr, len: u64) -> Result<(), VmError> {
         for off in (0..len).step_by(4096) {
@@ -617,71 +429,35 @@ mod tests {
         (bulk, paged)
     }
 
-    /// Everything `stats()` cannot see: where the bump allocator stands and
-    /// what the adaptive memo has decided and counted.
+    /// The statistics, plus what `stats()` cannot see: where the bump
+    /// allocator stands.
     fn assert_same_private_state(bulk: &AddressSpace, paged: &AddressSpace) {
         assert_eq!(bulk.stats(), paged.stats());
         assert_eq!(
             bulk.frames.high_water_mark(),
             paged.frames.high_water_mark()
         );
-        assert_eq!(bulk.memo_enabled, paged.memo_enabled);
-        assert_eq!(
-            (bulk.memo_probes, bulk.memo_hits),
-            (paged.memo_probes, paged.memo_hits)
-        );
         bulk.check_invariants();
     }
 
     #[test]
-    fn fault_in_leaves_the_allocator_and_memo_where_paging_would() {
-        let window = u64::from(MEMO_WINDOW);
-        // Under a window, exactly a window (the decision is taken by the
-        // *next* probe), just over one, and several: with odd tails, across
-        // three segments, for every backing shape.
+    fn fault_in_leaves_the_allocator_where_paging_would() {
+        // Small and large runs with odd tails, across four segments, for
+        // every backing shape.
         for policy in [
             BackingPolicy::uniform(PageSize::Size4K),
             BackingPolicy::uniform(PageSize::Size2M),
             BackingPolicy::uniform(PageSize::Size1G),
             BackingPolicy::uniform_graceful(PageSize::Size1G),
         ] {
-            let sizes = [
-                1000 * 4096,
-                (window - 1000) * 4096,
-                4096,
-                (2 * window + 77) * 4096 + 1,
-            ];
+            let sizes = [1000 * 4096, 64_536 * 4096, 4096, 131_149 * 4096 + 1];
             let (mut bulk, mut paged) = twin_spaces(policy, &sizes);
             for seg in paged.segments().to_vec() {
                 bulk.fault_in(seg.base(), seg.len()).unwrap();
                 touch_every_4k(&mut paged, seg.base(), seg.len()).unwrap();
                 assert_same_private_state(&bulk, &paged);
             }
-            assert!(!bulk.memo_enabled, "{policy:?}: three windows of misses");
         }
-    }
-
-    #[test]
-    fn fault_in_closes_a_window_the_hits_before_it_keep_open() {
-        let (mut bulk, mut paged) = twin_spaces(BackingPolicy::default(), &[64 << 12, 1 << 30]);
-        let (hot, big) = (paged.segments()[0].clone(), paged.segments()[1].clone());
-        // Most of a window of hits on a resident set, then a fresh range
-        // that closes that window (memo kept) and fills most of the next.
-        for space in [&mut bulk, &mut paged] {
-            for i in 0..u64::from(MEMO_WINDOW) - 500 {
-                space.touch(hot.base().add(i % 64 * 4096)).unwrap();
-            }
-        }
-        let len = (u64::from(MEMO_WINDOW) - 100) * 4096;
-        bulk.fault_in(big.base(), len).unwrap();
-        touch_every_4k(&mut paged, big.base(), len).unwrap();
-        assert!(bulk.memo_enabled, "the first window had hits to spare");
-        assert_same_private_state(&bulk, &paged);
-        // The rest of the segment overruns the all-miss window: off it goes.
-        bulk.fault_in(big.base().add(len), big.len() - len).unwrap();
-        touch_every_4k(&mut paged, big.base().add(len), big.len() - len).unwrap();
-        assert!(!bulk.memo_enabled);
-        assert_same_private_state(&bulk, &paged);
     }
 
     #[test]
@@ -717,44 +493,6 @@ mod tests {
         assert_eq!(space.stats().minor_faults, 1);
         space.fault_in(seg.base().add(4000), 4097).unwrap();
         assert_eq!(space.stats().minor_faults, 2);
-    }
-
-    #[test]
-    fn memo_stays_enabled_on_a_resident_working_set() {
-        let mut space = AddressSpace::new(BackingPolicy::uniform(PageSize::Size4K));
-        let seg = space.alloc_heap("a", 16 << 20).unwrap();
-        // 4096 resident pages, touched round-robin for several windows: hit
-        // rate approaches 100%, so the memo must stay on.
-        let pages = 4096u64;
-        let rounds = 3 * (MEMO_WINDOW as u64) / pages;
-        for round in 0..rounds {
-            for i in 0..pages {
-                let t = space.touch(seg.base().add(i * 4096)).unwrap();
-                assert_eq!(t.minor_fault, round == 0);
-            }
-        }
-        assert!(
-            space.memo_enabled,
-            "a hot working set must keep the memo on"
-        );
-        space.check_invariants();
-    }
-
-    #[test]
-    fn memo_conflicts_overwrite_and_stay_correct() {
-        let mut space = AddressSpace::new(BackingPolicy::uniform(PageSize::Size4K));
-        let seg = space.alloc_heap("a", 256 << 20).unwrap();
-        // Two pages 8192 * 4096 bytes apart share a memo slot.
-        let a = seg.base();
-        let b = seg.base().add(8192 * 4096);
-        let first = space.touch(a).unwrap();
-        let second = space.touch(b).unwrap();
-        assert_ne!(first.path.frame_base, second.path.frame_base);
-        // Re-touching `a` must re-walk (slot now holds `b`) and still agree.
-        let again = space.touch(a).unwrap();
-        assert!(!again.minor_fault);
-        assert_eq!(again.path, first.path);
-        space.check_invariants();
     }
 
     #[test]
