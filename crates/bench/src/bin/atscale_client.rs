@@ -44,12 +44,12 @@
 //! A bad command line prints the usage and exits 2; a failure at run time
 //! exits 1.
 
-use atscale::report::{fmt, human_bytes, Table};
+use atscale::report::{fmt, Table};
 use atscale::telemetry::TelemetrySink;
-use atscale::{ArchKind, OverheadPoint, RunSpec, SweepConfig};
+use atscale::{ArchKind, RunSpec, SweepConfig};
+use atscale_bench::experiments::overhead_series;
 use atscale_serve::protocol::{QueryFilter, Reply};
 use atscale_serve::{Client, ShardedClient, SubmitOptions};
-use atscale_telemetry::Recorder;
 use atscale_workloads::WorkloadId;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -251,27 +251,7 @@ fn run_sweep(client: &mut ShardedClient, opts: &Options) -> Result<(), String> {
         }
     }
 
-    // Reassemble records (spec order) into fig1's per-workload points.
-    let mut records = records.into_iter();
-    let points_per_workload = opts.sweep.points;
-    let mut table = Table::new(&["workload", "footprint", "footprint_kb", "rel_overhead"]);
-    let mut all_points: Vec<OverheadPoint> = Vec::new();
-    for id in &opts.workloads {
-        for _ in 0..points_per_workload {
-            let point = OverheadPoint {
-                run_4k: records.next().expect("record per spec"),
-                run_2m: records.next().expect("record per spec"),
-                run_1g: records.next().expect("record per spec"),
-            };
-            table.row_owned(vec![
-                id.to_string(),
-                human_bytes(point.run_4k.spec.nominal_footprint),
-                fmt(point.footprint_kb(), 0),
-                fmt(point.relative_overhead(), 4),
-            ]);
-            all_points.push(point);
-        }
-    }
+    let (table, pearson) = overhead_series(&opts.workloads, &opts.sweep.points(records));
     println!("{}", table.render());
     if let Some(csv) = &opts.csv {
         table
@@ -279,17 +259,7 @@ fn run_sweep(client: &mut ShardedClient, opts: &Options) -> Result<(), String> {
             .map_err(|e| format!("cannot write {}: {e}", csv.display()))?;
         println!("wrote {}", csv.display());
     }
-    let xs: Vec<f64> = all_points
-        .iter()
-        .map(|p| p.footprint_kb().log10())
-        .collect();
-    let ys: Vec<f64> = all_points
-        .iter()
-        .map(OverheadPoint::relative_overhead)
-        .collect();
-    if let Ok(r) = atscale_stats::pearson(&xs, &ys) {
-        println!("inter-workload Pearson(log10 footprint, overhead) = {r:.3}");
-    }
+    println!("{pearson}");
     Ok(())
 }
 

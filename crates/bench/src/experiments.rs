@@ -59,10 +59,19 @@ fn workload(label: &str) -> WorkloadId {
     WorkloadId::parse(label).expect("known workload")
 }
 
-/// The Fig. 1 / Fig. 3 series: relative AT overhead per workload and
-/// sweep point.
-fn overhead_series(workloads: &[WorkloadId], all_points: &[Vec<OverheadPoint>]) -> Table {
+/// The Fig. 1 view of a footprint sweep, as [`atscale::SweepConfig::points`]
+/// groups it: the table of relative AT overhead per workload and sweep
+/// point, and the line giving the paper's headline inter-workload
+/// correlation, Pearson(log10 footprint, overhead) over every point.
+///
+/// `fig1_overhead_vs_footprint`, `fig3_exceptions` (table only) and
+/// `atscale-client sweep` all render through this.
+pub fn overhead_series(
+    workloads: &[WorkloadId],
+    all_points: &[Vec<OverheadPoint>],
+) -> (Table, String) {
     let mut table = Table::new(&["workload", "footprint", "footprint_kb", "rel_overhead"]);
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
     for (id, points) in workloads.iter().zip(all_points) {
         for p in points {
             table.row_owned(vec![
@@ -71,9 +80,15 @@ fn overhead_series(workloads: &[WorkloadId], all_points: &[Vec<OverheadPoint>]) 
                 fmt(p.footprint_kb(), 0),
                 fmt(p.relative_overhead(), 4),
             ]);
+            xs.push(p.footprint_kb().log10());
+            ys.push(p.relative_overhead());
         }
     }
-    table
+    let pearson = match atscale_stats::pearson(&xs, &ys) {
+        Ok(r) => format!("inter-workload Pearson(log10 footprint, overhead) = {r:.3}"),
+        Err(e) => format!("correlation unavailable: {e}"),
+    };
+    (table, pearson)
 }
 
 /// One registered experiment.

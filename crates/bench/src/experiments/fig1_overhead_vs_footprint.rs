@@ -18,23 +18,8 @@ pub(super) fn run(ctx: &Ctx) {
         ctx.opts.sweep.points
     );
     let all_points = ctx.harness.sweep_many(&workloads, &ctx.opts.sweep);
-
-    ctx.publish(&super::overhead_series(&workloads, &all_points), &[]);
-
-    // The paper's headline inter-workload observation.
-    let xs: Vec<f64> = all_points
-        .iter()
-        .flatten()
-        .map(|p| p.footprint_kb().log10())
-        .collect();
-    let ys: Vec<f64> = all_points
-        .iter()
-        .flatten()
-        .map(atscale::OverheadPoint::relative_overhead)
-        .collect();
-    match atscale_stats::pearson(&xs, &ys) {
-        Ok(r) => println!("inter-workload Pearson(log10 footprint, overhead) = {r:.3}"),
-        Err(e) => println!("correlation unavailable: {e}"),
-    }
+    let (table, pearson) = super::overhead_series(&workloads, &all_points);
+    ctx.publish(&table, &[]);
+    println!("{pearson}");
     println!("{}", ctx.invariant_summary());
 }

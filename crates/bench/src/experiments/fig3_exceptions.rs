@@ -21,5 +21,5 @@ pub(super) fn run(ctx: &Ctx) {
     println!("Figure 3: the four exception workloads");
     let all_points = ctx.harness.sweep_many(&workloads, &ctx.opts.sweep);
 
-    ctx.publish(&super::overhead_series(&workloads, &all_points), &[]);
+    ctx.publish(&super::overhead_series(&workloads, &all_points).0, &[]);
 }

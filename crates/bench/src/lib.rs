@@ -138,23 +138,20 @@ impl HarnessOptions {
         }
     }
 
-    /// A harness with `--threads` and `--progress` applied: no run cache,
-    /// no telemetry.
-    pub fn uncached_harness(&self) -> Harness {
-        let harness = Harness::new().with_progress(self.progress);
+    /// A harness with `--threads` and `--progress` applied, over the run
+    /// store in `out_dir/runs`, with no telemetry. A store directory has
+    /// one owner: open it once per process and `clone()` the harness
+    /// (panics only on I/O errors creating the directory, which is fatal
+    /// for a harness run).
+    pub fn harness(&self) -> Harness {
+        let store = RunStore::open(self.out_dir.join("runs")).expect("create the run store");
+        let harness = Harness::new()
+            .with_progress(self.progress)
+            .with_store(store);
         match self.threads {
             Some(t) => harness.with_threads(t),
             None => harness,
         }
-    }
-
-    /// [`HarnessOptions::uncached_harness`] over the run store in
-    /// `out_dir/runs`. A store directory has one owner: open it once per
-    /// process and `clone()` the harness (panics only on I/O errors
-    /// creating the directory, which is fatal for a harness run).
-    pub fn harness(&self) -> Harness {
-        let store = RunStore::open(self.out_dir.join("runs")).expect("create the run store");
-        self.uncached_harness().with_store(store)
     }
 
     /// Path for a named CSV output.
@@ -196,10 +193,9 @@ impl TelemetryScope {
     /// untouched.
     pub fn attach(&self, harness: Harness) -> Harness {
         match &self.sink {
-            Some(sink) => harness.with_telemetry(TelemetryHandle::new(
-                Arc::clone(sink) as _,
-                self.sample_interval,
-            )),
+            Some(sink) => {
+                harness.with_telemetry(TelemetryHandle::new(Arc::clone(sink), self.sample_interval))
+            }
             None if self.sample_interval > 0 => {
                 harness.with_telemetry(TelemetryHandle::sampling_only(self.sample_interval))
             }

@@ -1,12 +1,15 @@
 //! The `atscale`, `loadgen`, `atscale-client` and `store_compact` command
 //! lines, driven as child processes: what `atscale` lists, how each
 //! rejects what it does not know (usage, exit 2), that `store_compact
-//! --verify` fails a bad row with exit 1, that
-//! `--progress` prints with telemetry on, and that every ablation's
-//! telemetry stream carries the samples of the runs it made.
+//! --verify` fails a bad row with exit 1, that `atscale-client sweep`
+//! writes the Fig. 1 rows the experiment writes, that `--progress` prints
+//! with telemetry on, and that every ablation's telemetry stream carries
+//! the samples of the runs it made.
 
 use atscale::results::{HotRow, SegmentStore};
+use atscale::RunStore;
 use atscale_bench::experiments::REGISTRY;
+use atscale_serve::{ServeConfig, Server};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -132,18 +135,10 @@ fn what_it_does_not_know_gets_usage_the_list_and_exit_2() {
         ),
         (&["regenerate"][..], "unknown command regenerate"),
         (&[][..], "no command given"),
-        // The probe hard-codes its sweep: a profile flag would be ignored.
+        (&["calibrate"][..], "unknown command calibrate"),
         (
-            &["calibrate", "--test"][..],
-            "calibrate has a fixed sweep, --test does not apply",
-        ),
-        (
-            &["calibrate", "cc-urand", "--quick"][..],
-            "--quick does not apply",
-        ),
-        (
-            &["calibrate", "cc-random"][..],
-            "unknown workload cc-random",
+            &["run", "all-served", "--test"][..],
+            "unknown experiment all-served",
         ),
     ] {
         let out = atscale(args, &results);
@@ -156,6 +151,58 @@ fn what_it_does_not_know_gets_usage_the_list_and_exit_2() {
     }
     // Rejected before anything ran: no store, no CSV, no stream.
     assert!(!results.exists());
+}
+
+/// The daemon-side Fig. 1 view and the experiment render through one
+/// table: a one-workload `atscale-client sweep --test` writes exactly the
+/// header and that workload's rows of the experiment's golden CSV.
+#[test]
+fn client_sweep_writes_the_fig1_rows_of_its_workloads() {
+    let dir = scratch("client-sweep");
+    let server = Server::start(
+        ServeConfig {
+            store: Some(RunStore::open(dir.join("runs")).expect("open store")),
+            workers: 2,
+            reactors: 1,
+            ..ServeConfig::default()
+        },
+        Some("127.0.0.1:0"),
+        None,
+    )
+    .expect("bind");
+    let addr = server.tcp_addr().expect("tcp endpoint").to_string();
+    let csv = dir.join("sweep.csv");
+    let out = Command::new(env!("CARGO_BIN_EXE_atscale-client"))
+        .args([
+            "--connect",
+            &addr,
+            "sweep",
+            "--test",
+            "--workloads",
+            "cc-urand",
+        ])
+        .arg("--csv")
+        .arg(&csv)
+        .output()
+        .expect("launch atscale-client");
+    server.shutdown_and_join();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let golden =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fig1_overhead_vs_footprint.csv");
+    let golden = std::fs::read_to_string(golden).expect("golden csv");
+    let mut lines = golden.lines();
+    let mut expected = format!("{}\n", lines.next().expect("header"));
+    for row in lines.filter(|row| row.starts_with("cc-urand,")) {
+        expected.push_str(row);
+        expected.push('\n');
+    }
+    assert_eq!(std::fs::read_to_string(&csv).expect("sweep csv"), expected);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

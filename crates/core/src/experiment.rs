@@ -2,7 +2,7 @@
 
 use crate::{OverheadPoint, RunRecord, RunSpec, RunStore};
 use atscale_mmu::{MachineConfig, TelemetryHandle};
-use atscale_telemetry::{span, LatencyMetric, Progress, Recorder};
+use atscale_telemetry::{span, LatencyMetric, Progress, TelemetrySink};
 use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
 use parking_lot::Mutex;
@@ -111,6 +111,36 @@ impl SweepConfig {
             .flat_map(|base| PageSize::ALL.map(|size| base.with_page_size(size)))
             .collect()
     }
+
+    /// The inverse of [`SweepConfig::specs`]: `records`, in that spec
+    /// order, regrouped as one [`OverheadPoint`] per sweep point, one
+    /// vector per workload.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `records` holds whole workloads' worth of points.
+    pub fn points(&self, records: Vec<RunRecord>) -> Vec<Vec<OverheadPoint>> {
+        let per_workload = self.points * PageSize::ALL.len();
+        assert!(
+            records.len().is_multiple_of(per_workload),
+            "{} records are not whole sweeps of {per_workload}",
+            records.len()
+        );
+        let workloads = records.len() / per_workload;
+        let mut records = records.into_iter();
+        let mut next = || records.next().expect("length checked");
+        (0..workloads)
+            .map(|_| {
+                (0..self.points)
+                    .map(|_| OverheadPoint {
+                        run_4k: next(),
+                        run_2m: next(),
+                        run_1g: next(),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
 }
 
 /// Parallel, cached experiment driver.
@@ -175,16 +205,16 @@ impl Harness {
     }
 
     /// Attaches telemetry: every run records walk/TLB-fill/wall-clock
-    /// latencies into the handle's recorder, interval-samples the counter
-    /// file at the handle's cadence, and replays sampled series through the
-    /// recorder (cache hits included, so consumers see a uniform stream).
+    /// latencies into the handle's sink, interval-samples the counter
+    /// file at the handle's cadence, and replays sampled series into the
+    /// sink (cache hits included, so consumers see a uniform stream).
     pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Harness {
         self.telemetry = Some(telemetry);
         self
     }
 
     /// Enables stderr progress: [`Harness::run_many`] prints a one-line
-    /// [`Progress`] event per finished run (an attached recorder receives
+    /// [`Progress`] event per finished run (an attached sink receives
     /// every event either way).
     pub fn with_progress(mut self, progress: bool) -> Harness {
         self.progress = progress;
@@ -213,16 +243,16 @@ impl Harness {
     /// record as its JSON, `serde_json::to_vec(record)` — the serving
     /// daemon, which splices it into a reply frame. A cache hit's stored
     /// bytes come back unparsed, unless telemetry is attached: a sampling
-    /// harness must see that the record has samples, a recorder replays
+    /// harness must see that the record has samples, a sink replays
     /// them. An execution is serialised once, for the store and the caller.
     pub fn run_json(&self, spec: &RunSpec, key: &str) -> (Vec<u8>, bool) {
         let (run, cached) = self.run_timed(spec, Some(key), false);
         (run.into_json(), cached)
     }
 
-    /// The attached recorder, if the telemetry handle carries one.
-    fn recorder(&self) -> Option<&Arc<dyn Recorder>> {
-        self.telemetry.as_ref().and_then(TelemetryHandle::recorder)
+    /// The attached sink, if the telemetry handle carries one.
+    fn sink(&self) -> Option<&Arc<TelemetrySink>> {
+        self.telemetry.as_ref().and_then(TelemetryHandle::sink)
     }
 
     fn sampling_requested(&self) -> bool {
@@ -232,21 +262,21 @@ impl Harness {
     }
 
     /// Runs one spec under a `run` span, records its wall-clock, and
-    /// replays the record's sampled series into the recorder. Returns the
+    /// replays the record's sampled series into the sink. Returns the
     /// run and whether it was served from the cache.
     fn run_timed(&self, spec: &RunSpec, key: Option<&str>, parse: bool) -> (Obtained, bool) {
         let _phase = span!("run");
         // analyze:allow(determinism): run wall-clock feeds the latency histogram (operator telemetry), never the RunRecord or its key
         let start = Instant::now();
         let (run, cached) = self.obtain(spec, key, parse);
-        if let Some(recorder) = self.recorder() {
+        if let Some(sink) = self.sink() {
             let wall = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            recorder.latency(LatencyMetric::RunWallNanos, wall);
+            sink.latency(LatencyMetric::RunWallNanos, wall);
             // With telemetry attached, `obtain` always parses.
             if let Obtained::Record(record, _) = &run {
                 let label = spec.label();
                 for sample in &record.result.samples {
-                    recorder.sample(&label, sample);
+                    sink.sample(&label, sample);
                 }
             }
         }
@@ -290,8 +320,8 @@ impl Harness {
         if self.progress {
             eprintln!("{}", event.render());
         }
-        if let Some(recorder) = self.recorder() {
-            recorder.progress(event);
+        if let Some(sink) = self.sink() {
+            sink.progress(event);
         }
     }
 
@@ -366,19 +396,7 @@ impl Harness {
         sweep: &SweepConfig,
     ) -> Vec<Vec<OverheadPoint>> {
         let _phase = span!("sweep");
-        let mut records = self.run_many(&sweep.specs(workloads)).into_iter();
-        workloads
-            .iter()
-            .map(|_| {
-                (0..sweep.points)
-                    .map(|_| OverheadPoint {
-                        run_4k: records.next().expect("spec count matches"),
-                        run_2m: records.next().expect("spec count matches"),
-                        run_1g: records.next().expect("spec count matches"),
-                    })
-                    .collect()
-            })
-            .collect()
+        sweep.points(self.run_many(&sweep.specs(workloads)))
     }
 }
 
@@ -435,6 +453,32 @@ mod tests {
         let r56 = fps[6] as f64 / fps[5] as f64;
         assert!((r01 - r56).abs() < 0.01 * r01);
         assert!((fps[6] as f64 - (16u64 << 30) as f64).abs() < 1e7);
+    }
+
+    #[test]
+    fn points_inverts_specs() {
+        let sweep = SweepConfig::test();
+        let workloads = ["cc-urand", "bfs-urand"].map(|w| WorkloadId::parse(w).unwrap());
+        let specs = sweep.specs(&workloads);
+        let record = crate::execute_run(&specs[0], &MachineConfig::haswell());
+        let records = specs
+            .iter()
+            .map(|&spec| RunRecord {
+                spec,
+                ..record.clone()
+            })
+            .collect();
+        let points = sweep.points(records);
+        assert_eq!(points.len(), workloads.len());
+        for (&w, series) in workloads.iter().zip(&points) {
+            assert_eq!(series.len(), sweep.points);
+            for (p, fp) in series.iter().zip(sweep.footprints()) {
+                let spec = sweep.spec(w, fp);
+                assert_eq!(p.run_4k.spec, spec);
+                assert_eq!(p.run_2m.spec, spec.with_page_size(PageSize::Size2M));
+                assert_eq!(p.run_1g.spec, spec.with_page_size(PageSize::Size1G));
+            }
+        }
     }
 
     #[test]

@@ -155,7 +155,7 @@ pub fn execute_run(spec: &RunSpec, config: &MachineConfig) -> RunRecord {
 }
 
 /// [`execute_run`] with telemetry attached: the machine records walk and
-/// TLB-fill latencies into `handle`'s recorder and interval-samples the
+/// TLB-fill latencies into `handle`'s sink and interval-samples the
 /// counter file at the handle's cadence; the setup and drive phases are
 /// wrapped in `setup`/`drive` spans (nested under the caller's span, if
 /// any).
@@ -204,11 +204,11 @@ fn drive<A: TranslationArchitecture>(
     machine.set_limits(spec.warmup_instr, spec.budget_instr);
     {
         let _phase = span!("drive");
-        // Kernels see `&mut dyn AccessSink`, but batching kernels pay one
+        // Models see `&mut dyn AccessSink`, but batching models pay one
         // virtual dispatch per *chunk*: `event_batch`'s body is instantiated
         // per implementing type, so inside the machine's instance every
         // per-event call is a direct (inlined) `Machine::access`. Buffering
-        // per-item kernels' events here was benchmarked and lost: each
+        // per-item models' events here was benchmarked and lost: each
         // virtual call becomes a buffer push plus a deferred drain of the
         // same event, strictly more work.
         workload.run(&mut machine);
@@ -222,9 +222,9 @@ fn drive<A: TranslationArchitecture>(
 }
 
 /// [`execute_run`] on the force-slow reference pipeline: no access batching,
-/// no TLB frame payloads, no translation memo — the engine as it was before
-/// the hot-path restructuring. Exists so tests can prove the optimised path
-/// produces byte-identical records; there is no reason to use it otherwise.
+/// no TLB frame payloads — the engine as it was before the hot-path
+/// restructuring. Exists so tests can prove the optimised path produces
+/// byte-identical records; there is no reason to use it otherwise.
 ///
 /// # Panics
 ///

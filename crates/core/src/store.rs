@@ -3,8 +3,9 @@
 //! Every figure and table harness shares runs: Figure 1's sweep contains
 //! Figure 2's `cc-urand` series, Table IV refits Figure 1's points, and so
 //! on. Caching each completed [`RunRecord`] keyed by a hash of
-//! `(spec, machine config)` means `cargo run --bin fig4` after `fig1` costs
-//! seconds, not a re-simulation.
+//! `(spec, machine config)` means `atscale run fig4_wcpi_scatter` after
+//! `atscale run fig1_overhead_vs_footprint` costs seconds, not a
+//! re-simulation.
 //!
 //! This module owns what only the simulator knows — key derivation, the
 //! record's JSON serialization, and the [`hot_row`] column extraction.

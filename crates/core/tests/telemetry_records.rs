@@ -1,7 +1,7 @@
 //! Telemetry observes a run; it never changes one.
 //!
 //! Every architecture runs two test-sweep specs three ways: plain
-//! `execute_run`, sampling only (no recorder), and with a full
+//! `execute_run`, sampling only (no sink), and with a full
 //! `TelemetrySink` recording walk latencies. The counters must be
 //! identical in all three, and the two sampling runs must produce the
 //! same series.

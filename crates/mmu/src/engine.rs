@@ -160,7 +160,7 @@ impl<A: TranslationArchitecture> ArchMachine<A> {
         &self.space
     }
 
-    /// Attaches telemetry: a latency recorder and/or an interval-sampling
+    /// Attaches telemetry: a latency sink and/or an interval-sampling
     /// cadence. Must be called before the workload runs; the sampler starts
     /// counting from the current measurement position.
     pub fn set_telemetry(&mut self, handle: TelemetryHandle) {

@@ -10,7 +10,7 @@
 
 use crate::Counters;
 use atscale_cache::{HitLevel, LevelCounts};
-use atscale_telemetry::{LatencyMetric, Recorder, Sample};
+use atscale_telemetry::{LatencyMetric, Sample, TelemetrySink};
 use atscale_vm::{invariant, CheckInvariants};
 use std::fmt;
 use std::sync::Arc;
@@ -19,26 +19,26 @@ use std::sync::Arc;
 /// observations, and how often the counter file is sampled.
 #[derive(Clone)]
 pub struct TelemetryHandle {
-    recorder: Option<Arc<dyn Recorder>>,
+    sink: Option<Arc<TelemetrySink>>,
     sample_interval: u64,
 }
 
 impl fmt::Debug for TelemetryHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TelemetryHandle")
-            .field("recorder", &self.recorder.is_some())
+            .field("sink", &self.sink.is_some())
             .field("sample_interval", &self.sample_interval)
             .finish()
     }
 }
 
 impl TelemetryHandle {
-    /// A handle delivering latency observations to `recorder` and sampling
+    /// A handle delivering latency observations to `sink` and sampling
     /// the counter file every `sample_interval` retired instructions
     /// (0 disables sampling).
-    pub fn new(recorder: Arc<dyn Recorder>, sample_interval: u64) -> TelemetryHandle {
+    pub fn new(sink: Arc<TelemetrySink>, sample_interval: u64) -> TelemetryHandle {
         TelemetryHandle {
-            recorder: Some(recorder),
+            sink: Some(sink),
             sample_interval,
         }
     }
@@ -47,14 +47,14 @@ impl TelemetryHandle {
     /// e.g. determinism tests without a sink).
     pub fn sampling_only(sample_interval: u64) -> TelemetryHandle {
         TelemetryHandle {
-            recorder: None,
+            sink: None,
             sample_interval,
         }
     }
 
-    /// The recorder, if one is attached.
-    pub fn recorder(&self) -> Option<&Arc<dyn Recorder>> {
-        self.recorder.as_ref()
+    /// The sink, if one is attached.
+    pub fn sink(&self) -> Option<&Arc<TelemetrySink>> {
+        self.sink.as_ref()
     }
 
     /// Sampling cadence in retired instructions (0 = sampling disabled).
@@ -180,17 +180,17 @@ impl MachineTelemetry {
         self.handle = Some(handle);
     }
 
-    /// The attached recorder, for hot-path latency observations.
+    /// The attached sink, for hot-path latency observations.
     #[inline]
-    pub(crate) fn recorder(&self) -> Option<&Arc<dyn Recorder>> {
-        self.handle.as_ref().and_then(TelemetryHandle::recorder)
+    pub(crate) fn sink(&self) -> Option<&Arc<TelemetrySink>> {
+        self.handle.as_ref().and_then(TelemetryHandle::sink)
     }
 
-    /// Records a latency observation if a recorder is attached.
+    /// Records a latency observation if a sink is attached.
     #[inline]
     pub(crate) fn latency(&self, metric: LatencyMetric, value: u64) {
-        if let Some(recorder) = self.recorder() {
-            recorder.latency(metric, value);
+        if let Some(sink) = self.sink() {
+            sink.latency(metric, value);
         }
     }
 

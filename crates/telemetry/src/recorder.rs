@@ -1,11 +1,11 @@
-//! The [`Recorder`] trait and the event payloads that flow through it.
+//! The event payloads a [`crate::TelemetrySink`] records.
 //!
 //! Instrumentation sites (the MMU engine, the sweep harness) hold an
-//! `Option<Arc<dyn Recorder>>`: with no sink installed the hot path pays
-//! one branch; with one installed, events are dispatched virtually to the
-//! sink, which aggregates under a lock. The payload types are plain data —
-//! serializable, comparable — so sampled series can be persisted alongside
-//! run records and replayed into sinks from cache.
+//! `Option<Arc<TelemetrySink>>`: with no sink installed the hot path pays
+//! one branch; with one installed, events go to the sink, which aggregates
+//! under a lock. The payload types are plain data — serializable,
+//! comparable — so sampled series can be persisted alongside run records
+//! and replayed into sinks from cache.
 
 use serde::{Deserialize, Serialize};
 
@@ -126,19 +126,6 @@ impl Progress {
             if self.cached { ", cached" } else { "" }
         )
     }
-}
-
-/// A telemetry sink. Implementations must be thread-safe: the harness
-/// dispatches from every worker thread.
-pub trait Recorder: Send + Sync {
-    /// Delivers one interval sample for the run labelled `run`.
-    fn sample(&self, run: &str, sample: &Sample);
-
-    /// Records one latency observation into the metric's histogram.
-    fn latency(&self, metric: LatencyMetric, value: u64);
-
-    /// Delivers a sweep-progress event.
-    fn progress(&self, event: &Progress);
 }
 
 #[cfg(test)]

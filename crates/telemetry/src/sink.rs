@@ -1,7 +1,7 @@
-//! The standard [`Recorder`] implementation: in-memory aggregation plus an
-//! optional JSONL event stream.
+//! The telemetry sink: in-memory aggregation plus an optional JSONL event
+//! stream.
 
-use crate::{span_records, LatencyMetric, LogHistogram, Progress, Recorder, Sample};
+use crate::{span_records, LatencyMetric, LogHistogram, Progress, Sample};
 use parking_lot::Mutex;
 use serde::{Serialize, Value};
 use std::fs::File;
@@ -269,10 +269,9 @@ impl TelemetrySink {
         ));
         out
     }
-}
 
-impl Recorder for TelemetrySink {
-    fn sample(&self, run: &str, sample: &Sample) {
+    /// Delivers one interval sample for the run labelled `run`.
+    pub fn sample(&self, run: &str, sample: &Sample) {
         let mut state = self.state.lock();
         let event = tagged(
             "sample",
@@ -286,11 +285,13 @@ impl Recorder for TelemetrySink {
         state.samples.push((run.to_string(), sample.clone()));
     }
 
-    fn latency(&self, metric: LatencyMetric, value: u64) {
+    /// Records one latency observation into the metric's histogram.
+    pub fn latency(&self, metric: LatencyMetric, value: u64) {
         self.state.lock().hists[metric.index()].record(value);
     }
 
-    fn progress(&self, event: &Progress) {
+    /// Delivers a sweep-progress event.
+    pub fn progress(&self, event: &Progress) {
         let mut state = self.state.lock();
         state.progress_events += 1;
         let line = tagged("progress", Vec::new(), event.to_value());

@@ -7,9 +7,7 @@
 //! reviewed change alongside a `SCHEMA_VERSION` bump or validator update.
 
 use atscale_telemetry::schema::{validate_stream, REQUIRED_COUNTERS, REQUIRED_RATES};
-use atscale_telemetry::{
-    reset_spans, span, LatencyMetric, Progress, Recorder, Sample, TelemetrySink,
-};
+use atscale_telemetry::{reset_spans, span, LatencyMetric, Progress, Sample, TelemetrySink};
 use serde::Value;
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -184,18 +184,6 @@ pub struct PageTable {
     /// Simulated physical base address of each node's 4 KiB frame.
     node_paddrs: Vec<u64>,
     stats: PageTableStats,
-    /// Start of the most recent `map_run`, anchoring the chain memo.
-    chain_va: u64,
-    /// Interior-node chain of the most recent `map_run`: `chain_nodes[l - 1]`
-    /// is the arena index of the node whose entries are indexed at level
-    /// `l`. Valid for levels `chain_depth..=PT_LEVELS`; interior entries are
-    /// never rewritten (`map_run` only fills absent slots), so a remembered
-    /// chain can never go stale — a later walk sharing a virtual-address
-    /// prefix re-enters the tree at the deepest shared node instead of the
-    /// root.
-    chain_nodes: [usize; PT_LEVELS as usize],
-    /// Deepest level for which `chain_nodes` is valid; 0 = no map yet.
-    chain_depth: u8,
 }
 
 impl PageTable {
@@ -208,9 +196,6 @@ impl PageTable {
             entries: vec![0u32; ENTRIES],
             node_paddrs: vec![root_paddr.as_u64()],
             stats,
-            chain_va: 0,
-            chain_nodes: [0; PT_LEVELS as usize],
-            chain_depth: 0,
         }
     }
 
@@ -285,7 +270,6 @@ impl PageTable {
                 entry_paddr: PhysAddr::new(self.node_paddrs[node_idx]).add(idx as u64 * PTE_SIZE),
             };
             n += 1;
-            self.chain_nodes[usize::from(level) - 1] = node_idx;
             let entry = self.entries[node_idx * ENTRIES + idx];
             if entry & PRESENT == 0 {
                 // Nothing is mapped below a missing node, so the page at
@@ -310,7 +294,6 @@ impl PageTable {
             entry_paddr: PhysAddr::new(self.node_paddrs[node_idx]).add(first as u64 * PTE_SIZE),
         };
         n += 1;
-        self.chain_nodes[usize::from(leaf_level) - 1] = node_idx;
         let start = node_idx * ENTRIES + first;
         let slots = &mut self.entries[start..start + count as usize];
         let absent = slots.iter().filter(|&&e| e & PRESENT == 0).count() as u64;
@@ -347,8 +330,6 @@ impl PageTable {
             PageSize::Size2M => 1,
             PageSize::Size1G => 2,
         }] += absent;
-        self.chain_va = va.as_u64();
-        self.chain_depth = leaf_level;
         let path = WalkPath {
             steps,
             len: n as u8,
@@ -374,36 +355,6 @@ impl PageTable {
         let mut node_idx = 0usize;
         let mut level = PT_LEVELS;
         let mut n = 0usize;
-        // Re-enter through the chain memo when the address shares a prefix
-        // with the last-mapped run (the common case while pages are being
-        // faulted in, in address order). The *reported* steps are identical
-        // to a root-first traversal — the skipped levels' entries are filled
-        // in from the remembered nodes, only their re-reads are avoided; a
-        // remembered node can never go stale because interior entries are
-        // write-once.
-        if self.chain_depth > 0 {
-            let mut l = self.chain_depth;
-            while l < PT_LEVELS {
-                let shift = 12 + 9 * u32::from(l);
-                if va.as_u64() >> shift == self.chain_va >> shift {
-                    node_idx = self.chain_nodes[usize::from(l) - 1];
-                    level = l;
-                    break;
-                }
-                l += 1;
-            }
-            let mut skipped = PT_LEVELS;
-            while skipped > level {
-                let node = self.chain_nodes[usize::from(skipped) - 1];
-                let idx = va.pt_index(skipped);
-                steps[n] = WalkStep {
-                    level: skipped,
-                    entry_paddr: PhysAddr::new(self.node_paddrs[node]).add(idx as u64 * PTE_SIZE),
-                };
-                n += 1;
-                skipped -= 1;
-            }
-        }
         loop {
             let idx = va.pt_index(level);
             steps[n] = WalkStep {
@@ -527,24 +478,6 @@ impl crate::CheckInvariants for PageTable {
         );
         if cfg!(debug_assertions) {
             self.check_interior_levels();
-        }
-        if self.chain_depth > 0 {
-            // The chain memo must agree with a fresh walk of the anchor.
-            let path = self
-                .walk(VirtAddr::new(self.chain_va))
-                .expect("chain memo anchors a mapped page");
-            crate::invariant!(
-                path.leaf().level == self.chain_depth,
-                "chain depth {} disagrees with the anchor's leaf level {}",
-                self.chain_depth,
-                path.leaf().level
-            );
-            for l in self.chain_depth..=PT_LEVELS {
-                crate::invariant!(
-                    self.chain_nodes[usize::from(l) - 1] < self.node_paddrs.len(),
-                    "chain node at level {l} points outside the arena"
-                );
-            }
         }
     }
 }
@@ -862,8 +795,9 @@ mod tests {
     #[test]
     fn map_with_path_matches_a_fresh_walk() {
         let (mut frames, mut table) = setup();
-        // Sequential pages (chain memo hits), a far jump (chain miss), a
-        // return near the start (partial-prefix re-entry), and superpages.
+        // Sequential pages, a far jump, a return near the start, and
+        // superpages: the path `map_run` builds while creating nodes must
+        // equal the one a later walk reads back.
         let mut plan: Vec<(u64, PageSize)> = (0..600u64)
             .map(|i| (0x1000_0000 + i * 0x1000, PageSize::Size4K))
             .collect();
