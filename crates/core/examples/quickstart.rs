@@ -8,8 +8,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use atscale::{Decomposition, OverheadPoint, RunSpec};
-use atscale_mmu::MachineConfig;
+use atscale::{Decomposition, Harness, RunSpec};
 use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
 
@@ -27,7 +26,7 @@ fn main() {
         "measuring {} at 512MB under 4KB/2MB/1GB pages...",
         spec.workload
     );
-    let point = OverheadPoint::measure(&spec, &MachineConfig::haswell());
+    let point = Harness::new().overhead_point(&spec);
 
     println!("\nruntimes (cycles):");
     println!("  t_4KB      = {:>12}", point.run_4k.runtime_cycles());

@@ -2,14 +2,13 @@
 
 use crate::{OverheadPoint, RunRecord, RunSpec, RunStore};
 use atscale_mmu::{MachineConfig, TelemetryHandle};
-use atscale_telemetry::{span, LatencyMetric, Progress, TelemetrySink};
+use atscale_telemetry::{span, LatencyMetric, Progress, Sample};
 use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Footprint-sweep parameters.
@@ -108,7 +107,7 @@ impl SweepConfig {
         workloads
             .iter()
             .flat_map(|&w| footprints.iter().map(move |&fp| self.spec(w, fp)))
-            .flat_map(|base| PageSize::ALL.map(|size| base.with_page_size(size)))
+            .flat_map(|base| OverheadPoint::specs(&base))
             .collect()
     }
 
@@ -129,16 +128,9 @@ impl SweepConfig {
         let workloads = records.len() / per_workload;
         let mut records = records.into_iter();
         let mut next = || records.next().expect("length checked");
+        let mut point = || OverheadPoint::from_records(std::array::from_fn(|_| next()));
         (0..workloads)
-            .map(|_| {
-                (0..self.points)
-                    .map(|_| OverheadPoint {
-                        run_4k: next(),
-                        run_2m: next(),
-                        run_1g: next(),
-                    })
-                    .collect()
-            })
+            .map(|_| (0..self.points).map(|_| point()).collect())
             .collect()
     }
 }
@@ -234,42 +226,48 @@ impl Harness {
     /// Like [`Harness::run`], but also reports whether the record was
     /// served from the cache.
     pub fn run_detailed(&self, spec: &RunSpec) -> (RunRecord, bool) {
-        let (run, cached) = self.run_timed(spec, None, true);
+        let (run, cached) = self.run_timed(spec, None, self.telemetry.as_ref(), Lookup::Record);
         (run.into_record(), cached)
     }
 
-    /// Like [`Harness::run_detailed`], for a caller that already holds
-    /// `spec`'s [`RunStore::key`] under this harness's config and wants the
-    /// record as its JSON, `serde_json::to_vec(record)` — the serving
-    /// daemon, which splices it into a reply frame. A cache hit's stored
-    /// bytes come back unparsed, unless telemetry is attached: a sampling
-    /// harness must see that the record has samples, a sink replays
-    /// them. An execution is serialised once, for the store and the caller.
-    pub fn run_json(&self, spec: &RunSpec, key: &str) -> (Vec<u8>, bool) {
-        let (run, cached) = self.run_timed(spec, Some(key), false);
-        (run.into_json(), cached)
-    }
-
-    /// The attached sink, if the telemetry handle carries one.
-    fn sink(&self) -> Option<&Arc<TelemetrySink>> {
-        self.telemetry.as_ref().and_then(TelemetryHandle::sink)
-    }
-
-    fn sampling_requested(&self) -> bool {
-        self.telemetry
-            .as_ref()
-            .is_some_and(|h| h.sample_interval() > 0)
+    /// Like [`Harness::run_detailed`], for the serving daemon, which holds
+    /// `spec`'s [`RunStore::key`] under this harness's config: returns the
+    /// record's JSON (`serde_json::to_vec`), its samples, and whether it
+    /// was a hit. A plain hit's stored bytes come back unparsed. A nonzero
+    /// `sample_interval` samples in place of attached telemetry; a hit is
+    /// then parsed once, and one without samples re-runs and replaces its
+    /// row. `no_cache` skips the lookup and replaces the row.
+    pub fn run_json(
+        &self,
+        spec: &RunSpec,
+        key: &str,
+        no_cache: bool,
+        sample_interval: u64,
+    ) -> (Vec<u8>, Vec<Sample>, bool) {
+        let sampling =
+            (sample_interval > 0).then(|| TelemetryHandle::sampling_only(sample_interval));
+        let telemetry = sampling.as_ref().or(self.telemetry.as_ref());
+        let lookup = if no_cache { Lookup::Skip } else { Lookup::Json };
+        let (run, cached) = self.run_timed(spec, Some(key), telemetry, lookup);
+        let (json, samples) = run.into_json();
+        (json, samples, cached)
     }
 
     /// Runs one spec under a `run` span, records its wall-clock, and
-    /// replays the record's sampled series into the sink. Returns the
-    /// run and whether it was served from the cache.
-    fn run_timed(&self, spec: &RunSpec, key: Option<&str>, parse: bool) -> (Obtained, bool) {
+    /// replays the record's sampled series into `telemetry`'s sink.
+    /// Returns the run and whether it was served from the cache.
+    fn run_timed(
+        &self,
+        spec: &RunSpec,
+        key: Option<&str>,
+        telemetry: Option<&TelemetryHandle>,
+        lookup: Lookup,
+    ) -> (Obtained, bool) {
         let _phase = span!("run");
         // analyze:allow(determinism): run wall-clock feeds the latency histogram (operator telemetry), never the RunRecord or its key
         let start = Instant::now();
-        let (run, cached) = self.obtain(spec, key, parse);
-        if let Some(sink) = self.sink() {
+        let (run, cached) = self.obtain(spec, key, telemetry, lookup);
+        if let Some(sink) = telemetry.and_then(TelemetryHandle::sink) {
             let wall = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             sink.latency(LatencyMetric::RunWallNanos, wall);
             // With telemetry attached, `obtain` always parses.
@@ -283,36 +281,44 @@ impl Harness {
         (run, cached)
     }
 
-    /// The one choice between a cache hit and an execution. `key` is
-    /// `spec`'s [`RunStore::key`] when the caller already holds it. A hit
-    /// is parsed if `parse` is set or telemetry is attached, and then
-    /// bytes that do not parse are a miss; otherwise it is the stored
-    /// bytes as they are.
-    fn obtain(&self, spec: &RunSpec, key: Option<&str>, parse: bool) -> (Obtained, bool) {
+    /// The one choice between a cache hit, a re-run and a bypass, and the
+    /// only code that writes a record it serialised to the store. `key` is `spec`'s
+    /// [`RunStore::key`] when the caller already holds it. A hit is parsed
+    /// unless `lookup` is [`Lookup::Json`] and no telemetry is attached,
+    /// and then bytes that do not parse are a miss; otherwise it is the
+    /// stored bytes as they are.
+    fn obtain(
+        &self,
+        spec: &RunSpec,
+        key: Option<&str>,
+        telemetry: Option<&TelemetryHandle>,
+        lookup: Lookup,
+    ) -> (Obtained, bool) {
+        let execute = || crate::execute_run_with_telemetry(spec, &self.config, telemetry);
         let Some(store) = &self.store else {
-            let record =
-                crate::execute_run_with_telemetry(spec, &self.config, self.telemetry.as_ref());
-            return (Obtained::Record(record, None), false);
+            return (Obtained::Record(execute(), None), false);
         };
         let key = key.map_or_else(
             || Cow::Owned(RunStore::key(spec, &self.config)),
             Cow::Borrowed,
         );
-        if let Some(json) = store.load_raw(&key) {
-            if !parse && self.telemetry.is_none() {
+        let stored = (lookup != Lookup::Skip).then(|| store.load_raw(&key));
+        if let Some(json) = stored.flatten() {
+            if lookup == Lookup::Json && telemetry.is_none() {
                 return (Obtained::Stored(json), true);
             }
             // A cached record without a sampled series cannot satisfy a
-            // sampling harness: fall through, re-run, and overwrite.
+            // sampling run: fall through, re-run, and overwrite.
+            let sampling = telemetry.is_some_and(|h| h.sample_interval() > 0);
             if let Ok(record) = serde_json::from_slice::<RunRecord>(&json) {
-                if !self.sampling_requested() || !record.result.samples.is_empty() {
+                if !sampling || !record.result.samples.is_empty() {
                     return (Obtained::Record(record, Some(json)), true);
                 }
             }
         }
-        let record = crate::execute_run_with_telemetry(spec, &self.config, self.telemetry.as_ref());
+        let record = execute();
         let json = serde_json::to_vec(&record).expect("records serialize");
-        let _ = store.save_encoded(&key, &record, &json); // cache write failure is non-fatal
+        let _ = store.save_encoded(&key, crate::hot_row(&record), &json); // a failed write is a later miss
         (Obtained::Record(record, Some(json)), false)
     }
 
@@ -320,7 +326,7 @@ impl Harness {
         if self.progress {
             eprintln!("{}", event.render());
         }
-        if let Some(sink) = self.sink() {
+        if let Some(sink) = self.telemetry.as_ref().and_then(TelemetryHandle::sink) {
             sink.progress(event);
         }
     }
@@ -348,7 +354,7 @@ impl Harness {
                     }
                     // analyze:allow(determinism): per-run wall-clock is progress metadata for operators, never part of a record
                     let start = Instant::now();
-                    let (run, cached) = self.run_timed(&specs[i], None, true);
+                    let (record, cached) = self.run_detailed(&specs[i]);
                     self.emit_progress(&Progress {
                         completed: done.fetch_add(1, Ordering::Relaxed) + 1,
                         total: specs.len(),
@@ -356,7 +362,7 @@ impl Harness {
                         wall_ms: u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX),
                         cached,
                     });
-                    *results[i].lock() = Some(run.into_record());
+                    *results[i].lock() = Some(record);
                 });
             }
         })
@@ -368,19 +374,14 @@ impl Harness {
     }
 
     /// Measures one workload instance at all three page sizes (in
-    /// parallel), forming an [`OverheadPoint`].
+    /// parallel, cache first), forming an [`OverheadPoint`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `spec_4k` is a 4 KB spec.
     pub fn overhead_point(&self, spec_4k: &RunSpec) -> OverheadPoint {
-        let specs = [
-            *spec_4k,
-            spec_4k.with_page_size(PageSize::Size2M),
-            spec_4k.with_page_size(PageSize::Size1G),
-        ];
-        let mut records = self.run_many(&specs).into_iter();
-        OverheadPoint {
-            run_4k: records.next().expect("three records"),
-            run_2m: records.next().expect("three records"),
-            run_1g: records.next().expect("three records"),
-        }
+        let records = self.run_many(&OverheadPoint::specs(spec_4k));
+        OverheadPoint::from_records(records.try_into().expect("three records"))
     }
 
     /// Runs a full footprint sweep for one workload.
@@ -406,6 +407,16 @@ impl Default for Harness {
     }
 }
 
+/// What [`Harness::obtain`] does with the store: parse a hit, hand it
+/// back as stored bytes unless telemetry must see the record, or skip the
+/// lookup and replace the row.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Lookup {
+    Record,
+    Json,
+    Skip,
+}
+
 /// A run as [`Harness::obtain`] found or made it.
 // `Record` dominates the size because `RunRecord` carries full counter
 // state; a value lives only until its caller unwraps it, so boxing would
@@ -428,11 +439,15 @@ impl Obtained {
         }
     }
 
-    fn into_json(self) -> Vec<u8> {
+    /// The record's JSON and its sampled series (none for stored bytes,
+    /// which are returned only when nothing samples).
+    fn into_json(self) -> (Vec<u8>, Vec<Sample>) {
         match self {
-            Obtained::Stored(json) | Obtained::Record(_, Some(json)) => json,
-            Obtained::Record(record, None) => {
-                serde_json::to_vec(&record).expect("records serialize")
+            Obtained::Stored(json) => (json, Vec::new()),
+            Obtained::Record(mut record, json) => {
+                let json =
+                    json.unwrap_or_else(|| serde_json::to_vec(&record).expect("records serialize"));
+                (json, std::mem::take(&mut record.result.samples))
             }
         }
     }
@@ -514,8 +529,7 @@ mod tests {
     }
 
     /// `run_json` hands back a hit's stored bytes, and they are the JSON of
-    /// the record `run` returns; a sampling harness still re-runs a
-    /// sample-less entry.
+    /// the record `run` returns.
     #[test]
     fn run_json_hits_are_the_stored_bytes() {
         let dir = std::env::temp_dir().join(format!("atscale-run-json-{}", std::process::id()));
@@ -523,22 +537,69 @@ mod tests {
         let harness = Harness::new().with_store(RunStore::open(&dir).unwrap());
         let spec = SweepConfig::test().spec(WorkloadId::parse("tc-kron").unwrap(), 16 << 20);
         let key = RunStore::key(&spec, harness.config());
-        let (fresh, cached) = harness.run_json(&spec, &key);
+        let (fresh, samples, cached) = harness.run_json(&spec, &key, false, 0);
         assert!(!cached);
-        assert_eq!(harness.run_json(&spec, &key), (fresh.clone(), true));
+        assert!(samples.is_empty());
+        assert_eq!(
+            harness.run_json(&spec, &key, false, 0),
+            (fresh.clone(), Vec::new(), true)
+        );
         assert_eq!(serde_json::to_vec(&harness.run(&spec)).unwrap(), fresh);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        let sampling = harness.with_telemetry(TelemetryHandle::sampling_only(5_000));
-        let (sampled, cached) = sampling.run_json(&spec, &key);
-        assert!(!cached, "a sample-less hit cannot serve a sampling harness");
+    /// The daemon's three cache rules, all decided in `obtain`: a bypass
+    /// executes and writes back under the plain key, a plain call is then
+    /// a hit on those bytes, and a sampling call on a row without samples
+    /// re-runs and replaces that row.
+    #[test]
+    fn run_json_bypasses_hits_and_resamples() {
+        let dir = std::env::temp_dir().join(format!("atscale-cache-first-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = RunStore::open(&dir).unwrap();
+        let harness = Harness::new().with_store(store.clone());
+        let spec = SweepConfig::test().spec(WorkloadId::parse("cc-urand").unwrap(), 16 << 20);
+        let key = RunStore::key(&spec, harness.config());
+
+        let (bypassed, samples, cached) = harness.run_json(&spec, &key, true, 0);
+        assert!(!cached);
+        assert!(samples.is_empty());
+        assert_eq!(
+            store.load_raw(&key).as_ref(),
+            Some(&bypassed),
+            "written back"
+        );
+
+        let hit = harness.run_json(&spec, &key, false, 0);
+        assert_eq!(hit, (bypassed.clone(), Vec::new(), true));
+
+        let (sampled, samples, cached) = harness.run_json(&spec, &key, false, 5_000);
+        assert!(!cached, "a sample-less row cannot answer a sampling call");
+        assert!(!samples.is_empty());
+        assert_eq!(
+            store.load_raw(&key).as_ref(),
+            Some(&sampled),
+            "row replaced"
+        );
         let record: RunRecord = serde_json::from_slice(&sampled).unwrap();
-        assert!(!record.result.samples.is_empty());
+        assert_eq!(record.result.samples, samples);
+        assert_eq!(
+            harness.run_json(&spec, &key, false, 5_000),
+            (sampled, samples, true)
+        );
+
+        // A bypass skips even a row that would answer it.
+        let (again, _, cached) = harness.run_json(&spec, &key, true, 0);
+        assert!(!cached);
+        assert_eq!(again, bypassed, "same spec, same record");
+        assert_eq!(store.load_raw(&key), Some(bypassed));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn telemetry_flows_through_the_harness() {
         use atscale_telemetry::TelemetrySink;
+        use std::sync::Arc;
 
         let sink = Arc::new(TelemetrySink::new());
         let harness = Harness::new()

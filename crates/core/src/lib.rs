@@ -16,7 +16,8 @@
 //!   intensity, TLB miss rate, walk-cache efficiency, and PTE latency;
 //! * [`PressureMetric`] — the five proxy metrics compared in Table V;
 //! * [`Harness`] — cached, parallel sweep driver regenerating every table
-//!   and figure (see `atscale-bench` for the `atscale` registry binary);
+//!   and figure (see `atscale-bench` for the `atscale` registry binary),
+//!   and the one cache-first path, for the figures and the daemon alike;
 //! * [`report`] — aligned text tables and CSV output.
 //!
 //! ## Quickstart

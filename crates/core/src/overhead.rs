@@ -1,7 +1,6 @@
 //! The paper's address-translation overhead protocol (§III-A/B).
 
 use crate::{RunRecord, RunSpec};
-use atscale_mmu::MachineConfig;
 use atscale_vm::PageSize;
 use serde::{Deserialize, Serialize};
 
@@ -27,17 +26,24 @@ pub struct OverheadPoint {
 }
 
 impl OverheadPoint {
-    /// Measures one instance at all three page sizes.
-    pub fn measure(spec_4k: &RunSpec, config: &MachineConfig) -> OverheadPoint {
+    /// The three specs a point is measured from: `spec_4k` at 4 KB, 2 MB
+    /// and 1 GB pages, in that order. Panics unless `spec_4k` is 4 KB.
+    pub(crate) fn specs(spec_4k: &RunSpec) -> [RunSpec; 3] {
         assert_eq!(
             spec_4k.page_size,
             PageSize::Size4K,
             "overhead protocol starts from the 4KB spec"
         );
+        PageSize::ALL.map(|size| spec_4k.with_page_size(size))
+    }
+
+    /// The point whose runs are the records of [`OverheadPoint::specs`],
+    /// in that order.
+    pub(crate) fn from_records([run_4k, run_2m, run_1g]: [RunRecord; 3]) -> OverheadPoint {
         OverheadPoint {
-            run_4k: crate::execute_run(spec_4k, config),
-            run_2m: crate::execute_run(&spec_4k.with_page_size(PageSize::Size2M), config),
-            run_1g: crate::execute_run(&spec_4k.with_page_size(PageSize::Size1G), config),
+            run_4k,
+            run_2m,
+            run_1g,
         }
     }
 
@@ -81,6 +87,7 @@ impl OverheadPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Harness;
     use atscale_workloads::WorkloadId;
 
     fn point(workload: &str, footprint: u64) -> OverheadPoint {
@@ -93,7 +100,7 @@ mod tests {
             budget_instr: 150_000,
             arch: crate::ArchKind::Baseline,
         };
-        OverheadPoint::measure(&spec, &MachineConfig::haswell())
+        Harness::new().overhead_point(&spec)
     }
 
     #[test]
@@ -133,6 +140,6 @@ mod tests {
             budget_instr: 1000,
             arch: crate::ArchKind::Baseline,
         };
-        OverheadPoint::measure(&spec, &MachineConfig::haswell());
+        Harness::new().overhead_point(&spec);
     }
 }

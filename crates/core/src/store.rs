@@ -137,22 +137,15 @@ impl RunStore {
     /// treat the cache as advisory.
     pub fn save(&self, key: &str, record: &RunRecord) -> std::io::Result<()> {
         let json = serde_json::to_vec(record).expect("records serialize");
-        self.save_encoded(key, record, &json)
+        self.save_encoded(key, hot_row(record), &json)
     }
 
-    /// [`RunStore::save`] for a caller that already holds the record's
-    /// JSON, `serde_json::to_vec(record)`: those bytes are stored as given.
-    ///
-    /// # Errors
-    ///
-    /// As [`RunStore::save`].
-    pub fn save_encoded(&self, key: &str, record: &RunRecord, json: &[u8]) -> std::io::Result<()> {
-        debug_assert_eq!(
-            serde_json::to_vec(record).ok().as_deref(),
-            Some(json),
-            "stored bytes are the record's canonical JSON"
-        );
-        self.segments.append(key, hot_row(record), json)
+    /// [`RunStore::save`] for the harness, which has just serialised the
+    /// record for its caller: `json` is `serde_json::to_vec(record)` and
+    /// `row` is [`hot_row`]`(record)`. Crate-private, so every record a
+    /// store holds went through [`RunStore::save`] or the harness.
+    pub(crate) fn save_encoded(&self, key: &str, row: HotRow, json: &[u8]) -> std::io::Result<()> {
+        self.segments.append(key, row, json)
     }
 
     /// Number of cached records.

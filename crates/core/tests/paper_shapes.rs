@@ -22,10 +22,7 @@ fn spec(workload: &str, footprint: u64, budget: u64) -> RunSpec {
 }
 
 fn overhead(workload: &str, footprint: u64) -> OverheadPoint {
-    OverheadPoint::measure(
-        &spec(workload, footprint, 250_000),
-        &MachineConfig::haswell(),
-    )
+    Harness::new().overhead_point(&spec(workload, footprint, 250_000))
 }
 
 /// §V-A: overhead grows with footprint for AT-intensive workloads.

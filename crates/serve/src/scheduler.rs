@@ -15,10 +15,10 @@ use crate::protocol::{
     self, Accepted, BatchDone, DeadlineExceeded, JobFailed, Overloaded, ProgressEvent, Reply,
     SampleEvent, ServerStatsReply, Submit,
 };
-use atscale::{Harness, RunRecord, RunSpec, RunStore};
+use atscale::{Harness, RunSpec, RunStore};
 #[cfg(feature = "faults")]
 use atscale_faults::{FaultPlan, FaultRule, FaultSite};
-use atscale_mmu::{MachineConfig, TelemetryHandle};
+use atscale_mmu::MachineConfig;
 use atscale_telemetry::{Progress, Sample};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -340,8 +340,9 @@ struct SchedState {
 /// The single-flight scheduler shared by every connection and worker.
 pub struct Scheduler {
     config: ServeConfig,
-    /// The cache-first harness every job clones, built once: `Harness::new`
-    /// asks the OS for the CPU count, which costs more than a cache hit.
+    /// The cache-first harness every job runs through, built once:
+    /// `Harness::new` asks the OS for the CPU count, which costs more than
+    /// a cache hit.
     harness: Harness,
     state: Mutex<SchedState>,
     work: Condvar,
@@ -659,9 +660,9 @@ impl Scheduler {
 
     /// Executes the job under `key` (its [`Scheduler::job_key`]) and
     /// returns the record's JSON, its samples when `sample_interval` asks
-    /// for them, and whether it was a cache hit: cache-first through the
-    /// harness, or fresh with a write-back when the submission bypassed
-    /// the cache.
+    /// for them, and whether it was a cache hit. The harness makes every
+    /// cache choice: a `no_cache` job bypasses the lookup and its record
+    /// replaces the row under the key without the `!fresh` suffix.
     fn execute(
         &self,
         spec: &RunSpec,
@@ -672,29 +673,10 @@ impl Scheduler {
         if self.fault(FaultSite::WorkerPanic).is_some() {
             panic!("injected fault: WorkerPanic mid-job");
         }
-        let telemetry =
-            (sample_interval > 0).then(|| TelemetryHandle::sampling_only(sample_interval));
-        if let Some(store_key) = key.strip_suffix(FRESH) {
-            let mut record =
-                atscale::execute_run_with_telemetry(spec, &self.config.machine, telemetry.as_ref());
-            let json = serde_json::to_vec(&record).expect("records serialize");
-            if let Some(store) = &self.config.store {
-                let _ = store.save_encoded(store_key, &record, &json);
-            }
-            return (json, std::mem::take(&mut record.result.samples), false);
-        }
-        let Some(handle) = telemetry else {
-            let (json, cached) = self.harness.run_json(spec, key);
-            return (json, Vec::new(), cached);
-        };
-        let (json, cached) = self
-            .harness
-            .clone()
-            .with_telemetry(handle)
-            .run_json(spec, key);
-        // A sampling harness parsed or serialised these bytes itself.
-        let record: RunRecord = serde_json::from_slice(&json).expect("sampled records parse");
-        (json, record.result.samples, cached)
+        let (key, no_cache) = key
+            .strip_suffix(FRESH)
+            .map_or((key, false), |store_key| (store_key, true));
+        self.harness.run_json(spec, key, no_cache, sample_interval)
     }
 
     /// Begins draining: new submissions are rejected, queued and running

@@ -34,32 +34,18 @@ pub struct ResolvedBacking {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BackingPolicy {
     requested: PageSize,
-    strict_fallback: bool,
 }
 
 impl BackingPolicy {
     /// Backs every heap allocation with `size` where possible.
     ///
-    /// Uses *strict* fallback: a page that cannot be backed at the requested
-    /// size falls back directly to 4 KiB, modelling hugetlbfs pools (a failed
-    /// huge-page allocation is satisfied by ordinary base pages — there is no
+    /// A page that cannot be backed at the requested size falls back
+    /// directly to 4 KiB, modelling hugetlbfs pools (a failed huge-page
+    /// allocation is satisfied by ordinary base pages — there is no
     /// intermediate 2 MiB attempt for a failed 1 GiB request in the paper's
     /// `glibc` setup).
     pub fn uniform(size: PageSize) -> Self {
-        BackingPolicy {
-            requested: size,
-            strict_fallback: true,
-        }
-    }
-
-    /// Like [`BackingPolicy::uniform`] but falls back through the
-    /// next-smaller size (1 GiB → 2 MiB → 4 KiB), as a transparent-huge-page
-    /// style allocator would. Used by ablation studies.
-    pub fn uniform_graceful(size: PageSize) -> Self {
-        BackingPolicy {
-            requested: size,
-            strict_fallback: false,
-        }
+        BackingPolicy { requested: size }
     }
 
     /// The page size this policy asks for.
@@ -69,34 +55,25 @@ impl BackingPolicy {
 
     /// Resolves the page size used to back a fault at `va` inside `segment`.
     ///
-    /// A page of size `s` can be used only if the naturally-aligned page of
-    /// that size containing `va` lies entirely inside the segment; otherwise
-    /// the policy falls back (strictly to 4 KiB, or gracefully through 2 MiB,
-    /// depending on construction). Segment bases are aligned to the policy
-    /// size by the heap layout, so interior pages always qualify and only
-    /// tails fall back — matching the paper's observation that small regions
-    /// are the ones that lose their huge pages.
+    /// A page of the requested size can be used only if the
+    /// naturally-aligned page of that size containing `va` lies entirely
+    /// inside the segment; otherwise the fault falls back to 4 KiB.
+    /// Segment bases are aligned to the policy size by the heap layout, so
+    /// interior pages always qualify and only tails fall back — matching
+    /// the paper's observation that small regions are the ones that lose
+    /// their huge pages.
     pub fn resolve(&self, segment: &Segment, va: VirtAddr) -> ResolvedBacking {
-        let mut candidate = Some(self.requested);
-        while let Some(size) = candidate {
-            let base = va.page_base(size);
-            let end = base.as_u64() + size.bytes();
-            if base.as_u64() >= segment.base().as_u64() && end <= segment.end().as_u64() {
-                return ResolvedBacking {
-                    size,
-                    fell_back: size != self.requested,
-                };
-            }
-            candidate = if self.strict_fallback && size == self.requested {
-                Some(PageSize::Size4K)
-            } else {
-                size.smaller()
-            };
-        }
-        // A 4 KiB page always fits: segments are 4 KiB-granular.
+        let base = va.page_base(self.requested).as_u64();
+        let fits = base >= segment.base().as_u64()
+            && base + self.requested.bytes() <= segment.end().as_u64();
+        let size = if fits {
+            self.requested
+        } else {
+            PageSize::Size4K
+        };
         ResolvedBacking {
-            size: PageSize::Size4K,
-            fell_back: self.requested != PageSize::Size4K,
+            size,
+            fell_back: size != self.requested,
         }
     }
 }
@@ -138,15 +115,6 @@ mod tests {
         let seg = segment(1 << 30, 512 << 20);
         let r = policy.resolve(&seg, VirtAddr::new((1 << 30) + 4096));
         assert_eq!(r.size, PageSize::Size4K, "strict fallback skips 2 MiB");
-        assert!(r.fell_back);
-    }
-
-    #[test]
-    fn graceful_fallback_tries_2m_first() {
-        let policy = BackingPolicy::uniform_graceful(PageSize::Size1G);
-        let seg = segment(1 << 30, 512 << 20);
-        let r = policy.resolve(&seg, VirtAddr::new((1 << 30) + 4096));
-        assert_eq!(r.size, PageSize::Size2M);
         assert!(r.fell_back);
     }
 

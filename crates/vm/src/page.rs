@@ -79,18 +79,6 @@ impl PageSize {
         5 - self.leaf_level()
     }
 
-    /// The next smaller page size, or `None` for 4 KiB.
-    ///
-    /// Used by the backing-policy fallback chain (paper §III-B).
-    #[inline]
-    pub const fn smaller(self) -> Option<PageSize> {
-        match self {
-            PageSize::Size4K => None,
-            PageSize::Size2M => Some(PageSize::Size4K),
-            PageSize::Size1G => Some(PageSize::Size2M),
-        }
-    }
-
     /// A short human-readable label, matching the paper's notation.
     pub const fn label(self) -> &'static str {
         match self {
@@ -132,13 +120,6 @@ mod tests {
         assert_eq!(PageSize::Size4K.full_walk_accesses(), 4);
         assert_eq!(PageSize::Size2M.full_walk_accesses(), 3);
         assert_eq!(PageSize::Size1G.full_walk_accesses(), 2);
-    }
-
-    #[test]
-    fn fallback_chain_terminates() {
-        assert_eq!(PageSize::Size1G.smaller(), Some(PageSize::Size2M));
-        assert_eq!(PageSize::Size2M.smaller(), Some(PageSize::Size4K));
-        assert_eq!(PageSize::Size4K.smaller(), None);
     }
 
     #[test]

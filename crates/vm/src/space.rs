@@ -448,7 +448,6 @@ mod tests {
             BackingPolicy::uniform(PageSize::Size4K),
             BackingPolicy::uniform(PageSize::Size2M),
             BackingPolicy::uniform(PageSize::Size1G),
-            BackingPolicy::uniform_graceful(PageSize::Size1G),
         ] {
             let sizes = [1000 * 4096, 64_536 * 4096, 4096, 131_149 * 4096 + 1];
             let (mut bulk, mut paged) = twin_spaces(policy, &sizes);

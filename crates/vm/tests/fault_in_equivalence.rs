@@ -29,11 +29,10 @@ fn touch_every_4k(space: &mut AddressSpace, base: VirtAddr, len: u64) -> Result<
 }
 
 fn policy(pick: u64) -> BackingPolicy {
-    match pick % 4 {
+    match pick % 3 {
         0 => BackingPolicy::uniform(PageSize::Size4K),
         1 => BackingPolicy::uniform(PageSize::Size2M),
-        2 => BackingPolicy::uniform(PageSize::Size1G),
-        _ => BackingPolicy::uniform_graceful(PageSize::Size1G),
+        _ => BackingPolicy::uniform(PageSize::Size1G),
     }
 }
 
@@ -171,9 +170,9 @@ proptest! {
 }
 
 /// A 4 KiB-backed range whose middle crosses a 512-entry node boundary, a
-/// 2 MiB-backed one that crosses a PD boundary, and tails falling back the
-/// strict way (1 GiB → 4 KiB) and the graceful way (1 GiB → 2 MiB → 4 KiB):
-/// the shapes the property above meets by chance, pinned.
+/// 2 MiB-backed one that crosses a PD boundary, and a tail falling back
+/// from 1 GiB straight to 4 KiB: the shapes the property above meets by
+/// chance, pinned.
 #[test]
 fn node_boundaries_and_fallback_tails() {
     let cases = [
@@ -191,11 +190,6 @@ fn node_boundaries_and_fallback_tails() {
             BackingPolicy::uniform(PageSize::Size1G),
             GIB + 4 * MIB + 8 * KIB,
             [1026, 0, 1],
-        ),
-        (
-            BackingPolicy::uniform_graceful(PageSize::Size1G),
-            GIB + 4 * MIB + 8 * KIB,
-            [2, 2, 1],
         ),
     ];
     for (policy, bytes, pages_by_size) in cases {
