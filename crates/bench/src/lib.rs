@@ -14,7 +14,7 @@
 
 pub mod experiments;
 
-use atscale::telemetry::{span, SpanGuard, TelemetrySink};
+use atscale::telemetry::TelemetrySink;
 use atscale::{Harness, RunStore, SweepConfig};
 use atscale_mmu::TelemetryHandle;
 use std::path::PathBuf;
@@ -32,8 +32,8 @@ pub const OPTIONS_USAGE: &str = "[--full | --quick | --test] [--threads N] [--pr
 ///
 /// `--full` (wider, longer sweep), `--quick` (the default), `--test`
 /// (tiny), `--threads N`, `--progress` (stderr one-liner per run), and the
-/// telemetry switches: `--telemetry-summary` (print the phase/histogram
-/// report and stream JSONL), `--telemetry-jsonl` (stream JSONL only),
+/// telemetry switches: `--telemetry-summary` (print the histogram report
+/// and stream JSONL), `--telemetry-jsonl` (stream JSONL only),
 /// `--sample-interval N` (counter-sampling cadence in retired
 /// instructions). Output goes under `$ATSCALE_RESULTS` (default
 /// `results`).
@@ -109,11 +109,11 @@ impl HarnessOptions {
     }
 
     /// Sets up telemetry for a scope named `name`: a [`TelemetrySink`]
-    /// streaming to `out_dir/telemetry/{name}.jsonl` (when enabled) and a
-    /// root span named `name`. [`TelemetryScope::attach`] hands the sink
-    /// to a harness; keep the guard alive for the whole scope — dropping
-    /// it finalizes the stream and prints the summary, so scopes follow
-    /// one another but never nest.
+    /// streaming to `out_dir/telemetry/{name}.jsonl` (when enabled).
+    /// [`TelemetryScope::attach`] hands the sink to a harness; keep the
+    /// guard alive for the whole scope — dropping it finalizes the stream
+    /// and prints the summary, so scopes follow one another but never
+    /// nest.
     pub fn telemetry(&self, name: &str) -> TelemetryScope {
         let sink = if self.telemetry_enabled() {
             let path = self.out_dir.join("telemetry").join(format!("{name}.jsonl"));
@@ -134,7 +134,6 @@ impl HarnessOptions {
             sink,
             sample_interval: self.effective_sample_interval(),
             summary: self.telemetry_summary,
-            span: Some(span(name)),
         }
     }
 
@@ -174,16 +173,15 @@ impl Default for HarnessOptions {
     }
 }
 
-/// Scope guard returned by [`HarnessOptions::telemetry`]: keeps the
-/// scope's root span open and, on drop, finalizes the JSONL stream and
-/// prints the human summary when `--telemetry-summary` was given.
+/// Scope guard returned by [`HarnessOptions::telemetry`]: on drop,
+/// finalizes the JSONL stream and prints the human summary when
+/// `--telemetry-summary` was given.
 #[derive(Debug)]
 pub struct TelemetryScope {
     sink: Option<Arc<TelemetrySink>>,
     /// [`HarnessOptions::effective_sample_interval`].
     sample_interval: u64,
     summary: bool,
-    span: Option<SpanGuard>,
 }
 
 impl TelemetryScope {
@@ -206,8 +204,6 @@ impl TelemetryScope {
 
 impl Drop for TelemetryScope {
     fn drop(&mut self) {
-        // Close the root span first so its timing reaches the span events.
-        drop(self.span.take());
         if let Some(sink) = self.sink.take() {
             let path = sink.finish();
             if self.summary {

@@ -2,7 +2,7 @@
 
 use crate::{OverheadPoint, RunRecord, RunSpec, RunStore};
 use atscale_mmu::{MachineConfig, TelemetryHandle};
-use atscale_telemetry::{span, LatencyMetric, Progress, Sample};
+use atscale_telemetry::{LatencyMetric, Progress, Sample};
 use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
 use parking_lot::Mutex;
@@ -253,9 +253,10 @@ impl Harness {
         (json, samples, cached)
     }
 
-    /// Runs one spec under a `run` span, records its wall-clock, and
-    /// replays the record's sampled series into `telemetry`'s sink.
-    /// Returns the run and whether it was served from the cache.
+    /// Runs one spec, records its wall-clock into `telemetry`'s sink as
+    /// [`LatencyMetric::RunWallNanos`], and replays the record's sampled
+    /// series into that sink. Returns the run and whether it was served
+    /// from the cache.
     fn run_timed(
         &self,
         spec: &RunSpec,
@@ -263,7 +264,6 @@ impl Harness {
         telemetry: Option<&TelemetryHandle>,
         lookup: Lookup,
     ) -> (Obtained, bool) {
-        let _phase = span!("run");
         // analyze:allow(determinism): run wall-clock feeds the latency histogram (operator telemetry), never the RunRecord or its key
         let start = Instant::now();
         let (run, cached) = self.obtain(spec, key, telemetry, lookup);
@@ -396,7 +396,6 @@ impl Harness {
         workloads: &[WorkloadId],
         sweep: &SweepConfig,
     ) -> Vec<Vec<OverheadPoint>> {
-        let _phase = span!("sweep");
         sweep.points(self.run_many(&sweep.specs(workloads)))
     }
 }

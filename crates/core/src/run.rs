@@ -4,7 +4,6 @@ use atscale_mmu::{
     ArchKind, ArchMachine, BaselineArch, DramCacheArch, MachineConfig, NoTlbArch, RunResult,
     TelemetryHandle, TranslationArchitecture, VictimaArch,
 };
-use atscale_telemetry::span;
 use atscale_vm::{BackingPolicy, PageSize};
 use atscale_workloads::WorkloadId;
 use serde::{Deserialize, Serialize, Value};
@@ -156,9 +155,7 @@ pub fn execute_run(spec: &RunSpec, config: &MachineConfig) -> RunRecord {
 
 /// [`execute_run`] with telemetry attached: the machine records walk and
 /// TLB-fill latencies into `handle`'s sink and interval-samples the
-/// counter file at the handle's cadence; the setup and drive phases are
-/// wrapped in `setup`/`drive` spans (nested under the caller's span, if
-/// any).
+/// counter file at the handle's cadence.
 ///
 /// # Panics
 ///
@@ -195,24 +192,18 @@ fn drive<A: TranslationArchitecture>(
     if let Some(handle) = telemetry {
         machine.set_telemetry(handle.clone());
     }
-    {
-        let _phase = span!("setup");
-        workload
-            .setup(machine.space_mut())
-            .expect("workload setup allocates within the simulated heap");
-    }
+    workload
+        .setup(machine.space_mut())
+        .expect("workload setup allocates within the simulated heap");
     machine.set_limits(spec.warmup_instr, spec.budget_instr);
-    {
-        let _phase = span!("drive");
-        // Models see `&mut dyn AccessSink`, but batching models pay one
-        // virtual dispatch per *chunk*: `event_batch`'s body is instantiated
-        // per implementing type, so inside the machine's instance every
-        // per-event call is a direct (inlined) `Machine::access`. Buffering
-        // per-item models' events here was benchmarked and lost: each
-        // virtual call becomes a buffer push plus a deferred drain of the
-        // same event, strictly more work.
-        workload.run(&mut machine);
-    }
+    // Models see `&mut dyn AccessSink`, but batching models pay one virtual
+    // dispatch per *chunk*: `event_batch`'s body is instantiated per
+    // implementing type, so inside the machine's instance every per-event
+    // call is a direct (inlined) `Machine::access`. Buffering per-item
+    // models' events here was benchmarked and lost: each virtual call
+    // becomes a buffer push plus a deferred drain of the same event,
+    // strictly more work.
+    workload.run(&mut machine);
     let result = machine.finish();
     result.counters.assert_consistent();
     RunRecord {

@@ -24,7 +24,7 @@ use atscale_mmu::MachineConfig;
 use atscale_serve::{
     Client, ClientError, RetryPolicy, ServeConfig, Server, ShardedClient, SubmitOptions,
 };
-use atscale_telemetry::schema::validate_stream;
+use atscale_telemetry::schema::validate_stream_all;
 use atscale_telemetry::TelemetrySink;
 use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
@@ -822,9 +822,10 @@ fn fault_fires_stream_to_telemetry_jsonl() {
     assert_eq!(sink.fault_count(), 1);
     sink.finish();
     let text = std::fs::read_to_string(&path).expect("stream file");
-    let summary = validate_stream(&text)
-        .unwrap_or_else(|(line, e)| panic!("stream invalid at line {line}: {e}"));
+    let (summary, violations) = validate_stream_all(&text);
+    assert_eq!(violations, [], "{text}");
     assert_eq!(summary.by_type.get("fault"), Some(&1));
+    assert_eq!(summary.lines, 3, "meta, the fault, summary: {text}");
     assert!(text.contains("\"site\":\"SegmentTorn\""), "{text}");
 
     let _ = std::fs::remove_file(&path);

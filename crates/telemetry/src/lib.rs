@@ -2,7 +2,7 @@
 //!
 //! The paper's methodology is *observation*: it reads hardware counters to
 //! understand translation behaviour. This crate gives the reproduction the
-//! same lens over itself, three instruments deep:
+//! same lens over itself, two instruments deep:
 //!
 //! * **Interval samples** ([`Sample`], the [`TelemetrySink::sample`]
 //!   channel) — the software analogue of `perf stat -I`: the MMU engine
@@ -13,15 +13,12 @@
 //! * **Latency histograms** ([`LogHistogram`], [`LatencyMetric`]) —
 //!   fixed-layout log-scale histograms of walk duration, TLB fill latency
 //!   and per-run harness wall-clock; merge-able across threads.
-//! * **Phase spans** ([`span()`], [`span!`]) — nested wall-clock spans over
-//!   harness phases (`sweep/run`, generator setup, …) aggregated in a
-//!   process-global registry and rendered as the `--telemetry-summary`
-//!   table.
 //!
-//! Everything flows into one sink, [`TelemetrySink`]: instrumentation
-//! sites hold an `Option<Arc<TelemetrySink>>`, so a build with no sink
-//! installed pays a single branch on the instrumented paths. The sink
-//! aggregates in memory and can stream every event as JSON lines;
+//! Everything is recorded into one sink, [`TelemetrySink`], and nowhere
+//! else: the crate holds no process-global state. Instrumentation sites
+//! hold an `Option<Arc<TelemetrySink>>`, so a run with no sink installed
+//! pays a single branch on the instrumented paths and takes no lock. The
+//! sink aggregates in memory and can stream every event as JSON lines;
 //! [`schema`] validates that stream, and CI runs the `telemetry_validate`
 //! binary over a real harness emission.
 //!
@@ -31,11 +28,8 @@
 //! use atscale_telemetry::{LatencyMetric, TelemetrySink};
 //!
 //! let sink = TelemetrySink::new();
-//! {
-//!     let _phase = atscale_telemetry::span!("doc-example");
-//!     sink.latency(LatencyMetric::WalkCycles, 38);
-//!     sink.latency(LatencyMetric::WalkCycles, 112);
-//! }
+//! sink.latency(LatencyMetric::WalkCycles, 38);
+//! sink.latency(LatencyMetric::WalkCycles, 112);
 //! assert_eq!(sink.histogram(LatencyMetric::WalkCycles).count(), 2);
 //! assert!(sink.summary().contains("walk_cycles"));
 //! ```
@@ -47,9 +41,7 @@ mod hist;
 mod recorder;
 pub mod schema;
 mod sink;
-mod span;
 
 pub use hist::{bucket_bounds, HistBucket, HistogramSnapshot, LogHistogram, BUCKETS, SUBBUCKETS};
 pub use recorder::{LatencyMetric, Progress, Sample};
 pub use sink::{TelemetrySink, SCHEMA_VERSION};
-pub use span::{render_spans, reset_spans, span, span_records, SpanGuard, SpanRecord};

@@ -2,7 +2,7 @@
 //!
 //! The stream is newline-delimited JSON objects, each carrying a `type`
 //! discriminator. The schema is versioned by the leading `meta` event
-//! ([`crate::SCHEMA_VERSION`]); [`validate_stream`] enforces both the
+//! ([`crate::SCHEMA_VERSION`]); [`validate_stream_all`] enforces both the
 //! per-event shapes and the stream-level protocol (meta first, exactly one
 //! trailing `summary`). CI runs this validator over the real `fig1` and
 //! served-sweep streams, and the golden-schema test pins the exact key
@@ -12,25 +12,23 @@
 //!
 //! * **v1** — initial stream (meta/sample/hist/span/progress/summary).
 //! * **v2** — added the `fault` event (deterministic fault injection).
-//! * **v3** — every event carries a `source` tag. Every emitter writes
-//!   `"sim"`, the only value accepted. (v3 also defined a `"native"` source
-//!   and a `native_unavailable` skip event for the hardware-counter
-//!   harness; the harness is retired and the validator rejects both.)
+//! * **v3** — every event carries a `source` tag (always `"sim"` once the
+//!   hardware-counter harness was retired).
+//! * **v4** — the `span` event, `summary.spans` and the constant `source`
+//!   tag are gone: the stream carries samples, histograms, faults and
+//!   progress, and nothing else.
 //!
 //! Only the current version is accepted: no emitter in the tree writes
 //! anything else, so a stream announcing another version is outside input
 //! and is rejected at its meta event.
 //!
 //! Validation reports **every** violation it can find in one pass
-//! ([`validate_stream_all`]), not just the first — a schema diff must be
-//! debuggable in a single run.
+//! ([`validate_line_all`], [`validate_stream_all`]), not just the first —
+//! a schema diff must be debuggable in a single run.
 
 use crate::{LatencyMetric, SCHEMA_VERSION};
 use serde::Value;
 use std::collections::BTreeMap;
-
-/// The admissible values of the schema-v3 `source` tag.
-pub const SOURCES: [&str; 1] = ["sim"];
 
 /// Rates every `sample` event must carry — the interval series the paper
 /// reproduction is observed through.
@@ -216,14 +214,6 @@ fn validate_hist(map: &[(String, Value)], errs: &mut Vec<String>) {
     }
 }
 
-fn validate_span(map: &[(String, Value)], errs: &mut Vec<String>) {
-    need_str(map, "path", "span", errs);
-    need_u64(map, "count", "span", errs);
-    need_u64(map, "total_ns", "span", errs);
-    need_u64(map, "max_ns", "span", errs);
-    need_u64(map, "threads", "span", errs);
-}
-
 fn validate_fault(map: &[(String, Value)], errs: &mut Vec<String>) {
     need_str(map, "site", "fault", errs);
     need_u64(map, "hit", "fault", errs);
@@ -250,20 +240,6 @@ fn validate_meta(map: &[(String, Value)], errs: &mut Vec<String>) {
 fn validate_summary(map: &[(String, Value)], errs: &mut Vec<String>) {
     need_u64(map, "samples", "summary", errs);
     need_u64(map, "progress", "summary", errs);
-    need_u64(map, "spans", "summary", errs);
-}
-
-/// The `source` tag every event must carry.
-fn validate_source(map: &[(String, Value)], event: &str, errs: &mut Vec<String>) {
-    if let Some(source) = check(errs, need(map, "source", event))
-        .and_then(|v| check(errs, as_str(v, &format!("{event}.source"))))
-    {
-        if !SOURCES.contains(&source) {
-            errs.push(format!(
-                "{event}.source `{source}` is not one of {SOURCES:?}"
-            ));
-        }
-    }
 }
 
 /// Validates one JSONL line, returning the event type (when one could be
@@ -296,30 +272,12 @@ pub fn validate_line_all(line: &str) -> (Option<String>, Vec<String>) {
         "meta" => validate_meta(map, &mut errs),
         "sample" => validate_sample(map, &mut errs),
         "hist" => validate_hist(map, &mut errs),
-        "span" => validate_span(map, &mut errs),
         "fault" => validate_fault(map, &mut errs),
         "progress" => validate_progress(map, &mut errs),
         "summary" => validate_summary(map, &mut errs),
-        other => {
-            errs.push(format!("unknown event type `{other}`"));
-            return (Some(event_type), errs);
-        }
+        other => errs.push(format!("unknown event type `{other}`")),
     }
-    validate_source(map, &event_type, &mut errs);
     (Some(event_type), errs)
-}
-
-/// Validates one JSONL line, returning the event type on success.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first schema violation.
-pub fn validate_line(line: &str) -> Result<String, String> {
-    let (event_type, errs) = validate_line_all(line);
-    match errs.into_iter().next() {
-        Some(e) => Err(e),
-        None => Ok(event_type.expect("error-free line has a type")),
-    }
 }
 
 /// Per-type event counts of a validated stream.
@@ -371,91 +329,81 @@ pub fn validate_stream_all(text: &str) -> (StreamSummary, Vec<(usize, String)>) 
     (summary, violations)
 }
 
-/// Validates a whole JSONL stream: every line must pass validation, the
-/// first event must be `meta`, and the last must be `summary`.
-///
-/// # Errors
-///
-/// Returns `(line_number, description)` of the first violation (line
-/// numbers are 1-based; protocol-level violations report line 0).
-pub fn validate_stream(text: &str) -> Result<StreamSummary, (usize, String)> {
-    let (summary, violations) = validate_stream_all(text);
-    match violations.into_iter().next() {
-        Some(v) => Err(v),
-        None => Ok(summary),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const META: &str = r#"{"type":"meta","schema":4,"stream":"atscale-telemetry"}"#;
+    const SUMMARY: &str = r#"{"type":"summary","samples":0,"progress":0}"#;
+
+    /// The violations of one line, asserting it has a type.
+    fn line_errors(line: &str, expected_type: &str) -> Vec<String> {
+        let (event_type, errs) = validate_line_all(line);
+        assert_eq!(event_type.as_deref(), Some(expected_type), "{errs:?}");
+        errs
+    }
+
     #[test]
     fn meta_line_validates() {
-        let line = r#"{"type":"meta","schema":3,"source":"sim","stream":"atscale-telemetry"}"#;
-        assert_eq!(validate_line(line).unwrap(), "meta");
-        let line = r#"{"type":"meta","schema":3,"stream":"atscale-telemetry"}"#;
-        assert!(validate_line(line).unwrap_err().contains("source"));
+        assert_eq!(line_errors(META, "meta"), Vec::<String>::new());
     }
 
     #[test]
     fn wrong_schema_version_is_rejected() {
         let line = r#"{"type":"meta","schema":99,"stream":"atscale-telemetry"}"#;
-        assert!(validate_line(line).unwrap_err().contains("schema"));
-        let line = r#"{"type":"meta","schema":2,"source":"sim","stream":"atscale-telemetry"}"#;
-        let err = validate_line(line).unwrap_err();
+        assert_eq!(
+            line_errors(line, "meta"),
+            ["meta.schema 99 is not the supported version 4"]
+        );
+        let line = r#"{"type":"meta","schema":2,"stream":"atscale-telemetry"}"#;
+        let errs = line_errors(line, "meta");
+        assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(
-            err.contains("meta.schema 2") && err.contains(&format!("version {SCHEMA_VERSION}")),
-            "the message must name both versions, got: {err}"
+            errs[0].contains("meta.schema 2")
+                && errs[0].contains(&format!("version {SCHEMA_VERSION}")),
+            "the message must name both versions, got: {errs:?}"
         );
     }
 
     #[test]
-    fn bad_source_values_are_rejected() {
-        let line = r#"{"type":"fault","source":"hardware","site":"s","hit":1}"#;
-        let err = validate_line(line).unwrap_err();
-        assert!(err.contains("hardware"), "got: {err}");
-    }
-
-    #[test]
     fn sample_requires_the_headline_rates() {
-        let line = r#"{"type":"sample","source":"sim","run":"r","instr":10,"cycles":20,
+        let line = r#"{"type":"sample","run":"r","instr":10,"cycles":20,
             "counters":[["inst_retired.any",10],["dtlb_misses.walk_duration",4]],
             "rates":[["wcpi",0.4],["stlb_mpki",1.0]]}"#
             .replace('\n', " ");
-        let err = validate_line(&line).unwrap_err();
-        assert!(err.contains("aborted_frac"), "got: {err}");
+        assert_eq!(
+            line_errors(&line, "sample"),
+            ["sample.rates missing required `aborted_frac`"]
+        );
     }
 
     #[test]
     fn all_violations_are_reported_in_one_pass() {
-        // Missing both rates AND both counters AND the source tag: every
-        // one of the five defects must surface in a single validation.
+        // Missing both counters AND two of the three rates: every one of
+        // the four defects must surface in a single validation.
         let line = r#"{"type":"sample","run":"r","instr":10,"cycles":20,
             "counters":[],"rates":[["wcpi",0.4]]}"#
             .replace('\n', " ");
-        let (event_type, errs) = validate_line_all(&line);
-        assert_eq!(event_type.as_deref(), Some("sample"));
-        let text = errs.join("\n");
-        for needle in [
-            "inst_retired.any",
-            "dtlb_misses.walk_duration",
-            "stlb_mpki",
-            "aborted_frac",
-            "`source`",
-        ] {
-            assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
-        }
-        assert!(errs.len() >= 5, "expected >= 5 errors, got {errs:?}");
+        assert_eq!(
+            line_errors(&line, "sample"),
+            [
+                "sample.counters missing required `inst_retired.any`",
+                "sample.counters missing required `dtlb_misses.walk_duration`",
+                "sample.rates missing required `stlb_mpki`",
+                "sample.rates missing required `aborted_frac`",
+            ]
+        );
     }
 
     #[test]
     fn hist_bucket_counts_must_reconcile() {
-        let line = r#"{"type":"hist","source":"sim","metric":"walk_cycles","unit":"cycles",
+        let line = r#"{"type":"hist","metric":"walk_cycles","unit":"cycles",
             "count":3,"sum":10,"min":1,"max":5,"buckets":[{"lo":1,"hi":1,"count":1}]}"#
             .replace('\n', " ");
-        let err = validate_line(&line).unwrap_err();
-        assert!(err.contains("sum to 1"), "got: {err}");
+        assert_eq!(
+            line_errors(&line, "hist"),
+            ["hist bucket counts sum to 1 but count says 3"]
+        );
     }
 
     #[test]
@@ -470,57 +418,68 @@ mod tests {
         );
         let (summary, violations) = validate_stream_all(v2);
         assert_eq!(summary.lines, 3, "the whole stream is still scanned");
-        let (line, first) = &violations[0];
-        assert_eq!(*line, 1);
-        assert!(
-            first.contains("meta.schema 2 is not the supported version 3"),
-            "got: {first}"
-        );
-        // ...and every line is judged by the current rules.
         assert_eq!(
-            violations
-                .iter()
-                .filter(|(_, e)| e.contains("missing required key `source`"))
-                .count(),
-            3,
-            "{violations:?}"
+            violations,
+            [(
+                1,
+                "meta.schema 2 is not the supported version 4".to_string()
+            )]
         );
     }
 
     #[test]
-    fn v3_streams_require_source_on_every_event() {
+    fn v3_streams_are_rejected_at_their_meta_event() {
+        // A v3 stream: `source` on every event and a `span` event, which v4
+        // no longer defines.
         let v3 = concat!(
             r#"{"type":"meta","schema":3,"source":"sim","stream":"atscale-telemetry"}"#,
             "\n",
-            r#"{"type":"summary","samples":0,"progress":0,"spans":0}"#,
+            r#"{"type":"span","source":"sim","path":"run","count":1,"total_ns":5,"max_ns":5,"threads":1}"#,
+            "\n",
+            r#"{"type":"summary","source":"sim","samples":0,"progress":0,"spans":1}"#,
             "\n"
         );
-        let (_, violations) = validate_stream_all(v3);
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0]
-            .1
-            .contains("summary event missing required key `source`"));
+        let (summary, violations) = validate_stream_all(v3);
+        assert_eq!(summary.lines, 3);
+        assert_eq!(
+            violations,
+            [
+                (
+                    1,
+                    "meta.schema 3 is not the supported version 4".to_string()
+                ),
+                (2, "unknown event type `span`".to_string()),
+            ]
+        );
     }
 
     #[test]
     fn stream_protocol_is_enforced() {
-        let good = concat!(
-            r#"{"type":"meta","schema":3,"source":"sim","stream":"atscale-telemetry"}"#,
-            "\n",
-            r#"{"type":"summary","source":"sim","samples":0,"progress":0,"spans":0}"#,
-            "\n"
-        );
-        let s = validate_stream(good).unwrap();
+        let good = format!("{META}\n{SUMMARY}\n");
+        let (s, violations) = validate_stream_all(&good);
+        assert_eq!(violations, []);
         assert_eq!(s.lines, 2);
         assert_eq!(s.by_type.get("meta"), Some(&1));
 
-        let no_meta = r#"{"type":"summary","source":"sim","samples":0,"progress":0,"spans":0}"#;
-        assert!(validate_stream(no_meta).is_err());
+        let (_, violations) = validate_stream_all(SUMMARY);
+        assert_eq!(
+            violations,
+            [(
+                1,
+                "stream must open with a meta event, got `summary`".to_string()
+            )]
+        );
 
-        let no_summary =
-            r#"{"type":"meta","schema":3,"source":"sim","stream":"atscale-telemetry"}"#;
-        assert!(validate_stream(no_summary).is_err());
+        let (_, violations) = validate_stream_all(META);
+        assert_eq!(
+            violations,
+            [(
+                0,
+                "stream must end with a summary event, got `meta`".to_string()
+            )]
+        );
 
-        assert!(validate_stream("").is_err());
+        let (_, violations) = validate_stream_all("");
+        assert_eq!(violations, [(0, "stream contains no events".to_string())]);
     }
 }

@@ -1,9 +1,10 @@
 //! The telemetry sink: in-memory aggregation plus an optional JSONL event
 //! stream.
 
-use crate::{span_records, LatencyMetric, LogHistogram, Progress, Sample};
+use crate::{LatencyMetric, LogHistogram, Progress, Sample};
 use parking_lot::Mutex;
 use serde::{Serialize, Value};
+use std::collections::BTreeSet;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -13,12 +14,9 @@ use std::path::{Path, PathBuf};
 ///
 /// Version history: 1 — initial stream; 2 — added the `fault` event
 /// (deterministic fault-injection observations from chaos runs); 3 —
-/// every event carries a `source` tag.
-pub const SCHEMA_VERSION: u64 = 3;
-
-/// The schema-v3 `source` tag this sink stamps on every event, and the only
-/// one the validator accepts.
-const SOURCE: &str = "sim";
+/// every event carries a `source` tag; 4 — the `span` event,
+/// `summary.spans` and the `source` tag are gone.
+pub const SCHEMA_VERSION: u64 = 4;
 
 struct JsonlWriter {
     path: PathBuf,
@@ -39,15 +37,18 @@ impl JsonlWriter {
 #[derive(Default)]
 struct SinkState {
     hists: Vec<LogHistogram>,
-    samples: Vec<(String, Sample)>,
+    samples: usize,
+    /// Distinct run labels among the samples.
+    runs: BTreeSet<String>,
     progress_events: u64,
     fault_events: u64,
     jsonl: Option<JsonlWriter>,
     finished: bool,
 }
 
-/// The standard telemetry sink: aggregates latency histograms and sampled
-/// series in memory, optionally streaming every event as a JSON line.
+/// The standard telemetry sink: aggregates latency histograms and counts
+/// sampled series in memory, optionally streaming every event as a JSON
+/// line.
 ///
 /// All mutation happens under one internal lock; the instrumented hot
 /// paths only reach it on walk-level events and per-interval samples, not
@@ -60,7 +61,7 @@ impl std::fmt::Debug for TelemetrySink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.state.lock();
         f.debug_struct("TelemetrySink")
-            .field("samples", &state.samples.len())
+            .field("samples", &state.samples)
             .field("progress_events", &state.progress_events)
             .field("jsonl", &state.jsonl.as_ref().map(|j| j.path.clone()))
             .finish_non_exhaustive()
@@ -73,13 +74,10 @@ impl Default for TelemetrySink {
     }
 }
 
-/// One event: `type`, `source`, the `head` fields, then `body`'s fields
-/// when it is a map.
+/// One event: `type`, the `head` fields, then `body`'s fields when it is
+/// a map.
 fn tagged(event_type: &str, head: Vec<(String, Value)>, body: Value) -> Value {
-    let mut entries = vec![
-        ("type".to_string(), Value::Str(event_type.to_string())),
-        ("source".to_string(), Value::Str(SOURCE.to_string())),
-    ];
+    let mut entries = vec![("type".to_string(), Value::Str(event_type.to_string()))];
     entries.extend(head);
     if let Value::Map(fields) = body {
         entries.extend(fields);
@@ -88,7 +86,7 @@ fn tagged(event_type: &str, head: Vec<(String, Value)>, body: Value) -> Value {
 }
 
 impl TelemetrySink {
-    /// An in-memory sink with no JSONL stream, tagged `source: "sim"`.
+    /// An in-memory sink with no JSONL stream.
     pub fn new() -> TelemetrySink {
         TelemetrySink {
             state: Mutex::new(SinkState {
@@ -134,15 +132,9 @@ impl TelemetrySink {
         self.state.lock().hists[metric.index()].clone()
     }
 
-    /// All samples delivered so far, as `(run label, sample)` pairs in
-    /// arrival order.
-    pub fn samples(&self) -> Vec<(String, Sample)> {
-        self.state.lock().samples.clone()
-    }
-
     /// Number of samples delivered so far.
     pub fn sample_count(&self) -> usize {
-        self.state.lock().samples.len()
+        self.state.lock().samples
     }
 
     /// Number of progress events delivered so far.
@@ -176,9 +168,9 @@ impl TelemetrySink {
     }
 
     /// Finalizes the stream: emits `hist` events for every non-empty
-    /// metric, `span` events from the global registry, and a trailing
-    /// `summary` event, then flushes. Idempotent — only the first call
-    /// writes. Returns the JSONL path, if streaming was enabled.
+    /// metric and a trailing `summary` event, then flushes. Idempotent —
+    /// only the first call writes. Returns the JSONL path, if streaming
+    /// was enabled.
     pub fn finish(&self) -> Option<PathBuf> {
         let mut state = self.state.lock();
         let path = state.jsonl.as_ref().map(|j| j.path.clone());
@@ -200,25 +192,17 @@ impl TelemetrySink {
                 )
             })
             .collect();
-        let span_events: Vec<Value> = span_records()
-            .iter()
-            .map(|r| tagged("span", Vec::new(), r.to_value()))
-            .collect();
         let summary = tagged(
             "summary",
             vec![
-                (
-                    "samples".to_string(),
-                    Value::U64(state.samples.len() as u64),
-                ),
+                ("samples".to_string(), Value::U64(state.samples as u64)),
                 ("progress".to_string(), Value::U64(state.progress_events)),
-                ("spans".to_string(), Value::U64(span_events.len() as u64)),
             ],
             Value::Null,
         );
         if let Some(writer) = state.jsonl.as_mut() {
-            for event in hist_events.iter().chain(&span_events) {
-                // analyze:allow(lock-io): finalization writes under the state lock so no sample can interleave into the hist/span/summary tail
+            for event in &hist_events {
+                // analyze:allow(lock-io): finalization writes under the state lock so no sample can interleave into the hist/summary tail
                 writer.write_event(event);
             }
             // analyze:allow(lock-io): the summary must be the last event before the flush; the lock guarantees that ordering
@@ -229,13 +213,11 @@ impl TelemetrySink {
         path
     }
 
-    /// Renders the human `--telemetry-summary` report: the per-phase span
-    /// table plus one line per non-empty latency histogram.
+    /// Renders the human `--telemetry-summary` report: one line per
+    /// non-empty latency histogram, then the sample and progress counts.
     pub fn summary(&self) -> String {
-        let mut out = String::from("== telemetry: phase timings ==\n");
-        out.push_str(&crate::render_spans());
         let state = self.state.lock();
-        out.push_str("\n== telemetry: latency histograms ==\n");
+        let mut out = String::from("== telemetry: latency histograms ==\n");
         out.push_str(&format!(
             "{:<16} {:>10} {:>12} {:>10} {:>10} {:>10} {:>8}\n",
             "metric", "count", "mean", "p50", "p99", "max", "unit"
@@ -258,13 +240,8 @@ impl TelemetrySink {
         }
         out.push_str(&format!(
             "\n{} interval samples from {} runs, {} progress events\n",
-            state.samples.len(),
-            {
-                let mut runs: Vec<&str> = state.samples.iter().map(|(r, _)| r.as_str()).collect();
-                runs.sort_unstable();
-                runs.dedup();
-                runs.len()
-            },
+            state.samples,
+            state.runs.len(),
             state.progress_events
         ));
         out
@@ -282,7 +259,10 @@ impl TelemetrySink {
             // analyze:allow(lock-io): samples stream under the state lock so concurrent runs cannot interleave half-ordered events; the writer is buffered
             writer.write_event(&event);
         }
-        state.samples.push((run.to_string(), sample.clone()));
+        state.samples += 1;
+        if !state.runs.contains(run) {
+            state.runs.insert(run.to_string());
+        }
     }
 
     /// Records one latency observation into the metric's histogram.
@@ -337,6 +317,10 @@ mod tests {
         let summary = sink.summary();
         assert!(summary.contains("walk_cycles"));
         assert!(summary.contains("1 interval samples from 1 runs"));
+        sink.sample("run-a", &sample());
+        sink.sample("run-b", &sample());
+        assert!(sink.summary().contains("3 interval samples from 2 runs"));
+        assert!(format!("{sink:?}").contains("samples: 3"));
     }
 
     #[test]
@@ -366,12 +350,8 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle} in {text}");
         }
-        for line in text.lines() {
-            assert!(
-                line.contains("\"source\":\"sim\""),
-                "schema v3: every event carries the source tag: {line}"
-            );
-        }
+        assert!(!text.contains("\"source\""), "schema v4 has no source tag");
+        assert!(!text.contains("\"span"), "schema v4 has no spans");
         let _ = std::fs::remove_file(&path);
     }
 }

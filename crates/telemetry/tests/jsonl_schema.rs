@@ -6,50 +6,31 @@
 //! renamed, or dropped keys) fails here first and must be an explicit,
 //! reviewed change alongside a `SCHEMA_VERSION` bump or validator update.
 
-use atscale_telemetry::schema::{validate_stream, REQUIRED_COUNTERS, REQUIRED_RATES};
-use atscale_telemetry::{reset_spans, span, LatencyMetric, Progress, Sample, TelemetrySink};
+use atscale_telemetry::schema::{validate_stream_all, REQUIRED_COUNTERS, REQUIRED_RATES};
+use atscale_telemetry::{LatencyMetric, Progress, Sample, TelemetrySink};
 use serde::Value;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The schema under pin: every event type and its exact key set.
 fn golden_keys() -> BTreeMap<&'static str, BTreeSet<&'static str>> {
-    let pairs: [(&str, &[&str]); 7] = [
-        ("meta", &["type", "source", "schema", "stream"]),
-        ("fault", &["type", "source", "site", "hit"]),
+    let pairs: [(&str, &[&str]); 6] = [
+        ("meta", &["type", "schema", "stream"]),
+        ("fault", &["type", "site", "hit"]),
         (
             "sample",
-            &[
-                "type", "source", "run", "instr", "cycles", "counters", "rates",
-            ],
+            &["type", "run", "instr", "cycles", "counters", "rates"],
         ),
         (
             "hist",
             &[
-                "type", "source", "metric", "unit", "count", "sum", "min", "max", "buckets",
-            ],
-        ),
-        (
-            "span",
-            &[
-                "type", "source", "path", "count", "total_ns", "max_ns", "threads",
+                "type", "metric", "unit", "count", "sum", "min", "max", "buckets",
             ],
         ),
         (
             "progress",
-            &[
-                "type",
-                "source",
-                "completed",
-                "total",
-                "label",
-                "wall_ms",
-                "cached",
-            ],
+            &["type", "completed", "total", "label", "wall_ms", "cached"],
         ),
-        (
-            "summary",
-            &["type", "source", "samples", "progress", "spans"],
-        ),
+        ("summary", &["type", "samples", "progress"]),
     ];
     pairs
         .into_iter()
@@ -57,22 +38,14 @@ fn golden_keys() -> BTreeMap<&'static str, BTreeSet<&'static str>> {
         .collect()
 }
 
-/// Serializes the tests: they share the global span registry and one
-/// temp-file path.
-static STREAM_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Emits one of every event type through a real sink and returns the
-/// stream text.
-fn generate_stream() -> String {
-    let _lock = STREAM_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    reset_spans();
-    let path = std::env::temp_dir().join(format!("atscale-schema-{}.jsonl", std::process::id()));
+/// Emits one of every event type through a real sink streaming to a temp
+/// file named after `test`, and returns the stream text.
+fn generate_stream(test: &str) -> String {
+    let path = std::env::temp_dir().join(format!(
+        "atscale-schema-{test}-{}.jsonl",
+        std::process::id()
+    ));
     let sink = TelemetrySink::new().with_jsonl(&path).unwrap();
-    {
-        let _guard = span("golden");
-    }
     let mut counters: Vec<(String, u64)> = REQUIRED_COUNTERS
         .iter()
         .map(|name| ((*name).to_string(), 7))
@@ -109,23 +82,33 @@ fn generate_stream() -> String {
 
 #[test]
 fn generated_stream_passes_the_shipped_validator() {
-    let text = generate_stream();
-    let summary = validate_stream(&text).unwrap_or_else(|(line, e)| {
-        panic!("stream invalid at line {line}: {e}\n--- stream ---\n{text}")
-    });
-    // One of each: meta, sample, 2 hists, the span, progress, summary.
-    assert_eq!(summary.by_type.get("meta"), Some(&1));
-    assert_eq!(summary.by_type.get("sample"), Some(&1));
-    assert_eq!(summary.by_type.get("hist"), Some(&2));
-    assert_eq!(summary.by_type.get("span"), Some(&1));
-    assert_eq!(summary.by_type.get("fault"), Some(&1));
-    assert_eq!(summary.by_type.get("progress"), Some(&1));
-    assert_eq!(summary.by_type.get("summary"), Some(&1));
+    let text = generate_stream("validator");
+    let (summary, violations) = validate_stream_all(&text);
+    assert_eq!(violations, [], "--- stream ---\n{text}");
+    // One of each, and two hists: meta, sample, hist ×2, fault, progress,
+    // summary.
+    let by_type: Vec<(&str, usize)> = summary
+        .by_type
+        .iter()
+        .map(|(t, n)| (t.as_str(), *n))
+        .collect();
+    assert_eq!(
+        by_type,
+        [
+            ("fault", 1),
+            ("hist", 2),
+            ("meta", 1),
+            ("progress", 1),
+            ("sample", 1),
+            ("summary", 1)
+        ]
+    );
+    assert_eq!(summary.lines, 7);
 }
 
 #[test]
 fn event_key_sets_match_the_golden_schema() {
-    let text = generate_stream();
+    let text = generate_stream("golden");
     let golden = golden_keys();
     let mut seen: BTreeSet<String> = BTreeSet::new();
     for (i, line) in text.lines().filter(|l| !l.trim().is_empty()).enumerate() {
@@ -163,7 +146,7 @@ fn event_key_sets_match_the_golden_schema() {
 fn sample_events_preserve_emission_order() {
     // The counters/rates pair lists are ordered; serialization must not
     // reorder them (consumers join on position for plotting).
-    let text = generate_stream();
+    let text = generate_stream("order");
     let sample_line = text
         .lines()
         .find(|l| l.contains("\"type\":\"sample\""))
@@ -202,13 +185,26 @@ fn the_validator_exits_2_on_a_bad_command_line_and_1_on_a_bad_stream() {
     let good = dir.join(format!("atscale-validate-good-{pid}.jsonl"));
     let bad = dir.join(format!("atscale-validate-bad-{pid}.jsonl"));
     let missing = dir.join(format!("atscale-validate-missing-{pid}.jsonl"));
-    std::fs::write(&good, generate_stream()).unwrap();
+    std::fs::write(&good, generate_stream("cli")).unwrap();
     std::fs::write(&bad, "{\"type\":\"sample\"\n").unwrap();
     assert_eq!(validate(&[&good]).0, Some(0));
     let (code, stderr) = validate(&[&good, &bad]);
     assert_eq!(code, Some(1), "an invalid stream: {stderr}");
     let (code, stderr) = validate(&[&missing]);
     assert_eq!(code, Some(1), "an unreadable stream: {stderr}");
+    let v3 = dir.join(format!("atscale-validate-v3-{pid}.jsonl"));
+    std::fs::write(
+        &v3,
+        "{\"type\":\"meta\",\"schema\":3,\"source\":\"sim\",\"stream\":\"atscale-telemetry\"}\n",
+    )
+    .unwrap();
+    let (code, stderr) = validate(&[&v3]);
+    assert_eq!(code, Some(1), "a v3 stream: {stderr}");
+    assert!(
+        stderr.contains("meta.schema 3 is not the supported version 4"),
+        "{stderr}"
+    );
     let _ = std::fs::remove_file(&good);
     let _ = std::fs::remove_file(&bad);
+    let _ = std::fs::remove_file(&v3);
 }
