@@ -10,8 +10,8 @@
 //!                         harness) and print the overhead table
 //!   server-stats          scheduler counters
 //!   query                 aggregate statistics (count, mean/p50/p99 WCPI,
-//!                         fitted β/c) from the segment store's online
-//!                         per-group state — O(groups), no record replay
+//!                         fitted β/c) from the segment store's live
+//!                         hot-column rows, no record replay
 //!   compact               rewrite the segment store down to live rows
 //!   seg-stats             segment-store occupancy
 //!   shutdown              ask the daemon to drain and exit

@@ -7,7 +7,8 @@
 //! the samples of the runs it made.
 
 use atscale::results::{HotRow, SegmentStore};
-use atscale::RunStore;
+use atscale::workloads::WorkloadId;
+use atscale::{execute_run, hot_row, RunStore, SweepConfig};
 use atscale_bench::experiments::REGISTRY;
 use atscale_serve::{ServeConfig, Server};
 use std::path::{Path, PathBuf};
@@ -73,13 +74,12 @@ fn client_and_store_compact_reject_bad_command_lines_with_usage_and_exit_2() {
     }
 }
 
-/// A live row whose JSON is not a record fails `--verify` as a run-time
-/// failure — exit 1, naming the row's key — not a panic.
+/// A live row `--verify` cannot vouch for fails as a run-time failure —
+/// exit 1, naming the row's key — not a panic: a row whose JSON is not a
+/// record, and a row whose hot columns are not its record's.
 #[test]
 fn store_compact_verify_fails_on_an_unparseable_row_with_exit_1() {
-    let dir = scratch("verify-unparsed");
-    let key = "00000000deadbeef";
-    let hot = HotRow {
+    let unparsed = HotRow {
         workload: "cc-urand".to_string(),
         footprint_mb: 16,
         page_size: "4K".to_string(),
@@ -87,20 +87,42 @@ fn store_compact_verify_fails_on_an_unparseable_row_with_exit_1() {
         wcpi_fp: 0,
         x_fp: 0,
     };
-    SegmentStore::open(dir.join("segments"))
-        .expect("open segment store")
-        .append(key, hot, b"{\"not\":1}")
-        .expect("seed a row");
-    let out = Command::new(env!("CARGO_BIN_EXE_store_compact"))
-        .arg("--dir")
-        .arg(&dir)
-        .arg("--verify")
-        .output()
-        .expect("launch store_compact");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains(key), "{stderr}");
-    let _ = std::fs::remove_dir_all(&dir);
+    let sweep = SweepConfig::test();
+    let workload = WorkloadId::parse("cc-urand").expect("known workload");
+    let spec = sweep.spec(workload, sweep.footprints()[0]);
+    let record = execute_run(&spec, &ServeConfig::default().machine);
+    let mut skewed = hot_row(&record);
+    skewed.wcpi_fp += 1;
+    for (tag, key, hot, raw) in [
+        (
+            "verify-unparsed",
+            "00000000deadbeef",
+            unparsed,
+            b"{\"not\":1}".to_vec(),
+        ),
+        (
+            "verify-mismatch",
+            "00000000feedface",
+            skewed,
+            serde_json::to_vec(&record).expect("record serializes"),
+        ),
+    ] {
+        let dir = scratch(tag);
+        SegmentStore::open(dir.join("segments"))
+            .expect("open segment store")
+            .append(key, hot, &raw)
+            .expect("seed a row");
+        let out = Command::new(env!("CARGO_BIN_EXE_store_compact"))
+            .arg("--dir")
+            .arg(&dir)
+            .arg("--verify")
+            .output()
+            .expect("launch store_compact");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+        assert!(stderr.contains(key), "{tag}: {stderr}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -322,12 +322,19 @@ impl Harness {
         (Obtained::Record(record, Some(json)), false)
     }
 
-    fn emit_progress(&self, event: &Progress) {
+    /// Reports one finished run to stderr (with `--progress`) and to the
+    /// attached sink; `event` is built only when one of them consumes it.
+    fn emit_progress(&self, event: impl FnOnce() -> Progress) {
+        let sink = self.telemetry.as_ref().and_then(TelemetryHandle::sink);
+        if !self.progress && sink.is_none() {
+            return;
+        }
+        let event = event();
         if self.progress {
             eprintln!("{}", event.render());
         }
-        if let Some(sink) = self.telemetry.as_ref().and_then(TelemetryHandle::sink) {
-            sink.progress(event);
+        if let Some(sink) = sink {
+            sink.progress(&event);
         }
     }
 
@@ -355,7 +362,7 @@ impl Harness {
                     // analyze:allow(determinism): per-run wall-clock is progress metadata for operators, never part of a record
                     let start = Instant::now();
                     let (record, cached) = self.run_detailed(&specs[i]);
-                    self.emit_progress(&Progress {
+                    self.emit_progress(|| Progress {
                         completed: done.fetch_add(1, Ordering::Relaxed) + 1,
                         total: specs.len(),
                         label: specs[i].label(),

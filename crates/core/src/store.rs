@@ -158,8 +158,8 @@ impl RunStore {
         self.len() == 0
     }
 
-    /// Answers an aggregate query from the segment store's live state —
-    /// `O(matching groups)`, no record replay.
+    /// Answers an aggregate query by scanning the segment store's live
+    /// hot-column rows ([`atscale_results::query`]), no record replay.
     pub fn query(&self, filter: &QueryFilter) -> QueryResult {
         self.segments.query(filter)
     }
@@ -196,8 +196,10 @@ impl RunStore {
     }
 
     /// Visits every live record (key, hot columns, raw JSON bytes) in
-    /// deterministic order — the verification path for diffing online
-    /// aggregates against a from-raw recomputation.
+    /// deterministic order — the verification path for checking each
+    /// row's stored hot columns against [`hot_row`] of its raw record. A
+    /// row whose raw bytes do not decompress is skipped (see
+    /// [`atscale_results::SegmentStore::for_each_live`]).
     pub fn for_each_live_record<F: FnMut(&str, &HotRow, Vec<u8>)>(&self, f: F) {
         self.segments.for_each_live(f);
     }

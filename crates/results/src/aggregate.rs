@@ -1,25 +1,34 @@
-//! The hot-column row schema and the per-group aggregate state, plus the
-//! wire-facing query types the serving protocol re-exports.
+//! The hot-column row schema, the one function that answers a `Query`
+//! from rows, and the wire-facing query types the serving protocol
+//! re-exports.
 //!
-//! Grouping is per `(workload, footprint MB, page size, arch)` — the
-//! paper's fig1 axes plus the translation-architecture scenario axis. Each
-//! group carries a WCPI [`Sketch`] and a [`Regress`] accumulator over
-//! `(log10 footprint_KB, WCPI)`; a footprint-range query merges the
-//! matching groups' regression states, which *is* the fig1 β/c fit over
-//! those runs — per page size and per architecture, when the filter pins
-//! them. All per-group state is integral, so adding and retracting rows is
-//! exact and the query's merge is exactly associative.
-//!
-//! The state lives in memory only: the segment store rebuilds it from
-//! the rows' hot columns at open.
+//! [`query`] groups the matching rows per `(workload, footprint MB, page
+//! size, arch)` — the paper's fig1 axes plus the translation-architecture
+//! scenario axis — and fits `(log10 footprint_KB, WCPI)` over all of them
+//! with a [`Regress`] accumulator, which *is* the fig1 β/c fit over those
+//! runs (per page size and per architecture, when the filter pins them).
+//! Counts, means and the fit come from integer fixed-point sums and the
+//! quantiles from sorted fixed-point values, so the answer depends only
+//! on the multiset of rows, never on the order they are visited in.
 
 use crate::codec::{Dec, DecResult, Enc};
 use crate::regress::Regress;
-use crate::sketch::Sketch;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+
+/// Fixed-point scale for WCPI values: 1 unit = 1e-9.
+pub const VALUE_SCALE: f64 = 1e9;
+
+/// Quantizes a WCPI value to fixed point.
+pub fn value_fp(v: f64) -> i64 {
+    let scaled = v * VALUE_SCALE;
+    debug_assert!(scaled.abs() < 9.0e18, "value {v} overflows fixed point");
+    scaled.round() as i64
+}
 
 /// The hot columns of one `RunRecord`: exactly what a [`QueryFilter`]
-/// groups and fits on, without touching the raw JSON sidecar.
+/// selects and [`query`] groups and fits on, without touching the raw
+/// JSON sidecar.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HotRow {
     /// Workload id string, e.g. `cc-urand`.
@@ -31,7 +40,7 @@ pub struct HotRow {
     /// Translation architecture label (`baseline` / `victima` /
     /// `dram-cache` / `no-tlb`).
     pub arch: String,
-    /// WCPI at [`crate::sketch::VALUE_SCALE`] fixed point.
+    /// WCPI at [`VALUE_SCALE`] fixed point.
     pub wcpi_fp: i64,
     /// `log10(measured footprint KB)` at [`crate::regress::X_SCALE`]
     /// fixed point — Table IV's regressor.
@@ -39,16 +48,6 @@ pub struct HotRow {
 }
 
 impl HotRow {
-    /// The group this row aggregates under.
-    pub fn group_key(&self) -> GroupKey {
-        GroupKey {
-            workload: self.workload.clone(),
-            footprint_mb: self.footprint_mb,
-            page_size: self.page_size.clone(),
-            arch: self.arch.clone(),
-        }
-    }
-
     pub(crate) fn encode(&self, enc: &mut Enc) {
         enc.str(&self.workload);
         enc.u64(self.footprint_mb);
@@ -70,130 +69,88 @@ impl HotRow {
     }
 }
 
-/// Aggregation group identity: the fig1 axes plus the architecture axis.
-/// Derived `Ord` compares fields in declaration order, and that order is
-/// the order of [`QueryResult::groups`].
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct GroupKey {
-    /// Workload id string.
-    pub workload: String,
-    /// Nominal footprint in MiB.
-    pub footprint_mb: u64,
-    /// Page size label.
-    pub page_size: String,
-    /// Translation architecture label.
-    pub arch: String,
-}
-
-/// Per-group aggregate: WCPI sketch and β/c regression state.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GroupAgg {
-    /// WCPI distribution.
-    pub sketch: Sketch,
-    /// `(log10 footprint_KB, WCPI)` OLS state.
-    pub regress: Regress,
-}
-
-impl GroupAgg {
-    fn add(&mut self, row: &HotRow) {
-        self.sketch.add_fp(row.wcpi_fp);
-        self.regress.add(row.x_fp, row.wcpi_fp);
+/// Answers `filter` over `rows`: totals over the matching rows, their β/c
+/// fit, and one summary per group, in `(workload, footprint, page_size,
+/// arch)` order. See the module docs for why the answer is independent of
+/// the order of `rows`.
+pub fn query<'a>(rows: impl IntoIterator<Item = &'a HotRow>, filter: &QueryFilter) -> QueryResult {
+    let mut regress = Regress::new();
+    let mut groups: BTreeMap<(&str, u64, &str, &str), Vec<i64>> = BTreeMap::new();
+    for row in rows.into_iter().filter(|row| filter.matches(row)) {
+        regress.add(row.x_fp, row.wcpi_fp);
+        let key = (
+            row.workload.as_str(),
+            row.footprint_mb,
+            row.page_size.as_str(),
+            row.arch.as_str(),
+        );
+        groups.entry(key).or_default().push(row.wcpi_fp);
     }
-
-    fn remove(&mut self, row: &HotRow) {
-        self.sketch.remove_fp(row.wcpi_fp);
-        self.regress.remove(row.x_fp, row.wcpi_fp);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.sketch.is_empty() && self.regress.count() == 0
-    }
-}
-
-/// The full aggregate state: groups kept sorted by key (the canonical
-/// form `PartialEq` compares), empty groups dropped on removal.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AggState {
-    groups: Vec<(GroupKey, GroupAgg)>,
-}
-
-impl AggState {
-    /// An empty state.
-    pub fn new() -> AggState {
-        AggState::default()
-    }
-
-    /// Number of groups.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// `true` when no rows have been observed.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
-    fn slot(&mut self, key: GroupKey) -> &mut GroupAgg {
-        match self.groups.binary_search_by(|(k, _)| k.cmp(&key)) {
-            Ok(i) => &mut self.groups[i].1,
-            Err(i) => {
-                self.groups.insert(i, (key, GroupAgg::default()));
-                &mut self.groups[i].1
+    let mut all: Vec<i64> = groups.values().flatten().copied().collect();
+    let total = WcpiStats::of(&mut all);
+    let groups = groups
+        .into_iter()
+        .map(|((workload, footprint_mb, page_size, arch), mut wcpi)| {
+            let stats = WcpiStats::of(&mut wcpi);
+            GroupSummary {
+                workload: workload.to_string(),
+                footprint_mb,
+                page_size: page_size.to_string(),
+                arch: arch.to_string(),
+                count: stats.count,
+                mean_wcpi: stats.mean,
+                p50_wcpi: stats.p50,
+                p99_wcpi: stats.p99,
             }
-        }
+        })
+        .collect();
+    let fit = regress.fit();
+    QueryResult {
+        count: total.count,
+        mean_wcpi: total.mean,
+        p50_wcpi: total.p50,
+        p99_wcpi: total.p99,
+        beta: fit.map(|f| f.beta),
+        intercept: fit.map(|f| f.intercept),
+        groups,
     }
+}
 
-    /// Folds one row in.
-    pub fn add(&mut self, row: &HotRow) {
-        self.slot(row.group_key()).add(row);
-    }
+/// Count, exact mean and nearest-rank p50/p99 of fixed-point WCPI values.
+struct WcpiStats {
+    count: u64,
+    mean: f64,
+    p50: f64,
+    p99: f64,
+}
 
-    /// Retracts one previously-added row, exactly; the group disappears
-    /// when its last row is retracted (restoring canonical form).
-    pub fn remove(&mut self, row: &HotRow) {
-        let key = row.group_key();
-        if let Ok(i) = self.groups.binary_search_by(|(k, _)| k.cmp(&key)) {
-            self.groups[i].1.remove(row);
-            if self.groups[i].1.is_empty() {
-                self.groups.remove(i);
-            }
+impl WcpiStats {
+    /// Sorts `values` and summarizes them; all zeros when empty.
+    fn of(values: &mut [i64]) -> WcpiStats {
+        values.sort_unstable();
+        let sum: i128 = values.iter().map(|&v| i128::from(v)).sum();
+        let count = values.len() as u64;
+        WcpiStats {
+            count,
+            mean: if count == 0 {
+                0.0
+            } else {
+                sum as f64 / VALUE_SCALE / count as f64
+            },
+            p50: nearest_rank(values, 0.5),
+            p99: nearest_rank(values, 0.99),
         }
     }
+}
 
-    /// Answers a filter in `O(matching groups)`: merges the matching
-    /// groups' sketches and regression states and summarizes.
-    pub fn query(&self, filter: &QueryFilter) -> QueryResult {
-        let mut sketch = Sketch::new();
-        let mut regress = Regress::new();
-        let mut groups = Vec::new();
-        for (key, agg) in &self.groups {
-            if !filter.matches(key) {
-                continue;
-            }
-            sketch.merge(&agg.sketch);
-            regress.merge(&agg.regress);
-            groups.push(GroupSummary {
-                workload: key.workload.clone(),
-                footprint_mb: key.footprint_mb,
-                page_size: key.page_size.clone(),
-                arch: key.arch.clone(),
-                count: agg.sketch.count(),
-                mean_wcpi: agg.sketch.mean(),
-                p50_wcpi: agg.sketch.quantile(0.5),
-                p99_wcpi: agg.sketch.quantile(0.99),
-            });
-        }
-        let fit = regress.fit();
-        QueryResult {
-            count: sketch.count(),
-            mean_wcpi: sketch.mean(),
-            p50_wcpi: sketch.quantile(0.5),
-            p99_wcpi: sketch.quantile(0.99),
-            beta: fit.map(|f| f.beta),
-            intercept: fit.map(|f| f.intercept),
-            groups,
-        }
-    }
+/// The `q`-quantile of `sorted` by nearest rank: the value at rank
+/// `ceil(q·n)`, clamped to `[1, n]`. A value ≤ 0 (an idle run's WCPI) and
+/// an empty slice report `0.0`.
+fn nearest_rank(sorted: &[i64], q: f64) -> f64 {
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len().max(1));
+    sorted
+        .get(rank - 1)
+        .map_or(0.0, |&fp| fp.max(0) as f64 / VALUE_SCALE)
 }
 
 /// A `Query` request's filter: every field is optional, `None` matches
@@ -216,13 +173,13 @@ pub struct QueryFilter {
 }
 
 impl QueryFilter {
-    /// Whether `key` passes the filter.
-    pub fn matches(&self, key: &GroupKey) -> bool {
-        self.workload.as_ref().is_none_or(|w| *w == key.workload)
-            && self.page_size.as_ref().is_none_or(|p| *p == key.page_size)
-            && self.arch.as_ref().is_none_or(|a| *a == key.arch)
-            && self.min_footprint_mb.is_none_or(|m| key.footprint_mb >= m)
-            && self.max_footprint_mb.is_none_or(|m| key.footprint_mb <= m)
+    /// Whether `row` passes the filter.
+    pub fn matches(&self, row: &HotRow) -> bool {
+        self.workload.as_ref().is_none_or(|w| *w == row.workload)
+            && self.page_size.as_ref().is_none_or(|p| *p == row.page_size)
+            && self.arch.as_ref().is_none_or(|a| *a == row.arch)
+            && self.min_footprint_mb.is_none_or(|m| row.footprint_mb >= m)
+            && self.max_footprint_mb.is_none_or(|m| row.footprint_mb <= m)
     }
 }
 
@@ -241,9 +198,9 @@ pub struct GroupSummary {
     pub count: u64,
     /// Exact mean WCPI.
     pub mean_wcpi: f64,
-    /// Median WCPI (sketch-bounded, see [`crate::sketch`]).
+    /// Median WCPI (nearest rank, exact).
     pub p50_wcpi: f64,
-    /// 99th-percentile WCPI (sketch-bounded).
+    /// 99th-percentile WCPI (nearest rank, exact).
     pub p99_wcpi: f64,
 }
 
@@ -255,9 +212,9 @@ pub struct QueryResult {
     pub count: u64,
     /// Exact mean WCPI over matching runs.
     pub mean_wcpi: f64,
-    /// Median WCPI (sketch-bounded).
+    /// Median WCPI (nearest rank, exact).
     pub p50_wcpi: f64,
-    /// 99th-percentile WCPI (sketch-bounded).
+    /// 99th-percentile WCPI (nearest rank, exact).
     pub p99_wcpi: f64,
     /// Fitted β of `WCPI = β·log10(M_KB) + c` over matching runs; `None`
     /// without at least two distinct footprints.
@@ -345,7 +302,6 @@ impl std::fmt::Display for CompactStats {
 mod tests {
     use super::*;
     use crate::regress::x_fp;
-    use crate::sketch::value_fp;
 
     fn row(workload: &str, mb: u64, wcpi: f64) -> HotRow {
         HotRow {
@@ -358,29 +314,37 @@ mod tests {
         }
     }
 
+    fn all(rows: &[HotRow]) -> QueryResult {
+        query(rows, &QueryFilter::default())
+    }
+
     #[test]
     fn add_groups_by_workload_footprint_page_size() {
-        let mut state = AggState::new();
-        state.add(&row("cc-urand", 16, 0.1));
-        state.add(&row("cc-urand", 16, 0.2));
-        state.add(&row("cc-urand", 64, 0.4));
-        state.add(&row("bfs-urand", 16, 0.3));
         let mut huge = row("cc-urand", 16, 0.01);
         huge.page_size = "2M".to_string();
-        state.add(&huge);
+        let rows = [
+            row("cc-urand", 16, 0.1),
+            row("cc-urand", 16, 0.2),
+            row("cc-urand", 64, 0.4),
+            row("bfs-urand", 16, 0.3),
+            huge,
+        ];
+        let answer = all(&rows);
+        assert_eq!(answer.count, 5);
         assert_eq!(
-            state.len(),
+            answer.groups.len(),
             4,
             "same axes, distinct page size: distinct groups"
         );
-        let all = state.query(&QueryFilter::default());
-        assert_eq!(all.count, 5);
-        let cc16 = state.query(&QueryFilter {
-            workload: Some("cc-urand".to_string()),
-            page_size: Some("4K".to_string()),
-            max_footprint_mb: Some(16),
-            ..QueryFilter::default()
-        });
+        let cc16 = query(
+            &rows,
+            &QueryFilter {
+                workload: Some("cc-urand".to_string()),
+                page_size: Some("4K".to_string()),
+                max_footprint_mb: Some(16),
+                ..QueryFilter::default()
+            },
+        );
         assert_eq!(cc16.count, 2);
         assert!((cc16.mean_wcpi - 0.15).abs() < 1e-9);
         assert_eq!(cc16.beta, None, "one footprint: no slope");
@@ -388,32 +352,86 @@ mod tests {
 
     #[test]
     fn range_query_fits_across_footprints() {
-        let mut state = AggState::new();
-        for (mb, wcpi) in [(16u64, 0.1), (32, 0.2), (64, 0.4), (128, 0.7)] {
-            state.add(&row("cc-urand", mb, wcpi));
-        }
-        let q = state.query(&QueryFilter {
-            workload: Some("cc-urand".to_string()),
-            ..QueryFilter::default()
-        });
+        let rows: Vec<HotRow> = [(16u64, 0.1), (32, 0.2), (64, 0.4), (128, 0.7)]
+            .into_iter()
+            .map(|(mb, wcpi)| row("cc-urand", mb, wcpi))
+            .collect();
+        let q = query(
+            &rows,
+            &QueryFilter {
+                workload: Some("cc-urand".to_string()),
+                ..QueryFilter::default()
+            },
+        );
         let beta = q.beta.expect("four footprints fit");
         assert!(beta > 0.0, "WCPI grows with footprint: {beta}");
         assert_eq!(q.groups.len(), 4);
     }
 
     #[test]
-    fn remove_is_exact_inverse() {
-        let mut state = AggState::new();
-        state.add(&row("cc-urand", 16, 0.1));
-        let before = state.clone();
-        let extra = row("cc-urand", 16, 0.9);
-        state.add(&extra);
-        state.remove(&extra);
-        assert_eq!(state, before);
-        let lone = row("tc-kron", 512, 2.0);
-        state.add(&lone);
-        state.remove(&lone);
-        assert_eq!(state, before, "emptied group disappears");
+    fn nearest_rank_of_a_single_row_is_that_row() {
+        let answer = all(&[row("cc-urand", 16, 0.75)]);
+        assert_eq!((answer.p50_wcpi, answer.p99_wcpi), (0.75, 0.75));
+        assert_eq!(answer.groups[0].p50_wcpi, 0.75);
+        let empty = all(&[]);
+        assert_eq!((empty.count, empty.p50_wcpi, empty.p99_wcpi), (0, 0.0, 0.0));
+        assert_eq!(empty.mean_wcpi, 0.0);
+        assert!(empty.groups.is_empty());
+    }
+
+    #[test]
+    fn nearest_rank_takes_tied_values_and_the_ceiling_rank() {
+        // n = 4: p50 is rank ceil(2.0) = 2, p99 is rank ceil(3.96) = 4.
+        let rows = [
+            row("cc-urand", 16, 0.5),
+            row("cc-urand", 16, 0.25),
+            row("cc-urand", 16, 0.25),
+            row("cc-urand", 16, 2.0),
+        ];
+        let answer = all(&rows);
+        assert_eq!((answer.p50_wcpi, answer.p99_wcpi), (0.25, 2.0));
+        // n = 5: p50 is rank ceil(2.5) = 3, the third of the sorted values.
+        let mut five = rows.to_vec();
+        five.push(row("cc-urand", 16, 0.5));
+        assert_eq!(all(&five).p50_wcpi, 0.5);
+    }
+
+    #[test]
+    fn zero_wcpi_rows_rank_first_and_report_zero() {
+        let mut negative = row("cc-urand", 16, 0.0);
+        negative.wcpi_fp = -3;
+        let rows = [
+            row("cc-urand", 16, 0.0),
+            negative,
+            row("cc-urand", 16, 0.0),
+            row("cc-urand", 16, 1.5),
+        ];
+        let answer = all(&rows);
+        assert_eq!(answer.p50_wcpi, 0.0, "rank 2 of four is a zero row");
+        assert_eq!(answer.p99_wcpi, 1.5);
+        let zeros = all(&rows[..3]);
+        assert_eq!((zeros.p50_wcpi, zeros.p99_wcpi), (0.0, 0.0));
+    }
+
+    #[test]
+    fn the_answer_does_not_depend_on_row_order() {
+        let mut rows: Vec<HotRow> = (0..24u32)
+            .map(|i| {
+                let mut r = row(
+                    ["cc-urand", "bfs-urand"][i as usize % 2],
+                    16 << (i % 3),
+                    0.1 * f64::from(i * 7 % 11),
+                );
+                r.arch = ["baseline", "victima"][i as usize / 12].to_string();
+                r
+            })
+            .collect();
+        let forward = all(&rows);
+        rows.reverse();
+        rows.swap(3, 17);
+        assert_eq!(all(&rows), forward);
+        assert_eq!(forward.count, 24);
+        assert_eq!(forward.groups.len(), 12);
     }
 
     #[test]
@@ -434,37 +452,50 @@ mod tests {
 
     #[test]
     fn architectures_group_separately_and_filter() {
-        let mut state = AggState::new();
-        state.add(&row("cc-urand", 16, 0.4));
-        state.add(&arch_row("cc-urand", 16, 0.1, "victima"));
-        state.add(&arch_row("cc-urand", 16, 3.0, "no-tlb"));
-        assert_eq!(state.len(), 3, "same axes, distinct arch: distinct groups");
-        let victima = state.query(&QueryFilter {
-            arch: Some("victima".to_string()),
-            ..QueryFilter::default()
-        });
+        let rows = [
+            row("cc-urand", 16, 0.4),
+            arch_row("cc-urand", 16, 0.1, "victima"),
+            arch_row("cc-urand", 16, 3.0, "no-tlb"),
+        ];
+        let everything = all(&rows);
+        assert_eq!(
+            everything.groups.len(),
+            3,
+            "same axes, distinct arch: distinct groups"
+        );
+        assert_eq!(
+            everything.count, 3,
+            "no arch filter matches every architecture"
+        );
+        let victima = query(
+            &rows,
+            &QueryFilter {
+                arch: Some("victima".to_string()),
+                ..QueryFilter::default()
+            },
+        );
         assert_eq!(victima.count, 1);
         assert!((victima.mean_wcpi - 0.1).abs() < 1e-6);
         assert_eq!(victima.groups[0].arch, "victima");
-        let all = state.query(&QueryFilter::default());
-        assert_eq!(all.count, 3, "no arch filter matches every architecture");
     }
 
     #[test]
     fn arch_filtered_range_query_fits_per_architecture() {
-        let mut state = AggState::new();
+        let mut rows = Vec::new();
         for (mb, base, vict) in [(16u64, 0.2, 0.1), (64, 0.5, 0.2), (256, 1.1, 0.35)] {
-            state.add(&row("cc-urand", mb, base));
-            state.add(&arch_row("cc-urand", mb, vict, "victima"));
+            rows.push(row("cc-urand", mb, base));
+            rows.push(arch_row("cc-urand", mb, vict, "victima"));
         }
         let fit = |arch: &str| {
-            state
-                .query(&QueryFilter {
+            query(
+                &rows,
+                &QueryFilter {
                     arch: Some(arch.to_string()),
                     ..QueryFilter::default()
-                })
-                .beta
-                .expect("three footprints fit")
+                },
+            )
+            .beta
+            .expect("three footprints fit")
         };
         assert!(
             fit("victima") < fit("baseline"),

@@ -1,15 +1,13 @@
 //! Streaming β/c regression state for the paper's scaling fit
-//! `WCPI = β · log10(M_KB) + c`, mergeable exactly.
+//! `WCPI = β · log10(M_KB) + c`.
 //!
 //! The state is the four OLS sums over fixed-point integers (`x` at
-//! [`X_SCALE`], `y` at [`crate::sketch::VALUE_SCALE`]) accumulated in
-//! `i128`. Integer sums make merge exactly associative and commutative,
-//! so the fit computed from merged per-group states is **bit-identical**
-//! to the fit over the concatenated records — the "exact for count and
-//! fit" half of the results-plane equivalence contract (the quantile half
-//! is bounded, see [`crate::sketch`]).
+//! [`X_SCALE`], `y` at [`crate::VALUE_SCALE`]) accumulated in `i128`.
+//! Integer sums are independent of the order the points arrive in, so
+//! the fit over a set of rows is **bit-identical** however they are
+//! visited.
 
-use crate::sketch::VALUE_SCALE;
+use crate::aggregate::VALUE_SCALE;
 
 /// Fixed-point scale for the regressor `log10(footprint_KB)`: 1 unit = 1e-6.
 pub const X_SCALE: f64 = 1e6;
@@ -30,7 +28,7 @@ pub struct Fit {
     pub intercept: f64,
 }
 
-/// Mergeable OLS accumulator. All state is integral; see the module docs.
+/// OLS accumulator. All state is integral; see the module docs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Regress {
     n: u64,
@@ -46,11 +44,6 @@ impl Regress {
         Regress::default()
     }
 
-    /// Number of points observed.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
     /// Observes one `(x, y)` fixed-point pair.
     pub fn add(&mut self, x_fp: i64, y_fp: i64) {
         let (x, y) = (i128::from(x_fp), i128::from(y_fp));
@@ -61,30 +54,10 @@ impl Regress {
         self.sxy += x * y;
     }
 
-    /// Retracts one previously-added pair, exactly.
-    pub fn remove(&mut self, x_fp: i64, y_fp: i64) {
-        debug_assert!(self.n > 0, "removing from an empty accumulator");
-        let (x, y) = (i128::from(x_fp), i128::from(y_fp));
-        self.n = self.n.saturating_sub(1);
-        self.sx -= x;
-        self.sy -= y;
-        self.sxx -= x * x;
-        self.sxy -= x * y;
-    }
-
-    /// Merges `other` into `self`. Exactly associative and commutative.
-    pub fn merge(&mut self, other: &Regress) {
-        self.n += other.n;
-        self.sx += other.sx;
-        self.sy += other.sy;
-        self.sxx += other.sxx;
-        self.sxy += other.sxy;
-    }
-
     /// The least-squares fit, or `None` with fewer than two points or no
     /// spread in `x` (a single-footprint group has no slope). The result
-    /// is a pure function of the integer sums, so any merge order that
-    /// produced the same point multiset yields the identical `Fit`.
+    /// is a pure function of the integer sums, so any order of adding the
+    /// same point multiset yields the identical `Fit`.
     pub fn fit(&self) -> Option<Fit> {
         if self.n < 2 {
             return None;
@@ -108,7 +81,7 @@ impl Regress {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sketch::value_fp;
+    use crate::aggregate::value_fp;
 
     fn accumulate(points: &[(f64, f64)]) -> Regress {
         let mut r = Regress::new();
@@ -138,31 +111,5 @@ mod tests {
         assert_eq!(accumulate(&[(4.0, 1.0)]).fit(), None);
         // Same x twice: no spread, no slope.
         assert_eq!(accumulate(&[(4.0, 1.0), (4.0, 2.0)]).fit(), None);
-    }
-
-    #[test]
-    fn merge_is_exact_in_any_order() {
-        let a = accumulate(&[(4.0, 0.1), (4.5, 0.2)]);
-        let b = accumulate(&[(5.0, 0.4)]);
-        let c = accumulate(&[(5.5, 0.9), (6.0, 1.3)]);
-        let all = accumulate(&[(4.0, 0.1), (4.5, 0.2), (5.0, 0.4), (5.5, 0.9), (6.0, 1.3)]);
-        let mut ab_c = a;
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut c_ba = c;
-        c_ba.merge(&b);
-        c_ba.merge(&a);
-        assert_eq!(ab_c, all);
-        assert_eq!(c_ba, all);
-        assert_eq!(ab_c.fit(), all.fit(), "bit-identical fit");
-    }
-
-    #[test]
-    fn remove_restores_prior_state() {
-        let before = accumulate(&[(4.0, 0.1), (5.0, 0.4)]);
-        let mut r = before;
-        r.add(x_fp(6.0), value_fp(1.0));
-        r.remove(x_fp(6.0), value_fp(1.0));
-        assert_eq!(r, before);
     }
 }

@@ -170,8 +170,8 @@ pub(crate) fn decode_segment(data: &[u8]) -> DecResult<SegmentData> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::value_fp;
     use crate::regress::x_fp;
-    use crate::sketch::value_fp;
 
     fn rows(n: u64) -> (Vec<String>, Vec<HotRow>, Vec<Vec<u8>>) {
         let mut keys = Vec::new();

@@ -1,14 +1,14 @@
 //! The append-only segment store: WAL + sealed columnar segments on disk,
-//! key index + live aggregate in memory, behind one handle.
+//! the rows and a key index in memory, behind one handle.
 //!
 //! Write path: [`SegmentStore::append`] frames the row into the WAL
 //! (write + fsync under the store lock — the WAL is the serialization
-//! point), folds it into the in-memory index and live [`AggState`], and
-//! seals a columnar segment once the WAL holds a segment's worth of rows.
-//! Sealed segments are written tmp + fsync + rename (`write_atomic`).
-//! The directory holds `wal.log` and `seg-*.seg` files and nothing else:
-//! open rebuilds the index and the live aggregate from the segments' key
-//! and hot columns plus the WAL.
+//! point), points the in-memory key index at it, and seals a columnar
+//! segment once the WAL holds a segment's worth of rows. Sealed segments
+//! are written tmp + fsync + rename (`write_atomic`). The directory holds
+//! `wal.log` and `seg-*.seg` files and nothing else: open rebuilds the
+//! index from the segments' key columns plus the WAL. A query scans the
+//! live rows the index points at ([`crate::query`]).
 //!
 //! Crash/corruption contract (quarantine-and-recompute): a torn WAL tail
 //! is quarantined to `wal.corrupt` and truncated away; a segment failing
@@ -27,7 +27,7 @@
 //! (a later miss, recomputed) — never a wrong record and never a panic,
 //! because every row on disk is CRC-framed and content-keyed.
 
-use crate::aggregate::{AggState, CompactStats, HotRow, QueryFilter, QueryResult, SegStats};
+use crate::aggregate::{self, CompactStats, HotRow, QueryFilter, QueryResult, SegStats};
 use crate::codec::Corrupt;
 use crate::lz;
 use crate::segment::{decode_segment, encode_segment, SegmentData};
@@ -72,7 +72,6 @@ struct Inner {
     wal_bytes: u64,
     segments: Vec<SegMeta>,
     index: HashMap<String, Loc>,
-    live: AggState,
     dead_rows: u64,
     quarantined: u64,
     tmp_files: u64,
@@ -102,15 +101,12 @@ impl Inner {
         }
     }
 
-    /// Folds one committed row into the index and live aggregate,
-    /// retracting the row it supersedes (last write wins, exactly).
-    fn commit(&mut self, key: &str, loc: Loc, hot: &HotRow) {
-        if let Some(prev) = self.index.insert(key.to_string(), loc) {
-            let prev_hot = self.hot_at(prev).clone();
-            self.live.remove(&prev_hot);
+    /// Points `key` at its newest row; the row it supersedes (last write
+    /// wins) is dead until compaction drops it.
+    fn commit(&mut self, key: &str, loc: Loc) {
+        if self.index.insert(key.to_string(), loc).is_some() {
             self.dead_rows += 1;
         }
-        self.live.add(hot);
     }
 }
 
@@ -134,8 +130,8 @@ impl std::fmt::Debug for SegmentStore {
 impl SegmentStore {
     /// Opens (creating if needed) a segment store at `dir`, scanning
     /// sealed segments and the WAL: corrupt segments and torn WAL tails
-    /// are quarantined, `*.tmp` droppings are removed, and the index and
-    /// live aggregate are rebuilt from the columns.
+    /// are quarantined, `*.tmp` droppings are removed, and the index is
+    /// rebuilt from the key columns.
     ///
     /// # Errors
     ///
@@ -150,7 +146,6 @@ impl SegmentStore {
             wal_bytes: 0,
             segments: Vec::new(),
             index: HashMap::new(),
-            live: AggState::new(),
             dead_rows: 0,
             quarantined: 0,
             tmp_files: 0,
@@ -200,19 +195,17 @@ impl SegmentStore {
             inner.wal_bytes = scanned.good_bytes;
             inner.wal = scanned.entries;
         }
-        // Rebuild index + live aggregate from the columns, in commit order.
+        // Rebuild the index from the key columns, in commit order.
         for s in 0..inner.segments.len() {
             for row in 0..inner.segments[s].data.rows() {
                 let id = inner.segments[s].id;
                 let key = inner.segments[s].data.keys[row].clone();
-                let hot = inner.segments[s].data.hots[row].clone();
-                inner.commit(&key, Loc::Seg { id, row }, &hot);
+                inner.commit(&key, Loc::Seg { id, row });
             }
         }
         for i in 0..inner.wal.len() {
             let key = inner.wal[i].key.clone();
-            let hot = inner.wal[i].hot.clone();
-            inner.commit(&key, Loc::Wal(i), &hot);
+            inner.commit(&key, Loc::Wal(i));
         }
         Ok(SegmentStore {
             dir,
@@ -307,7 +300,7 @@ impl SegmentStore {
             return Ok(());
         }
         let loc = Loc::Wal(inner.wal.len());
-        inner.commit(key, loc, &entry.hot);
+        inner.commit(key, loc);
         inner.wal.push(entry);
         if inner.wal.len() >= inner.seal_threshold {
             self.seal_locked(&mut inner)?;
@@ -438,14 +431,12 @@ impl SegmentStore {
         inner.segments = compacted.into_iter().collect();
         self.clear_wal(&mut inner)?;
         inner.index.clear();
-        inner.live = AggState::new();
         inner.dead_rows = 0;
         for s in 0..inner.segments.len() {
             for row in 0..inner.segments[s].data.rows() {
                 let id = inner.segments[s].id;
                 let key = inner.segments[s].data.keys[row].clone();
-                let hot = inner.segments[s].data.hots[row].clone();
-                inner.commit(&key, Loc::Seg { id, row }, &hot);
+                inner.commit(&key, Loc::Seg { id, row });
             }
         }
         Ok(CompactStats {
@@ -458,15 +449,11 @@ impl SegmentStore {
         })
     }
 
-    /// Answers `filter` from the live aggregate — `O(matching groups)`,
-    /// independent of run count.
+    /// Answers `filter` with [`crate::query`] over the live rows, under
+    /// the store lock.
     pub fn query(&self, filter: &QueryFilter) -> QueryResult {
-        self.guard().live.query(filter)
-    }
-
-    /// A snapshot of the live aggregate state.
-    pub fn aggregate(&self) -> AggState {
-        self.guard().live.clone()
+        let inner = self.guard();
+        aggregate::query(inner.index.values().map(|&loc| inner.hot_at(loc)), filter)
     }
 
     /// Store occupancy counters (maintained incrementally; no directory
@@ -487,8 +474,10 @@ impl SegmentStore {
 
     /// Visits every live row in deterministic order (sealed segments by
     /// id then the WAL, in row order) with its key, hot columns, and
-    /// decompressed raw record JSON. The verification path: recomputing
-    /// aggregates from these rows must match [`SegmentStore::query`].
+    /// decompressed raw record JSON. A row whose sidecar does not
+    /// decompress is skipped, so a verifier compares the rows it visited
+    /// with [`SegStats::live_rows`]. The verification path: each row's hot
+    /// columns must equal the ones recomputed from its raw record.
     pub fn for_each_live<F: FnMut(&str, &HotRow, Vec<u8>)>(&self, mut f: F) {
         let inner = self.guard();
         for seg in &inner.segments {
@@ -545,8 +534,8 @@ fn segment_id(path: &Path) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::value_fp;
     use crate::regress::x_fp;
-    use crate::sketch::value_fp;
 
     fn hot(workload: &str, mb: u64, wcpi: f64) -> HotRow {
         HotRow {
@@ -619,6 +608,7 @@ mod tests {
 
     #[test]
     fn duplicate_keys_are_last_write_wins_with_exact_aggregate_retraction() {
+        let all = QueryFilter::default();
         let dir = scratch("dup");
         let store = SegmentStore::open(&dir).unwrap();
         store.set_seal_threshold(2);
@@ -637,15 +627,13 @@ mod tests {
         let stats = store.seg_stats();
         assert_eq!(stats.live_rows, 2);
         assert_eq!(stats.dead_rows, 1);
-        // The aggregate must equal one built from only the live rows.
-        let mut expect = AggState::new();
-        expect.add(&hot("cc-urand", 16, 0.9));
-        expect.add(&hot("cc-urand", 64, 0.4));
-        assert_eq!(store.aggregate(), expect);
+        // The answer must equal one over only the live rows.
+        let expect = aggregate::query(&[hot("cc-urand", 16, 0.9), hot("cc-urand", 64, 0.4)], &all);
+        assert_eq!(store.query(&all), expect);
         // And survive a reopen (segment row superseded by WAL row).
         drop(store);
         let store = SegmentStore::open(&dir).unwrap();
-        assert_eq!(store.aggregate(), expect);
+        assert_eq!(store.query(&all), expect);
         assert_eq!(store.load("aa").unwrap(), raw(9));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -665,18 +653,16 @@ mod tests {
                 .append(key, hot("cc-urand", 16 * seed.max(1), wcpi), &raw(seed))
                 .unwrap();
         }
-        let agg_before = store.aggregate();
         let query_before = store.query(&QueryFilter::default());
         let stats = store.compact().unwrap();
         assert_eq!(stats.live_rows, 3);
         assert_eq!(stats.dead_rows_dropped, 1);
         assert_eq!(stats.segments_after, 1);
         assert_eq!(
-            store.aggregate(),
-            agg_before,
-            "compaction is aggregate-neutral"
+            store.query(&QueryFilter::default()),
+            query_before,
+            "compaction is query-neutral"
         );
-        assert_eq!(store.query(&QueryFilter::default()), query_before);
         assert_eq!(store.load("aa").unwrap(), raw(9));
         assert_eq!(store.load("bb").unwrap(), raw(2));
         // Reopen: only the compacted segment remains.
@@ -685,7 +671,7 @@ mod tests {
         let seg_stats = store.seg_stats();
         assert_eq!(seg_stats.segments, 1);
         assert_eq!(seg_stats.dead_rows, 0);
-        assert_eq!(store.aggregate(), agg_before);
+        assert_eq!(store.query(&QueryFilter::default()), query_before);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -848,9 +834,10 @@ mod tests {
     }
 
     #[test]
-    fn query_answers_from_groups_not_rows() {
+    fn query_scans_only_the_newest_row_of_each_key() {
         let dir = scratch("query");
         let store = SegmentStore::open(&dir).unwrap();
+        store.set_seal_threshold(4);
         for seed in 0..10u64 {
             let mb = 16 << (seed % 3);
             store
@@ -861,20 +848,23 @@ mod tests {
                 )
                 .unwrap();
         }
-        let q = store.query(&QueryFilter {
+        // Supersede a sealed row: only the new WCPI may be counted.
+        store
+            .append(&format!("{:016x}", 0), hot("cc-urand", 16, 5.0), &raw(10))
+            .unwrap();
+        let cc = QueryFilter {
             workload: Some("cc-urand".to_string()),
             ..QueryFilter::default()
-        });
+        };
+        let q = store.query(&cc);
         assert_eq!(q.count, 10);
         assert_eq!(q.groups.len(), 3, "three footprints");
         assert!(q.beta.is_some());
-        // Recompute from raws: exact for count, identical for the fit.
-        let mut recomputed = AggState::new();
-        store.for_each_live(|_, h, _| recomputed.add(h));
-        let rq = recomputed.query(&QueryFilter::default());
-        assert_eq!(rq.count, q.count);
-        assert_eq!(rq.beta, q.beta);
-        assert_eq!(rq.p99_wcpi, q.p99_wcpi);
+        assert_eq!(q.p99_wcpi, 5.0, "the superseding row's WCPI is the max");
+        // The same function over the rows the store visits.
+        let mut live = Vec::new();
+        store.for_each_live(|_, h, _| live.push(h.clone()));
+        assert_eq!(aggregate::query(&live, &cc), q);
         let _ = fs::remove_dir_all(&dir);
     }
 }

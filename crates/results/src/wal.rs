@@ -122,8 +122,8 @@ fn next_entry(data: &[u8], pos: usize) -> DecResult<Option<(WalEntry, usize)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::value_fp;
     use crate::regress::x_fp;
-    use crate::sketch::value_fp;
 
     fn entry(key: &str, seed: u64) -> WalEntry {
         WalEntry {

@@ -1,14 +1,10 @@
-//! Property coverage for the aggregation contract the segment store
-//! leans on: the live aggregate a store holds — after appends, re-appends
-//! that supersede rows in earlier segments, seals and a reopen — equals a
-//! one-pass aggregate over the last write of each key. Exactly, for
-//! everything except quantiles; within the documented relative error
-//! bound for quantiles.
+//! Property coverage for the query contract the segment store leans on:
+//! what a store answers — after appends, re-appends that supersede rows in
+//! earlier segments, seals and a reopen — equals [`query`] over the last
+//! write of each key, exactly, and its quantiles are the exact
+//! nearest-rank order statistics of the rows' fixed-point WCPI.
 
-use atscale_results::{
-    value_fp, x_fp, AggState, HotRow, QueryFilter, SegmentStore, QUANTILE_RELATIVE_ERROR,
-    VALUE_SCALE,
-};
+use atscale_results::{query, value_fp, x_fp, HotRow, QueryFilter, SegmentStore, VALUE_SCALE};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,14 +49,6 @@ fn materialize(draws: &[RowDraw]) -> Vec<HotRow> {
     draws.iter().map(hot_row).collect()
 }
 
-fn aggregate<'a>(rows: impl IntoIterator<Item = &'a HotRow>) -> AggState {
-    let mut state = AggState::new();
-    for row in rows {
-        state.add(row);
-    }
-    state
-}
-
 /// A unique scratch directory per case.
 fn scratch_dir() -> std::path::PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -76,9 +64,8 @@ fn scratch_dir() -> std::path::PathBuf {
 proptest! {
     /// Appends with re-appended keys, sealed at a drawn threshold so a
     /// key's superseded row often sits in an earlier segment, then a
-    /// reopen: the store's aggregate and query answers equal a one-pass
-    /// aggregate over each key's last write, and every key loads its last
-    /// write's bytes.
+    /// reopen: the store's query answers equal [`query`] over each key's
+    /// last write, and every key loads its last write's bytes.
     #[test]
     fn reopen_equals_one_pass_over_the_last_write_of_each_key(
         appends in prop::collection::vec((0..KEYS, row_draw()), 0..60),
@@ -98,10 +85,8 @@ proptest! {
             }
         }
         let store = SegmentStore::open(&dir).expect("reopen");
-        let expect = aggregate(last.values().map(|(hot, _)| hot));
         prop_assert_eq!(store.seg_stats().quarantined, 0);
         prop_assert_eq!(store.live_len(), last.len() as u64);
-        prop_assert_eq!(&store.aggregate(), &expect);
         for filter in [
             QueryFilter::default(),
             QueryFilter {
@@ -113,7 +98,8 @@ proptest! {
                 ..QueryFilter::default()
             },
         ] {
-            prop_assert_eq!(store.query(&filter), expect.query(&filter));
+            let expect = query(last.values().map(|(hot, _)| hot), &filter);
+            prop_assert_eq!(store.query(&filter), expect);
         }
         for (key, (_, raw)) in &last {
             prop_assert_eq!(&store.load(key).expect("live key loads"), raw);
@@ -121,49 +107,35 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Retraction is an exact inverse regardless of interleaving:
-    /// add everything, retract a subset, equals aggregating the rest.
+    /// p50/p99 are the exact nearest-rank order statistics (rank
+    /// `ceil(q·n)` clamped to `[1, n]`) of the rows' fixed-point WCPI, over
+    /// all rows and within each group.
     #[test]
-    fn remove_equals_never_added(
-        draws in row_strategy(),
-        mask in 0u64..u64::MAX,
-    ) {
-        let rows = materialize(&draws);
-        let mut state = aggregate(&rows);
-        let mut kept: Vec<HotRow> = Vec::new();
-        for (i, row) in rows.iter().enumerate() {
-            if mask >> (i % 64) & 1 == 1 {
-                state.remove(row);
-            } else {
-                kept.push(row.clone());
-            }
-        }
-        prop_assert_eq!(state, aggregate(&kept));
-    }
-
-    /// Sketch quantiles stay within the documented relative error of the
-    /// true order statistic of the ingested values.
-    #[test]
-    fn quantiles_are_within_documented_error(
+    fn quantiles_are_exact_nearest_rank(
         draws in row_strategy(),
     ) {
-        prop_assume!(!draws.is_empty());
         let rows = materialize(&draws);
-        let got = aggregate(&rows).query(&QueryFilter::default());
-        let mut values: Vec<f64> = rows.iter().map(|r| r.wcpi_fp as f64 / VALUE_SCALE).collect();
-        values.sort_by(f64::total_cmp);
-        // Same rank convention as Sketch::quantile: ceil(q·n) clamped.
-        let rank = |p: f64| -> f64 {
-            let idx = ((p * values.len() as f64).ceil() as usize).clamp(1, values.len()) - 1;
-            values[idx]
+        let rank = |values: &mut Vec<i64>, p: f64| -> f64 {
+            values.sort_unstable();
+            let idx = ((p * values.len() as f64).ceil() as usize).clamp(1, values.len().max(1)) - 1;
+            values.get(idx).map_or(0.0, |&fp| fp as f64 / VALUE_SCALE)
         };
-        for (p, answer) in [(0.5, got.p50_wcpi), (0.99, got.p99_wcpi)] {
-            let truth = rank(p);
-            let err = (answer - truth).abs() / truth;
-            prop_assert!(
-                err <= QUANTILE_RELATIVE_ERROR + 1e-12,
-                "q{}: got {}, truth {}, rel err {}", p, answer, truth, err
-            );
+        let got = query(&rows, &QueryFilter::default());
+        let mut all: Vec<i64> = rows.iter().map(|r| r.wcpi_fp).collect();
+        prop_assert_eq!(got.p50_wcpi, rank(&mut all, 0.5));
+        prop_assert_eq!(got.p99_wcpi, rank(&mut all, 0.99));
+        for group in &got.groups {
+            let mut values: Vec<i64> = rows
+                .iter()
+                .filter(|r| {
+                    (r.workload.as_str(), r.footprint_mb, r.page_size.as_str(), r.arch.as_str())
+                        == (group.workload.as_str(), group.footprint_mb, group.page_size.as_str(), group.arch.as_str())
+                })
+                .map(|r| r.wcpi_fp)
+                .collect();
+            prop_assert_eq!(group.count, values.len() as u64);
+            prop_assert_eq!(group.p50_wcpi, rank(&mut values, 0.5));
+            prop_assert_eq!(group.p99_wcpi, rank(&mut values, 0.99));
         }
     }
 }

@@ -2,10 +2,10 @@
 //! damage (truncation at any offset, any single bit flip, a torn WAL tail) must
 //! never panic a reopen, must quarantine what cannot be trusted, and must
 //! leave the store able to recompute and serve the records
-//! byte-identically — with the live aggregate equal to a from-scratch
-//! recomputation over the surviving rows.
+//! byte-identically — with the query answer equal to one over the
+//! surviving rows.
 
-use atscale_results::{value_fp, x_fp, AggState, HotRow, SegmentStore};
+use atscale_results::{query, value_fp, x_fp, HotRow, QueryFilter, QueryResult, SegmentStore};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -31,12 +31,13 @@ fn mk_row(i: u64) -> (String, HotRow, Vec<u8>) {
     (format!("key-{i:04}"), hot, raw)
 }
 
-fn recompute(rows: &[(String, HotRow, Vec<u8>)]) -> AggState {
-    let mut state = AggState::new();
-    for (_, hot, _) in rows {
-        state.add(hot);
-    }
-    state
+/// The answer over `rows` alone, to compare a store's with.
+fn recompute(rows: &[(String, HotRow, Vec<u8>)]) -> QueryResult {
+    query(rows.iter().map(|(_, hot, _)| hot), &QueryFilter::default())
+}
+
+fn answer(store: &SegmentStore) -> QueryResult {
+    store.query(&QueryFilter::default())
 }
 
 /// A unique scratch directory per case.
@@ -71,8 +72,8 @@ proptest! {
     /// Truncating the sealed segment to any strict prefix (including
     /// empty) is detected on reopen: the segment is quarantined wholesale
     /// to a `.corrupt` sidecar, every row becomes a recomputable miss,
-    /// and re-appending restores byte-identical service with the live
-    /// aggregate equal to a from-scratch recomputation.
+    /// and re-appending restores byte-identical service with the query
+    /// answer equal to one over the re-appended rows.
     #[test]
     fn segment_truncation_quarantines_and_recomputes(cut_frac in 0.0f64..1.0) {
         let dir = scratch_dir();
@@ -96,7 +97,7 @@ proptest! {
         for (key, _, _) in &rows {
             prop_assert!(store.load(key).is_none(), "quarantined rows are misses");
         }
-        prop_assert_eq!(store.aggregate(), AggState::new());
+        prop_assert_eq!(answer(&store), recompute(&[]));
 
         // Recompute-and-append restores byte-identical service.
         for (key, hot, raw) in &rows {
@@ -105,7 +106,7 @@ proptest! {
         for (key, _, raw) in &rows {
             prop_assert_eq!(store.load(key).expect("recovered row loads"), raw.clone());
         }
-        prop_assert_eq!(store.aggregate(), recompute(&rows));
+        prop_assert_eq!(answer(&store), recompute(&rows));
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -135,7 +136,7 @@ proptest! {
             for (key, _, raw) in &rows {
                 prop_assert_eq!(store.load(key).expect("row loads"), raw.clone());
             }
-            prop_assert_eq!(store.aggregate(), recompute(&rows));
+            prop_assert_eq!(answer(&store), recompute(&rows));
         } else {
             prop_assert_eq!(stats.quarantined, 1);
             prop_assert!(dir.join("seg-000000.seg.corrupt").exists());
@@ -148,7 +149,7 @@ proptest! {
             for (key, _, raw) in &rows {
                 prop_assert_eq!(store.load(key).expect("recovered row loads"), raw.clone());
             }
-            prop_assert_eq!(store.aggregate(), recompute(&rows));
+            prop_assert_eq!(answer(&store), recompute(&rows));
         }
 
         let _ = std::fs::remove_dir_all(&dir);
@@ -157,7 +158,7 @@ proptest! {
     /// Truncating the WAL at any offset keeps exactly the whole frames
     /// before the cut: reopen quarantines the torn tail (when one exists)
     /// to `wal.corrupt`, serves the surviving rows byte-identically, and
-    /// re-appending the lost rows restores the full aggregate.
+    /// re-appending the lost rows restores the full answer.
     #[test]
     fn wal_truncation_keeps_exactly_the_whole_frames(
         n in 1u64..6,
@@ -199,16 +200,16 @@ proptest! {
                 prop_assert!(store.load(key).is_none(), "cut rows are misses");
             }
         }
-        prop_assert_eq!(store.aggregate(), recompute(&rows[..surviving]));
+        prop_assert_eq!(answer(&store), recompute(&rows[..surviving]));
 
-        // Re-appending the lost tail restores the full aggregate.
+        // Re-appending the lost tail restores the full answer.
         for (key, hot, raw) in &rows[surviving..] {
             store.append(key, hot.clone(), raw).expect("re-append");
         }
         for (key, _, raw) in &rows {
             prop_assert_eq!(store.load(key).expect("row loads"), raw.clone());
         }
-        prop_assert_eq!(store.aggregate(), recompute(&rows));
+        prop_assert_eq!(answer(&store), recompute(&rows));
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -9,7 +9,7 @@
 //! is a pure function of its spec, so an old store costs recompute time and
 //! never a wrong result.
 
-use atscale_results::{value_fp, x_fp, AggState, HotRow, QueryFilter, SegmentStore};
+use atscale_results::{query, value_fp, x_fp, HotRow, QueryFilter, SegmentStore};
 use std::path::{Path, PathBuf};
 
 /// The fixture's keys: every one was live in the writing store.
@@ -87,18 +87,16 @@ fn a_v2_store_is_quarantined_and_recomputed() {
         assert_eq!(store.load(key).unwrap(), key.as_bytes(), "{key}");
     }
     assert_eq!(store.load("00000000000000e5").unwrap(), b"e5");
-    let mut expect = AggState::new();
-    for (_, hot) in &rows {
-        expect.add(hot);
-    }
-    expect.add(&hot(256, "4K", 1.5));
-    assert_eq!(store.aggregate(), expect);
+    let e5 = hot(256, "4K", 1.5);
+    let live: Vec<&HotRow> = rows.iter().map(|(_, hot)| hot).chain([&e5]).collect();
+    let all = QueryFilter::default();
+    assert_eq!(store.query(&all), query(live.iter().copied(), &all));
     let four_k = QueryFilter {
         page_size: Some("4K".to_string()),
         ..QueryFilter::default()
     };
     let answer = store.query(&four_k);
-    assert_eq!(answer, expect.query(&four_k));
+    assert_eq!(answer, query(live.iter().copied(), &four_k));
     assert_eq!((answer.count, answer.groups.len()), (3, 3));
     assert!(answer.beta.is_some(), "three 4K footprints fit");
     let _ = std::fs::remove_dir_all(&dir);

@@ -446,8 +446,8 @@ impl Client {
 
     /// Runs an aggregate query against the server's segment-backed results
     /// store: count, mean/p50/p99 WCPI, and the fitted β/c over the
-    /// matching groups — answered from per-group aggregate state, never by
-    /// replaying records.
+    /// matching runs — the server scans its store's live hot-column rows,
+    /// never replaying record JSON.
     ///
     /// # Errors
     ///

@@ -33,8 +33,8 @@ pub use atscale::results::{CompactStats, GroupSummary, QueryFilter, QueryResult,
 /// rejects mismatches explicitly.
 ///
 /// v5: results-plane verbs. [`Request::Query`] answers aggregate
-/// statistics (count, mean/p50/p99 WCPI, fitted β/c) straight from the
-/// segment store's per-group state in `O(groups)`;
+/// statistics (count, mean/p50/p99 WCPI, fitted β/c) from a scan of the
+/// segment store's live hot-column rows;
 /// [`Request::Compact`] rewrites the store to its live rows;
 /// [`Request::StoreSegStats`] reports segment-store occupancy. All three
 /// answer [`Reply::Error`] on a store-less server.

@@ -1,13 +1,12 @@
 //! End-to-end results plane: the v5 `Query`/`Compact`/`StoreSegStats`
 //! verbs over a real socket against a segment-backed store.
 //!
-//! The load-bearing assertion is the results plane's contract: `query`
-//! aggregates must equal aggregates recomputed from the raw `RunRecord`s
-//! — exactly for count and the β/c fit (both are integer-sum state, so
-//! insertion order cannot perturb them), and within the documented sketch
-//! error for quantiles — before and after an over-the-wire `Compact`.
+//! The load-bearing assertion is the results plane's contract: a served
+//! `Query` answer equals [`query`] over the hot columns recomputed from the
+//! raw `RunRecord`s — every field, quantiles included — before and after
+//! an over-the-wire `Compact`.
 
-use atscale::results::{AggState, QueryFilter, QUANTILE_RELATIVE_ERROR};
+use atscale::results::{query, QueryFilter};
 use atscale::{hot_row, RunSpec, RunStore, SweepConfig};
 use atscale_serve::{Client, ClientError, ServeConfig, Server, SubmitOptions};
 use atscale_workloads::WorkloadId;
@@ -46,7 +45,7 @@ fn query_matches_from_raw_recomputation_before_and_after_compact() {
     let store = RunStore::open(&dir).expect("open store");
     // A tiny seal threshold so the sweep (2 workloads x the test-profile
     // footprints) spans a sealed segment plus a WAL tail — the query must
-    // merge across both.
+    // read both.
     store.set_seal_threshold(4);
     let (server, addr) = start_server(ServeConfig {
         store: Some(store),
@@ -61,47 +60,30 @@ fn query_matches_from_raw_recomputation_before_and_after_compact() {
         .run_many(&specs, SubmitOptions::default())
         .expect("sweep resolves");
 
-    // From-raw recomputation: fold every returned record's hot columns
-    // into a fresh aggregate, exactly as the store does on commit.
-    let mut recomputed = AggState::new();
-    for record in &records {
-        recomputed.add(&hot_row(record));
-    }
+    // From-raw recomputation: every returned record's hot columns.
+    let recomputed: Vec<_> = records.iter().map(hot_row).collect();
 
     let all = QueryFilter::default();
     let served = client.query(&all).expect("query");
     assert_eq!(served.count, specs.len() as u64);
     assert_eq!(
         served,
-        recomputed.query(&all),
-        "online aggregates must equal the from-raw recomputation"
+        query(&recomputed, &all),
+        "the served answer must equal the from-raw recomputation"
     );
     assert!(
         served.beta.is_some(),
         "multiple footprints fit a fig1 slope"
     );
 
-    // Quantiles stay within the sketch's documented relative error of the
-    // true rank statistics over the raw WCPI values.
-    let mut wcpis: Vec<f64> = records.iter().map(|r| r.result.counters.wcpi()).collect();
-    wcpis.sort_by(f64::total_cmp);
-    for (q, got) in [(0.5, served.p50_wcpi), (0.99, served.p99_wcpi)] {
-        let rank = ((q * wcpis.len() as f64).ceil() as usize).clamp(1, wcpis.len()) - 1;
-        let truth = wcpis[rank];
-        assert!(
-            (got - truth).abs() <= truth.abs() * QUANTILE_RELATIVE_ERROR + 1e-12,
-            "p{q}: sketch {got} vs truth {truth} exceeds the documented bound"
-        );
-    }
-
-    // Filtered queries answer from the matching groups alone.
+    // Filtered queries answer from the matching rows alone.
     let filtered = QueryFilter {
         workload: Some("cc-urand".to_string()),
         ..QueryFilter::default()
     };
     assert_eq!(
         client.query(&filtered).expect("filtered query"),
-        recomputed.query(&filtered)
+        query(&recomputed, &filtered)
     );
 
     // Occupancy over the wire: everything live, several sealed segments.
@@ -118,7 +100,7 @@ fn query_matches_from_raw_recomputation_before_and_after_compact() {
     assert!(stats.disk_bytes > 0);
 
     // Resubmitting the identical sweep is answered from the cache — the
-    // dedup keys hit, no rows are added, aggregates are unchanged.
+    // dedup keys hit, no rows are added, answers are unchanged.
     let again = client
         .run_many(&specs, SubmitOptions::default())
         .expect("cached sweep");
@@ -126,17 +108,23 @@ fn query_matches_from_raw_recomputation_before_and_after_compact() {
     assert_eq!(
         client.query(&all).expect("query after cache hits"),
         served,
-        "cache hits must not grow the aggregate"
+        "cache hits must not add rows"
     );
 
-    // Compaction over the wire is aggregate-neutral.
+    // Compaction over the wire is query-neutral.
     let compacted = client.compact().expect("compact");
     assert_eq!(compacted.live_rows, specs.len() as u64);
     assert_eq!(compacted.segments_after, 1);
     assert_eq!(
         client.query(&all).expect("query after compact"),
-        served,
-        "compaction must not change any aggregate answer"
+        query(&recomputed, &all),
+        "compaction must not change any answer"
+    );
+    assert_eq!(
+        client
+            .query(&filtered)
+            .expect("filtered query after compact"),
+        query(&recomputed, &filtered)
     );
     let after = client.seg_stats().expect("seg stats after compact");
     assert_eq!(after.dead_rows, 0);
