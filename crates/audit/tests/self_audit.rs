@@ -5,7 +5,9 @@
 //! dropped by accident fails here. The negative half doctors the real tree
 //! in memory and asserts the rules still trip on it.
 
+use atscale_audit::graph::Analysis;
 use atscale_audit::{run_all, run_full, SourceFile, Workspace};
+use std::collections::BTreeSet;
 use std::path::Path;
 
 fn real_workspace() -> Workspace {
@@ -162,23 +164,55 @@ fn the_tree_carries_exactly_five_determinism_allows() {
 
 #[test]
 fn uncontained_compaction_is_caught() {
-    // The daemon compacts on a reactor thread inside `catch_unwind`.
-    // Without it, every panic site under `SegmentStore::compact` would
-    // unwind a reactor shard, and panic-surface must say so.
+    // The daemon answers the three store verbs on a reactor thread inside
+    // `catch_unwind`. Without it, the panic sites under the store's
+    // `query`, `compact` and `seg_stats` would unwind a reactor shard, and
+    // panic-surface must report them — and nothing the verbs cannot reach.
+    let uncontained = |ws: &Workspace| -> BTreeSet<(String, String, u32)> {
+        run_full(ws)
+            .panics
+            .sites
+            .into_iter()
+            .filter(|s| !s.allowed)
+            .map(|s| (s.file, s.function, s.line))
+            .collect()
+    };
     let mut ws = real_workspace();
+    let before = uncontained(&ws);
     let file = ws
         .files
         .iter_mut()
         .find(|f| f.path == "crates/serve/src/server.rs")
         .expect("server.rs present");
-    let contained = "std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.compact()))";
-    assert!(file.text.contains(contained), "Compact arm moved");
-    file.text = file.text.replace(contained, "Ok(store.compact())");
-    let found = run_all(&ws)
-        .into_iter()
-        .flat_map(|a| a.violations)
-        .any(|v| v.rule == "panic-surface" && v.message.contains("`SegmentStore::compact`"));
-    assert!(found, "panic-surface missed uncontained compaction");
+    let contained = "std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match request {";
+    assert!(file.text.contains(contained), "store verbs moved");
+    file.text = file.text.replace(
+        contained,
+        "std::convert::identity(std::panic::AssertUnwindSafe(|| match request {",
+    );
+    let new: Vec<_> = uncontained(&ws).difference(&before).cloned().collect();
+    assert!(
+        !new.is_empty(),
+        "panic-surface missed the uncontained store verbs"
+    );
+    let graph = Analysis::build(&ws);
+    let verbs: Vec<_> = ["query", "compact", "seg_stats"]
+        .iter()
+        .flat_map(|verb| graph.find(&format!("SegmentStore::{verb}")))
+        .collect();
+    assert_eq!(verbs.len(), 3, "the store verbs moved");
+    let reach = graph.reachable_from(&verbs);
+    let reached: BTreeSet<(String, String)> = (0..graph.len())
+        .filter(|&id| reach[id])
+        .map(|id| graph.item(id))
+        .map(|f| (f.path.clone(), f.qualified.clone()))
+        .collect();
+    for (file, function, line) in &new {
+        assert!(
+            reached.contains(&(file.clone(), function.clone())),
+            "{file}:{line} in `{function}` is not reachable from a store verb"
+        );
+    }
 }
 
 #[test]

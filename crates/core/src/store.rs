@@ -181,7 +181,7 @@ impl RunStore {
         self.segments.compact()
     }
 
-    /// Seals the WAL into a columnar segment now.
+    /// Writes the WAL's rows out as a sealed segment now.
     ///
     /// # Errors
     ///

@@ -1,10 +1,10 @@
 //! Little-endian binary codec shared by the WAL and segment formats, plus
-//! the CRC-32 used to frame every block.
+//! the CRC-32 frame (`[len u32][crc u32][payload]`) both of them use.
 //!
 //! The vendored serde stack is JSON-only and Value-tree based; persisting
-//! columnar blocks through it would bloat the files. A ~100-line
-//! hand-rolled codec with explicit bounds checks is smaller than the
-//! workaround would be.
+//! binary rows through it would bloat the files. A ~100-line hand-rolled
+//! codec with explicit bounds checks is smaller than the workaround would
+//! be.
 
 /// Marker for data that failed structural validation (bounds, CRC, magic,
 /// or version). Corruption is never an error the caller propagates — the
@@ -85,6 +85,13 @@ impl Enc {
         self.bytes(s.as_bytes());
     }
 
+    /// Appends `payload` as a CRC frame: `[len u32][crc u32][payload]`.
+    pub fn framed(&mut self, payload: &[u8]) {
+        self.u32(u32::try_from(payload.len()).expect("blocks stay under 4 GiB"));
+        self.u32(crc32(payload));
+        self.buf.extend_from_slice(payload);
+    }
+
     /// The encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -146,6 +153,19 @@ impl<'a> Dec<'a> {
         String::from_utf8(self.bytes()?).map_err(|_| Corrupt)
     }
 
+    /// Reads a CRC frame written by [`Enc::framed`] and returns its
+    /// payload; a length past the end or a CRC mismatch is corrupt.
+    pub fn framed(&mut self) -> DecResult<&'a [u8]> {
+        let len = self.u32()? as usize;
+        let crc = self.u32()?;
+        let payload = self.take(len)?;
+        if crc32(payload) == crc {
+            Ok(payload)
+        } else {
+            Err(Corrupt)
+        }
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
@@ -204,6 +224,17 @@ mod tests {
         let mut huge = Enc::new();
         huge.u32(u32::MAX);
         assert_eq!(Dec::new(&huge.finish()).bytes(), Err(Corrupt));
+    }
+
+    #[test]
+    fn frames_roundtrip_and_reject_a_bad_crc() {
+        let mut enc = Enc::new();
+        enc.framed(b"payload");
+        let mut bytes = enc.finish();
+        assert_eq!(Dec::new(&bytes).framed(), Ok(&b"payload"[..]));
+        bytes[9] ^= 1;
+        assert_eq!(Dec::new(&bytes).framed(), Err(Corrupt));
+        assert_eq!(Dec::new(&bytes[..10]).framed(), Err(Corrupt));
     }
 
     #[test]

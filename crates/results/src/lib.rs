@@ -1,24 +1,25 @@
-//! The results plane: an append-only columnar store for run records,
-//! queried from its live rows.
+//! The results plane: an append-only row store for run records, queried
+//! from its live rows.
 //!
 //! This crate is the run cache's one on-disk format. Answering a fig1
 //! question ("β/c over the cc-urand sweep at 4K pages") must not mean
-//! replaying every record's JSON, so the store keeps each record as the
-//! six hot columns a query groups and fits on (sealed segments) plus an
-//! LZ-compressed raw-JSON sidecar for bit-for-bit replay. The hot rows of
-//! the live records stay in memory, and [`query`] answers a filter by
-//! scanning them: counts, means and the β/c fit from integer fixed-point
-//! sums, p50/p99 as exact nearest-rank order statistics.
+//! replaying every record's JSON, so the store keeps each record as one
+//! row: its dedup key, the six hot columns a query groups and fits on,
+//! and an LZ-compressed raw-JSON sidecar for bit-for-bit replay. The WAL
+//! and the sealed segments encode a row the same way, every row stays in
+//! memory, and [`query`] answers a filter by scanning the live ones:
+//! counts, means and the β/c fit from integer fixed-point sums, p50/p99
+//! as exact nearest-rank order statistics.
 //!
 //! Layering:
 //!
 //! * [`codec`] / [`lz`] — the binary framing and compression primitives.
 //! * [`regress`] / [`aggregate`] — the [`HotRow`] schema, the β/c
 //!   accumulator, and the one [`query`] function over rows.
-//! * [`SegmentStore`] — WAL + sealed segments behind one handle, with the
-//!   key index rebuilt from the columns at open, tmp+fsync+rename
-//!   durability, a quarantine-and-recompute corruption contract, and a
-//!   single-owner directory (see [`store`]).
+//! * [`SegmentStore`] — WAL + sealed segments behind one handle, with one
+//!   in-memory row table and key index read back at open,
+//!   tmp+fsync+rename durability, a quarantine-and-recompute corruption
+//!   contract, and a single-owner directory (see [`store`]).
 //!
 //! The crate is deliberately ignorant of the simulator: callers hand it a
 //! dedup key (the record-byte hash), a [`HotRow`], and the raw record

@@ -1,14 +1,15 @@
-//! The append-only segment store: WAL + sealed columnar segments on disk,
-//! the rows and a key index in memory, behind one handle.
+//! The append-only segment store: WAL + sealed segments on disk, one row
+//! table and a key index in memory, behind one handle.
 //!
 //! Write path: [`SegmentStore::append`] frames the row into the WAL
 //! (write + fsync under the store lock — the WAL is the serialization
-//! point), points the in-memory key index at it, and seals a columnar
-//! segment once the WAL holds a segment's worth of rows. Sealed segments
-//! are written tmp + fsync + rename (`write_atomic`). The directory holds
-//! `wal.log` and `seg-*.seg` files and nothing else: open rebuilds the
-//! index from the segments' key columns plus the WAL. A query scans the
-//! live rows the index points at ([`crate::query`]).
+//! point), pushes it onto the row table, points the key index at it, and
+//! seals once the WAL holds a segment's worth of rows. Sealing writes the
+//! WAL's rows out as a segment file (tmp + fsync + rename,
+//! `write_atomic`), truncates the log, and moves nothing in memory. The
+//! directory holds `wal.log` and `seg-*.seg` files and nothing else: open
+//! reads the segments in id order, then the WAL, into the row table. A
+//! query scans the live rows the index points at ([`crate::query`]).
 //!
 //! Crash/corruption contract (quarantine-and-recompute): a torn WAL tail
 //! is quarantined to `wal.corrupt` and truncated away; a segment failing
@@ -30,8 +31,8 @@
 use crate::aggregate::{self, CompactStats, HotRow, QueryFilter, QueryResult, SegStats};
 use crate::codec::Corrupt;
 use crate::lz;
-use crate::segment::{decode_segment, encode_segment, SegmentData};
-use crate::wal::{encode_entry, scan, WalEntry};
+use crate::segment::{decode_segment, encode_segment};
+use crate::wal::{encode_frame, scan, Row};
 #[cfg(feature = "faults")]
 use atscale_faults::{injected_io_error, FaultPlan, FaultSite};
 use std::collections::HashMap;
@@ -50,68 +51,50 @@ pub const DEFAULT_SEAL_THRESHOLD: usize = 256;
 /// directory has one owner, so process-local uniqueness suffices).
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Where a live key's newest row lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    /// Row `i` of the active WAL.
-    Wal(usize),
-    /// Row `row` of sealed segment `id`.
-    Seg { id: u64, row: usize },
-}
-
-struct SegMeta {
+/// A sealed segment file; its rows live in [`Inner::rows`].
+struct Segment {
     id: u64,
     path: PathBuf,
     bytes: u64,
-    data: SegmentData,
 }
 
 struct Inner {
-    wal: Vec<WalEntry>,
+    /// Every row on disk, in commit order: the sealed segments' rows by
+    /// segment id, then the WAL's from `wal_start` on.
+    rows: Vec<Row>,
+    /// Each live key's newest row in `rows`; a superseded row (last write
+    /// wins) is dead until compaction drops it.
+    index: HashMap<String, usize>,
+    wal_start: usize,
+    segments: Vec<Segment>,
     wal_file: Option<fs::File>,
     wal_bytes: u64,
-    segments: Vec<SegMeta>,
-    index: HashMap<String, Loc>,
-    dead_rows: u64,
     quarantined: u64,
     tmp_files: u64,
     seal_threshold: usize,
 }
 
 impl Inner {
-    fn seg_by_id(&self, id: u64) -> &SegMeta {
-        let i = self
-            .segments
-            .binary_search_by_key(&id, |s| s.id)
-            .expect("index only references loaded segments");
-        &self.segments[i]
+    fn push(&mut self, row: Row) {
+        self.index.insert(row.key.clone(), self.rows.len());
+        self.rows.push(row);
     }
 
-    fn hot_at(&self, loc: Loc) -> &HotRow {
-        match loc {
-            Loc::Wal(i) => &self.wal[i].hot,
-            Loc::Seg { id, row } => &self.seg_by_id(id).data.hots[row],
-        }
+    fn live(&self) -> impl Iterator<Item = &Row> {
+        self.index.values().map(|&i| &self.rows[i])
     }
 
-    fn raw_at(&self, loc: Loc) -> &[u8] {
-        match loc {
-            Loc::Wal(i) => &self.wal[i].raw_lz,
-            Loc::Seg { id, row } => &self.seg_by_id(id).data.raws[row],
-        }
+    fn next_segment_id(&self) -> u64 {
+        self.segments.last().map_or(0, |s| s.id + 1)
     }
 
-    /// Points `key` at its newest row; the row it supersedes (last write
-    /// wins) is dead until compaction drops it.
-    fn commit(&mut self, key: &str, loc: Loc) {
-        if self.index.insert(key.to_string(), loc).is_some() {
-            self.dead_rows += 1;
-        }
+    fn disk_bytes(&self) -> u64 {
+        self.segments.iter().map(|s| s.bytes).sum::<u64>() + self.wal_bytes
     }
 }
 
-/// An append-only columnar run-record store. See the module docs for the
-/// on-disk layout and crash contract.
+/// An append-only run-record store. See the module docs for the on-disk
+/// layout and crash contract.
 pub struct SegmentStore {
     dir: PathBuf,
     inner: Mutex<Inner>,
@@ -128,10 +111,9 @@ impl std::fmt::Debug for SegmentStore {
 }
 
 impl SegmentStore {
-    /// Opens (creating if needed) a segment store at `dir`, scanning
-    /// sealed segments and the WAL: corrupt segments and torn WAL tails
-    /// are quarantined, `*.tmp` droppings are removed, and the index is
-    /// rebuilt from the key columns.
+    /// Opens (creating if needed) a segment store at `dir`, reading
+    /// sealed segments and the WAL into the row table: corrupt segments
+    /// and torn WAL tails are quarantined and `*.tmp` droppings removed.
     ///
     /// # Errors
     ///
@@ -141,12 +123,12 @@ impl SegmentStore {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         let mut inner = Inner {
-            wal: Vec::new(),
+            rows: Vec::new(),
+            index: HashMap::new(),
+            wal_start: 0,
+            segments: Vec::new(),
             wal_file: None,
             wal_bytes: 0,
-            segments: Vec::new(),
-            index: HashMap::new(),
-            dead_rows: 0,
             quarantined: 0,
             tmp_files: 0,
             seal_threshold: DEFAULT_SEAL_THRESHOLD,
@@ -167,12 +149,11 @@ impl SegmentStore {
         for (id, path) in seg_paths {
             let bytes = fs::read(&path)?;
             match decode_segment(&bytes) {
-                Ok(data) => inner.segments.push(SegMeta {
-                    id,
-                    path,
-                    bytes: bytes.len() as u64,
-                    data,
-                }),
+                Ok(rows) => {
+                    rows.into_iter().for_each(|row| inner.push(row));
+                    let bytes = bytes.len() as u64;
+                    inner.segments.push(Segment { id, path, bytes });
+                }
                 Err(Corrupt) => {
                     let mut quarantine = path.clone().into_os_string();
                     quarantine.push(".corrupt");
@@ -181,6 +162,7 @@ impl SegmentStore {
                 }
             }
         }
+        inner.wal_start = inner.rows.len();
         // The active WAL: quarantine and truncate any torn tail.
         let wal_path = dir.join(WAL_NAME);
         if let Ok(bytes) = fs::read(&wal_path) {
@@ -193,19 +175,7 @@ impl SegmentStore {
                 inner.quarantined += 1;
             }
             inner.wal_bytes = scanned.good_bytes;
-            inner.wal = scanned.entries;
-        }
-        // Rebuild the index from the key columns, in commit order.
-        for s in 0..inner.segments.len() {
-            for row in 0..inner.segments[s].data.rows() {
-                let id = inner.segments[s].id;
-                let key = inner.segments[s].data.keys[row].clone();
-                inner.commit(&key, Loc::Seg { id, row });
-            }
-        }
-        for i in 0..inner.wal.len() {
-            let key = inner.wal[i].key.clone();
-            inner.commit(&key, Loc::Wal(i));
+            scanned.rows.into_iter().for_each(|row| inner.push(row));
         }
         Ok(SegmentStore {
             dir,
@@ -259,13 +229,13 @@ impl SegmentStore {
     /// Returns the I/O error if the WAL write or a due seal fails.
     /// Persistence is advisory — callers treat failure as a miss.
     pub fn append(&self, key: &str, hot: HotRow, raw: &[u8]) -> std::io::Result<()> {
-        let entry = WalEntry {
+        let row = Row {
             key: key.to_string(),
             hot,
             raw_lz: lz::compress(raw),
         };
         #[allow(unused_mut)]
-        let mut frame = encode_entry(&entry);
+        let mut frame = encode_frame(&row);
         #[allow(unused_mut)]
         let mut torn = false;
         #[cfg(feature = "faults")]
@@ -299,10 +269,8 @@ impl SegmentStore {
         if torn {
             return Ok(());
         }
-        let loc = Loc::Wal(inner.wal.len());
-        inner.commit(key, loc);
-        inner.wal.push(entry);
-        if inner.wal.len() >= inner.seal_threshold {
+        inner.push(row);
+        if inner.rows.len() - inner.wal_start >= inner.seal_threshold {
             self.seal_locked(&mut inner)?;
         }
         Ok(())
@@ -312,8 +280,8 @@ impl SegmentStore {
     /// was appended. `None` on a miss.
     pub fn load(&self, key: &str) -> Option<Vec<u8>> {
         let inner = self.guard();
-        let loc = *inner.index.get(key)?;
-        lz::decompress(inner.raw_at(loc)).ok()
+        let row = &inner.rows[*inner.index.get(key)?];
+        lz::decompress(&row.raw_lz).ok()
     }
 
     /// Number of live (distinct-key) rows.
@@ -321,7 +289,7 @@ impl SegmentStore {
         self.guard().index.len() as u64
     }
 
-    /// Seals the active WAL into a columnar segment now (normally
+    /// Writes the WAL's rows out as a sealed segment now (normally
     /// automatic at the seal threshold).
     ///
     /// # Errors
@@ -334,32 +302,20 @@ impl SegmentStore {
     }
 
     fn seal_locked(&self, inner: &mut Inner) -> std::io::Result<()> {
-        if inner.wal.is_empty() {
+        if inner.wal_start == inner.rows.len() {
             return Ok(());
         }
-        let id = inner.segments.last().map_or(0, |s| s.id + 1);
-        let seg = self.write_segment(
-            id,
-            inner.wal.iter().map(|e| e.key.clone()).collect(),
-            inner.wal.iter().map(|e| e.hot.clone()).collect(),
-            inner.wal.iter().map(|e| e.raw_lz.clone()).collect(),
-        )?;
-        // Relocate live WAL rows to their sealed positions.
-        for (row, key) in seg.data.keys.iter().enumerate() {
-            if inner.index.get(key) == Some(&Loc::Wal(row)) {
-                inner.index.insert(key.clone(), Loc::Seg { id, row });
-            }
-        }
+        let seg = self.write_segment(inner.next_segment_id(), &inner.rows[inner.wal_start..])?;
         inner.segments.push(seg);
+        inner.wal_start = inner.rows.len();
         self.clear_wal(inner)
     }
 
-    /// Empties the WAL in memory and on disk — also when this handle has
-    /// appended nothing yet and so holds no open WAL file, as after an
-    /// open that found WAL rows.
+    /// Empties the WAL on disk — also when this handle has appended
+    /// nothing yet and so holds no open WAL file, as after an open that
+    /// found WAL rows.
     fn clear_wal(&self, inner: &mut Inner) -> std::io::Result<()> {
         let on_disk = inner.wal_bytes > 0;
-        inner.wal.clear();
         inner.wal_bytes = 0;
         let opened;
         let file = match &inner.wal_file {
@@ -376,23 +332,13 @@ impl SegmentStore {
         file.sync_all()
     }
 
-    /// Writes the parallel row vectors as sealed segment `id`.
-    fn write_segment(
-        &self,
-        id: u64,
-        keys: Vec<String>,
-        hots: Vec<HotRow>,
-        raws: Vec<Vec<u8>>,
-    ) -> std::io::Result<SegMeta> {
-        let image = encode_segment(&keys, &hots, &raws);
+    /// Writes `rows` as sealed segment `id`.
+    fn write_segment(&self, id: u64, rows: &[Row]) -> std::io::Result<Segment> {
+        let image = encode_segment(rows);
         let path = self.dir.join(format!("seg-{id:06}.seg"));
         self.write_atomic(&path, &image)?;
-        Ok(SegMeta {
-            id,
-            path,
-            bytes: image.len() as u64,
-            data: SegmentData { keys, hots, raws },
-        })
+        let bytes = image.len() as u64;
+        Ok(Segment { id, path, bytes })
     }
 
     /// Rewrites every live row into a single fresh segment, dropping
@@ -404,48 +350,35 @@ impl SegmentStore {
     /// the store is unchanged in that case.
     pub fn compact(&self) -> std::io::Result<CompactStats> {
         let mut inner = self.guard();
-        let bytes_before = inner.segments.iter().map(|s| s.bytes).sum::<u64>() + inner.wal_bytes;
+        let bytes_before = inner.disk_bytes();
         let segments_before = inner.segments.len() as u64;
-        let dead_rows_dropped = inner.dead_rows;
+        let dead_rows_dropped = (inner.rows.len() - inner.index.len()) as u64;
         // Live rows, sorted by key for a deterministic image.
-        let mut live: Vec<(&String, Loc)> = inner.index.iter().map(|(k, l)| (k, *l)).collect();
-        live.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let keys: Vec<String> = live.iter().map(|(k, _)| (*k).clone()).collect();
-        let hots: Vec<HotRow> = live.iter().map(|(_, l)| inner.hot_at(*l).clone()).collect();
-        let raws: Vec<Vec<u8>> = live
-            .iter()
-            .map(|(_, l)| inner.raw_at(*l).to_vec())
-            .collect();
-        let live_rows = keys.len() as u64;
-        let id = inner.segments.last().map_or(0, |s| s.id + 1);
-        let compacted = if keys.is_empty() {
+        let mut live: Vec<Row> = inner.live().cloned().collect();
+        live.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+        let compacted = if live.is_empty() {
             None
         } else {
             // analyze:allow(lock-io): compaction replaces the files the index under this lock describes
-            Some(self.write_segment(id, keys, hots, raws)?)
+            Some(self.write_segment(inner.next_segment_id(), &live)?)
         };
         // Point of no return: the compacted segment (if any) is durable.
         for seg in &inner.segments {
             let _ = fs::remove_file(&seg.path);
         }
         inner.segments = compacted.into_iter().collect();
-        self.clear_wal(&mut inner)?;
+        inner.rows.clear();
         inner.index.clear();
-        inner.dead_rows = 0;
-        for s in 0..inner.segments.len() {
-            for row in 0..inner.segments[s].data.rows() {
-                let id = inner.segments[s].id;
-                let key = inner.segments[s].data.keys[row].clone();
-                inner.commit(&key, Loc::Seg { id, row });
-            }
-        }
+        live.into_iter().for_each(|row| inner.push(row));
+        inner.wal_start = inner.rows.len();
+        self.clear_wal(&mut inner)?;
         Ok(CompactStats {
             segments_before,
             segments_after: inner.segments.len() as u64,
-            live_rows,
+            live_rows: inner.index.len() as u64,
             dead_rows_dropped,
             bytes_before,
-            bytes_after: inner.segments.iter().map(|s| s.bytes).sum(),
+            bytes_after: inner.disk_bytes(),
         })
     }
 
@@ -453,20 +386,20 @@ impl SegmentStore {
     /// the store lock.
     pub fn query(&self, filter: &QueryFilter) -> QueryResult {
         let inner = self.guard();
-        aggregate::query(inner.index.values().map(|&loc| inner.hot_at(loc)), filter)
+        aggregate::query(inner.live().map(|row| &row.hot), filter)
     }
 
-    /// Store occupancy counters (maintained incrementally; no directory
-    /// scan).
+    /// Store occupancy counters, from the row table and the segment
+    /// records (no directory scan).
     pub fn seg_stats(&self) -> SegStats {
         let inner = self.guard();
         SegStats {
             segments: inner.segments.len() as u64,
-            segment_rows: inner.segments.iter().map(|s| s.data.rows() as u64).sum(),
-            wal_rows: inner.wal.len() as u64,
+            segment_rows: inner.wal_start as u64,
+            wal_rows: (inner.rows.len() - inner.wal_start) as u64,
             live_rows: inner.index.len() as u64,
-            dead_rows: inner.dead_rows,
-            disk_bytes: inner.segments.iter().map(|s| s.bytes).sum::<u64>() + inner.wal_bytes,
+            dead_rows: (inner.rows.len() - inner.index.len()) as u64,
+            disk_bytes: inner.disk_bytes(),
             quarantined: inner.quarantined,
             tmp_files: inner.tmp_files,
         }
@@ -480,19 +413,10 @@ impl SegmentStore {
     /// columns must equal the ones recomputed from its raw record.
     pub fn for_each_live<F: FnMut(&str, &HotRow, Vec<u8>)>(&self, mut f: F) {
         let inner = self.guard();
-        for seg in &inner.segments {
-            for (row, key) in seg.data.keys.iter().enumerate() {
-                if inner.index.get(key) == Some(&Loc::Seg { id: seg.id, row }) {
-                    if let Ok(raw) = lz::decompress(&seg.data.raws[row]) {
-                        f(key, &seg.data.hots[row], raw);
-                    }
-                }
-            }
-        }
-        for (i, entry) in inner.wal.iter().enumerate() {
-            if inner.index.get(&entry.key) == Some(&Loc::Wal(i)) {
-                if let Ok(raw) = lz::decompress(&entry.raw_lz) {
-                    f(&entry.key, &entry.hot, raw);
+        for (i, row) in inner.rows.iter().enumerate() {
+            if inner.index.get(&row.key) == Some(&i) {
+                if let Ok(raw) = lz::decompress(&row.raw_lz) {
+                    f(&row.key, &row.hot, raw);
                 }
             }
         }

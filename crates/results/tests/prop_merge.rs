@@ -61,14 +61,28 @@ fn scratch_dir() -> std::path::PathBuf {
     dir
 }
 
+/// Every row the store holds is live or dead, and sealed or in the WAL.
+fn rows_balance(store: &SegmentStore) -> Result<(), TestCaseError> {
+    let stats = store.seg_stats();
+    prop_assert_eq!(
+        stats.live_rows + stats.dead_rows,
+        stats.segment_rows + stats.wal_rows,
+        "{}",
+        stats
+    );
+    Ok(())
+}
+
 proptest! {
     /// Appends with re-appended keys, sealed at a drawn threshold so a
-    /// key's superseded row often sits in an earlier segment, then a
+    /// key's superseded row often sits in an earlier segment, with an
+    /// explicit seal or compaction drawn after some appends, then a
     /// reopen: the store's query answers equal [`query`] over each key's
-    /// last write, and every key loads its last write's bytes.
+    /// last write, and every key loads its last write's bytes. After every
+    /// step each row the store holds is either live or dead.
     #[test]
     fn reopen_equals_one_pass_over_the_last_write_of_each_key(
-        appends in prop::collection::vec((0..KEYS, row_draw()), 0..60),
+        appends in prop::collection::vec((0..KEYS, row_draw(), 0u8..8), 0..60),
         seal_threshold in 1usize..8,
     ) {
         let dir = scratch_dir();
@@ -76,16 +90,26 @@ proptest! {
         {
             let store = SegmentStore::open(&dir).expect("open store");
             store.set_seal_threshold(seal_threshold);
-            for (i, (key, draw)) in appends.iter().enumerate() {
+            for (i, (key, draw, then)) in appends.iter().enumerate() {
                 let key = format!("key-{key:02}");
                 let hot = hot_row(draw);
                 let raw = format!("{{\"append\":{i}}}").into_bytes();
                 store.append(&key, hot.clone(), &raw).expect("append");
                 last.insert(key, (hot, raw));
+                rows_balance(&store)?;
+                match then {
+                    0 => store.seal().expect("seal"),
+                    1 => {
+                        store.compact().expect("compact");
+                    }
+                    _ => continue,
+                }
+                rows_balance(&store)?;
             }
         }
         let store = SegmentStore::open(&dir).expect("reopen");
         prop_assert_eq!(store.seg_stats().quarantined, 0);
+        rows_balance(&store)?;
         prop_assert_eq!(store.live_len(), last.len() as u64);
         for filter in [
             QueryFilter::default(),

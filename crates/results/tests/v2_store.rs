@@ -1,18 +1,26 @@
-//! A store written in an older on-disk format opens as an empty cache.
+//! Stores written by older `SegmentStore`s: a file in an older on-disk
+//! format opens as a miss.
 //!
-//! `tests/fixtures/v2_store` was written once by the last `SegmentStore`
-//! that wrote format-v2 segments and an `index.bin`: six appends at seal
-//! threshold 4 — one sealed v2 segment, then a WAL tail of two `"AWL2"`
-//! frames. The store reads format-v4 segments and `"AWL3"` frames only, so
-//! both files take the path of any undecodable file: quarantined (renamed
-//! aside), counted, and their rows recomputed on their next miss. A record
+//! Both fixtures hold six appends of the keys in [`FIXTURE_KEYS`] at seal
+//! threshold 4 — one sealed segment, then a WAL tail of two frames:
+//!
+//! * `tests/fixtures/v2_store` was written by the last store that wrote
+//!   format-v2 segments and an `index.bin`; its WAL frames are `"AWL2"`.
+//! * `tests/fixtures/v4_store` was written by commit `936ae90`, the last
+//!   store that wrote column-major format-v4 segments; its WAL frames are
+//!   `"AWL3"`, the frames this store still writes: `e5`, then a re-append
+//!   of `b2`, whose first row is in the segment.
+//!
+//! The store reads format-v5 segments and `"AWL3"` frames only, so any
+//! other file takes the path of any undecodable file: quarantined (renamed
+//! aside), counted, and its rows recomputed on their next miss. A record
 //! is a pure function of its spec, so an old store costs recompute time and
 //! never a wrong result.
 
 use atscale_results::{query, value_fp, x_fp, HotRow, QueryFilter, SegmentStore};
 use std::path::{Path, PathBuf};
 
-/// The fixture's keys: every one was live in the writing store.
+/// The fixtures' keys: every one was live in the writing store.
 const FIXTURE_KEYS: [&str; 5] = [
     "00000000000000a1",
     "00000000000000b2",
@@ -32,10 +40,12 @@ fn hot(mb: u64, page_size: &str, wcpi: f64) -> HotRow {
     }
 }
 
-/// Copies the fixture into a fresh scratch directory.
-fn fixture_copy(tag: &str) -> PathBuf {
-    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v2_store");
-    let dir = std::env::temp_dir().join(format!("atscale-v2-store-{tag}-{}", std::process::id()));
+/// Copies `tests/fixtures/{fixture}` into a fresh scratch directory.
+fn fixture_copy(fixture: &str) -> PathBuf {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(fixture);
+    let dir = std::env::temp_dir().join(format!("atscale-{fixture}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     for entry in std::fs::read_dir(&src).unwrap() {
@@ -45,59 +55,107 @@ fn fixture_copy(tag: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn a_v2_store_is_quarantined_and_recomputed() {
-    let dir = fixture_copy("quarantine");
+/// A row: key, hot columns, raw record bytes.
+type Row = (&'static str, HotRow, Vec<u8>);
+
+/// Opens a copy of `fixture`: exactly the files in `quarantined` are set
+/// aside, the rows in `kept` stay live and load bit for bit, and every
+/// other fixture key is a miss. Then the recompute path: the missed keys
+/// land again and seal beside the quarantined files as a v5 segment, one
+/// new row stays in the WAL, and a reopen is clean and answers queries
+/// over exactly those rows.
+fn quarantines_and_recomputes(fixture: &str, quarantined: &[&str], kept: &[Row]) {
+    let dir = fixture_copy(fixture);
     let store = SegmentStore::open(&dir).unwrap();
     let stats = store.seg_stats();
-    assert_eq!(stats.live_rows, 0, "{stats}");
+    assert_eq!(stats.quarantined, quarantined.len() as u64, "{stats}");
+    for file in quarantined {
+        assert!(dir.join(file).exists(), "{file}");
+    }
+    let n = kept.len() as u64;
     assert_eq!(
-        stats.quarantined, 2,
-        "the v2 segment and the v2 WAL: {stats}"
+        (
+            stats.segments,
+            stats.wal_rows,
+            stats.live_rows,
+            stats.dead_rows
+        ),
+        (0, n, n, 0),
+        "{stats}"
     );
-    assert_eq!((stats.segments, stats.wal_rows), (0, 0), "{stats}");
-    assert!(dir.join("seg-000000.seg.corrupt").exists());
-    assert!(dir.join("wal.corrupt").exists());
-    for key in FIXTURE_KEYS {
+    let missed: Vec<Row> = FIXTURE_KEYS
+        .iter()
+        .zip(0u32..)
+        .filter(|(key, _)| kept.iter().all(|(k, _, _)| k != *key))
+        .map(|(&key, i)| {
+            let wcpi = 0.25 * f64::from(i + 1);
+            (key, hot(16 << (2 * i), "4K", wcpi), key.as_bytes().to_vec())
+        })
+        .collect();
+    for (key, _, raw) in kept {
+        assert_eq!(store.load(key).as_ref(), Some(raw), "{key} stays live");
+    }
+    for (key, _, _) in &missed {
         assert!(store.load(key).is_none(), "{key} is a miss");
     }
-    assert_eq!(store.query(&QueryFilter::default()).count, 0);
+    let all = QueryFilter::default();
+    assert_eq!(store.query(&all), query(kept.iter().map(|r| &r.1), &all));
 
-    // The recompute path: fresh rows land in the same directory, seal
-    // beside the quarantined files, and answer queries.
-    let rows = [
-        ("00000000000000a1", hot(16, "4K", 0.25)),
-        ("00000000000000b2", hot(64, "4K", 0.5)),
-        ("00000000000000f6", hot(64, "2M", 0.0625)),
-    ];
-    for (key, hot) in &rows {
-        store.append(key, hot.clone(), key.as_bytes()).unwrap();
+    for (key, hot, raw) in &missed {
+        store.append(key, hot.clone(), raw).unwrap();
     }
     store.seal().unwrap();
-    store
-        .append("00000000000000e5", hot(256, "4K", 1.5), b"e5")
-        .unwrap();
+    let f6: Row = ("00000000000000f6", hot(64, "2M", 0.0625), b"f6".to_vec());
+    store.append(f6.0, f6.1.clone(), &f6.2).unwrap();
     drop(store);
+    let image = std::fs::read(dir.join("seg-000000.seg")).unwrap();
+    assert_eq!(image[4..8], 5u32.to_le_bytes(), "sealed as format v5");
 
     let store = SegmentStore::open(&dir).unwrap();
     let stats = store.seg_stats();
     assert_eq!(stats.quarantined, 0, "a clean reopen: {stats}");
-    assert_eq!((stats.segments, stats.wal_rows, stats.live_rows), (1, 1, 4));
-    for (key, _) in &rows {
-        assert_eq!(store.load(key).unwrap(), key.as_bytes(), "{key}");
+    assert_eq!((stats.segments, stats.wal_rows, stats.live_rows), (1, 1, 6));
+    let live: Vec<&Row> = kept.iter().chain(&missed).chain([&f6]).collect();
+    for (key, _, raw) in &live {
+        assert_eq!(store.load(key).as_ref(), Some(raw), "{key}");
     }
-    assert_eq!(store.load("00000000000000e5").unwrap(), b"e5");
-    let e5 = hot(256, "4K", 1.5);
-    let live: Vec<&HotRow> = rows.iter().map(|(_, hot)| hot).chain([&e5]).collect();
-    let all = QueryFilter::default();
-    assert_eq!(store.query(&all), query(live.iter().copied(), &all));
     let four_k = QueryFilter {
         page_size: Some("4K".to_string()),
         ..QueryFilter::default()
     };
-    let answer = store.query(&four_k);
-    assert_eq!(answer, query(live.iter().copied(), &four_k));
-    assert_eq!((answer.count, answer.groups.len()), (3, 3));
-    assert!(answer.beta.is_some(), "three 4K footprints fit");
+    for filter in [&all, &four_k] {
+        assert_eq!(
+            store.query(filter),
+            query(live.iter().map(|r| &r.1), filter)
+        );
+    }
+    assert_eq!(store.query(&four_k).count, 5);
+    assert!(store.query(&four_k).beta.is_some(), "the 4K footprints fit");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_v2_store_is_quarantined_and_recomputed() {
+    quarantines_and_recomputes("v2_store", &["seg-000000.seg.corrupt", "wal.corrupt"], &[]);
+}
+
+#[test]
+fn a_v4_segment_is_quarantined_and_its_wal_rows_stay_live() {
+    // The raw bytes the fixture's writer appended as its `i`-th row.
+    let raw = |key: &str, i: u32| {
+        format!(r#"{{"fixture":"v4_store","key":"{key}","append":{i}}}"#).into_bytes()
+    };
+    let kept = [
+        (
+            "00000000000000e5",
+            hot(1024, "4K", 2.0),
+            raw("00000000000000e5", 4),
+        ),
+        (
+            "00000000000000b2",
+            hot(64, "4K", 0.75),
+            raw("00000000000000b2", 5),
+        ),
+    ];
+    quarantines_and_recomputes("v4_store", &["seg-000000.seg.corrupt"], &kept);
 }

@@ -14,10 +14,9 @@
 //! Cache-first by
 //! default: runs are answered from (and written back to) the run store,
 //! so repeated figure regenerations cost one simulation each. The store
-//! is the columnar segment store under `DIR/segments` (nothing else in
-//! `DIR` is read), and the results-plane verbs
-//! (`Query`/`Compact`/`StoreSegStats`) are served from its online
-//! aggregates.
+//! is the segment store under `DIR/segments` (nothing else in `DIR` is
+//! read), and the results-plane verbs (`Query`/`Compact`/`StoreSegStats`)
+//! are answered from its in-memory rows.
 //!
 //! Every endpoint is served by the epoll reactor (non-blocking framed
 //! I/O, per-connection write backpressure); `--reactors` overrides its

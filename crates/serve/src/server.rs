@@ -212,6 +212,35 @@ fn no_store() -> Reply {
     })
 }
 
+/// Answers a results-plane verb (`Query`, `Compact` or `StoreSegStats`)
+/// from the run store on this reactor thread. The verb runs inside
+/// `catch_unwind`, so a panic in it fails this request with an `Error`
+/// frame instead of unwinding the shard; the store's poison recovery may
+/// lose cached rows after that, never serve a wrong record (DESIGN §16).
+fn store_verb(handle: &ServerHandle, request: &Request) -> Reply {
+    let Some(store) = handle.scheduler.store() else {
+        return no_store();
+    };
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match request {
+        Request::Query(filter) => Reply::QueryResult(store.query(filter)),
+        Request::Compact => match store.compact() {
+            Ok(stats) => Reply::Compacted(stats),
+            Err(e) => Reply::Error(ErrorReply {
+                id: 0,
+                message: format!("compaction failed: {e}"),
+            }),
+        },
+        // `StoreSegStats`, the one verb left.
+        _ => Reply::StoreSegStats(store.seg_stats()),
+    }))
+    .unwrap_or_else(|_| {
+        Reply::Error(ErrorReply {
+            id: 0,
+            message: "store verb panicked".to_string(),
+        })
+    })
+}
+
 /// Dispatches one request from a reactor shard; returns `true` when the
 /// connection should end (shutdown acknowledged).
 pub(crate) fn handle_request(
@@ -250,33 +279,8 @@ pub(crate) fn handle_request(
             return false;
         }
         Request::ServerStats => Reply::ServerStats(handle.scheduler.stats_reply()),
-        Request::Query(filter) => {
-            let store = handle.scheduler.store();
-            store.map_or_else(no_store, |s| Reply::QueryResult(s.query(filter)))
-        }
-        Request::Compact => {
-            // Compaction runs on this reactor thread: contain a panic in it
-            // so it fails this request instead of unwinding the shard. The
-            // store's poison recovery may lose cached rows after that, never
-            // serve a wrong record (DESIGN §16).
-            match handle.scheduler.store().map(|store| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.compact()))
-            }) {
-                Some(Ok(Ok(stats))) => Reply::Compacted(stats),
-                Some(Ok(Err(e))) => Reply::Error(ErrorReply {
-                    id: 0,
-                    message: format!("compaction failed: {e}"),
-                }),
-                Some(Err(_)) => Reply::Error(ErrorReply {
-                    id: 0,
-                    message: "compaction panicked".to_string(),
-                }),
-                None => no_store(),
-            }
-        }
-        Request::StoreSegStats => {
-            let store = handle.scheduler.store();
-            store.map_or_else(no_store, |s| Reply::StoreSegStats(s.seg_stats()))
+        Request::Query(_) | Request::Compact | Request::StoreSegStats => {
+            store_verb(handle, request)
         }
         Request::Shutdown => Reply::ShuttingDown,
     };
