@@ -117,6 +117,28 @@ mod tests {
     }
 
     #[test]
+    fn sampled_bit_flips_in_a_large_block_are_detected() {
+        // A block long enough that the CRC's 16-byte loop does nearly all
+        // the work: the first and last 64 bytes in full (header, lengths,
+        // CRC, the tail), and every 4093rd byte, a prime stride that walks
+        // every position within a 16-byte chunk.
+        let image = encode_segment(&rows(1024));
+        assert!(image.len() >= 64 << 10, "{} bytes", image.len());
+        let bytes = (0..64)
+            .chain((0..image.len()).step_by(4093))
+            .chain(image.len() - 64..image.len());
+        for byte in bytes {
+            let mut damaged = image.clone();
+            damaged[byte] ^= 1 << (byte % 8);
+            assert_eq!(
+                decode_segment(&damaged),
+                Err(Corrupt),
+                "flip at byte {byte} undetected"
+            );
+        }
+    }
+
+    #[test]
     fn truncation_is_detected() {
         let image = encode_segment(&rows(2));
         for cut in 0..image.len() {

@@ -1,5 +1,5 @@
 //! Stores written by older `SegmentStore`s: a file in an older on-disk
-//! format opens as a miss.
+//! format opens as a miss, and a file in the current format opens live.
 //!
 //! Both fixtures hold six appends of the keys in [`FIXTURE_KEYS`] at seal
 //! threshold 4 — one sealed segment, then a WAL tail of two frames:
@@ -10,6 +10,9 @@
 //!   store that wrote column-major format-v4 segments; its WAL frames are
 //!   `"AWL3"`, the frames this store still writes: `e5`, then a re-append
 //!   of `b2`, whose first row is in the segment.
+//!
+//! `tests/fixtures/v5_store` was written by commit `96a636c`, in the
+//! format this store reads and writes: see [`a_v5_store_opens_clean`].
 //!
 //! The store reads format-v5 segments and `"AWL3"` frames only, so any
 //! other file takes the path of any undecodable file: quarantined (renamed
@@ -158,4 +161,72 @@ fn a_v4_segment_is_quarantined_and_its_wal_rows_stay_live() {
         ),
     ];
     quarantines_and_recomputes("v4_store", &["seg-000000.seg.corrupt"], &kept);
+}
+
+/// `tests/fixtures/v5_store` holds 18 appends at seal threshold 16: keys
+/// `1..=16` (as 16-digit hex) sealed into one segment, then a WAL tail of
+/// two `"AWL3"` frames, key `17` and a re-append of key `2`. Append `i`
+/// stored these raw bytes, with hot columns `cc-urand` (even `i`) or
+/// `bfs-urand`, `16 << (i % 4)` MiB, `2M` pages when `i % 3 == 2` else
+/// `4K`, `baseline`, and WCPI `0.125 · (i + 1)`.
+fn v5_raw(key: &str, i: u32) -> Vec<u8> {
+    format!(r#"{{"fixture":"v5_store","key":"{key}","append":{i}}}"#).into_bytes()
+}
+
+/// A wrong CRC does not fail loudly — the store quarantines the file and
+/// recomputes its rows — so this pins that every frame a current-format
+/// store wrote, the segment's multi-kilobyte block included, still passes
+/// its CRC: nothing is quarantined, and every row and answer is as written.
+#[test]
+fn a_v5_store_opens_clean() {
+    let dir = fixture_copy("v5_store");
+    let store = SegmentStore::open(&dir).unwrap();
+    let stats = store.seg_stats();
+    assert_eq!(stats.quarantined, 0, "{stats}");
+    assert_eq!(
+        (
+            stats.segments,
+            stats.segment_rows,
+            stats.wal_rows,
+            stats.live_rows,
+            stats.dead_rows
+        ),
+        (1, 16, 2, 17, 1),
+        "{stats}"
+    );
+    for k in 1..=17u32 {
+        let key = format!("{k:016x}");
+        let append = if k == 2 { 17 } else { k - 1 };
+        assert_eq!(store.load(&key), Some(v5_raw(&key, append)), "{key}");
+    }
+
+    let all = store.query(&QueryFilter::default());
+    assert_eq!(
+        (all.count, all.mean_wcpi, all.p50_wcpi, all.p99_wcpi),
+        (17, 1.242_647_058_823_529_4, 1.25, 2.25)
+    );
+    assert_eq!(all.beta, Some(0.026_504_745_056_158_255));
+    assert_eq!(all.intercept, Some(1.119_680_851_063_829_9));
+    assert_eq!(all.groups.len(), 8);
+    let four_k = store.query(&QueryFilter {
+        page_size: Some("4K".to_string()),
+        ..QueryFilter::default()
+    });
+    assert_eq!(
+        (four_k.count, four_k.beta, four_k.intercept),
+        (
+            11,
+            Some(-0.013_689_263_930_103_715),
+            Some(1.267_857_142_857_142_8)
+        )
+    );
+    drop(store);
+
+    // Opening read the files and rewrote neither.
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v5_store");
+    for file in ["seg-000000.seg", "wal.log"] {
+        let written = std::fs::read(fixture.join(file)).unwrap();
+        assert_eq!(std::fs::read(dir.join(file)).unwrap(), written, "{file}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
