@@ -6,7 +6,7 @@ use atscale_mmu::{
 };
 use atscale_vm::{BackingPolicy, PageSize};
 use atscale_workloads::WorkloadId;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Reader, Serialize, Writer};
 
 /// Everything that identifies one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,39 +37,43 @@ pub struct RunSpec {
 // perf-gate baselines and every sealed segment — identical to every
 // pre-architecture release.
 impl Serialize for RunSpec {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("workload".to_string(), self.workload.to_value()),
-            (
-                "nominal_footprint".to_string(),
-                self.nominal_footprint.to_value(),
-            ),
-            ("page_size".to_string(), self.page_size.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("warmup_instr".to_string(), self.warmup_instr.to_value()),
-            ("budget_instr".to_string(), self.budget_instr.to_value()),
-        ];
+    fn serialize(&self, out: &mut Writer) {
+        let mut map = out.map();
+        map.entry("workload", &self.workload);
+        map.entry("nominal_footprint", &self.nominal_footprint);
+        map.entry("page_size", &self.page_size);
+        map.entry("seed", &self.seed);
+        map.entry("warmup_instr", &self.warmup_instr);
+        map.entry("budget_instr", &self.budget_instr);
         if self.arch != ArchKind::Baseline {
-            entries.push(("arch".to_string(), self.arch.to_value()));
+            map.entry("arch", &self.arch);
         }
-        Value::Map(entries)
+        map.end();
     }
 }
 
 impl Deserialize for RunSpec {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v.as_map()?;
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut workload, mut nominal_footprint, mut page_size) = (None, None, None);
+        let (mut seed, mut warmup_instr, mut budget_instr, mut arch) = (None, None, None, None);
+        input.map(|r, key| match key {
+            "workload" => r.fill(&mut workload),
+            "nominal_footprint" => r.fill(&mut nominal_footprint),
+            "page_size" => r.fill(&mut page_size),
+            "seed" => r.fill(&mut seed),
+            "warmup_instr" => r.fill(&mut warmup_instr),
+            "budget_instr" => r.fill(&mut budget_instr),
+            "arch" => r.fill(&mut arch),
+            _ => r.skip(),
+        })?;
         Ok(RunSpec {
-            workload: serde::field(entries, "workload")?,
-            nominal_footprint: serde::field(entries, "nominal_footprint")?,
-            page_size: serde::field(entries, "page_size")?,
-            seed: serde::field(entries, "seed")?,
-            warmup_instr: serde::field(entries, "warmup_instr")?,
-            budget_instr: serde::field(entries, "budget_instr")?,
-            arch: match entries.iter().find(|(k, _)| k == "arch") {
-                Some((_, v)) => Deserialize::from_value(v)?,
-                None => ArchKind::Baseline,
-            },
+            workload: serde::required(workload, "workload")?,
+            nominal_footprint: serde::required(nominal_footprint, "nominal_footprint")?,
+            page_size: serde::required(page_size, "page_size")?,
+            seed: serde::required(seed, "seed")?,
+            warmup_instr: serde::required(warmup_instr, "warmup_instr")?,
+            budget_instr: serde::required(budget_instr, "budget_instr")?,
+            arch: arch.unwrap_or(ArchKind::Baseline),
         })
     }
 }

@@ -238,7 +238,6 @@ mod tests {
     use super::*;
     use atscale_vm::PageSize;
     use atscale_workloads::WorkloadId;
-    use serde::Serialize;
     use std::fs;
     use std::path::PathBuf;
 
@@ -366,7 +365,7 @@ mod tests {
             }
         }
         assert_eq!(
-            floats(&MachineConfig::haswell().to_value()),
+            floats(&serde::to_value(&MachineConfig::haswell())),
             2,
             "`same_bits` compares every float field of a MachineConfig"
         );

@@ -7,7 +7,7 @@ use atscale::{Decomposition, Harness, OverheadPoint, PressureMetric, RunSpec, Sw
 use atscale_mmu::MachineConfig;
 use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
-use serde::{Serialize, Value};
+use serde::Value;
 
 fn spec(workload: &str, footprint: u64, budget: u64) -> RunSpec {
     RunSpec {
@@ -131,7 +131,7 @@ fn every_counter_is_produced() {
         .iter()
         .map(|run| {
             let record = atscale::execute_run(run, &MachineConfig::haswell());
-            match record.result.counters.to_value() {
+            match serde::to_value(&record.result.counters) {
                 Value::Map(fields) => fields,
                 other => panic!("Counters serialises as a map, not {other:?}"),
             }

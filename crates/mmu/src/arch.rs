@@ -36,7 +36,7 @@
 use crate::{ArchLookup, MachineConfig, TlbHierarchy};
 use atscale_cache::{CacheConfig, CacheResponse, HitLevel, SetAssocCache};
 use atscale_vm::{PageSize, PhysAddr, VirtAddr};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Reader, Serialize, Writer};
 
 /// Identifies a translation architecture in specs, records, wire messages
 /// and store columns. The string forms are the stable external names.
@@ -99,19 +99,17 @@ impl std::str::FromStr for ArchKind {
 // Hand-written serde: the wire/record form is the kebab-case external name,
 // not the Rust variant name the derive would emit.
 impl Serialize for ArchKind {
-    fn to_value(&self) -> Value {
-        Value::Str(self.as_str().to_string())
+    fn serialize(&self, out: &mut Writer) {
+        out.write_string(self.as_str());
     }
 }
 
 impl Deserialize for ArchKind {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        match v {
-            Value::Str(s) => s.parse().map_err(serde::Error::msg),
-            other => Err(serde::Error::msg(format!(
-                "expected architecture string, found {other:?}"
-            ))),
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        if input.peek() != Some(b'"') {
+            return Err(input.shape_error("architecture string"));
         }
+        input.string()?.parse().map_err(serde::Error::msg)
     }
 }
 
@@ -395,8 +393,8 @@ mod tests {
     fn kind_strings_round_trip() {
         for kind in ArchKind::ALL {
             assert_eq!(kind.as_str().parse::<ArchKind>(), Ok(kind));
-            let v = kind.to_value();
-            assert_eq!(ArchKind::from_value(&v), Ok(kind));
+            let v = serde::to_value(&kind);
+            assert_eq!(serde::from_value::<ArchKind>(&v), Ok(kind));
         }
         assert!("spectre".parse::<ArchKind>().is_err());
         assert_eq!(ArchKind::default(), ArchKind::Baseline);

@@ -439,7 +439,7 @@ mod tests {
     fn truth_field_must_feed_consistency_checks() {
         // Bump each serialised `truth_*` field alone in a consistent file:
         // a ground-truth field no consistency check reads passes here.
-        let Value::Map(fields) = sample().to_value() else {
+        let Value::Map(fields) = serde::to_value(&sample()) else {
             panic!("Counters serialises as a map");
         };
         let truth: Vec<&str> = fields
@@ -456,7 +456,7 @@ mod tests {
                     _ => (name.clone(), value.clone()),
                 })
                 .collect();
-            let c = Counters::from_value(&Value::Map(bumped)).unwrap();
+            let c: Counters = serde::from_value(&Value::Map(bumped)).unwrap();
             assert!(
                 !c.consistency_errors().is_empty(),
                 "`{field}` bumped alone passes every consistency check"

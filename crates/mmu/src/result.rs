@@ -10,7 +10,7 @@ use crate::TlbStats;
 use atscale_cache::{HierarchyStats, PteLocationDistribution};
 use atscale_telemetry::Sample;
 use atscale_vm::{PageSize, SpaceStats};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Reader, Serialize, Writer};
 
 /// Everything measured by one simulated run.
 #[derive(Debug, Clone)]
@@ -61,45 +61,53 @@ pub(crate) fn arch_event_pairs(raw: Vec<(&'static str, u64)>) -> Vec<(String, u6
 // (deserialize). Byte-stability of baseline records is load-bearing: the
 // record hash keys the store, and golden/chaos suites compare raw bytes.
 impl Serialize for RunResult {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("counters".to_string(), self.counters.to_value()),
-            ("tlb".to_string(), self.tlb.to_value()),
-            ("hierarchy".to_string(), self.hierarchy.to_value()),
-            ("space".to_string(), self.space.to_value()),
-            ("psc_hits".to_string(), self.psc_hits.to_value()),
-            ("psc_lookups".to_string(), self.psc_lookups.to_value()),
-            ("page_size".to_string(), self.page_size.to_value()),
-            (
-                "mean_pte_latency".to_string(),
-                self.mean_pte_latency.to_value(),
-            ),
-            ("samples".to_string(), self.samples.to_value()),
-        ];
+    fn serialize(&self, out: &mut Writer) {
+        let mut map = out.map();
+        map.entry("counters", &self.counters);
+        map.entry("tlb", &self.tlb);
+        map.entry("hierarchy", &self.hierarchy);
+        map.entry("space", &self.space);
+        map.entry("psc_hits", &self.psc_hits);
+        map.entry("psc_lookups", &self.psc_lookups);
+        map.entry("page_size", &self.page_size);
+        map.entry("mean_pte_latency", &self.mean_pte_latency);
+        map.entry("samples", &self.samples);
         if !self.arch_events.is_empty() {
-            entries.push(("arch_events".to_string(), self.arch_events.to_value()));
+            map.entry("arch_events", &self.arch_events);
         }
-        Value::Map(entries)
+        map.end();
     }
 }
 
 impl Deserialize for RunResult {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v.as_map()?;
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut counters, mut tlb, mut hierarchy, mut space) = (None, None, None, None);
+        let (mut psc_hits, mut psc_lookups, mut page_size) = (None, None, None);
+        let (mut mean_pte_latency, mut samples, mut arch_events) = (None, None, None);
+        input.map(|r, key| match key {
+            "counters" => r.fill(&mut counters),
+            "tlb" => r.fill(&mut tlb),
+            "hierarchy" => r.fill(&mut hierarchy),
+            "space" => r.fill(&mut space),
+            "psc_hits" => r.fill(&mut psc_hits),
+            "psc_lookups" => r.fill(&mut psc_lookups),
+            "page_size" => r.fill(&mut page_size),
+            "mean_pte_latency" => r.fill(&mut mean_pte_latency),
+            "samples" => r.fill(&mut samples),
+            "arch_events" => r.fill(&mut arch_events),
+            _ => r.skip(),
+        })?;
         Ok(RunResult {
-            counters: serde::field(entries, "counters")?,
-            tlb: serde::field(entries, "tlb")?,
-            hierarchy: serde::field(entries, "hierarchy")?,
-            space: serde::field(entries, "space")?,
-            psc_hits: serde::field(entries, "psc_hits")?,
-            psc_lookups: serde::field(entries, "psc_lookups")?,
-            page_size: serde::field(entries, "page_size")?,
-            mean_pte_latency: serde::field(entries, "mean_pte_latency")?,
-            samples: serde::field(entries, "samples")?,
-            arch_events: match entries.iter().find(|(k, _)| k == "arch_events") {
-                Some((_, v)) => Deserialize::from_value(v)?,
-                None => Vec::new(),
-            },
+            counters: serde::required(counters, "counters")?,
+            tlb: serde::required(tlb, "tlb")?,
+            hierarchy: serde::required(hierarchy, "hierarchy")?,
+            space: serde::required(space, "space")?,
+            psc_hits: serde::required(psc_hits, "psc_hits")?,
+            psc_lookups: serde::required(psc_lookups, "psc_lookups")?,
+            page_size: serde::required(page_size, "page_size")?,
+            mean_pte_latency: serde::required(mean_pte_latency, "mean_pte_latency")?,
+            samples: serde::required(samples, "samples")?,
+            arch_events: arch_events.unwrap_or_default(),
         })
     }
 }

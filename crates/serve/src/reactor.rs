@@ -15,7 +15,7 @@
 //!
 //! Scheduler workers never touch a socket. `OutBuf::send` appends the
 //! encoded frame to the connection's outbound buffer under a short lock
-//! and bumps the shard's eventfd; the reactor drains the buffer with
+//! and, once per flush cycle, bumps the shard's eventfd; the reactor drains the buffer with
 //! non-blocking writes, arming `EPOLLOUT` only while bytes remain. A
 //! peer costs bounded memory and zero worker time in both directions:
 //! a consumer that stops reading is shed once its buffer passes
@@ -162,9 +162,10 @@ struct OutBuf {
 }
 
 impl ReplySink for OutBuf {
-    /// Appends the frame and its newline and wakes the shard. Never blocks
-    /// on the socket; a buffer past [`HIGH_WATER`] sheds the connection
-    /// instead.
+    /// Appends the frame and its newline and, when that puts the
+    /// connection on the dirty list, wakes the shard: one wake per flush
+    /// cycle, however many frames it carries. Never blocks on the socket;
+    /// a buffer past [`HIGH_WATER`] sheds the connection instead.
     fn send(&self, frame: &[u8]) {
         #[cfg(feature = "faults")]
         if let Some(plan) = &self.faults {
@@ -200,10 +201,14 @@ impl ReplySink for OutBuf {
                 state.bytes.extend_from_slice(frame);
                 state.bytes.push(b'\n');
             }
-            if !state.queued {
-                state.queued = true;
-                self.dirty.lock().push(self.fd);
+            if state.queued {
+                // Already on the dirty list: the send that put it there
+                // woke the shard, and `flush_conn` drains what this one
+                // appended before it clears `queued`.
+                return;
             }
+            state.queued = true;
+            self.dirty.lock().push(self.fd);
         }
         self.wake.wake();
     }
@@ -597,4 +602,43 @@ fn teardown(conn: &Conn, epoll: &Epoll) {
     conn.out.state.lock().dead = true;
     let _ = epoll.delete(conn.out.fd);
     conn.stream.close();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Frames sent while the connection already waits on the dirty list
+    /// ride the first frame's wake: three sends before a drain leave one
+    /// wake on the eventfd and one dirty entry, and the next cycle wakes
+    /// again.
+    #[test]
+    fn one_wake_per_flush_cycle() {
+        let out = OutBuf {
+            fd: 7,
+            state: Mutex::new(OutState {
+                bytes: Vec::new(),
+                dead: false,
+                queued: false,
+            }),
+            dirty: Arc::new(Mutex::new(Vec::new())),
+            wake: Arc::new(WakeFd::new().expect("eventfd")),
+            #[cfg(feature = "faults")]
+            faults: None,
+        };
+        for frame in [&b"a"[..], b"bc", b"def"] {
+            out.send(frame);
+        }
+        assert_eq!(out.wake.drain(), 1);
+        assert_eq!(std::mem::take(&mut *out.dirty.lock()), [7]);
+        assert_eq!(out.state.lock().bytes, b"a\nbc\ndef\n");
+        // A flush that empties the buffer takes the connection off the
+        // list; the next frame starts a new cycle.
+        out.state.lock().bytes.clear();
+        out.state.lock().queued = false;
+        out.send(b"g");
+        assert_eq!(out.wake.drain(), 1);
+        assert_eq!(out.wake.drain(), 0);
+        assert_eq!(*out.dirty.lock(), [7]);
+    }
 }

@@ -171,11 +171,15 @@ impl WakeFd {
         let _ = (&self.file).write_all(&1u64.to_ne_bytes());
     }
 
-    /// Resets the counter to 0 (the fd is non-blocking; an empty counter
-    /// reads `EAGAIN`, which is the normal idle case and ignored).
-    pub fn drain(&self) {
+    /// Resets the counter to 0 and returns what it held: the wakes since
+    /// the last drain (the fd is non-blocking; an empty counter reads
+    /// `EAGAIN`, which is the normal idle case and reads as 0).
+    pub fn drain(&self) -> u64 {
         let mut buf = [0u8; 8];
-        let _ = (&self.file).read(&mut buf);
+        match (&self.file).read(&mut buf) {
+            Ok(8) => u64::from_ne_bytes(buf),
+            _ => 0,
+        }
     }
 }
 

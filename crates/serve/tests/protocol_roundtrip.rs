@@ -21,6 +21,8 @@ use atscale_vm::PageSize;
 use atscale_workloads::WorkloadId;
 use std::sync::OnceLock;
 
+mod canonical;
+
 fn spec() -> RunSpec {
     RunSpec {
         workload: WorkloadId::parse("cc-urand").unwrap(),
@@ -494,4 +496,12 @@ fn reply_error_roundtrips() {
 #[test]
 fn reply_shutting_down_roundtrips() {
     roundtrip_replies(|f| matches!(f, Reply::ShuttingDown));
+}
+
+/// Every request and reply sample is canonical JSON: its bytes are a
+/// fixpoint of the `Value` tree, and its keys read back in any order.
+#[test]
+fn every_frame_is_canonical() {
+    requests().iter().for_each(canonical::assert_canonical);
+    replies().iter().for_each(canonical::assert_canonical);
 }

@@ -16,6 +16,8 @@ use atscale_workloads::WorkloadId;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
+mod canonical;
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("atscale-raw-hits-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -56,6 +58,19 @@ fn records() -> &'static [(RunRecord, Vec<u8>)] {
             })
             .collect()
     })
+}
+
+/// Every record of the test sweep, on every architecture, is canonical
+/// JSON: its bytes are a fixpoint of the `Value` tree, and its keys read
+/// back in any order.
+#[test]
+fn records_are_canonical() {
+    let records = records();
+    // 13 workloads × 3 footprints × (3 baseline page sizes + 3 designs).
+    assert_eq!(records.len(), 234);
+    for (record, _) in records {
+        canonical::assert_canonical(record);
+    }
 }
 
 /// For every record of the test sweep on every architecture, and every

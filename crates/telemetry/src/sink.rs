@@ -3,7 +3,7 @@
 
 use crate::{LatencyMetric, LogHistogram, Progress, Sample};
 use parking_lot::Mutex;
-use serde::{Serialize, Value};
+use serde::Value;
 use std::collections::BTreeSet;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -188,7 +188,7 @@ impl TelemetrySink {
                         ("metric".to_string(), Value::Str(m.name().to_string())),
                         ("unit".to_string(), Value::Str(m.unit().to_string())),
                     ],
-                    state.hists[m.index()].snapshot().to_value(),
+                    serde::to_value(&state.hists[m.index()].snapshot()),
                 )
             })
             .collect();
@@ -253,7 +253,7 @@ impl TelemetrySink {
         let event = tagged(
             "sample",
             vec![("run".to_string(), Value::Str(run.to_string()))],
-            sample.to_value(),
+            serde::to_value(sample),
         );
         if let Some(writer) = state.jsonl.as_mut() {
             // analyze:allow(lock-io): samples stream under the state lock so concurrent runs cannot interleave half-ordered events; the writer is buffered
@@ -274,7 +274,7 @@ impl TelemetrySink {
     pub fn progress(&self, event: &Progress) {
         let mut state = self.state.lock();
         state.progress_events += 1;
-        let line = tagged("progress", Vec::new(), event.to_value());
+        let line = tagged("progress", Vec::new(), serde::to_value(event));
         if let Some(writer) = state.jsonl.as_mut() {
             // analyze:allow(lock-io): progress events share the ordered JSONL stream; the buffered write stays under the state lock by design
             writer.write_event(&line);

@@ -2,7 +2,7 @@
 
 use crate::models::{GraphGen, GraphKernel, GraphModel, KvModel, McfModel, StreamclusterModel};
 use crate::workload::Workload;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Reader, Serialize};
 use std::fmt;
 
 /// Program under study (paper Table I).
@@ -181,11 +181,16 @@ impl WorkloadId {
 }
 
 impl Deserialize for WorkloadId {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let entries = v.as_map()?;
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut program, mut generator) = (None, None);
+        input.map(|r, key| match key {
+            "program" => r.fill(&mut program),
+            "generator" => r.fill(&mut generator),
+            _ => r.skip(),
+        })?;
         let id = WorkloadId {
-            program: serde::field(entries, "program")?,
-            generator: serde::field(entries, "generator")?,
+            program: serde::required(program, "program")?,
+            generator: serde::required(generator, "generator")?,
         };
         if WorkloadId::all().contains(&id) {
             Ok(id)
@@ -207,6 +212,7 @@ impl fmt::Display for WorkloadId {
 mod tests {
     use super::*;
     use atscale_vm::{AddressSpace, BackingPolicy, PageSize};
+    use serde::Value;
 
     #[test]
     fn there_are_exactly_thirteen_workloads() {
@@ -236,7 +242,7 @@ mod tests {
     fn parse_roundtrips_every_workload() {
         for id in WorkloadId::all() {
             assert_eq!(WorkloadId::parse(&id.to_string()), Some(id));
-            assert_eq!(WorkloadId::from_value(&id.to_value()), Ok(id));
+            assert_eq!(serde::from_value(&serde::to_value(&id)), Ok(id));
         }
         assert!(WorkloadId::parse("nonsense").is_none());
     }
@@ -249,7 +255,7 @@ mod tests {
                 ("program".to_string(), Value::Str(program.to_string())),
                 ("generator".to_string(), Value::Str(generator.to_string())),
             ]);
-            let err = WorkloadId::from_value(&v).expect_err(label);
+            let err = serde::from_value::<WorkloadId>(&v).expect_err(label);
             assert!(err.to_string().contains(label), "{err}");
         }
     }
